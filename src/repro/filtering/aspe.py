@@ -304,6 +304,47 @@ def _fresh_workspace(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
     return np.empty(shape, dtype=dtype)
 
 
+#: Rows per kernel tile: :func:`match_packed`'s temporaries are (B × tile),
+#: so scratch memory does not grow with the library.  8192 rows keep a
+#: 128-publication tile's two float temporaries at 8 MB each and still
+#: amortize the per-tile call overhead.
+_TILE_ROWS = 8192
+
+#: One kernel tile: ``(row_lo, row_hi, span_lo, span_hi, tables)``.
+GatherTile = Tuple[int, int, int, int, Tuple[np.ndarray, ...]]
+
+
+def _gather_tiles(
+    starts: np.ndarray, stops: np.ndarray, row_lo: int, row_hi: int, step: int
+) -> List[GatherTile]:
+    """Gather tables for rows ``[row_lo, row_hi)`` in tiles of ``step`` rows.
+
+    ``tables[k][s]`` of a tile is the column, in the tile's satisfied
+    matrix, of the ``k``-th row that span ``span_lo + s`` has *inside the
+    tile*; column 0 is a sentinel that always reads true and stands in
+    where the span has no ``k``-th row there.  ``starts`` is sorted and
+    spans are disjoint, so ``stops`` is sorted too and a tile's span range
+    is two binary searches.
+    """
+    tiles: List[GatherTile] = []
+    for tile_lo in range(row_lo, row_hi, step):
+        tile_hi = min(tile_lo + step, row_hi)
+        span_lo = int(np.searchsorted(stops, tile_lo, side="right"))
+        span_hi = int(np.searchsorted(starts, tile_hi, side="left"))
+        tables: Tuple[np.ndarray, ...] = ()
+        if span_lo < span_hi:
+            first = np.maximum(starts[span_lo:span_hi], tile_lo)
+            first -= tile_lo - 1
+            last = np.minimum(stops[span_lo:span_hi], tile_hi)
+            last -= tile_lo - 1
+            tables = tuple(
+                np.where(first + k < last, first + k, 0)
+                for k in range(int((last - first).max()))
+            )
+        tiles.append((tile_lo, tile_hi, span_lo, max(span_lo, span_hi), tables))
+    return tiles
+
+
 def match_packed(
     matrix: np.ndarray,
     strict: np.ndarray,
@@ -312,56 +353,91 @@ def match_packed(
     stops: np.ndarray,
     batch: np.ndarray,
     workspace=None,
+    *,
+    tiles: Optional[Sequence[GatherTile]] = None,
+    _tile_rows: Optional[int] = None,
 ) -> np.ndarray:
     """Evaluate packed (direction-folded) predicate rows against a batch.
 
-    The shared matching kernel: ``matrix`` is a ``(rows, n)`` block of
+    The one decision kernel: ``matrix`` is a ``(rows, n)`` block of
     direction-folded query-vector rows with per-row ``strict`` flags and
     sign-folded tolerance bases ``tol_signed``; ``starts``/``stops`` are
-    per-span row offsets *relative to this block*; ``batch`` is the
+    sorted per-span row offsets *relative to this block* (clipped to it
+    where a span continues in a neighbouring block); ``batch`` is the
     ``(B, n)`` stack of publication ciphertext vectors.  Returns the
-    ``(B, len(starts))`` boolean span-conjunction matrix.
+    ``(B, len(starts))`` boolean matrix of span conjunctions over the
+    rows each span has in this block.
+
+    Rows are visited a tile at a time.  Per tile, one gemm, one
+    ``scale·tol_signed`` threshold multiply and the comparison give the
+    satisfied matrix; a span's conjunction is the AND of ``take``-gathers
+    of that matrix at the span's first, second, … row (a sentinel
+    always-true column stands in past a span's end), AND-accumulated
+    across the tiles a span straddles.  ``tiles`` supplies cached gather
+    tables (:func:`_gather_tiles`); by default they are derived here.
 
     This function is *pure* — a deterministic function of its array
-    arguments with no hidden state — which is what lets
-    :mod:`repro.parallel` ship the packed rows to worker processes and
-    still produce bit-identical decisions: the in-process
-    :meth:`AspeLibrary.match_batch` path and the out-of-process path both
-    run exactly this sequence of vectorized operations.  ``workspace``
-    optionally supplies reusable scratch buffers (``(name, shape, dtype)
-    -> ndarray``); the default allocates fresh ones, which is bit-wise
-    equivalent.
+    arguments — which is what lets :mod:`repro.parallel` ship the packed
+    rows to worker processes and still produce bit-identical decisions: a
+    row's product reduces only over the ciphertext width and its decision
+    depends on no other row, so neither tiling nor row-range chunking can
+    change one.  ``workspace`` optionally supplies reusable scratch
+    buffers (``(name, shape, dtype) -> ndarray``); the default allocates
+    fresh ones, which is bit-wise equivalent.
     """
     if workspace is None:
         workspace = _fresh_workspace
     count = batch.shape[0]
-    rows = matrix.shape[0]
-    # Publication-major layout: every downstream reduction then runs
-    # over contiguous per-publication rows.  All (B × rows) temporaries
-    # come from the workspace and every ufunc writes in place.
-    products = workspace("products", (count, rows), np.float64)
-    np.matmul(batch, matrix.T, out=products)
+    if tiles is None:
+        tiles = _gather_tiles(
+            starts, stops, 0, matrix.shape[0], _tile_rows or _TILE_ROWS
+        )
     scales = np.linalg.norm(batch, axis=1)
     scales += 1.0
-    thresholds = workspace("thresholds", (count, rows), np.float64)
-    np.multiply(scales[:, None], tol_signed[None, :], out=thresholds)
-    # Strict rows require product > scale·tol_base; non-strict rows
-    # product ≥ −scale·tol_base.  With the sign folded into the
-    # threshold both become "product > threshold", plus boundary
-    # equality for the non-strict rows only.
-    satisfied = workspace("satisfied", (count, rows), np.bool_)
-    np.greater(products, thresholds, out=satisfied)
-    boundary = workspace("boundary", (count, rows), np.bool_)
-    np.equal(products, thresholds, out=boundary)
-    np.logical_and(boundary, ~strict[None, :], out=boundary)
-    np.logical_or(satisfied, boundary, out=satisfied)
-    # Span conjunction via exclusive prefix sums of unsatisfied rows
-    # (see AspeLibrary._reduce_spans), with the prefix buffer reused.
-    np.logical_not(satisfied, out=boundary)
-    prefix = workspace("prefix", (count, rows + 1), np.int32)
-    prefix[:, 0] = 0
-    np.cumsum(boundary, axis=1, out=prefix[:, 1:])
-    return (prefix[:, stops] - prefix[:, starts]) == 0
+    ok = np.ones((count, starts.size), dtype=np.bool_)
+    for row_lo, row_hi, span_lo, span_hi, tables in tiles:
+        if span_lo == span_hi:
+            continue  # nothing but tombstoned rows
+        rows = row_hi - row_lo
+        block = matrix[row_lo:row_hi]
+        if not block.flags.c_contiguous:
+            # Chunk-store blocks are strided (and memory-mapped) views.
+            packed = workspace("rows", block.shape, np.float64)
+            packed[:] = block
+            block = packed
+        # Publication-major layout: every ufunc below streams over
+        # contiguous per-publication rows and writes in place.
+        products = workspace("products", (count, rows), np.float64)
+        np.matmul(batch, block.T, out=products)
+        thresholds = workspace("thresholds", (count, rows), np.float64)
+        np.multiply(
+            scales[:, None], tol_signed[None, row_lo:row_hi], out=thresholds
+        )
+        # Strict rows require product > scale·tol_base; non-strict rows
+        # product ≥ −scale·tol_base.  With the sign folded into the
+        # threshold both become "product > threshold", plus boundary
+        # equality for the non-strict rows only.
+        padded = workspace("satisfied", (count, rows + 1), np.bool_)
+        padded[:, 0] = True  # the sentinel column
+        satisfied = padded[:, 1:]
+        np.greater(products, thresholds, out=satisfied)
+        boundary = workspace("boundary", (count, rows), np.bool_)
+        np.equal(products, thresholds, out=boundary)
+        np.logical_and(boundary, ~strict[None, row_lo:row_hi], out=boundary)
+        np.logical_or(satisfied, boundary, out=satisfied)
+        spans = span_hi - span_lo
+        conjunction = workspace("conjunction", (count, spans), np.bool_)
+        # (Table entries are valid columns; "clip" only spares numpy the
+        # defensive copy of ``out`` that the default mode makes.)
+        np.take(padded, tables[0], axis=1, out=conjunction, mode="clip")
+        if len(tables) > 1:
+            gathered = workspace("gathered", (count, spans), np.bool_)
+            for table in tables[1:]:
+                np.take(padded, table, axis=1, out=gathered, mode="clip")
+                np.logical_and(conjunction, gathered, out=conjunction)
+        columns = ok[:, span_lo:span_hi]
+        np.logical_and(columns, conjunction, out=columns)
+    return ok
 
 
 @dataclass(frozen=True)
@@ -410,6 +486,72 @@ _MIN_CAPACITY = 64
 _COMPACT_MIN_DEAD = 64
 
 
+class _SpanIndex:
+    """Span-reduction index of one library, with its cached gather tiles.
+
+    ``ids`` lists stored subscription ids in dict (insertion) order;
+    ``starts``/``stops`` hold the row offsets of all *non-empty* spans,
+    sorted by start; ``positions[j]`` is the index into ``ids`` of the
+    span whose conjunction lands in column ``j``.  Empty spans are left
+    out — their subscriptions match vacuously.  ``dense`` says column
+    ``j`` simply *is* ``ids[j]`` (no empty subscription, no overwrite
+    that re-ordered rows against ids).  ``tiles`` caches the kernel's
+    gather tables for the leading rows, in row order.
+    """
+
+    __slots__ = ("view", "dense", "tiles", "_table")
+
+    def __init__(self, ids: List[int], table: np.ndarray) -> None:
+        #: (3, capacity) backing of positions / starts / stops.
+        self._table = table
+        #: ``(ids, positions, starts, stops)``, the arrays cut to the spans.
+        self.view = (ids, *table)
+        spans = table.shape[1]
+        self.dense = spans == len(ids) and bool(
+            (table[0] == np.arange(spans)).all()
+        )
+        self.tiles: List[GatherTile] = []
+
+    def append(self, sub_id: int, start: int, stop: int) -> None:
+        """Index a subscription stored under a *fresh* id — O(1) amortized.
+
+        Its rows sit past every indexed row and its id past every indexed
+        id, so both orders hold.  Arrays handed out earlier are never
+        written: an append lands past their end, or in a grown copy.
+        """
+        ids = self.view[0]
+        ids.append(sub_id)
+        if stop <= start:
+            self.dense = False
+            return
+        spans = self.view[2].size
+        table = self._table
+        if spans == table.shape[1]:
+            table = np.empty((3, max(2 * spans, _MIN_CAPACITY)), dtype=np.int64)
+            table[:, :spans] = self._table
+            self._table = table
+        table[:, spans] = (len(ids) - 1, start, stop)
+        self.view = (ids, *table[:, : spans + 1])
+        # The tile the new rows extend (or follow) is rebuilt on next use.
+        tiles = self.tiles
+        while tiles and tiles[-1][1] >= start:
+            tiles.pop()
+
+    def cover(self, row_lo: int, row_hi: int) -> None:
+        """Make ``tiles`` reach ``row_hi``, tiling on from ``row_lo``.
+
+        Called for a dense matrix (``row_lo = 0``) or for each chunk in
+        row order, so tiles never cross a chunk: one tile is one
+        contiguous run of at most ``_TILE_ROWS`` rows of one block.
+        """
+        covered = self.tiles[-1][1] if self.tiles else 0
+        if covered < row_hi:
+            _, _, starts, stops = self.view
+            self.tiles += _gather_tiles(
+                starts, stops, max(row_lo, covered), row_hi, _TILE_ROWS
+            )
+
+
 class AspeLibrary(FilteringLibrary):
     """Filtering library over ASPE ciphertexts.
 
@@ -424,10 +566,9 @@ class AspeLibrary(FilteringLibrary):
     subscription's row span, and compaction runs only when dead rows
     outnumber live ones — store/remove churn costs amortized O(rows
     touched), never a full repack.  Per-row tolerance norms and comparison
-    directions are precomputed as ndarrays so a match is one matrix-vector
-    product plus vectorized mask reductions (``np.logical_and.reduceat``
-    over per-subscription row spans); :meth:`match_batch` evaluates a whole
-    batch of publications as a single matrix-matrix product.
+    directions are precomputed as ndarrays, and :meth:`match` (a batch of
+    one) and :meth:`match_batch` both decide through the one row-tiled
+    kernel, :func:`match_packed`.
     """
 
     def __init__(self, store_config: Optional[StoreConfig] = None) -> None:
@@ -457,30 +598,23 @@ class AspeLibrary(FilteringLibrary):
         #: ``product {>, ≥−} tolerance`` with no per-row sign multiply.
         self._matrix: Optional[np.ndarray] = None
         self._strict: Optional[np.ndarray] = None
-        #: Per-row ``_REL_TOL · (‖q̂‖ + 1)``; the decision tolerance is this
-        #: times the publication's scale factor.
-        self._tol_base: Optional[np.ndarray] = None
-        #: Sign-folded tolerance base: ``+tol_base`` for strict rows,
-        #: ``−tol_base`` for non-strict ones.  Folding the decision side
-        #: into the sign is exact (IEEE negation commutes with scaling:
-        #: ``s·(−a) == −(s·a)`` bit-for-bit) and lets :meth:`match_batch`
-        #: evaluate all rows with one comparison pass instead of a
-        #: strict/non-strict ``np.where`` over two full comparisons.
+        #: Sign-folded tolerance base ``±_REL_TOL · (‖q̂‖ + 1)``: positive
+        #: for strict rows, negative for non-strict ones; the decision
+        #: threshold is this times the publication's scale factor.  Folding
+        #: the decision side into the sign is exact (IEEE negation commutes
+        #: with scaling: ``s·(−a) == −(s·a)`` bit-for-bit) and lets the
+        #: kernel compare all rows against one threshold.
         self._tol_signed: Optional[np.ndarray] = None
         self._alive: Optional[np.ndarray] = None
         self._rows = 0  # buffer rows in use (live + tombstoned)
         self._dead_rows = 0
         #: sub_id → [start, stop) row span in the packed matrix.
         self._spans: Dict[int, Tuple[int, int]] = {}
-        #: Lazily built span index for span reductions (see _span_index).
-        self._index: Optional[
-            Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]
-        ] = None
-        #: Reusable scratch buffers for :meth:`match_batch` (name → flat
-        #: array).  The batch temporaries are large enough (B × rows) to
-        #: defeat numpy's small-allocation cache; reusing them removes the
-        #: per-call mmap churn that made batching slower than the
-        #: single-publication path.
+        #: Lazily built span index and gather tiles (see _span_index).
+        self._index: Optional[_SpanIndex] = None
+        #: Reusable scratch buffers for the kernel (name → flat array): the
+        #: (B × tile) temporaries defeat numpy's small-allocation cache, so
+        #: reusing them removes per-call mmap churn.
         self._ws: Dict[str, np.ndarray] = {}
         #: Process-unique instance identity.  Epoch/generation counters
         #: are per-instance, so sync caches keyed on them must also key on
@@ -498,6 +632,7 @@ class AspeLibrary(FilteringLibrary):
         self.rows_appended = 0
         self.compaction_count = 0
         self.full_pack_count = 0
+        self.index_rebuild_count = 0
 
     # -- storage --------------------------------------------------------------
 
@@ -506,11 +641,16 @@ class AspeLibrary(FilteringLibrary):
             raise TypeError(
                 f"expected EncryptedSubscription, got {type(filter_data).__name__}"
             )
-        if sub_id in self._subs:
+        fresh = sub_id not in self._subs
+        if not fresh:
             self._tombstone(sub_id)
         self._subs[sub_id] = filter_data
         self._append_rows(sub_id, filter_data)
-        self._index = None
+        if fresh and self._index is not None:
+            self._index.append(sub_id, *self._spans[sub_id])
+        else:
+            # An overwrite keeps its place in ``ids`` but moves its rows.
+            self._index = None
         self._epoch += 1
         self._maybe_compact()
 
@@ -528,24 +668,7 @@ class AspeLibrary(FilteringLibrary):
             raise TypeError(
                 f"expected EncryptedPublication, got {type(publication_data).__name__}"
             )
-        if not self._subs:
-            return []
-        ids, positions, starts, stops = self._span_index()
-        if starts.size == 0:
-            # Only empty (vacuously true) subscriptions are stored.
-            return list(ids)
-        u = publication_data.vector
-        if self._chunks is not None:
-            ok = self._match_single_streaming(u, starts, stops)
-        else:
-            rows = self._rows
-            products = self._matrix[:rows] @ u
-            scale = float(np.linalg.norm(u)) + 1.0
-            satisfied = self._decide_rows(products, scale * self._tol_base[:rows])
-            ok = self._reduce_spans(satisfied, starts, stops)
-        result = np.ones(len(ids), dtype=bool)
-        result[positions] = ok
-        return [ids[i] for i in np.nonzero(result)[0]]
+        return self._match_lists(publication_data.vector[None, :])[0]
 
     def match_batch(
         self, publications: Sequence[EncryptedPublication]
@@ -557,19 +680,21 @@ class AspeLibrary(FilteringLibrary):
                 )
         if not publications:
             return []
-        if not self._subs:
-            return [[] for _ in publications]
-        ids, positions, starts, stops = self._span_index()
+        return self._match_lists(np.stack([p.vector for p in publications]))
+
+    def _match_lists(self, batch: np.ndarray) -> List[List[int]]:
+        """Matching ids, in store order, per row of the ``(B, n)`` batch —
+        the body of :meth:`match` and :meth:`match_batch` alike, so neither
+        public method runs inside the other."""
+        count = batch.shape[0]
+        index = self._span_index()
+        ids, positions, starts, stops = index.view
         if starts.size == 0:
-            return [list(ids) for _ in publications]
-        batch = np.stack([p.vector for p in publications])  # (B, n)
-        if self._chunks is not None:
-            ok = self._match_batch_streaming(batch, starts, stops)
-        else:
+            # Nothing, or only empty (vacuously true) subscriptions, stored.
+            return [list(ids) for _ in range(count)]
+        if self._chunks is None:
             rows = self._rows
-            # The shared kernel (also run by parallel matching workers)
-            # with the reusable workspace — per-call allocation is what
-            # made batching lose to the cached single-publication path.
+            index.cover(0, rows)
             ok = match_packed(
                 self._matrix[:rows],
                 self._strict[:rows],
@@ -578,10 +703,60 @@ class AspeLibrary(FilteringLibrary):
                 stops,
                 batch,
                 workspace=self._workspace,
+                tiles=index.tiles,
             )
-        result = np.ones((batch.shape[0], len(ids)), dtype=bool)
-        result[:, positions] = ok
-        return [[ids[i] for i in np.nonzero(row)[0]] for row in result]
+        else:
+            ok = self._match_chunks(index, batch)
+        if not index.dense:
+            # Scatter through ``positions`` into a vacuous-true matrix
+            # over the stored ids: empty subscriptions match, and the id
+            # order follows storage order even after overwrites.
+            columns = ok
+            ok = np.ones((count, len(ids)), dtype=np.bool_)
+            ok[:, positions] = columns
+        # (1-D nonzero is an order of magnitude faster than 2-D on bools.)
+        owners, matched = np.divmod(np.flatnonzero(ok), ok.shape[1])
+        flat = list(map(ids.__getitem__, matched.tolist()))
+        bounds = np.searchsorted(owners, np.arange(count + 1)).tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def _match_chunks(self, index: _SpanIndex, batch: np.ndarray) -> np.ndarray:
+        """:func:`match_packed` over the chunk store, one block at a time.
+
+        Every resident block is visited (and faulted) in row order whether
+        or not a live span touches it; a span cut by a chunk boundary is
+        the AND of its parts.  Only one block's rows are ever held.
+        """
+        _, _, starts, stops = index.view
+        ok = np.ones((batch.shape[0], starts.size), dtype=np.bool_)
+        tiles = index.tiles
+        cursor = 0
+        for block in self._chunks.blocks():
+            index.cover(block.start, block.stop)
+            first = cursor
+            while cursor < len(tiles) and tiles[cursor][0] < block.stop:
+                cursor += 1
+            base = block.start
+            span_lo, span_hi = tiles[first][2], tiles[cursor - 1][3]
+            if span_lo == span_hi:
+                continue
+            rows = block.stop - base
+            part = match_packed(
+                block.matrix,
+                block.strict,
+                block.tol_signed,
+                np.clip(starts[span_lo:span_hi] - base, 0, rows),
+                np.clip(stops[span_lo:span_hi] - base, 0, rows),
+                batch,
+                workspace=self._workspace,
+                tiles=[
+                    (lo - base, hi - base, j0 - span_lo, j1 - span_lo, tables)
+                    for lo, hi, j0, j1, tables in tiles[first:cursor]
+                ],
+            )
+            columns = ok[:, span_lo:span_hi]
+            np.logical_and(columns, part, out=columns)
+        return ok
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -595,20 +770,10 @@ class AspeLibrary(FilteringLibrary):
         return dict(self._subs)
 
     def import_state(self, state: Dict[int, EncryptedSubscription]) -> None:
-        self._subs = {}
-        self._matrix = None
-        self._strict = self._tol_base = self._tol_signed = self._alive = None
-        if self._chunks is not None:
-            self._chunks.clear()
-        self._rows = 0
-        self._dead_rows = 0
-        self._spans = {}
-        self._index = None
+        self._reset_empty()  # one epoch and generation step for the import
         for sub_id, subscription in state.items():
             self._subs[sub_id] = subscription
             self._append_rows(sub_id, subscription)
-        self._epoch += 1
-        self._generation += 1
         self.full_pack_count += 1
 
     # -- bulk ingest and shard transfer ---------------------------------------
@@ -637,47 +802,12 @@ class AspeLibrary(FilteringLibrary):
                 self.store(sub_id, subscription)
             return len(items)
         total = sum(len(s.predicates) for _, s in items)
-        if total == 0:
-            for sub_id, subscription in items:
-                self._subs[sub_id] = subscription
-                self._spans[sub_id] = (self._rows, self._rows)
-            self._index = None
-            self._epoch += 1
-            return len(items)
-        width = next(
-            s.predicates[0].vector.shape[0] for _, s in items if s.predicates
-        )
-        block = np.empty((total, width))
-        strict = np.empty(total, dtype=bool)
-        bounds = []
-        row = 0
+        subscriptions = [subscription for _, subscription in items]
+        row = self._append_packed(subscriptions, total) if total else self._rows
         for sub_id, subscription in items:
-            start = row
-            for predicate in subscription.predicates:
-                if _OP_SIGN[predicate.op_code] < 0.0:
-                    np.negative(predicate.vector, out=block[row])
-                else:
-                    block[row] = predicate.vector
-                strict[row] = _OP_STRICT[predicate.op_code]
-                row += 1
-            bounds.append((start, row))
-        base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
-        tol_signed = np.where(strict, base, -base)
-        if self._chunks is not None:
-            offset, _ = self._chunks.append(block, strict, base, tol_signed)
-        else:
-            self._ensure_capacity(total, width)
-            offset = self._rows
-            self._matrix[offset : offset + total] = block
-            self._strict[offset : offset + total] = strict
-            self._tol_base[offset : offset + total] = base
-            self._tol_signed[offset : offset + total] = tol_signed
-            self._alive[offset : offset + total] = True
-        self._rows = offset + total
-        for (sub_id, subscription), (start, stop) in zip(items, bounds):
             self._subs[sub_id] = subscription
-            self._spans[sub_id] = (offset + start, offset + stop)
-        self.rows_appended += total
+            self._spans[sub_id] = (row, row + len(subscription.predicates))
+            row += len(subscription.predicates)
         self._index = None
         self._epoch += 1
         self._maybe_compact()
@@ -711,7 +841,6 @@ class AspeLibrary(FilteringLibrary):
             stop = base + moved
             self._matrix[base:stop] = other._matrix[:moved]
             self._strict[base:stop] = other._strict[:moved]
-            self._tol_base[base:stop] = other._tol_base[:moved]
             self._tol_signed[base:stop] = other._tol_signed[:moved]
             self._alive[base:stop] = other._alive[:moved]
         self._rows = base + moved
@@ -774,7 +903,6 @@ class AspeLibrary(FilteringLibrary):
                 new_lib._ensure_capacity(suffix, self._matrix.shape[1])
                 new_lib._matrix[:suffix] = self._matrix[boundary:rows]
                 new_lib._strict[:suffix] = self._strict[boundary:rows]
-                new_lib._tol_base[:suffix] = self._tol_base[boundary:rows]
                 new_lib._tol_signed[:suffix] = self._tol_signed[boundary:rows]
                 new_lib._alive[:suffix] = self._alive[boundary:rows]
                 new_lib._rows = suffix
@@ -805,11 +933,11 @@ class AspeLibrary(FilteringLibrary):
         return new_lib, copied
 
     def _reset_empty(self) -> None:
-        """Empty this library in place (its state moved elsewhere)."""
+        """Empty this library in place (its state moved, or is replaced)."""
         self._subs = {}
         self._spans = {}
         self._matrix = None
-        self._strict = self._tol_base = self._tol_signed = self._alive = None
+        self._strict = self._tol_signed = self._alive = None
         if self._chunks is not None:
             self._chunks.clear()
         self._rows = 0
@@ -882,49 +1010,36 @@ class AspeLibrary(FilteringLibrary):
         Valid until the next mutation; see the view's docstring for the
         epoch/generation contract the parallel executors rely on.
         """
-        ids, positions, starts, stops = self._span_index()
+        ids, positions, starts, stops = self._span_index().view
+        # In-flight batches merge through ``ids`` after later stores; a
+        # fresh-id store appends to the index's own list in place.
+        ids = list(ids)
         rows = self._rows
+        matrix = strict = tol_signed = None
         if self._chunks is not None:
             # The executors need one flat matrix; materialize contiguous
             # copies once per epoch.  Rows below any previously observed
             # cursor re-copy to identical bits within a generation (the
             # chunk data is unchanged), so append-only deltas stay sound.
-            matrix = strict = tol_signed = None
-            width = 0
             if self._chunks.width is not None:
                 cached = self._materialized
                 if cached is None or cached[0] != self._epoch:
-                    matrix, strict, tol_signed = self._chunks.materialize()
-                    self._materialized = (self._epoch, matrix, strict, tol_signed)
-                else:
-                    _, matrix, strict, tol_signed = cached
-                width = int(self._chunks.width)
-            return PackedMatrixView(
-                token=self._token,
-                epoch=self._epoch,
-                generation=self._generation,
-                rows=rows,
-                width=width,
-                matrix=matrix,
-                strict=strict,
-                tol_signed=tol_signed,
-                ids=ids,
-                positions=positions,
-                starts=starts,
-                stops=stops,
-            )
-        matrix = None if self._matrix is None else self._matrix[:rows]
+                    cached = (self._epoch, *self._chunks.materialize())
+                    self._materialized = cached
+                _, matrix, strict, tol_signed = cached
+        elif self._matrix is not None:
+            matrix = self._matrix[:rows]
+            strict = self._strict[:rows]
+            tol_signed = self._tol_signed[:rows]
         return PackedMatrixView(
             token=self._token,
             epoch=self._epoch,
             generation=self._generation,
             rows=rows,
-            width=0 if self._matrix is None else int(self._matrix.shape[1]),
+            width=0 if matrix is None else int(matrix.shape[1]),
             matrix=matrix,
-            strict=None if self._strict is None else self._strict[:rows],
-            tol_signed=(
-                None if self._tol_signed is None else self._tol_signed[:rows]
-            ),
+            strict=strict,
+            tol_signed=tol_signed,
             ids=ids,
             positions=positions,
             starts=starts,
@@ -938,15 +1053,14 @@ class AspeLibrary(FilteringLibrary):
 
         Snapshots shipped to matching workers and ``export_state`` copies
         made during migration must not serialize dead weight: the
-        workspace buffers (B × rows scratch), the lazily rebuilt span
-        index, the derived tolerance caches (recomputed bit-identically
-        from the stored rows) and the unused tail of the
-        amortized-doubling buffers are all omitted.
+        workspace buffers (B × tile scratch), the lazily rebuilt span
+        index and its gather tiles, the derived tolerance cache
+        (recomputed bit-identically from the stored rows) and the unused
+        tail of the amortized-doubling buffers are all omitted.
         """
         state = self.__dict__.copy()
         state["_ws"] = {}
         state["_index"] = None
-        state["_tol_base"] = None
         state["_tol_signed"] = None
         state["_materialized"] = None
         state["_telemetry"] = None
@@ -1002,7 +1116,6 @@ class AspeLibrary(FilteringLibrary):
             # per-row norm reduction is element-independent, so the values
             # are bit-identical to the ones computed at append time.
             base = _REL_TOL * (np.linalg.norm(self._matrix, axis=1) + 1.0)
-            self._tol_base = base
             self._tol_signed = np.where(self._strict, base, -base)
 
     # -- packed-state maintenance ---------------------------------------------
@@ -1018,161 +1131,53 @@ class AspeLibrary(FilteringLibrary):
             self._ws[name] = buffer
         return buffer[:size].reshape(shape)
 
-    def _decide_rows(self, products, tolerances):
-        """Vectorized :func:`_decide` over the (direction-folded) rows."""
-        rows = self._rows
-        return np.where(
-            self._strict[:rows], products > tolerances, products >= -tolerances
-        )
-
-    @staticmethod
-    def _reduce_spans(satisfied, starts, stops):
-        """Per-span conjunction of ``satisfied`` along its last axis.
-
-        Counts unsatisfied rows through an exclusive prefix sum, so the
-        [start, stop) gather skips tombstoned gaps between spans without
-        touching them — faster than ``np.logical_and.reduceat`` and
-        immune to dead-row garbage.
-        """
-        length = satisfied.shape[-1]
-        prefix = np.zeros(satisfied.shape[:-1] + (length + 1,), dtype=np.int32)
-        np.cumsum(~satisfied, axis=-1, out=prefix[..., 1:])
-        return (prefix[..., stops] - prefix[..., starts]) == 0
-
-    @staticmethod
-    def _block_span_range(starts, stops, row_lo, row_hi):
-        """Index range [j0, j1) of spans overlapping rows [row_lo, row_hi).
-
-        ``starts`` is sorted and spans are disjoint, so ``stops`` is
-        sorted too — both bounds come from one binary search each.
-        """
-        j0 = int(np.searchsorted(stops, row_lo, side="right"))
-        j1 = int(np.searchsorted(starts, row_hi, side="left"))
-        return j0, j1
-
-    def _match_single_streaming(self, u, starts, stops) -> np.ndarray:
-        """Chunk-streamed equivalent of the dense single-publication path.
-
-        Each span's unsatisfied-row count is accumulated block by block;
-        the per-row products and decisions are computed by exactly the
-        same vectorized operations as the dense path (a row's dot product
-        reduces only over the ciphertext width, so row-chunking cannot
-        change its result), and the span conjunction is integer counting
-        — the final decisions are bit-identical to the in-RAM backend.
-        """
-        scale = float(np.linalg.norm(u)) + 1.0
-        unsat = np.zeros(starts.size, dtype=np.int64)
-        for block in self._chunks.blocks():
-            j0, j1 = self._block_span_range(starts, stops, block.start, block.stop)
-            if j0 >= j1:
-                continue
-            products = np.ascontiguousarray(block.matrix) @ u
-            tolerances = scale * np.ascontiguousarray(block.tol_base)
-            satisfied = np.where(
-                block.strict, products > tolerances, products >= -tolerances
-            )
-            length = satisfied.size
-            prefix = np.zeros(length + 1, dtype=np.int64)
-            np.cumsum(~satisfied, out=prefix[1:])
-            lo = np.clip(starts[j0:j1] - block.start, 0, length)
-            hi = np.clip(stops[j0:j1] - block.start, 0, length)
-            unsat[j0:j1] += prefix[hi] - prefix[lo]
-        return unsat == 0
-
-    def _match_batch_streaming(self, batch, starts, stops) -> np.ndarray:
-        """Chunk-streamed :func:`match_packed`: one block at a time.
-
-        Runs the identical per-block operation sequence as the dense
-        kernel (matmul → sign-folded threshold compare → unsatisfied-row
-        prefix sums) and accumulates per-span unsatisfied counts across
-        blocks; integer accumulation makes the conjunction exact, so the
-        result is bit-identical to the one-shot dense kernel while only
-        ever touching one resident chunk of rows.
-        """
-        count = batch.shape[0]
-        scales = np.linalg.norm(batch, axis=1)
-        scales += 1.0
-        unsat = np.zeros((count, starts.size), dtype=np.int64)
-        width = batch.shape[1]
-        for block in self._chunks.blocks():
-            j0, j1 = self._block_span_range(starts, stops, block.start, block.stop)
-            if j0 >= j1:
-                continue
-            rows = block.stop - block.start
-            matrix = self._workspace("stream_matrix", (rows, width), np.float64)
-            matrix[:] = block.matrix
-            tol_signed = self._workspace("stream_tol", (rows,), np.float64)
-            tol_signed[:] = block.tol_signed
-            products = self._workspace("products", (count, rows), np.float64)
-            np.matmul(batch, matrix.T, out=products)
-            thresholds = self._workspace("thresholds", (count, rows), np.float64)
-            np.multiply(scales[:, None], tol_signed[None, :], out=thresholds)
-            satisfied = self._workspace("satisfied", (count, rows), np.bool_)
-            np.greater(products, thresholds, out=satisfied)
-            boundary = self._workspace("boundary", (count, rows), np.bool_)
-            np.equal(products, thresholds, out=boundary)
-            np.logical_and(boundary, ~block.strict[None, :], out=boundary)
-            np.logical_or(satisfied, boundary, out=satisfied)
-            np.logical_not(satisfied, out=boundary)
-            prefix = self._workspace("prefix", (count, rows + 1), np.int32)
-            prefix[:, 0] = 0
-            np.cumsum(boundary, axis=1, out=prefix[:, 1:])
-            lo = np.clip(starts[j0:j1] - block.start, 0, rows)
-            hi = np.clip(stops[j0:j1] - block.start, 0, rows)
-            unsat[:, j0:j1] += prefix[:, hi] - prefix[:, lo]
-        return unsat == 0
-
     def _append_rows(self, sub_id: int, subscription: EncryptedSubscription) -> None:
-        predicates = subscription.predicates
-        count = len(predicates)
-        if count == 0:
-            self._spans[sub_id] = (self._rows, self._rows)
-            return
-        width = predicates[0].vector.shape[0]
-        if self._chunks is not None:
-            block = np.empty((count, width))
-            strict = np.empty(count, dtype=bool)
-            for offset, predicate in enumerate(predicates):
+        count = len(subscription.predicates)
+        start = self._append_packed([subscription], count) if count else self._rows
+        self._spans[sub_id] = (start, start + count)
+
+    def _append_packed(self, subscriptions, total: int) -> int:
+        """Pack the ``total`` predicates of ``subscriptions`` into rows and
+        append them to the backing store; returns the first row's offset."""
+        width = next(
+            s.predicates[0].vector.shape[0] for s in subscriptions if s.predicates
+        )
+        block = np.empty((total, width))
+        strict = np.empty(total, dtype=bool)
+        row = 0
+        for subscription in subscriptions:
+            for predicate in subscription.predicates:
+                # Folding the ±1 comparison direction into the row is exact:
+                # IEEE negation commutes with sums and products bit-for-bit.
                 if _OP_SIGN[predicate.op_code] < 0.0:
-                    np.negative(predicate.vector, out=block[offset])
+                    np.negative(predicate.vector, out=block[row])
                 else:
-                    block[offset] = predicate.vector
-                strict[offset] = _OP_STRICT[predicate.op_code]
-            # Computed on the staging block, but per-row norms reduce
-            # element-independently — bit-identical to dense append.
-            base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
-            tol_signed = np.where(strict, base, -base)
-            start, stop = self._chunks.append(block, strict, base, tol_signed)
-            self._rows = stop
-            self._spans[sub_id] = (start, stop)
-            self.rows_appended += count
-            return
-        self._ensure_capacity(count, width)
-        start = self._rows
-        stop = start + count
-        block = self._matrix[start:stop]
-        for offset, predicate in enumerate(predicates):
-            # Folding the ±1 comparison direction into the row is exact:
-            # IEEE negation commutes with sums and products bit-for-bit.
-            if _OP_SIGN[predicate.op_code] < 0.0:
-                np.negative(predicate.vector, out=block[offset])
-            else:
-                block[offset] = predicate.vector
-            self._strict[start + offset] = _OP_STRICT[predicate.op_code]
+                    block[row] = predicate.vector
+                strict[row] = _OP_STRICT[predicate.op_code]
+                row += 1
+        # Per-row norms reduce element-independently, so staging a batch or
+        # one subscription at a time gives bit-identical tolerances.
         base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
-        self._tol_base[start:stop] = base
-        self._tol_signed[start:stop] = np.where(self._strict[start:stop], base, -base)
-        self._alive[start:stop] = True
-        self._rows = stop
-        self._spans[sub_id] = (start, stop)
-        self.rows_appended += count
+        tol_signed = np.where(strict, base, -base)
+        if self._chunks is not None:
+            start, _ = self._chunks.append(block, strict, base, tol_signed)
+        else:
+            self._ensure_capacity(total, width)
+            start = self._rows
+            stop = start + total
+            self._matrix[start:stop] = block
+            self._strict[start:stop] = strict
+            self._tol_signed[start:stop] = tol_signed
+            self._alive[start:stop] = True
+        self._rows = start + total
+        self.rows_appended += total
+        return start
 
     def _ensure_capacity(self, extra: int, width: int) -> None:
         if self._matrix is None:
             capacity = max(_MIN_CAPACITY, 2 * extra)
             self._matrix = np.empty((capacity, width))
             self._strict = np.zeros(capacity, dtype=bool)
-            self._tol_base = np.empty(capacity)
             self._tol_signed = np.empty(capacity)
             self._alive = np.zeros(capacity, dtype=bool)
             return
@@ -1190,10 +1195,9 @@ class AspeLibrary(FilteringLibrary):
         grown = np.empty((capacity, width))
         grown[: self._rows] = self._matrix[: self._rows]
         self._matrix = grown
-        for name in ("_tol_base", "_tol_signed"):
-            buffer = np.empty(capacity)
-            buffer[: self._rows] = getattr(self, name)[: self._rows]
-            setattr(self, name, buffer)
+        tol_signed = np.empty(capacity)
+        tol_signed[: self._rows] = self._tol_signed[: self._rows]
+        self._tol_signed = tol_signed
         for name in ("_strict", "_alive"):
             buffer = np.zeros(capacity, dtype=bool)
             buffer[: self._rows] = getattr(self, name)[: self._rows]
@@ -1246,7 +1250,6 @@ class AspeLibrary(FilteringLibrary):
         np.cumsum(alive, out=offsets[1:])
         self._matrix[: keep.size] = self._matrix[keep]
         self._strict[: keep.size] = self._strict[keep]
-        self._tol_base[: keep.size] = self._tol_base[keep]
         self._tol_signed[: keep.size] = self._tol_signed[keep]
         self._alive[: keep.size] = True
         self._alive[keep.size : rows] = False
@@ -1261,33 +1264,21 @@ class AspeLibrary(FilteringLibrary):
         self._generation += 1
         self.compaction_count += 1
 
-    def _span_index(self):
-        """Cached reduction index: (ids, positions, starts, stops).
+    def _span_index(self) -> _SpanIndex:
+        """The cached :class:`_SpanIndex`, rebuilt after a structural change.
 
-        ``ids`` lists stored subscription ids in dict (insertion) order;
-        ``starts``/``stops`` hold the row offsets of all *non-empty* spans,
-        sorted by start, ready for the prefix-sum span reduction;
-        ``positions[j]`` is the index into ``ids`` of the span whose
-        reduction lands in slot ``j``.  Empty spans are left out — their
-        subscriptions match vacuously.  Rebuilding is O(#subscriptions),
-        done lazily after a structural change; match itself is already
-        Ω(#subscriptions).
+        Rebuilding is O(#subscriptions); a store under a fresh id appends
+        to the cached index instead (:meth:`_SpanIndex.append`).
         """
         if self._index is None:
-            ids: List[int] = []
-            span_starts: List[int] = []
-            span_stops: List[int] = []
-            span_positions: List[int] = []
-            for position, sub_id in enumerate(self._subs):
-                ids.append(sub_id)
-                start, stop = self._spans[sub_id]
-                if stop > start:
-                    span_starts.append(start)
-                    span_stops.append(stop)
-                    span_positions.append(position)
-            starts = np.asarray(span_starts, dtype=np.int64)
-            stops = np.asarray(span_stops, dtype=np.int64)
-            positions = np.asarray(span_positions, dtype=np.int64)
-            order = np.argsort(starts, kind="stable")
-            self._index = (ids, positions[order], starts[order], stops[order])
+            ids = list(self._subs)
+            spans = np.array(
+                [self._spans[sub_id] for sub_id in ids], dtype=np.int64
+            ).reshape(-1, 2)
+            positions = np.flatnonzero(spans[:, 1] > spans[:, 0])
+            positions = positions[np.argsort(spans[positions, 0], kind="stable")]
+            self._index = _SpanIndex(
+                ids, np.vstack((positions, spans[positions].T))
+            )
+            self.index_rebuild_count += 1
         return self._index

@@ -84,11 +84,11 @@ def match_span_range(
     Slices the packed rows down to the contiguous ``[starts[lo],
     stops[hi-1])`` row range covering the requested spans and runs the
     shared kernel on that block.  Row-range chunking is bitwise-safe: the
-    per-row decisions are row-independent, the span conjunction is an
-    integer prefix-sum difference entirely inside the chunk's rows, and
-    the BLAS product accumulates only over the (tiny) ciphertext width —
-    never across chunked rows — so every chunk reproduces the exact
-    columns the unchunked kernel would compute.
+    per-row decisions are row-independent, the span conjunction is a
+    gather-AND over rows that all lie inside the chunk, and the BLAS
+    product accumulates only over the (tiny) ciphertext width — never
+    across chunked rows — so every chunk reproduces the exact columns the
+    unchunked kernel would compute.
     """
     row_lo = int(snapshot.starts[span_lo])
     row_hi = int(snapshot.stops[span_hi - 1])

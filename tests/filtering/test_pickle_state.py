@@ -70,7 +70,6 @@ def test_getstate_drops_scratch_and_trims_buffers(cipher):
     state = library.__getstate__()
     assert state["_ws"] == {}
     assert state["_index"] is None
-    assert state["_tol_base"] is None
     assert state["_tol_signed"] is None
     # Amortized-doubling tails are trimmed to the rows actually in use.
     assert state["_matrix"].shape[0] == library._rows
