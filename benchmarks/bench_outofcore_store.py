@@ -16,8 +16,11 @@ Two experiments:
   notification logs must be byte-identical.
 
 Results are exported to ``BENCH_outofcore.json`` (override with
-``REPRO_BENCH_OUTOFCORE_OUT``), including peak-RSS/residency records and
-a throughput-vs-budget curve, for the CI workflow to archive.
+``REPRO_BENCH_OUTOFCORE_OUT``), including peak-RSS/residency records, a
+throughput-vs-budget curve and one reported, ungated row — the
+``chunked`` backend with no budget against ``dense`` at batch sizes 18
+and 120, the number ROADMAP item 2 waits for — for the CI workflow to
+archive.
 """
 
 import math
@@ -43,6 +46,9 @@ PUBLICATIONS = 32
 MATCH_BATCH = 8
 BUDGET_FRACTION = 0.25
 CURVE_FRACTIONS = (0.1, 0.25, 0.5, 1.0)
+#: Batch sizes of the chunked-vs-dense row: a typical M-slice batch in
+#: the perfbench workloads, and a nearly full one.
+CHUNKED_BATCHES = (18, 120)
 
 RESULTS = {}
 
@@ -192,6 +198,36 @@ def test_outofcore_million_subscriptions(report):
     _export_curve(report, subscriptions)
 
 
+def _chunked_vs_dense(dense, subscriptions: int) -> dict:
+    """The ``chunked`` store, nothing ever released, against ``dense`` on
+    the same subscriptions: best of seven calls per batch size."""
+    chunked = AspeLibrary(
+        store_config=StoreConfig(
+            backend="chunked", chunk_rows=_chunk_rows(2 * subscriptions)
+        )
+    )
+    _load(chunked, SEED + 1, subscriptions)
+    batches = []
+    for size in CHUNKED_BATCHES:
+        publications = _publications(SEED + 2, size)
+        assert chunked.match_batch(publications) == dense.match_batch(publications)
+        seconds = {"dense": math.inf, "chunked": math.inf}
+        for _ in range(7):  # alternating, so both see the same host noise
+            for name, library in (("dense", dense), ("chunked", chunked)):
+                begin = time.perf_counter()
+                library.match_batch(publications)
+                seconds[name] = min(seconds[name], time.perf_counter() - begin)
+        batches.append(
+            {
+                "batch": size,
+                "dense_pub_s": size / seconds["dense"],
+                "chunked_pub_s": size / seconds["chunked"],
+                "ratio": seconds["dense"] / seconds["chunked"],
+            }
+        )
+    return {"subscriptions": subscriptions, "batches": batches}
+
+
 def _export_curve(report, subscriptions: int) -> None:
     """Throughput-vs-budget curve at a fixed sub-count, then export."""
     curve_subs = min(subscriptions, 100_000)
@@ -226,6 +262,7 @@ def _export_curve(report, subscriptions: int) -> None:
             }
         )
     RESULTS["curve"] = {"subscriptions": curve_subs, "points": curve}
+    RESULTS["chunked_vs_dense"] = _chunked_vs_dense(dense, curve_subs)
 
     report(f"  budget curve    ({curve_subs:,} subscriptions):")
     for point in curve:
@@ -233,6 +270,12 @@ def _export_curve(report, subscriptions: int) -> None:
             f"    {point['budget_fraction']:4.0%} budget: "
             f"{point['relative_throughput']:5.2f}x dense, "
             f"{point['faults']:5d} faults"
+        )
+    for row in RESULTS["chunked_vs_dense"]["batches"]:
+        report(
+            f"  chunked, no budget, batch {row['batch']:3d}: "
+            f"{row['chunked_pub_s']:8.1f} pub/s = {row['ratio']:.2f}x dense "
+            f"({row['dense_pub_s']:.1f} pub/s; reported, not gated)"
         )
 
     path = os.environ.get("REPRO_BENCH_OUTOFCORE_OUT", "BENCH_outofcore.json")

@@ -359,9 +359,11 @@ def match_packed(
 ) -> np.ndarray:
     """Evaluate packed (direction-folded) predicate rows against a batch.
 
-    The one decision kernel: ``matrix`` is a ``(rows, n)`` block of
-    direction-folded query-vector rows with per-row ``strict`` flags and
-    sign-folded tolerance bases ``tol_signed``; ``starts``/``stops`` are
+    The one decision kernel: ``matrix`` is a C-contiguous ``(rows, n)``
+    block of direction-folded query-vector rows, read in place (dense
+    buffers and chunk-store blocks both are contiguous), with per-row
+    ``strict`` flags and sign-folded tolerance bases ``tol_signed``;
+    ``starts``/``stops`` are
     sorted per-span row offsets *relative to this block* (clipped to it
     where a span continues in a neighbouring block); ``batch`` is the
     ``(B, n)`` stack of publication ciphertext vectors.  Returns the
@@ -374,7 +376,8 @@ def match_packed(
     of that matrix at the span's first, second, … row (a sentinel
     always-true column stands in past a span's end), AND-accumulated
     across the tiles a span straddles.  ``tiles`` supplies cached gather
-    tables (:func:`_gather_tiles`); by default they are derived here.
+    tables (:func:`_gather_tiles`), and then only the *number* of spans is
+    read from ``starts``; by default the tables are derived here.
 
     This function is *pure* — a deterministic function of its array
     arguments — which is what lets :mod:`repro.parallel` ship the packed
@@ -399,16 +402,10 @@ def match_packed(
         if span_lo == span_hi:
             continue  # nothing but tombstoned rows
         rows = row_hi - row_lo
-        block = matrix[row_lo:row_hi]
-        if not block.flags.c_contiguous:
-            # Chunk-store blocks are strided (and memory-mapped) views.
-            packed = workspace("rows", block.shape, np.float64)
-            packed[:] = block
-            block = packed
         # Publication-major layout: every ufunc below streams over
         # contiguous per-publication rows and writes in place.
         products = workspace("products", (count, rows), np.float64)
-        np.matmul(batch, block.T, out=products)
+        np.matmul(batch, matrix[row_lo:row_hi].T, out=products)
         thresholds = workspace("thresholds", (count, rows), np.float64)
         np.multiply(
             scales[:, None], tol_signed[None, row_lo:row_hi], out=thresholds
@@ -727,26 +724,27 @@ class AspeLibrary(FilteringLibrary):
         or not a live span touches it; a span cut by a chunk boundary is
         the AND of its parts.  Only one block's rows are ever held.
         """
-        _, _, starts, stops = index.view
+        _, _, starts, _ = index.view
         ok = np.ones((batch.shape[0], starts.size), dtype=np.bool_)
         tiles = index.tiles
         cursor = 0
         for block in self._chunks.blocks():
-            index.cover(block.start, block.stop)
+            base = block.start
+            index.cover(base, block.stop)
             first = cursor
             while cursor < len(tiles) and tiles[cursor][0] < block.stop:
                 cursor += 1
-            base = block.start
             span_lo, span_hi = tiles[first][2], tiles[cursor - 1][3]
             if span_lo == span_hi:
                 continue
-            rows = block.stop - base
+            # With ``tiles`` the kernel reads the span arrays' size only.
+            spans = starts[span_lo:span_hi]
             part = match_packed(
                 block.matrix,
                 block.strict,
                 block.tol_signed,
-                np.clip(starts[span_lo:span_hi] - base, 0, rows),
-                np.clip(stops[span_lo:span_hi] - base, 0, rows),
+                spans,
+                spans,
                 batch,
                 workspace=self._workspace,
                 tiles=[

@@ -1,23 +1,32 @@
 """Chunked, optionally memory-mapped backing store for packed predicate rows.
 
 The packed predicate matrix (PR 1) is split into fixed-size *row chunks*.
-Each chunk keeps its float64 row data — the ``width`` ciphertext columns
-plus the two derived tolerance columns — in one ``(capacity, width + 2)``
-array, either a plain in-RAM array (``chunked`` backend) or a
-``numpy.memmap`` over a per-store spill file (``mmap`` backend).  The
+Each chunk keeps its float64 row data in one buffer of ``capacity ×
+(width + 2)`` cells laid out as column blocks — the C-contiguous
+``(capacity, width)`` ciphertext matrix, then the ``capacity`` tolerance
+bases, then the ``capacity`` sign-folded tolerances — either a plain
+in-RAM array (``chunked`` backend) or a shared ``mmap`` of a per-store
+spill file (``mmap`` backend), so every block handed out is a plain
+contiguous ``ndarray`` view the match kernel reads without a copy.  The
 per-row ``strict`` and ``alive`` flags always stay in RAM (2 bytes/row,
 ~3% of the row data), so tombstoning never faults a chunk in.
 
-Under the ``mmap`` backend an LRU-ordered resident set bounds how much
-chunk data is mapped at once: faulting a chunk in past the configured
-byte budget flushes and *drops the Python reference to* the
-least-recently-used mapping.  Dropping the reference is the whole
-eviction protocol — any caller still holding a row view keeps the old
-mapping alive through ordinary refcounting (no use-after-free, no torn
-reads), the OS writes the pages back lazily, and the next fault simply
-remaps the same file.  Matching streams chunk by chunk through
+Under the ``mmap`` backend an LRU-ordered resident set bounds how many
+chunk bytes are paged in at once.  A chunk is mapped once, when it is
+created, and the mapping lives as long as the chunk does.  Touching a
+chunk past the configured byte budget *releases* the least-recently-used
+one: ``madvise(MADV_DONTNEED)`` drops its pages from this process and the
+byte accounting forgets it — no ``msync``, no unmap.  Dirty pages of a
+shared mapping stay in the page cache (the spill files are
+process-private temporaries; nothing needs to be durable), so a released
+chunk, and any row view a caller still holds on it, reads back the same
+values: the next touch just counts a fault and lets the kernel page the
+rows back in.  Matching streams chunk by chunk through
 :meth:`ChunkedMatrixStore.blocks`, so the working set stays within the
-budget regardless of total subscription count.
+budget regardless of total subscription count.  What a chunk holds for
+its whole life is address space and one file descriptor (CPython's
+``mmap`` keeps a duplicate), so ``chunk_rows`` should keep a process's
+chunk count well under its descriptor limit.
 
 Chunks are also the shard transfer format: :meth:`adopt` moves whole
 chunk objects (and renames their spill files — a rename keeps open
@@ -29,6 +38,7 @@ boundary cuts through.
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
 import tempfile
@@ -57,17 +67,31 @@ class RowBlock(NamedTuple):
 
 
 class _Chunk:
-    """One fixed-capacity run of rows (data possibly evicted to its file)."""
+    """One fixed-capacity run of rows: column blocks over a single buffer,
+    which is a shared mapping of ``path`` when there is one."""
 
-    __slots__ = ("capacity", "used", "strict", "alive", "path", "data")
+    __slots__ = ("capacity", "used", "strict", "alive", "path", "mapping",
+                 "nbytes", "matrix", "tol_base", "tol_signed")
 
-    def __init__(self, capacity: int, path: Optional[str], data) -> None:
+    def __init__(self, capacity: int, width: int, path: Optional[str]) -> None:
         self.capacity = capacity
         self.used = 0
         self.strict = np.zeros(capacity, dtype=bool)
         self.alive = np.zeros(capacity, dtype=bool)
         self.path = path
-        self.data = data
+        self.mapping = None
+        self.nbytes = capacity * (width + 2) * 8
+        if path is None:
+            cells = np.zeros(capacity * (width + 2))
+        else:
+            with open(path, "w+b") as spill:
+                spill.truncate(self.nbytes)
+                self.mapping = mmap.mmap(spill.fileno(), self.nbytes)
+            cells = np.frombuffer(self.mapping, dtype=np.float64)
+        edge = capacity * width
+        self.matrix = cells[:edge].reshape(capacity, width)
+        self.tol_base = cells[edge : edge + capacity]
+        self.tol_signed = cells[edge + capacity :]
 
 
 class ChunkedMatrixStore:
@@ -76,9 +100,9 @@ class ChunkedMatrixStore:
     Row addressing is positional and global: row ``i`` lives in the chunk
     whose cumulative ``used`` range covers ``i``.  Interior chunks may be
     partially filled after a split or adoption; appends only ever extend
-    the last chunk.  The column layout of each chunk's data array is
-    ``[:width]`` = direction-folded query rows, ``[width]`` = tolerance
-    base, ``[width + 1]`` = sign-folded tolerance.
+    the last chunk.  A chunk's ``matrix`` holds the direction-folded query
+    rows, ``tol_base`` the tolerance bases, ``tol_signed`` the sign-folded
+    tolerances (see :class:`_Chunk`).
     """
 
     def __init__(self, config: StoreConfig) -> None:
@@ -155,18 +179,14 @@ class ChunkedMatrixStore:
             )
         return self._dir
 
+    def _next_path(self) -> str:
+        name = f"chunk-{self._chunk_seq:06d}.f64"
+        self._chunk_seq += 1
+        return os.path.join(self._ensure_dir(), name)
+
     def _new_chunk(self, capacity: int) -> _Chunk:
-        shape = (capacity, self.width + 2)
-        if self.config.backend == "mmap":
-            path = os.path.join(
-                self._ensure_dir(), f"chunk-{self._chunk_seq:06d}.f64"
-            )
-            self._chunk_seq += 1
-            data = np.memmap(path, dtype=np.float64, mode="w+", shape=shape)
-        else:
-            path = None
-            data = np.zeros(shape, dtype=np.float64)
-        chunk = _Chunk(capacity, path, data)
+        path = self._next_path() if self.config.backend == "mmap" else None
+        chunk = _Chunk(capacity, self.width, path)
         self._chunks.append(chunk)
         self._offsets = None
         self._track_resident(chunk)
@@ -174,32 +194,24 @@ class ChunkedMatrixStore:
 
     def _track_resident(self, chunk: _Chunk) -> None:
         self._lru[chunk] = None
-        self._lru.move_to_end(chunk)
-        self._resident_bytes += chunk.data.nbytes
+        self._resident_bytes += chunk.nbytes
         if self._resident_bytes > self.resident_peak_bytes:
             self.resident_peak_bytes = self._resident_bytes
         self._update_gauges()
 
-    def _data(self, chunk: _Chunk) -> np.ndarray:
-        """The chunk's row data, faulting it back in if evicted."""
-        data = chunk.data
-        if data is None:
-            data = np.memmap(
-                chunk.path,
-                dtype=np.float64,
-                mode="r+",
-                shape=(chunk.capacity, self.width + 2),
-            )
-            chunk.data = data
+    def _touch(self, chunk: _Chunk) -> _Chunk:
+        """Make the chunk most recently used, counting a fault if it had
+        been released (the kernel pages its rows back in on access)."""
+        if chunk in self._lru:
+            self._lru.move_to_end(chunk)
+        else:
             self.fault_count += 1
             telemetry = self._telemetry
             if telemetry is not None and telemetry.store_chunk_faults is not None:
                 telemetry.store_chunk_faults.labels(store=self._label).inc()
             self._track_resident(chunk)
-        elif chunk in self._lru:
-            self._lru.move_to_end(chunk)
         self._evict(exclude=chunk)
-        return data
+        return chunk
 
     def _evict(self, exclude: Optional[_Chunk]) -> None:
         budget = self.config.memory_budget_bytes
@@ -210,23 +222,22 @@ class ChunkedMatrixStore:
             victim = None
             for candidate in self._lru:
                 # Never evict the chunk being touched, and never a chunk
-                # without a backing file (adopted from a RAM store).
-                if candidate is not exclude and candidate.path is not None:
+                # without a mapping (adopted from a RAM store).
+                if candidate is not exclude and candidate.mapping is not None:
                     victim = candidate
                     break
             if victim is None:
                 break
-            del self._lru[victim]
-            victim.data.flush()
-            self._resident_bytes -= victim.data.nbytes
-            victim.data = None
+            # Release, not unmap: the pages leave this process, the dirty
+            # ones stay in the page cache, views on the chunk stay valid.
+            victim.mapping.madvise(mmap.MADV_DONTNEED)
+            self._forget(victim)
             self.eviction_count += 1
             evicted += 1
         if evicted:
             telemetry = self._telemetry
             if telemetry is not None and telemetry.store_chunk_evictions is not None:
                 telemetry.store_chunk_evictions.labels(store=self._label).inc(evicted)
-            self._update_gauges()
 
     def _update_gauges(self) -> None:
         telemetry = self._telemetry
@@ -239,17 +250,18 @@ class ChunkedMatrixStore:
             self._resident_bytes
         )
 
-    def _forget(self, chunk: _Chunk) -> None:
-        """Drop a chunk from residency accounting (it is leaving the store)."""
-        if chunk in self._lru:
+    def _forget(self, chunk: _Chunk) -> bool:
+        """Drop a chunk from the resident set; says whether it was in it."""
+        resident = chunk in self._lru
+        if resident:
             del self._lru[chunk]
-        if chunk.data is not None:
-            self._resident_bytes -= chunk.data.nbytes
-        self._update_gauges()
+            self._resident_bytes -= chunk.nbytes
+            self._update_gauges()
+        return resident
 
     def _drop_chunk(self, chunk: _Chunk) -> None:
+        """Forget a chunk for good; its mapping goes with its last view."""
         self._forget(chunk)
-        chunk.data = None
         if chunk.path is not None:
             try:
                 os.unlink(chunk.path)
@@ -290,19 +302,18 @@ class ChunkedMatrixStore:
         if count == 0:
             return (start, start)
         self._check_width(matrix.shape[1])
-        width = self.width
         written = 0
         while written < count:
             chunk = self._chunks[-1] if self._chunks else None
             if chunk is None or chunk.used >= chunk.capacity:
                 chunk = self._new_chunk(self.config.chunk_rows)
             take = min(count - written, chunk.capacity - chunk.used)
-            data = self._data(chunk)
+            self._touch(chunk)
             lo = chunk.used
             hi = lo + take
-            data[lo:hi, :width] = matrix[written : written + take]
-            data[lo:hi, width] = tol_base[written : written + take]
-            data[lo:hi, width + 1] = tol_signed[written : written + take]
+            chunk.matrix[lo:hi] = matrix[written : written + take]
+            chunk.tol_base[lo:hi] = tol_base[written : written + take]
+            chunk.tol_signed[lo:hi] = tol_signed[written : written + take]
             chunk.strict[lo:hi] = strict[written : written + take]
             chunk.alive[lo:hi] = True
             chunk.used = hi
@@ -358,11 +369,12 @@ class ChunkedMatrixStore:
                 continue
             if live < used:
                 keep = np.nonzero(alive)[0]
-                data = self._data(chunk)
+                self._touch(chunk)
                 # Fancy-index RHS gathers into a temporary first, so the
                 # in-place move is overlap-safe.
-                data[:live] = data[keep]
-                chunk.strict[:live] = chunk.strict[keep]
+                for column in (chunk.matrix, chunk.tol_base,
+                               chunk.tol_signed, chunk.strict):
+                    column[:live] = column[keep]
                 chunk.used = live
                 chunk.alive[:live] = True
                 chunk.alive[live:] = False
@@ -386,24 +398,24 @@ class ChunkedMatrixStore:
     def blocks(self) -> Iterator[RowBlock]:
         """Stream the store's rows as per-chunk blocks (faulting lazily).
 
-        Views stay valid even if their chunk is evicted while the caller
-        iterates on — the mapping lives until the view is dropped.
+        Views are plain contiguous arrays and stay valid even if their
+        chunk is released while the caller iterates on — released pages
+        read back from the page cache.
         """
-        width = self.width
         base = 0
         for chunk in self._chunks:
             used = chunk.used
             if used == 0:
                 continue
-            data = self._data(chunk)
+            self._touch(chunk)
             yield RowBlock(
-                start=base,
-                stop=base + used,
-                matrix=data[:used, :width],
-                strict=chunk.strict[:used],
-                tol_base=data[:used, width],
-                tol_signed=data[:used, width + 1],
-                alive=chunk.alive[:used],
+                base,
+                base + used,
+                chunk.matrix[:used],
+                chunk.strict[:used],
+                chunk.tol_base[:used],
+                chunk.tol_signed[:used],
+                chunk.alive[:used],
             )
             base += used
 
@@ -438,17 +450,14 @@ class ChunkedMatrixStore:
 
     def _adopt_chunk(self, chunk: _Chunk, source: "ChunkedMatrixStore") -> None:
         """Move one chunk object (and its file) from ``source`` into self."""
-        source._forget(chunk)
+        resident = source._forget(chunk)
         if chunk.path is not None:
-            new_path = os.path.join(
-                self._ensure_dir(), f"chunk-{self._chunk_seq:06d}.f64"
-            )
-            self._chunk_seq += 1
-            # A rename keeps any open mapping valid: same inode, new name.
+            new_path = self._next_path()
+            # A rename keeps the open mapping valid: same inode, new name.
             os.replace(chunk.path, new_path)
             chunk.path = new_path
         self._chunks.append(chunk)
-        if chunk.data is not None:
+        if resident:
             self._track_resident(chunk)
 
     def adopt(self, other: "ChunkedMatrixStore") -> int:
@@ -494,16 +503,14 @@ class ChunkedMatrixStore:
         copied = 0
         move_from = index
         if local > 0:
-            chunk = self._chunks[index]
+            chunk = self._touch(self._chunks[index])
             used = chunk.used
-            width = self.width
-            data = self._data(chunk)
             tail_alive = chunk.alive[local:used].copy()
             other.append(
-                np.ascontiguousarray(data[local:used, :width]),
-                chunk.strict[local:used].copy(),
-                data[local:used, width].copy(),
-                data[local:used, width + 1].copy(),
+                chunk.matrix[local:used],
+                chunk.strict[local:used],
+                chunk.tol_base[local:used],
+                chunk.tol_signed[local:used],
             )
             # append marks everything alive; restore the real flags.
             cursor = 0

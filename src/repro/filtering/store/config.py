@@ -2,10 +2,10 @@
 
 One :class:`StoreConfig` selects how an :class:`~repro.filtering.AspeLibrary`
 keeps its packed predicate rows: fully resident in RAM (``dense``, the
-seed behaviour), row-chunked in RAM (``chunked``), or row-chunked and
-persisted through ``numpy.memmap`` with an LRU-bounded resident set
-(``mmap``) so one M-slice can serve subscription partitions far larger
-than its memory budget.
+seed behaviour), row-chunked in RAM (``chunked``), or row-chunked over
+memory-mapped spill files with an LRU-bounded resident set (``mmap``) so
+one M-slice can serve subscription partitions far larger than its memory
+budget.
 
 Defaults come from the ``REPRO_STORE_*`` environment variables so an
 existing deployment or test run flips backends without code changes —
@@ -14,6 +14,7 @@ the same convention as the ``REPRO_MATCH_*`` parallel-matching knobs.
 
 from __future__ import annotations
 
+import mmap
 import os
 
 from dataclasses import dataclass
@@ -34,13 +35,18 @@ class StoreConfig:
     ``backend``
         ``dense`` keeps the seed's amortized-doubling in-RAM buffers;
         ``chunked`` splits rows into fixed-size chunks held in RAM (the
-        shard transfer format, no eviction); ``mmap`` persists each chunk
-        through ``numpy.memmap`` and keeps only an LRU-pinned resident
-        set within ``memory_budget_mb``.
+        shard transfer format, no eviction); ``mmap`` maps each chunk
+        once over its own spill file and keeps only an LRU resident set
+        within ``memory_budget_mb`` paged in — past the budget the
+        least-recently-used chunk's pages are released with
+        ``madvise(MADV_DONTNEED)`` and fault back in on the next touch.
+        Needs a platform with ``mmap.MADV_DONTNEED`` (a ``ValueError``
+        otherwise).
     ``chunk_rows``
-        Rows per chunk.  At ciphertext width ``n`` a chunk occupies
-        ``chunk_rows × (n + 2) × 8`` bytes of row data (matrix columns
-        plus the two tolerance columns).
+        Rows per chunk.  At ciphertext width ``n`` a chunk is one buffer
+        of ``chunk_rows × (n + 2) × 8`` bytes: the contiguous
+        ``(chunk_rows, n)`` matrix block, then the two tolerance columns
+        as one contiguous block each.
     ``memory_budget_mb``
         Resident-set budget for ``mmap`` chunk data, in MiB.  ``0``
         disables eviction.  The hottest chunk is never evicted, so the
@@ -67,6 +73,12 @@ class StoreConfig:
             raise ValueError(
                 f"store_backend must be one of {STORE_BACKENDS}, "
                 f"got {self.backend!r}"
+            )
+        if self.backend == "mmap" and not hasattr(mmap, "MADV_DONTNEED"):
+            raise ValueError(
+                "store_backend 'mmap' releases evicted chunks with "
+                "madvise(MADV_DONTNEED), which this platform's mmap module "
+                "does not provide; use 'chunked' or 'dense'"
             )
         if self.chunk_rows < 1:
             raise ValueError(

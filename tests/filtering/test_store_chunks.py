@@ -1,6 +1,9 @@
 """Unit tests for the chunked / memory-mapped packed-row store."""
 
+import mmap
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,3 +234,119 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StoreConfig(compact_dead_ratio=1.5)
     assert StoreConfig(compact_dead_ratio=1.0).compact_dead_ratio == 1.0
+
+
+def test_mmap_backend_needs_madvise(monkeypatch):
+    monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)
+    with pytest.raises(ValueError, match="MADV_DONTNEED"):
+        StoreConfig(backend="mmap")
+    assert StoreConfig(backend="chunked").backend == "chunked"
+
+
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self"
+)
+
+
+def tight_store(tmp_path):
+    """An mmap store that releases every chunk but the one being touched."""
+    return make_store("mmap", chunk_rows=4, budget_mb=1e-5,
+                      spill_dir=str(tmp_path))
+
+
+@linux_only
+def test_released_rows_read_back_without_a_flush(tmp_path):
+    store = tight_store(tmp_path)
+    m, s, tb, ts = rows(10)
+    store.append(m[:2], s[:2], tb[:2], ts[:2])  # a partly filled chunk ...
+    held = next(iter(store.blocks()))
+    store.append(m[2:], s[2:], tb[2:], ts[2:])  # ... topped up, then released
+    assert store.resident_chunks == 1 and store.eviction_count == 2
+    # A view handed out before its chunk was released still reads true.
+    np.testing.assert_array_equal(held.matrix, m[:2])
+    np.testing.assert_array_equal(held.tol_signed, ts[:2])
+    for expected, got in zip((m, s, tb, ts), contents(store)):
+        np.testing.assert_array_equal(got, expected)
+
+
+@linux_only
+def test_released_rows_survive_adopt_and_split(tmp_path):
+    left, right = tight_store(tmp_path), tight_store(tmp_path)
+    m, s, tb, ts = rows(22)
+    left.append(m[:9], s[:9], tb[:9], ts[:9])
+    right.append(m[9:], s[9:], tb[9:], ts[9:])
+    released = right._chunks[0]
+    assert released not in right._lru
+    left.adopt(right)  # renames the spill files under their mappings
+    assert released not in left._lru  # released chunks arrive released
+    other, copied = left.split_at(14)  # cuts rows 13..16, a released chunk
+    assert copied == 3
+    got = [np.concatenate(pair) for pair in zip(contents(left), contents(other))]
+    for expected, column in zip((m, s, tb, ts), got):
+        np.testing.assert_array_equal(column, expected)
+    assert left.resident_chunks == other.resident_chunks == 1
+
+
+_RESIDENCY_SCRIPT = """
+import gc, os, sys
+import numpy as np
+from repro.filtering.store import ChunkedMatrixStore, StoreConfig
+
+def rss():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+
+ROWS, WIDTH, CHUNKS = 8192, 6, 64          # 512 KiB a chunk, 32 MiB in all
+store = ChunkedMatrixStore(StoreConfig(
+    backend="mmap", chunk_rows=ROWS, memory_budget_mb=2.0,
+    spill_dir=sys.argv[1]))
+block = np.arange(ROWS * WIDTH, dtype=np.float64).reshape(ROWS, WIDTH)
+column = np.arange(ROWS, dtype=np.float64)
+strict = np.zeros(ROWS, dtype=bool)
+before = rss()
+peak = 0
+for index in range(CHUNKS):
+    store.append(block + index, strict, column + index, column - index)
+    peak = max(peak, rss())
+for _ in range(2):
+    for index, part in enumerate(store.blocks()):
+        assert part.matrix[-1, -1] == block[-1, -1] + index
+        assert part.tol_base.sum() == column.sum() + ROWS * index
+        assert part.tol_signed[0] == -index
+        peak = max(peak, rss())
+assert store.stats()["faults"] == 2 * CHUNKS
+directory = store._dir
+assert len(os.listdir(directory)) == CHUNKS
+store.clear()
+del store, part
+gc.collect()
+with open("/proc/self/maps") as maps:
+    mapped = sum(directory in line for line in maps)
+for descriptor in os.listdir("/proc/self/fd"):
+    try:
+        mapped += directory in os.readlink("/proc/self/fd/" + descriptor)
+    except OSError:  # the listing's own descriptor
+        pass
+print(peak - before, mapped, int(os.path.exists(directory)), os.listdir(sys.argv[1]))
+"""
+
+
+@linux_only
+def test_budget_bounds_process_rss_and_nothing_is_left(tmp_path):
+    # In a subprocess: VmRSS of a fresh interpreter is not muddied by what
+    # earlier tests left in the allocator.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", _RESIDENCY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split(maxsplit=3)
+    growth, mapped, directory_left = (int(field) for field in out[:3])
+    chunk = 8192 * (6 + 2) * 8
+    # Budget + the chunk being touched + 4 MiB for the interpreter's own
+    # growth (the append temporaries, allocator arenas) — a store that did
+    # not release would grow by all 32 MiB.
+    assert growth <= 2 * 2**20 + chunk + 4 * 2**20, growth
+    assert mapped == 0 and directory_left == 0
+    assert out[3].strip() == "[]"

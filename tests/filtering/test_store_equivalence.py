@@ -12,6 +12,8 @@ executors cache on).
 
 import random
 
+import numpy as np
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +53,10 @@ _CONFIGS = {
                         memory_budget_mb=0.0002,  # ~2 chunks at width 5
                         compact_dead_ratio=0.3),
 }
+# A budget below one chunk (120 B at width 5): every touch of another
+# chunk releases the one touched before it.
+_TIGHT = StoreConfig(backend="mmap", chunk_rows=3, memory_budget_mb=0.00005,
+                     compact_dead_ratio=0.3)
 
 ops = st.lists(
     st.one_of(
@@ -66,14 +72,14 @@ ops = st.lists(
 )
 
 
-@given(ops)
-@settings(max_examples=40, deadline=None)
-def test_backends_and_shards_agree_under_churn(sequence):
+def _churn(sequence, configs, shard_config):
+    """Drive one library per config and a sharded one through ``sequence``
+    in lockstep, checking agreement after every operation."""
     libraries = {
         name: AspeLibrary(store_config=config)
-        for name, config in _CONFIGS.items()
+        for name, config in configs.items()
     }
-    sharded = ShardedAspeLibrary(store_config=_CONFIGS["mmap"])
+    sharded = ShardedAspeLibrary(store_config=shard_config)
     stored = set()
 
     def check():
@@ -117,10 +123,15 @@ def test_backends_and_shards_agree_under_churn(sequence):
             assert all(r == results[0] for r in results)
             continue
         check()
+    return libraries
+
+
+@given(ops)
+@settings(max_examples=40, deadline=None)
+def test_backends_and_shards_agree_under_churn(sequence):
+    libraries = _churn(sequence, _CONFIGS, _CONFIGS["mmap"])
 
     # Packed views must also materialize bit-identical row data.
-    import numpy as np
-
     views = [lib.packed_view() for lib in libraries.values()]
     base = views[0]
     for view in views[1:]:
@@ -136,6 +147,36 @@ def test_backends_and_shards_agree_under_churn(sequence):
         )
         assert np.array_equal(view.starts, base.starts)
         assert np.array_equal(view.stops, base.stops)
+
+
+@given(ops)
+@settings(max_examples=40, deadline=None)
+def test_release_on_every_touch_agrees_with_dense(sequence):
+    """Churn, per-chunk compaction, split and merge with every chunk
+    released as soon as the next one is touched."""
+    libraries = _churn(
+        sequence, {"dense": _CONFIGS["dense"], "tight": _TIGHT}, _TIGHT
+    )
+    stats = libraries["tight"].store_stats()
+    assert stats["resident_chunks"] <= 1
+    assert stats["evictions"] >= stats["chunks"] - 1
+
+
+@given(ops)
+@settings(max_examples=25, deadline=None)
+def test_blocks_are_plain_contiguous_and_matching_copies_no_rows(sequence):
+    """The no-copy property: a store block is what the kernel reads."""
+    libraries = _churn(
+        sequence, {name: _CONFIGS[name] for name in ("chunked", "mmap")},
+        _CONFIGS["mmap"],
+    )
+    for library in libraries.values():
+        library.match_batch(_PUBS)
+        assert "rows" not in library._ws
+        for block in library._chunks.blocks():
+            for column in (block.matrix, block.tol_base, block.tol_signed):
+                assert type(column) is np.ndarray
+                assert column.flags.c_contiguous
 
 
 @given(ops)
