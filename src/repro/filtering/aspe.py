@@ -304,27 +304,34 @@ def _fresh_workspace(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
     return np.empty(shape, dtype=dtype)
 
 
-#: Rows per kernel tile: :func:`match_packed`'s temporaries are (B × tile),
-#: so scratch memory does not grow with the library.  8192 rows keep a
-#: 128-publication tile's two float temporaries at 8 MB each and still
+#: Rows per kernel tile: :func:`match_packed`'s boolean temporaries are
+#: (tile × B), so scratch memory does not grow with the library.  8192
+#: rows keep a 128-publication tile's satisfied matrix at 1 MB and still
 #: amortize the per-tile call overhead.
 _TILE_ROWS = 8192
 
-#: One kernel tile: ``(row_lo, row_hi, span_lo, span_hi, tables)``.
-GatherTile = Tuple[int, int, int, int, Tuple[np.ndarray, ...]]
+#: Cells per product block: a tile's gemm and compares run ``_BLOCK_CELLS //
+#: B`` rows at a time, so the only float temporary is 512 KiB and still in
+#: L2 when the compares read it (sized by the sweep in EXPERIMENTS.md).
+_BLOCK_CELLS = 1 << 16
+
+#: One kernel tile: ``(row_lo, row_hi, span_lo, span_hi, tables, tol_max)``.
+GatherTile = Tuple[int, int, int, int, Tuple[np.ndarray, ...], float]
 
 
 def _gather_tiles(
-    starts: np.ndarray, stops: np.ndarray, row_lo: int, row_hi: int, step: int
+    starts: np.ndarray, stops: np.ndarray, tol_signed: np.ndarray,
+    row_lo: int, row_hi: int, step: int,
 ) -> List[GatherTile]:
     """Gather tables for rows ``[row_lo, row_hi)`` in tiles of ``step`` rows.
 
-    ``tables[k][s]`` of a tile is the column, in the tile's satisfied
-    matrix, of the ``k``-th row that span ``span_lo + s`` has *inside the
-    tile*; column 0 is a sentinel that always reads true and stands in
-    where the span has no ``k``-th row there.  ``starts`` is sorted and
-    spans are disjoint, so ``stops`` is sorted too and a tile's span range
-    is two binary searches.
+    ``tables[k][s]`` of a tile is the row, in the tile's satisfied matrix,
+    of the ``k``-th row that span ``span_lo + s`` has *inside the tile*;
+    row 0 is a sentinel that always reads true and stands in where the
+    span has no ``k``-th row there.  ``starts`` is sorted and spans are
+    disjoint, so ``stops`` is sorted too and a tile's span range is two
+    binary searches.  ``tol_max`` is ``max|tol_signed|`` over the tile's
+    rows, where ``tol_signed[0]`` belongs to row ``row_lo``.
     """
     tiles: List[GatherTile] = []
     for tile_lo in range(row_lo, row_hi, step):
@@ -341,7 +348,8 @@ def _gather_tiles(
                 np.where(first + k < last, first + k, 0)
                 for k in range(int((last - first).max()))
             )
-        tiles.append((tile_lo, tile_hi, span_lo, max(span_lo, span_hi), tables))
+        tol_max = float(np.abs(tol_signed[tile_lo - row_lo : tile_hi - row_lo]).max())
+        tiles.append((tile_lo, tile_hi, span_lo, max(span_lo, span_hi), tables, tol_max))
     return tiles
 
 
@@ -363,78 +371,119 @@ def match_packed(
     block of direction-folded query-vector rows, read in place (dense
     buffers and chunk-store blocks both are contiguous), with per-row
     ``strict`` flags and sign-folded tolerance bases ``tol_signed``;
-    ``starts``/``stops`` are
-    sorted per-span row offsets *relative to this block* (clipped to it
-    where a span continues in a neighbouring block); ``batch`` is the
-    ``(B, n)`` stack of publication ciphertext vectors.  Returns the
-    ``(B, len(starts))`` boolean matrix of span conjunctions over the
-    rows each span has in this block.
+    ``starts``/``stops`` are sorted per-span row offsets *relative to this
+    block* (clipped to it where a span continues in a neighbouring block);
+    ``batch`` is the ``(B, n)`` stack of publication ciphertext vectors.
+    Returns the subscription-major ``(len(starts), B)`` boolean matrix of
+    span conjunctions over the rows each span has in this block.
 
-    Rows are visited a tile at a time.  Per tile, one gemm, one
-    ``scale·tol_signed`` threshold multiply and the comparison give the
-    satisfied matrix; a span's conjunction is the AND of ``take``-gathers
-    of that matrix at the span's first, second, … row (a sentinel
-    always-true column stands in past a span's end), AND-accumulated
-    across the tiles a span straddles.  ``tiles`` supplies cached gather
-    tables (:func:`_gather_tiles`), and then only the *number* of spans is
-    read from ``starts``; by default the tables are derived here.
+    Rows are visited a tile at a time and, inside a tile, a product block
+    of ``_BLOCK_CELLS`` cells at a time: one gemm and two compares against
+    the tile's *scalar* ``bound = max(scale)·max|tol_signed|``.  Rounded
+    multiplication is monotone, so every cell's threshold
+    ``scale·tol_signed`` lies within ``±bound``: ``product > bound`` is
+    satisfied and ``product < −bound`` is not, strict row or not (DESIGN.md
+    §2 has the argument).  A block with a cell in between —
+    every block of a tile whose bound is NaN or infinite — is settled by
+    the exact per-cell comparison.  A span's conjunction is the AND of
+    ``take``-gathers of the satisfied matrix at the span's first, second,
+    … row (B contiguous bytes per span; a sentinel always-true row stands
+    in past a span's end), AND-accumulated across the tiles a span
+    straddles.  ``tiles`` supplies cached gather tables
+    (:func:`_gather_tiles`), and then only the *number* of spans is read
+    from ``starts``; by default the tables are derived here.
+
+    Every cell decides as :func:`match_encrypted` decides that pair,
+    whatever shares its batch or tile: a NaN publication matches no
+    non-empty subscription, an infinite vector or predicate norm compares
+    against an infinite tolerance, and the ordinary cells are unaffected.
 
     This function is *pure* — a deterministic function of its array
     arguments — which is what lets :mod:`repro.parallel` ship the packed
     rows to worker processes and still produce bit-identical decisions: a
     row's product reduces only over the ciphertext width and its decision
-    depends on no other row, so neither tiling nor row-range chunking can
-    change one.  ``workspace`` optionally supplies reusable scratch
-    buffers (``(name, shape, dtype) -> ndarray``); the default allocates
-    fresh ones, which is bit-wise equivalent.
+    depends on no other row, so neither tiling, product blocks nor
+    row-range chunking can change one.  ``workspace`` optionally supplies
+    reusable scratch buffers (``(name, shape, dtype) -> ndarray``); the
+    default allocates fresh ones, which is bit-wise equivalent.
     """
     if workspace is None:
         workspace = _fresh_workspace
     count = batch.shape[0]
     if tiles is None:
         tiles = _gather_tiles(
-            starts, stops, 0, matrix.shape[0], _tile_rows or _TILE_ROWS
+            starts, stops, tol_signed, 0, matrix.shape[0], _tile_rows or _TILE_ROWS
         )
     scales = np.linalg.norm(batch, axis=1)
     scales += 1.0
-    ok = np.ones((count, starts.size), dtype=np.bool_)
-    for row_lo, row_hi, span_lo, span_hi, tables in tiles:
+    top = float(scales.max())
+    # A C-contiguous (n, B) copy: OpenBLAS takes its unpacked small-matrix
+    # path only for untransposed operands, and a product block fits it.
+    columns = np.ascontiguousarray(batch.T)
+    step = max(_BLOCK_CELLS // count, 1)
+    block_shape = (min(step, matrix.shape[0]), count)
+    product_block = workspace("products", block_shape, np.float64)
+    below_block = workspace("below", block_shape, np.bool_)
+    ok = np.ones((starts.size, count), dtype=np.bool_)
+    for row_lo, row_hi, span_lo, span_hi, tables, tol_max in tiles:
         if span_lo == span_hi:
             continue  # nothing but tombstoned rows
-        rows = row_hi - row_lo
-        # Publication-major layout: every ufunc below streams over
-        # contiguous per-publication rows and writes in place.
-        products = workspace("products", (count, rows), np.float64)
-        np.matmul(batch, matrix[row_lo:row_hi].T, out=products)
-        thresholds = workspace("thresholds", (count, rows), np.float64)
-        np.multiply(
-            scales[:, None], tol_signed[None, row_lo:row_hi], out=thresholds
-        )
-        # Strict rows require product > scale·tol_base; non-strict rows
-        # product ≥ −scale·tol_base.  With the sign folded into the
-        # threshold both become "product > threshold", plus boundary
-        # equality for the non-strict rows only.
-        padded = workspace("satisfied", (count, rows + 1), np.bool_)
-        padded[:, 0] = True  # the sentinel column
-        satisfied = padded[:, 1:]
-        np.greater(products, thresholds, out=satisfied)
-        boundary = workspace("boundary", (count, rows), np.bool_)
-        np.equal(products, thresholds, out=boundary)
-        np.logical_and(boundary, ~strict[None, row_lo:row_hi], out=boundary)
-        np.logical_or(satisfied, boundary, out=satisfied)
+        bound = top * tol_max
+        padded = workspace("satisfied", (row_hi - row_lo + 1, count), np.bool_)
+        padded[0] = True  # the sentinel row
+        for lo in range(row_lo, row_hi, step):
+            hi = min(lo + step, row_hi)
+            products = product_block[: hi - lo]
+            np.matmul(matrix[lo:hi], columns, out=products)
+            satisfied = padded[lo - row_lo + 1 : hi - row_lo + 1]
+            np.greater(products, bound, out=satisfied)
+            below = below_block[: hi - lo]
+            np.less(products, -bound, out=below)
+            if np.count_nonzero(satisfied) + np.count_nonzero(below) != products.size:
+                # Settle the block: strict rows require product >
+                # scale·tol_base, non-strict rows product ≥ −scale·tol_base.
+                # With the sign folded into the threshold both are "product
+                # > threshold", plus equality for the non-strict rows only.
+                thresholds = workspace("thresholds", products.shape, np.float64)
+                np.multiply(tol_signed[lo:hi, None], scales, out=thresholds)
+                np.greater(products, thresholds, out=satisfied)
+                np.equal(products, thresholds, out=below)
+                np.logical_and(below, ~strict[lo:hi, None], out=below)
+                np.logical_or(satisfied, below, out=satisfied)
         spans = span_hi - span_lo
-        conjunction = workspace("conjunction", (count, spans), np.bool_)
-        # (Table entries are valid columns; "clip" only spares numpy the
+        conjunction = workspace("conjunction", (spans, count), np.bool_)
+        # (Table entries are valid rows; "clip" only spares numpy the
         # defensive copy of ``out`` that the default mode makes.)
-        np.take(padded, tables[0], axis=1, out=conjunction, mode="clip")
+        padded.take(tables[0], axis=0, out=conjunction, mode="clip")
         if len(tables) > 1:
-            gathered = workspace("gathered", (count, spans), np.bool_)
+            gathered = workspace("gathered", (spans, count), np.bool_)
             for table in tables[1:]:
-                np.take(padded, table, axis=1, out=gathered, mode="clip")
+                padded.take(table, axis=0, out=gathered, mode="clip")
                 np.logical_and(conjunction, gathered, out=conjunction)
-        columns = ok[:, span_lo:span_hi]
-        np.logical_and(columns, conjunction, out=columns)
+        so_far = ok[span_lo:span_hi]
+        np.logical_and(so_far, conjunction, out=so_far)
     return ok
+
+
+def match_lists(
+    ok: np.ndarray, ids: Sequence[int], positions: Optional[np.ndarray]
+) -> List[List[int]]:
+    """Per-publication id lists, in store order, of a ``(spans, B)``
+    conjunction matrix.  ``positions`` is ``None`` when row ``j`` *is*
+    ``ids[j]``; otherwise rows scatter through it into a vacuous-true
+    matrix over the stored ids: empty subscriptions match, and the id
+    order follows storage order even after overwrites."""
+    count = ok.shape[1]
+    if positions is not None:
+        rows = ok
+        ok = np.ones((len(ids), count), dtype=np.bool_)
+        ok[positions] = rows
+    # (1-D nonzero is an order of magnitude faster than 2-D on bools.)
+    matched, owners = np.divmod(np.flatnonzero(ok), count)
+    order = np.argsort(owners, kind="stable")
+    flat = list(map(ids.__getitem__, matched[order].tolist()))
+    bounds = np.searchsorted(owners[order], np.arange(count + 1)).tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -470,6 +519,8 @@ class PackedMatrixView:
     positions: np.ndarray
     starts: np.ndarray
     stops: np.ndarray
+    #: Span ``j`` is ``ids[j]``: no scatter through ``positions`` needed.
+    dense: bool
 
     @property
     def span_count(self) -> int:
@@ -534,18 +585,20 @@ class _SpanIndex:
         while tiles and tiles[-1][1] >= start:
             tiles.pop()
 
-    def cover(self, row_lo: int, row_hi: int) -> None:
+    def cover(self, row_lo: int, row_hi: int, tol_signed: np.ndarray) -> None:
         """Make ``tiles`` reach ``row_hi``, tiling on from ``row_lo``.
 
         Called for a dense matrix (``row_lo = 0``) or for each chunk in
         row order, so tiles never cross a chunk: one tile is one
-        contiguous run of at most ``_TILE_ROWS`` rows of one block.
+        contiguous run of at most ``_TILE_ROWS`` rows of one block, whose
+        tolerance column ``tol_signed`` starts at ``row_lo``.
         """
         covered = self.tiles[-1][1] if self.tiles else 0
         if covered < row_hi:
             _, _, starts, stops = self.view
+            lo = max(row_lo, covered)
             self.tiles += _gather_tiles(
-                starts, stops, max(row_lo, covered), row_hi, _TILE_ROWS
+                starts, stops, tol_signed[lo - row_lo :], lo, row_hi, _TILE_ROWS
             )
 
 
@@ -610,8 +663,9 @@ class AspeLibrary(FilteringLibrary):
         #: Lazily built span index and gather tiles (see _span_index).
         self._index: Optional[_SpanIndex] = None
         #: Reusable scratch buffers for the kernel (name → flat array): the
-        #: (B × tile) temporaries defeat numpy's small-allocation cache, so
-        #: reusing them removes per-call mmap churn.
+        #: product block and the (tile × B) boolean temporaries defeat
+        #: numpy's small-allocation cache, so reusing them removes per-call
+        #: mmap churn.
         self._ws: Dict[str, np.ndarray] = {}
         #: Process-unique instance identity.  Epoch/generation counters
         #: are per-instance, so sync caches keyed on them must also key on
@@ -683,15 +737,14 @@ class AspeLibrary(FilteringLibrary):
         """Matching ids, in store order, per row of the ``(B, n)`` batch —
         the body of :meth:`match` and :meth:`match_batch` alike, so neither
         public method runs inside the other."""
-        count = batch.shape[0]
         index = self._span_index()
         ids, positions, starts, stops = index.view
         if starts.size == 0:
             # Nothing, or only empty (vacuously true) subscriptions, stored.
-            return [list(ids) for _ in range(count)]
+            return [list(ids) for _ in range(batch.shape[0])]
         if self._chunks is None:
             rows = self._rows
-            index.cover(0, rows)
+            index.cover(0, rows, self._tol_signed)
             ok = match_packed(
                 self._matrix[:rows],
                 self._strict[:rows],
@@ -704,18 +757,7 @@ class AspeLibrary(FilteringLibrary):
             )
         else:
             ok = self._match_chunks(index, batch)
-        if not index.dense:
-            # Scatter through ``positions`` into a vacuous-true matrix
-            # over the stored ids: empty subscriptions match, and the id
-            # order follows storage order even after overwrites.
-            columns = ok
-            ok = np.ones((count, len(ids)), dtype=np.bool_)
-            ok[:, positions] = columns
-        # (1-D nonzero is an order of magnitude faster than 2-D on bools.)
-        owners, matched = np.divmod(np.flatnonzero(ok), ok.shape[1])
-        flat = list(map(ids.__getitem__, matched.tolist()))
-        bounds = np.searchsorted(owners, np.arange(count + 1)).tolist()
-        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return match_lists(ok, ids, None if index.dense else positions)
 
     def _match_chunks(self, index: _SpanIndex, batch: np.ndarray) -> np.ndarray:
         """:func:`match_packed` over the chunk store, one block at a time.
@@ -725,12 +767,12 @@ class AspeLibrary(FilteringLibrary):
         the AND of its parts.  Only one block's rows are ever held.
         """
         _, _, starts, _ = index.view
-        ok = np.ones((batch.shape[0], starts.size), dtype=np.bool_)
+        ok = np.ones((starts.size, batch.shape[0]), dtype=np.bool_)
         tiles = index.tiles
         cursor = 0
         for block in self._chunks.blocks():
             base = block.start
-            index.cover(base, block.stop)
+            index.cover(base, block.stop, block.tol_signed)
             first = cursor
             while cursor < len(tiles) and tiles[cursor][0] < block.stop:
                 cursor += 1
@@ -748,12 +790,12 @@ class AspeLibrary(FilteringLibrary):
                 batch,
                 workspace=self._workspace,
                 tiles=[
-                    (lo - base, hi - base, j0 - span_lo, j1 - span_lo, tables)
-                    for lo, hi, j0, j1, tables in tiles[first:cursor]
+                    (lo - base, hi - base, j0 - span_lo, j1 - span_lo, tables, tol)
+                    for lo, hi, j0, j1, tables, tol in tiles[first:cursor]
                 ],
             )
-            columns = ok[:, span_lo:span_hi]
-            np.logical_and(columns, part, out=columns)
+            rows = ok[span_lo:span_hi]
+            np.logical_and(rows, part, out=rows)
         return ok
 
     # -- bookkeeping ----------------------------------------------------------
@@ -1008,7 +1050,8 @@ class AspeLibrary(FilteringLibrary):
         Valid until the next mutation; see the view's docstring for the
         epoch/generation contract the parallel executors rely on.
         """
-        ids, positions, starts, stops = self._span_index().view
+        index = self._span_index()
+        ids, positions, starts, stops = index.view
         # In-flight batches merge through ``ids`` after later stores; a
         # fresh-id store appends to the index's own list in place.
         ids = list(ids)
@@ -1042,6 +1085,7 @@ class AspeLibrary(FilteringLibrary):
             positions=positions,
             starts=starts,
             stops=stops,
+            dense=index.dense,
         )
 
     # -- pickling -------------------------------------------------------------
@@ -1051,7 +1095,7 @@ class AspeLibrary(FilteringLibrary):
 
         Snapshots shipped to matching workers and ``export_state`` copies
         made during migration must not serialize dead weight: the
-        workspace buffers (B × tile scratch), the lazily rebuilt span
+        workspace buffers (tile × B scratch), the lazily rebuilt span
         index and its gather tiles, the derived tolerance cache
         (recomputed bit-identically from the stored rows) and the unused
         tail of the amortized-doubling buffers are all omitted.

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..filtering import PackedMatrixView
+from ..filtering.aspe import match_lists
 from .snapshot import PackedSnapshot, encode_batch, match_span_range
 from .worker import pool_match_task, segment_layout, shm_worker_main
 
@@ -139,10 +140,11 @@ class MatchFuture:
     """Handle for one in-flight ``match_batch``; merges chunk results.
 
     ``result()`` blocks (wall-clock only — the simulation clock is not
-    involved) until every chunk future resolved, then assembles the exact
-    per-publication id lists the inline path computes: spans are scattered
-    through ``positions`` into a vacuous-true matrix over stored ids, so
-    empty-span subscriptions match and id order follows storage order.
+    involved) until every chunk future resolved, then stacks the chunks'
+    ``(spans, B)`` blocks in span order and assembles the exact
+    per-publication id lists the inline path computes, through the same
+    :func:`~repro.filtering.aspe.match_lists` (``positions`` is ``None``
+    when span ``j`` is ``ids[j]``).
     """
 
     def __init__(
@@ -150,14 +152,12 @@ class MatchFuture:
         executor: Optional["MatchExecutor"],
         ids: Sequence[int],
         positions: Optional[np.ndarray],
-        count: int,
-        chunks: Sequence[Tuple[int, int, Future]],
+        chunks: Sequence[Future],
         value: Optional[List[List[int]]] = None,
     ):
         self._executor = executor
         self._ids = ids
         self._positions = positions
-        self._count = count
         self._chunks = chunks
         self._value = value
         self._done = value is not None
@@ -165,16 +165,15 @@ class MatchFuture:
     def result(self) -> List[List[int]]:
         if self._done:
             return self._value
-        ids = self._ids
-        merged = np.ones((self._count, len(ids)), dtype=bool)
-        for span_lo, span_hi, future in self._chunks:
+        blocks = []
+        for future in self._chunks:
             ok, worker, busy = future.result()
             if self._executor is not None:
                 self._executor._record_busy(str(worker), busy)
-            merged[:, self._positions[span_lo:span_hi]] = ok
-        self._value = [
-            [ids[i] for i in np.nonzero(row)[0]] for row in merged
-        ]
+            blocks.append(ok)
+        self._value = match_lists(
+            np.concatenate(blocks), self._ids, self._positions
+        )
         self._done = True
         if self._executor is not None:
             self._executor._batch_resolved(len(self._chunks))
@@ -192,7 +191,7 @@ class MatchFuture:
             return
         self._done = True
         self._value = []
-        for _, _, future in self._chunks:
+        for future in self._chunks:
             future.cancel()
         if self._executor is not None:
             self._executor._batch_resolved(len(self._chunks))
@@ -224,17 +223,15 @@ class MatchChannel:
         if self.closed:
             raise RuntimeError(f"match channel {self.key!r} is closed")
         if not payloads:
-            return MatchFuture(None, [], None, 0, (), value=[])
+            return MatchFuture(None, [], None, (), value=[])
         batch = encode_batch(payloads)
         view: PackedMatrixView = library.packed_view()
         if not view.ids:
-            return MatchFuture(
-                None, [], None, 0, (), value=[[] for _ in payloads]
-            )
+            return MatchFuture(None, [], None, (), value=[[] for _ in payloads])
         if view.span_count == 0:
             # Only vacuously-true (empty) subscriptions are stored.
             return MatchFuture(
-                None, [], None, 0, (), value=[list(view.ids) for _ in payloads]
+                None, [], None, (), value=[list(view.ids) for _ in payloads]
             )
         chunks = plan_chunks(
             view.starts, view.stops, self.executor.workers, self.executor.chunk_rows
@@ -244,12 +241,8 @@ class MatchChannel:
         return MatchFuture(
             self.executor,
             view.ids,
-            view.positions,
-            batch.shape[0],
-            [
-                (lo, hi, future)
-                for (lo, hi), future in zip(chunks, futures)
-            ],
+            None if view.dense else view.positions,
+            futures,
         )
 
     def _dispatch(

@@ -79,7 +79,8 @@ def encode_batch(payloads: Sequence[EncryptedPublication]) -> np.ndarray:
 def match_span_range(
     snapshot: PackedSnapshot, span_lo: int, span_hi: int, batch: np.ndarray
 ) -> np.ndarray:
-    """Evaluate spans ``[span_lo, span_hi)`` of a snapshot against a batch.
+    """Evaluate spans ``[span_lo, span_hi)`` of a snapshot against a batch:
+    the ``(span_hi - span_lo, B)`` block of span conjunctions.
 
     Slices the packed rows down to the contiguous ``[starts[lo],
     stops[hi-1])`` row range covering the requested spans and runs the
@@ -87,8 +88,8 @@ def match_span_range(
     per-row decisions are row-independent, the span conjunction is a
     gather-AND over rows that all lie inside the chunk, and the BLAS
     product accumulates only over the (tiny) ciphertext width — never
-    across chunked rows — so every chunk reproduces the exact columns the
-    unchunked kernel would compute.
+    across chunked rows — so every chunk reproduces the exact rows of the
+    result the unchunked kernel would compute.
     """
     row_lo = int(snapshot.starts[span_lo])
     row_hi = int(snapshot.stops[span_hi - 1])

@@ -54,7 +54,7 @@ def pool_match_task(
     identity — the library's ``(instance token, epoch)`` pair, unique
     per matrix state process-wide; it is unpickled only when this worker
     process has not seen this (key, sync) yet.  Returns ``(ok, pid,
-    busy_seconds)`` where ``ok`` is the ``(B, span_hi - span_lo)``
+    busy_seconds)`` where ``ok`` is the ``(span_hi - span_lo, B)``
     boolean span-conjunction block.
     """
     started = time.perf_counter()
@@ -140,7 +140,8 @@ def shm_worker_main(conn, worker_index: int) -> None:
       offsets).  Attaches the segment on first sight; a changed segment
       name detaches the old one.
     * ``("task", task_id, key, span_lo, span_hi, batch)`` — evaluate and
-      reply ``("result", task_id, ok, busy_seconds)``.
+      reply ``("result", task_id, ok, busy_seconds)`` with the
+      ``(span_hi - span_lo, B)`` block ``ok``.
     * ``("close", key)`` — forget a channel (detach its segment if no
       other channel uses it).
     * ``("stop",)`` — exit.

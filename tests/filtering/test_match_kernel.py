@@ -1,13 +1,19 @@
-"""The one decision kernel: tiling, gather tables, scratch bound, index upkeep.
+"""The one decision kernel: tiling, product blocks, bound-then-settle,
+gather tables, scratch bound, index upkeep.
 
 `match_packed` decides a span by AND-ing gathers of the per-row decisions,
-a tile of rows at a time.  The property below drives it — directly with a
-private tile size, and through `AspeLibrary` on the dense and the chunked
-store — over every shape the gather tables must get right, and compares
-each (publication, subscription) pair with the sequential
-`match_encrypted`.  Two regression tests pin what the rewrite was for: the
-scratch buffers are bounded by batch x tile, and a store under a fresh id
-extends the span index instead of rebuilding it.
+a tile of rows at a time; inside a tile it compares a product block at a
+time against the tile's scalar bound and settles only the blocks that hold
+a cell inside the band by the exact per-cell comparison.  The property
+below drives it — directly with a private tile size, and through
+`AspeLibrary` on the dense and the chunked store — over every shape the
+gather tables and the blocks must get right, and compares each
+(publication, subscription) pair with the sequential `match_encrypted`.
+Constructed cases pin the band edges to the ulp and the defined behaviour
+for NaN and infinite inputs.  Two regression tests pin what the rewrites
+were for: the scratch buffers are bounded by batch x tile (the float ones
+by the product block), and a store under a fresh id extends the span
+index instead of rebuilding it.
 """
 
 import random
@@ -27,6 +33,7 @@ from repro.filtering import (
     match_encrypted,
     match_packed,
 )
+from repro.workloads import ScaleWorkload
 
 WIDTH = 6
 OP_CODES = ("gt", "ge", "lt", "le")
@@ -61,21 +68,34 @@ def _boundary_predicate(rng):
     )
 
 
+def _band_predicate(rng):
+    # Decided by the scalar compares next to ordinary publications, but
+    # inside the band (and settled) once a loud one raises the bound.
+    return EncryptedPredicate(
+        op_code=rng.choice(OP_CODES),
+        vector=_boundary_vector(rng.uniform(-1e-6, 1e-6)),
+    )
+
+
 def _subscription(rng, length):
-    make = rng.choice((_random_predicate, _random_predicate, _boundary_predicate))
+    make = rng.choice(
+        (_random_predicate, _random_predicate, _boundary_predicate, _band_predicate)
+    )
     return EncryptedSubscription(
         predicates=tuple(make(rng) for _ in range(length))
     )
 
 
-def _publications(rng, count):
-    random_ones = [
-        EncryptedPublication(
-            vector=np.array([rng.uniform(-5.0, 5.0) for _ in range(WIDTH)])
-        )
+def _publications(rng, count, loud=False):
+    vectors = [
+        np.array([rng.uniform(-5.0, 5.0) for _ in range(WIDTH)])
         for _ in range(count)
     ]
-    return [_UNIT_PUBLICATION] + random_ones
+    if loud:
+        # One norm 10^6 times the others': the bound follows the largest
+        # scale, so more of the quiet publications' cells need settling.
+        vectors[-1] = vectors[-1] * 1e6
+    return [_UNIT_PUBLICATION] + [EncryptedPublication(vector=v) for v in vectors]
 
 
 def _reference(library, publications):
@@ -103,10 +123,14 @@ operations = st.lists(
     operations,
     st.sampled_from(("dense", "chunked")),
     st.sampled_from((1, 3, 7, "rows", "beyond")),
+    st.sampled_from((1, 3, 7, "tile", "beyond")),
+    st.booleans(),
     st.integers(0, 2**31),
 )
-@settings(max_examples=120, deadline=None)
-def test_kernel_agrees_with_match_encrypted(sequence, backend, tile, seed):
+@settings(max_examples=160, deadline=None)
+def test_kernel_agrees_with_match_encrypted(
+    sequence, backend, tile, block, loud, seed
+):
     rng = random.Random(seed)
     # No compaction, so removes leave tombstone gaps between spans; chunks
     # of 4 rows cut most spans of 5-9 rows at least once.
@@ -115,31 +139,37 @@ def test_kernel_agrees_with_match_encrypted(sequence, backend, tile, seed):
             backend=backend, chunk_rows=4, compact_dead_ratio=1.0
         )
     )
-    publications = _publications(rng, 3)
+    publications = _publications(rng, 3, loud)
 
     def check():
         rows = library.store_stats()["rows"]
         tile_rows = {"rows": max(rows, 1), "beyond": rows + 5}.get(tile, tile)
+        block_rows = {"tile": tile_rows, "beyond": tile_rows + 5}.get(block, block)
         expected = _reference(library, publications)
-        with mock.patch.object(aspe, "_TILE_ROWS", tile_rows):
+        # The block constant counts cells: rows of a full batch here, and
+        # len(publications) times as many rows for a single publication.
+        with mock.patch.object(aspe, "_TILE_ROWS", tile_rows), mock.patch.object(
+            aspe, "_BLOCK_CELLS", block_rows * len(publications)
+        ):
             # Tiles are cached per index; drop it so this tile size is used.
             library._index = None
             assert library.match_batch(publications) == expected
             assert [library.match(p) for p in publications] == expected
-        view = library.packed_view()
-        if view.span_count == 0:
-            return
-        ok = match_packed(
-            view.matrix,
-            view.strict,
-            view.tol_signed,
-            view.starts,
-            view.stops,
-            np.stack([p.vector for p in publications]),
-            _tile_rows=tile_rows,
-        )
-        for row, matched in enumerate(expected):
-            for column, position in enumerate(view.positions):
+            view = library.packed_view()
+            if view.span_count == 0:
+                return
+            ok = match_packed(
+                view.matrix,
+                view.strict,
+                view.tol_signed,
+                view.starts,
+                view.stops,
+                np.stack([p.vector for p in publications]),
+                _tile_rows=tile_rows,
+            )
+        assert ok.shape == (view.span_count, len(publications))
+        for column, matched in enumerate(expected):
+            for row, position in enumerate(view.positions):
                 assert ok[row, column] == (view.ids[position] in matched)
 
     for op, sub_id, length in sequence:
@@ -174,6 +204,134 @@ def test_exact_boundary_products_decide_like_the_reference():
     assert library.match_batch([_UNIT_PUBLICATION] * 2) == [expected] * 2
 
 
+#: Stored beside the boundary rows so that the tile's largest tolerance is
+#: known without them: its norm is exactly 5, every boundary vector's is
+#: about 3, and no publication below has a product with it near the band.
+_ANCHOR = EncryptedPredicate("gt", np.array([3.0, 4.0, 0.0, 0.0, 0.0, 0.0]))
+#: Scale 2**20 + 1 beside the unit publication's 2: it sets the bound, and
+#: its own products with the anchor and boundary vectors are far outside.
+_LOUD_PUBLICATION = EncryptedPublication(vector=np.eye(WIDTH)[1] * 2.0**20)
+_BOUND = (2.0**20 + 1.0) * (aspe._REL_TOL * 6.0)
+
+
+def _settled(library, publications):
+    """``(match lists, whether the settle step ran)`` of one batch: only the
+    settle step asks the workspace for a ``thresholds`` buffer."""
+    library._ws.pop("thresholds", None)
+    matched = library.match_batch(publications)
+    return matched, "thresholds" in library._ws
+
+
+def test_band_edges_and_thresholds_inside_it_settle_exactly():
+    publications = [_UNIT_PUBLICATION, _LOUD_PUBLICATION]
+    inside = np.nextafter(_BOUND, 0.0)
+    outside = np.nextafter(_BOUND, 1.0)
+    edge_cases = [(p, True) for p in (_BOUND, -_BOUND, inside, -inside)]
+    edge_cases += [(outside, False), (-outside, False)]
+    # The unit publication's own threshold, well inside the loud bound.
+    edge_cases += [
+        (sign * first, True)
+        for sign in (1.0, -1.0)
+        for first in (
+            _THRESHOLD,
+            np.nextafter(_THRESHOLD, 1.0),
+            np.nextafter(_THRESHOLD, 0.0),
+        )
+    ]
+    for backend in ("dense", "chunked"):
+        for op_code in OP_CODES:
+            for first, in_band in edge_cases:
+                library = AspeLibrary(
+                    store_config=StoreConfig(backend=backend, chunk_rows=4)
+                )
+                library.store(0, EncryptedSubscription(predicates=(_ANCHOR,)))
+                predicate = EncryptedPredicate(op_code, _boundary_vector(first))
+                library.store(
+                    1, EncryptedSubscription(predicates=(_ANCHOR, predicate))
+                )
+                matched, settled = _settled(library, publications)
+                assert matched == _reference(library, publications)
+                assert settled == in_band, (op_code, first)
+                # Alone, the unit publication's bound is its own threshold
+                # times 6/4: the band edges above are far outside it.
+                alone, settled = _settled(library, publications[:1])
+                assert alone == matched[:1]
+                assert settled == (abs(first) < 1e-9), (op_code, first)
+
+
+def test_plain_workload_never_reaches_the_settle_step():
+    source = ScaleWorkload(dimensions=4, matching_rate=0.01, seed=3)
+    subscriptions = next(source.subscription_batches(600, batch_size=600))
+    publications = source.publications(24)
+    for config in (StoreConfig(), StoreConfig(backend="chunked", chunk_rows=256)):
+        library = AspeLibrary(store_config=config)
+        library.store_many(subscriptions)
+        matched, settled = _settled(library, publications)
+        assert not settled
+        assert any(matched)
+        assert matched == _reference(library, publications)
+
+
+def _hostile_vector(rng, value):
+    vector = np.array([rng.uniform(-5.0, 5.0) for _ in range(WIDTH)])
+    vector[rng.randrange(WIDTH)] = value
+    return vector
+
+
+@np.errstate(all="ignore")
+def test_non_finite_inputs_decide_like_the_reference_and_spare_the_rest():
+    rng = random.Random(11)
+    hostile = (np.nan, np.inf, -np.inf, 1e200)  # 1e200: the norm overflows
+    ordinary = _publications(rng, 3)
+    mixed_signs = np.zeros(WIDTH)
+    mixed_signs[:2] = (np.inf, -np.inf)
+    publications = ordinary + [
+        EncryptedPublication(vector=vector)
+        for vector in [_hostile_vector(rng, v) for v in hostile] + [mixed_signs]
+    ]
+    rng.shuffle(publications)
+    kept = [i for i, p in enumerate(publications) if any(p is q for q in ordinary)]
+    ordinary = [publications[i] for i in kept]
+
+    def check(library):
+        expected = _reference(library, publications)
+        assert library.match_batch(publications) == expected
+        assert [library.match(p) for p in publications] == expected
+        # The ordinary publications decide as if they were matched alone.
+        assert library.match_batch(ordinary) == [expected[i] for i in kept]
+        return expected
+
+    for backend in ("dense", "chunked"):
+        library = AspeLibrary(
+            store_config=StoreConfig(backend=backend, chunk_rows=4)
+        )
+        for sub_id in range(12):
+            library.store(sub_id, _subscription(rng, rng.randrange(1, 4)))
+        expected = check(library)
+        # A NaN publication matches no non-empty subscription.
+        assert [
+            row
+            for row, p in zip(expected, publications)
+            if np.isnan(p.vector).any()
+        ] == [[]]
+        assert any(expected[i] for i in kept)
+        # Stored rows whose norm is not finite, beside ordinary rows of the
+        # same subscription, the same tile and the same 4-row chunk.
+        for sub_id, (value, op_code) in enumerate(
+            ((v, op) for v in hostile for op in OP_CODES), start=100
+        ):
+            library.store(
+                sub_id,
+                EncryptedSubscription(
+                    predicates=(
+                        _random_predicate(rng),
+                        EncryptedPredicate(op_code, _hostile_vector(rng, value)),
+                    )
+                ),
+            )
+        check(library)
+
+
 def _bulk_library(subscriptions, config=None):
     rng = np.random.default_rng(subscriptions)
     vectors = rng.uniform(-1.0, 1.0, (subscriptions, 2, WIDTH))
@@ -204,16 +362,23 @@ def test_workspace_is_bounded_by_batch_times_tile_not_rows():
         EncryptedPublication(vector=vector)
         for vector in rng.uniform(-5.0, 5.0, (batch, WIDTH))
     ]
-    # Two float and four boolean (batch x tile) buffers.
-    bound = batch * (aspe._TILE_ROWS + 1) * (8 + 8 + 1 + 1 + 1 + 1)
+    block_bytes = aspe._BLOCK_CELLS * 8
     sizes = []
     for subscriptions in (10_000, 30_000):
         library = _bulk_library(subscriptions)
         assert library.store_stats()["rows"] >= 20_000
-        library.match_batch(publications)
+        _, settled = _settled(library, publications)
         assert library.full_pack_count == 0
-        sizes.append(_workspace_bytes(library))
-        assert sizes[-1] <= bound
+        floats = [b for b in library._ws.values() if b.dtype == np.float64]
+        # The product block and, once the settle step ran, its thresholds:
+        # no (batch x tile) float buffer exists.
+        assert len(floats) == 1 + settled
+        assert all(b.nbytes <= block_bytes for b in floats)
+        assert block_bytes < batch * aspe._TILE_ROWS * 8
+        booleans = _workspace_bytes(library) - sum(b.nbytes for b in floats)
+        assert booleans <= 4 * batch * (aspe._TILE_ROWS + 1)
+        extra = library._ws["thresholds"].nbytes if settled else 0
+        sizes.append(_workspace_bytes(library) - extra)
     assert sizes[0] == sizes[1], "scratch must not grow with stored rows"
 
 
