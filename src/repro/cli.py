@@ -27,6 +27,7 @@ experiments (``figure8``/``figure9``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -87,7 +88,7 @@ def _add_store_options(p: argparse.ArgumentParser) -> None:
 
     p.add_argument(
         "--store-backend", choices=list(STORE_BACKENDS), default=None,
-        help="packed-row backing store (default: REPRO_STORE_BACKEND or dense)",
+        help="packed-row backing store (default: REPRO_STORE_BACKEND or chunked)",
     )
     p.add_argument(
         "--store-chunk-rows", type=_positive_chunk_rows, default=None,
@@ -241,19 +242,18 @@ def _net_overrides(args) -> dict:
     return overrides
 
 
-def _store_overrides(args) -> dict:
-    """HubConfig store kwargs for the --store-* flags the user passed."""
+def _store_overrides(args):
+    """The :class:`StoreConfig` resolved from --store-* flags > env > default."""
+    from .filtering import StoreConfig
+
     overrides = {}
-    for attr, field in (
-        ("store_backend", "store_backend"),
-        ("store_chunk_rows", "store_chunk_rows"),
-        ("store_memory_budget_mb", "store_memory_budget_mb"),
-        ("store_compact_dead_ratio", "store_compact_dead_ratio"),
+    for field in (
+        "backend", "chunk_rows", "memory_budget_mb", "compact_dead_ratio"
     ):
-        value = getattr(args, attr, None)
+        value = getattr(args, f"store_{field}", None)
         if value is not None:
             overrides[field] = value
-    return overrides
+    return dataclasses.replace(StoreConfig.from_env(), **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,7 +520,7 @@ def _telemetry_demo(
     match_workers: int = 0,
     match_backend: str = "auto",
     match_chunk_rows: int = 4096,
-    store_overrides: Optional[dict] = None,
+    store=None,
     net_overrides: Optional[dict] = None,
     stream_trace_to: Optional[tuple] = None,
 ):
@@ -545,6 +545,7 @@ def _telemetry_demo(
         Op,
         Predicate,
         PredicateSet,
+        StoreConfig,
     )
     from .pubsub import HubConfig, Publication, StreamHub, Subscription
     from .sim import Environment
@@ -566,7 +567,7 @@ def _telemetry_demo(
         match_workers=match_workers,
         match_backend=match_backend,
         match_chunk_rows=match_chunk_rows,
-        **(store_overrides or {}),
+        store=store or StoreConfig.from_env(),
         **(net_overrides or {}),
     )
     cipher = None
@@ -627,7 +628,7 @@ def _cmd_trace(args) -> None:
         match_workers=args.match_workers,
         match_backend=args.match_backend,
         match_chunk_rows=args.match_chunk_rows,
-        store_overrides=_store_overrides(args),
+        store=_store_overrides(args),
         net_overrides=_net_overrides(args),
         stream_trace_to=stream_trace_to,
     )
@@ -670,7 +671,7 @@ def _cmd_metrics(args) -> None:
         match_workers=args.match_workers,
         match_backend=args.match_backend,
         match_chunk_rows=args.match_chunk_rows,
-        store_overrides=_store_overrides(args),
+        store=_store_overrides(args),
         net_overrides=_net_overrides(args),
     )
     registry = tel.metrics

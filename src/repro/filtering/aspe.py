@@ -36,13 +36,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .base import FilteringLibrary
 from .predicates import Op, Predicate, PredicateSet
-from .store.chunks import ChunkedMatrixStore
+from .store.chunks import _MIN_CAPACITY, ChunkedMatrixStore
 from .store.config import StoreConfig
 
 __all__ = [
@@ -299,6 +299,23 @@ _OP_SIGN = {"gt": 1.0, "ge": 1.0, "lt": -1.0, "le": -1.0}
 #: Strict comparisons exclude the tolerance band, non-strict include it.
 _OP_STRICT = {"gt": True, "ge": False, "lt": True, "le": False}
 
+
+def _tolerances(block: np.ndarray, strict: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(tol_base, tol_signed)`` columns of packed rows.
+
+    The base is ``_REL_TOL · (‖q̂‖ + 1)``; the signed form is positive for
+    strict rows and negative for non-strict ones, and the decision
+    threshold is it times the publication's scale factor.  Folding the
+    decision side into the sign is exact (IEEE negation commutes with
+    scaling: ``s·(−a) == −(s·a)`` bit-for-bit) and lets the kernel compare
+    all rows against one threshold.  Per-row norms reduce
+    element-independently, so staging a batch, one subscription at a time
+    or a restored pickle gives bit-identical tolerances.
+    """
+    base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
+    return base, np.where(strict, base, -base)
+
+
 def _fresh_workspace(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
     """Workspace provider allocating a fresh buffer per request."""
     return np.empty(shape, dtype=dtype)
@@ -321,9 +338,14 @@ GatherTile = Tuple[int, int, int, int, Tuple[np.ndarray, ...], float]
 
 def _gather_tiles(
     starts: np.ndarray, stops: np.ndarray, tol_signed: np.ndarray,
-    row_lo: int, row_hi: int, step: int,
+    row_lo: int, row_hi: int, step: int, base: int = 0,
 ) -> List[GatherTile]:
     """Gather tables for rows ``[row_lo, row_hi)`` in tiles of ``step`` rows.
+
+    The rows belong to a block that starts at row ``base``: ``tol_signed``
+    is the block's tolerance column, and a tile's ``row_lo``/``row_hi`` are
+    relative to the block, which is how the kernel addresses its
+    ``matrix``; span numbers stay those of ``starts``.
 
     ``tables[k][s]`` of a tile is the row, in the tile's satisfied matrix,
     of the ``k``-th row that span ``span_lo + s`` has *inside the tile*;
@@ -331,7 +353,7 @@ def _gather_tiles(
     span has no ``k``-th row there.  ``starts`` is sorted and spans are
     disjoint, so ``stops`` is sorted too and a tile's span range is two
     binary searches.  ``tol_max`` is ``max|tol_signed|`` over the tile's
-    rows, where ``tol_signed[0]`` belongs to row ``row_lo``.
+    rows.
     """
     tiles: List[GatherTile] = []
     for tile_lo in range(row_lo, row_hi, step):
@@ -348,9 +370,20 @@ def _gather_tiles(
                 np.where(first + k < last, first + k, 0)
                 for k in range(int((last - first).max()))
             )
-        tol_max = float(np.abs(tol_signed[tile_lo - row_lo : tile_hi - row_lo]).max())
-        tiles.append((tile_lo, tile_hi, span_lo, max(span_lo, span_hi), tables, tol_max))
+        lo, hi = tile_lo - base, tile_hi - base
+        tol_max = float(np.abs(tol_signed[lo:hi]).max())
+        tiles.append((lo, hi, span_lo, max(span_lo, span_hi), tables, tol_max))
     return tiles
+
+
+def _batch_constants(batch: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
+    """``(scales, max scale, columns)`` of a ``(B, n)`` batch — what every
+    kernel call on the batch shares."""
+    scales = np.linalg.norm(batch, axis=1)
+    scales += 1.0
+    # A C-contiguous (n, B) copy: OpenBLAS takes its unpacked small-matrix
+    # path only for untransposed operands, and a product block fits it.
+    return scales, float(scales.max()), np.ascontiguousarray(batch.T)
 
 
 def match_packed(
@@ -363,19 +396,23 @@ def match_packed(
     workspace=None,
     *,
     tiles: Optional[Sequence[GatherTile]] = None,
+    constants: Optional[Tuple[np.ndarray, float, np.ndarray]] = None,
+    out: Optional[np.ndarray] = None,
     _tile_rows: Optional[int] = None,
 ) -> np.ndarray:
     """Evaluate packed (direction-folded) predicate rows against a batch.
 
     The one decision kernel: ``matrix`` is a C-contiguous ``(rows, n)``
-    block of direction-folded query-vector rows, read in place (dense
-    buffers and chunk-store blocks both are contiguous), with per-row
-    ``strict`` flags and sign-folded tolerance bases ``tol_signed``;
-    ``starts``/``stops`` are sorted per-span row offsets *relative to this
-    block* (clipped to it where a span continues in a neighbouring block);
-    ``batch`` is the ``(B, n)`` stack of publication ciphertext vectors.
-    Returns the subscription-major ``(len(starts), B)`` boolean matrix of
-    span conjunctions over the rows each span has in this block.
+    block of direction-folded query-vector rows, read in place (a
+    chunk-store block is contiguous), with per-row ``strict`` flags and
+    sign-folded tolerance bases ``tol_signed``; ``starts``/``stops`` are
+    sorted per-span row offsets *relative to this block* (clipped to it
+    where a span continues in a neighbouring block); ``batch`` is the
+    ``(B, n)`` stack of publication ciphertext vectors.  Returns the
+    subscription-major ``(len(starts), B)`` boolean matrix of span
+    conjunctions over the rows each span has in this block — ANDed into
+    ``out`` when the caller passes one, which is how the blocks of a store
+    accumulate into one matrix.
 
     Rows are visited a tile at a time and, inside a tile, a product block
     of ``_BLOCK_CELLS`` cells at a time: one gemm and two compares against
@@ -390,8 +427,11 @@ def match_packed(
     … row (B contiguous bytes per span; a sentinel always-true row stands
     in past a span's end), AND-accumulated across the tiles a span
     straddles.  ``tiles`` supplies cached gather tables
-    (:func:`_gather_tiles`), and then only the *number* of spans is read
-    from ``starts``; by default the tables are derived here.
+    (:func:`_gather_tiles`, whose span numbers index the result's rows),
+    and then only the *number* of spans is read from ``starts`` — nothing,
+    with ``out``; ``constants`` supplies the batch's
+    :func:`_batch_constants`, for a caller that runs many blocks against
+    one batch.  By default both are derived here.
 
     Every cell decides as :func:`match_encrypted` decides that pair,
     whatever shares its batch or tile: a NaN publication matches no
@@ -414,17 +454,12 @@ def match_packed(
         tiles = _gather_tiles(
             starts, stops, tol_signed, 0, matrix.shape[0], _tile_rows or _TILE_ROWS
         )
-    scales = np.linalg.norm(batch, axis=1)
-    scales += 1.0
-    top = float(scales.max())
-    # A C-contiguous (n, B) copy: OpenBLAS takes its unpacked small-matrix
-    # path only for untransposed operands, and a product block fits it.
-    columns = np.ascontiguousarray(batch.T)
+    scales, top, columns = constants or _batch_constants(batch)
     step = max(_BLOCK_CELLS // count, 1)
     block_shape = (min(step, matrix.shape[0]), count)
     product_block = workspace("products", block_shape, np.float64)
     below_block = workspace("below", block_shape, np.bool_)
-    ok = np.ones((starts.size, count), dtype=np.bool_)
+    ok = np.ones((starts.size, count), dtype=np.bool_) if out is None else out
     for row_lo, row_hi, span_lo, span_hi, tables, tol_max in tiles:
         if span_lo == span_hi:
             continue  # nothing but tombstoned rows
@@ -488,12 +523,12 @@ def match_lists(
 
 @dataclass(frozen=True)
 class PackedMatrixView:
-    """Zero-copy view of a library's packed matching state.
+    """A library's packed matching state at one epoch.
 
     Produced by :meth:`AspeLibrary.packed_view` for the parallel matching
-    executors.  All arrays are *views* into the library's live buffers —
-    valid only until the next ``store``/``remove``/``import_state`` — and
-    must not be mutated.
+    executors.  The span arrays are *views* into the library's live index
+    and ``copy_rows`` reads its live store — valid only until the next
+    ``store``/``remove``/``import_state`` — and must not be mutated.
 
     ``token`` is unique per library *instance* in this process (a fresh
     value is drawn on construction and on unpickling), because ``epoch``
@@ -511,10 +546,11 @@ class PackedMatrixView:
     epoch: int
     generation: int
     rows: int
-    width: int
-    matrix: Optional[np.ndarray]  # (rows, n) or None before the first store
-    strict: Optional[np.ndarray]
-    tol_signed: Optional[np.ndarray]
+    width: int  # 0 before the first store
+    #: :meth:`ChunkedMatrixStore.copy_rows` of the library's store: copies
+    #: rows ``[lo, hi)`` into the caller's ``matrix`` / ``strict`` /
+    #: ``tol_signed`` arrays, touching only the chunks that hold them.
+    copy_rows: Callable[..., None]
     ids: List[int]
     positions: np.ndarray
     starts: np.ndarray
@@ -527,8 +563,6 @@ class PackedMatrixView:
         return int(self.starts.size)
 
 
-#: Initial row capacity of the packed predicate matrix.
-_MIN_CAPACITY = 64
 #: Compact once dead rows outnumber live ones (and exceed this floor), so
 #: the matrix never carries more than 2× the live predicate rows.
 _COMPACT_MIN_DEAD = 64
@@ -543,8 +577,8 @@ class _SpanIndex:
     span whose conjunction lands in column ``j``.  Empty spans are left
     out — their subscriptions match vacuously.  ``dense`` says column
     ``j`` simply *is* ``ids[j]`` (no empty subscription, no overwrite
-    that re-ordered rows against ids).  ``tiles`` caches the kernel's
-    gather tables for the leading rows, in row order.
+    that re-ordered rows against ids).  ``tiles[i]`` caches the kernel's
+    gather tiles for the store's ``i``-th block, rows relative to it.
     """
 
     __slots__ = ("view", "dense", "tiles", "_table")
@@ -558,14 +592,15 @@ class _SpanIndex:
         self.dense = spans == len(ids) and bool(
             (table[0] == np.arange(spans)).all()
         )
-        self.tiles: List[GatherTile] = []
+        self.tiles: List[List[GatherTile]] = []
 
     def append(self, sub_id: int, start: int, stop: int) -> None:
         """Index a subscription stored under a *fresh* id — O(1) amortized.
 
         Its rows sit past every indexed row and its id past every indexed
-        id, so both orders hold.  Arrays handed out earlier are never
-        written: an append lands past their end, or in a grown copy.
+        id, so both orders hold and every cached tile stays what it was.
+        Arrays handed out earlier are never written: an append lands past
+        their end, or in a grown copy.
         """
         ids = self.view[0]
         ids.append(sub_id)
@@ -580,26 +615,29 @@ class _SpanIndex:
             self._table = table
         table[:, spans] = (len(ids) - 1, start, stop)
         self.view = (ids, *table[:, : spans + 1])
-        # The tile the new rows extend (or follow) is rebuilt on next use.
-        tiles = self.tiles
-        while tiles and tiles[-1][1] >= start:
-            tiles.pop()
 
-    def cover(self, row_lo: int, row_hi: int, tol_signed: np.ndarray) -> None:
-        """Make ``tiles`` reach ``row_hi``, tiling on from ``row_lo``.
+    def cover(self, position: int, block) -> List[GatherTile]:
+        """The kernel tiles of ``block``, the store's ``position``-th.
 
-        Called for a dense matrix (``row_lo = 0``) or for each chunk in
-        row order, so tiles never cross a chunk: one tile is one
-        contiguous run of at most ``_TILE_ROWS`` rows of one block, whose
-        tolerance column ``tol_signed`` starts at ``row_lo``.
+        Blocks come in row order and tiles never cross one: a tile is one
+        contiguous run of at most ``_TILE_ROWS`` rows of one chunk.  Rows
+        appended since the last call extend the block's short last tile
+        (it is rebuilt) before they start a new one.
         """
-        covered = self.tiles[-1][1] if self.tiles else 0
-        if covered < row_hi:
+        if position == len(self.tiles):
+            self.tiles.append([])
+        tiles = self.tiles[position]
+        rows = block.stop - block.start
+        if not tiles or tiles[-1][1] < rows:
+            if tiles and tiles[-1][1] - tiles[-1][0] < _TILE_ROWS:
+                tiles.pop()
+            covered = tiles[-1][1] if tiles else 0
             _, _, starts, stops = self.view
-            lo = max(row_lo, covered)
-            self.tiles += _gather_tiles(
-                starts, stops, tol_signed[lo - row_lo :], lo, row_hi, _TILE_ROWS
+            tiles += _gather_tiles(
+                starts, stops, block.tol_signed, block.start + covered,
+                block.stop, _TILE_ROWS, block.start,
             )
+        return tiles
 
 
 class AspeLibrary(FilteringLibrary):
@@ -610,54 +648,30 @@ class AspeLibrary(FilteringLibrary):
     property that makes encrypted filtering computationally heavy and the
     paper's experiments workload-independent.
 
-    The predicate ciphertexts of all stored subscriptions live in one
-    packed row matrix that is maintained *incrementally*: ``store`` appends
-    rows into an amortized-doubling buffer, ``remove`` tombstones the
-    subscription's row span, and compaction runs only when dead rows
-    outnumber live ones — store/remove churn costs amortized O(rows
-    touched), never a full repack.  Per-row tolerance norms and comparison
-    directions are precomputed as ndarrays, and :meth:`match` (a batch of
-    one) and :meth:`match_batch` both decide through the one row-tiled
-    kernel, :func:`match_packed`.
+    The predicate ciphertexts of all stored subscriptions live as packed
+    rows in one :class:`ChunkedMatrixStore` that is maintained
+    *incrementally*: ``store`` appends rows to the store's last chunk,
+    ``remove`` tombstones the subscription's row span, and compaction runs
+    only when dead rows outnumber live ones — store/remove churn costs
+    amortized O(rows touched), never a full repack.  Rows are stored
+    *direction-folded* (a ``lt``/``le`` query vector is negated on the way
+    in, exact in IEEE arithmetic) beside their precomputed tolerances, and
+    :meth:`match` (a batch of one) and :meth:`match_batch` both decide
+    through the one row-tiled kernel, :func:`match_packed`, a store block
+    at a time.
     """
 
     def __init__(self, store_config: Optional[StoreConfig] = None) -> None:
         self._subs: Dict[int, EncryptedSubscription] = {}
-        #: How the packed rows are stored.  ``dense`` (the default) keeps
-        #: the in-RAM amortized-doubling buffers below; ``chunked``/``mmap``
-        #: delegate row storage to a :class:`ChunkedMatrixStore` so the
-        #: matrix can exceed RAM (see repro.filtering.store).
+        #: How the packed rows are stored: ``chunked`` (the default) keeps
+        #: the row chunks in RAM, ``mmap`` over spill files under a
+        #: residency budget so the matrix can exceed RAM (see
+        #: repro.filtering.store).
         self._store_config = (
             store_config if store_config is not None else StoreConfig.from_env()
         )
-        self._chunks: Optional[ChunkedMatrixStore] = (
-            None
-            if self._store_config.backend == "dense"
-            else ChunkedMatrixStore(self._store_config)
-        )
-        #: Epoch-keyed contiguous materialization of the chunked rows for
-        #: :meth:`packed_view` (the parallel executors need one flat
-        #: matrix).  ``(epoch, matrix, strict, tol_signed)`` or ``None``.
-        self._materialized = None
+        self._chunks = ChunkedMatrixStore(self._store_config)
         self._telemetry = None
-        #: Packed state: row buffer + per-row decision metadata.  Allocated
-        #: lazily on the first store (the ciphertext width is unknown
-        #: until then) and grown by doubling.  Rows are stored
-        #: *direction-folded*: a ``lt``/``le`` query vector is negated on
-        #: the way in (exact in IEEE arithmetic), so every decision is
-        #: ``product {>, ≥−} tolerance`` with no per-row sign multiply.
-        self._matrix: Optional[np.ndarray] = None
-        self._strict: Optional[np.ndarray] = None
-        #: Sign-folded tolerance base ``±_REL_TOL · (‖q̂‖ + 1)``: positive
-        #: for strict rows, negative for non-strict ones; the decision
-        #: threshold is this times the publication's scale factor.  Folding
-        #: the decision side into the sign is exact (IEEE negation commutes
-        #: with scaling: ``s·(−a) == −(s·a)`` bit-for-bit) and lets the
-        #: kernel compare all rows against one threshold.
-        self._tol_signed: Optional[np.ndarray] = None
-        self._alive: Optional[np.ndarray] = None
-        self._rows = 0  # buffer rows in use (live + tombstoned)
-        self._dead_rows = 0
         #: sub_id → [start, stop) row span in the packed matrix.
         self._spans: Dict[int, Tuple[int, int]] = {}
         #: Lazily built span index and gather tiles (see _span_index).
@@ -684,6 +698,15 @@ class AspeLibrary(FilteringLibrary):
         self.compaction_count = 0
         self.full_pack_count = 0
         self.index_rebuild_count = 0
+
+    @property
+    def _rows(self) -> int:
+        """Store rows in use (live + tombstoned)."""
+        return self._chunks.rows
+
+    @property
+    def _dead_rows(self) -> int:
+        return self._chunks.dead_rows
 
     # -- storage --------------------------------------------------------------
 
@@ -736,67 +759,33 @@ class AspeLibrary(FilteringLibrary):
     def _match_lists(self, batch: np.ndarray) -> List[List[int]]:
         """Matching ids, in store order, per row of the ``(B, n)`` batch —
         the body of :meth:`match` and :meth:`match_batch` alike, so neither
-        public method runs inside the other."""
-        index = self._span_index()
-        ids, positions, starts, stops = index.view
-        if starts.size == 0:
-            # Nothing, or only empty (vacuously true) subscriptions, stored.
-            return [list(ids) for _ in range(batch.shape[0])]
-        if self._chunks is None:
-            rows = self._rows
-            index.cover(0, rows, self._tol_signed)
-            ok = match_packed(
-                self._matrix[:rows],
-                self._strict[:rows],
-                self._tol_signed[:rows],
-                starts,
-                stops,
-                batch,
-                workspace=self._workspace,
-                tiles=index.tiles,
-            )
-        else:
-            ok = self._match_chunks(index, batch)
-        return match_lists(ok, ids, None if index.dense else positions)
-
-    def _match_chunks(self, index: _SpanIndex, batch: np.ndarray) -> np.ndarray:
-        """:func:`match_packed` over the chunk store, one block at a time.
+        public method runs inside the other.
 
         Every resident block is visited (and faulted) in row order whether
         or not a live span touches it; a span cut by a chunk boundary is
         the AND of its parts.  Only one block's rows are ever held.
         """
-        _, _, starts, _ = index.view
+        index = self._span_index()
+        ids, positions, starts, stops = index.view
+        if starts.size == 0:
+            # Nothing, or only empty (vacuously true) subscriptions, stored.
+            return [list(ids) for _ in range(batch.shape[0])]
         ok = np.ones((starts.size, batch.shape[0]), dtype=np.bool_)
-        tiles = index.tiles
-        cursor = 0
-        for block in self._chunks.blocks():
-            base = block.start
-            index.cover(base, block.stop, block.tol_signed)
-            first = cursor
-            while cursor < len(tiles) and tiles[cursor][0] < block.stop:
-                cursor += 1
-            span_lo, span_hi = tiles[first][2], tiles[cursor - 1][3]
-            if span_lo == span_hi:
-                continue
-            # With ``tiles`` the kernel reads the span arrays' size only.
-            spans = starts[span_lo:span_hi]
-            part = match_packed(
+        constants = _batch_constants(batch)
+        for position, block in enumerate(self._chunks.blocks()):
+            match_packed(
                 block.matrix,
                 block.strict,
                 block.tol_signed,
-                spans,
-                spans,
+                starts,
+                stops,
                 batch,
                 workspace=self._workspace,
-                tiles=[
-                    (lo - base, hi - base, j0 - span_lo, j1 - span_lo, tables, tol)
-                    for lo, hi, j0, j1, tables, tol in tiles[first:cursor]
-                ],
+                tiles=index.cover(position, block),
+                constants=constants,
+                out=ok,
             )
-            rows = ok[span_lo:span_hi]
-            np.logical_and(rows, part, out=rows)
-        return ok
+        return match_lists(ok, ids, None if index.dense else positions)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -856,35 +845,20 @@ class AspeLibrary(FilteringLibrary):
     def absorb(self, other: "AspeLibrary") -> int:
         """Adopt every subscription (and packed row) of ``other``.
 
-        The merge half of shard split/merge: under a chunked store the
-        rows transfer as whole chunk objects — zero rows rewritten — and
-        under the dense store as one bulk buffer copy.  ``other`` is left
-        empty.  Returns the number of rows adopted.  Appending to self
-        preserves the append-only delta invariant, so the generation does
-        not advance.
+        The merge half of shard split/merge: the rows transfer as whole
+        chunk objects — zero rows rewritten.  ``other`` is left empty.
+        Returns the number of rows adopted.  Appending to self preserves
+        the append-only delta invariant, so the generation does not
+        advance.
         """
         if other is self:
             raise ValueError("cannot absorb a library into itself")
-        if (self._chunks is None) != (other._chunks is None):
-            raise ValueError("cannot absorb across store backends")
         overlap = self._subs.keys() & other._subs.keys()
         if overlap:
             raise ValueError(
                 f"cannot absorb: {len(overlap)} overlapping subscription ids"
             )
-        moved = other._rows
-        base = self._rows
-        if self._chunks is not None:
-            self._chunks.adopt(other._chunks)
-        elif other._matrix is not None and moved:
-            self._ensure_capacity(moved, other._matrix.shape[1])
-            stop = base + moved
-            self._matrix[base:stop] = other._matrix[:moved]
-            self._strict[base:stop] = other._strict[:moved]
-            self._tol_signed[base:stop] = other._tol_signed[:moved]
-            self._alive[base:stop] = other._alive[:moved]
-        self._rows = base + moved
-        self._dead_rows += other._dead_rows
+        base = self._chunks.adopt(other._chunks)
         for sub_id, subscription in other._subs.items():
             start, stop = other._spans[sub_id]
             self._subs[sub_id] = subscription
@@ -892,17 +866,16 @@ class AspeLibrary(FilteringLibrary):
         self._index = None
         self._epoch += 1
         other._reset_empty()
-        return moved
+        return self._rows - base
 
     def detach_suffix(self, boundary: int, sub_ids) -> Tuple["AspeLibrary", int]:
         """Split the store at row ``boundary``, moving ``sub_ids`` out.
 
         The split half of shard split/merge: every chunk fully past the
         boundary is *moved* into the new library; only the rows of the
-        chunk the boundary cuts through are copied (the dense store
-        copies the whole suffix — it has no chunks to adopt).  Every
-        moving subscription's non-empty span must lie at or past the
-        boundary and every staying one's before it.  Returns
+        chunk the boundary cuts through are copied.  Every moving
+        subscription's non-empty span must lie at or past the boundary
+        and every staying one's before it.  Returns
         ``(new_library, copied_rows)``.
         """
         moving = set(sub_ids)
@@ -929,32 +902,7 @@ class AspeLibrary(FilteringLibrary):
                 )
         new_lib = AspeLibrary(store_config=self._store_config)
         new_lib._telemetry = self._telemetry
-        copied = 0
-        if self._chunks is not None:
-            new_lib._chunks, copied = self._chunks.split_at(boundary)
-            new_lib._rows = new_lib._chunks.rows
-            new_lib._dead_rows = new_lib._chunks.dead_rows
-            self._rows = self._chunks.rows
-            self._dead_rows = self._chunks.dead_rows
-        else:
-            rows = self._rows
-            suffix = rows - boundary
-            if suffix > 0 and self._matrix is not None:
-                new_lib._ensure_capacity(suffix, self._matrix.shape[1])
-                new_lib._matrix[:suffix] = self._matrix[boundary:rows]
-                new_lib._strict[:suffix] = self._strict[boundary:rows]
-                new_lib._tol_signed[:suffix] = self._tol_signed[boundary:rows]
-                new_lib._alive[:suffix] = self._alive[boundary:rows]
-                new_lib._rows = suffix
-                new_lib._dead_rows = int(
-                    suffix - new_lib._alive[:suffix].sum()
-                )
-                copied = suffix
-                self._alive[boundary:rows] = False
-                self._rows = boundary
-                self._dead_rows = int(
-                    boundary - self._alive[:boundary].sum()
-                )
+        new_lib._chunks, copied = self._chunks.split_at(boundary)
         for sub_id in [s for s in self._subs if s in moving]:
             subscription = self._subs.pop(sub_id)
             start, stop = self._spans.pop(sub_id)
@@ -968,7 +916,6 @@ class AspeLibrary(FilteringLibrary):
         # Rows past the boundary vanished from this library: previously
         # exported row cursors are invalid, so the generation advances.
         self._generation += 1
-        new_lib._index = None
         new_lib._epoch += 1
         return new_lib, copied
 
@@ -976,15 +923,9 @@ class AspeLibrary(FilteringLibrary):
         """Empty this library in place (its state moved, or is replaced)."""
         self._subs = {}
         self._spans = {}
-        self._matrix = None
-        self._strict = self._tol_signed = self._alive = None
-        if self._chunks is not None:
-            self._chunks.clear()
-        self._rows = 0
-        self._dead_rows = 0
+        self._chunks.clear()
         self._index = None
         self._ws = {}
-        self._materialized = None
         self._epoch += 1
         self._generation += 1
 
@@ -1003,39 +944,18 @@ class AspeLibrary(FilteringLibrary):
                 "cannot reconfigure the store of a non-empty library"
             )
         self._store_config = config
-        self._chunks = (
-            None
-            if config.backend == "dense"
-            else ChunkedMatrixStore(config)
-        )
-        self._materialized = None
-        if self._telemetry is not None and self._chunks is not None:
+        self._chunks = ChunkedMatrixStore(config)
+        if self._telemetry is not None:
             self._chunks.bind_telemetry(self._telemetry)
 
     def bind_telemetry(self, telemetry, label: str = "aspe") -> None:
         """Record store residency/fault/eviction activity into a bundle."""
         self._telemetry = telemetry
-        if self._chunks is not None:
-            self._chunks.bind_telemetry(telemetry, label)
+        self._chunks.bind_telemetry(telemetry, label)
 
     def store_stats(self) -> Dict[str, object]:
         """Backing-store residency statistics (see OBSERVABILITY.md)."""
-        if self._chunks is not None:
-            return self._chunks.stats()
-        matrix = self._matrix
-        row_bytes = 0 if matrix is None else (matrix.shape[1] + 2) * 8
-        return {
-            "backend": "dense",
-            "chunk_rows": 0,
-            "chunks": 0,
-            "rows": self._rows,
-            "dead_rows": self._dead_rows,
-            "resident_chunks": 0,
-            "resident_bytes": self._rows * row_bytes,
-            "resident_peak_bytes": self._rows * row_bytes,
-            "faults": 0,
-            "evictions": 0,
-        }
+        return self._chunks.stats()
 
     def subscription_ids(self) -> List[int]:
         """Stored subscription ids in insertion order."""
@@ -1045,43 +965,24 @@ class AspeLibrary(FilteringLibrary):
         return self._subs[sub_id]
 
     def packed_view(self) -> PackedMatrixView:
-        """Zero-copy :class:`PackedMatrixView` of the live packed state.
+        """:class:`PackedMatrixView` of the live packed state.
 
         Valid until the next mutation; see the view's docstring for the
         epoch/generation contract the parallel executors rely on.
         """
         index = self._span_index()
         ids, positions, starts, stops = index.view
-        # In-flight batches merge through ``ids`` after later stores; a
-        # fresh-id store appends to the index's own list in place.
-        ids = list(ids)
-        rows = self._rows
-        matrix = strict = tol_signed = None
-        if self._chunks is not None:
-            # The executors need one flat matrix; materialize contiguous
-            # copies once per epoch.  Rows below any previously observed
-            # cursor re-copy to identical bits within a generation (the
-            # chunk data is unchanged), so append-only deltas stay sound.
-            if self._chunks.width is not None:
-                cached = self._materialized
-                if cached is None or cached[0] != self._epoch:
-                    cached = (self._epoch, *self._chunks.materialize())
-                    self._materialized = cached
-                _, matrix, strict, tol_signed = cached
-        elif self._matrix is not None:
-            matrix = self._matrix[:rows]
-            strict = self._strict[:rows]
-            tol_signed = self._tol_signed[:rows]
+        store = self._chunks
         return PackedMatrixView(
             token=self._token,
             epoch=self._epoch,
             generation=self._generation,
-            rows=rows,
-            width=0 if matrix is None else int(matrix.shape[1]),
-            matrix=matrix,
-            strict=strict,
-            tol_signed=tol_signed,
-            ids=ids,
+            rows=store.rows,
+            width=store.width or 0,
+            copy_rows=store.copy_rows,
+            # In-flight batches merge through ``ids`` after later stores; a
+            # fresh-id store appends to the index's own list in place.
+            ids=list(ids),
             positions=positions,
             starts=starts,
             stops=stops,
@@ -1091,74 +992,40 @@ class AspeLibrary(FilteringLibrary):
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self):
-        """Drop scratch state and trim buffers to the rows in use.
+        """Drop scratch state and ship the rows as trimmed flat arrays.
 
-        Snapshots shipped to matching workers and ``export_state`` copies
-        made during migration must not serialize dead weight: the
-        workspace buffers (tile × B scratch), the lazily rebuilt span
-        index and its gather tiles, the derived tolerance cache
+        ``export_state`` copies made during migration must not serialize
+        dead weight: the workspace buffers (tile × B scratch), the lazily
+        rebuilt span index and its gather tiles, the tolerance columns
         (recomputed bit-identically from the stored rows) and the unused
-        tail of the amortized-doubling buffers are all omitted.
+        tail of the last chunk are all omitted.  Chunk layout and
+        residency are process-local state, rebuilt on restore.
         """
         state = self.__dict__.copy()
         state["_ws"] = {}
         state["_index"] = None
-        state["_tol_signed"] = None
-        state["_materialized"] = None
         state["_telemetry"] = None
-        rows = self._rows
-        if self._chunks is not None:
-            # Chunked stores serialize as the same trimmed flat-buffer
-            # format as the dense path (chunk layout and residency are
-            # process-local state, rebuilt on restore).
-            del state["_chunks"]
-            if rows:
-                matrix, strict, alive = self._chunks.export_rows()
-                state["_matrix"] = matrix
-                state["_strict"] = strict
-                state["_alive"] = alive
-        elif self._matrix is not None:
-            state["_matrix"] = np.ascontiguousarray(self._matrix[:rows])
-            state["_strict"] = self._strict[:rows].copy()
-            state["_alive"] = self._alive[:rows].copy()
+        store = state.pop("_chunks")
+        rows = store.rows
+        if rows:
+            matrix = np.empty((rows, store.width))
+            strict = np.empty(rows, dtype=bool)
+            alive = np.empty(rows, dtype=bool)
+            store.copy_rows(0, rows, matrix=matrix, strict=strict, alive=alive)
+            state["_packed"] = (matrix, strict, alive)
         return state
 
     def __setstate__(self, state):
+        packed = state.pop("_packed", None)
         self.__dict__.update(state)
         # A restored copy is a new instance whose counters continue from
         # the pickled values — it must not alias the source's sync
         # identity in any executor channel.
         self._token = next(_INSTANCE_TOKENS)
-        if "_chunks" not in self.__dict__:
-            # Chunked-store pickle: rebuild the chunk layout from the flat
-            # buffers (the derived tolerance columns recompute
-            # bit-identically from the rows).
-            self._chunks = ChunkedMatrixStore(self._store_config)
-            matrix = self._matrix
-            if matrix is not None and matrix.shape[0]:
-                strict = self._strict
-                alive = self._alive
-                base = _REL_TOL * (np.linalg.norm(matrix, axis=1) + 1.0)
-                tol_signed = np.where(strict, base, -base)
-                self._chunks.append(matrix, strict, base, tol_signed)
-                dead = np.flatnonzero(~alive)
-                if dead.size:
-                    breaks = np.flatnonzero(np.diff(dead) > 1)
-                    run_heads = np.concatenate(([0], breaks + 1))
-                    run_tails = np.concatenate((breaks, [dead.size - 1]))
-                    for head, tail in zip(run_heads, run_tails):
-                        self._chunks.mark_dead(
-                            int(dead[head]), int(dead[tail]) + 1
-                        )
-            self._matrix = None
-            self._strict = self._alive = None
-            return
-        if self._matrix is not None:
-            # Recompute the tolerance caches from the stored rows.  The
-            # per-row norm reduction is element-independent, so the values
-            # are bit-identical to the ones computed at append time.
-            base = _REL_TOL * (np.linalg.norm(self._matrix, axis=1) + 1.0)
-            self._tol_signed = np.where(self._strict, base, -base)
+        self._chunks = ChunkedMatrixStore(self._store_config)
+        if packed is not None:
+            matrix, strict, alive = packed
+            self._chunks.append(matrix, strict, *_tolerances(matrix, strict), alive)
 
     # -- packed-state maintenance ---------------------------------------------
 
@@ -1197,62 +1064,12 @@ class AspeLibrary(FilteringLibrary):
                     block[row] = predicate.vector
                 strict[row] = _OP_STRICT[predicate.op_code]
                 row += 1
-        # Per-row norms reduce element-independently, so staging a batch or
-        # one subscription at a time gives bit-identical tolerances.
-        base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
-        tol_signed = np.where(strict, base, -base)
-        if self._chunks is not None:
-            start, _ = self._chunks.append(block, strict, base, tol_signed)
-        else:
-            self._ensure_capacity(total, width)
-            start = self._rows
-            stop = start + total
-            self._matrix[start:stop] = block
-            self._strict[start:stop] = strict
-            self._tol_signed[start:stop] = tol_signed
-            self._alive[start:stop] = True
-        self._rows = start + total
+        start, _ = self._chunks.append(block, strict, *_tolerances(block, strict))
         self.rows_appended += total
         return start
 
-    def _ensure_capacity(self, extra: int, width: int) -> None:
-        if self._matrix is None:
-            capacity = max(_MIN_CAPACITY, 2 * extra)
-            self._matrix = np.empty((capacity, width))
-            self._strict = np.zeros(capacity, dtype=bool)
-            self._tol_signed = np.empty(capacity)
-            self._alive = np.zeros(capacity, dtype=bool)
-            return
-        if width != self._matrix.shape[1]:
-            raise ValueError(
-                f"ciphertext width {width} does not match stored width "
-                f"{self._matrix.shape[1]}"
-            )
-        needed = self._rows + extra
-        capacity = self._matrix.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty((capacity, width))
-        grown[: self._rows] = self._matrix[: self._rows]
-        self._matrix = grown
-        tol_signed = np.empty(capacity)
-        tol_signed[: self._rows] = self._tol_signed[: self._rows]
-        self._tol_signed = tol_signed
-        for name in ("_strict", "_alive"):
-            buffer = np.zeros(capacity, dtype=bool)
-            buffer[: self._rows] = getattr(self, name)[: self._rows]
-            setattr(self, name, buffer)
-
     def _tombstone(self, sub_id: int) -> None:
-        start, stop = self._spans.pop(sub_id)
-        if stop > start:
-            if self._chunks is not None:
-                self._chunks.mark_dead(start, stop)
-            else:
-                self._alive[start:stop] = False
-            self._dead_rows += stop - start
+        self._chunks.mark_dead(*self._spans.pop(sub_id))
 
     def _maybe_compact(self) -> None:
         # Compact once dead/(dead+live) exceeds the configured ratio (and
@@ -1261,9 +1078,9 @@ class AspeLibrary(FilteringLibrary):
         ratio = self._store_config.compact_dead_ratio
         if ratio >= 1.0:
             return
-        live = self._rows - self._dead_rows
-        threshold = max(live * ratio / (1.0 - ratio), _COMPACT_MIN_DEAD)
-        if self._dead_rows > threshold:
+        dead = self._dead_rows
+        live = self._rows - dead
+        if dead > max(live * ratio / (1.0 - ratio), _COMPACT_MIN_DEAD):
             self._compact()
 
     def _compact(self) -> None:
@@ -1273,34 +1090,11 @@ class AspeLibrary(FilteringLibrary):
         the span boundaries through the live-row prefix sums keeps every
         span contiguous.
         """
-        if self._chunks is not None:
-            offsets = self._chunks.compact()
-            self._spans = {
-                sub_id: (int(offsets[start]), int(offsets[stop]))
-                for sub_id, (start, stop) in self._spans.items()
-            }
-            self._rows = self._chunks.rows
-            self._dead_rows = 0
-            self._index = None
-            self._generation += 1
-            self.compaction_count += 1
-            return
-        rows = self._rows
-        alive = self._alive[:rows]
-        keep = np.nonzero(alive)[0]
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(alive, out=offsets[1:])
-        self._matrix[: keep.size] = self._matrix[keep]
-        self._strict[: keep.size] = self._strict[keep]
-        self._tol_signed[: keep.size] = self._tol_signed[keep]
-        self._alive[: keep.size] = True
-        self._alive[keep.size : rows] = False
+        offsets = self._chunks.compact()
         self._spans = {
             sub_id: (int(offsets[start]), int(offsets[stop]))
             for sub_id, (start, stop) in self._spans.items()
         }
-        self._rows = int(keep.size)
-        self._dead_rows = 0
         self._index = None
         # Row content moved: previously exported deltas are invalid.
         self._generation += 1

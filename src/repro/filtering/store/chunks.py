@@ -1,15 +1,24 @@
 """Chunked, optionally memory-mapped backing store for packed predicate rows.
 
-The packed predicate matrix (PR 1) is split into fixed-size *row chunks*.
-Each chunk keeps its float64 row data in one buffer of ``capacity ×
-(width + 2)`` cells laid out as column blocks — the C-contiguous
-``(capacity, width)`` ciphertext matrix, then the ``capacity`` tolerance
-bases, then the ``capacity`` sign-folded tolerances — either a plain
-in-RAM array (``chunked`` backend) or a shared ``mmap`` of a per-store
-spill file (``mmap`` backend), so every block handed out is a plain
-contiguous ``ndarray`` view the match kernel reads without a copy.  The
+The packed predicate matrix (PR 1) is split into *row chunks* of at most
+``chunk_rows`` rows.  Each chunk keeps its float64 row data in one buffer
+of ``capacity × (width + 2)`` cells laid out as column blocks — the
+C-contiguous ``(capacity, width)`` ciphertext matrix, then the
+``capacity`` tolerance bases, then the ``capacity`` sign-folded tolerances
+— either a plain in-RAM array (``chunked`` backend) or a shared ``mmap``
+of a per-store spill file (``mmap`` backend), so every block handed out is
+a plain contiguous ``ndarray`` view the match kernel reads without a copy.  The
 per-row ``strict`` and ``alive`` flags always stay in RAM (2 bytes/row,
 ~3% of the row data), so tombstoning never faults a chunk in.
+
+A mapped chunk is created at the full ``chunk_rows`` (a sparse file costs
+nothing until touched).  A RAM chunk is allocated for the rows it is
+about to receive — ``max(64, 2 × rows being appended)``, capped at
+``chunk_rows`` — and doubles, copying its used rows into a new buffer,
+until it reaches ``chunk_rows``: a library of 50 subscriptions holds 128
+rows' worth of memory, not a 4.5 MiB chunk (DESIGN.md §8 has the
+measurement).  Row views handed out before a growth keep the old buffer
+alive and keep reading the rows they covered.
 
 Under the ``mmap`` backend an LRU-ordered resident set bounds how many
 chunk bytes are paged in at once.  A chunk is mapped once, when it is
@@ -66,25 +75,32 @@ class RowBlock(NamedTuple):
     alive: np.ndarray
 
 
+#: Rows a RAM chunk is first allocated for, at least.
+_MIN_CAPACITY = 64
+
+
 class _Chunk:
-    """One fixed-capacity run of rows: column blocks over a single buffer,
-    which is a shared mapping of ``path`` when there is one."""
+    """One run of rows: column blocks over a single buffer, which is a
+    shared mapping of ``path`` when there is one."""
 
     __slots__ = ("capacity", "used", "strict", "alive", "path", "mapping",
                  "nbytes", "matrix", "tol_base", "tol_signed")
 
     def __init__(self, capacity: int, width: int, path: Optional[str]) -> None:
-        self.capacity = capacity
         self.used = 0
-        self.strict = np.zeros(capacity, dtype=bool)
-        self.alive = np.zeros(capacity, dtype=bool)
         self.path = path
         self.mapping = None
+        self._allocate(capacity, width)
+
+    def _allocate(self, capacity: int, width: int) -> None:
+        self.capacity = capacity
+        self.strict = np.zeros(capacity, dtype=bool)
+        self.alive = np.zeros(capacity, dtype=bool)
         self.nbytes = capacity * (width + 2) * 8
-        if path is None:
+        if self.path is None:
             cells = np.zeros(capacity * (width + 2))
         else:
-            with open(path, "w+b") as spill:
+            with open(self.path, "w+b") as spill:
                 spill.truncate(self.nbytes)
                 self.mapping = mmap.mmap(spill.fileno(), self.nbytes)
             cells = np.frombuffer(self.mapping, dtype=np.float64)
@@ -93,6 +109,21 @@ class _Chunk:
         self.tol_base = cells[edge : edge + capacity]
         self.tol_signed = cells[edge + capacity :]
 
+    @property
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return (self.matrix, self.tol_base, self.tol_signed, self.strict,
+                self.alive)
+
+    def grow(self, capacity: int) -> None:
+        """Move a RAM chunk's used rows into a buffer of ``capacity`` rows.
+
+        The old buffer is left as it was, so a view on it stays valid.
+        """
+        old = self.columns
+        self._allocate(capacity, self.matrix.shape[1])
+        for column, previous in zip(self.columns, old):
+            column[: self.used] = previous[: self.used]
+
 
 class ChunkedMatrixStore:
     """Row-chunked packed-matrix storage with an LRU-bounded resident set.
@@ -100,7 +131,8 @@ class ChunkedMatrixStore:
     Row addressing is positional and global: row ``i`` lives in the chunk
     whose cumulative ``used`` range covers ``i``.  Interior chunks may be
     partially filled after a split or adoption; appends only ever extend
-    the last chunk.  A chunk's ``matrix`` holds the direction-folded query
+    (and, while it is a RAM chunk below ``chunk_rows``, grow) the last
+    chunk.  A chunk's ``matrix`` holds the direction-folded query
     rows, ``tol_base`` the tolerance bases, ``tol_signed`` the sign-folded
     tolerances (see :class:`_Chunk`).
     """
@@ -184,17 +216,39 @@ class ChunkedMatrixStore:
         self._chunk_seq += 1
         return os.path.join(self._ensure_dir(), name)
 
-    def _new_chunk(self, capacity: int) -> _Chunk:
-        path = self._next_path() if self.config.backend == "mmap" else None
-        chunk = _Chunk(capacity, self.width, path)
-        self._chunks.append(chunk)
-        self._offsets = None
-        self._track_resident(chunk)
+    def _tail_chunk(self, extra: int) -> _Chunk:
+        """The last chunk, with room for at least one of ``extra`` more rows.
+
+        A chunk without a spill file starts at ``max(_MIN_CAPACITY, 2 ×
+        extra)`` rows and doubles until it reaches ``chunk_rows``; a mapped
+        one is created at ``chunk_rows``.  Past that a new chunk starts.
+        """
+        limit = self.config.chunk_rows
+        chunk = self._chunks[-1] if self._chunks else None
+        if chunk is not None and chunk.path is None and chunk.capacity < limit:
+            capacity = chunk.capacity
+            while capacity < chunk.used + extra:
+                capacity *= 2
+            if capacity > chunk.capacity:
+                before = chunk.nbytes
+                chunk.grow(min(capacity, limit))
+                self._track_bytes(chunk.nbytes - before)
+        if chunk is None or chunk.used >= chunk.capacity:
+            path = self._next_path() if self.config.backend == "mmap" else None
+            capacity = limit
+            if path is None:
+                capacity = min(limit, max(_MIN_CAPACITY, 2 * extra))
+            chunk = _Chunk(capacity, self.width, path)
+            self._chunks.append(chunk)
+            self._track_resident(chunk)
         return chunk
 
     def _track_resident(self, chunk: _Chunk) -> None:
         self._lru[chunk] = None
-        self._resident_bytes += chunk.nbytes
+        self._track_bytes(chunk.nbytes)
+
+    def _track_bytes(self, nbytes: int) -> None:
+        self._resident_bytes += nbytes
         if self._resident_bytes > self.resident_peak_bytes:
             self.resident_peak_bytes = self._resident_bytes
         self._update_gauges()
@@ -295,8 +349,10 @@ class ChunkedMatrixStore:
         strict: np.ndarray,
         tol_base: np.ndarray,
         tol_signed: np.ndarray,
+        alive: Optional[np.ndarray] = None,
     ) -> Tuple[int, int]:
-        """Append rows (marked alive); returns their [start, stop) span."""
+        """Append rows (alive unless ``alive`` flags say otherwise);
+        returns their [start, stop) span."""
         count = int(matrix.shape[0])
         start = self._rows
         if count == 0:
@@ -304,22 +360,22 @@ class ChunkedMatrixStore:
         self._check_width(matrix.shape[1])
         written = 0
         while written < count:
-            chunk = self._chunks[-1] if self._chunks else None
-            if chunk is None or chunk.used >= chunk.capacity:
-                chunk = self._new_chunk(self.config.chunk_rows)
+            chunk = self._touch(self._tail_chunk(count - written))
             take = min(count - written, chunk.capacity - chunk.used)
-            self._touch(chunk)
             lo = chunk.used
             hi = lo + take
-            chunk.matrix[lo:hi] = matrix[written : written + take]
-            chunk.tol_base[lo:hi] = tol_base[written : written + take]
-            chunk.tol_signed[lo:hi] = tol_signed[written : written + take]
-            chunk.strict[lo:hi] = strict[written : written + take]
-            chunk.alive[lo:hi] = True
+            source = slice(written, written + take)
+            chunk.matrix[lo:hi] = matrix[source]
+            chunk.tol_base[lo:hi] = tol_base[source]
+            chunk.tol_signed[lo:hi] = tol_signed[source]
+            chunk.strict[lo:hi] = strict[source]
+            chunk.alive[lo:hi] = True if alive is None else alive[source]
             chunk.used = hi
             written += take
-            self._offsets = None
+        self._offsets = None
         self._rows += count
+        if alive is not None:
+            self._dead += count - int(np.count_nonzero(alive))
         return (start, start + count)
 
     def mark_dead(self, start: int, stop: int) -> None:
@@ -348,9 +404,8 @@ class ChunkedMatrixStore:
         """Drop tombstoned rows chunk by chunk, preserving live-row order.
 
         Returns the (old_rows + 1)-entry exclusive alive-prefix-sum: the
-        caller remaps span boundary ``b`` to ``offsets[b]`` — the exact
-        formula of the dense path, valid here because per-chunk
-        compaction keeps the global relative order of live rows.
+        caller remaps span boundary ``b`` to ``offsets[b]``, valid because
+        per-chunk compaction keeps the global relative order of live rows.
         """
         old_rows = self._rows
         offsets = np.zeros(old_rows + 1, dtype=np.int64)
@@ -399,8 +454,9 @@ class ChunkedMatrixStore:
         """Stream the store's rows as per-chunk blocks (faulting lazily).
 
         Views are plain contiguous arrays and stay valid even if their
-        chunk is released while the caller iterates on — released pages
-        read back from the page cache.
+        chunk is released or grown while the caller iterates on — released
+        pages read back from the page cache, and a growth leaves the old
+        buffer as it was.
         """
         base = 0
         for chunk in self._chunks:
@@ -419,32 +475,38 @@ class ChunkedMatrixStore:
             )
             base += used
 
-    def export_rows(self):
-        """Trimmed contiguous copies of (matrix, strict, alive) — the
-        legacy pickle/snapshot format of the dense path."""
-        if self.width is None:
-            return None
-        matrix = np.empty((self._rows, self.width))
-        strict = np.empty(self._rows, dtype=bool)
-        alive = np.empty(self._rows, dtype=bool)
-        for block in self.blocks():
-            matrix[block.start : block.stop] = block.matrix
-            strict[block.start : block.stop] = block.strict
-            alive[block.start : block.stop] = block.alive
-        return matrix, strict, alive
-
-    def materialize(self):
-        """Contiguous copies of (matrix, strict, tol_signed) for packed views."""
-        if self.width is None:
-            return None
-        matrix = np.empty((self._rows, self.width))
-        strict = np.empty(self._rows, dtype=bool)
-        tol_signed = np.empty(self._rows)
-        for block in self.blocks():
-            matrix[block.start : block.stop] = block.matrix
-            strict[block.start : block.stop] = block.strict
-            tol_signed[block.start : block.stop] = block.tol_signed
-        return matrix, strict, tol_signed
+    def copy_rows(
+        self,
+        lo: int,
+        hi: int,
+        *,
+        matrix: Optional[np.ndarray] = None,
+        strict: Optional[np.ndarray] = None,
+        tol_signed: Optional[np.ndarray] = None,
+        alive: Optional[np.ndarray] = None,
+    ) -> None:
+        """Copy rows ``[lo, hi)`` into the given ``hi - lo``-row arrays,
+        touching only the chunks that overlap the range."""
+        if hi <= lo:
+            return
+        offsets = self._chunk_offsets()
+        index = int(np.searchsorted(offsets, lo, side="right")) - 1
+        row = lo
+        while row < hi:
+            chunk = self._touch(self._chunks[index])
+            base = int(offsets[index])
+            source = slice(row - base, min(hi - base, chunk.used))
+            stop = base + source.stop
+            for out, column in (
+                (matrix, chunk.matrix),
+                (strict, chunk.strict),
+                (tol_signed, chunk.tol_signed),
+                (alive, chunk.alive),
+            ):
+                if out is not None:
+                    out[row - lo : stop - lo] = column[source]
+            row = stop
+            index += 1
 
     # -- shard transfer -------------------------------------------------------
 
@@ -505,19 +567,13 @@ class ChunkedMatrixStore:
         if local > 0:
             chunk = self._touch(self._chunks[index])
             used = chunk.used
-            tail_alive = chunk.alive[local:used].copy()
             other.append(
                 chunk.matrix[local:used],
                 chunk.strict[local:used],
                 chunk.tol_base[local:used],
                 chunk.tol_signed[local:used],
+                chunk.alive[local:used],
             )
-            # append marks everything alive; restore the real flags.
-            cursor = 0
-            for dest in other._chunks:
-                take = min(dest.used, tail_alive.size - cursor)
-                dest.alive[:take] = tail_alive[cursor : cursor + take]
-                cursor += take
             copied = used - local
             chunk.used = local
             chunk.alive[local:] = False

@@ -1,11 +1,10 @@
 """Configuration of the packed-matrix backing store.
 
 One :class:`StoreConfig` selects how an :class:`~repro.filtering.AspeLibrary`
-keeps its packed predicate rows: fully resident in RAM (``dense``, the
-seed behaviour), row-chunked in RAM (``chunked``), or row-chunked over
-memory-mapped spill files with an LRU-bounded resident set (``mmap``) so
-one M-slice can serve subscription partitions far larger than its memory
-budget.
+keeps its packed predicate rows: row-chunked in RAM (``chunked``, the
+default), or row-chunked over memory-mapped spill files with an
+LRU-bounded resident set (``mmap``) so one M-slice can serve subscription
+partitions far larger than its memory budget.
 
 Defaults come from the ``REPRO_STORE_*`` environment variables so an
 existing deployment or test run flips backends without code changes —
@@ -25,7 +24,7 @@ from ...config import env_float, env_int, env_str
 __all__ = ["STORE_BACKENDS", "StoreConfig"]
 
 #: Recognised packed-row store backends.
-STORE_BACKENDS = ("dense", "chunked", "mmap")
+STORE_BACKENDS = ("chunked", "mmap")
 
 
 @dataclass(frozen=True)
@@ -33,17 +32,18 @@ class StoreConfig:
     """Validated knobs of the packed-row backing store.
 
     ``backend``
-        ``dense`` keeps the seed's amortized-doubling in-RAM buffers;
-        ``chunked`` splits rows into fixed-size chunks held in RAM (the
-        shard transfer format, no eviction); ``mmap`` maps each chunk
-        once over its own spill file and keeps only an LRU resident set
+        ``chunked`` splits rows into chunks of at most ``chunk_rows``
+        held in RAM (the shard transfer format, no eviction; the last
+        chunk starts small and doubles up to ``chunk_rows``); ``mmap``
+        maps each chunk once over its own spill file and keeps only an
+        LRU resident set
         within ``memory_budget_mb`` paged in — past the budget the
         least-recently-used chunk's pages are released with
         ``madvise(MADV_DONTNEED)`` and fault back in on the next touch.
         Needs a platform with ``mmap.MADV_DONTNEED`` (a ``ValueError``
         otherwise).
     ``chunk_rows``
-        Rows per chunk.  At ciphertext width ``n`` a chunk is one buffer
+        Rows per full chunk.  At ciphertext width ``n`` that is one buffer
         of ``chunk_rows × (n + 2) × 8`` bytes: the contiguous
         ``(chunk_rows, n)`` matrix block, then the two tolerance columns
         as one contiguous block each.
@@ -62,7 +62,7 @@ class StoreConfig:
         garbage collection — its own subdirectory.
     """
 
-    backend: str = "dense"
+    backend: str = "chunked"
     chunk_rows: int = 65536
     memory_budget_mb: float = 0.0
     compact_dead_ratio: float = 0.5
@@ -78,7 +78,7 @@ class StoreConfig:
             raise ValueError(
                 "store_backend 'mmap' releases evicted chunks with "
                 "madvise(MADV_DONTNEED), which this platform's mmap module "
-                "does not provide; use 'chunked' or 'dense'"
+                "does not provide; use 'chunked'"
             )
         if self.chunk_rows < 1:
             raise ValueError(
@@ -103,7 +103,7 @@ class StoreConfig:
     def from_env(cls) -> "StoreConfig":
         """Build from ``REPRO_STORE_*`` (unset variables keep defaults)."""
         return cls(
-            backend=env_str("REPRO_STORE_BACKEND", "dense"),
+            backend=env_str("REPRO_STORE_BACKEND", "chunked"),
             chunk_rows=env_int("REPRO_STORE_CHUNK_ROWS", 65536),
             memory_budget_mb=env_float("REPRO_STORE_MEMORY_BUDGET_MB", 0.0),
             compact_dead_ratio=env_float("REPRO_STORE_COMPACT_DEAD_RATIO", 0.5),

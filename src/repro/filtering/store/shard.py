@@ -213,15 +213,9 @@ class ShardedAspeLibrary(FilteringLibrary):
 
     @staticmethod
     def _row_bytes(library) -> int:
-        chunks = getattr(library, "_chunks", None)
-        if chunks is not None and chunks.width is not None:
-            width = chunks.width
-        elif getattr(library, "_matrix", None) is not None:
-            width = library._matrix.shape[1]
-        else:
-            return 0
+        width = library._chunks.width
         # float64 row data + tolerance columns, plus the strict/alive flags.
-        return (width + 2) * 8 + 2
+        return (width + 2) * 8 + 2 if width else 0
 
     @staticmethod
     def _span_boundary(library, moving_ids) -> Optional[int]:

@@ -492,7 +492,9 @@ class _ShmChannel(MatchChannel):
             )
         return futures
 
-    def _segment_arrays(self):
+    def _copy_rows(self, view: PackedMatrixView, lo: int, hi: int) -> None:
+        """Copy the library's rows ``[lo, hi)`` into the segment — only the
+        store chunks that hold them are read."""
         capacity, width = self._capacity, self._width
         tol_offset, strict_offset, _ = segment_layout(capacity, width)
         buffer = self._shm.buf
@@ -505,7 +507,11 @@ class _ShmChannel(MatchChannel):
         strict = np.frombuffer(
             buffer, dtype=np.bool_, count=capacity, offset=strict_offset
         )
-        return matrix, tol, strict
+        view.copy_rows(
+            lo, hi, matrix=matrix[lo:hi], strict=strict[lo:hi],
+            tol_signed=tol[lo:hi],
+        )
+        self._written_rows = hi
 
     def _sync_segment(self, view: PackedMatrixView) -> None:
         from multiprocessing import shared_memory
@@ -526,14 +532,9 @@ class _ShmChannel(MatchChannel):
             self._shm = segment
             self._capacity = capacity
             self._width = width
-            matrix, tol, strict = self._segment_arrays()
-            matrix[:rows] = view.matrix
-            tol[:rows] = view.tol_signed
-            strict[:rows] = view.strict
-            del matrix, tol, strict
+            self._copy_rows(view, 0, rows)
             self._token = view.token
             self._generation = view.generation
-            self._written_rows = rows
             self._synced = {}
             self.executor._count_resync()
             if old is not None:
@@ -542,14 +543,8 @@ class _ShmChannel(MatchChannel):
                 old.close()
                 old.unlink()
         elif view.epoch != self._epoch:
-            written = self._written_rows
-            if rows > written:
-                matrix, tol, strict = self._segment_arrays()
-                matrix[written:rows] = view.matrix[written:rows]
-                tol[written:rows] = view.tol_signed[written:rows]
-                strict[written:rows] = view.strict[written:rows]
-                del matrix, tol, strict
-                self._written_rows = rows
+            if rows > self._written_rows:
+                self._copy_rows(view, self._written_rows, rows)
                 self.executor.delta_count += 1
             # Span offsets changed (store/remove): every worker needs
             # fresh metadata even when no rows moved.

@@ -4,9 +4,9 @@ A :class:`PackedSnapshot` freezes everything a worker process needs to
 evaluate :func:`repro.filtering.match_packed` for a library at one epoch:
 the direction-folded row matrix, the per-row strictness flags and
 sign-folded tolerance bases, and the sorted span offsets.  Snapshots own
-their arrays (C-contiguous copies of the library's live buffers), so they
+their arrays (C-contiguous copies of the library's stored rows), so they
 stay valid after the library mutates and pickle without dragging along
-workspace scratch or buffer tails.
+workspace scratch or chunk tails.
 
 The per-span merge metadata (``ids``/``positions``) deliberately stays
 out of the snapshot: workers only produce span-conjunction booleans;
@@ -43,16 +43,23 @@ class PackedSnapshot:
 
     @classmethod
     def from_view(cls, view: PackedMatrixView) -> "PackedSnapshot":
-        if view.matrix is None or view.starts.size == 0:
+        if view.rows == 0 or view.starts.size == 0:
             raise ValueError("cannot snapshot an empty packed view")
+        rows = view.rows
+        matrix = np.empty((rows, view.width))
+        strict = np.empty(rows, dtype=np.bool_)
+        tol_signed = np.empty(rows)
+        view.copy_rows(
+            0, rows, matrix=matrix, strict=strict, tol_signed=tol_signed
+        )
         return cls(
             epoch=view.epoch,
             generation=view.generation,
-            rows=view.rows,
+            rows=rows,
             width=view.width,
-            matrix=np.ascontiguousarray(view.matrix),
-            strict=view.strict.copy(),
-            tol_signed=view.tol_signed.copy(),
+            matrix=matrix,
+            strict=strict,
+            tol_signed=tol_signed,
             starts=view.starts.copy(),
             stops=view.stops.copy(),
         )

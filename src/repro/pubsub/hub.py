@@ -45,10 +45,6 @@ def _default_match_chunk_rows() -> int:
     return env_int("REPRO_MATCH_CHUNK_ROWS", 4096)
 
 
-def _env_store_config() -> StoreConfig:
-    return StoreConfig.from_env()
-
-
 def _env_transport_config() -> TransportConfig:
     return TransportConfig.from_env()
 
@@ -65,11 +61,12 @@ class HubConfig:
     (``REPRO_MATCH_*``), :attr:`store` (``REPRO_STORE_*``), :attr:`net`
     (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``) — each
     defining its env/constructor precedence in one place.  The historical
-    flat fields (``match_workers``, ``store_backend``, ``net_flush_mode``,
-    …) remain as backward-compatible aliases: pass either form; an
-    explicitly passed group wins over flat kwargs, and after construction
-    the flat fields always mirror the resolved group.  The flat spellings
-    are **deprecated** for new code — prefer the groups.
+    flat ``match_*`` and ``net_*`` fields (``match_workers``,
+    ``net_flush_mode``, …) remain as backward-compatible aliases: pass
+    either form; an explicitly passed group wins over flat kwargs, and
+    after construction the flat fields always mirror the resolved group.
+    The flat spellings are **deprecated** for new code — prefer the
+    groups.  The store has the group only.
     """
 
     ap_slices: int = 8
@@ -115,32 +112,6 @@ class HubConfig:
     #: benchmarks).  When ``None`` and ``match_workers > 0`` the hub uses
     #: the process-wide shared executor for its knobs.
     match_executor: Optional[object] = None
-    #: Packed-row backing store of exact (ASPE) M-slice libraries:
-    #: ``dense`` (flat in-RAM arrays, the default), ``chunked`` (in-RAM
-    #: row chunks) or ``mmap`` (memmap-persisted chunks with an LRU
-    #: resident set).  From ``REPRO_STORE_BACKEND``; sampled backends
-    #: ignore it.  See DESIGN.md §8.
-    store_backend: str = field(default_factory=lambda: _env_store_config().backend)
-    #: Rows per store chunk.  From ``REPRO_STORE_CHUNK_ROWS``.
-    store_chunk_rows: int = field(
-        default_factory=lambda: _env_store_config().chunk_rows
-    )
-    #: Resident-set budget per library in MiB for the ``mmap`` backend
-    #: (0 = unbounded).  From ``REPRO_STORE_MEMORY_BUDGET_MB``.
-    store_memory_budget_mb: float = field(
-        default_factory=lambda: _env_store_config().memory_budget_mb
-    )
-    #: Compact a library once dead rows exceed this fraction of the store
-    #: (0 < ratio ≤ 1; 1 disables compaction).  From
-    #: ``REPRO_STORE_COMPACT_DEAD_RATIO``.
-    store_compact_dead_ratio: float = field(
-        default_factory=lambda: _env_store_config().compact_dead_ratio
-    )
-    #: Directory for mmap chunk files (``None`` = a per-store temp dir).
-    #: From ``REPRO_STORE_SPILL_DIR``.
-    store_spill_dir: Optional[str] = field(
-        default_factory=lambda: _env_store_config().spill_dir
-    )
     #: Channel flush policy of the event-plane transport: ``eager`` (the
     #: default: hand emissions straight to the fabric), ``fixed`` (fabric
     #: flush epochs every ``net_flush_s``, the experiments' pre-transport
@@ -173,9 +144,13 @@ class HubConfig:
     #: Parallel-matching knob group; built from the flat ``match_*``
     #: fields (and thus ``REPRO_MATCH_*``) when not passed explicitly.
     match: Optional["MatchConfig"] = None
-    #: Packed-row store knob group; built from the flat ``store_*``
-    #: fields (``REPRO_STORE_*``) when not passed explicitly.
-    store: Optional[StoreConfig] = None
+    #: Packed-row store of exact (ASPE) M-slice libraries: ``chunked``
+    #: (in-RAM row chunks, the default) or ``mmap`` (chunks over spill
+    #: files with an LRU resident set), with its chunk size, residency
+    #: budget, compaction ratio and spill directory.  From
+    #: ``REPRO_STORE_*`` when not passed; sampled backends ignore it.
+    #: See DESIGN.md §8.
+    store: StoreConfig = field(default_factory=StoreConfig.from_env)
     #: Transport knob group; built from the flat ``net_*`` fields
     #: (``REPRO_NET_*``) when not passed explicitly.
     net: Optional[TransportConfig] = None
@@ -209,20 +184,6 @@ class HubConfig:
             self.match_workers = self.match.workers
             self.match_backend = self.match.backend
             self.match_chunk_rows = self.match.chunk_rows
-        if self.store is None:
-            self.store = StoreConfig(
-                backend=self.store_backend,
-                chunk_rows=self.store_chunk_rows,
-                memory_budget_mb=self.store_memory_budget_mb,
-                compact_dead_ratio=self.store_compact_dead_ratio,
-                spill_dir=self.store_spill_dir,
-            )
-        else:
-            self.store_backend = self.store.backend
-            self.store_chunk_rows = self.store.chunk_rows
-            self.store_memory_budget_mb = self.store.memory_budget_mb
-            self.store_compact_dead_ratio = self.store.compact_dead_ratio
-            self.store_spill_dir = self.store.spill_dir
         if self.net is None:
             self.net = TransportConfig(
                 flush_mode=self.net_flush_mode,
@@ -246,13 +207,6 @@ class HubConfig:
         Deprecated alias: identical to reading :attr:`net` directly.
         """
         return self.net
-
-    def store_config(self) -> StoreConfig:
-        """The packed-row store configuration for exact M-slice libraries.
-
-        Deprecated alias: identical to reading :attr:`store` directly.
-        """
-        return self.store
 
     @classmethod
     def sampled(cls, matching_rate: float = 0.01, **kwargs) -> "HubConfig":
@@ -350,7 +304,6 @@ class StreamHub:
             parallelism=config.parallelism,
             replay_dedup=False,
         )
-        store_config = config.store_config()
         self.runtime.add_operator(
             self.M,
             config.m_slices,
@@ -362,7 +315,7 @@ class StreamHub:
                 exit_operator=self.EP,
                 batch_limit=config.matcher_batch_limit,
                 executor=self.match_executor,
-                store_config=store_config,
+                store_config=config.store,
             ),
             parallelism=config.parallelism,
             replay_dedup=False,

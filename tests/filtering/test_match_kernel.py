@@ -6,9 +6,10 @@ a tile of rows at a time; inside a tile it compares a product block at a
 time against the tile's scalar bound and settles only the blocks that hold
 a cell inside the band by the exact per-cell comparison.  The property
 below drives it — directly with a private tile size, and through
-`AspeLibrary` on the dense and the chunked store — over every shape the
-gather tables and the blocks must get right, and compares each
-(publication, subscription) pair with the sequential `match_encrypted`.
+`AspeLibrary` on the default store (one growing chunk) and on 4-row chunks
+— over every shape the gather tables and the blocks must get right, and
+compares each (publication, subscription) pair with the sequential
+`match_encrypted`.
 Constructed cases pin the band edges to the ulp and the defined behaviour
 for NaN and infinite inputs.  Two regression tests pin what the rewrites
 were for: the scratch buffers are bounded by batch x tile (the float ones
@@ -33,10 +34,14 @@ from repro.filtering import (
     match_encrypted,
     match_packed,
 )
+from repro.parallel import PackedSnapshot
 from repro.workloads import ScaleWorkload
 
 WIDTH = 6
 OP_CODES = ("gt", "ge", "lt", "le")
+#: Rows per chunk: the default (every test library fits one chunk, which
+#: grows) and 4, which cuts most spans of 5-9 rows at least once.
+CHUNK_ROWS = (StoreConfig().chunk_rows, 4)
 
 #: A publication and predicate vectors whose product is *exactly* the
 #: decision threshold in both the kernel and the reference: ‖û‖ + 1 = 2 and
@@ -121,7 +126,7 @@ operations = st.lists(
 
 @given(
     operations,
-    st.sampled_from(("dense", "chunked")),
+    st.sampled_from(CHUNK_ROWS),
     st.sampled_from((1, 3, 7, "rows", "beyond")),
     st.sampled_from((1, 3, 7, "tile", "beyond")),
     st.booleans(),
@@ -129,15 +134,12 @@ operations = st.lists(
 )
 @settings(max_examples=160, deadline=None)
 def test_kernel_agrees_with_match_encrypted(
-    sequence, backend, tile, block, loud, seed
+    sequence, chunk_rows, tile, block, loud, seed
 ):
     rng = random.Random(seed)
-    # No compaction, so removes leave tombstone gaps between spans; chunks
-    # of 4 rows cut most spans of 5-9 rows at least once.
+    # No compaction, so removes leave tombstone gaps between spans.
     library = AspeLibrary(
-        store_config=StoreConfig(
-            backend=backend, chunk_rows=4, compact_dead_ratio=1.0
-        )
+        store_config=StoreConfig(chunk_rows=chunk_rows, compact_dead_ratio=1.0)
     )
     publications = _publications(rng, 3, loud)
 
@@ -158,10 +160,11 @@ def test_kernel_agrees_with_match_encrypted(
             view = library.packed_view()
             if view.span_count == 0:
                 return
+            packed = PackedSnapshot.from_view(view)
             ok = match_packed(
-                view.matrix,
-                view.strict,
-                view.tol_signed,
+                packed.matrix,
+                packed.strict,
+                packed.tol_signed,
                 view.starts,
                 view.stops,
                 np.stack([p.vector for p in publications]),
@@ -238,11 +241,11 @@ def test_band_edges_and_thresholds_inside_it_settle_exactly():
             np.nextafter(_THRESHOLD, 0.0),
         )
     ]
-    for backend in ("dense", "chunked"):
+    for chunk_rows in CHUNK_ROWS:
         for op_code in OP_CODES:
             for first, in_band in edge_cases:
                 library = AspeLibrary(
-                    store_config=StoreConfig(backend=backend, chunk_rows=4)
+                    store_config=StoreConfig(chunk_rows=chunk_rows)
                 )
                 library.store(0, EncryptedSubscription(predicates=(_ANCHOR,)))
                 predicate = EncryptedPredicate(op_code, _boundary_vector(first))
@@ -263,7 +266,7 @@ def test_plain_workload_never_reaches_the_settle_step():
     source = ScaleWorkload(dimensions=4, matching_rate=0.01, seed=3)
     subscriptions = next(source.subscription_batches(600, batch_size=600))
     publications = source.publications(24)
-    for config in (StoreConfig(), StoreConfig(backend="chunked", chunk_rows=256)):
+    for config in (StoreConfig(), StoreConfig(chunk_rows=256)):
         library = AspeLibrary(store_config=config)
         library.store_many(subscriptions)
         matched, settled = _settled(library, publications)
@@ -301,10 +304,8 @@ def test_non_finite_inputs_decide_like_the_reference_and_spare_the_rest():
         assert library.match_batch(ordinary) == [expected[i] for i in kept]
         return expected
 
-    for backend in ("dense", "chunked"):
-        library = AspeLibrary(
-            store_config=StoreConfig(backend=backend, chunk_rows=4)
-        )
+    for chunk_rows in CHUNK_ROWS:
+        library = AspeLibrary(store_config=StoreConfig(chunk_rows=chunk_rows))
         for sub_id in range(12):
             library.store(sub_id, _subscription(rng, rng.randrange(1, 4)))
         expected = check(library)
@@ -384,30 +385,39 @@ def test_workspace_is_bounded_by_batch_times_tile_not_rows():
 
 def test_fresh_id_store_extends_the_span_index():
     publications = [_UNIT_PUBLICATION]
-    for config in (
-        StoreConfig(),
-        StoreConfig(backend="chunked", chunk_rows=64),
+    # 24-row tiles: the cached tiles of a block are many, the last one is
+    # short, and the appended rows extend it before they start the next.
+    for config, tile_rows in (
+        (StoreConfig(), aspe._TILE_ROWS),
+        (StoreConfig(), 24),
+        (StoreConfig(chunk_rows=64), aspe._TILE_ROWS),
+        (StoreConfig(chunk_rows=64), 24),
     ):
-        library = _bulk_library(500, config)
-        extra = _bulk_library(40).export_state()
-        library.match_batch(publications)
-        assert library.index_rebuild_count == 1
-        for sub_id, subscription in extra.items():
-            library.store(10_000 + sub_id, subscription)
-            assert library.match_batch(publications) == _reference(
-                library, publications
-            )
-        library.store(20_000, EncryptedSubscription(predicates=()))
-        assert 20_000 in library.match(_UNIT_PUBLICATION)
-        assert library.index_rebuild_count == 1
-        # Overwrite and remove still rebuild.
-        library.store(3, extra[0])
+        with mock.patch.object(aspe, "_TILE_ROWS", tile_rows):
+            _check_fresh_id_stores_extend_the_index(config, publications)
+
+
+def _check_fresh_id_stores_extend_the_index(config, publications):
+    library = _bulk_library(500, config)
+    extra = _bulk_library(40).export_state()
+    library.match_batch(publications)
+    assert library.index_rebuild_count == 1
+    for sub_id, subscription in extra.items():
+        library.store(10_000 + sub_id, subscription)
         assert library.match_batch(publications) == _reference(
             library, publications
         )
-        assert library.index_rebuild_count == 2
-        library.remove(4)
-        assert library.match_batch(publications) == _reference(
-            library, publications
-        )
-        assert library.index_rebuild_count == 3
+    library.store(20_000, EncryptedSubscription(predicates=()))
+    assert 20_000 in library.match(_UNIT_PUBLICATION)
+    assert library.index_rebuild_count == 1
+    # Overwrite and remove still rebuild.
+    library.store(3, extra[0])
+    assert library.match_batch(publications) == _reference(
+        library, publications
+    )
+    assert library.index_rebuild_count == 2
+    library.remove(4)
+    assert library.match_batch(publications) == _reference(
+        library, publications
+    )
+    assert library.index_rebuild_count == 3

@@ -2,9 +2,9 @@
 
 Packed snapshots shipped to matching workers and migration state copies
 both serialize the library, so `__getstate__` must exclude everything
-recomputable — workspace buffers, the span index, the tolerance caches —
-and trim the amortized-doubling buffers to the rows in use.  These tests
-pin that contract: matching activity must not grow the pickle, and a
+recomputable — workspace buffers, the span index, the tolerance columns,
+the chunk layout — and ship the rows in use as trimmed flat arrays.  These
+tests pin that contract: matching activity must not grow the pickle, and a
 restored library must decide identically.
 """
 
@@ -70,11 +70,11 @@ def test_getstate_drops_scratch_and_trims_buffers(cipher):
     state = library.__getstate__()
     assert state["_ws"] == {}
     assert state["_index"] is None
-    assert state["_tol_signed"] is None
-    # Amortized-doubling tails are trimmed to the rows actually in use.
-    assert state["_matrix"].shape[0] == library._rows
-    assert state["_strict"].shape[0] == library._rows
-    assert state["_alive"].shape[0] == library._rows
+    assert "_chunks" not in state
+    # The growing chunk's tail is trimmed to the rows actually in use, and
+    # the tolerance columns stay behind.
+    matrix, strict, alive = state["_packed"]
+    assert matrix.shape[0] == strict.shape[0] == alive.shape[0] == library._rows
 
 
 def test_roundtrip_decides_identically(cipher):

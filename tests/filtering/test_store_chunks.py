@@ -7,7 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.filtering import (
+    AspeLibrary,
+    EncryptedPredicate,
+    EncryptedSubscription,
+)
 from repro.filtering.store import ChunkedMatrixStore, StoreConfig
 
 
@@ -101,12 +108,132 @@ def test_compact_preserves_live_order_and_remaps(backend, tmp_path):
     got = contents(store)
     np.testing.assert_array_equal(got[0], m[keep])
     assert got[4].all()
-    # The returned prefix sums remap old span boundaries like the dense
-    # path: boundary b -> offsets[b].
+    # The returned prefix sums remap old span boundaries: b -> offsets[b].
     assert offsets.shape == (13,)
     assert offsets[4] == 0 and offsets[5] == 1 and offsets[12] == 6
     # The all-dead chunk was dropped outright.
     assert store.chunk_count == 2
+
+
+#: Small enough that a tail chunk reaches it in two doublings (64 → 128 →
+#: 200) and that appends of up to three times it stay cheap.
+_GROW_ROWS = 200
+
+growth_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 3 * _GROW_ROWS), st.just(0)),
+        st.tuples(st.just("dead"), st.integers(0, 999), st.integers(1, 40)),
+        st.tuples(st.just("compact"), st.just(0), st.just(0)),
+        st.tuples(st.just("split"), st.integers(0, 999), st.just(0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(growth_ops)
+@settings(max_examples=80, deadline=None)
+def test_grown_ram_store_reads_like_one_bulk_append(sequence):
+    """Whatever the append sizes, and with tombstones, compaction and
+    split/adopt in between, a RAM store holds the rows one bulk append of
+    them would — within the allocation bound of the growth rule."""
+    store = make_store(chunk_rows=_GROW_ROWS)
+    model = [np.empty((0, 3)), np.empty(0, bool), np.empty(0), np.empty(0),
+             np.empty(0, bool)]
+    peak_rows = 0
+    for op, first, second in sequence:
+        if op == "append":
+            fresh = rows(first, base=float(store.rows))
+            held = [
+                (block[2:], [column.copy() for column in block[2:]])
+                for block in store.blocks()
+            ]
+            store.append(*fresh)
+            model = [
+                np.concatenate(pair)
+                for pair in zip(model, (*fresh, np.ones(first, bool)))
+            ]
+            # A block taken before a growth still reads its rows.
+            for columns, copies in held:
+                for column, copy in zip(columns, copies):
+                    np.testing.assert_array_equal(column, copy)
+            peak_rows = max(peak_rows, store.rows)
+        elif op == "dead" and store.rows:
+            lo = first % store.rows
+            hi = min(lo + second, store.rows)
+            if model[4][lo:hi].all():
+                store.mark_dead(lo, hi)
+                model[4][lo:hi] = False
+        elif op == "compact":
+            store.compact()
+            model = [column[model[4]] for column in model]
+        elif op == "split" and store.rows:
+            other, _ = store.split_at(first % (store.rows + 1))
+            assert store.rows + other.rows == len(model[0])
+            store.adopt(other)
+        assert store.rows == len(model[0])
+        assert store.dead_rows == int((~model[4]).sum())
+        capacities = [chunk.capacity for chunk in store._chunks]
+        assert max(capacities, default=0) <= min(
+            _GROW_ROWS, max(64, 2 * peak_rows)
+        )
+        assert store.resident_bytes == sum(capacities) * (3 + 2) * 8
+    bulk = make_store(chunk_rows=_GROW_ROWS)
+    bulk.append(*model)
+    if store.rows:
+        for ours, theirs in zip(contents(store), contents(bulk)):
+            np.testing.assert_array_equal(ours, theirs)
+
+
+def test_tail_chunk_grows_to_chunk_rows_and_no_further():
+    store = make_store(chunk_rows=1000)
+    m, s, tb, ts = rows(1500)
+    store.append(m[:10], s[:10], tb[:10], ts[:10])
+    held = next(iter(store.blocks()))
+    capacities = [store._chunks[0].capacity]
+    for lo in range(10, 1500, 10):
+        hi = lo + 10
+        store.append(m[lo:hi], s[lo:hi], tb[lo:hi], ts[lo:hi])
+        if store._chunks[0].capacity != capacities[-1]:
+            capacities.append(store._chunks[0].capacity)
+    assert capacities == [64, 128, 256, 512, 1000]
+    assert [chunk.capacity for chunk in store._chunks] == [1000, 512]
+    assert not np.shares_memory(held.matrix, store._chunks[0].matrix)
+    np.testing.assert_array_equal(held.matrix, m[:10])
+    np.testing.assert_array_equal(contents(store)[0], m)
+    # One bulk append allocates what it is about to write, twice over.
+    bulk = make_store(chunk_rows=1000)
+    bulk.append(m[:300], s[:300], tb[:300], ts[:300])
+    assert bulk._chunks[0].capacity == 600
+
+
+def test_small_library_holds_rows_not_a_chunk():
+    """The deterministic stand-in for the `pipeline_burst` RSS measurement:
+    50 subscriptions cost 128 rows' worth, not a 65 536-row chunk."""
+    library = AspeLibrary(store_config=StoreConfig())
+    width = 7
+    for sub_id in range(50):
+        library.store(
+            sub_id,
+            EncryptedSubscription(
+                predicates=(
+                    EncryptedPredicate("gt", np.full(width, 1.0 + sub_id)),
+                    EncryptedPredicate("le", np.full(width, 2.0 + sub_id)),
+                )
+            ),
+        )
+    stats = library.store_stats()
+    assert stats["rows"] == 100 and stats["chunks"] == 1
+    assert stats["resident_bytes"] <= 128 * (width + 2) * 8
+    assert stats["resident_peak_bytes"] == stats["resident_bytes"]
+
+
+def test_mmap_chunk_is_created_at_full_capacity(tmp_path):
+    store = make_store("mmap", chunk_rows=4096, spill_dir=str(tmp_path))
+    store.append(*rows(1))
+    (chunk,) = store._chunks
+    assert chunk.capacity == 4096
+    assert os.path.getsize(chunk.path) == chunk.nbytes == 4096 * (3 + 2) * 8
 
 
 def test_mmap_eviction_respects_budget_and_refaults(tmp_path):

@@ -1,13 +1,15 @@
-"""Property suite: every store backend is observationally identical.
+"""Property suite: every store layout is observationally identical.
 
 Random churn sequences (store / remove / bulk-store, with the compaction
-threshold lowered so compactions actually fire) drive a dense, a chunked
-and an mmap :class:`AspeLibrary` in lockstep — plus an mmap
-:class:`ShardedAspeLibrary` that additionally splits and merges shards
-mid-sequence.  After every operation the libraries must agree on match
-results, and the three ``AspeLibrary`` variants must walk *identical*
-``packed_view`` epoch/generation sequences (the contract the parallel
-executors cache on).
+threshold lowered so compactions actually fire) drive three
+:class:`AspeLibrary` instances in lockstep — the default store (one growing
+chunk), 3-row RAM chunks and 3-row ``mmap`` chunks under a two-chunk budget
+— plus an mmap :class:`ShardedAspeLibrary` that additionally splits and
+merges shards mid-sequence.  After every operation the libraries must
+agree with each other *and* with a hub-free oracle (a plain dict of the
+stored ciphertexts filtered by :func:`match_encrypted`), and the three
+``AspeLibrary`` variants must walk *identical* ``packed_view``
+epoch/generation sequences (the contract the parallel executors cache on).
 """
 
 import random
@@ -26,6 +28,7 @@ from repro.filtering import (
     PredicateSet,
     ShardedAspeLibrary,
     StoreConfig,
+    match_encrypted,
 )
 
 _KEY = AspeKey.generate(dimensions=2, rng=random.Random(202))
@@ -46,7 +49,7 @@ _PUBS = [
 
 # Low thresholds so tiny sequences cross chunk and compaction boundaries.
 _CONFIGS = {
-    "dense": StoreConfig(backend="dense", compact_dead_ratio=0.3),
+    "default": StoreConfig(compact_dead_ratio=0.3),
     "chunked": StoreConfig(backend="chunked", chunk_rows=3,
                            compact_dead_ratio=0.3),
     "mmap": StoreConfig(backend="mmap", chunk_rows=3,
@@ -80,12 +83,20 @@ def _churn(sequence, configs, shard_config):
         for name, config in configs.items()
     }
     sharded = ShardedAspeLibrary(store_config=shard_config)
-    stored = set()
+    #: The oracle: insertion order, and an overwrite keeps its slot.
+    stored = {}
+
+    def oracle(publication):
+        return [
+            sub_id
+            for sub_id, subscription in stored.items()
+            if match_encrypted(publication, subscription)
+        ]
 
     def check():
-        results = [lib.match_batch(_PUBS) for lib in libraries.values()]
-        results.append(sharded.match_batch(_PUBS))
-        assert all(r == results[0] for r in results)
+        expected = [oracle(publication) for publication in _PUBS]
+        for lib in (*libraries.values(), sharded):
+            assert lib.match_batch(_PUBS) == expected
         marks = {
             (lib.packed_view().epoch, lib.packed_view().generation)
             for lib in libraries.values()
@@ -97,20 +108,20 @@ def _churn(sequence, configs, shard_config):
             for lib in libraries.values():
                 lib.store(arg, _SUBS[arg])
             sharded.store(arg, _SUBS[arg])
-            stored.add(arg)
+            stored[arg] = _SUBS[arg]
         elif op == "remove":
             if arg not in stored:
                 continue
             for lib in libraries.values():
                 lib.remove(arg)
             sharded.remove(arg)
-            stored.discard(arg)
+            del stored[arg]
         elif op == "bulk":
             items = [(i, _SUBS[i]) for i in range(arg, min(arg + 4, 10))]
             for lib in libraries.values():
                 lib.store_many(items)
             sharded.store_many(items)
-            stored.update(i for i, _ in items)
+            stored.update(items)
         elif op == "split":
             if sharded.can_split():
                 sharded.split_shard()
@@ -118,9 +129,8 @@ def _churn(sequence, configs, shard_config):
             if sharded.can_merge():
                 sharded.merge_shards()
         elif op == "match":
-            results = [lib.match(_PUBS[arg]) for lib in libraries.values()]
-            results.append(sharded.match(_PUBS[arg]))
-            assert all(r == results[0] for r in results)
+            for lib in (*libraries.values(), sharded):
+                assert lib.match(_PUBS[arg]) == oracle(_PUBS[arg])
             continue
         check()
     return libraries
@@ -131,31 +141,40 @@ def _churn(sequence, configs, shard_config):
 def test_backends_and_shards_agree_under_churn(sequence):
     libraries = _churn(sequence, _CONFIGS, _CONFIGS["mmap"])
 
-    # Packed views must also materialize bit-identical row data.
+    # Packed views must also copy out bit-identical row data.
     views = [lib.packed_view() for lib in libraries.values()]
     base = views[0]
     for view in views[1:]:
-        assert view.rows == base.rows
+        assert (view.rows, view.width) == (base.rows, base.width)
         assert view.ids == base.ids
-        if base.matrix is None:
-            assert view.matrix is None
-            continue
-        assert np.array_equal(view.matrix[: view.rows], base.matrix[: base.rows])
-        assert np.array_equal(view.strict[: view.rows], base.strict[: base.rows])
-        assert np.array_equal(
-            view.tol_signed[: view.rows], base.tol_signed[: base.rows]
-        )
+        for ours, theirs in zip(_packed_rows(view), _packed_rows(base)):
+            assert np.array_equal(ours, theirs)
         assert np.array_equal(view.starts, base.starts)
         assert np.array_equal(view.stops, base.stops)
 
 
+def _packed_rows(view):
+    """``(matrix, strict, tol_signed)`` copies of a view's rows, taken in
+    two calls so that a range starting inside a chunk is covered too."""
+    rows = view.rows
+    matrix = np.empty((rows, view.width))
+    strict = np.empty(rows, dtype=bool)
+    tol_signed = np.empty(rows)
+    for lo, hi in ((0, rows // 2), (rows // 2, rows)):
+        view.copy_rows(
+            lo, hi, matrix=matrix[lo:hi], strict=strict[lo:hi],
+            tol_signed=tol_signed[lo:hi],
+        )
+    return matrix, strict, tol_signed
+
+
 @given(ops)
 @settings(max_examples=40, deadline=None)
-def test_release_on_every_touch_agrees_with_dense(sequence):
+def test_release_on_every_touch_agrees_with_the_default_store(sequence):
     """Churn, per-chunk compaction, split and merge with every chunk
     released as soon as the next one is touched."""
     libraries = _churn(
-        sequence, {"dense": _CONFIGS["dense"], "tight": _TIGHT}, _TIGHT
+        sequence, {"default": _CONFIGS["default"], "tight": _TIGHT}, _TIGHT
     )
     stats = libraries["tight"].store_stats()
     assert stats["resident_chunks"] <= 1
@@ -166,10 +185,7 @@ def test_release_on_every_touch_agrees_with_dense(sequence):
 @settings(max_examples=25, deadline=None)
 def test_blocks_are_plain_contiguous_and_matching_copies_no_rows(sequence):
     """The no-copy property: a store block is what the kernel reads."""
-    libraries = _churn(
-        sequence, {name: _CONFIGS[name] for name in ("chunked", "mmap")},
-        _CONFIGS["mmap"],
-    )
+    libraries = _churn(sequence, _CONFIGS, _CONFIGS["mmap"])
     for library in libraries.values():
         library.match_batch(_PUBS)
         assert "rows" not in library._ws
@@ -183,7 +199,8 @@ def test_blocks_are_plain_contiguous_and_matching_copies_no_rows(sequence):
 @settings(max_examples=25, deadline=None)
 def test_library_split_merge_preserves_epoch_lockstep(sequence):
     """detach_suffix/absorb (the shard fast paths) on churned libraries
-    keep chunked and mmap behaviourally identical to a rebuilt dense one."""
+    keep chunked and mmap behaviourally identical to a rebuilt default
+    one."""
     chunked = AspeLibrary(store_config=_CONFIGS["chunked"])
     mmap_lib = AspeLibrary(store_config=_CONFIGS["mmap"])
     stored = []
@@ -211,9 +228,9 @@ def test_library_split_merge_preserves_epoch_lockstep(sequence):
                 lib.remove(i)
             other.store_many(items)
         lib.absorb(other)  # merge it straight back
-    dense = AspeLibrary()
+    rebuilt = AspeLibrary(store_config=StoreConfig())
     for i in stored:
-        dense.store(i, _SUBS[i])
+        rebuilt.store(i, _SUBS[i])
     assert chunked.match_batch(_PUBS) == mmap_lib.match_batch(_PUBS)
     assert chunked.subscription_count() == mmap_lib.subscription_count()
     assert (chunked._epoch, chunked._generation) == (
@@ -223,5 +240,5 @@ def test_library_split_merge_preserves_epoch_lockstep(sequence):
     # Detach+absorb reorders rows (moving ids land behind staying ids), so
     # compare match *sets* per publication against an untouched library.
     assert [sorted(ids) for ids in chunked.match_batch(_PUBS)] == [
-        sorted(ids) for ids in dense.match_batch(_PUBS)
+        sorted(ids) for ids in rebuilt.match_batch(_PUBS)
     ]

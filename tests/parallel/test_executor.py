@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.filtering import AspeLibrary
+from repro.filtering import AspeLibrary, StoreConfig
 from repro.parallel import (
     BACKENDS,
     CompletionRendezvous,
@@ -197,6 +197,41 @@ def test_migration_import_triggers_full_resync(cipher, process_executor):
     clone.import_state(library.export_state())
     assert channel.submit(clone, pubs).result() == library.match_batch(pubs)
     assert process_executor.resync_count > before
+    channel.close()
+
+
+def test_shm_delta_reads_only_the_chunks_that_hold_it(
+    cipher, process_executor, tmp_path
+):
+    if process_executor.backend_name != "shm":
+        pytest.skip("dirty-row deltas are the shm backend's")
+    rng = random.Random(17)
+    chunk_bytes = 16 * (7 + 2) * 8
+    library = AspeLibrary(
+        store_config=StoreConfig(
+            backend="mmap",
+            chunk_rows=16,
+            memory_budget_mb=2 * chunk_bytes / 2**20,
+            spill_dir=str(tmp_path),
+        )
+    )
+    sub_id = 0
+    while library.store_stats()["chunks"] < 10:
+        library.store(sub_id, cipher.encrypt_subscription(random_filter(rng)))
+        sub_id += 1
+    channel = process_executor.open_channel("T")
+    pubs = encrypted_publications(cipher, rng, 4)
+    assert channel.submit(library, pubs).result() == library.match_batch(pubs)
+    resyncs, deltas = process_executor.resync_count, process_executor.delta_count
+    faults = library.store_stats()["faults"]
+    library.store(sub_id, cipher.encrypt_subscription(random_filter(rng)))
+    future = channel.submit(library, pubs)
+    # The delta copied the appended rows out of the chunk that holds them;
+    # the eight released chunks below it stayed released.
+    assert library.store_stats()["faults"] - faults <= 1
+    assert process_executor.resync_count == resyncs
+    assert process_executor.delta_count == deltas + 1
+    assert future.result() == library.match_batch(pubs)
     channel.close()
 
 

@@ -118,18 +118,15 @@ def test_grouped_configs_mirror_into_flat_aliases():
     )
     assert (config.match_workers, config.match_backend) == (2, "pool")
     assert config.match_chunk_rows == 64
-    assert (config.store_backend, config.store_chunk_rows) == ("mmap", 128)
+    assert (config.store.backend, config.store.chunk_rows) == ("mmap", 128)
     assert config.net_flush_mode == "adaptive"
     assert config.net_backpressure is True
     assert config.policy.signals == ("cpu", "slo")
 
 
 def test_flat_fields_build_the_groups_when_no_group_is_given():
-    config = small_exact_config(
-        match_workers=3, store_backend="mmap", net_backpressure=True
-    )
+    config = small_exact_config(match_workers=3, net_backpressure=True)
     assert config.match.workers == 3
-    assert config.store.backend == "mmap"
     assert config.net.backpressure is True
     assert config.policy is not None
 
@@ -145,7 +142,6 @@ def test_explicit_group_wins_over_flat_fields():
 
 def test_deprecated_config_accessors_return_the_groups():
     config = small_exact_config()
-    assert config.store_config() is config.store
     assert config.transport_config() is config.net
 
 

@@ -1,24 +1,41 @@
 """Tests for the HubConfig / environment store-backend knobs."""
 
+import dataclasses
+
 import pytest
 
-from repro.filtering import AspeLibrary, ExactBackend, StoreConfig
+from repro.filtering import STORE_BACKENDS, AspeLibrary, ExactBackend, StoreConfig
 from repro.pubsub import HubConfig
 
 from .conftest import HubHarness, small_exact_config
 
 
-def test_defaults_are_dense(monkeypatch):
+def test_defaults_are_chunked(monkeypatch):
     for var in ("REPRO_STORE_BACKEND", "REPRO_STORE_CHUNK_ROWS",
                 "REPRO_STORE_MEMORY_BUDGET_MB",
                 "REPRO_STORE_COMPACT_DEAD_RATIO"):
         monkeypatch.delenv(var, raising=False)
     config = HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1)
-    store = config.store_config()
-    assert store.backend == "dense"
+    store = config.store
+    assert store.backend == "chunked"
     assert store.chunk_rows == 65536
     assert store.memory_budget_mb == 0.0
     assert store.compact_dead_ratio == 0.5
+
+
+def test_the_store_has_one_spelling_and_two_backends(monkeypatch):
+    assert STORE_BACKENDS == ("chunked", "mmap")
+    assert not [
+        field.name
+        for field in dataclasses.fields(HubConfig)
+        if field.name.startswith("store_")
+    ]
+    assert not hasattr(HubConfig, "store_config")
+    with pytest.raises(ValueError, match="chunked.*mmap"):
+        StoreConfig(backend="dense")
+    monkeypatch.setenv("REPRO_STORE_BACKEND", "dense")
+    with pytest.raises(ValueError, match="chunked.*mmap"):
+        StoreConfig.from_env()
 
 
 def test_env_variables_drive_defaults(monkeypatch):
@@ -27,36 +44,35 @@ def test_env_variables_drive_defaults(monkeypatch):
     monkeypatch.setenv("REPRO_STORE_MEMORY_BUDGET_MB", "8")
     monkeypatch.setenv("REPRO_STORE_COMPACT_DEAD_RATIO", "0.25")
     config = HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1)
-    store = config.store_config()
-    assert store == StoreConfig(
+    assert config.store == StoreConfig(
         backend="mmap", chunk_rows=2048, memory_budget_mb=8.0,
         compact_dead_ratio=0.25,
     )
-    # Explicit fields beat the environment.
-    config = HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1,
-                       store_backend="chunked", store_compact_dead_ratio=0.75)
-    store = config.store_config()
-    assert store.backend == "chunked"
-    assert store.compact_dead_ratio == 0.75
-    assert store.chunk_rows == 2048  # env still fills the rest
+    # An explicit group beats the environment, field by field.
+    config = HubConfig(
+        ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1,
+        store=dataclasses.replace(
+            StoreConfig.from_env(), backend="chunked", compact_dead_ratio=0.75
+        ),
+    )
+    assert config.store.backend == "chunked"
+    assert config.store.compact_dead_ratio == 0.75
+    assert config.store.chunk_rows == 2048  # env still fills the rest
 
 
 def test_invalid_knobs_rejected_at_config_time():
     with pytest.raises(ValueError, match="store_backend"):
-        HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1,
-                  store_backend="tape")
+        StoreConfig(backend="tape")
     with pytest.raises(ValueError, match="store_compact_dead_ratio"):
-        HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1,
-                  store_compact_dead_ratio=0.0)
+        StoreConfig(compact_dead_ratio=0.0)
     with pytest.raises(ValueError, match="store_chunk_rows"):
-        HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1,
-                  store_chunk_rows=0)
+        StoreConfig(chunk_rows=0)
 
 
 def test_matcher_libraries_use_configured_backend():
     config = HubConfig(
         ap_slices=1, m_slices=2, ep_slices=1, sink_slices=1,
-        store_backend="chunked", store_chunk_rows=128,
+        store=StoreConfig(backend="chunked", chunk_rows=128),
         backend_factory=lambda index: ExactBackend(AspeLibrary()),
     )
     h = HubHarness(config)
@@ -69,5 +85,5 @@ def test_matcher_libraries_use_configured_backend():
 
 def test_non_aspe_backend_ignores_store_config():
     # BruteForceLibrary has no configure_store; the knob must not break it.
-    h = HubHarness(small_exact_config(store_backend="mmap"))
+    h = HubHarness(small_exact_config(store=StoreConfig(backend="mmap")))
     assert h.hub.runtime.handler_of("M:0") is not None
