@@ -3,7 +3,7 @@
 Stands in for the paper's 30-host / 240-core testbed (see DESIGN.md §2).
 """
 
-from .cpu import CpuScheduler, CpuUsageSnapshot
+from .cpu import CpuScheduler, CpuTask, CpuUsageSnapshot
 from .network import Network, NicStats
 from .host import Host, HostSpec
 from .cloud import CloudProvider
@@ -19,6 +19,7 @@ from .failures import (
 __all__ = [
     "CloudProvider",
     "CpuScheduler",
+    "CpuTask",
     "CpuUsageSnapshot",
     "FailureDetector",
     "FailureInjector",

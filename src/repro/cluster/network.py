@@ -7,8 +7,8 @@ messages, then arrives after a propagation latency.  This yields both the
 transfer times that dominate operator-state migration and backpressure
 under load.
 
-The implementation is deliberately O(1) simulation events per message
-(a single scheduled delivery callback): the engine moves hundreds of
+The implementation is deliberately O(1) kernel steps per message (a single
+scheduled arrival call, no event object): the engine moves hundreds of
 thousands of messages per experiment, so per-message process machinery
 would dominate the run time.  FIFO NIC occupancy is tracked analytically
 via a ``free_at`` watermark per NIC, which is exactly equivalent to a
@@ -205,7 +205,11 @@ class Network:
         if (src, dst) in self._partitions:
             self._drop_partitioned(1)
             return arrival
-        self.env.call_later(arrival - now, self._deliver, dst, size_bytes, payload, deliver)
+        # ``now + (arrival - now)`` is not always ``arrival``; the schedule
+        # keeps the rounding every recorded delay was measured with.
+        self.env.call_later(
+            arrival - now, _arrive, self.stats(dst), size_bytes, payload, deliver
+        )
         return arrival
 
     def send_batch(
@@ -248,7 +252,7 @@ class Network:
             self._drop_partitioned(len(payloads))
             return arrival
         self.env.call_later(
-            arrival - now, self._deliver_batch, dst, total, payloads, deliver
+            arrival - now, _arrive_batch, self.stats(dst), total, payloads, deliver
         )
         return arrival
 
@@ -283,21 +287,21 @@ class Network:
         epochs = int((now - phase) / interval) + 1
         return phase + epochs * interval
 
-    def _deliver(self, dst: str, size_bytes: int, payload: Any, deliver: Callable[[Any], None]) -> None:
-        dst_stats = self.stats(dst)
-        dst_stats.bytes_received += size_bytes
-        dst_stats.messages_received += 1
-        deliver(payload)
 
-    def _deliver_batch(
-        self,
-        dst: str,
-        total_bytes: int,
-        payloads: Sequence[Any],
-        deliver: Callable[[Any], None],
-    ) -> None:
-        dst_stats = self.stats(dst)
-        dst_stats.bytes_received += total_bytes
-        dst_stats.messages_received += len(payloads)
-        for payload in payloads:
-            deliver(payload)
+def _arrive(stats: NicStats, size_bytes: int, payload: Any, deliver: Callable[[Any], None]) -> None:
+    """A transfer reaches its destination NIC: count it in, hand it over."""
+    stats.bytes_received += size_bytes
+    stats.messages_received += 1
+    deliver(payload)
+
+
+def _arrive_batch(
+    stats: NicStats,
+    total_bytes: int,
+    payloads: Sequence[Any],
+    deliver: Callable[[Any], None],
+) -> None:
+    stats.bytes_received += total_bytes
+    stats.messages_received += len(payloads)
+    for payload in payloads:
+        deliver(payload)

@@ -11,15 +11,13 @@ duplicate processing (paper §IV-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["StreamEvent"]
 
 
-@dataclass(frozen=True, slots=True)
-class StreamEvent:
-    """One message on a slice-to-slice channel."""
+class StreamEvent(NamedTuple):
+    """One message on a slice-to-slice channel (immutable)."""
 
     #: Application-level type tag (e.g. "publication", "subscription").
     kind: str

@@ -5,19 +5,27 @@ a migration it is temporarily backed by two *instances*: the active one on
 the origin host and a buffering one on the destination host receiving
 duplicated events (paper §IV-A, Figure 3).
 
-Each active instance runs ``parallelism`` worker processes pulling from a
-shared FIFO inbox — the thread pool sized to the host's cores that gives
-StreamMine3G its vertical scalability.  Workers take the slice RW lock in
-the mode requested by the handler, charge the handler's CPU cost on the
-host's cores, then run the handler.
+Each active instance has ``parallelism`` workers pulling from a shared
+FIFO inbox — the thread pool sized to the host's cores that gives
+StreamMine3G its vertical scalability.  A worker takes the slice RW lock in
+the mode requested by the handler, charges the handler's CPU cost on the
+host's cores, then runs the handler.
+
+A worker is not a process but a chain of plain calls (``_take`` →
+``_under_lock`` → ``_finish`` → the next event), resumed by the kernel
+wherever it has to wait: for its first event, for the lock, for a core.
+Each of those hand-overs is a zero-delay step of its own, never a direct
+call, because work already due at that instant must go first — the order
+every recorded sim-clock value depends on (DESIGN.md §2).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..cluster import Host
-from ..sim import Environment, Event, Interrupt, Store
+from ..cluster import CpuTask, Host
+from ..sim import URGENT, Environment, Event
 from .event import StreamEvent
 from .handler import SliceContext, SliceHandler
 from .locks import RWLock
@@ -29,7 +37,11 @@ __all__ = ["SliceInstance"]
 
 
 class SliceInstance:
-    """One instance of a logical slice, bound to a host."""
+    """One instance of a logical slice, bound to a host.
+
+    ``parallelism`` workers share the inbox; an idle worker is a count, a
+    busy one the chain of calls described in the module docstring.
+    """
 
     def __init__(
         self,
@@ -48,7 +60,8 @@ class SliceInstance:
         self.handler = handler
         self.host = host
         self.parallelism = parallelism
-        self.inbox: Store = Store(self.env)
+        #: Delivered events no worker has taken yet.
+        self.inbox: Deque[StreamEvent] = deque()
         self.lock = RWLock(self.env)
         #: Per-source highest processed sequence number (the timestamp
         #: vector copied with the state during migration).
@@ -91,7 +104,10 @@ class SliceInstance:
         self._operator = logical_id.split(":", 1)[0]
         info = runtime.operators.get(self._operator)
         self._replay_dedup = info.replay_dedup if info is not None else True
-        self._workers: List = []
+        #: Workers waiting for a delivery (all others hold an event).
+        self._idle = 0
+        #: Batches on a core or queued for one: task → (batch, lock mode).
+        self._running: Dict[CpuTask, Tuple[List[StreamEvent], str]] = {}
         self._ctx = SliceContext(runtime, logical_id)
         #: (cutoffs, event) pairs resolved as events are processed.
         self._progress_watchers: List[Tuple[Dict[str, int], Event]] = []
@@ -124,7 +140,13 @@ class SliceInstance:
             previous = self.last_received.get(event.source, -1)
             if event.seq > previous:
                 self.last_received[event.source] = event.seq
-        self.inbox.put_nowait(event)
+        if self._idle:
+            # Wake a worker by a step of its own: it coalesces whatever
+            # else has arrived at this instant by the time that step runs.
+            self._idle -= 1
+            self.env.call_soon(self._take, event)
+            return
+        self.inbox.append(event)
         depth = len(self.inbox)
         if depth > self.peak_queue_length:
             self.peak_queue_length = depth
@@ -186,20 +208,27 @@ class SliceInstance:
             raise RuntimeError(f"{self.logical_id}: cannot resume a destroyed instance")
         self._halted = False
         if self._halt_dropped:
-            self.inbox.items.extendleft(reversed(self._halt_dropped))
+            self.inbox.extendleft(reversed(self._halt_dropped))
             self._halt_dropped = []
         self._quiescence_watchers = []
-        self.inbox._serve_getters()
+        while self._idle and self.inbox:
+            self._idle -= 1
+            self.env.call_soon(self._take, self.inbox.popleft())
 
     def destroy(self) -> None:
-        """Tear the instance down; delivered events are dropped."""
+        """Tear the instance down; delivered events are dropped.
+
+        Batches in flight are abandoned: their tasks leave the host's CPU
+        (charged for the core time they held) and their locks are released.
+        """
         self._destroyed = True
         self._halted = True
         self._halt_dropped = []
-        for worker in self._workers:
-            if worker.is_alive:
-                worker.interrupt("destroyed")
-        self._workers = []
+        for task, (_batch, mode) in self._running.items():
+            self.host.cpu.cancel(task)
+            self.lock.release(mode)
+            self._busy -= 1
+        self._running.clear()
         self.handler.detach()
         # Release inbound channels (and their credits/spill) with the
         # instance; channels keyed by this slice's logical id as *source*
@@ -225,8 +254,6 @@ class SliceInstance:
         )
 
     def _check_progress(self) -> None:
-        if not self._progress_watchers:
-            return
         remaining = []
         for cutoffs, event in self._progress_watchers:
             if self._satisfies(cutoffs):
@@ -259,14 +286,14 @@ class SliceInstance:
         limit = self.handler.coalesce_limit(head)
         if limit <= 1:
             return batch
-        items = self.inbox.items
+        items = self.inbox
         while len(batch) < limit and items:
             candidate = items[0]
             if (
                 self._dedup_vector
                 and candidate.seq <= self._dedup_vector.get(candidate.source, -1)
             ):
-                # The worker loop would drop it on dequeue; drop it here so
+                # A worker would drop it on dequeue; drop it here so
                 # a stale duplicate does not split an otherwise contiguous
                 # run of coalescible events.
                 items.popleft()
@@ -317,67 +344,110 @@ class SliceInstance:
                 tracer.add_span(name, event.sent_at, now, **attrs)
 
     def _start_workers(self) -> None:
-        self._workers = [
-            self.env.process(self._worker_loop()) for _ in range(self.parallelism)
-        ]
+        # The workers come up in an URGENT step of their own, as the
+        # processes they replace did: activate()'s caller switches
+        # ``logical.active`` only after it returns, so a handler run from
+        # inside it would emit from the origin's host.
+        self.env.call_later(0.0, self._workers_up, priority=URGENT)
 
-    def _worker_loop(self):
-        try:
-            while True:
-                event: StreamEvent = self.inbox.try_get()
-                if event is None:
-                    event = yield self.inbox.get()
-                if self._flow is not None:
-                    # Dequeued: the inbox slot is free, return the credit
-                    # (drop paths below already have it accounted).
-                    self._flow.on_consumed(self, event.source)
-                if self._destroyed or self._halted:
-                    if self._halted and not self._destroyed:
-                        # Keep the drop reversible: an aborted migration
-                        # re-splices these in order (see resume()).
-                        self._halt_dropped.append(event)
-                    continue  # safe drop: duplicated to the new instance
-                if (
-                    self._dedup_vector
-                    and event.seq <= self._dedup_vector.get(event.source, -1)
-                ):
-                    self.dropped_duplicates += 1
-                    continue
+    def _workers_up(self) -> None:
+        for _ in range(self.parallelism):
+            self._take(self._next())
+
+    def _next(self) -> Optional[StreamEvent]:
+        """A free worker's next queued event; ``None`` leaves it idle."""
+        if self.inbox:
+            return self.inbox.popleft()
+        self._idle += 1
+        return None
+
+    def _take(self, event: Optional[StreamEvent]) -> None:
+        """Run one worker from ``event`` on, until it has to wait (for the
+        lock, for a core) or goes idle (``event`` is ``None``)."""
+        while event is not None:
+            if self._flow is not None:
+                # Dequeued: the inbox slot is free, return the credit
+                # (the drain's drop paths have theirs accounted).
+                self._flow.on_consumed(self, event.source)
+            if self._halted:
+                if self._destroyed:
+                    return
+                # Safe drop: duplicated to the new instance.  Kept
+                # reversible: an aborted migration re-splices these in
+                # order (see resume()).
+                self._halt_dropped.append(event)
+                event = self._next()
+            elif (
+                self._dedup_vector
+                and event.seq <= self._dedup_vector.get(event.source, -1)
+            ):
+                self.dropped_duplicates += 1
+                event = self._next()
+            else:
                 self._busy += 1
                 # Replay after a crash is processed exclusively: re-emission
                 # sequence numbers realign with the originals only if inputs
                 # are reprocessed in order (see recovery.py).
                 mode = "W" if self.recovering else self.handler.lock_mode(event)
-                try:
-                    if not self.lock.try_acquire(mode):
-                        yield self.lock.acquire(mode)
-                    try:
-                        batch = self._drain_batch(event)
-                        # Submission point for real offloaded work: runs
-                        # under the batch's lock, schedules no simulation
-                        # events; results are collected in process() at
-                        # the completion time charged below.
-                        self.handler.prepare_batch(batch, self._ctx)
-                        cost = sum(self.handler.cost(e) for e in batch)
-                        if cost > 0.0:
-                            yield from self.host.cpu.run(cost, tag=self.logical_id)
-                        if len(batch) == 1:
-                            self.handler.process(event, self._ctx)
-                        else:
-                            self.handler.process_batch(batch, self._ctx)
-                    finally:
-                        self.lock.release(mode)
-                    for processed in batch:
-                        previous = self.last_processed.get(processed.source, -1)
-                        if processed.seq > previous:
-                            self.last_processed[processed.source] = processed.seq
-                    self.processed_count += len(batch)
-                    telemetry = self.runtime.telemetry
-                    if telemetry is not None:
-                        self._record_telemetry(telemetry, batch)
-                finally:
-                    self._busy -= 1
-                self._check_progress()
-                self._check_quiescence()
-        except Interrupt:
+                if not self.lock.try_acquire(mode):
+                    self.lock.when_granted(mode, self._granted, event, mode)
+                    return
+                event = self._under_lock(event, mode)
+
+    def _granted(self, event: StreamEvent, mode: str) -> None:
+        """The lock a worker queued for is now its own."""
+        if self._destroyed:
+            self.lock.release(mode)
+            self._busy -= 1
             return
+        self._take(self._under_lock(event, mode))
+
+    def _under_lock(self, event: StreamEvent, mode: str) -> Optional[StreamEvent]:
+        """Form the batch headed by ``event`` and put its cost on a core.
+
+        Returns the worker's next event when the batch cost nothing and is
+        already done, ``None`` when the worker now waits for the CPU.
+        """
+        batch = self._drain_batch(event)
+        handler = self.handler
+        # Submission point for real offloaded work: runs under the batch's
+        # lock, schedules no simulation events; results are collected in
+        # process() at the completion time charged below.
+        handler.prepare_batch(batch, self._ctx)
+        if len(batch) == 1:
+            cost = handler.cost(event)
+        else:
+            cost = sum(handler.cost(e) for e in batch)
+        if cost > 0.0:
+            task = self.host.cpu.submit(cost, self.logical_id)
+            task.callbacks.append(self._completed)
+            self._running[task] = (batch, mode)
+            return None
+        return self._finish(batch, mode)
+
+    def _completed(self, task: CpuTask) -> None:
+        event = self._finish(*self._running.pop(task))
+        if event is not None:
+            self._take(event)
+
+    def _finish(self, batch: List[StreamEvent], mode: str) -> Optional[StreamEvent]:
+        """Run the handler on a paid-for batch; returns the worker's next event."""
+        if len(batch) == 1:
+            self.handler.process(batch[0], self._ctx)
+        else:
+            self.handler.process_batch(batch, self._ctx)
+        self.lock.release(mode)
+        last_processed = self.last_processed
+        for processed in batch:
+            if processed.seq > last_processed.get(processed.source, -1):
+                last_processed[processed.source] = processed.seq
+        self.processed_count += len(batch)
+        telemetry = self.runtime.telemetry
+        if telemetry is not None:
+            self._record_telemetry(telemetry, batch)
+        self._busy -= 1
+        if self._progress_watchers:
+            self._check_progress()
+        if self._halted:
+            self._check_quiescence()
+        return self._next()

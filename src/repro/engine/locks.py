@@ -12,7 +12,7 @@ writer starvation under continuous publication flow.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from ..sim import Environment, Event
 
@@ -26,7 +26,9 @@ class RWLock:
         self.env = env
         self._readers = 0
         self._writer = False
-        self._waiting: Deque[Tuple[str, Event]] = deque()
+        #: ``(mode, function, args)`` of :meth:`when_granted`, or
+        #: ``(mode, event, None)`` of :meth:`acquire`, in arrival order.
+        self._waiting: Deque[Tuple[str, Any, Optional[tuple]]] = deque()
 
     @property
     def idle(self) -> bool:
@@ -46,12 +48,20 @@ class RWLock:
             return False
         raise ValueError(f"unknown lock mode {mode!r}")
 
+    def when_granted(self, mode: str, function: Callable[..., Any], *args: Any) -> None:
+        """Slow path: queue for the lock; ``function(*args)`` runs holding
+        it, in a step of its own at the instant of the grant."""
+        if mode not in ("R", "W"):
+            raise ValueError(f"unknown lock mode {mode!r}")
+        self._waiting.append((mode, function, args))
+        self._grant()
+
     def acquire(self, mode: str) -> Event:
-        """Slow path: returns an event that fires when the lock is granted."""
+        """Slow path for processes: an event that fires at the grant."""
         if mode not in ("R", "W"):
             raise ValueError(f"unknown lock mode {mode!r}")
         event = Event(self.env)
-        self._waiting.append((mode, event))
+        self._waiting.append((mode, event, None))
         self._grant()
         return event
 
@@ -70,17 +80,20 @@ class RWLock:
 
     def _grant(self) -> None:
         while self._waiting:
-            mode, event = self._waiting[0]
+            mode, target, args = self._waiting[0]
             if mode == "R":
                 if self._writer:
                     return
-                self._waiting.popleft()
                 self._readers += 1
-                event.succeed()
+            elif self._writer or self._readers > 0:
+                return
             else:
-                if self._writer or self._readers > 0:
-                    return
-                self._waiting.popleft()
                 self._writer = True
-                event.succeed()
+            self._waiting.popleft()
+            # Either way the holder resumes at the same queue position.
+            if args is None:
+                target.succeed()
+            else:
+                self.env.call_soon(target, *args)
+            if mode == "W":
                 return

@@ -397,7 +397,7 @@ class ReliabilityCoordinator:
                 replay_cutoffs[source] = events[-1].seq
                 replay_bytes_by_source[source] = sum(e.size_bytes for e in events)
                 replay_events.extend(
-                    dataclasses.replace(event, replayed=True) for event in events
+                    event._replace(replayed=True) for event in events
                 )
 
         # Charge the replay transfers (one bulk send per channel).
@@ -417,11 +417,11 @@ class ReliabilityCoordinator:
 
         surviving = [
             event
-            for event in instance.inbox.items
+            for event in instance.inbox
             if event.seq > replay_cutoffs.get(event.source, -1)
         ]
-        instance.inbox.items.clear()
-        instance.inbox.items.extend(replay_events + surviving)
+        instance.inbox.clear()
+        instance.inbox.extend(replay_events + surviving)
 
         instance.recovering = True
         instance.activate(vector)
@@ -509,7 +509,7 @@ class ReliabilityCoordinator:
                     yield done
                     for event in events:
                         instance.deliver(
-                            dataclasses.replace(event, replayed=True)
+                            event._replace(replayed=True)
                         )
                     redelivered += len(events)
         if span is not None:

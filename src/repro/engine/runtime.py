@@ -14,7 +14,7 @@ duplicated to the destination instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import Host, Network
@@ -55,6 +55,8 @@ class OperatorInfo:
     #: join) disable it, sidestepping the multi-channel sequence
     #: realignment caveat (see recovery.py).
     replay_dedup: bool = True
+    #: The operator's logical slices by index — routing's targets.
+    slices: List["LogicalSlice"] = field(default_factory=list)
 
 
 class LogicalSlice:
@@ -149,11 +151,12 @@ class EngineRuntime:
             raise ValueError(f"operator {name!r} already declared")
         if slice_count <= 0:
             raise ValueError("slice_count must be positive")
-        self.operators[name] = OperatorInfo(
+        info = self.operators[name] = OperatorInfo(
             name, slice_count, handler_factory, parallelism, replay_dedup
         )
         for index in range(slice_count):
             logical = LogicalSlice(name, index)
+            info.slices.append(logical)
             self.slices[logical.id] = logical
 
     def deploy(self, slice_id: str, host: Host) -> None:
@@ -234,31 +237,39 @@ class EngineRuntime:
         if info is None:
             raise KeyError(f"unknown operator {operator!r}")
         if key is BROADCAST:
-            indices = range(info.slice_count)
+            targets = info.slices
         else:
-            indices = (int(key) % info.slice_count,)
+            targets = (info.slices[int(key) % info.slice_count],)
         src_host = self._source_host_id(source_key)
         now = self.env.now
         replayed = self._replaying(source_key)
         routed_fam = self._routed_fam
         if routed_fam is not None:
-            routed_fam.labels(operator=operator).inc(len(indices))
-        for index in indices:
-            logical = self.slices[f"{operator}:{index}"]
-            if logical.active is None and self.dead_letters is None:
-                raise RuntimeError(f"slice {logical.id} is not deployed")
-            by_dst = self._next_seq_by_src.setdefault(source_key, {})
-            seq = by_dst.get(logical.id, 0)
-            by_dst[logical.id] = seq + 1
-            self._next_seq_by_dst.setdefault(logical.id, {})[source_key] = seq + 1
+            routed_fam.labels(operator=operator).inc(len(targets))
+        by_dst = self._next_seq_by_src.setdefault(source_key, {})
+        by_src = self._next_seq_by_dst
+        retention = self.retention
+        send = self.transport.send
+        for logical in targets:
+            dest_id = logical.id
+            active = logical.active
+            if active is None and self.dead_letters is None:
+                raise RuntimeError(f"slice {dest_id} is not deployed")
+            seq = by_dst.get(dest_id, 0)
+            by_dst[dest_id] = seq + 1
+            sent = by_src.get(dest_id)
+            if sent is None:
+                sent = by_src[dest_id] = {}
+            sent[source_key] = seq + 1
             event = StreamEvent(kind, payload, source_key, seq, size_bytes, now, replayed)
-            if self.retention is not None:
-                self.retention.record(source_key, logical.id, event)
-            if logical.active is None:
-                self.dead_letters.push(logical.id, [event], "undeployed")
+            if retention is not None:
+                retention.record(source_key, dest_id, event)
+            if active is None:
+                self.dead_letters.push(dest_id, [event], "undeployed")
                 continue
-            for instance in logical.instances():
-                self.transport.send(source_key, src_host, instance, event)
+            send(source_key, src_host, active, event)
+            if logical.pending is not None:
+                send(source_key, src_host, logical.pending, event)
 
     def route_batch(
         self,
@@ -292,11 +303,10 @@ class EngineRuntime:
             if info is None:
                 raise KeyError(f"unknown operator {operator!r}")
             if key is BROADCAST:
-                indices = range(info.slice_count)
+                targets = info.slices
             else:
-                indices = (int(key) % info.slice_count,)
-            for index in indices:
-                logical = self.slices[f"{operator}:{index}"]
+                targets = (info.slices[int(key) % info.slice_count],)
+            for logical in targets:
                 if logical.active is None and self.dead_letters is None:
                     raise RuntimeError(f"slice {logical.id} is not deployed")
                 seq = by_dst.get(logical.id, 0)

@@ -15,7 +15,6 @@ from .core import (
     Event,
     Interrupt,
     Process,
-    ReusableTimeout,
     StopSimulation,
     Timeout,
     NORMAL,
@@ -39,7 +38,6 @@ __all__ = [
     "Release",
     "Request",
     "Resource",
-    "ReusableTimeout",
     "RngRegistry",
     "StopSimulation",
     "Store",

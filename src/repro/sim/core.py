@@ -7,20 +7,26 @@ yielded event is *triggered* and then *processed* by the event loop, the
 generator is resumed with the event's value (or an exception is thrown into
 it if the event failed).
 
-The kernel is deterministic: ties in time are broken first by scheduling
-priority, then by a monotonically increasing sequence number.
+The kernel is deterministic: everything scheduled — events and the plain
+calls of :meth:`Environment.call_soon` / :meth:`Environment.call_later` —
+is dispatched in the total order ``(time, priority, sequence number)``, the
+sequence number counting every scheduling call.  Zero-delay work of normal
+priority (a triggered event, a hand-over to a waiter) is by far the most
+common entry and always sorts behind everything already queued for the
+current instant, so it waits in a FIFO beside the heap; each dispatch takes
+whichever head comes first in that order.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
-    "ReusableTimeout",
     "Process",
     "Interrupt",
     "AllOf",
@@ -163,60 +169,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
-
-
-class ReusableTimeout(Event):
-    """A timeout event that can be re-armed after it has been processed.
-
-    Ordinary :class:`Timeout` objects are single-shot; hot loops that sleep
-    once per unit of work (the CPU scheduler charges one timeout per task)
-    would allocate one per iteration.  A reusable timeout is acquired from
-    the environment's pool (:meth:`Environment.pooled_timeout`), waited on
-    exactly like a timeout, and returned with
-    :meth:`Environment.recycle_timeout` once processed.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment"):
-        super().__init__(env)
-
-    def fire(self, delay: float, value: Any = None) -> "ReusableTimeout":
-        """(Re-)arm the timeout ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        if self.callbacks is None:
-            # Processed earlier: reset to a fresh pending event.
-            self.callbacks = []
-        elif self._value is not _PENDING:
-            raise RuntimeError(f"{self!r} is still scheduled; cannot re-arm")
-        self._ok = True
-        self._value = value
-        self.env.schedule(self, delay=delay)
-        return self
-
-
-class _DeferredCall(Event):
-    """Pre-triggered event invoking a stored callable when processed.
-
-    Backs :meth:`Environment.call_later`; ``__slots__`` plus a bound-method
-    callback keep a deferred call down to a single small allocation (no
-    closure), which matters because the network schedules one per transfer.
-    """
-
-    __slots__ = ("_fn", "_args")
-
-    def __init__(self, env: "Environment", fn: Callable[..., Any], args, delay: float):
-        super().__init__(env)
-        self._fn = fn
-        self._args = args
-        self._ok = True
-        self._value = None
-        self.callbacks.append(self._invoke)
-        env.schedule(self, delay=delay)
-
-    def _invoke(self, _event: Event) -> None:
-        self._fn(*self._args)
 
 
 class Initialize(Event):
@@ -447,17 +399,21 @@ class AnyOf(Condition):
 
 
 class Environment:
-    """The simulation environment: clock plus event queue."""
+    """The simulation environment: clock plus event queue.
 
-    #: Upper bound on pooled reusable timeouts kept for reuse.
-    _TIMEOUT_POOL_LIMIT = 1024
+    Queue entries are ``(time, priority, seq, target, args)``: an event to
+    process (``args`` is ``None``) or a plain ``target(*args)`` call.
+    """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List = []
+        #: Heap of entries with a delay or a priority other than NORMAL.
+        self._queue: List[tuple] = []
+        #: Zero-delay NORMAL entries in scheduling order.  All carry the
+        #: current time: the clock cannot pass an entry that is due.
+        self._fifo: Deque[tuple] = deque()
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self._timeout_pool: List[ReusableTimeout] = []
 
     @property
     def now(self) -> float:
@@ -479,26 +435,6 @@ class Environment:
         """Create a :class:`Timeout` firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def pooled_timeout(self, delay: float, value: Any = None) -> ReusableTimeout:
-        """Acquire an armed :class:`ReusableTimeout` from the pool.
-
-        Return it with :meth:`recycle_timeout` after waiting on it so hot
-        loops sleep without allocating a fresh event per iteration.
-        """
-        if self._timeout_pool:
-            return self._timeout_pool.pop().fire(delay, value)
-        return ReusableTimeout(self).fire(delay, value)
-
-    def recycle_timeout(self, timeout: ReusableTimeout) -> None:
-        """Return a *processed* pooled timeout for reuse.
-
-        A timeout that is still scheduled (e.g. its waiter was interrupted
-        and abandoned it in the queue) is silently dropped — re-arming it
-        while queued would corrupt the schedule.
-        """
-        if timeout.callbacks is None and len(self._timeout_pool) < self._TIMEOUT_POOL_LIMIT:
-            self._timeout_pool.append(timeout)
-
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
@@ -509,45 +445,74 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def call_later(self, delay: float, function: Callable[..., Any], *args: Any) -> Event:
-        """Invoke ``function(*args)`` after ``delay`` time units.
-
-        A lightweight alternative to spawning a process: costs a single
-        queue entry.  The returned event fires right before the call.
-        """
-        return _DeferredCall(self, function, args, delay)
-
     # -- scheduling and the event loop --------------------------------------
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Schedule ``event`` to be processed after ``delay`` time units."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        self._seq = seq = self._seq + 1
+        if delay == 0.0 and priority == NORMAL:
+            self._fifo.append((self._now, NORMAL, seq, event, None))
+        else:
+            heappush(self._queue, (self._now + delay, priority, seq, event, None))
+
+    def call_soon(self, function: Callable[..., Any], *args: Any) -> None:
+        """Invoke ``function(*args)`` at this instant, after everything
+        already scheduled for it — where ``event.succeed()`` would put an
+        event, without the event."""
+        self._seq = seq = self._seq + 1
+        self._fifo.append((self._now, NORMAL, seq, function, args))
+
+    def call_later(
+        self,
+        delay: float,
+        function: Callable[..., Any],
+        *args: Any,
+        priority: int = NORMAL,
+    ) -> None:
+        """Invoke ``function(*args)`` after ``delay`` time units.
+
+        A lightweight alternative to spawning a process: costs a single
+        queue entry and no event.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self._seq = seq = self._seq + 1
+        if delay == 0.0 and priority == NORMAL:
+            self._fifo.append((self._now, NORMAL, seq, function, args))
+        else:
+            heappush(self._queue, (self._now + delay, priority, seq, function, args))
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none."""
+        if self._fifo:
+            return self._fifo[0][0]
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the next scheduled event.
+        """Dispatch the next scheduled entry.
 
         Raises :class:`IndexError` ("empty schedule") if none is left.
         """
-        if not self._queue:
+        fifo, queue = self._fifo, self._queue
+        if fifo and not (queue and queue[0] < fifo[0]):
+            _, _, _, target, args = fifo.popleft()
+        elif queue:
+            self._now, _, _, target, args = heappop(queue)
+        else:
             raise IndexError("empty schedule")
-        when, _prio, _seq, event = heapq.heappop(self._queue)
-        self._now = when
+        if args is not None:
+            target(*args)
+            return
 
-        callbacks, event.callbacks = event.callbacks, None
+        callbacks, target.callbacks = target.callbacks, None
         for callback in callbacks:
-            callback(event)
+            callback(target)
 
-        if not event._ok and not event._defused:
+        if not target._ok and not target._defused:
             # An unhandled failure crashes the whole simulation, loudly.
-            exc = event._value
-            raise exc
+            raise target._value
 
     def run(self, until: Any = None) -> Any:
         """Run the event loop.
@@ -569,9 +534,11 @@ class Environment:
                 if at <= self._now:
                     raise ValueError(f"until={at} must lie in the future (now={self._now})")
 
+        fifo, queue = self._fifo, self._queue
         try:
-            while self._queue:
-                if at is not None and self._queue[0][0] >= at:
+            while fifo or queue:
+                # FIFO entries are due now; only the heap can reach ``at``.
+                if at is not None and not fifo and queue[0][0] >= at:
                     self._now = at
                     break
                 self.step()
@@ -580,7 +547,7 @@ class Environment:
 
         if stop_event is not None and not stop_event.triggered:
             raise RuntimeError("no more events scheduled but the until-event never fired")
-        if at is not None and not self._queue:
+        if at is not None and not (fifo or queue):
             # Ran out of events before reaching the deadline: advance clock.
             self._now = max(self._now, at)
         return None

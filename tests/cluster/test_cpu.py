@@ -144,3 +144,92 @@ def test_utilization_zero_elapsed_is_zero():
     snap = cpu.snapshot()
     assert cpu.utilization_between(snap) == 0.0
     assert cpu.tag_core_usage_between(snap) == {}
+
+
+def test_waiter_interrupted_in_the_queue_does_not_leak_the_core():
+    """One core; a holder for 5 s, a second process interrupted at t = 1
+    while it queues, a third task at t = 10.  The interrupted waiter must
+    leave the queue: left behind, it is handed the core at t = 5 and never
+    gives it back, and the third task never runs."""
+    from repro.sim import Interrupt
+
+    env = Environment()
+    cpu = CpuScheduler(env, cores=1)
+    done = {}
+
+    def worker(name, cpu_seconds):
+        try:
+            yield from cpu.run(cpu_seconds, tag=name)
+            done[name] = env.now
+        except Interrupt:
+            done[name] = "interrupted"
+
+    def late():
+        yield env.timeout(10.0)
+        yield from worker("third", 1.0)
+
+    env.process(worker("holder", 5.0))
+    waiter = env.process(worker("waiter", 1.0))
+    env.call_later(1.0, waiter.interrupt, "watchdog")
+    env.process(late())
+    env.run()
+    assert done == {"holder": 5.0, "waiter": "interrupted", "third": 11.0}
+    assert (cpu.active_tasks, cpu.queued_tasks) == (0, 0)
+    assert cpu.busy_core_seconds() == pytest.approx(6.0)
+
+
+def test_submit_runs_callbacks_after_the_core_is_passed_on():
+    env = Environment()
+    cpu = CpuScheduler(env, cores=1)
+    seen = []
+    first = cpu.submit(2.0, tag="a")
+    first.callbacks.append(lambda task: seen.append(("a", env.now, cpu.queued_tasks)))
+    second = cpu.submit(1.0, tag="b")
+    second.callbacks.append(lambda task: seen.append(("b", env.now, cpu.queued_tasks)))
+    assert (first.started_at, second.started_at) == (0.0, None)
+    assert (cpu.active_tasks, cpu.queued_tasks) == (1, 1)
+    env.run()
+    # "a" completes with "b" already off the queue, its start a step away.
+    assert seen == [("a", 2.0, 0), ("b", 3.0, 0)]
+    assert second.started_at == 2.0
+
+
+def test_task_cancelled_mid_run_is_charged_for_the_time_it_held_the_core():
+    env = Environment()
+    cpu = CpuScheduler(env, cores=1)
+    fired = []
+    task = cpu.submit(5.0, tag="t")
+    task.callbacks.append(fired.append)
+    waiter = cpu.submit(1.0, tag="w")
+    env.call_later(2.0, cpu.cancel, task)
+    env.run(until=2.5)
+    assert cpu.busy_core_seconds() == 2.0
+    assert cpu.snapshot().per_tag == {"t": 2.0}
+    assert waiter.started_at == 2.0  # the core went to the next in line
+    env.run()
+    # The stale completion fired at t = 5 into nothing.
+    assert env.now == 5.0 and task.processed and fired == []
+    assert cpu.busy_core_seconds() == 3.0
+    assert cpu.snapshot().per_tag == {"t": 2.0, "w": 1.0}
+    assert (cpu.active_tasks, cpu.queued_tasks) == (0, 0)
+    cpu.cancel(task)  # completed or cancelled: a no-op
+    assert cpu.busy_core_seconds() == 3.0
+
+
+def test_cancelling_queued_and_just_granted_tasks_returns_the_core():
+    env = Environment()
+    cpu = CpuScheduler(env, cores=1)
+    holder = cpu.submit(1.0)
+    queued = cpu.submit(1.0, tag="queued")
+    granted = cpu.submit(1.0, tag="granted")
+    last = cpu.submit(1.0, tag="last")
+    cpu.cancel(queued)
+    assert cpu.queued_tasks == 2
+    # At t = 1 the holder passes its core to ``granted``; cancel it in the
+    # same instant, after the hand-over and before its start step.
+    holder.callbacks.append(lambda _: cpu.cancel(granted))
+    env.run()
+    assert queued.started_at is None and granted.started_at is None
+    assert last.started_at == 1.0 and env.now == 2.0
+    assert cpu.snapshot().per_tag == {"last": 1.0}
+    assert (cpu.active_tasks, cpu.queued_tasks) == (0, 0)

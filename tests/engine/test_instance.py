@@ -179,3 +179,101 @@ def test_default_import_state_rejects_unexpected_state():
     handler.import_state(None)  # stateless: fine
     with pytest.raises(NotImplementedError):
         handler.import_state({"unexpected": 1})
+
+
+# -- same-instant order rules (PR 19): each scenario pins what the
+# -- generator-per-worker event plane did, so a later change that starts a
+# -- waiter or a handler *inside* the step that freed it fails here before
+# -- it moves a digest.
+
+
+class SharedLog(SliceHandler):
+    """Records every processed batch, in completion order, in one list."""
+
+    def __init__(self, log, name, cost_s=0.0, coalesce=1):
+        self.log, self.name, self.cost_s, self.coalesce = log, name, cost_s, coalesce
+
+    def cost(self, event):
+        return self.cost_s
+
+    def coalesce_limit(self, event):
+        return self.coalesce
+
+    def coalesce_with(self, head, candidate):
+        return True
+
+    def process(self, event, ctx):
+        self.process_batch([event], ctx)
+
+    def process_batch(self, events, ctx):
+        self.log.append((ctx.now, self.name, [event.payload for event in events]))
+
+
+def test_freed_core_goes_to_the_waiter_in_its_own_step():
+    """Two equal tasks end at one instant on a two-core host with a third
+    queued.  The first finisher hands its core to the waiter *by a
+    zero-delay step*; before that step runs, the second finisher's worker
+    takes its next inbox item and the other core.  So the inbox item starts
+    (and, at equal cost, completes) ahead of the waiter."""
+    h = Harness(hosts=1, cores=2)
+    log = []
+    for name in "ABC":
+        h.runtime.add_operator(
+            name, 1, lambda i, name=name: SharedLog(log, name, cost_s=1.0),
+            parallelism=1,
+        )
+        h.runtime.deploy_operator(name, h.hosts)
+    h.runtime.inject("client", "A", "e", "a1", 100, key=0)
+    h.runtime.inject("client", "B", "e", "b1", 100, key=0)
+    h.runtime.inject("client", "C", "e", "c1", 100, key=0)  # queues for a core
+    h.runtime.inject("client", "B", "e", "b2", 100, key=0)  # waits in B's inbox
+    h.env.run()
+    assert [(name, payloads) for _, name, payloads in log] == [
+        ("A", ["a1"]), ("B", ["b1"]), ("B", ["b2"]), ("C", ["c1"]),
+    ]
+    first, second = log[0][0], log[2][0]
+    assert [now for now, _, _ in log] == [first, first, second, second]
+    assert second == first + 1.0
+    cpu = h.hosts[0].cpu
+    assert (cpu.active_tasks, cpu.queued_tasks) == (0, 0)
+
+
+def test_woken_worker_coalesces_what_arrived_by_its_wake_step():
+    """Five deliveries at one instant to a slice with two workers and a
+    coalesce limit of 8: the first two each wake a worker *by a zero-delay
+    step*, the other three queue, and the first worker to wake drains all
+    three behind its own event."""
+    h = Harness(hosts=1, cores=4)
+    log = []
+    h.runtime.add_operator(
+        "S", 1, lambda i: SharedLog(log, "S", cost_s=1.0, coalesce=8),
+        parallelism=2,
+    )
+    h.runtime.deploy_operator("S", h.hosts)
+    for value in range(5):
+        h.runtime.inject("client", "S", "e", value, 100, key=0)
+    h.env.run()
+    assert [payloads for _, _, payloads in log] == [[1], [0, 2, 3, 4]]
+    assert log[0][0] < log[1][0]  # one event costs 1 s, the batch of four 4 s
+    assert h.runtime.slices["S:0"].active.peak_queue_length == 3
+
+
+def test_activate_runs_no_handler_before_its_caller_returns():
+    """``migrate_slice`` switches ``logical.active`` on the line *after*
+    ``activate()``; a handler run inside it would emit from the wrong host."""
+    from repro.engine import StreamEvent
+    from repro.engine.instance import SliceInstance
+
+    h = Harness(hosts=1)
+    h.runtime.add_operator("M", 1, lambda i: Recorder())
+    h.runtime.deploy_operator("M", h.hosts)
+    recorder = Recorder()  # zero cost: would run to completion if inlined
+    twin = SliceInstance(
+        h.runtime, "M:0", recorder, h.hosts[0], parallelism=2, buffering=True
+    )
+    for seq in range(3):
+        twin.deliver(StreamEvent("e", seq, "client", seq, 100, 0.0))
+    twin.activate({})
+    assert recorder.received == [] and twin.queue_length == 3
+    h.env.run()
+    assert [p for (_, _, p) in recorder.received] == [0, 1, 2]

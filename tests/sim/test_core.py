@@ -1,8 +1,13 @@
 """Unit tests for the simulation kernel event loop."""
 
-import pytest
+import heapq
+import itertools
 
-from repro.sim import Environment, Interrupt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import NORMAL, URGENT, Environment, Interrupt
 
 
 def test_clock_starts_at_initial_time():
@@ -309,66 +314,141 @@ def test_yielding_non_event_is_an_error():
         env.run()
 
 
-def test_pooled_timeout_fires_like_a_timeout():
-    from repro.sim import ReusableTimeout
-
-    env = Environment()
-    log = []
-
-    def proc():
-        value = yield env.pooled_timeout(2.0, value="v")
-        log.append((env.now, value))
-
-    env.process(proc())
-    env.run()
-    assert log == [(2.0, "v")]
-
-
-def test_pooled_timeout_recycles_and_rearms():
-    env = Environment()
-    fired = []
-
-    def proc():
-        first = env.pooled_timeout(1.0)
-        yield first
-        env.recycle_timeout(first)
-        second = env.pooled_timeout(1.0)
-        # The pool handed the same (reset) event object back.
-        assert second is first
-        yield second
-        fired.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert fired == [2.0]
-
-
-def test_pooled_timeout_cannot_rearm_while_scheduled():
-    from repro.sim import ReusableTimeout
-
-    env = Environment()
-    timeout = env.pooled_timeout(5.0)
-    with pytest.raises(RuntimeError):
-        timeout.fire(1.0)
-    with pytest.raises(ValueError):
-        ReusableTimeout(env).fire(-1.0)
-
-
-def test_recycle_refuses_still_scheduled_timeout():
-    env = Environment()
-    timeout = env.pooled_timeout(5.0)
-    env.recycle_timeout(timeout)  # no-op: not processed yet
-    assert env.pooled_timeout(1.0) is not timeout
-
-
 def test_process_and_events_use_slots():
-    from repro.sim import Process, ReusableTimeout, Timeout
+    from repro.cluster import CpuScheduler
 
     env = Environment()
 
     def proc():
         yield env.timeout(1.0)
 
-    for obj in (env.process(proc()), env.timeout(1.0), ReusableTimeout(env)):
+    task = CpuScheduler(env, cores=1).submit(1.0)
+    for obj in (env.process(proc()), env.timeout(1.0), env.event(), task):
         with pytest.raises(AttributeError):
             obj.ad_hoc_attribute = 1
+
+
+def test_call_soon_runs_after_what_is_already_due_now():
+    env = Environment()
+    order = []
+    env.timeout(0.0).callbacks.append(lambda _: order.append("timeout"))
+    env.call_soon(order.append, "soon")
+    env.call_later(0.0, order.append, "later")
+    env.call_later(0.0, order.append, "urgent", priority=URGENT)
+    env.event().succeed().callbacks.append(lambda _: order.append("succeed"))
+    assert env.peek() == 0.0
+    env.run()
+    assert order == ["urgent", "timeout", "soon", "later", "succeed"]
+
+
+# -- the dispatch order is the sort by (time, priority, seq) ------------------
+#
+# A program is a forest of nodes; dispatching a node logs it and schedules its
+# children, each by one of the kernel's scheduling calls.  The reference is a
+# single heap of (time, priority, seq) keys — what the kernel was before its
+# zero-delay FIFO — so any way of mixing the calls must dispatch in its order.
+
+#: 1e-30 is positive, yet ``now + 1e-30 == now`` for any ``now`` past 1e-14:
+#: such an entry sits on the heap at the FIFO's own time.
+DELAYS = (0.0, 1e-30, 0.25, 1.0)
+#: kind → (priority, whether the call takes a delay).
+KINDS = {
+    "succeed": (NORMAL, False),
+    "call_soon": (NORMAL, False),
+    "call_later": (NORMAL, True),
+    "call_later_urgent": (URGENT, True),
+    "timeout": (NORMAL, True),
+    "schedule_urgent": (URGENT, True),
+}
+NODES = st.recursive(
+    st.tuples(st.sampled_from(sorted(KINDS)), st.sampled_from(DELAYS), st.just(())),
+    lambda children: st.tuples(
+        st.sampled_from(sorted(KINDS)),
+        st.sampled_from(DELAYS),
+        st.lists(children, max_size=4).map(tuple),
+    ),
+    max_leaves=24,
+)
+
+
+def _numbered(nodes, counter):
+    """The forest with a unique id per node: (id, kind, delay, children)."""
+    return tuple(
+        (next(counter), kind, delay if KINDS[kind][1] else 0.0,
+         _numbered(children, counter))
+        for kind, delay, children in nodes
+    )
+
+
+def _reference_order(roots):
+    heap, seq, order = [], itertools.count(), []
+
+    def push(now, node):
+        heapq.heappush(
+            heap, (now + node[2], KINDS[node[1]][0], next(seq), node)
+        )
+
+    for root in roots:
+        push(0.0, root)
+    while heap:
+        now, _, _, node = heapq.heappop(heap)
+        order.append((node[0], now))
+        for child in node[3]:
+            push(now, child)
+    return order
+
+
+def _schedule(env, log, node):
+    ident, kind, delay, children = node
+
+    def fire(*_):
+        log.append((ident, env.now))
+        for child in children:
+            _schedule(env, log, child)
+
+    if kind == "succeed":
+        env.event().succeed().callbacks.append(fire)
+    elif kind == "call_soon":
+        env.call_soon(fire)
+    elif kind == "call_later":
+        env.call_later(delay, fire)
+    elif kind == "call_later_urgent":
+        env.call_later(delay, fire, priority=URGENT)
+    elif kind == "timeout":
+        env.timeout(delay).callbacks.append(fire)
+    else:
+        event = env.event()
+        event._value = None  # triggered, the way Initialize makes itself
+        event.callbacks.append(fire)
+        env.schedule(event, priority=URGENT, delay=delay)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(NODES, min_size=1, max_size=5),
+    st.lists(st.sampled_from((0.25, 0.5, 1.0, 1.25, 2.0, 3.5)), max_size=4, unique=True),
+)
+def test_dispatch_order_is_the_sort_by_time_priority_seq(forest, cuts):
+    roots = _numbered(forest, itertools.count())
+    expected = _reference_order(roots)
+
+    # Stepped by hand: peek() is the time of the dispatch that follows.
+    env, log = Environment(), []
+    for root in roots:
+        _schedule(env, log, root)
+    while env.peek() != float("inf"):
+        due = env.peek()
+        env.step()
+        assert due == env.now == log[-1][1]
+    assert log == expected
+
+    # Run in segments: a cut stops short of everything due at or after it.
+    env, log = Environment(), []
+    for root in roots:
+        _schedule(env, log, root)
+    for cut in sorted(cuts):
+        env.run(until=cut)
+        assert env.now == cut
+        assert log == [entry for entry in expected if entry[1] < cut]
+    env.run()
+    assert log == expected
