@@ -36,6 +36,7 @@ from repro.filtering import (
 from repro.metrics import write_json
 from repro.pubsub import HubConfig, Publication, StreamHub, Subscription
 from repro.sim import Environment
+from repro.transport import TransportConfig
 
 from conftest import memory_snapshot, run_once
 
@@ -49,11 +50,11 @@ MODERATE_PUBS = 1_000
 RESULTS = {}
 
 THROTTLED = dict(
-    net_flush_mode="adaptive",
-    net_flush_s=0.01,
-    net_flush_max_batch=8,
-    net_backpressure=True,
-    net_credit_window=CREDIT_WINDOW,
+    flush_mode="adaptive",
+    flush_s=0.01,
+    flush_max_batch=8,
+    backpressure=True,
+    credit_window=CREDIT_WINDOW,
 )
 
 
@@ -69,7 +70,8 @@ def payload_for(pub_id):
 
 def build_hub(net=None):
     """Exact matching: notification content depends only on the
-    publication, never on transport timing — the identity oracle."""
+    publication, never on transport timing — the identity oracle.
+    ``net`` overrides fields of the environment's transport config."""
     env = Environment()
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=8)
     hosts = [cloud.provision_now() for _ in range(ENGINE_HOSTS + 1)]
@@ -80,7 +82,7 @@ def build_hub(net=None):
         sink_slices=1,
         encrypted=False,
         backend_factory=lambda index: ExactBackend(BruteForceLibrary()),
-        **(net or {}),
+        net=TransportConfig.from_env(**(net or {})),
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy_all_on(hosts[:ENGINE_HOSTS], hosts[ENGINE_HOSTS:])
@@ -169,9 +171,9 @@ def run_overload(rate, net=None):
 
 
 def run_moderate(rate, mode):
-    net = dict(net_flush_mode=mode, net_flush_s=FLUSH_BUDGET_S)
+    net = dict(flush_mode=mode, flush_s=FLUSH_BUDGET_S)
     if mode == "adaptive":
-        net["net_flush_max_batch"] = 4
+        net["flush_max_batch"] = 4
     env, hub = build_hub(net)
     drive(env, hub, MODERATE_PUBS, rate)
     stats = hub.delay_tracker.stats()

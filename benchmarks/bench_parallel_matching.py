@@ -1,11 +1,12 @@
-"""Wall-clock benchmark of the parallel matching execution backend.
+"""Wall-clock benchmark of the parallel matcher.
 
 Sweeps worker count {0, 1, 2, 4} x matcher batch size over the pipeline
 workload from ``bench_pipeline.py`` (scaled up on the matching axis so
 the M operator dominates), with every configuration replaying the exact
-same ciphertexts.  For each configuration the run must produce the
-bit-identical notification multiset the inline (workers=0) path
-produces — the determinism half of the acceptance criteria — and the
+same ciphertexts.  ``workers=0`` is what it is in production: a hub with
+no executor, matching inline.  For each configuration the run must
+produce the bit-identical notification multiset that run produces — the
+determinism half of the acceptance criteria — and the
 wall-clock comparisons are exported to ``BENCH_parallel.json`` (override
 with ``REPRO_BENCH_PARALLEL_OUT``) for the CI workflow to archive.
 
@@ -80,7 +81,7 @@ def encrypted_workload():
     return _WORKLOAD
 
 
-def run_pipeline(workers: int, batch_limit: int, executor=None):
+def run_pipeline(batch_limit: int, executor=None):
     encrypted_subs, encrypted_pubs = encrypted_workload()
     env = Environment()
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=8)
@@ -95,8 +96,9 @@ def run_pipeline(workers: int, batch_limit: int, executor=None):
         ap_batch_limit=batch_limit,
         matcher_batch_limit=batch_limit,
         ep_batch_limit=batch_limit,
-        match_workers=workers,
-        match_chunk_rows=CHUNK_ROWS,
+        # Pinned so that REPRO_MATCH_WORKERS cannot hand the workers=0
+        # point a shared executor; the sweep injects its own.
+        match_workers=0,
         match_executor=executor,
     )
     hub = StreamHub(env, cloud.network, config)
@@ -123,23 +125,21 @@ def run_pipeline(workers: int, batch_limit: int, executor=None):
 
 def test_parallel_matching_sweep(benchmark, report):
     cpu_count = os.cpu_count() or 1
-    inline = {
-        limit: run_pipeline(0, limit) for limit in BATCH_LIMITS
-    }
+    inline = {limit: run_pipeline(limit) for limit in BATCH_LIMITS}
     sweep = {}
 
     def run_sweep():
         for workers in WORKER_COUNTS:
             if workers == 0:
                 continue
-            executor = create_executor(workers, "auto", CHUNK_ROWS)
+            executor = create_executor(workers, CHUNK_ROWS)
             try:
                 for limit in BATCH_LIMITS:
-                    # Warm-up primes worker processes and snapshot caches
-                    # so the measured run reflects steady state.
-                    run_pipeline(workers, limit, executor=executor)
+                    # Warm-up starts the worker processes so the measured
+                    # run reflects steady state.
+                    run_pipeline(limit, executor=executor)
                     sweep[(workers, limit)] = run_pipeline(
-                        workers, limit, executor=executor
+                        limit, executor=executor
                     )
             finally:
                 executor.shutdown()

@@ -51,34 +51,23 @@ def _non_negative_workers(value: str) -> int:
     return workers
 
 
-def _positive_chunk_rows(value: str) -> int:
+def _positive_count(value: str) -> int:
     try:
-        rows = int(value)
+        count = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer row count, got {value!r}"
+            f"expected an integer count, got {value!r}"
         ) from None
-    if rows < 1:
-        raise argparse.ArgumentTypeError(
-            f"match chunk rows must be >= 1, got {rows}"
-        )
-    return rows
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _add_match_options(p: argparse.ArgumentParser) -> None:
-    """Parallel matching knobs shared by telemetry-demo commands."""
+    """The parallel matching knob shared by telemetry-demo commands."""
     p.add_argument(
         "--match-workers", type=_non_negative_workers, default=0,
         help="worker processes for parallel matching (0 = inline, default)",
-    )
-    p.add_argument(
-        "--match-backend", choices=["auto", "inline", "pool", "shm"],
-        default="auto",
-        help="matching execution backend (default: auto)",
-    )
-    p.add_argument(
-        "--match-chunk-rows", type=_positive_chunk_rows, default=4096,
-        help="minimum packed-matrix rows per worker chunk (default: 4096)",
     )
 
 
@@ -91,7 +80,7 @@ def _add_store_options(p: argparse.ArgumentParser) -> None:
         help="packed-row backing store (default: REPRO_STORE_BACKEND or chunked)",
     )
     p.add_argument(
-        "--store-chunk-rows", type=_positive_chunk_rows, default=None,
+        "--store-chunk-rows", type=_positive_count, default=None,
         help="rows per store chunk (default: REPRO_STORE_CHUNK_ROWS or 65536)",
     )
     p.add_argument(
@@ -117,7 +106,7 @@ def _add_net_options(p: argparse.ArgumentParser) -> None:
         help="per-channel flush delay budget in seconds",
     )
     p.add_argument(
-        "--net-flush-max-batch", type=_positive_chunk_rows, default=None,
+        "--net-flush-max-batch", type=_positive_count, default=None,
         help="flush as soon as this many messages are pending",
     )
     p.add_argument(
@@ -125,7 +114,7 @@ def _add_net_options(p: argparse.ArgumentParser) -> None:
         help="enable credit-based backpressure on every channel",
     )
     p.add_argument(
-        "--net-credit-window", type=_positive_chunk_rows, default=None,
+        "--net-credit-window", type=_positive_count, default=None,
         help="send credits per channel (default: REPRO_NET_CREDIT_WINDOW or 256)",
     )
 
@@ -226,20 +215,17 @@ def _policy_from_args(args):
     return PolicyConfig.from_env(**_policy_overrides(args)).policy()
 
 
-def _net_overrides(args) -> dict:
-    """HubConfig transport kwargs for the --net-* flags the user passed."""
-    overrides = {}
-    for attr, field in (
-        ("net_flush_mode", "net_flush_mode"),
-        ("net_flush_s", "net_flush_s"),
-        ("net_flush_max_batch", "net_flush_max_batch"),
-        ("net_backpressure", "net_backpressure"),
-        ("net_credit_window", "net_credit_window"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
-    return overrides
+def _net_overrides(args):
+    """The :class:`TransportConfig` resolved from --net-* flags > env > default."""
+    from .transport import TransportConfig
+
+    return TransportConfig.from_env(**{
+        field: getattr(args, f"net_{field}", None)
+        for field in (
+            "flush_mode", "flush_s", "flush_max_batch", "backpressure",
+            "credit_window",
+        )
+    })
 
 
 def _store_overrides(args):
@@ -306,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-migration", action="store_true",
                    help="skip the mid-run M slice migration")
     p.add_argument(
-        "--stream-window", type=_positive_chunk_rows, default=None,
+        "--stream-window", type=_positive_count, default=None,
         help="stream spans to disk every N spans instead of holding the "
              "whole trace in memory (same output bytes)",
     )
@@ -518,10 +504,8 @@ def _telemetry_demo(
     publications: int,
     migrate: bool = True,
     match_workers: int = 0,
-    match_backend: str = "auto",
-    match_chunk_rows: int = 4096,
     store=None,
-    net_overrides: Optional[dict] = None,
+    net=None,
     stream_trace_to: Optional[tuple] = None,
 ):
     """One small telemetry-enabled deployment, fully deterministic.
@@ -530,7 +514,7 @@ def _telemetry_demo(
     flows through while (optionally) the stateful slice ``M:0``
     live-migrates between the hosts.  Matching is statistically sampled
     by default; with ``match_workers > 0`` it switches to real ASPE
-    filtering through the parallel worker pool so the worker-pool metric
+    filtering through the parallel match workers so their metric
     families carry data.  Returns ``(telemetry,
     migration_report_or_None)``.
     """
@@ -550,6 +534,7 @@ def _telemetry_demo(
     from .pubsub import HubConfig, Publication, StreamHub, Subscription
     from .sim import Environment
     from .telemetry import Telemetry
+    from .transport import TransportConfig
 
     env = Environment()
     telemetry = Telemetry(env)
@@ -565,10 +550,8 @@ def _telemetry_demo(
         sink_slices=1,
         telemetry=telemetry,
         match_workers=match_workers,
-        match_backend=match_backend,
-        match_chunk_rows=match_chunk_rows,
         store=store or StoreConfig.from_env(),
-        **(net_overrides or {}),
+        net=net or TransportConfig.from_env(),
     )
     cipher = None
     if match_workers > 0:
@@ -626,10 +609,8 @@ def _cmd_trace(args) -> None:
         args.publications,
         migrate=not args.no_migration,
         match_workers=args.match_workers,
-        match_backend=args.match_backend,
-        match_chunk_rows=args.match_chunk_rows,
         store=_store_overrides(args),
-        net_overrides=_net_overrides(args),
+        net=_net_overrides(args),
         stream_trace_to=stream_trace_to,
     )
     # Streaming finalization clears the resident list, so take the count
@@ -669,10 +650,8 @@ def _cmd_metrics(args) -> None:
     tel, _ = _telemetry_demo(
         args.publications,
         match_workers=args.match_workers,
-        match_backend=args.match_backend,
-        match_chunk_rows=args.match_chunk_rows,
         store=_store_overrides(args),
-        net_overrides=_net_overrides(args),
+        net=_net_overrides(args),
     )
     registry = tel.metrics
     if args.fmt == "table":

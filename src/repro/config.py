@@ -1,12 +1,13 @@
 """Shared, validated ``REPRO_*`` environment-variable parsing.
 
 Every subsystem that reads configuration from the environment — the
-``REPRO_MATCH_*`` parallel-matching knobs, the ``REPRO_STORE_*`` packed-row
-store knobs and the ``REPRO_NET_*`` transport knobs — goes through these
-helpers, so the error behaviour is uniform: an unset or blank variable
-keeps the caller's default, a malformed value raises ``ValueError`` naming
-the variable, and a value outside an explicit ``choices`` set is rejected
-up front instead of surfacing as a downstream validation error.
+``REPRO_MATCH_WORKERS`` parallel-matching knob, the ``REPRO_STORE_*``
+packed-row store knobs and the ``REPRO_NET_*`` transport knobs — goes
+through these helpers, so the error behaviour is uniform: an unset or
+blank variable keeps the caller's default, a malformed value raises
+``ValueError`` naming the variable, and a value outside an explicit
+``choices`` set is rejected up front instead of surfacing as a downstream
+validation error.
 """
 
 from __future__ import annotations

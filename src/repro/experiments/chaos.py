@@ -51,6 +51,7 @@ from ..pubsub import HubConfig, StreamHub, Subscription
 from ..pubsub.source import SourceDriver
 from ..sim import Environment
 from ..telemetry import Telemetry
+from ..transport import TransportConfig
 from ..workloads import ScaleWorkload
 
 __all__ = [
@@ -216,7 +217,7 @@ def _deploy(
         # a Channel, whose circuit breaker sheds to the spill queue
         # while the destination is partitioned instead of feeding the
         # fabric events it would only drop.
-        net_flush_mode="adaptive",
+        net=TransportConfig.from_env(flush_mode="adaptive"),
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy(

@@ -38,7 +38,7 @@ class ExperimentSetup:
     cost_model: CostModel = field(default_factory=CostModel)
     #: Per-sender channel flush interval (StreamMine3G micro-batching);
     #: dominates the steady-state notification delay (DESIGN.md §5).
-    #: Plumbs into ``HubConfig.net_flush_s`` — the hub configuration is
+    #: Plumbs into ``HubConfig.net.flush_s`` — the hub configuration is
     #: the single source of truth for transport knobs, and the deployment
     #: builds the fabric from it.
     batch_flush_s: float = 0.10
@@ -77,10 +77,12 @@ class ExperimentSetup:
             parallelism=self.parallelism,
             cost_model=self.cost_model,
             telemetry=self.telemetry,
-            net_flush_mode=flush_mode,
-            net_flush_s=self.batch_flush_s,
-            net_backpressure=self.backpressure,
-            net_credit_window=self.credit_window,
+            net=TransportConfig.from_env(
+                flush_mode=flush_mode,
+                flush_s=self.batch_flush_s,
+                backpressure=self.backpressure,
+                credit_window=self.credit_window,
+            ),
         )
 
 

@@ -8,7 +8,7 @@ partitions far larger than its memory budget.
 
 Defaults come from the ``REPRO_STORE_*`` environment variables so an
 existing deployment or test run flips backends without code changes —
-the same convention as the ``REPRO_MATCH_*`` parallel-matching knobs.
+the same convention as the ``REPRO_MATCH_WORKERS`` parallel-matching knob.
 """
 
 from __future__ import annotations

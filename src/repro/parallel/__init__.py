@@ -3,55 +3,42 @@
 The paper's M operator is the engine's CPU bottleneck, and the discrete
 event simulation runs on one thread — so until this package, concurrent
 M slices only *pretended* to overlap.  ``repro.parallel`` dispatches the
-slices' ``match_batch`` work to a pool of worker processes while leaving
-the simulation bit-deterministic: workers are pure functions of (packed
-matrix epoch, publication batch), submission happens at dequeue time via
-the engine's ``prepare_batch`` hook, and results rejoin exactly at the
-batch's already-scheduled virtual completion time.  Serial and parallel
-runs therefore produce byte-identical notifications and CPU accounting;
-only wall-clock time changes.
+slices' ``match_batch`` work to worker processes that read each slice's
+packed matrix from a shared-memory segment, while leaving the simulation
+bit-deterministic: workers are pure functions of (packed matrix state,
+publication batch), submission happens at dequeue time via the engine's
+``prepare_batch`` hook, and results rejoin exactly at the batch's
+already-scheduled virtual completion time.  Serial and parallel runs
+therefore produce byte-identical notifications and CPU accounting; only
+wall-clock time changes.
 
-Select a backend through ``HubConfig(match_workers=..., match_backend=
-...)`` or the ``REPRO_MATCH_WORKERS`` / ``REPRO_MATCH_BACKEND``
-environment variables; DESIGN.md ("Parallel matching execution")
-documents the epoch/delta protocol and the determinism argument, and
-OBSERVABILITY.md the worker-pool metric families.
+Turn it on with ``HubConfig(match_workers=N)`` or the
+``REPRO_MATCH_WORKERS`` environment variable (``0``, the default, builds
+no executor and matches inline); DESIGN.md §7 documents the
+epoch/delta protocol and the determinism argument, and OBSERVABILITY.md
+the worker metric families.
 """
 
 from .executor import (
-    BACKENDS,
-    InlineMatchExecutor,
     MatchChannel,
     MatchExecutor,
     MatchFuture,
-    ProcessPoolMatchExecutor,
-    SharedMemoryMatchExecutor,
-    available_backends,
+    MatchWorkerLost,
     create_executor,
+    encode_batch,
     plan_chunks,
-    resolve_backend,
     shared_executor,
 )
-from .config import MatchConfig
-from .rendezvous import CompletionRendezvous
-from .snapshot import PackedSnapshot, encode_batch, match_span_range
+from .worker import match_span_range
 
 __all__ = [
-    "BACKENDS",
-    "CompletionRendezvous",
-    "InlineMatchExecutor",
     "MatchChannel",
-    "MatchConfig",
     "MatchExecutor",
     "MatchFuture",
-    "PackedSnapshot",
-    "ProcessPoolMatchExecutor",
-    "SharedMemoryMatchExecutor",
-    "available_backends",
+    "MatchWorkerLost",
     "create_executor",
     "encode_batch",
     "match_span_range",
     "plan_chunks",
-    "resolve_backend",
     "shared_executor",
 ]

@@ -1,104 +1,101 @@
-"""Worker-process side of the parallel matching executors.
+"""Worker-process side of the parallel matcher.
 
-Both execution backends run the same pure computation —
-:func:`repro.parallel.snapshot.match_span_range` over a
-:class:`~repro.parallel.snapshot.PackedSnapshot` — they differ only in
-how the snapshot reaches the worker:
+A worker attaches the ``multiprocessing.shared_memory`` segments the
+parent writes, keeps zero-copy array views over them, and receives only
+small metadata updates (the span offsets) when a matrix grows in place.  Each task evaluates :func:`match_span_range` — the library's own
+:func:`~repro.filtering.match_packed` kernel over a contiguous row range
+of the segment — against one publication batch.
 
-* the **pool** backend (``ProcessPoolExecutor``) ships a pickled snapshot
-  blob with every task and memoizes it per ``(channel key, epoch)`` in
-  the worker process, so repeated tasks at one epoch unpickle once;
-* the **shm** backend attaches ``multiprocessing.shared_memory`` segments
-  written by the parent and rebuilds zero-copy array views over them,
-  receiving only tiny metadata updates (epoch, row cursor, span offsets)
-  when the matrix grows in place.
-
-Everything here is a pure function of (snapshot state, publication
-batch): no randomness, no clocks feeding results, no worker-local state
-that outlives an epoch — the property the bit-determinism argument in
-DESIGN.md rests on.  The wall-clock ``busy`` seconds returned alongside
-each result feed telemetry only, never matching decisions.
+Everything here is a pure function of (segment contents, span offsets,
+publication batch): no randomness, no clocks feeding results, no state
+that outlives a sync — the property the bit-determinism argument in
+DESIGN.md §7 rests on.  The wall-clock ``busy`` seconds returned
+alongside each result feed telemetry only, never matching decisions.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from .snapshot import PackedSnapshot, match_span_range
+from ..filtering import match_packed
 
-__all__ = ["pool_match_task", "shm_worker_main", "segment_layout"]
-
-
-# -- ProcessPoolExecutor path -------------------------------------------------
-
-#: Per-process snapshot memo: channel key -> (sync key, PackedSnapshot).
-_POOL_CACHE: Dict[str, Tuple[Tuple[int, int], PackedSnapshot]] = {}
+__all__ = ["match_span_range", "segment_layout", "segment_arrays", "worker_main"]
 
 
-def pool_match_task(
-    key: str,
-    sync: Tuple[int, int],
-    blob: Optional[bytes],
+def match_span_range(
+    matrix: np.ndarray,
+    strict: np.ndarray,
+    tol_signed: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
     span_lo: int,
     span_hi: int,
     batch: np.ndarray,
-) -> Tuple[np.ndarray, int, float]:
-    """One pool task: match ``batch`` against spans ``[span_lo, span_hi)``.
+) -> np.ndarray:
+    """Evaluate spans ``[span_lo, span_hi)`` of packed rows against a batch:
+    the ``(span_hi - span_lo, B)`` block of span conjunctions.
 
-    ``blob`` is the pickled :class:`PackedSnapshot` for the ``sync``
-    identity — the library's ``(instance token, epoch)`` pair, unique
-    per matrix state process-wide; it is unpickled only when this worker
-    process has not seen this (key, sync) yet.  Returns ``(ok, pid,
-    busy_seconds)`` where ``ok`` is the ``(span_hi - span_lo, B)``
-    boolean span-conjunction block.
+    Slices the packed rows down to the contiguous ``[starts[lo],
+    stops[hi-1])`` row range covering the requested spans and runs the
+    shared kernel on that block.  Row-range chunking is bitwise-safe: the
+    per-row decisions are row-independent, the span conjunction is a
+    gather-AND over rows that all lie inside the chunk, and the BLAS
+    product accumulates only over the (tiny) ciphertext width — never
+    across chunked rows — so every chunk reproduces the exact rows of the
+    result the unchunked kernel would compute.
     """
-    started = time.perf_counter()
-    cached = _POOL_CACHE.get(key)
-    if cached is not None and cached[0] == sync:
-        snapshot = cached[1]
-    else:
-        snapshot = pickle.loads(blob)
-        _POOL_CACHE[key] = (sync, snapshot)
-    ok = match_span_range(snapshot, span_lo, span_hi, batch)
-    return ok, os.getpid(), time.perf_counter() - started
-
-
-# -- shared-memory path -------------------------------------------------------
+    row_lo = int(starts[span_lo])
+    row_hi = int(stops[span_hi - 1])
+    return match_packed(
+        matrix[row_lo:row_hi],
+        strict[row_lo:row_hi],
+        tol_signed[row_lo:row_hi],
+        starts[span_lo:span_hi] - row_lo,
+        stops[span_lo:span_hi] - row_lo,
+        batch,
+    )
 
 
 def segment_layout(capacity: int, width: int) -> Tuple[int, int, int]:
     """Byte offsets ``(tol_offset, strict_offset, total_bytes)``.
 
     One segment packs ``[matrix capacity×width f8][tol_signed capacity
-    f8][strict capacity b1]``; the parent writes, workers map read-only
-    views.  ``capacity`` is the row capacity of the segment, of which
-    only the first ``rows`` (from the channel metadata) are live.
+    f8][strict capacity b1]``; the parent writes, workers only read.
+    ``capacity`` is the row capacity of the segment; the live rows are
+    those the channel metadata's span offsets point at.
     """
     matrix_bytes = capacity * width * 8
     tol_bytes = capacity * 8
     return matrix_bytes, matrix_bytes + tol_bytes, matrix_bytes + tol_bytes + capacity
 
 
+def segment_arrays(
+    buffer, capacity: int, width: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(matrix, strict, tol_signed)`` array views over a segment buffer."""
+    tol_offset, strict_offset, _ = segment_layout(capacity, width)
+    matrix = np.frombuffer(
+        buffer, dtype=np.float64, count=capacity * width
+    ).reshape(capacity, width)
+    tol_signed = np.frombuffer(
+        buffer, dtype=np.float64, count=capacity, offset=tol_offset
+    )
+    strict = np.frombuffer(
+        buffer, dtype=np.bool_, count=capacity, offset=strict_offset
+    )
+    return matrix, strict, tol_signed
+
+
 class _SegmentView:
-    """A worker's read-only array views over one attached shm segment."""
+    """A worker's array views over one attached shm segment."""
 
     def __init__(self, shm, capacity: int, width: int):
         self.shm = shm
-        tol_offset, strict_offset, _ = segment_layout(capacity, width)
-        buffer = shm.buf
-        self.matrix = np.frombuffer(
-            buffer, dtype=np.float64, count=capacity * width
-        ).reshape(capacity, width)
-        self.tol_signed = np.frombuffer(
-            buffer, dtype=np.float64, count=capacity, offset=tol_offset
-        )
-        self.strict = np.frombuffer(
-            buffer, dtype=np.bool_, count=capacity, offset=strict_offset
+        self.matrix, self.strict, self.tol_signed = segment_arrays(
+            shm.buf, capacity, width
         )
 
     def close(self) -> None:
@@ -115,30 +112,28 @@ class _SegmentView:
 
 
 def _attach_segment(name: str, capacity: int, width: int) -> _SegmentView:
-    from multiprocessing import shared_memory, resource_tracker
+    from multiprocessing import shared_memory
 
-    shm = shared_memory.SharedMemory(name=name)
-    # Attaching registers the segment with this process's resource
-    # tracker (fixed only in newer Pythons); unregister so the *parent*
-    # stays the sole owner of unlinking and workers exiting do not
-    # destroy segments still in use.
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    return _SegmentView(shm, capacity, width)
+    # Attaching registers the name with the resource tracker a second
+    # time.  That is harmless because the tracker is the parent's (it is
+    # started before any worker is forked) and keeps a set: the parent's
+    # unlink still takes the name out, and a parent that crashes has its
+    # segments removed by the tracker.
+    return _SegmentView(shared_memory.SharedMemory(name=name), capacity, width)
 
 
-def shm_worker_main(conn, worker_index: int) -> None:
-    """Worker loop of the shared-memory backend.
+def worker_main(conn, parent_end) -> None:
+    """Worker loop: a tiny tagged-tuple protocol over a duplex pipe.
 
-    Speaks a tiny tagged-tuple protocol over its duplex pipe:
+    ``parent_end`` is the fork's copy of the parent's end of that pipe;
+    it is closed first, or this process would keep its own pipe open and
+    never see the parent go away.
 
     * ``("sync", key, meta)`` — install channel metadata.  ``meta`` maps
-      ``segment``/``capacity``/``width`` (attach target), ``epoch``,
-      ``rows`` (live-row cursor) and ``starts``/``stops`` (sorted span
-      offsets).  Attaches the segment on first sight; a changed segment
-      name detaches the old one.
+      ``segment``/``capacity``/``width`` (attach target) and
+      ``starts``/``stops`` (sorted span offsets of the live rows).
+      Attaches the segment on first sight; a changed segment name
+      detaches the old one.
     * ``("task", task_id, key, span_lo, span_hi, batch)`` — evaluate and
       reply ``("result", task_id, ok, busy_seconds)`` with the
       ``(span_hi - span_lo, B)`` block ``ok``.
@@ -149,6 +144,7 @@ def shm_worker_main(conn, worker_index: int) -> None:
     Errors are reported as ``("error", task_id, repr)`` so the parent can
     fail just the affected future instead of losing the worker.
     """
+    parent_end.close()
     segments: Dict[str, _SegmentView] = {}
     metas: Dict[str, Dict[str, Any]] = {}
     try:
@@ -193,19 +189,16 @@ def _run_task(conn, segments, metas, message) -> None:
     try:
         meta = metas[key]
         view = segments[meta["segment"]]
-        rows = meta["rows"]
-        snapshot = PackedSnapshot(
-            epoch=meta["epoch"],
-            generation=meta["generation"],
-            rows=rows,
-            width=meta["width"],
-            matrix=view.matrix[:rows],
-            strict=view.strict[:rows],
-            tol_signed=view.tol_signed[:rows],
-            starts=meta["starts"],
-            stops=meta["stops"],
+        ok = match_span_range(
+            view.matrix,
+            view.strict,
+            view.tol_signed,
+            meta["starts"],
+            meta["stops"],
+            span_lo,
+            span_hi,
+            batch,
         )
-        ok = match_span_range(snapshot, span_lo, span_hi, batch)
     except Exception as exc:  # pragma: no cover - defensive
         conn.send(("error", task_id, repr(exc)))
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..cluster import Host, Network
-from ..config import env_int, env_str
+from ..config import env_int
 from ..engine import EngineRuntime, MigrationCosts
 from ..filtering import CostModel, MatchingBackend, SampledBackend, StoreConfig
 from ..metrics import DelaySample, DelayTracker
@@ -37,18 +37,6 @@ def _default_match_workers() -> int:
     return env_int("REPRO_MATCH_WORKERS", 0)
 
 
-def _default_match_backend() -> str:
-    return env_str("REPRO_MATCH_BACKEND", "auto")
-
-
-def _default_match_chunk_rows() -> int:
-    return env_int("REPRO_MATCH_CHUNK_ROWS", 4096)
-
-
-def _env_transport_config() -> TransportConfig:
-    return TransportConfig.from_env()
-
-
 @dataclass
 class HubConfig:
     """Static configuration of a STREAMHUB deployment.
@@ -57,16 +45,10 @@ class HubConfig:
     slices (§VI-A), encrypted (ASPE-cost) filtering, slice thread pools
     sized to the 8-core hosts.
 
-    Knobs are organized into grouped sub-configs — :attr:`match`
-    (``REPRO_MATCH_*``), :attr:`store` (``REPRO_STORE_*``), :attr:`net`
-    (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``) — each
-    defining its env/constructor precedence in one place.  The historical
-    flat ``match_*`` and ``net_*`` fields (``match_workers``,
-    ``net_flush_mode``, …) remain as backward-compatible aliases: pass
-    either form; an explicitly passed group wins over flat kwargs, and
-    after construction the flat fields always mirror the resolved group.
-    The flat spellings are **deprecated** for new code — prefer the
-    groups.  The store has the group only.
+    Knobs that belong together live in grouped sub-configs, each of which
+    reads its own environment defaults: :attr:`store` (``REPRO_STORE_*``),
+    :attr:`net` (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``).
+    Parallel matching has the one knob :attr:`match_workers`.
     """
 
     ap_slices: int = 8
@@ -95,55 +77,17 @@ class HubConfig:
     #: layer records into the same tracer/registry (see OBSERVABILITY.md).
     #: ``None`` (the default) keeps all hot paths on their no-op branch.
     telemetry: Optional["Telemetry"] = None
-    #: Worker processes for parallel matching execution (0 = inline, the
-    #: default).  Defaults from ``REPRO_MATCH_WORKERS`` so an existing
-    #: deployment/test run flips to parallel without code changes.  Only
-    #: engages for backends whose library speaks the packed protocol
-    #: (``ExactBackend`` over ``AspeLibrary``); other backends stay inline.
+    #: Worker processes for parallel matching execution (0 = none, match
+    #: inline: the default).  Defaults from ``REPRO_MATCH_WORKERS`` so an
+    #: existing deployment/test run flips to parallel without code
+    #: changes.  Only engages for backends whose library speaks the packed
+    #: protocol (``ExactBackend`` over ``AspeLibrary``); other backends
+    #: stay inline.  See DESIGN.md §7.
     match_workers: int = field(default_factory=_default_match_workers)
-    #: Execution backend: ``auto`` (shm where available, else pool),
-    #: ``shm``, ``pool`` or ``inline``.  From ``REPRO_MATCH_BACKEND``.
-    match_backend: str = field(default_factory=_default_match_backend)
-    #: Minimum packed-matrix rows per worker chunk — keeps small matrices
-    #: from being shredded into per-task overhead.  From
-    #: ``REPRO_MATCH_CHUNK_ROWS``.
-    match_chunk_rows: int = field(default_factory=_default_match_chunk_rows)
     #: Injected :class:`repro.parallel.MatchExecutor` instance (tests and
     #: benchmarks).  When ``None`` and ``match_workers > 0`` the hub uses
-    #: the process-wide shared executor for its knobs.
+    #: the process-wide shared executor for that worker count.
     match_executor: Optional[object] = None
-    #: Channel flush policy of the event-plane transport: ``eager`` (the
-    #: default: hand emissions straight to the fabric), ``fixed`` (fabric
-    #: flush epochs every ``net_flush_s``, the experiments' pre-transport
-    #: micro-batching) or ``adaptive`` (per-channel latency-bounded flush:
-    #: batch-full or ``net_flush_s`` delay budget, whichever first).  From
-    #: ``REPRO_NET_FLUSH_MODE``.  See DESIGN.md §9.
-    net_flush_mode: str = field(
-        default_factory=lambda: _env_transport_config().flush_mode
-    )
-    #: Flush epoch (``fixed``) / per-channel delay budget (``adaptive``)
-    #: in simulated seconds.  From ``REPRO_NET_FLUSH_S``.
-    net_flush_s: float = field(
-        default_factory=lambda: _env_transport_config().flush_s
-    )
-    #: Pending messages that force an adaptive channel to flush.  From
-    #: ``REPRO_NET_FLUSH_MAX_BATCH``.
-    net_flush_max_batch: int = field(
-        default_factory=lambda: _env_transport_config().flush_max_batch
-    )
-    #: Credit-based backpressure: bounded receiver inboxes, credits
-    #: granted back on consumption, senders shed to a spill queue when
-    #: out of credits.  From ``REPRO_NET_BACKPRESSURE``.
-    net_backpressure: bool = field(
-        default_factory=lambda: _env_transport_config().backpressure
-    )
-    #: Send credits per channel.  From ``REPRO_NET_CREDIT_WINDOW``.
-    net_credit_window: int = field(
-        default_factory=lambda: _env_transport_config().credit_window
-    )
-    #: Parallel-matching knob group; built from the flat ``match_*``
-    #: fields (and thus ``REPRO_MATCH_*``) when not passed explicitly.
-    match: Optional["MatchConfig"] = None
     #: Packed-row store of exact (ASPE) M-slice libraries: ``chunked``
     #: (in-RAM row chunks, the default) or ``mmap`` (chunks over spill
     #: files with an LRU resident set), with its chunk size, residency
@@ -151,12 +95,13 @@ class HubConfig:
     #: ``REPRO_STORE_*`` when not passed; sampled backends ignore it.
     #: See DESIGN.md §8.
     store: StoreConfig = field(default_factory=StoreConfig.from_env)
-    #: Transport knob group; built from the flat ``net_*`` fields
-    #: (``REPRO_NET_*``) when not passed explicitly.
-    net: Optional[TransportConfig] = None
-    #: Elasticity-policy knob group (``REPRO_POLICY_*``); the default
-    #: policy of managers driving this hub.  Has no flat aliases — it is
-    #: new with the signal-driven policy API.
+    #: Event-plane transport: channel flush policy (``eager``, ``fixed``
+    #: fabric epochs or ``adaptive`` per-channel latency-bounded flush)
+    #: and credit-based backpressure.  From ``REPRO_NET_*`` when not
+    #: passed.  See DESIGN.md §9.
+    net: TransportConfig = field(default_factory=TransportConfig.from_env)
+    #: Elasticity-policy knob group (``REPRO_POLICY_*`` when not passed);
+    #: the default policy of managers driving this hub.
     policy: Optional["PolicyConfig"] = None
 
     def __post_init__(self):
@@ -168,45 +113,15 @@ class HubConfig:
             raise ValueError("ap_batch_limit must be positive")
         if self.ep_batch_limit <= 0:
             raise ValueError("ep_batch_limit must be positive")
-        from ..elastic.policy import PolicyConfig
-        from ..parallel.config import MatchConfig
-
-        # Fold groups and flat aliases together: an explicit group wins
-        # and is mirrored back into the flat fields; otherwise the group
-        # is built (and validated) from the flat values.
-        if self.match is None:
-            self.match = MatchConfig(
-                workers=self.match_workers,
-                backend=self.match_backend,
-                chunk_rows=self.match_chunk_rows,
+        if self.match_workers < 0:
+            raise ValueError(
+                f"match_workers must be >= 0 (0 disables parallel matching), "
+                f"got {self.match_workers}"
             )
-        else:
-            self.match_workers = self.match.workers
-            self.match_backend = self.match.backend
-            self.match_chunk_rows = self.match.chunk_rows
-        if self.net is None:
-            self.net = TransportConfig(
-                flush_mode=self.net_flush_mode,
-                flush_s=self.net_flush_s,
-                flush_max_batch=self.net_flush_max_batch,
-                backpressure=self.net_backpressure,
-                credit_window=self.net_credit_window,
-            )
-        else:
-            self.net_flush_mode = self.net.flush_mode
-            self.net_flush_s = self.net.flush_s
-            self.net_flush_max_batch = self.net.flush_max_batch
-            self.net_backpressure = self.net.backpressure
-            self.net_credit_window = self.net.credit_window
         if self.policy is None:
+            from ..elastic.policy import PolicyConfig
+
             self.policy = PolicyConfig.from_env()
-
-    def transport_config(self) -> TransportConfig:
-        """The flow-control configuration of the event-plane transport.
-
-        Deprecated alias: identical to reading :attr:`net` directly.
-        """
-        return self.net
 
     @classmethod
     def sampled(cls, matching_rate: float = 0.01, **kwargs) -> "HubConfig":
@@ -249,7 +164,7 @@ class StreamHub:
             env,
             network,
             migration_costs=config.migration_costs(),
-            transport_config=config.transport_config(),
+            transport_config=config.net,
         )
         #: The bound telemetry bundle (``config.telemetry``), or ``None``.
         self.telemetry = config.telemetry
@@ -261,20 +176,16 @@ class StreamHub:
             network.bind_telemetry(self.telemetry)
             self._delay_hist = self.telemetry.notification_delay
         #: The matching executor backing this hub's M slices (``None``
-        #: when matching runs inline).  Hubs with identical knobs share
-        #: one process-wide pool unless ``config.match_executor`` injects
-        #: a dedicated instance.
+        #: when matching runs inline).  Hubs with the same worker count
+        #: share one process-wide executor unless
+        #: ``config.match_executor`` injects a dedicated instance.
         self.match_executor = None
         if config.match_executor is not None:
             self.match_executor = config.match_executor
         elif config.match_workers > 0:
             from ..parallel import shared_executor
 
-            self.match_executor = shared_executor(
-                config.match_workers,
-                config.match_backend,
-                config.match_chunk_rows,
-            )
+            self.match_executor = shared_executor(config.match_workers)
         if self.match_executor is not None and self.telemetry is not None:
             self.match_executor.bind_telemetry(self.telemetry)
         self.delay_tracker = DelayTracker()

@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine import BROADCAST, SliceContext, SliceHandler, StreamEvent
 from ..filtering import CostModel, MatchResult, MatchingBackend
+from ..parallel import MatchWorkerLost
 from .messages import MatchList, Notification, Publication, Subscription
 
 __all__ = [
@@ -172,11 +173,11 @@ class MatcherHandler(SliceHandler):
             parallel_library = self.backend.parallel_library()
         self._parallel_library = parallel_library
         self._channel = None
-        self._rendezvous = None
-        if parallel_library is not None:
-            from ..parallel import CompletionRendezvous
-
-            self._rendezvous = CompletionRendezvous()
+        #: Futures submitted in ``prepare_batch`` and not yet collected,
+        #: by ``id()`` of the batch's head event: the engine keeps that
+        #: event referenced for the whole submit→process window, so its
+        #: identity is stable and collision-free while the entry exists.
+        self._pending: Dict[int, Any] = {}
 
     def _bind_store_telemetry(self, telemetry) -> None:
         """First-contact bind of the backing store's wall-clock metrics."""
@@ -214,23 +215,30 @@ class MatcherHandler(SliceHandler):
         Runs at dequeue time under the batch's "R" lock — the library
         cannot mutate until every in-flight publication holder releases
         it, so the packed view copied out here is stable.  Schedules no
-        simulation events; the future parks in the rendezvous until
+        simulation events; the future waits in ``_pending`` until
         :meth:`process`/:meth:`process_batch` collects it at the batch's
-        scheduled virtual completion time.
+        scheduled virtual completion time.  A batch that meets a dead
+        worker is left for the inline path, like one never offloaded.
         """
-        if self._rendezvous is None or events[0].kind != KIND_PUBLICATION:
+        if self._parallel_library is None or events[0].kind != KIND_PUBLICATION:
             return
         if self._channel is None:
             self._channel = self.executor.open_channel(f"M:{self.slice_index}")
-        future = self._channel.submit(
-            self._parallel_library, [event.payload.payload for event in events]
-        )
-        self._rendezvous.post(events[0], future)
+        try:
+            future = self._channel.submit(
+                self._parallel_library,
+                [event.payload.payload for event in events],
+            )
+        except MatchWorkerLost:
+            return
+        self._pending[id(events[0])] = future
 
     def detach(self) -> None:
-        """Slice teardown (migration/recovery): drop in-flight work."""
-        if self._rendezvous is not None:
-            self._rendezvous.cancel_all()
+        """Slice teardown (migration/recovery): drop in-flight work, so
+        worker results for a dead slice are discarded, never delivered."""
+        pending, self._pending = self._pending, {}
+        for future in pending.values():
+            future.cancel()
         if self._channel is not None:
             self._channel.close()
             self._channel = None
@@ -240,17 +248,19 @@ class MatcherHandler(SliceHandler):
 
         Returns one :class:`MatchResult` per publication, or ``None`` when
         the batch was never offloaded (no executor, subscription events,
-        non-packed backend) — callers then match inline.
+        non-packed backend) or lost its worker — callers then match
+        inline, which is the same answer: the batch's read lock is still
+        held, so the library is in the state that was submitted.
         """
-        if self._rendezvous is None:
-            return None
-        future = self._rendezvous.take(head_event)
+        future = self._pending.pop(id(head_event), None)
         if future is None:
             return None
+        try:
+            lists = future.result()
+        except MatchWorkerLost:
+            return None
         self.batches_offloaded += 1
-        return [
-            MatchResult(count=len(ids), ids=ids) for ids in future.result()
-        ]
+        return [MatchResult(count=len(ids), ids=ids) for ids in lists]
 
     def process(self, event: StreamEvent, ctx: SliceContext) -> None:
         if not self._telemetry_bound:

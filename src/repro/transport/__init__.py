@@ -13,8 +13,4 @@ knobs.  See DESIGN.md §9 for the protocol and the determinism argument.
 from .config import FLUSH_MODES, TransportConfig
 from .channel import Channel, Transport
 
-#: Grouped-config alias: ``HubConfig.net`` is a ``NetConfig`` — the
-#: transport configuration under its knob-group name.
-NetConfig = TransportConfig
-
-__all__ = ["Channel", "FLUSH_MODES", "NetConfig", "Transport", "TransportConfig"]
+__all__ = ["Channel", "FLUSH_MODES", "Transport", "TransportConfig"]

@@ -29,7 +29,7 @@ and pace the event plane on top of the raw network fabric
 Defaults come from the ``REPRO_NET_*`` environment variables (via the
 shared :mod:`repro.config` helpers) so an existing deployment or test run
 flips transport behaviour without code changes — the same convention as
-``REPRO_MATCH_*`` and ``REPRO_STORE_*``.
+``REPRO_MATCH_WORKERS`` and ``REPRO_STORE_*``.
 """
 
 from __future__ import annotations
@@ -95,9 +95,14 @@ class TransportConfig:
         )
 
     @classmethod
-    def from_env(cls) -> "TransportConfig":
-        """Build from ``REPRO_NET_*`` (unset variables keep defaults)."""
-        return cls(
+    def from_env(cls, **overrides) -> "TransportConfig":
+        """Build from ``REPRO_NET_*`` (unset variables keep defaults) with
+        explicit ``overrides`` on top.
+
+        ``overrides`` with value ``None`` are ignored (unset CLI flags),
+        as in :meth:`repro.elastic.PolicyConfig.from_env`.
+        """
+        values = dict(
             flush_mode=env_str("REPRO_NET_FLUSH_MODE", "eager", FLUSH_MODES),
             flush_s=env_float("REPRO_NET_FLUSH_S", 0.0),
             flush_max_batch=env_int("REPRO_NET_FLUSH_MAX_BATCH", 64),
@@ -105,3 +110,7 @@ class TransportConfig:
             credit_window=env_int("REPRO_NET_CREDIT_WINDOW", 256),
             breaker_probe_s=env_float("REPRO_NET_BREAKER_PROBE_S", 0.5),
         )
+        values.update(
+            (name, value) for name, value in overrides.items() if value is not None
+        )
+        return cls(**values)

@@ -24,7 +24,6 @@ import pytest
 
 from repro.cluster import CloudProvider, HostSpec, Network
 from repro.filtering import MatchingBackend, MatchResult
-from repro.parallel import MatchConfig
 from repro.pubsub import HubConfig, StreamHub, Subscription
 from repro.pubsub.source import SourceDriver
 from repro.sim import Environment
@@ -79,7 +78,7 @@ def build_hub(batch_limit: int, backpressure: bool):
         ap_batch_limit=batch_limit,
         matcher_batch_limit=batch_limit,
         ep_batch_limit=batch_limit,
-        match=MatchConfig(workers=0),
+        match_workers=0,
         net=TransportConfig(flush_mode="fixed", flush_s=0.1,
                             backpressure=backpressure, credit_window=16),
     ))

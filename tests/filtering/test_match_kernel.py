@@ -34,7 +34,6 @@ from repro.filtering import (
     match_encrypted,
     match_packed,
 )
-from repro.parallel import PackedSnapshot
 from repro.workloads import ScaleWorkload
 
 WIDTH = 6
@@ -160,11 +159,16 @@ def test_kernel_agrees_with_match_encrypted(
             view = library.packed_view()
             if view.span_count == 0:
                 return
-            packed = PackedSnapshot.from_view(view)
+            matrix = np.empty((view.rows, view.width))
+            strict = np.empty(view.rows, dtype=np.bool_)
+            tol_signed = np.empty(view.rows)
+            view.copy_rows(
+                0, view.rows, matrix=matrix, strict=strict, tol_signed=tol_signed
+            )
             ok = match_packed(
-                packed.matrix,
-                packed.strict,
-                packed.tol_signed,
+                matrix,
+                strict,
+                tol_signed,
                 view.starts,
                 view.stops,
                 np.stack([p.vector for p in publications]),

@@ -2,23 +2,23 @@
 
 Hypothesis drives arbitrary churn streams — stores, removes (tombstones),
 enough removals to trigger compaction, and export/import migrations —
-and after every mutation burst checks that a parallel ``submit().result()``
-equals the serial ``match_batch`` answer exactly: same subscriber ids,
-same per-publication order.  One executor per process-backed backend is
-shared across examples (module-scoped), so examples also exercise stale
-worker caches left behind by *previous* examples' libraries.
+and after every mutation burst checks that the parallel answer equals
+the serial ``match_batch`` answer exactly: same subscriber ids, same
+per-publication order.  Once through the worker processes (one executor
+shared across examples, so examples also meet the segments and metadata
+*previous* examples' libraries left behind), and once inline through the
+pure chunk → kernel → merge functions alone, which needs no process and
+so affords more examples and a finer chunk geometry.
 """
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.filtering import AspeLibrary
-from repro.parallel import InlineMatchExecutor
 
-from .conftest import encrypted_publications, random_filter
+from .conftest import chunked_match, encrypted_publications, random_filter
 
 SUB_IDS = 24
 
@@ -54,23 +54,17 @@ def apply_step(library, stored, pool, step):
     return library
 
 
-def run_property(cipher, executor, steps, seed):
+def run_property(cipher, match, steps, seed):
     rng = random.Random(seed)
     pool = {
         i: cipher.encrypt_subscription(random_filter(rng)) for i in range(SUB_IDS)
     }
     library = AspeLibrary()
     stored = set()
-    channel = executor.open_channel("P")
-    try:
-        for step in steps:
-            library = apply_step(library, stored, pool, step)
-            pubs = encrypted_publications(cipher, rng, 3)
-            parallel = channel.submit(library, pubs).result()
-            serial = library.match_batch(pubs)
-            assert parallel == serial
-    finally:
-        channel.close()
+    for step in steps:
+        library = apply_step(library, stored, pool, step)
+        pubs = encrypted_publications(cipher, rng, 3)
+        assert match(library, pubs) == library.match_batch(pubs)
 
 
 @settings(
@@ -80,11 +74,7 @@ def run_property(cipher, executor, steps, seed):
 )
 @given(steps=STEPS, seed=st.integers(0, 2**16))
 def test_inline_equals_serial_under_churn(cipher, steps, seed):
-    executor = InlineMatchExecutor(workers=3, chunk_rows=4)
-    try:
-        run_property(cipher, executor, steps, seed)
-    finally:
-        executor.shutdown()
+    run_property(cipher, chunked_match, steps, seed)
 
 
 @settings(
@@ -94,4 +84,13 @@ def test_inline_equals_serial_under_churn(cipher, steps, seed):
 )
 @given(steps=STEPS, seed=st.integers(0, 2**16))
 def test_workers_equal_serial_under_churn(cipher, process_executor, steps, seed):
-    run_property(cipher, process_executor, steps, seed)
+    channel = process_executor.open_channel("P")
+    try:
+        run_property(
+            cipher,
+            lambda library, pubs: channel.submit(library, pubs).result(),
+            steps,
+            seed,
+        )
+    finally:
+        channel.close()

@@ -23,6 +23,7 @@ from repro.filtering import (
     ShardedAspeLibrary,
 )
 from repro.pubsub import HubConfig, Publication, Subscription
+from repro.transport import TransportConfig
 
 from .conftest import HubHarness, small_exact_config
 
@@ -41,12 +42,12 @@ def notifications(h):
     return sorted(map(notification_key, h.hub.notification_log))
 
 
-THROTTLED = dict(
-    net_flush_mode="adaptive",
-    net_flush_s=0.01,
-    net_flush_max_batch=8,
-    net_backpressure=True,
-    net_credit_window=8,
+THROTTLED = TransportConfig(
+    flush_mode="adaptive",
+    flush_s=0.01,
+    flush_max_batch=8,
+    backpressure=True,
+    credit_window=8,
 )
 
 
@@ -97,14 +98,14 @@ def run_overloaded(config, publications=120, subscriptions=40, disturb=None):
 class TestOverload:
     def test_throttled_overload_matches_unthrottled_content(self):
         plain = run_overloaded(small_exact_config())
-        throttled = run_overloaded(small_exact_config(**THROTTLED))
+        throttled = run_overloaded(small_exact_config(net=THROTTLED))
         assert notifications(plain) == notifications(throttled)
         assert throttled.hub.duplicate_notifications == 0
         assert throttled.hub.notified_publications == 120
 
     def test_throttled_inboxes_are_bounded_by_the_credit_window(self):
-        throttled = run_overloaded(small_exact_config(**THROTTLED))
-        assert_inboxes_bounded(throttled, THROTTLED["net_credit_window"])
+        throttled = run_overloaded(small_exact_config(net=THROTTLED))
+        assert_inboxes_bounded(throttled, THROTTLED.credit_window)
         # The burst genuinely exceeded the window: channels starved,
         # shed to spill, and resumed on credit grants.
         transport = throttled.hub.runtime.transport
@@ -120,7 +121,7 @@ class TestOverload:
             h.hub.runtime.migrate("M:0", h.cloud.provision_now())
 
         plain = run_overloaded(small_exact_config(), disturb=migrate)
-        throttled = run_overloaded(small_exact_config(**THROTTLED), disturb=migrate)
+        throttled = run_overloaded(small_exact_config(net=THROTTLED), disturb=migrate)
         assert notifications(plain) == notifications(throttled)
         assert throttled.hub.runtime.migrations_completed == 1
         assert throttled.hub.duplicate_notifications == 0
@@ -150,11 +151,13 @@ def test_flow_control_preserves_notification_multiset(
     for config in (
         small_exact_config(),
         small_exact_config(
-            net_flush_mode="adaptive",
-            net_flush_s=flush_s,
-            net_flush_max_batch=4,
-            net_backpressure=True,
-            net_credit_window=window,
+            net=TransportConfig(
+                flush_mode="adaptive",
+                flush_s=flush_s,
+                flush_max_batch=4,
+                backpressure=True,
+                credit_window=window,
+            )
         ),
     ):
         h = HubHarness(config)
@@ -210,11 +213,13 @@ def test_reshard_mid_overload_preserves_notification_multiset(
     for config in (
         sharded_config(),
         sharded_config(
-            net_flush_mode="adaptive",
-            net_flush_s=0.01,
-            net_flush_max_batch=4,
-            net_backpressure=True,
-            net_credit_window=window,
+            net=TransportConfig(
+                flush_mode="adaptive",
+                flush_s=0.01,
+                flush_max_batch=4,
+                backpressure=True,
+                credit_window=window,
+            )
         ),
     ):
         h = HubHarness(config)

@@ -58,29 +58,16 @@ def test_duplicate_notification_suppression_counter():
 def test_match_knob_validation_rejects_bad_values():
     with pytest.raises(ValueError, match="match_workers must be >= 0"):
         small_exact_config(match_workers=-1)
-    with pytest.raises(ValueError, match="match_chunk_rows must be >= 1"):
-        small_exact_config(match_chunk_rows=0)
-    with pytest.raises(ValueError, match="match_backend"):
-        small_exact_config(match_backend="bogus")
 
 
 def test_match_knobs_default_from_environment(monkeypatch):
     monkeypatch.setenv("REPRO_MATCH_WORKERS", "3")
-    monkeypatch.setenv("REPRO_MATCH_BACKEND", "pool")
-    monkeypatch.setenv("REPRO_MATCH_CHUNK_ROWS", "512")
-    config = small_exact_config()
-    assert config.match_workers == 3
-    assert config.match_backend == "pool"
-    assert config.match_chunk_rows == 512
+    assert small_exact_config().match_workers == 3
 
 
 def test_match_knobs_defaults_without_environment(monkeypatch):
-    for name in ("REPRO_MATCH_WORKERS", "REPRO_MATCH_BACKEND", "REPRO_MATCH_CHUNK_ROWS"):
-        monkeypatch.delenv(name, raising=False)
-    config = small_exact_config()
-    assert config.match_workers == 0
-    assert config.match_backend == "auto"
-    assert config.match_chunk_rows == 4096
+    monkeypatch.delenv("REPRO_MATCH_WORKERS", raising=False)
+    assert small_exact_config().match_workers == 0
 
 
 def test_match_workers_env_rejects_non_integers(monkeypatch):
@@ -90,9 +77,9 @@ def test_match_workers_env_rejects_non_integers(monkeypatch):
 
 
 def test_injected_executor_is_used_verbatim():
-    from repro.parallel import InlineMatchExecutor
+    from repro.parallel import create_executor
 
-    executor = InlineMatchExecutor()
+    executor = create_executor(1)
     h = HubHarness(small_exact_config(match_executor=executor))
     assert h.hub.match_executor is executor
     executor.shutdown()
@@ -104,45 +91,30 @@ def test_zero_workers_without_injection_has_no_executor(monkeypatch):
     assert h.hub.match_executor is None
 
 
-def test_grouped_configs_mirror_into_flat_aliases():
+def test_grouped_configs_are_kept_as_passed():
     from repro.elastic import PolicyConfig
-    from repro.parallel import MatchConfig
     from repro.filtering.store import StoreConfig
-    from repro.transport import NetConfig
+    from repro.transport import TransportConfig
 
-    config = small_exact_config(
-        match=MatchConfig(workers=2, backend="pool", chunk_rows=64),
-        store=StoreConfig(backend="mmap", chunk_rows=128),
-        net=NetConfig(flush_mode="adaptive", backpressure=True),
-        policy=PolicyConfig(signals=("cpu", "slo")),
+    store = StoreConfig(backend="mmap", chunk_rows=128)
+    net = TransportConfig(flush_mode="adaptive", backpressure=True)
+    policy = PolicyConfig(signals=("cpu", "slo"))
+    config = small_exact_config(store=store, net=net, policy=policy)
+    assert (config.store, config.net, config.policy) == (store, net, policy)
+    h = HubHarness(config)
+    assert h.hub.runtime.transport.config is net
+
+
+def test_net_group_defaults_from_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_NET_FLUSH_MODE", "adaptive")
+    monkeypatch.setenv("REPRO_NET_BACKPRESSURE", "1")
+    monkeypatch.setenv("REPRO_NET_CREDIT_WINDOW", "16")
+    net = small_exact_config().net
+    assert (net.flush_mode, net.backpressure, net.credit_window) == (
+        "adaptive", True, 16,
     )
-    assert (config.match_workers, config.match_backend) == (2, "pool")
-    assert config.match_chunk_rows == 64
-    assert (config.store.backend, config.store.chunk_rows) == ("mmap", 128)
-    assert config.net_flush_mode == "adaptive"
-    assert config.net_backpressure is True
-    assert config.policy.signals == ("cpu", "slo")
-
-
-def test_flat_fields_build_the_groups_when_no_group_is_given():
-    config = small_exact_config(match_workers=3, net_backpressure=True)
-    assert config.match.workers == 3
-    assert config.net.backpressure is True
-    assert config.policy is not None
-
-
-def test_explicit_group_wins_over_flat_fields():
-    from repro.parallel import MatchConfig
-
-    config = small_exact_config(
-        match=MatchConfig(workers=4), match_workers=1
-    )
-    assert config.match_workers == 4
-
-
-def test_deprecated_config_accessors_return_the_groups():
-    config = small_exact_config()
-    assert config.transport_config() is config.net
+    with pytest.raises(TypeError):
+        small_exact_config(net_backpressure=True)  # no flat spelling
 
 
 def test_policy_group_defaults_from_environment(monkeypatch):

@@ -19,6 +19,7 @@ from repro.filtering import BruteForceLibrary, ExactBackend, Op, Predicate, Pred
 from repro.pubsub import HubConfig, StreamHub, Subscription
 from repro.pubsub.source import SourceDriver
 from repro.sim import Environment
+from repro.transport import TransportConfig
 
 RATE = 2.0
 CUT_AT_S = 3.0
@@ -44,7 +45,7 @@ def _deploy(band_lows):
         # Adaptive transport: every hop runs through a Channel whose
         # breaker sheds to the spill queue during the partition instead
         # of feeding the dead fabric (see RESILIENCE.md §2).
-        net_flush_mode="adaptive",
+        net=TransportConfig.from_env(flush_mode="adaptive"),
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy(ap_hosts=[edge], m_hosts=m_hosts, ep_hosts=[edge],

@@ -89,6 +89,18 @@ class TestTransportConfig:
             credit_window=12,
         )
 
+    def test_from_env_overrides_win_and_none_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NET_BACKPRESSURE", "1")
+        monkeypatch.setenv("REPRO_NET_CREDIT_WINDOW", "16")
+        config = TransportConfig.from_env(
+            flush_mode="adaptive", credit_window=4, flush_s=None
+        )
+        assert config == TransportConfig(
+            flush_mode="adaptive", backpressure=True, credit_window=4
+        )
+        with pytest.raises(TypeError):
+            TransportConfig.from_env(no_such_knob=1)
+
     def test_from_env_rejects_unknown_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_NET_FLUSH_MODE", "lazy")
         with pytest.raises(ValueError, match="REPRO_NET_FLUSH_MODE"):
