@@ -19,20 +19,25 @@ benchmark harness produces (see EXPERIMENTS.md).  ``trace`` and
 slice migration) and emit its span trace / metric registry — the ops
 surface documented in OBSERVABILITY.md.  ``policy`` prints the resolved
 elasticity-policy signal stack and thresholds with the provenance of
-each knob (CLI flag, ``REPRO_POLICY_*`` variable, or built-in default);
+each knob (CLI flag, ``REPRO_POLICY_SIGNALS``, or built-in default);
 the same ``--signals``/``--slo-*``/``--spill-*`` flags steer the elastic
-experiments (``figure8``/``figure9``).
+experiments (``figure8``/``figure9``).  Policy, ``--store-*`` and
+``--net-*`` flags are derived from the fields of their knob group by
+:func:`repro.config.add_flags`; none is declared here.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import List, Optional
 
+from .config import add_flags, flag_overrides, from_env, provenance
+from .elastic import ElasticityPolicy
+from .filtering import StoreConfig
 from .metrics import format_series, format_table
+from .transport import TransportConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -71,175 +76,12 @@ def _add_match_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_store_options(p: argparse.ArgumentParser) -> None:
-    """Out-of-core packed-row store knobs (exact ASPE backends only)."""
-    from .filtering import STORE_BACKENDS
-
-    p.add_argument(
-        "--store-backend", choices=list(STORE_BACKENDS), default=None,
-        help="packed-row backing store (default: REPRO_STORE_BACKEND or chunked)",
-    )
-    p.add_argument(
-        "--store-chunk-rows", type=_positive_count, default=None,
-        help="rows per store chunk (default: REPRO_STORE_CHUNK_ROWS or 65536)",
-    )
-    p.add_argument(
-        "--store-memory-budget-mb", type=float, default=None,
-        help="mmap resident-set budget per library in MiB (0 = unbounded)",
-    )
-    p.add_argument(
-        "--store-compact-dead-ratio", type=float, default=None,
-        help="compact once dead rows exceed this fraction (0 < r <= 1)",
-    )
-
-
-def _add_net_options(p: argparse.ArgumentParser) -> None:
-    """Transport-layer knobs (flush policy + credit backpressure)."""
-    from .transport import FLUSH_MODES
-
-    p.add_argument(
-        "--net-flush-mode", choices=list(FLUSH_MODES), default=None,
-        help="channel flush policy (default: REPRO_NET_FLUSH_MODE or eager)",
-    )
-    p.add_argument(
-        "--net-flush-s", type=float, default=None,
-        help="per-channel flush delay budget in seconds",
-    )
-    p.add_argument(
-        "--net-flush-max-batch", type=_positive_count, default=None,
-        help="flush as soon as this many messages are pending",
-    )
-    p.add_argument(
-        "--net-backpressure", action="store_true", default=None,
-        help="enable credit-based backpressure on every channel",
-    )
-    p.add_argument(
-        "--net-credit-window", type=_positive_count, default=None,
-        help="send credits per channel (default: REPRO_NET_CREDIT_WINDOW or 256)",
-    )
-
-
-#: ``argparse`` destinations of the policy flags — identical to the
-#: :class:`repro.elastic.PolicyConfig` knob names, so the parsed values
-#: forward verbatim as ``from_env`` overrides.
-_POLICY_FLAG_DESTS = (
-    "signals",
-    "target_utilization",
-    "scale_out_threshold",
-    "scale_in_threshold",
-    "local_overload_threshold",
-    "grace_period_s",
-    "min_hosts",
-    "backlog_aware_scaling",
-    "max_scale_out_factor",
-    "slo_p99_s",
-    "slo_window_s",
-    "slo_min_samples",
-    "slo_sustain_rounds",
-    "slo_release_fraction",
-    "slo_veto_max_rounds",
-    "spill_depth_limit",
-    "spill_starved_limit",
-    "spill_sustain_rounds",
-    "spill_hold_rounds",
-    "symptom_target_fraction",
-)
-
-
-def _add_policy_options(p: argparse.ArgumentParser) -> None:
-    """Elasticity-policy knobs (signal stack, thresholds, SLO, spill)."""
-    p.add_argument(
-        "--signals", default=None,
-        help="comma-separated policy signal stack, e.g. cpu,slo,spill "
-             "(default: REPRO_POLICY_SIGNALS or cpu)",
-    )
-    p.add_argument("--target-utilization", type=float, default=None,
-                   help="utilization the enforcer packs hosts toward")
-    p.add_argument("--scale-out-threshold", type=float, default=None,
-                   help="global rule: scale out above this average CPU")
-    p.add_argument("--scale-in-threshold", type=float, default=None,
-                   help="global rule: scale in below this average CPU")
-    p.add_argument("--local-overload-threshold", type=float, default=None,
-                   help="local rule: rebalance a host above this CPU")
-    p.add_argument("--grace-period-s", type=float, default=None,
-                   help="settle window between enforcement actions")
-    p.add_argument("--min-hosts", type=int, default=None,
-                   help="never release below this many hosts")
-    p.add_argument(
-        "--backlog-aware-scaling", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="size scale-outs from CPU + queue backlog (default: on)",
-    )
-    p.add_argument("--max-scale-out-factor", type=float, default=None,
-                   help="max fleet growth factor per decision")
-    p.add_argument("--slo-p99-s", type=float, default=None,
-                   help="target p99 notification delay for the slo signal")
-    p.add_argument("--slo-window-s", type=float, default=None,
-                   help="sliding window the p99 is computed over")
-    p.add_argument("--slo-min-samples", type=int, default=None,
-                   help="min delay samples before the slo signal speaks")
-    p.add_argument("--slo-sustain-rounds", type=int, default=None,
-                   help="consecutive breached rounds before slo fires")
-    p.add_argument("--slo-release-fraction", type=float, default=None,
-                   help="scale-in vetoed while p99 > fraction * SLO")
-    p.add_argument("--slo-veto-max-rounds", type=int, default=None,
-                   help="consecutive vetoed scale-ins before the veto "
-                        "expires (0 = never)")
-    p.add_argument("--spill-depth-limit", type=int, default=None,
-                   help="summed spill depth that counts as pressure")
-    p.add_argument("--spill-starved-limit", type=int, default=None,
-                   help="summed starved channels that count as pressure")
-    p.add_argument("--spill-sustain-rounds", type=int, default=None,
-                   help="consecutive pressured rounds before spill fires")
-    p.add_argument("--spill-hold-rounds", type=int, default=None,
-                   help="calm rounds tolerated before the spill streak "
-                        "and veto reset")
-    p.add_argument("--symptom-target-fraction", type=float, default=None,
-                   help="symptom scale-outs pack toward target * fraction")
-
-
-def _policy_overrides(args) -> dict:
-    """PolicyConfig overrides for the policy flags the user passed."""
-    overrides = {}
-    for dest in _POLICY_FLAG_DESTS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[dest] = value
-    return overrides
-
-
-def _policy_from_args(args):
-    """The :class:`ElasticityPolicy` resolved from CLI > env > default."""
-    from .elastic import PolicyConfig
-
-    return PolicyConfig.from_env(**_policy_overrides(args)).policy()
-
-
-def _net_overrides(args):
-    """The :class:`TransportConfig` resolved from --net-* flags > env > default."""
-    from .transport import TransportConfig
-
-    return TransportConfig.from_env(**{
-        field: getattr(args, f"net_{field}", None)
-        for field in (
-            "flush_mode", "flush_s", "flush_max_batch", "backpressure",
-            "credit_window",
-        )
-    })
-
-
-def _store_overrides(args):
-    """The :class:`StoreConfig` resolved from --store-* flags > env > default."""
-    from .filtering import StoreConfig
-
-    overrides = {}
-    for field in (
-        "backend", "chunk_rows", "memory_budget_mb", "compact_dead_ratio"
-    ):
-        value = getattr(args, f"store_{field}", None)
-        if value is not None:
-            overrides[field] = value
-    return dataclasses.replace(StoreConfig.from_env(), **overrides)
+def _knobs(args, cls, prefix: str = ""):
+    """Knob group ``cls`` resolved from its flags > environment > default."""
+    try:
+        return from_env(cls, **flag_overrides(args, cls, prefix))
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure8", help="synthetic elastic scaling (Figure 8)")
     p.add_argument("--time-scale", type=float, default=0.25)
     p.add_argument("--peak", type=float, default=350.0)
-    _add_policy_options(p)
+    add_flags(p, ElasticityPolicy)
 
     p = sub.add_parser("figure9", help="FSE trace elastic scaling (Figure 9)")
     p.add_argument("--time-scale", type=float, default=0.5)
     p.add_argument("--peak", type=float, default=190.0)
-    _add_policy_options(p)
+    add_flags(p, ElasticityPolicy)
 
     p = sub.add_parser("ablations", help="enforcer design-choice ablations")
     p.add_argument("--which", choices=["selection", "grace", "target"],
@@ -297,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
              "whole trace in memory (same output bytes)",
     )
     _add_match_options(p)
-    _add_store_options(p)
-    _add_net_options(p)
+    add_flags(p, StoreConfig, "store_")
+    add_flags(p, TransportConfig, "net_")
 
     p = sub.add_parser(
         "metrics",
@@ -310,14 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to this file instead of stdout")
     p.add_argument("--publications", type=int, default=200)
     _add_match_options(p)
-    _add_store_options(p)
-    _add_net_options(p)
+    add_flags(p, StoreConfig, "store_")
+    add_flags(p, TransportConfig, "net_")
 
     p = sub.add_parser(
         "policy",
         help="print the resolved elasticity-policy signal stack and knobs",
     )
-    _add_policy_options(p)
+    add_flags(p, ElasticityPolicy)
 
     p = sub.add_parser(
         "chaos",
@@ -443,7 +285,7 @@ def _cmd_figure8(args) -> None:
           f"(time scale {args.time_scale:g}; paper: 1 → ~15 → 1 hosts)")
     _print_elastic(run_figure8(
         time_scale=args.time_scale, peak_rate=args.peak,
-        policy=_policy_from_args(args),
+        policy=_knobs(args, ElasticityPolicy),
     ))
 
 
@@ -454,7 +296,7 @@ def _cmd_figure9(args) -> None:
           f"(time scale {args.time_scale:g}; paper: 1 to 8 hosts)")
     _print_elastic(run_figure9(
         time_scale=args.time_scale, peak_rate=args.peak,
-        policy=_policy_from_args(args),
+        policy=_knobs(args, ElasticityPolicy),
     ))
 
 
@@ -529,12 +371,10 @@ def _telemetry_demo(
         Op,
         Predicate,
         PredicateSet,
-        StoreConfig,
     )
     from .pubsub import HubConfig, Publication, StreamHub, Subscription
     from .sim import Environment
     from .telemetry import Telemetry
-    from .transport import TransportConfig
 
     env = Environment()
     telemetry = Telemetry(env)
@@ -609,8 +449,8 @@ def _cmd_trace(args) -> None:
         args.publications,
         migrate=not args.no_migration,
         match_workers=args.match_workers,
-        store=_store_overrides(args),
-        net=_net_overrides(args),
+        store=_knobs(args, StoreConfig, "store_"),
+        net=_knobs(args, TransportConfig, "net_"),
         stream_trace_to=stream_trace_to,
     )
     # Streaming finalization clears the resident list, so take the count
@@ -650,8 +490,8 @@ def _cmd_metrics(args) -> None:
     tel, _ = _telemetry_demo(
         args.publications,
         match_workers=args.match_workers,
-        store=_store_overrides(args),
-        net=_net_overrides(args),
+        store=_knobs(args, StoreConfig, "store_"),
+        net=_knobs(args, TransportConfig, "net_"),
     )
     registry = tel.metrics
     if args.fmt == "table":
@@ -675,24 +515,15 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_policy(args) -> None:
-    from .elastic import PolicyConfig
-
-    overrides = _policy_overrides(args)
-    try:
-        config = PolicyConfig.from_env(**overrides)
-    except ValueError as exc:
-        raise SystemExit(f"policy: {exc}")
+    policy = _knobs(args, ElasticityPolicy)
     print("Elasticity policy — resolved configuration")
     print(
         "signal stack: "
-        + " > ".join(config.signals)
+        + " > ".join(policy.signals)
         + "  (arbitration: scale-out > rebalance > scale-in, "
         "ties to the earlier signal)"
     )
-    rows = [
-        [knob, value, source]
-        for knob, value, source in PolicyConfig.provenance(**overrides)
-    ]
+    rows = provenance(ElasticityPolicy, **flag_overrides(args, ElasticityPolicy))
     print(format_table(["knob", "value", "source"], rows))
 
 

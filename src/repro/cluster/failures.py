@@ -15,10 +15,10 @@ RESILIENCE.md.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..config import env_int
 from ..sim import Environment
 from .cloud import CloudProvider
 from .host import Host
@@ -166,15 +166,7 @@ def chaos_seed_from_env(variable: str = "REPRO_CHAOS_SEED") -> Optional[int]:
     suite runs with a background single-host crash + partition heal (see
     ``tests/conftest.py``); an unset or empty variable disables it.
     """
-    raw = os.environ.get(variable, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{variable} must be an integer seed, got {raw!r}"
-        ) from None
+    return env_int(variable, None)
 
 
 class Watchdog:

@@ -1,21 +1,48 @@
-"""Shared, validated ``REPRO_*`` environment-variable parsing.
+"""Knob groups: one dataclass field per knob, everything else derived.
 
-Every subsystem that reads configuration from the environment — the
-``REPRO_MATCH_WORKERS`` parallel-matching knob, the ``REPRO_STORE_*``
-packed-row store knobs and the ``REPRO_NET_*`` transport knobs — goes
-through these helpers, so the error behaviour is uniform: an unset or
-blank variable keeps the caller's default, a malformed value raises
-``ValueError`` naming the variable, and a value outside an explicit
-``choices`` set is rejected up front instead of surfacing as a downstream
-validation error.
+A knob group is a frozen dataclass — :class:`~repro.elastic.ElasticityPolicy`,
+:class:`~repro.filtering.StoreConfig`, :class:`~repro.transport.TransportConfig`
+— whose fields are the only declaration of its knobs.  A field's default
+gives the knob's type (bool, int, float, str, or a tuple read from
+comma-separated text; a ``None`` default is an optional str) and its
+``metadata`` may carry ``env`` (the ``REPRO_*`` variable that sets it —
+only knobs something actually sets that way have one), ``choices`` and
+``help``.  The four functions below walk ``dataclasses.fields(cls)``, so
+the environment reader, the CLI flags and the ``repro policy`` provenance
+table cannot drift from the fields or from each other:
+
+* :func:`from_env` — CLI flag > environment variable > default, resolved
+  *before* the group's ``__post_init__`` validates the result once.
+* :func:`provenance` — where each resolved value came from.
+* :func:`add_flags` / :func:`flag_overrides` — one ``--flag`` per field
+  and the parsed values back as :func:`from_env` overrides.
+
+The ``env_*`` helpers parse one variable each and make the error
+behaviour uniform: an unset or blank variable keeps the default, a
+malformed value or one outside ``choices`` raises ``ValueError`` naming
+the variable.  ``REPRO_MATCH_WORKERS`` (a plain :class:`~repro.pubsub.HubConfig`
+field) reads through them directly.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import os
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["env_int", "env_float", "env_bool", "env_str"]
+__all__ = [
+    "env_int",
+    "env_float",
+    "env_bool",
+    "env_str",
+    "parse_csv",
+    "knob",
+    "from_env",
+    "provenance",
+    "add_flags",
+    "flag_overrides",
+]
 
 #: Accepted spellings for boolean environment knobs.
 _TRUE = ("1", "true", "yes", "on")
@@ -30,7 +57,7 @@ def _raw(name: str) -> Optional[str]:
     return raw.strip()
 
 
-def env_int(name: str, default: int) -> int:
+def env_int(name: str, default: Optional[int]) -> Optional[int]:
     """Integer knob; unset/blank keeps ``default``."""
     raw = _raw(name)
     if raw is None:
@@ -73,14 +100,161 @@ def env_bool(name: str, default: bool) -> bool:
 
 
 def env_str(
-    name: str, default: str, choices: Optional[Sequence[str]] = None
-) -> str:
+    name: str, default: Optional[str], choices: Optional[Sequence[str]] = None
+) -> Optional[str]:
     """String knob, optionally restricted to ``choices``."""
     raw = _raw(name)
-    value = default if raw is None else raw
-    if choices is not None and value not in choices:
+    if raw is None:
+        return default
+    if choices is not None and raw not in choices:
         raise ValueError(
             f"environment variable {name} must be one of {tuple(choices)}, "
-            f"got {value!r}"
+            f"got {raw!r}"
         )
-    return value
+    return raw
+
+
+def parse_csv(text: str) -> Tuple[str, ...]:
+    """``"cpu, slo"`` → ``("cpu", "slo")``."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# -- the derivation: everything below reads dataclasses.fields(cls) ---------
+
+
+def knob(
+    default,
+    help: str,
+    env: Optional[str] = None,
+    choices: Optional[Sequence[str]] = None,
+):
+    """A knob-group field: ``dataclasses.field`` with the knob metadata.
+
+    ``help`` is the CLI help text, ``env`` the ``REPRO_*`` variable that
+    sets the knob (omit it for knobs nothing sets from the environment),
+    ``choices`` what the flag of a str knob accepts (the group's
+    ``__post_init__`` is what rejects other values, whatever their source).
+    """
+    metadata = {"help": help}
+    if env is not None:
+        metadata["env"] = env
+    if choices is not None:
+        metadata["choices"] = tuple(choices)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+def _kind(field: dataclasses.Field) -> type:
+    """The knob's value type, read off the field's default."""
+    return str if field.default is None else type(field.default)
+
+
+#: Environment reader per knob type.
+_ENV_READERS = {bool: env_bool, int: env_int, float: env_float, str: env_str}
+
+
+def _env_value(field: dataclasses.Field):
+    """The field's value from its ``env`` variable, which is set."""
+    name, kind = field.metadata["env"], _kind(field)
+    if kind is tuple:
+        return parse_csv(_raw(name))
+    return _ENV_READERS[kind](name, field.default)
+
+
+def _resolve(cls, overrides: dict) -> List[Tuple[str, object, str]]:
+    """``(field name, value, source)`` per field, before validation."""
+    fields = dataclasses.fields(cls)
+    unknown = set(overrides) - {field.name for field in fields}
+    if unknown:
+        raise TypeError(f"{cls.__name__} has no knob {sorted(unknown)}")
+    rows = []
+    for field in fields:
+        env = field.metadata.get("env")
+        if overrides.get(field.name) is not None:
+            rows.append((field.name, overrides[field.name], "cli"))
+        elif env is not None and _raw(env) is not None:
+            rows.append((field.name, _env_value(field), f"env:{env}"))
+        else:
+            rows.append((field.name, field.default, "default"))
+    return rows
+
+
+def _shown(value):
+    """A knob value as tables and help text print it (tuples as csv)."""
+    return ",".join(value) if isinstance(value, tuple) else value
+
+
+def _build(cls, rows):
+    """Validate once, after precedence; a rejected value that came from
+    the environment is reported with its variable."""
+    try:
+        return cls(**{name: value for name, value, _ in rows})
+    except ValueError as exc:
+        variables = [src[4:] for _, _, src in rows if src.startswith("env:")]
+        if not variables:
+            raise
+        raise ValueError(
+            f"{exc} (environment sets {', '.join(variables)})"
+        ) from None
+
+
+def from_env(cls, **overrides):
+    """Build knob group ``cls``: override > environment variable > default.
+
+    ``overrides`` with value ``None`` are ignored (unset CLI flags), so
+    callers forward :func:`flag_overrides` verbatim; an unknown name is a
+    ``TypeError``.  Precedence is settled first and the group validated
+    once, so a bad environment value that a flag overrides never raises.
+    """
+    return _build(cls, _resolve(cls, overrides))
+
+
+def provenance(cls, **overrides) -> List[Tuple[str, object, str]]:
+    """``(knob, resolved value, source)`` rows, one per field of ``cls``.
+
+    The source is ``cli`` for a non-``None`` override, ``env:<VAR>`` for a
+    set environment variable, else ``default``.  Values are read back
+    from the validated group; tuples print comma-separated.
+    """
+    resolved_rows = _resolve(cls, overrides)
+    resolved = _build(cls, resolved_rows)
+    return [
+        (name, _shown(getattr(resolved, name)), source)
+        for name, _, source in resolved_rows
+    ]
+
+
+def add_flags(parser: argparse.ArgumentParser, cls, prefix: str = "") -> None:
+    """One ``--<prefix><field>`` flag per field of knob group ``cls``.
+
+    Every flag defaults to ``None`` ("not passed"), so the environment
+    and the built-in default stay visible to :func:`from_env`; bool knobs
+    get both ``--x`` and ``--no-x``.
+    """
+    for field in dataclasses.fields(cls):
+        kind, meta = _kind(field), field.metadata
+        source = f"{meta['env']} or " if "env" in meta else ""
+        options = {
+            "dest": prefix + field.name,
+            "default": None,
+            "help": f"{meta['help']} (default: {source}{_shown(field.default)})",
+        }
+        if kind is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        elif kind is tuple:
+            options["type"] = parse_csv
+            options["metavar"] = "A,B"
+        else:
+            options["type"] = kind
+            if "choices" in meta:
+                options["choices"] = list(meta["choices"])
+        parser.add_argument(
+            "--" + (prefix + field.name).replace("_", "-"), **options
+        )
+
+
+def flag_overrides(args: argparse.Namespace, cls, prefix: str = "") -> dict:
+    """The parsed :func:`add_flags` values as :func:`from_env` overrides."""
+    return {
+        field.name: getattr(args, prefix + field.name, None)
+        for field in dataclasses.fields(cls)
+    }

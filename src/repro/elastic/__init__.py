@@ -10,7 +10,6 @@ from .probes import (
 )
 from .policy import (
     ElasticityPolicy,
-    PolicyConfig,
     ScalingAction,
     Violation,
     ViolationKind,
@@ -55,7 +54,6 @@ __all__ = [
     "Placement",
     "PlannedMigration",
     "PlannedShardOp",
-    "PolicyConfig",
     "ProbeCollector",
     "ProbeSet",
     "SIGNAL_NAMES",

@@ -140,10 +140,9 @@ class ElasticityEnforcer:
         their placement, plus hosts provisioned/released — the record the
         OBSERVABILITY.md worked example walks through.  ``verdict`` is
         the optional :class:`~repro.elastic.signals.SignalVerdict` of the
-        round; non-CPU verdicts extend the record with the winning
-        signal, its typed evidence, and every contending/vetoed
-        violation (CPU-only rounds keep the exact historical attribute
-        set).
+        round; the record always names the winning signal and carries
+        its typed evidence, and a verdict adds every contending/vetoed
+        violation.
         """
         action = violation.kind.action
         if action is ScalingAction.SCALE_OUT:
@@ -205,11 +204,9 @@ class ElasticityEnforcer:
                 attrs["shard_ops"] = [
                     (s.slice_id, s.op) for s in decision.shard_ops
                 ]
-            # A lone CPU verdict keeps the historical attribute set
-            # byte-for-byte; multi-signal rounds append their context.
-            if verdict is not None and not verdict.legacy_shape:
-                attrs["signal"] = violation.signal
-                attrs.update(violation.evidence_attrs())
+            attrs["signal"] = violation.signal
+            attrs.update(violation.evidence_attrs())
+            if verdict is not None:
                 contending = verdict.contending
                 if contending:
                     attrs["contending"] = contending

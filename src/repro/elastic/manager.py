@@ -82,9 +82,8 @@ class ElasticityManager:
         ``engine_hosts`` is the initial managed host set (at least one);
         the manager owns membership from here on — provisioning into and
         releasing from ``cloud`` as the enforcer decides.  ``policy``
-        defaults to the hub's configured policy group
-        (``hub.config.policy``, the ``REPRO_POLICY_*`` knobs) when the
-        hub carries one, else to the paper's policy; ``enforcer`` and
+        defaults to the hub's configured policy
+        (``hub.config.policy``); ``enforcer`` and
         ``coord`` default to the two-step enforcer sized to the
         provider's host spec and a fresh coordination kernel.
         ``probe_interval_s`` is the heartbeat period (paper: 5 s).  The
@@ -94,14 +93,7 @@ class ElasticityManager:
         self.hub = hub
         self.cloud = cloud
         self.env: Environment = hub.env
-        if policy is None:
-            policy_group = getattr(getattr(hub, "config", None), "policy", None)
-            policy = (
-                policy_group.policy()
-                if policy_group is not None
-                else ElasticityPolicy()
-            )
-        self.policy = policy
+        self.policy = policy if policy is not None else hub.config.policy
         #: Telemetry bundle inherited from the hub (``None`` when the hub
         #: runs without one); threaded into the collector and enforcer.
         self.telemetry = getattr(hub, "telemetry", None)
@@ -256,10 +248,8 @@ class ElasticityManager:
                 "migrations": len(decision.migrations),
                 "new_hosts": decision.new_hosts,
                 "shard_ops": len(decision.shard_ops),
+                "signal": decision.signal,
             }
-            # CPU-driven decisions keep the historical span shape.
-            if decision.signal != "cpu":
-                attrs["signal"] = decision.signal
             span = tracer.start_span("enforcer.execute", **attrs)
         try:
             new_hosts: Dict[str, Host] = {}

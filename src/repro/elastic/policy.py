@@ -30,15 +30,14 @@ CPU-only rules.  Arbitration across signals is deterministic; see
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
-from typing import Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Mapping, Optional, Tuple
 
-from ..config import env_bool, env_float, env_int, env_str
-from .probes import ProbeSet
+from ..config import from_env, knob, parse_csv
 
 __all__ = [
+    "SIGNAL_NAMES",
     "ElasticityPolicy",
-    "PolicyConfig",
     "ScalingAction",
     "Violation",
     "ViolationKind",
@@ -143,84 +142,115 @@ class Violation:
         return self.evidence.attrs()
 
 
-def _normalize_signals(value) -> Tuple[str, ...]:
-    """Accept ``"cpu,slo"``, lists or tuples; always store a tuple."""
-    if isinstance(value, str):
-        parts = [part.strip() for part in value.split(",")]
-        return tuple(part for part in parts if part)
-    return tuple(value)
+#: The registered signal names, in documentation order (the classes are
+#: in :mod:`repro.elastic.signals`).
+SIGNAL_NAMES = ("cpu", "slo", "spill")
 
 
 @dataclass(frozen=True)
 class ElasticityPolicy:
-    """Thresholds of the policy signals (paper §V plus SLO/spill)."""
+    """Thresholds of the policy signals (paper §V plus SLO/spill).
+
+    The policy *is* the knob group: each field below is declared once,
+    and its ``--flag``, its row in ``repro policy`` and (for
+    ``signals``, the one knob CI sets) its environment variable derive
+    from it through :mod:`repro.config`.  ``ElasticityPolicy()`` is the
+    paper's policy; :meth:`from_env` layers CLI flag > environment >
+    default on top.
+    """
 
     #: Utilization the enforcer packs hosts toward (the paper's 50%).
-    target_utilization: float = 0.50
+    target_utilization: float = knob(
+        0.50, "utilization the enforcer packs hosts toward"
+    )
     #: Global rule: scale out when the average utilization exceeds this.
-    scale_out_threshold: float = 0.70
+    scale_out_threshold: float = knob(
+        0.70, "global rule: scale out above this average CPU"
+    )
     #: Global rule: scale in when the average utilization drops below
     #: this (and more than ``min_hosts`` hosts are running).
-    scale_in_threshold: float = 0.30
+    scale_in_threshold: float = knob(
+        0.30, "global rule: scale in below this average CPU"
+    )
     #: Local rule: re-balance a single host above this utilization.
-    local_overload_threshold: float = 0.85
+    local_overload_threshold: float = knob(
+        0.85, "local rule: rebalance a host above this CPU"
+    )
     #: Minimum simulated seconds between consecutive enforcement actions.
-    grace_period_s: float = 30.0
+    grace_period_s: float = knob(30.0, "settle window between enforcement actions")
     #: Never release below this many engine hosts.
-    min_hosts: int = 1
+    min_hosts: int = knob(1, "never release below this many hosts")
     #: Estimate offered load from CPU *and* queue backlog when sizing a
     #: scale-out (see :meth:`SliceProbe.demand_cores`).  Plain measured CPU
     #: saturates at host capacity, which makes the enforcer climb one small
     #: step per grace period during steep load ramps while queues explode.
     #: Extension over the paper's CPU-only metric; set False for the
     #: paper's literal behavior (ablated in benchmarks).
-    backlog_aware_scaling: bool = True
+    backlog_aware_scaling: bool = knob(True, "size scale-outs from CPU + queue backlog")
     #: Upper bound on one scale-out step: the fleet may at most grow by
     #: this factor per decision (backlog-driven demand estimates can be
     #: arbitrarily large while a backlog is draining; unbounded steps
     #: would exhaust the provider).
-    max_scale_out_factor: float = 4.0
+    max_scale_out_factor: float = knob(4.0, "max fleet growth factor per decision")
     #: Enabled policy signals, in stack (arbitration) order.  ``cpu`` is
     #: the paper's global/local band rules; ``slo`` triggers on windowed
     #: p99 notification delay; ``spill`` on sustained transport
     #: spill/starvation pressure.  The default reproduces the paper.
-    signals: Tuple[str, ...] = ("cpu",)
+    signals: Tuple[str, ...] = knob(
+        ("cpu",),
+        "comma-separated policy signal stack, e.g. cpu,slo,spill",
+        env="REPRO_POLICY_SIGNALS",
+    )
     #: Target p99 notification delay (seconds) of the ``slo`` signal.
-    slo_p99_s: float = 1.0
+    slo_p99_s: float = knob(1.0, "target p99 notification delay for the slo signal")
     #: Sliding window (seconds) the p99 is computed over.
-    slo_window_s: float = 30.0
+    slo_window_s: float = knob(30.0, "sliding window the p99 is computed over")
     #: Minimum delay samples in the window before the SLO signal speaks.
-    slo_min_samples: int = 20
+    slo_min_samples: int = knob(20, "min delay samples before the slo signal speaks")
     #: Consecutive breached probe rounds before :attr:`SLO_BREACH` fires.
-    slo_sustain_rounds: int = 1
+    slo_sustain_rounds: int = knob(1, "consecutive breached rounds before slo fires")
     #: Scale-in is vetoed while the windowed p99 exceeds this fraction of
     #: the SLO — the "release later" half of SLO-driven elasticity.
-    slo_release_fraction: float = 0.5
+    slo_release_fraction: float = knob(
+        0.5, "scale-in vetoed while p99 > fraction * SLO"
+    )
     #: A veto can suppress at most this many *consecutive* scale-in
     #: requests before it expires (0 = never expires).  A larger fleet
     #: pays more per-hop flush epochs, so its quiescent p99 can sit above
     #: the release floor forever; the expiry turns an unachievable floor
     #: into a bounded release delay instead of a deadlock at max fleet.
-    slo_veto_max_rounds: int = 12
+    slo_veto_max_rounds: int = knob(
+        12, "consecutive vetoed scale-ins before the veto expires (0 = never)"
+    )
     #: Spilled messages (summed over slices) that count as pressure.
-    spill_depth_limit: int = 50
+    spill_depth_limit: int = knob(50, "summed spill depth that counts as pressure")
     #: Credit-starved channels (summed over slices) that count as pressure.
-    spill_starved_limit: int = 1
+    spill_starved_limit: int = knob(1, "summed starved channels that count as pressure")
     #: Consecutive pressured rounds before :attr:`SPILL_PRESSURE` fires.
-    spill_sustain_rounds: int = 2
+    spill_sustain_rounds: int = knob(
+        2, "consecutive pressured rounds before spill fires"
+    )
     #: Calm probe rounds the spill signal tolerates before its sustain
     #: streak resets and its scale-in veto lifts.  Spill pressure is
     #: bursty round-to-round (queues drain between flush epochs); the
     #: hold keeps one quiet heartbeat from hiding sustained pressure.
-    spill_hold_rounds: int = 3
+    spill_hold_rounds: int = knob(
+        3, "calm rounds tolerated before the spill streak and veto reset"
+    )
     #: Symptom-triggered scale-outs pack toward
     #: ``target_utilization * symptom_target_fraction`` — a reduced target
     #: that lets the two-step algorithm select and place slices before any
     #: host crosses the CPU band (provisioning headroom early).
-    symptom_target_fraction: float = 0.75
+    symptom_target_fraction: float = knob(
+        0.75, "symptom scale-outs pack toward target * fraction"
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "signals", _normalize_signals(self.signals))
+        # Accept ``"cpu,slo"``, lists or tuples; always store a tuple.
+        signals = self.signals
+        if isinstance(signals, str):
+            signals = parse_csv(signals)
+        object.__setattr__(self, "signals", tuple(signals))
         if not (
             0.0
             < self.scale_in_threshold
@@ -241,15 +271,13 @@ class ElasticityPolicy:
             raise ValueError("min_hosts must be at least 1")
         if self.max_scale_out_factor <= 1.0:
             raise ValueError("max_scale_out_factor must exceed 1")
-        from .signals import SIGNAL_NAMES
-
         if not self.signals:
             raise ValueError("at least one policy signal must be enabled")
         for name in self.signals:
             if name not in SIGNAL_NAMES:
                 raise ValueError(
                     f"unknown policy signal {name!r}; "
-                    f"choose from {tuple(SIGNAL_NAMES)}"
+                    f"choose from {SIGNAL_NAMES}"
                 )
         if len(set(self.signals)) != len(self.signals):
             raise ValueError(f"duplicate policy signal in {self.signals}")
@@ -297,6 +325,12 @@ class ElasticityPolicy:
                 f"{self.symptom_target_fraction}"
             )
 
+    @classmethod
+    def from_env(cls, **overrides) -> "ElasticityPolicy":
+        """CLI flag > ``REPRO_POLICY_SIGNALS`` > paper default, validated
+        once (see :func:`repro.config.from_env`)."""
+        return from_env(cls, **overrides)
+
     @property
     def wants_delay_window(self) -> bool:
         """Whether the probe collector must aggregate a delay window."""
@@ -312,183 +346,3 @@ class ElasticityPolicy:
         from .signals import SignalStack
 
         return SignalStack(self, telemetry=telemetry)
-
-    def check(self, probes: ProbeSet) -> Optional[Violation]:
-        """Highest-priority *CPU band* violation in this probe round.
-
-        The paper's §V rules, verbatim: global rules outrank the local
-        rule; returns ``None`` when all rules hold or no hosts reported.
-        This is the historical single-signal entry point — stacks with
-        SLO/spill signals are evaluated through :meth:`signal_stack`.
-        """
-        from .signals import CpuBandSignal
-
-        found = CpuBandSignal(self).evaluate(probes)
-        return found[0] if found else None
-
-
-#: ``PolicyConfig`` field → environment variable, in display order.
-_POLICY_ENV_VARS = {
-    "signals": "REPRO_POLICY_SIGNALS",
-    "target_utilization": "REPRO_POLICY_TARGET_UTILIZATION",
-    "scale_out_threshold": "REPRO_POLICY_SCALE_OUT_THRESHOLD",
-    "scale_in_threshold": "REPRO_POLICY_SCALE_IN_THRESHOLD",
-    "local_overload_threshold": "REPRO_POLICY_LOCAL_OVERLOAD_THRESHOLD",
-    "grace_period_s": "REPRO_POLICY_GRACE_PERIOD_S",
-    "min_hosts": "REPRO_POLICY_MIN_HOSTS",
-    "backlog_aware_scaling": "REPRO_POLICY_BACKLOG_AWARE",
-    "max_scale_out_factor": "REPRO_POLICY_MAX_SCALE_OUT_FACTOR",
-    "slo_p99_s": "REPRO_POLICY_SLO_P99_S",
-    "slo_window_s": "REPRO_POLICY_SLO_WINDOW_S",
-    "slo_min_samples": "REPRO_POLICY_SLO_MIN_SAMPLES",
-    "slo_sustain_rounds": "REPRO_POLICY_SLO_SUSTAIN_ROUNDS",
-    "slo_release_fraction": "REPRO_POLICY_SLO_RELEASE_FRACTION",
-    "slo_veto_max_rounds": "REPRO_POLICY_SLO_VETO_MAX_ROUNDS",
-    "spill_depth_limit": "REPRO_POLICY_SPILL_DEPTH_LIMIT",
-    "spill_starved_limit": "REPRO_POLICY_SPILL_STARVED_LIMIT",
-    "spill_sustain_rounds": "REPRO_POLICY_SPILL_SUSTAIN_ROUNDS",
-    "spill_hold_rounds": "REPRO_POLICY_SPILL_HOLD_ROUNDS",
-    "symptom_target_fraction": "REPRO_POLICY_SYMPTOM_TARGET_FRACTION",
-}
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    """The elasticity-policy knob group (``REPRO_POLICY_*``).
-
-    One of :class:`~repro.pubsub.HubConfig`'s grouped sub-configs.  The
-    precedence is defined here, once: an explicit constructor argument
-    (CLI flags resolve to these via :meth:`from_env` overrides) beats the
-    environment variable, which beats the built-in default.  Field names
-    and defaults mirror :class:`ElasticityPolicy`; :meth:`policy` builds
-    the validated policy object.
-    """
-
-    signals: Tuple[str, ...] = ("cpu",)
-    target_utilization: float = 0.50
-    scale_out_threshold: float = 0.70
-    scale_in_threshold: float = 0.30
-    local_overload_threshold: float = 0.85
-    grace_period_s: float = 30.0
-    min_hosts: int = 1
-    backlog_aware_scaling: bool = True
-    max_scale_out_factor: float = 4.0
-    slo_p99_s: float = 1.0
-    slo_window_s: float = 30.0
-    slo_min_samples: int = 20
-    slo_sustain_rounds: int = 1
-    slo_release_fraction: float = 0.5
-    slo_veto_max_rounds: int = 12
-    spill_depth_limit: int = 50
-    spill_starved_limit: int = 1
-    spill_sustain_rounds: int = 2
-    spill_hold_rounds: int = 3
-    symptom_target_fraction: float = 0.75
-
-    def __post_init__(self):
-        object.__setattr__(self, "signals", _normalize_signals(self.signals))
-        self.policy()  # validate every knob through the policy rules
-
-    def policy(self) -> ElasticityPolicy:
-        """The :class:`ElasticityPolicy` these knobs configure."""
-        return ElasticityPolicy(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "PolicyConfig":
-        """Build from ``REPRO_POLICY_*`` with explicit ``overrides`` on top.
-
-        ``overrides`` with value ``None`` are ignored (unset CLI flags),
-        so callers can forward an argparse namespace verbatim.
-        """
-        values = {
-            "signals": env_str(_POLICY_ENV_VARS["signals"], "cpu"),
-            "target_utilization": env_float(
-                _POLICY_ENV_VARS["target_utilization"], cls.target_utilization
-            ),
-            "scale_out_threshold": env_float(
-                _POLICY_ENV_VARS["scale_out_threshold"], cls.scale_out_threshold
-            ),
-            "scale_in_threshold": env_float(
-                _POLICY_ENV_VARS["scale_in_threshold"], cls.scale_in_threshold
-            ),
-            "local_overload_threshold": env_float(
-                _POLICY_ENV_VARS["local_overload_threshold"],
-                cls.local_overload_threshold,
-            ),
-            "grace_period_s": env_float(
-                _POLICY_ENV_VARS["grace_period_s"], cls.grace_period_s
-            ),
-            "min_hosts": env_int(_POLICY_ENV_VARS["min_hosts"], cls.min_hosts),
-            "backlog_aware_scaling": env_bool(
-                _POLICY_ENV_VARS["backlog_aware_scaling"],
-                cls.backlog_aware_scaling,
-            ),
-            "max_scale_out_factor": env_float(
-                _POLICY_ENV_VARS["max_scale_out_factor"], cls.max_scale_out_factor
-            ),
-            "slo_p99_s": env_float(_POLICY_ENV_VARS["slo_p99_s"], cls.slo_p99_s),
-            "slo_window_s": env_float(
-                _POLICY_ENV_VARS["slo_window_s"], cls.slo_window_s
-            ),
-            "slo_min_samples": env_int(
-                _POLICY_ENV_VARS["slo_min_samples"], cls.slo_min_samples
-            ),
-            "slo_sustain_rounds": env_int(
-                _POLICY_ENV_VARS["slo_sustain_rounds"], cls.slo_sustain_rounds
-            ),
-            "slo_release_fraction": env_float(
-                _POLICY_ENV_VARS["slo_release_fraction"], cls.slo_release_fraction
-            ),
-            "slo_veto_max_rounds": env_int(
-                _POLICY_ENV_VARS["slo_veto_max_rounds"], cls.slo_veto_max_rounds
-            ),
-            "spill_depth_limit": env_int(
-                _POLICY_ENV_VARS["spill_depth_limit"], cls.spill_depth_limit
-            ),
-            "spill_starved_limit": env_int(
-                _POLICY_ENV_VARS["spill_starved_limit"], cls.spill_starved_limit
-            ),
-            "spill_sustain_rounds": env_int(
-                _POLICY_ENV_VARS["spill_sustain_rounds"], cls.spill_sustain_rounds
-            ),
-            "spill_hold_rounds": env_int(
-                _POLICY_ENV_VARS["spill_hold_rounds"], cls.spill_hold_rounds
-            ),
-            "symptom_target_fraction": env_float(
-                _POLICY_ENV_VARS["symptom_target_fraction"],
-                cls.symptom_target_fraction,
-            ),
-        }
-        for name, value in overrides.items():
-            if name not in values:
-                raise TypeError(f"unknown policy knob {name!r}")
-            if value is not None:
-                values[name] = value
-        return cls(**values)
-
-    @classmethod
-    def provenance(cls, **overrides) -> Sequence[Tuple[str, object, str]]:
-        """(knob, resolved value, source) rows for every policy knob.
-
-        The source is ``cli`` for a non-``None`` override, ``env:<VAR>``
-        for a set environment variable, else ``default`` — the record the
-        ``repro policy`` subcommand prints.
-        """
-        import os
-
-        resolved = cls.from_env(**overrides)
-        rows = []
-        for name, env_var in _POLICY_ENV_VARS.items():
-            if overrides.get(name) is not None:
-                source = "cli"
-            elif (os.environ.get(env_var) or "").strip():
-                source = f"env:{env_var}"
-            else:
-                source = "default"
-            value = getattr(resolved, name)
-            if name == "signals":
-                value = ",".join(value)
-            rows.append((name, value, source))
-        return rows

@@ -6,7 +6,7 @@ with zero or more evidence-carrying :class:`Violation`\\s.  Three signals
 ship:
 
 * :class:`CpuBandSignal` (``cpu``) — the paper's §V global/local CPU band
-  rules, extracted verbatim from the pre-signal ``ElasticityPolicy.check``.
+  rules, verbatim.
 * :class:`DelaySloSignal` (``slo``) — windowed p99 of
   ``notification_delay_seconds`` against a target SLO; fires *before* CPU
   saturates because tail delay climbs while queues build.
@@ -31,7 +31,7 @@ Determinism: signals are pure functions of the probe round plus integer
 round counters (sustain/clear streaks), probe rounds arrive at fixed
 simulated times, and no wall-clock or randomness is consulted — two runs
 with equal inputs produce equal verdicts.  With the default single-signal
-``cpu`` stack, the verdict is exactly the pre-signal ``check()`` result.
+``cpu`` stack, the verdict is exactly ``CpuBandSignal``'s first violation.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from .policy import ScalingAction, Violation, ViolationKind
+from .policy import SIGNAL_NAMES, ScalingAction, Violation, ViolationKind
 from .probes import ProbeSet
 
 __all__ = [
@@ -53,9 +53,6 @@ __all__ = [
     "SignalVerdict",
     "SignalStack",
 ]
-
-#: The registered signal names, in documentation order.
-SIGNAL_NAMES = ("cpu", "slo", "spill")
 
 #: Arbitration rank of each action class (lower wins).
 _ACTION_RANK = {
@@ -395,17 +392,6 @@ class SignalVerdict:
             for v in self.violations
             if v is not self.winner
         ]
-
-    @property
-    def legacy_shape(self) -> bool:
-        """Whether the round is indistinguishable from the pre-signal
-        policy (a lone CPU verdict — decision spans then keep the exact
-        historical attribute set)."""
-        if self.suppressed:
-            return False
-        if not self.violations:
-            return True
-        return len(self.violations) == 1 and self.violations[0].signal == "cpu"
 
 
 class SignalStack:

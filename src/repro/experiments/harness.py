@@ -48,17 +48,13 @@ class ExperimentSetup:
     #: per-channel latency-bounded flush with ``batch_flush_s`` as the
     #: delay budget.
     flush_mode: Optional[str] = None
-    #: Credit-based backpressure on every transport channel.  Defaults
-    #: from ``REPRO_NET_BACKPRESSURE`` so the environment flips the
-    #: experiments too.
-    backpressure: bool = field(
-        default_factory=lambda: TransportConfig.from_env().backpressure
-    )
-    #: Send credits per channel when backpressure is on.  From
-    #: ``REPRO_NET_CREDIT_WINDOW``.
-    credit_window: int = field(
-        default_factory=lambda: TransportConfig.from_env().credit_window
-    )
+    #: Credit-based backpressure on every transport channel.  ``None``
+    #: leaves it to ``REPRO_NET_BACKPRESSURE`` (else off), so the
+    #: environment flips the experiments too.
+    backpressure: Optional[bool] = None
+    #: Send credits per channel when backpressure is on.  ``None`` leaves
+    #: it to ``REPRO_NET_CREDIT_WINDOW`` (else the transport default).
+    credit_window: Optional[int] = None
     seed: int = 1
     #: Optional :class:`repro.telemetry.Telemetry` bundle; when set, every
     #: experiment run records spans and metrics (see OBSERVABILITY.md).

@@ -6,20 +6,21 @@ default), or row-chunked over memory-mapped spill files with an
 LRU-bounded resident set (``mmap``) so one M-slice can serve subscription
 partitions far larger than its memory budget.
 
-Defaults come from the ``REPRO_STORE_*`` environment variables so an
-existing deployment or test run flips backends without code changes —
-the same convention as the ``REPRO_MATCH_WORKERS`` parallel-matching knob.
+The fields below are the only declaration of these knobs;
+:meth:`StoreConfig.from_env`, the ``--store-*`` CLI flags and the four
+``REPRO_STORE_*`` variables a CI leg or deployment sets (backend, chunk
+rows, memory budget, spill directory) derive from them through
+:mod:`repro.config`, so a test run flips backends without code changes.
 """
 
 from __future__ import annotations
 
 import mmap
-import os
 
 from dataclasses import dataclass
 from typing import Optional
 
-from ...config import env_float, env_int, env_str
+from ...config import from_env, knob
 
 __all__ = ["STORE_BACKENDS", "StoreConfig"]
 
@@ -62,11 +63,28 @@ class StoreConfig:
         garbage collection — its own subdirectory.
     """
 
-    backend: str = "chunked"
-    chunk_rows: int = 65536
-    memory_budget_mb: float = 0.0
-    compact_dead_ratio: float = 0.5
-    spill_dir: Optional[str] = None
+    backend: str = knob(
+        "chunked",
+        "packed-row backing store",
+        env="REPRO_STORE_BACKEND",
+        choices=STORE_BACKENDS,
+    )
+    chunk_rows: int = knob(
+        65536, "rows per store chunk", env="REPRO_STORE_CHUNK_ROWS"
+    )
+    memory_budget_mb: float = knob(
+        0.0,
+        "mmap resident-set budget per library in MiB (0 = unbounded)",
+        env="REPRO_STORE_MEMORY_BUDGET_MB",
+    )
+    compact_dead_ratio: float = knob(
+        0.5, "compact once dead rows exceed this fraction (0 < r <= 1)"
+    )
+    spill_dir: Optional[str] = knob(
+        None,
+        "parent directory for mmap chunk files (system temp when unset)",
+        env="REPRO_STORE_SPILL_DIR",
+    )
 
     def __post_init__(self):
         if self.backend not in STORE_BACKENDS:
@@ -100,12 +118,7 @@ class StoreConfig:
         return int(self.memory_budget_mb * 1024 * 1024)
 
     @classmethod
-    def from_env(cls) -> "StoreConfig":
-        """Build from ``REPRO_STORE_*`` (unset variables keep defaults)."""
-        return cls(
-            backend=env_str("REPRO_STORE_BACKEND", "chunked"),
-            chunk_rows=env_int("REPRO_STORE_CHUNK_ROWS", 65536),
-            memory_budget_mb=env_float("REPRO_STORE_MEMORY_BUDGET_MB", 0.0),
-            compact_dead_ratio=env_float("REPRO_STORE_COMPACT_DEAD_RATIO", 0.5),
-            spill_dir=os.environ.get("REPRO_STORE_SPILL_DIR") or None,
-        )
+    def from_env(cls, **overrides) -> "StoreConfig":
+        """``--store-*`` flag > ``REPRO_STORE_*`` variable > default,
+        validated once (see :func:`repro.config.from_env`)."""
+        return from_env(cls, **overrides)

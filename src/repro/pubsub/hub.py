@@ -14,6 +14,7 @@ from typing import Callable, List, Optional
 
 from ..cluster import Host, Network
 from ..config import env_int
+from ..elastic.policy import ElasticityPolicy
 from ..engine import EngineRuntime, MigrationCosts
 from ..filtering import CostModel, MatchingBackend, SampledBackend, StoreConfig
 from ..metrics import DelaySample, DelayTracker
@@ -33,10 +34,6 @@ from .operators import (
 __all__ = ["HubConfig", "StreamHub"]
 
 
-def _default_match_workers() -> int:
-    return env_int("REPRO_MATCH_WORKERS", 0)
-
-
 @dataclass
 class HubConfig:
     """Static configuration of a STREAMHUB deployment.
@@ -45,10 +42,11 @@ class HubConfig:
     slices (§VI-A), encrypted (ASPE-cost) filtering, slice thread pools
     sized to the 8-core hosts.
 
-    Knobs that belong together live in grouped sub-configs, each of which
-    reads its own environment defaults: :attr:`store` (``REPRO_STORE_*``),
-    :attr:`net` (``REPRO_NET_*``) and :attr:`policy` (``REPRO_POLICY_*``).
-    Parallel matching has the one knob :attr:`match_workers`.
+    Knobs that belong together live in grouped sub-configs, each built by
+    its own ``from_env`` when not passed (environment variable > default,
+    derived from the group's fields by :mod:`repro.config`): :attr:`store`,
+    :attr:`net` and :attr:`policy`.  Parallel matching has the one knob
+    :attr:`match_workers`.
     """
 
     ap_slices: int = 8
@@ -83,7 +81,9 @@ class HubConfig:
     #: changes.  Only engages for backends whose library speaks the packed
     #: protocol (``ExactBackend`` over ``AspeLibrary``); other backends
     #: stay inline.  See DESIGN.md §7.
-    match_workers: int = field(default_factory=_default_match_workers)
+    match_workers: int = field(
+        default_factory=lambda: env_int("REPRO_MATCH_WORKERS", 0)
+    )
     #: Injected :class:`repro.parallel.MatchExecutor` instance (tests and
     #: benchmarks).  When ``None`` and ``match_workers > 0`` the hub uses
     #: the process-wide shared executor for that worker count.
@@ -100,9 +100,9 @@ class HubConfig:
     #: and credit-based backpressure.  From ``REPRO_NET_*`` when not
     #: passed.  See DESIGN.md §9.
     net: TransportConfig = field(default_factory=TransportConfig.from_env)
-    #: Elasticity-policy knob group (``REPRO_POLICY_*`` when not passed);
-    #: the default policy of managers driving this hub.
-    policy: Optional["PolicyConfig"] = None
+    #: The policy of managers driving this hub: the paper's, with the
+    #: signal stack from ``REPRO_POLICY_SIGNALS``, when not passed.
+    policy: ElasticityPolicy = field(default_factory=ElasticityPolicy.from_env)
 
     def __post_init__(self):
         if min(self.ap_slices, self.m_slices, self.ep_slices, self.sink_slices) <= 0:
@@ -118,10 +118,6 @@ class HubConfig:
                 f"match_workers must be >= 0 (0 disables parallel matching), "
                 f"got {self.match_workers}"
             )
-        if self.policy is None:
-            from ..elastic.policy import PolicyConfig
-
-            self.policy = PolicyConfig.from_env()
 
     @classmethod
     def sampled(cls, matching_rate: float = 0.01, **kwargs) -> "HubConfig":

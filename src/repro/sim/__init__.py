@@ -8,9 +8,6 @@ Public surface::
 """
 
 from .core import (
-    AllOf,
-    AnyOf,
-    ConditionValue,
     Environment,
     Event,
     Interrupt,
@@ -20,29 +17,16 @@ from .core import (
     NORMAL,
     URGENT,
 )
-from .resources import Container, PriorityRequest, Release, Request, Resource
-from .store import Store, StoreGet, StorePut
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "NORMAL",
-    "PriorityRequest",
     "Process",
-    "Release",
-    "Request",
-    "Resource",
     "RngRegistry",
     "StopSimulation",
-    "Store",
-    "StoreGet",
-    "StorePut",
     "Timeout",
     "URGENT",
     "derive_seed",

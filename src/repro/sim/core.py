@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 __all__ = [
     "Environment",
@@ -29,9 +29,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
-    "ConditionValue",
     "StopSimulation",
     "URGENT",
     "NORMAL",
@@ -137,15 +134,6 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event.
-
-        Used as a callback to chain events.
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
 
     def __repr__(self) -> str:
         state = (
@@ -297,107 +285,6 @@ class Process(Event):
         self.env._active_process = None
 
 
-class ConditionValue:
-    """Result of a condition: an ordered mapping of fired events to values."""
-
-    def __init__(self, events: List[Event]):
-        self.events = events
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(str(event))
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-    def keys(self) -> List[Event]:
-        return list(self.events)
-
-    def values(self) -> List[Any]:
-        return [e._value for e in self.events]
-
-    def items(self):
-        return [(e, e._value) for e in self.events]
-
-    def todict(self):
-        return dict(self.items())
-
-
-class Condition(Event):
-    """Waits for a combination of events (see :class:`AllOf`/:class:`AnyOf`)."""
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise RuntimeError("events from multiple environments")
-
-        if not self._events or self._evaluate(self._events, 0):
-            self.succeed(ConditionValue([]))
-            return
-
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _fired(self) -> List[Event]:
-        return [e for e in self._events if e.triggered]
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue(self._fired()))
-
-
-class AllOf(Condition):
-    """Condition that triggers when all of the given events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda events, count: count >= len(events), events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers when any of the given events has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda events, count: count > 0 or not events, events)
-
-
 class Environment:
     """The simulation environment: clock plus event queue.
 
@@ -438,12 +325,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling and the event loop --------------------------------------
 

@@ -26,17 +26,18 @@ and pace the event plane on top of the raw network fabric
     ``credit_window`` per inbound channel and overload propagates
     upstream as spill/delay instead of unbounded memory.
 
-Defaults come from the ``REPRO_NET_*`` environment variables (via the
-shared :mod:`repro.config` helpers) so an existing deployment or test run
-flips transport behaviour without code changes — the same convention as
-``REPRO_MATCH_WORKERS`` and ``REPRO_STORE_*``.
+The fields below are the only declaration of these knobs;
+:meth:`TransportConfig.from_env`, the ``--net-*`` CLI flags and the two
+variables the backpressure CI leg sets (``REPRO_NET_BACKPRESSURE``,
+``REPRO_NET_CREDIT_WINDOW``) derive from them through :mod:`repro.config`,
+so a test run flips flow control on without code changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import env_bool, env_float, env_int, env_str
+from ..config import from_env, knob
 
 __all__ = ["FLUSH_MODES", "TransportConfig"]
 
@@ -48,23 +49,33 @@ FLUSH_MODES = ("eager", "fixed", "adaptive")
 class TransportConfig:
     """Validated knobs of the flow-controlled transport layer."""
 
-    flush_mode: str = "eager"
+    flush_mode: str = knob("eager", "channel flush policy", choices=FLUSH_MODES)
     #: Delay budget (``adaptive``) or fabric flush epoch (``fixed``), in
     #: simulated seconds.  Ignored by ``eager``.
-    flush_s: float = 0.0
+    flush_s: float = knob(0.0, "per-channel flush delay budget in seconds")
     #: Pending messages that force an immediate flush in ``adaptive`` mode.
-    flush_max_batch: int = 64
+    flush_max_batch: int = knob(
+        64, "flush as soon as this many messages are pending"
+    )
     #: Enable credit-based backpressure on every channel.
-    backpressure: bool = False
+    backpressure: bool = knob(
+        False,
+        "credit-based backpressure on every channel",
+        env="REPRO_NET_BACKPRESSURE",
+    )
     #: Send credits per channel (max in-flight + queued messages one
     #: channel may have at its receiver).
-    credit_window: int = 256
+    credit_window: int = knob(
+        256, "send credits per channel", env="REPRO_NET_CREDIT_WINDOW"
+    )
     #: Re-probe period of a tripped circuit breaker: when the fabric
     #: reports the channel's ``(src, dst)`` pair partitioned, the channel
     #: opens its breaker, sheds to spill, and re-checks the fabric every
     #: ``breaker_probe_s`` simulated seconds until the partition heals
     #: (see RESILIENCE.md).
-    breaker_probe_s: float = 0.5
+    breaker_probe_s: float = knob(
+        0.5, "re-probe period of a tripped circuit breaker in seconds"
+    )
 
     def __post_init__(self):
         if self.flush_mode not in FLUSH_MODES:
@@ -96,21 +107,6 @@ class TransportConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "TransportConfig":
-        """Build from ``REPRO_NET_*`` (unset variables keep defaults) with
-        explicit ``overrides`` on top.
-
-        ``overrides`` with value ``None`` are ignored (unset CLI flags),
-        as in :meth:`repro.elastic.PolicyConfig.from_env`.
-        """
-        values = dict(
-            flush_mode=env_str("REPRO_NET_FLUSH_MODE", "eager", FLUSH_MODES),
-            flush_s=env_float("REPRO_NET_FLUSH_S", 0.0),
-            flush_max_batch=env_int("REPRO_NET_FLUSH_MAX_BATCH", 64),
-            backpressure=env_bool("REPRO_NET_BACKPRESSURE", False),
-            credit_window=env_int("REPRO_NET_CREDIT_WINDOW", 256),
-            breaker_probe_s=env_float("REPRO_NET_BREAKER_PROBE_S", 0.5),
-        )
-        values.update(
-            (name, value) for name, value in overrides.items() if value is not None
-        )
-        return cls(**values)
+        """``--net-*`` flag > ``REPRO_NET_*`` variable > default, validated
+        once (see :func:`repro.config.from_env`)."""
+        return from_env(cls, **overrides)

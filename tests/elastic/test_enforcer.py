@@ -3,6 +3,7 @@
 import pytest
 
 from repro.elastic import (
+    CpuBandSignal,
     ElasticityEnforcer,
     ElasticityPolicy,
     ViolationKind,
@@ -49,7 +50,7 @@ class TestScaleOut:
                 ("M:4", 2.0, 400 * MIB),
             ],
         })
-        violation = ElasticityPolicy().check(probes)
+        (violation,) = CpuBandSignal(ElasticityPolicy()).evaluate(probes)
         assert violation.kind is ViolationKind.GLOBAL_OVERLOAD
         decision = enforcer.resolve(probes, violation)
         moved = {m.slice_id for m in decision.migrations}

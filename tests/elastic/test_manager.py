@@ -15,11 +15,12 @@ from repro.filtering import CostModel
 from repro.pubsub import HubConfig, StreamHub, Subscription
 from repro.pubsub.source import SourceDriver
 from repro.sim import Environment
+from repro.telemetry import Telemetry
 
 HEAVY_COST = CostModel(aspe_match_op_s=100e-6)
 
 
-def build(env=None, subs=4000, initial_hosts=1, policy=None):
+def build(env=None, subs=4000, initial_hosts=1, policy=None, telemetry=None):
     env = env or Environment()
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=20,
                           provisioning_delay_s=2.0)
@@ -29,6 +30,7 @@ def build(env=None, subs=4000, initial_hosts=1, policy=None):
         0.01,
         ap_slices=2, m_slices=4, ep_slices=2, sink_slices=1,
         cost_model=HEAVY_COST,
+        telemetry=telemetry,
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy_all_on(engine_hosts, [sink_host])
@@ -56,6 +58,20 @@ def test_scale_out_under_sustained_load():
     assert manager.migration_reports  # slices actually moved
     # The pipeline kept working through the migrations.
     assert hub.notified_publications == driver.publications_sent
+
+
+def test_decision_and_execute_spans_always_name_the_signal():
+    telemetry = Telemetry()
+    env, cloud, hub, manager = build(telemetry=telemetry)
+    manager.start()
+    SourceDriver(hub).publish_constant(rate_per_s=15.0, duration_s=60.0)
+    env.run(until=65.0)
+    decisions = telemetry.tracer.find("enforcer.decision")
+    executions = telemetry.tracer.find("enforcer.execute")
+    assert decisions and executions
+    # CPU-driven rounds have the same span shape as every other signal's.
+    assert {span.attrs["signal"] for span in decisions + executions} == {"cpu"}
+    assert all("cpu_threshold" in span.attrs for span in decisions)
 
 
 def test_scale_out_lowers_average_utilization():

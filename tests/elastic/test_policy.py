@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.elastic import ElasticityPolicy, ViolationKind
+from repro.elastic import CpuBandSignal, ElasticityPolicy, ViolationKind
 from repro.elastic.probes import HostProbe, ProbeSet
+
+
+def check(policy, probes):
+    """The highest-priority CPU band violation of the round, or ``None``."""
+    found = CpuBandSignal(policy).evaluate(probes)
+    return found[0] if found else None
 
 
 def probe_set(utils, slices=None):
@@ -22,42 +28,42 @@ def test_defaults_match_paper():
 
 def test_global_overload_detected():
     policy = ElasticityPolicy()
-    violation = policy.check(probe_set([0.74, 0.73]))
+    violation = check(policy, probe_set([0.74, 0.73]))
     assert violation.kind is ViolationKind.GLOBAL_OVERLOAD
     assert violation.measured == pytest.approx(0.735)
 
 
 def test_global_underload_detected():
     policy = ElasticityPolicy()
-    violation = policy.check(probe_set([0.1, 0.2]))
+    violation = check(policy, probe_set([0.1, 0.2]))
     assert violation.kind is ViolationKind.GLOBAL_UNDERLOAD
 
 
 def test_underload_ignored_at_min_hosts():
     policy = ElasticityPolicy(min_hosts=1)
-    assert policy.check(probe_set([0.05])) is None
+    assert check(policy, probe_set([0.05])) is None
 
 
 def test_in_band_average_is_fine():
     policy = ElasticityPolicy()
-    assert policy.check(probe_set([0.5, 0.5])) is None
+    assert check(policy, probe_set([0.5, 0.5])) is None
 
 
 def test_local_overload_detected_when_global_ok():
     policy = ElasticityPolicy()
-    violation = policy.check(probe_set([0.9, 0.2, 0.2]))
+    violation = check(policy, probe_set([0.9, 0.2, 0.2]))
     assert violation.kind is ViolationKind.LOCAL_OVERLOAD
     assert violation.host_id == "h0"
 
 
 def test_global_takes_priority_over_local():
     policy = ElasticityPolicy()
-    violation = policy.check(probe_set([0.95, 0.95]))
+    violation = check(policy, probe_set([0.95, 0.95]))
     assert violation.kind is ViolationKind.GLOBAL_OVERLOAD
 
 
 def test_empty_probe_set_is_fine():
-    assert ElasticityPolicy().check(probe_set([])) is None
+    assert check(ElasticityPolicy(), probe_set([])) is None
 
 
 def test_threshold_validation():

@@ -44,20 +44,23 @@ def spill_slice(slice_id="M:0", host="h0", depth=0, starved=0):
 
 
 class TestCpuBandSignal:
-    def test_matches_policy_check_on_every_band(self):
-        policy = ElasticityPolicy()
-        signal = CpuBandSignal(policy)
-        for utils in ([0.9, 0.9], [0.1, 0.1], [0.9, 0.2, 0.2], [0.5, 0.5], []):
-            probes = probe_set(utils)
-            expected = policy.check(probes)
-            found = signal.evaluate(probes)
+    def test_every_band_yields_its_rule(self):
+        signal = CpuBandSignal(ElasticityPolicy())
+        for utils, expected in (
+            ([0.9, 0.9], (ViolationKind.GLOBAL_OVERLOAD, 0.9, "")),
+            ([0.1, 0.1], (ViolationKind.GLOBAL_UNDERLOAD, 0.1, "")),
+            ([0.9, 0.2, 0.2], (ViolationKind.LOCAL_OVERLOAD, 0.9, "h0")),
+            ([0.5, 0.5], None),
+            ([], None),
+        ):
+            found = signal.evaluate(probe_set(utils))
             if expected is None:
                 assert found == []
             else:
-                assert len(found) == 1
-                assert found[0].kind is expected.kind
-                assert found[0].measured == expected.measured
-                assert found[0].host_id == expected.host_id
+                (violation,) = found
+                assert (
+                    violation.kind, violation.measured, violation.host_id
+                ) == (expected[0], pytest.approx(expected[1]), expected[2])
 
     def test_produces_cpu_tagged_evidence(self):
         (violation,) = CpuBandSignal(ElasticityPolicy()).evaluate(
@@ -232,16 +235,16 @@ class TestSpillPressureSignal:
 
 
 class TestSignalStackArbitration:
-    def test_cpu_only_stack_matches_legacy_check(self):
+    def test_cpu_only_stack_is_the_cpu_band_signal(self):
         policy = ElasticityPolicy()
         stack = policy.signal_stack()
         probes = probe_set([0.9, 0.9])
         verdict = stack.evaluate(probes)
-        expected = policy.check(probes)
-        assert verdict.winner.kind is expected.kind
-        assert verdict.winner.measured == expected.measured
-        assert verdict.legacy_shape
+        (expected,) = CpuBandSignal(policy).evaluate(probes)
+        assert verdict.winner == expected
+        assert verdict.violations == (expected,)
         assert verdict.contending == []
+        assert verdict.suppressed == ()
 
     def test_two_scale_outs_resolve_by_stack_order(self):
         policy = ElasticityPolicy(
@@ -253,7 +256,6 @@ class TestSignalStackArbitration:
         assert len(verdict.violations) == 2
         assert verdict.winner.signal == "cpu"  # earlier in the stack
         assert verdict.contending == [("spill", "spill_pressure")]
-        assert not verdict.legacy_shape
 
         reordered = ElasticityPolicy(
             signals=("spill", "cpu"), spill_sustain_rounds=1
@@ -285,7 +287,6 @@ class TestSignalStackArbitration:
         assert violation.kind is ViolationKind.GLOBAL_UNDERLOAD
         assert vetoer == "slo"
         assert "release floor" in reason
-        assert not verdict.legacy_shape
 
     def test_scale_in_flows_once_the_tail_recovers(self):
         policy = ElasticityPolicy(signals=("cpu", "slo"))
@@ -363,15 +364,16 @@ def _enforcer_probes(slices=None):
     return ProbeSet(time=10.0, window_s=5.0, hosts=hosts, slices=slices)
 
 
-LEGACY_ATTRS = {
+CPU_ROUND_ATTRS = {
     "rule", "measured", "window_time", "window_s", "avg_utilization",
     "hosts", "actionable", "selected_slices", "placement", "new_hosts",
-    "release_hosts", "shard_ops",
+    "release_hosts", "shard_ops", "signal", "cpu_utilization",
+    "cpu_threshold", "cpu_hosts",
 }
 
 
 class TestDecisionSpanShape:
-    def test_cpu_round_keeps_the_historical_attribute_set(self):
+    def test_cpu_round_carries_signal_and_evidence(self):
         telemetry = Telemetry()
         policy = ElasticityPolicy()
         enforcer = ElasticityEnforcer(policy, host_cores=8, telemetry=telemetry)
@@ -379,7 +381,9 @@ class TestDecisionSpanShape:
         verdict = policy.signal_stack().evaluate(probes)
         enforcer.resolve(probes, verdict.winner, verdict=verdict)
         (event,) = telemetry.tracer.find("enforcer.decision")
-        assert set(event.attrs) == LEGACY_ATTRS
+        assert set(event.attrs) == CPU_ROUND_ATTRS
+        assert event.attrs["signal"] == "cpu"
+        assert event.attrs["cpu_threshold"] == 0.70
 
     def test_multi_signal_round_records_winner_and_contenders(self):
         telemetry = Telemetry()

@@ -347,7 +347,7 @@ def test_from_env_rejects_bad_values(monkeypatch):
         StoreConfig.from_env()
     monkeypatch.setenv("REPRO_STORE_CHUNK_ROWS", "1024")
     monkeypatch.setenv("REPRO_STORE_BACKEND", "tape")
-    with pytest.raises(ValueError, match="store_backend"):
+    with pytest.raises(ValueError, match="REPRO_STORE_BACKEND"):
         StoreConfig.from_env()
 
 

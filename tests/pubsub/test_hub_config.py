@@ -92,13 +92,13 @@ def test_zero_workers_without_injection_has_no_executor(monkeypatch):
 
 
 def test_grouped_configs_are_kept_as_passed():
-    from repro.elastic import PolicyConfig
+    from repro.elastic import ElasticityPolicy
     from repro.filtering.store import StoreConfig
     from repro.transport import TransportConfig
 
     store = StoreConfig(backend="mmap", chunk_rows=128)
     net = TransportConfig(flush_mode="adaptive", backpressure=True)
-    policy = PolicyConfig(signals=("cpu", "slo"))
+    policy = ElasticityPolicy(signals=("cpu", "slo"))
     config = small_exact_config(store=store, net=net, policy=policy)
     assert (config.store, config.net, config.policy) == (store, net, policy)
     h = HubHarness(config)
@@ -106,12 +106,11 @@ def test_grouped_configs_are_kept_as_passed():
 
 
 def test_net_group_defaults_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_NET_FLUSH_MODE", "adaptive")
     monkeypatch.setenv("REPRO_NET_BACKPRESSURE", "1")
     monkeypatch.setenv("REPRO_NET_CREDIT_WINDOW", "16")
     net = small_exact_config().net
     assert (net.flush_mode, net.backpressure, net.credit_window) == (
-        "adaptive", True, 16,
+        "eager", True, 16,
     )
     with pytest.raises(TypeError):
         small_exact_config(net_backpressure=True)  # no flat spelling
@@ -119,10 +118,9 @@ def test_net_group_defaults_from_environment(monkeypatch):
 
 def test_policy_group_defaults_from_environment(monkeypatch):
     monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,spill")
-    monkeypatch.setenv("REPRO_POLICY_SPILL_DEPTH_LIMIT", "75")
     config = small_exact_config()
     assert config.policy.signals == ("cpu", "spill")
-    assert config.policy.spill_depth_limit == 75
+    assert config.policy.spill_depth_limit == 50
 
 
 def test_deploy_all_on_places_engine_and_sink_separately():

@@ -12,8 +12,7 @@ from .conftest import HubHarness, small_exact_config
 
 def test_defaults_are_chunked(monkeypatch):
     for var in ("REPRO_STORE_BACKEND", "REPRO_STORE_CHUNK_ROWS",
-                "REPRO_STORE_MEMORY_BUDGET_MB",
-                "REPRO_STORE_COMPACT_DEAD_RATIO"):
+                "REPRO_STORE_MEMORY_BUDGET_MB"):
         monkeypatch.delenv(var, raising=False)
     config = HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1)
     store = config.store
@@ -42,18 +41,14 @@ def test_env_variables_drive_defaults(monkeypatch):
     monkeypatch.setenv("REPRO_STORE_BACKEND", "mmap")
     monkeypatch.setenv("REPRO_STORE_CHUNK_ROWS", "2048")
     monkeypatch.setenv("REPRO_STORE_MEMORY_BUDGET_MB", "8")
-    monkeypatch.setenv("REPRO_STORE_COMPACT_DEAD_RATIO", "0.25")
     config = HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1)
     assert config.store == StoreConfig(
-        backend="mmap", chunk_rows=2048, memory_budget_mb=8.0,
-        compact_dead_ratio=0.25,
+        backend="mmap", chunk_rows=2048, memory_budget_mb=8.0
     )
     # An explicit group beats the environment, field by field.
     config = HubConfig(
         ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1,
-        store=dataclasses.replace(
-            StoreConfig.from_env(), backend="chunked", compact_dead_ratio=0.75
-        ),
+        store=StoreConfig.from_env(backend="chunked", compact_dead_ratio=0.75),
     )
     assert config.store.backend == "chunked"
     assert config.store.compact_dead_ratio == 0.75

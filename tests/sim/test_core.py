@@ -245,51 +245,6 @@ def test_process_is_alive_lifecycle():
     assert not p.is_alive
 
 
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    times = []
-
-    def proc():
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(3.0, value="b")
-        result = yield env.all_of([t1, t2])
-        times.append(env.now)
-        assert list(result.values()) == ["a", "b"]
-
-    env.process(proc())
-    env.run()
-    assert times == [3.0]
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    times = []
-
-    def proc():
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(3.0, value="slow")
-        result = yield env.any_of([t1, t2])
-        times.append(env.now)
-        assert "fast" in result.values()
-
-    env.process(proc())
-    env.run()
-    assert times == [1.0]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-    fired = []
-
-    def proc():
-        yield env.all_of([])
-        fired.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert fired == [0.0]
-
-
 def test_peek_reports_next_event_time():
     env = Environment()
     assert env.peek() == float("inf")

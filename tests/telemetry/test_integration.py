@@ -303,6 +303,9 @@ class TestEnforcerDecisionRecord:
             m.slice_id: m.to_host for m in decision.migrations
         }
         assert attrs["new_hosts"] == decision.new_hosts
+        # One span shape: the producing signal is always named (a
+        # hand-built violation carries no evidence record to flatten).
+        assert attrs["signal"] == "cpu"
 
         rule = telemetry.rule_firings.labels(rule="global_overload")
         assert rule.value == 1

@@ -100,14 +100,19 @@ def test_trace_command_without_migration(capsys, tmp_path):
     assert out.exists()
 
 
-def test_figure8_policy_flags_resolve_to_a_policy():
-    from repro.cli import _policy_from_args
+def _policy_from(argv):
+    from repro.config import flag_overrides
+    from repro.elastic import ElasticityPolicy
 
-    args = build_parser().parse_args(
+    args = build_parser().parse_args(argv)
+    return ElasticityPolicy.from_env(**flag_overrides(args, ElasticityPolicy))
+
+
+def test_figure8_policy_flags_resolve_to_a_policy():
+    policy = _policy_from(
         ["figure8", "--signals", "cpu,slo", "--slo-p99-s", "0.5",
          "--no-backlog-aware-scaling"]
     )
-    policy = _policy_from_args(args)
     assert policy.signals == ("cpu", "slo")
     assert policy.slo_p99_s == 0.5
     assert policy.backlog_aware_scaling is False
@@ -116,23 +121,21 @@ def test_figure8_policy_flags_resolve_to_a_policy():
 
 
 def test_figure8_policy_flags_beat_environment(monkeypatch):
-    from repro.cli import _policy_from_args
-
-    monkeypatch.setenv("REPRO_POLICY_MIN_HOSTS", "4")
-    monkeypatch.setenv("REPRO_POLICY_SLO_P99_S", "9.0")
-    args = build_parser().parse_args(["figure9", "--slo-p99-s", "0.25"])
-    policy = _policy_from_args(args)
-    assert policy.slo_p99_s == 0.25  # cli wins
-    assert policy.min_hosts == 4     # env fills the gap
+    monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo")
+    policy = _policy_from(["figure9", "--slo-p99-s", "0.25"])
+    assert policy.slo_p99_s == 0.25           # cli
+    assert policy.signals == ("cpu", "slo")   # env fills the gap
+    policy = _policy_from(["figure9", "--signals", "cpu,spill"])
+    assert policy.signals == ("cpu", "spill")  # cli wins
 
 
 def test_policy_command_prints_provenance(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SPILL_DEPTH_LIMIT", "60")
-    assert main(["policy", "--signals", "cpu,slo,spill"]) == 0
+    monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo,spill")
+    assert main(["policy", "--spill-depth-limit", "60"]) == 0
     out = capsys.readouterr().out
     assert "signal stack: cpu > slo > spill" in out
     assert "cli" in out
-    assert "env:REPRO_POLICY_SPILL_DEPTH_LIMIT" in out
+    assert "env:REPRO_POLICY_SIGNALS" in out
     assert "symptom_target_fraction" in out
 
 

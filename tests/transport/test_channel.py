@@ -33,9 +33,6 @@ class TestPassthrough:
         # Built-in defaults, not the ambient environment (CI runs one
         # leg with REPRO_NET_BACKPRESSURE forced on).
         for name in (
-            "REPRO_NET_FLUSH_MODE",
-            "REPRO_NET_FLUSH_S",
-            "REPRO_NET_FLUSH_MAX_BATCH",
             "REPRO_NET_BACKPRESSURE",
             "REPRO_NET_CREDIT_WINDOW",
         ):
