@@ -22,7 +22,7 @@ every recorded sim-clock value depends on (DESIGN.md §2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Deque, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..cluster import CpuTask, Host
 from ..sim import URGENT, Environment, Event
@@ -108,7 +108,7 @@ class SliceInstance:
         self._idle = 0
         #: Batches on a core or queued for one: task → (batch, lock mode).
         self._running: Dict[CpuTask, Tuple[List[StreamEvent], str]] = {}
-        self._ctx = SliceContext(runtime, logical_id)
+        self._ctx = SliceContext(runtime, logical_id, self)
         #: (cutoffs, event) pairs resolved as events are processed.
         self._progress_watchers: List[Tuple[Dict[str, int], Event]] = []
         self._quiescence_watchers: List[Event] = []
@@ -267,6 +267,39 @@ class SliceInstance:
             watchers, self._quiescence_watchers = self._quiescence_watchers, []
             for event in watchers:
                 event.succeed()
+
+    def upcoming(self) -> Iterator[StreamEvent]:
+        """Events in hand, in the order the handler is expected to need
+        them, for :meth:`SliceContext.upcoming`.
+
+        First the batches on a core or queued for one, soonest due first
+        (a started task's completion time; for a queued one, as if it got
+        its core now).  Each holds the slice lock already, so whoever asks
+        from inside a handler call shares its lock mode with all of them,
+        and a FIFO-fair lock lets no writer in before they finish.  Then,
+        unless someone is queued for the lock (the inbox goes behind them)
+        or the instance is halted or replaying (the inbox is dropped, or
+        takes the exclusive path), the inbox in order, without the stale
+        duplicates a worker would drop.  An event delivered to an idle
+        worker is in neither place until that worker's step runs, so what
+        a handler derives from the inbox part it must guard (DESIGN.md §7).
+        """
+        now = self.env.now
+
+        def due(entry) -> float:
+            task = entry[0]
+            started = task.started_at
+            return (now if started is None else started) + task.cpu_seconds
+
+        for _task, (batch, _mode) in sorted(self._running.items(), key=due):
+            yield from batch
+        if self._halted or self.recovering or self.lock.contended:
+            return
+        vector = self._dedup_vector
+        for event in self.inbox:
+            if vector and event.seq <= vector.get(event.source, -1):
+                continue
+            yield event
 
     # -- processing -----------------------------------------------------------
 

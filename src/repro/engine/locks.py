@@ -34,6 +34,12 @@ class RWLock:
     def idle(self) -> bool:
         return self._readers == 0 and not self._writer and not self._waiting
 
+    @property
+    def contended(self) -> bool:
+        """Whether anyone is queued for the lock: a later arrival would
+        wait behind them (FIFO) instead of joining the current holders."""
+        return bool(self._waiting)
+
     def try_acquire(self, mode: str) -> bool:
         """Fast path: take the lock immediately if possible (no sim events)."""
         if mode == "R":

@@ -700,6 +700,13 @@ class AspeLibrary(FilteringLibrary):
         self.index_rebuild_count = 0
 
     @property
+    def epoch(self) -> int:
+        """Counter of semantic mutations: matching is a pure function of
+        ``(this library, epoch, ciphertext)``, so a result computed at one
+        epoch is the result for as long as the epoch stands."""
+        return self._epoch
+
+    @property
     def _rows(self) -> int:
         """Store rows in use (live + tombstoned)."""
         return self._chunks.rows

@@ -130,6 +130,16 @@ class ExactBackend(MatchingBackend):
             return self.library
         return None
 
+    def library_epoch(self) -> Optional[int]:
+        """The wrapped library's mutation epoch, if it keeps one.
+
+        While it stands, matching is a pure function of the ciphertext, so
+        a caller may compute results before it needs them.  Libraries
+        without one (brute force, counting index, sharded) return ``None``
+        and are matched when asked — capability, not configuration.
+        """
+        return getattr(self.library, "epoch", None)
+
 
 def sample_binomial(rng: random.Random, n: int, p: float) -> int:
     """Draw from Binomial(n, p) — exact for small means, normal approx above.

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine import BROADCAST, SliceContext, SliceHandler, StreamEvent
@@ -39,6 +40,14 @@ KIND_MATCH_LIST = "match_list"
 #: EP-internal completion event carrying the aggregated notification work.
 KIND_NOTIFY = "notify"
 KIND_NOTIFICATION = "notification"
+
+#: Publications per real kernel call when an M slice matches ahead of the
+#: simulated clock: what the kernel's tiles are sized for
+#: (``repro.filtering.aspe._TILE_ROWS`` keeps a 128-publication tile's
+#: temporaries at 1 MB), and past it a call gains nothing per cell.  A
+#: constant of the host-side batching, not of the simulated system — no
+#: simulated value depends on it, so it is not configuration.
+_MATCH_AHEAD = 128
 
 
 class AccessPointHandler(SliceHandler):
@@ -125,7 +134,17 @@ class MatcherHandler(SliceHandler):
     concurrent M slices without touching the simulated trajectory.  The
     offload engages only when the backend's library supports the packed
     protocol (``ExactBackend.parallel_library()``); everything else, and
-    ``executor=None``, matches inline exactly as before.
+    ``executor=None``, matches inline.
+
+    Without an executor, and when the backend's library keeps a mutation
+    epoch (``ExactBackend.library_epoch()``), the *real* kernel call is
+    decoupled from the simulated batch: a batch that needs results makes
+    one ``match_batch`` call over its own publications plus those the
+    slice already has in hand at the same library state
+    (``SliceContext.upcoming()``), up to :data:`_MATCH_AHEAD`, and later
+    batches pop their results instead of calling the kernel.  Every
+    simulated cost, order and counter is untouched — only which host call
+    computed a :class:`MatchResult` changes (DESIGN.md §7).
     """
 
     def __init__(
@@ -154,6 +173,8 @@ class MatcherHandler(SliceHandler):
         self.publications_batched = 0
         #: Batches whose matching ran on the worker pool.
         self.batches_offloaded = 0
+        #: Publications matched by an earlier batch's kernel call.
+        self.publications_matched_ahead = 0
         #: sub_id → subscriber, resolved when emitting match lists.
         self._subscribers: Dict[int, int] = {}
         self.executor = executor
@@ -167,7 +188,8 @@ class MatcherHandler(SliceHandler):
         self._refresh_parallel_capability()
 
     def _refresh_parallel_capability(self) -> None:
-        """(Re)detect whether the backend supports packed-pool offload."""
+        """(Re)detect how the backend's real work may leave the simulated
+        batch: packed-pool offload with an executor, match-ahead without."""
         parallel_library = None
         if self.executor is not None and hasattr(self.backend, "parallel_library"):
             parallel_library = self.backend.parallel_library()
@@ -178,6 +200,21 @@ class MatcherHandler(SliceHandler):
         #: event referenced for the whole submit→process window, so its
         #: identity is stable and collision-free while the entry exists.
         self._pending: Dict[int, Any] = {}
+        #: ``backend.library_epoch`` when results may be computed ahead
+        #: (no executor; the library keeps an epoch), else ``None``.
+        self._library_epoch = None
+        if self.executor is None:
+            library_epoch = getattr(self.backend, "library_epoch", None)
+            if library_epoch is not None and library_epoch() is not None:
+                self._library_epoch = library_epoch
+        #: Results matched ahead, ``id(event)`` → ``(event, result)``: the
+        #: entry holds the event so its ``id()`` cannot be recycled, and two
+        #: in-flight publications sharing a ``pub_id`` stay apart.  All
+        #: entries were computed at ``_ahead_stamp``, a ``(library, epoch)``;
+        #: a batch that finds another drops them unread.  Never more than
+        #: ``_MATCH_AHEAD`` entries.
+        self._ahead: Dict[int, Tuple[StreamEvent, MatchResult]] = {}
+        self._ahead_stamp: Optional[Tuple[Any, int]] = None
 
     def _bind_store_telemetry(self, telemetry) -> None:
         """First-contact bind of the backing store's wall-clock metrics."""
@@ -242,15 +279,16 @@ class MatcherHandler(SliceHandler):
         if self._channel is not None:
             self._channel.close()
             self._channel = None
+        self._ahead.clear()
 
-    def _collect(self, head_event, publications) -> Optional[List[Any]]:
+    def _collect(self, head_event) -> Optional[List[MatchResult]]:
         """Claim the offloaded results for the batch headed by ``head_event``.
 
         Returns one :class:`MatchResult` per publication, or ``None`` when
-        the batch was never offloaded (no executor, subscription events,
-        non-packed backend) or lost its worker — callers then match
-        inline, which is the same answer: the batch's read lock is still
-        held, so the library is in the state that was submitted.
+        the batch was never offloaded (subscription events, non-packed
+        backend) or lost its worker — callers then match inline, which is
+        the same answer: the batch's read lock is still held, so the
+        library is in the state that was submitted.
         """
         future = self._pending.pop(id(head_event), None)
         if future is None:
@@ -262,30 +300,106 @@ class MatcherHandler(SliceHandler):
         self.batches_offloaded += 1
         return [MatchResult(count=len(ids), ids=ids) for ids in lists]
 
+    def _match_now(self, events) -> List[MatchResult]:
+        """One backend call over the publications of ``events``."""
+        if len(events) == 1:
+            publication = events[0].payload
+            return [self.backend.match(publication.pub_id, publication.payload)]
+        publications = [event.payload for event in events]
+        return self.backend.match_batch(
+            [publication.pub_id for publication in publications],
+            [publication.payload for publication in publications],
+        )
+
+    def _match_ahead(self, events, upcoming) -> List[MatchResult]:
+        """Results for ``events``, matched now or by an earlier batch.
+
+        What an earlier call left for these events is popped; if anything
+        is missing, *one* backend call matches it together with the
+        publications ``upcoming()`` says the slice will process next at
+        this library state — the running R batches (certain: no writer gets
+        the lock before they finish) and the inbox's leading run of
+        publications when no one waits for the lock (likely: an event on
+        its way to an idle worker can still overtake them) — and keeps
+        those results for the batches they belong to.  The stamp settles
+        the uncertain cases: after any mutation every kept result is
+        dropped unread and matched again when its batch is processed.
+        A batch already at the cap, or with nothing behind it, pays for no
+        bookkeeping at all.
+        """
+        ahead = self._ahead
+        stamp = (self.backend.library, self._library_epoch())
+        if stamp != self._ahead_stamp:
+            ahead.clear()
+            self._ahead_stamp = stamp
+        missing = events
+        results = None
+        if ahead:
+            results = [ahead.pop(id(event), None) for event in events]
+            missing = [event for event, held in zip(events, results) if held is None]
+            if not missing:
+                return [held[1] for held in results]
+        extra: List[StreamEvent] = []
+        # A simulated batch at the cap looks no further, even for a short
+        # remainder: its look-ahead would cut the next full batch the same
+        # way, and every batch behind it would pay the bookkeeping.
+        room = 0
+        if len(events) < _MATCH_AHEAD:
+            room = _MATCH_AHEAD - len(missing) - len(ahead)
+        if room > 0:
+            for event in upcoming():
+                if event.kind != KIND_PUBLICATION:
+                    break
+                if id(event) not in ahead:
+                    extra.append(event)
+                    if len(extra) == room:
+                        break
+        if extra:
+            own = len(missing)
+            matched = self._match_now([*missing, *extra])
+            for event, result in zip(extra, matched[own:]):
+                ahead[id(event)] = (event, result)
+            self.publications_matched_ahead += len(extra)
+            del matched[own:]
+        else:
+            matched = self._match_now(missing)
+        if results is None:
+            return matched
+        fresh = iter(matched)
+        return [next(fresh) if held is None else held[1] for held in results]
+
+    def _results(self, events, ctx: SliceContext) -> List[MatchResult]:
+        """One :class:`MatchResult` per publication event of a batch."""
+        if self._library_epoch is not None:
+            upcoming = getattr(ctx, "upcoming", None)
+            if upcoming is not None:
+                return self._match_ahead(events, upcoming)
+        elif self._pending:
+            collected = self._collect(events[0])
+            if collected is not None:
+                return collected
+        return self._match_now(events)
+
     def process(self, event: StreamEvent, ctx: SliceContext) -> None:
         if not self._telemetry_bound:
             self._bind_store_telemetry(getattr(ctx, "telemetry", None))
         if event.kind == KIND_SUBSCRIPTION:
             subscription: Subscription = event.payload
+            self._ahead.clear()
             self.backend.store(subscription.sub_id, subscription.filter_payload)
             self._subscribers[subscription.sub_id] = subscription.subscriber
         elif event.kind == KIND_PUBLICATION:
-            publication: Publication = event.payload
-            collected = self._collect(event, [publication])
-            if collected is not None:
-                result = collected[0]
-            else:
-                result = self.backend.match(publication.pub_id, publication.payload)
+            result = self._results((event,), ctx)[0]
             telemetry = getattr(ctx, "telemetry", None)
             if telemetry is not None and telemetry.matcher_publications is not None:
                 telemetry.matcher_publications.inc()
                 telemetry.matcher_matches.inc(result.count)
-            ctx.emit(*self._match_emission(publication, result))
+            ctx.emit(*self._match_emission(event.payload, result))
         else:
             raise ValueError(f"M cannot handle event kind {event.kind!r}")
 
     def process_batch(self, events, ctx: SliceContext) -> None:
-        """Match a coalesced run of publications in one backend call.
+        """Match a coalesced run of publications and emit their lists.
 
         Match lists keep the events' queued order and go out in one
         micro-batched routing pass, so the EP join and all cost/delay
@@ -295,21 +409,15 @@ class MatcherHandler(SliceHandler):
         """
         if not self._telemetry_bound:
             self._bind_store_telemetry(getattr(ctx, "telemetry", None))
-        publications = [event.payload for event in events]
-        results = self._collect(events[0], publications)
-        if results is None:
-            results = self.backend.match_batch(
-                [publication.pub_id for publication in publications],
-                [publication.payload for publication in publications],
-            )
+        results = self._results(events, ctx)
         telemetry = getattr(ctx, "telemetry", None)
         if telemetry is not None and telemetry.matcher_publications is not None:
             telemetry.matcher_publications.inc(len(results))
             telemetry.matcher_matches.inc(sum(result.count for result in results))
         ctx.emit_batch(
             [
-                self._match_emission(publication, result)
-                for publication, result in zip(publications, results)
+                self._match_emission(event.payload, result)
+                for event, result in zip(events, results)
             ]
         )
         if len(events) > 1:
@@ -320,9 +428,8 @@ class MatcherHandler(SliceHandler):
     ) -> Tuple[str, str, Any, int, Any]:
         ids: Optional[Tuple[int, ...]] = None
         if result.ids is not None:
-            ids = tuple(
-                self._subscribers.get(sub_id, sub_id) for sub_id in result.ids
-            )
+            # (get(sub_id, sub_id) per id, resolved without a Python frame.)
+            ids = tuple(map(self._subscribers.get, result.ids, result.ids))
         match_list = MatchList(
             pub_id=publication.pub_id,
             m_slice=self.slice_index,
@@ -346,6 +453,7 @@ class MatcherHandler(SliceHandler):
         AP's partitioning: ``sub_id mod m_slices == slice_index``).  Used
         by large-scale experiments to skip the unmeasured storage phase.
         """
+        self._ahead.clear()
         self.backend.store(subscription.sub_id, subscription.filter_payload)
         self._subscribers[subscription.sub_id] = subscription.subscriber
 
@@ -375,11 +483,15 @@ class MatcherHandler(SliceHandler):
         nothing — :func:`~repro.engine.migration.reshard_slice` relies on
         this to keep the copy phase proportional to rewritten rows only.
         """
+        # Whatever this handler had in flight belonged to the backend it
+        # gives up: cancel it and close the channel before re-detecting.
+        self.detach()
         self.backend = other.backend
         self._subscribers = other._subscribers
         self.publications_matched = other.publications_matched
         self.publications_batched = other.publications_batched
         self.batches_offloaded = other.batches_offloaded
+        self.publications_matched_ahead = other.publications_matched_ahead
         self._telemetry_bound = other._telemetry_bound
         self._refresh_parallel_capability()
 
@@ -388,6 +500,7 @@ class MatcherHandler(SliceHandler):
 
         Returns the library's :class:`~repro.filtering.ShardOpResult`.
         """
+        self._ahead.clear()
         library = self.backend.library
         if op == "split":
             return library.split_shard(index=shard_index, pivot_key=pivot_key)
@@ -405,6 +518,7 @@ class MatcherHandler(SliceHandler):
 
     def import_state(self, state: Any) -> None:
         if state is not None:
+            self._ahead.clear()
             self.backend.import_state(state["backend"])
             self._subscribers = dict(state["subscribers"])
 
@@ -516,11 +630,7 @@ class ExitPointHandler(SliceHandler):
         del self.pending[match_list.pub_id]
         ids: Optional[Tuple[int, ...]] = None
         if entry[2] is not None:
-            ids = tuple(
-                subscriber
-                for m_slice in sorted(entry[2])
-                for subscriber in entry[2][m_slice]
-            )
+            ids = tuple(chain.from_iterable(map(entry[2].get, sorted(entry[2]))))
         notification = Notification(
             pub_id=match_list.pub_id,
             count=entry[1],

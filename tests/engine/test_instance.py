@@ -277,3 +277,86 @@ def test_activate_runs_no_handler_before_its_caller_returns():
     assert recorder.received == [] and twin.queue_length == 3
     h.env.run()
     assert [p for (_, _, p) in recorder.received] == [0, 1, 2]
+
+
+class Peeker(SliceHandler):
+    """Records what ``ctx.upcoming()`` shows at each handler call."""
+
+    def __init__(self):
+        self.seen = []
+
+    def cost(self, event):
+        return float(event.payload[1])
+
+    def lock_mode(self, event):
+        return event.payload[0]
+
+    def process(self, event, ctx):
+        self.seen.append(
+            (event.payload[2], [e.payload[2] for e in ctx.upcoming()])
+        )
+
+
+def deliver_all(instance, payloads):
+    from repro.engine import StreamEvent
+
+    for seq, payload in enumerate(payloads):
+        instance.deliver(StreamEvent("e", payload, "client", seq, 100, 0.0))
+
+
+def test_upcoming_shows_running_batches_soonest_due_first_then_the_inbox():
+    h = Harness(hosts=1, cores=4)
+    h.runtime.add_operator("M", 1, lambda i: Peeker(), parallelism=3)
+    h.runtime.deploy_operator("M", h.hosts)
+    deliver_all(
+        h.runtime.slices["M:0"].active,
+        [("R", 1, "a"), ("R", 9, "b"), ("R", 3, "c"), ("R", 1, "d"), ("R", 1, "e")],
+    )
+    h.env.run()
+    # a done at 1: c (due 3) before b (due 9), then the inbox.  d done at
+    # 2 (taken by a's worker): c, then b, then e still queued ...
+    assert h.handler("M:0").seen == [
+        ("a", ["c", "b", "d", "e"]),
+        ("d", ["c", "b", "e"]),
+        ("c", ["e", "b"]),
+        ("e", ["b"]),
+        ("b", []),
+    ]
+
+
+def test_upcoming_leaves_the_inbox_out_behind_a_queued_writer():
+    h = Harness(hosts=1, cores=4)
+    h.runtime.add_operator("M", 1, lambda i: Peeker(), parallelism=3)
+    h.runtime.deploy_operator("M", h.hosts)
+    deliver_all(
+        h.runtime.slices["M:0"].active,
+        [("R", 1, "a"), ("R", 2, "b"), ("W", 1, "w"), ("R", 1, "c")],
+    )
+    h.env.run()
+    seen = dict(h.handler("M:0").seen)
+    assert seen["a"] == ["b"]  # w waits for the lock; c is behind it
+    assert seen["b"] == []
+    assert seen["w"] == []  # a's worker took c: it waits for the lock, unseen
+
+
+def test_a_destroyed_instance_is_freed_without_the_cycle_collector():
+    """The context's link back to its instance is weak: a migrated-away
+    instance, and the state its handler holds, go with the last reference."""
+    import gc
+    import weakref
+
+    h = Harness(hosts=1)
+    h.runtime.add_operator("M", 1, lambda i: Recorder())
+    h.runtime.deploy_operator("M", h.hosts)
+    h.env.run()
+    logical = h.runtime.slices["M:0"]
+    gc.disable()
+    try:
+        instance = logical.active
+        probe = weakref.ref(instance)
+        instance.destroy()
+        logical.active = None
+        del instance
+        assert probe() is None
+    finally:
+        gc.enable()

@@ -300,16 +300,62 @@ def test_rendezvous_post_take_cancel(cipher):
         handler.prepare_batch([head], None)
         handler.prepare_batch([other, third], None)
         assert executor._inflight_batches == 2
-        assert handler._collect(third, None) is None  # not a batch head
-        first = handler._collect(head, None)
+        assert handler._collect(third) is None  # not a batch head
+        first = handler._collect(head)
         assert [result.ids for result in first] == library.match_batch(pubs[:1])
-        assert handler._collect(head, None) is None
+        assert handler._collect(head) is None
         assert handler.batches_offloaded == 1
         handler.detach()
-        assert handler._collect(other, None) is None
+        assert handler._collect(other) is None
         assert (executor._inflight_batches, executor._queued_tasks) == (0, 0)
         assert handler.batches_offloaded == 1
     finally:
+        executor.shutdown()
+
+
+def test_adopt_from_releases_what_the_adopter_had_in_flight(cipher):
+    """A same-host reshard hands the handler another backend by reference:
+    the channel it had open for the old one is closed and the futures it
+    had parked are cancelled, not overwritten and leaked."""
+    rng = random.Random(43)
+    executor = create_executor(1)
+    adopter, origin = (
+        MatcherHandler(
+            0,
+            ExactBackend(stored_library(cipher, rng, 8)),
+            CostModel(),
+            encrypted=False,
+            executor=executor,
+        )
+        for _ in range(2)
+    )
+    head, parked = (
+        StreamEvent(KIND_PUBLICATION, Publication(i, payload=pub), "test", i, 100, 0.0)
+        for i, pub in enumerate(encrypted_publications(cipher, rng, 2))
+    )
+    try:
+        # (Collected once first, so the worker has mapped the segment
+        # before the close below unlinks it.)
+        adopter.prepare_batch([head], None)
+        assert adopter._collect(head) is not None
+        adopter.prepare_batch([parked], None)
+        channel = adopter._channel
+        assert not channel.closed and executor._inflight_batches == 1
+        origin.publications_matched_ahead = 5
+        adopter.adopt_from(origin)
+        assert channel.closed
+        assert (executor._inflight_batches, executor._queued_tasks) == (0, 0)
+        assert adopter._channel is None and not adopter._pending
+        assert adopter.backend is origin.backend
+        assert adopter.publications_matched_ahead == 5
+        # The adopted library is offloaded through a channel of its own.
+        adopter.prepare_batch([parked], None)
+        assert adopter._channel is not channel
+        assert [result.ids for result in adopter._collect(parked)] == (
+            origin.backend.library.match_batch([parked.payload.payload])
+        )
+    finally:
+        adopter.detach()
         executor.shutdown()
 
 
