@@ -42,20 +42,6 @@ from .transport import TransportConfig
 __all__ = ["main", "build_parser"]
 
 
-def _non_negative_workers(value: str) -> int:
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer worker count, got {value!r}"
-        ) from None
-    if workers < 0:
-        raise argparse.ArgumentTypeError(
-            f"match workers must be >= 0 (0 runs matching inline), got {workers}"
-        )
-    return workers
-
-
 def _positive_count(value: str) -> int:
     try:
         count = int(value)
@@ -66,14 +52,6 @@ def _positive_count(value: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
     return count
-
-
-def _add_match_options(p: argparse.ArgumentParser) -> None:
-    """The parallel matching knob shared by telemetry-demo commands."""
-    p.add_argument(
-        "--match-workers", type=_non_negative_workers, default=0,
-        help="worker processes for parallel matching (0 = inline, default)",
-    )
 
 
 def _knobs(args, cls, prefix: str = ""):
@@ -138,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream spans to disk every N spans instead of holding the "
              "whole trace in memory (same output bytes)",
     )
-    _add_match_options(p)
     add_flags(p, StoreConfig, "store_")
     add_flags(p, TransportConfig, "net_")
 
@@ -151,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="write to this file instead of stdout")
     p.add_argument("--publications", type=int, default=200)
-    _add_match_options(p)
     add_flags(p, StoreConfig, "store_")
     add_flags(p, TransportConfig, "net_")
 
@@ -345,7 +321,6 @@ def _cmd_cost(args) -> None:
 def _telemetry_demo(
     publications: int,
     migrate: bool = True,
-    match_workers: int = 0,
     store=None,
     net=None,
     stream_trace_to: Optional[tuple] = None,
@@ -354,24 +329,10 @@ def _telemetry_demo(
 
     Two engine hosts run a 2/4/2-slice hub; a burst of ``publications``
     flows through while (optionally) the stateful slice ``M:0``
-    live-migrates between the hosts.  Matching is statistically sampled
-    by default; with ``match_workers > 0`` it switches to real ASPE
-    filtering through the parallel match workers so their metric
-    families carry data.  Returns ``(telemetry,
-    migration_report_or_None)``.
+    live-migrates between the hosts.  Matching is statistically sampled.
+    Returns ``(telemetry, migration_report_or_None)``.
     """
-    import random
-
     from .cluster import CloudProvider, HostSpec
-    from .filtering import (
-        AspeCipher,
-        AspeKey,
-        AspeLibrary,
-        ExactBackend,
-        Op,
-        Predicate,
-        PredicateSet,
-    )
     from .pubsub import HubConfig, Publication, StreamHub, Subscription
     from .sim import Environment
     from .telemetry import Telemetry
@@ -383,43 +344,21 @@ def _telemetry_demo(
         telemetry.tracer.stream_to(path, window_spans=window)
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=4)
     hosts = [cloud.provision_now() for _ in range(3)]
-    shared = dict(
+    config = HubConfig.sampled(
+        matching_rate=0.05,
+        encrypted=False,
         ap_slices=2,
         m_slices=4,
         ep_slices=2,
         sink_slices=1,
         telemetry=telemetry,
-        match_workers=match_workers,
         store=store or StoreConfig.from_env(),
         net=net or TransportConfig.from_env(),
     )
-    cipher = None
-    if match_workers > 0:
-        key = AspeKey.generate(4, rng=random.Random(42))
-        cipher = AspeCipher(key, rng=random.Random(43))
-        config = HubConfig(
-            encrypted=True,
-            backend_factory=lambda index: ExactBackend(AspeLibrary()),
-            matcher_batch_limit=8,
-            **shared,
-        )
-    else:
-        config = HubConfig.sampled(
-            matching_rate=0.05, encrypted=False, **shared
-        )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy_all_on(hosts[:2], hosts[2:])
-    rng = random.Random(44)
-    ops = [Op.GT, Op.GE, Op.LT, Op.LE]
     for sub_id in range(50):
-        filter_payload = None
-        if cipher is not None:
-            filter_payload = cipher.encrypt_subscription(
-                PredicateSet(
-                    [Predicate(rng.randrange(4), rng.choice(ops), rng.uniform(0, 100))]
-                )
-            )
-        hub.subscribe(Subscription(sub_id, 1000 + sub_id, filter_payload))
+        hub.subscribe(Subscription(sub_id, 1000 + sub_id))
     env.run()
 
     report_box = []
@@ -431,12 +370,7 @@ def _telemetry_demo(
 
         env.process(migration())
     for pub_id in range(publications):
-        payload = None
-        if cipher is not None:
-            payload = cipher.encrypt_publication(
-                [rng.uniform(0, 100) for _ in range(4)]
-            )
-        hub.publish(Publication(pub_id, payload, published_at=env.now))
+        hub.publish(Publication(pub_id, published_at=env.now))
     env.run()
     return telemetry, (report_box[0] if report_box else None)
 
@@ -448,7 +382,6 @@ def _cmd_trace(args) -> None:
     tel, report = _telemetry_demo(
         args.publications,
         migrate=not args.no_migration,
-        match_workers=args.match_workers,
         store=_knobs(args, StoreConfig, "store_"),
         net=_knobs(args, TransportConfig, "net_"),
         stream_trace_to=stream_trace_to,
@@ -489,7 +422,6 @@ def _cmd_metrics(args) -> None:
 
     tel, _ = _telemetry_demo(
         args.publications,
-        match_workers=args.match_workers,
         store=_knobs(args, StoreConfig, "store_"),
         net=_knobs(args, TransportConfig, "net_"),
     )

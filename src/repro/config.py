@@ -20,8 +20,7 @@ table cannot drift from the fields or from each other:
 The ``env_*`` helpers parse one variable each and make the error
 behaviour uniform: an unset or blank variable keeps the default, a
 malformed value or one outside ``choices`` raises ``ValueError`` naming
-the variable.  ``REPRO_MATCH_WORKERS`` (a plain :class:`~repro.pubsub.HubConfig`
-field) reads through them directly.
+the variable.
 """
 
 from __future__ import annotations

@@ -133,19 +133,17 @@ class SliceHandler(ABC):
         for event in events:
             self.process(event, ctx)
 
-    # -- real-work offload (parallel execution support) -----------------------
+    # -- lifecycle hooks ------------------------------------------------------
 
     def prepare_batch(self, events, ctx: "SliceContext") -> None:
         """Called at dequeue time, before the batch's CPU cost is charged.
 
-        The hook where a handler may *submit* real host-side work (e.g.
-        to a :mod:`repro.parallel` executor) so it overlaps with other
-        slices' simulated processing; the result is collected in
-        :meth:`process`/:meth:`process_batch`, which the engine invokes
-        at the batch's already-scheduled virtual completion time.
-        Implementations must not schedule simulation events or mutate
-        simulation-visible state — the hook runs under the batch's lock
-        and must leave the DES trajectory untouched.  Default: no-op.
+        No handler uses it.  Deliberate leftover: the out-of-bounds
+        ``perfbench/layers.py`` wraps ``MatcherHandler.prepare_batch``, so
+        the hook and its call in ``engine/instance.py`` stay until the PR
+        with ``perfbench/**`` in bounds (ROADMAP item 0).  Implementations
+        must not schedule simulation events or mutate simulation-visible
+        state.  Default: no-op.
         """
 
     def detach(self) -> None:
@@ -153,8 +151,8 @@ class SliceHandler(ABC):
 
         Migration and crash recovery tear down the old instance and build
         a fresh handler from the operator's factory; this hook lets the
-        outgoing handler release external resources (cancel in-flight
-        executor work, close channels).  Default: no-op.
+        outgoing handler drop what it holds for the dead slice (results
+        matched ahead of the simulated clock).  Default: no-op.
         """
 
     # -- explicit state management (migration support) -----------------------

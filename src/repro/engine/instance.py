@@ -443,9 +443,8 @@ class SliceInstance:
         """
         batch = self._drain_batch(event)
         handler = self.handler
-        # Submission point for real offloaded work: runs under the batch's
-        # lock, schedules no simulation events; results are collected in
-        # process() at the completion time charged below.
+        # Deliberate leftover (see SliceHandler.prepare_batch): no handler
+        # does anything here; the call goes with the hook.
         handler.prepare_batch(batch, self._ctx)
         if len(batch) == 1:
             cost = handler.cost(event)

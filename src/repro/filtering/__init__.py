@@ -21,7 +21,6 @@ from .aspe import (
     EncryptedPredicate,
     EncryptedPublication,
     EncryptedSubscription,
-    PackedMatrixView,
     match_encrypted,
     match_packed,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "MatchResult",
     "MatchingBackend",
     "Op",
-    "PackedMatrixView",
     "Predicate",
     "PredicateSet",
     "SampledBackend",

@@ -33,10 +33,9 @@ boundary.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "EncryptedPredicate",
     "EncryptedSubscription",
     "AspeLibrary",
-    "PackedMatrixView",
     "match_packed",
 ]
 
@@ -64,12 +62,6 @@ __all__ = [
 # with the ciphertext norms — a tolerance much above the rounding error
 # flips true non-matches near the boundary into matches.
 _REL_TOL = 1e-13
-
-#: Process-unique tokens for :class:`AspeLibrary` instances (see
-#: :attr:`PackedMatrixView.token`).  ``itertools.count`` is atomic under
-#: the GIL, so allocation needs no lock.
-_INSTANCE_TOKENS = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class AspeKey:
@@ -439,13 +431,12 @@ def match_packed(
     against an infinite tolerance, and the ordinary cells are unaffected.
 
     This function is *pure* — a deterministic function of its array
-    arguments — which is what lets :mod:`repro.parallel` ship the packed
-    rows to worker processes and still produce bit-identical decisions: a
-    row's product reduces only over the ciphertext width and its decision
-    depends on no other row, so neither tiling, product blocks nor
-    row-range chunking can change one.  ``workspace`` optionally supplies
-    reusable scratch buffers (``(name, shape, dtype) -> ndarray``); the
-    default allocates fresh ones, which is bit-wise equivalent.
+    arguments: a row's product reduces only over the ciphertext width and
+    its decision depends on no other row, so neither tiling, product
+    blocks nor row-range chunking can change one.  ``workspace``
+    optionally supplies reusable scratch buffers (``(name, shape, dtype)
+    -> ndarray``); the default allocates fresh ones, which is bit-wise
+    equivalent.
     """
     if workspace is None:
         workspace = _fresh_workspace
@@ -519,48 +510,6 @@ def match_lists(
     flat = list(map(ids.__getitem__, matched[order].tolist()))
     bounds = np.searchsorted(owners[order], np.arange(count + 1)).tolist()
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-@dataclass(frozen=True)
-class PackedMatrixView:
-    """A library's packed matching state at one epoch.
-
-    Produced by :meth:`AspeLibrary.packed_view` for the parallel matching
-    executors.  The span arrays are *views* into the library's live index
-    and ``copy_rows`` reads its live store — valid only until the next
-    ``store``/``remove``/``import_state`` — and must not be mutated.
-
-    ``token`` is unique per library *instance* in this process (a fresh
-    value is drawn on construction and on unpickling), because ``epoch``
-    and ``generation`` are per-instance counters: two views describe
-    identical matching decisions only when *both* token and epoch are
-    equal.  ``epoch`` advances on every semantic change
-    (store/remove/import).  ``generation`` advances only when previously
-    exported row *content* moved or changed (compaction, import): within
-    one (token, generation) the rows below any previously observed
-    ``rows`` cursor are immutable, which is what makes append-only
-    dirty-row deltas sound.
-    """
-
-    token: int
-    epoch: int
-    generation: int
-    rows: int
-    width: int  # 0 before the first store
-    #: :meth:`ChunkedMatrixStore.copy_rows` of the library's store: copies
-    #: rows ``[lo, hi)`` into the caller's ``matrix`` / ``strict`` /
-    #: ``tol_signed`` arrays, touching only the chunks that hold them.
-    copy_rows: Callable[..., None]
-    ids: List[int]
-    positions: np.ndarray
-    starts: np.ndarray
-    stops: np.ndarray
-    #: Span ``j`` is ``ids[j]``: no scatter through ``positions`` needed.
-    dense: bool
-
-    @property
-    def span_count(self) -> int:
-        return int(self.starts.size)
 
 
 #: Compact once dead rows outnumber live ones (and exceed this floor), so
@@ -681,17 +630,9 @@ class AspeLibrary(FilteringLibrary):
         #: numpy's small-allocation cache, so reusing them removes per-call
         #: mmap churn.
         self._ws: Dict[str, np.ndarray] = {}
-        #: Process-unique instance identity.  Epoch/generation counters
-        #: are per-instance, so sync caches keyed on them must also key on
-        #: the token — two *different* libraries can reach equal epochs.
-        self._token = next(_INSTANCE_TOKENS)
-        #: Bumped on every semantic mutation (store/remove/import); packed
-        #: views with equal epochs describe identical matching decisions.
+        #: Bumped on every semantic mutation (store/remove/import): equal
+        #: epochs of one library describe identical matching decisions.
         self._epoch = 0
-        #: Bumped only when previously packed row content moves or changes
-        #: (compaction, import) — the append-only delta invariant of
-        #: :class:`PackedMatrixView`.
-        self._generation = 0
         # Instrumentation: churn benchmarks assert store/remove stays
         # incremental (appends, occasional compactions, no full repacks).
         self.rows_appended = 0
@@ -806,7 +747,7 @@ class AspeLibrary(FilteringLibrary):
         return dict(self._subs)
 
     def import_state(self, state: Dict[int, EncryptedSubscription]) -> None:
-        self._reset_empty()  # one epoch and generation step for the import
+        self._reset_empty()  # one epoch step for the import
         for sub_id, subscription in state.items():
             self._subs[sub_id] = subscription
             self._append_rows(sub_id, subscription)
@@ -854,9 +795,7 @@ class AspeLibrary(FilteringLibrary):
 
         The merge half of shard split/merge: the rows transfer as whole
         chunk objects — zero rows rewritten.  ``other`` is left empty.
-        Returns the number of rows adopted.  Appending to self preserves
-        the append-only delta invariant, so the generation does not
-        advance.
+        Returns the number of rows adopted.
         """
         if other is self:
             raise ValueError("cannot absorb a library into itself")
@@ -920,9 +859,6 @@ class AspeLibrary(FilteringLibrary):
                 new_lib._spans[sub_id] = (0, 0)
         self._index = None
         self._epoch += 1
-        # Rows past the boundary vanished from this library: previously
-        # exported row cursors are invalid, so the generation advances.
-        self._generation += 1
         new_lib._epoch += 1
         return new_lib, copied
 
@@ -934,7 +870,6 @@ class AspeLibrary(FilteringLibrary):
         self._index = None
         self._ws = {}
         self._epoch += 1
-        self._generation += 1
 
     # -- store configuration and observability --------------------------------
 
@@ -971,31 +906,6 @@ class AspeLibrary(FilteringLibrary):
     def get_subscription(self, sub_id: int) -> EncryptedSubscription:
         return self._subs[sub_id]
 
-    def packed_view(self) -> PackedMatrixView:
-        """:class:`PackedMatrixView` of the live packed state.
-
-        Valid until the next mutation; see the view's docstring for the
-        epoch/generation contract the parallel executors rely on.
-        """
-        index = self._span_index()
-        ids, positions, starts, stops = index.view
-        store = self._chunks
-        return PackedMatrixView(
-            token=self._token,
-            epoch=self._epoch,
-            generation=self._generation,
-            rows=store.rows,
-            width=store.width or 0,
-            copy_rows=store.copy_rows,
-            # In-flight batches merge through ``ids`` after later stores; a
-            # fresh-id store appends to the index's own list in place.
-            ids=list(ids),
-            positions=positions,
-            starts=starts,
-            stops=stops,
-            dense=index.dense,
-        )
-
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self):
@@ -1025,10 +935,6 @@ class AspeLibrary(FilteringLibrary):
     def __setstate__(self, state):
         packed = state.pop("_packed", None)
         self.__dict__.update(state)
-        # A restored copy is a new instance whose counters continue from
-        # the pickled values — it must not alias the source's sync
-        # identity in any executor channel.
-        self._token = next(_INSTANCE_TOKENS)
         self._chunks = ChunkedMatrixStore(self._store_config)
         if packed is not None:
             matrix, strict, alive = packed
@@ -1103,8 +1009,6 @@ class AspeLibrary(FilteringLibrary):
             for sub_id, (start, stop) in self._spans.items()
         }
         self._index = None
-        # Row content moved: previously exported deltas are invalid.
-        self._generation += 1
         self.compaction_count += 1
 
     def _span_index(self) -> _SpanIndex:

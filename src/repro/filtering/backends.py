@@ -117,19 +117,6 @@ class ExactBackend(MatchingBackend):
     def import_state(self, state: Any) -> None:
         self.library.import_state(state)
 
-    def parallel_library(self) -> Optional[FilteringLibrary]:
-        """The wrapped library, if it supports parallel packed dispatch.
-
-        The parallel matching executors (:mod:`repro.parallel`) need a
-        library exposing the packed-matrix protocol (``packed_view``).
-        Libraries without it (brute force, counting index) simply keep
-        matching inline — capability, not configuration, gates the
-        offload.
-        """
-        if hasattr(self.library, "packed_view"):
-            return self.library
-        return None
-
     def library_epoch(self) -> Optional[int]:
         """The wrapped library's mutation epoch, if it keeps one.
 

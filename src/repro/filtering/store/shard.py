@@ -17,10 +17,9 @@ order a single library's result lists follow, so a sharded M-slice emits
 byte-identical match lists (and therefore byte-identical notification
 logs) regardless of how many shards it holds or when they split.
 
-The class deliberately does *not* expose ``packed_view``: the parallel
-matching executors detect the capability and keep sharded backends on
-the inline path (one flat matrix snapshot would defeat the point of
-out-of-core shards).
+The class keeps no library-wide ``epoch``, so an M slice over a sharded
+backend matches each batch when asked rather than ahead
+(``ExactBackend.library_epoch()`` returns ``None``).
 """
 
 from __future__ import annotations

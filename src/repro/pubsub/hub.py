@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..cluster import Host, Network
-from ..config import env_int
 from ..elastic.policy import ElasticityPolicy
 from ..engine import EngineRuntime, MigrationCosts
 from ..filtering import CostModel, MatchingBackend, SampledBackend, StoreConfig
@@ -45,8 +44,7 @@ class HubConfig:
     Knobs that belong together live in grouped sub-configs, each built by
     its own ``from_env`` when not passed (environment variable > default,
     derived from the group's fields by :mod:`repro.config`): :attr:`store`,
-    :attr:`net` and :attr:`policy`.  Parallel matching has the one knob
-    :attr:`match_workers`.
+    :attr:`net` and :attr:`policy`.
     """
 
     ap_slices: int = 8
@@ -75,19 +73,6 @@ class HubConfig:
     #: layer records into the same tracer/registry (see OBSERVABILITY.md).
     #: ``None`` (the default) keeps all hot paths on their no-op branch.
     telemetry: Optional["Telemetry"] = None
-    #: Worker processes for parallel matching execution (0 = none, match
-    #: inline: the default).  Defaults from ``REPRO_MATCH_WORKERS`` so an
-    #: existing deployment/test run flips to parallel without code
-    #: changes.  Only engages for backends whose library speaks the packed
-    #: protocol (``ExactBackend`` over ``AspeLibrary``); other backends
-    #: stay inline.  See DESIGN.md §7.
-    match_workers: int = field(
-        default_factory=lambda: env_int("REPRO_MATCH_WORKERS", 0)
-    )
-    #: Injected :class:`repro.parallel.MatchExecutor` instance (tests and
-    #: benchmarks).  When ``None`` and ``match_workers > 0`` the hub uses
-    #: the process-wide shared executor for that worker count.
-    match_executor: Optional[object] = None
     #: Packed-row store of exact (ASPE) M-slice libraries: ``chunked``
     #: (in-RAM row chunks, the default) or ``mmap`` (chunks over spill
     #: files with an LRU resident set), with its chunk size, residency
@@ -113,11 +98,6 @@ class HubConfig:
             raise ValueError("ap_batch_limit must be positive")
         if self.ep_batch_limit <= 0:
             raise ValueError("ep_batch_limit must be positive")
-        if self.match_workers < 0:
-            raise ValueError(
-                f"match_workers must be >= 0 (0 disables parallel matching), "
-                f"got {self.match_workers}"
-            )
 
     @classmethod
     def sampled(cls, matching_rate: float = 0.01, **kwargs) -> "HubConfig":
@@ -171,19 +151,6 @@ class StreamHub:
             self.runtime.bind_telemetry(self.telemetry)
             network.bind_telemetry(self.telemetry)
             self._delay_hist = self.telemetry.notification_delay
-        #: The matching executor backing this hub's M slices (``None``
-        #: when matching runs inline).  Hubs with the same worker count
-        #: share one process-wide executor unless
-        #: ``config.match_executor`` injects a dedicated instance.
-        self.match_executor = None
-        if config.match_executor is not None:
-            self.match_executor = config.match_executor
-        elif config.match_workers > 0:
-            from ..parallel import shared_executor
-
-            self.match_executor = shared_executor(config.match_workers)
-        if self.match_executor is not None and self.telemetry is not None:
-            self.match_executor.bind_telemetry(self.telemetry)
         self.delay_tracker = DelayTracker()
         #: Joined notifications in delivery order (subscriber ids are
         #: present in exact-matching mode, ``None`` in sampled mode).
@@ -221,7 +188,6 @@ class StreamHub:
                 encrypted=config.encrypted,
                 exit_operator=self.EP,
                 batch_limit=config.matcher_batch_limit,
-                executor=self.match_executor,
                 store_config=config.store,
             ),
             parallelism=config.parallelism,

@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine import BROADCAST, SliceContext, SliceHandler, StreamEvent
 from ..filtering import CostModel, MatchResult, MatchingBackend
-from ..parallel import MatchWorkerLost
 from .messages import MatchList, Notification, Publication, Subscription
 
 __all__ = [
@@ -127,17 +126,8 @@ class AccessPointHandler(SliceHandler):
 class MatcherHandler(SliceHandler):
     """M operator: stores a subscription partition, filters publications.
 
-    When constructed with a :class:`repro.parallel.MatchExecutor`, the
-    matching work of each publication batch is *submitted* to the worker
-    pool at dequeue time (:meth:`prepare_batch`) and collected at the
-    batch's scheduled completion time — overlapping real CPU across
-    concurrent M slices without touching the simulated trajectory.  The
-    offload engages only when the backend's library supports the packed
-    protocol (``ExactBackend.parallel_library()``); everything else, and
-    ``executor=None``, matches inline.
-
-    Without an executor, and when the backend's library keeps a mutation
-    epoch (``ExactBackend.library_epoch()``), the *real* kernel call is
+    When the backend's library keeps a mutation epoch
+    (``ExactBackend.library_epoch()``), the *real* kernel call is
     decoupled from the simulated batch: a batch that needs results makes
     one ``match_batch`` call over its own publications plus those the
     slice already has in hand at the same library state
@@ -155,7 +145,6 @@ class MatcherHandler(SliceHandler):
         encrypted: bool = True,
         exit_operator: str = "EP",
         batch_limit: int = 1,
-        executor=None,
         store_config=None,
     ):
         if batch_limit <= 0:
@@ -171,13 +160,10 @@ class MatcherHandler(SliceHandler):
         self.publications_matched = 0
         #: Publications that arrived in coalesced batches of size > 1.
         self.publications_batched = 0
-        #: Batches whose matching ran on the worker pool.
-        self.batches_offloaded = 0
         #: Publications matched by an earlier batch's kernel call.
         self.publications_matched_ahead = 0
         #: sub_id → subscriber, resolved when emitting match lists.
         self._subscribers: Dict[int, int] = {}
-        self.executor = executor
         if store_config is not None:
             configure = getattr(
                 getattr(backend, "library", None), "configure_store", None
@@ -188,25 +174,14 @@ class MatcherHandler(SliceHandler):
         self._refresh_parallel_capability()
 
     def _refresh_parallel_capability(self) -> None:
-        """(Re)detect how the backend's real work may leave the simulated
-        batch: packed-pool offload with an executor, match-ahead without."""
-        parallel_library = None
-        if self.executor is not None and hasattr(self.backend, "parallel_library"):
-            parallel_library = self.backend.parallel_library()
-        self._parallel_library = parallel_library
-        self._channel = None
-        #: Futures submitted in ``prepare_batch`` and not yet collected,
-        #: by ``id()`` of the batch's head event: the engine keeps that
-        #: event referenced for the whole submit→process window, so its
-        #: identity is stable and collision-free while the entry exists.
-        self._pending: Dict[int, Any] = {}
+        """(Re)detect whether the backend's real work may leave the
+        simulated batch: match-ahead needs a library that keeps an epoch."""
         #: ``backend.library_epoch`` when results may be computed ahead
-        #: (no executor; the library keeps an epoch), else ``None``.
+        #: (the library keeps an epoch), else ``None``.
         self._library_epoch = None
-        if self.executor is None:
-            library_epoch = getattr(self.backend, "library_epoch", None)
-            if library_epoch is not None and library_epoch() is not None:
-                self._library_epoch = library_epoch
+        library_epoch = getattr(self.backend, "library_epoch", None)
+        if library_epoch is not None and library_epoch() is not None:
+            self._library_epoch = library_epoch
         #: Results matched ahead, ``id(event)`` → ``(event, result)``: the
         #: entry holds the event so its ``id()`` cannot be recycled, and two
         #: in-flight publications sharing a ``pub_id`` stay apart.  All
@@ -247,58 +222,16 @@ class MatcherHandler(SliceHandler):
         return candidate.kind == KIND_PUBLICATION
 
     def prepare_batch(self, events, ctx: SliceContext) -> None:
-        """Submit the batch's matching work to the worker pool, if any.
-
-        Runs at dequeue time under the batch's "R" lock — the library
-        cannot mutate until every in-flight publication holder releases
-        it, so the packed view copied out here is stable.  Schedules no
-        simulation events; the future waits in ``_pending`` until
-        :meth:`process`/:meth:`process_batch` collects it at the batch's
-        scheduled virtual completion time.  A batch that meets a dead
-        worker is left for the inline path, like one never offloaded.
-        """
-        if self._parallel_library is None or events[0].kind != KIND_PUBLICATION:
-            return
-        if self._channel is None:
-            self._channel = self.executor.open_channel(f"M:{self.slice_index}")
-        try:
-            future = self._channel.submit(
-                self._parallel_library,
-                [event.payload.payload for event in events],
-            )
-        except MatchWorkerLost:
-            return
-        self._pending[id(events[0])] = future
+        """Nothing to prepare.  Deliberate leftover: ``perfbench/layers.py``
+        wraps ``MatcherHandler.__dict__["prepare_batch"]`` and may not be
+        edited here, so the method must exist on this class; it goes with
+        the ``SliceHandler`` hook and its call in ``engine/instance.py``
+        in the PR that has ``perfbench/**`` in bounds (ROADMAP item 0)."""
 
     def detach(self) -> None:
-        """Slice teardown (migration/recovery): drop in-flight work, so
-        worker results for a dead slice are discarded, never delivered."""
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            future.cancel()
-        if self._channel is not None:
-            self._channel.close()
-            self._channel = None
+        """Slice teardown (migration/recovery): results matched ahead for
+        a dead slice are discarded, never delivered."""
         self._ahead.clear()
-
-    def _collect(self, head_event) -> Optional[List[MatchResult]]:
-        """Claim the offloaded results for the batch headed by ``head_event``.
-
-        Returns one :class:`MatchResult` per publication, or ``None`` when
-        the batch was never offloaded (subscription events, non-packed
-        backend) or lost its worker — callers then match inline, which is
-        the same answer: the batch's read lock is still held, so the
-        library is in the state that was submitted.
-        """
-        future = self._pending.pop(id(head_event), None)
-        if future is None:
-            return None
-        try:
-            lists = future.result()
-        except MatchWorkerLost:
-            return None
-        self.batches_offloaded += 1
-        return [MatchResult(count=len(ids), ids=ids) for ids in lists]
 
     def _match_now(self, events) -> List[MatchResult]:
         """One backend call over the publications of ``events``."""
@@ -374,10 +307,6 @@ class MatcherHandler(SliceHandler):
             upcoming = getattr(ctx, "upcoming", None)
             if upcoming is not None:
                 return self._match_ahead(events, upcoming)
-        elif self._pending:
-            collected = self._collect(events[0])
-            if collected is not None:
-                return collected
         return self._match_now(events)
 
     def process(self, event: StreamEvent, ctx: SliceContext) -> None:
@@ -483,14 +412,12 @@ class MatcherHandler(SliceHandler):
         nothing — :func:`~repro.engine.migration.reshard_slice` relies on
         this to keep the copy phase proportional to rewritten rows only.
         """
-        # Whatever this handler had in flight belonged to the backend it
-        # gives up: cancel it and close the channel before re-detecting.
+        # What this handler matched ahead belonged to the backend it gives up.
         self.detach()
         self.backend = other.backend
         self._subscribers = other._subscribers
         self.publications_matched = other.publications_matched
         self.publications_batched = other.publications_batched
-        self.batches_offloaded = other.batches_offloaded
         self.publications_matched_ahead = other.publications_matched_ahead
         self._telemetry_bound = other._telemetry_bound
         self._refresh_parallel_capability()

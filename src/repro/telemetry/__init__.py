@@ -133,10 +133,6 @@ class Telemetry:
             self.transport_credits_outstanding = None
             self.matcher_publications = None
             self.matcher_matches = None
-            self.match_pool_inflight_batches = None
-            self.match_pool_queued_tasks = None
-            self.match_worker_busy_fraction = None
-            self.match_matrix_resyncs = None
             self.store_chunk_faults = None
             self.store_chunk_evictions = None
             self.store_resident_chunks = None
@@ -226,25 +222,6 @@ class Telemetry:
         self.matcher_matches = m.counter(
             "matcher_matches_total",
             "Subscriptions matched across all filtered publications",
-        )
-        # Parallel matching worker pool (repro.parallel; wall-clock-side
-        # signals about real worker processes, not simulated quantities).
-        self.match_pool_inflight_batches = m.gauge(
-            "match_pool_inflight_batches",
-            "Publication batches submitted to the matching pool, not yet collected",
-        )
-        self.match_pool_queued_tasks = m.gauge(
-            "match_pool_queued_tasks",
-            "Chunk tasks submitted to the matching pool, not yet collected",
-        )
-        self.match_worker_busy_fraction = m.gauge(
-            "match_worker_busy_fraction",
-            "Fraction of wall-clock time each matching worker spent computing",
-            labels=("worker",),
-        )
-        self.match_matrix_resyncs = m.counter(
-            "match_matrix_resyncs_total",
-            "Full packed-matrix re-ships to matching workers (vs incremental deltas)",
         )
         # Out-of-core packed-row store (repro.filtering.store; wall-clock
         # side residency of mmap chunks, not simulated quantities).

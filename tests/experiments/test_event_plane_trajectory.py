@@ -78,7 +78,6 @@ def build_hub(batch_limit: int, backpressure: bool):
         ap_batch_limit=batch_limit,
         matcher_batch_limit=batch_limit,
         ep_batch_limit=batch_limit,
-        match_workers=0,
         net=TransportConfig(flush_mode="fixed", flush_s=0.1,
                             backpressure=backpressure, credit_window=16),
     ))

@@ -156,28 +156,29 @@ def test_kernel_agrees_with_match_encrypted(
             library._index = None
             assert library.match_batch(publications) == expected
             assert [library.match(p) for p in publications] == expected
-            view = library.packed_view()
-            if view.span_count == 0:
+            ids, positions, starts, stops = library._span_index().view
+            if starts.size == 0:
                 return
-            matrix = np.empty((view.rows, view.width))
-            strict = np.empty(view.rows, dtype=np.bool_)
-            tol_signed = np.empty(view.rows)
-            view.copy_rows(
-                0, view.rows, matrix=matrix, strict=strict, tol_signed=tol_signed
+            store = library._chunks
+            matrix = np.empty((store.rows, store.width))
+            strict = np.empty(store.rows, dtype=np.bool_)
+            tol_signed = np.empty(store.rows)
+            store.copy_rows(
+                0, store.rows, matrix=matrix, strict=strict, tol_signed=tol_signed
             )
             ok = match_packed(
                 matrix,
                 strict,
                 tol_signed,
-                view.starts,
-                view.stops,
+                starts,
+                stops,
                 np.stack([p.vector for p in publications]),
                 _tile_rows=tile_rows,
             )
-        assert ok.shape == (view.span_count, len(publications))
+        assert ok.shape == (starts.size, len(publications))
         for column, matched in enumerate(expected):
-            for row, position in enumerate(view.positions):
-                assert ok[row, column] == (view.ids[position] in matched)
+            for row, position in enumerate(positions):
+                assert ok[row, column] == (ids[position] in matched)
 
     for op, sub_id, length in sequence:
         if op == "store":

@@ -8,8 +8,7 @@ chunk), 3-row RAM chunks and 3-row ``mmap`` chunks under a two-chunk budget
 merges shards mid-sequence.  After every operation the libraries must
 agree with each other *and* with a hub-free oracle (a plain dict of the
 stored ciphertexts filtered by :func:`match_encrypted`), and the three
-``AspeLibrary`` variants must walk *identical* ``packed_view``
-epoch/generation sequences (the contract the parallel executors cache on).
+``AspeLibrary`` variants must walk *identical* ``epoch`` sequences.
 """
 
 import random
@@ -97,11 +96,8 @@ def _churn(sequence, configs, shard_config):
         expected = [oracle(publication) for publication in _PUBS]
         for lib in (*libraries.values(), sharded):
             assert lib.match_batch(_PUBS) == expected
-        marks = {
-            (lib.packed_view().epoch, lib.packed_view().generation)
-            for lib in libraries.values()
-        }
-        assert len(marks) == 1, "epoch/generation diverged across backends"
+        epochs = {lib.epoch for lib in libraries.values()}
+        assert len(epochs) == 1, "epoch diverged across backends"
 
     for op, arg in sequence:
         if op == "store":
@@ -141,27 +137,30 @@ def _churn(sequence, configs, shard_config):
 def test_backends_and_shards_agree_under_churn(sequence):
     libraries = _churn(sequence, _CONFIGS, _CONFIGS["mmap"])
 
-    # Packed views must also copy out bit-identical row data.
-    views = [lib.packed_view() for lib in libraries.values()]
-    base = views[0]
-    for view in views[1:]:
-        assert (view.rows, view.width) == (base.rows, base.width)
-        assert view.ids == base.ids
-        for ours, theirs in zip(_packed_rows(view), _packed_rows(base)):
+    # The stores must also copy out bit-identical row data, and the span
+    # indexes agree on ids and spans.
+    base, *others = libraries.values()
+    base_ids, _, base_starts, base_stops = base._span_index().view
+    for lib in others:
+        store = lib._chunks
+        assert (store.rows, store.width) == (base._chunks.rows, base._chunks.width)
+        ids, _, starts, stops = lib._span_index().view
+        assert ids == base_ids
+        for ours, theirs in zip(_packed_rows(store), _packed_rows(base._chunks)):
             assert np.array_equal(ours, theirs)
-        assert np.array_equal(view.starts, base.starts)
-        assert np.array_equal(view.stops, base.stops)
+        assert np.array_equal(starts, base_starts)
+        assert np.array_equal(stops, base_stops)
 
 
-def _packed_rows(view):
-    """``(matrix, strict, tol_signed)`` copies of a view's rows, taken in
+def _packed_rows(store):
+    """``(matrix, strict, tol_signed)`` copies of a store's rows, taken in
     two calls so that a range starting inside a chunk is covered too."""
-    rows = view.rows
-    matrix = np.empty((rows, view.width))
+    rows = store.rows
+    matrix = np.empty((rows, store.width or 0))
     strict = np.empty(rows, dtype=bool)
     tol_signed = np.empty(rows)
     for lo, hi in ((0, rows // 2), (rows // 2, rows)):
-        view.copy_rows(
+        store.copy_rows(
             lo, hi, matrix=matrix[lo:hi], strict=strict[lo:hi],
             tol_signed=tol_signed[lo:hi],
         )
@@ -233,10 +232,7 @@ def test_library_split_merge_preserves_epoch_lockstep(sequence):
         rebuilt.store(i, _SUBS[i])
     assert chunked.match_batch(_PUBS) == mmap_lib.match_batch(_PUBS)
     assert chunked.subscription_count() == mmap_lib.subscription_count()
-    assert (chunked._epoch, chunked._generation) == (
-        mmap_lib._epoch,
-        mmap_lib._generation,
-    )
+    assert chunked.epoch == mmap_lib.epoch
     # Detach+absorb reorders rows (moving ids land behind staying ids), so
     # compare match *sets* per publication against an untouched library.
     assert [sorted(ids) for ids in chunked.match_batch(_PUBS)] == [

@@ -55,42 +55,6 @@ def test_duplicate_notification_suppression_counter():
     assert h.hub.duplicate_notifications == 1
 
 
-def test_match_knob_validation_rejects_bad_values():
-    with pytest.raises(ValueError, match="match_workers must be >= 0"):
-        small_exact_config(match_workers=-1)
-
-
-def test_match_knobs_default_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_MATCH_WORKERS", "3")
-    assert small_exact_config().match_workers == 3
-
-
-def test_match_knobs_defaults_without_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_MATCH_WORKERS", raising=False)
-    assert small_exact_config().match_workers == 0
-
-
-def test_match_workers_env_rejects_non_integers(monkeypatch):
-    monkeypatch.setenv("REPRO_MATCH_WORKERS", "many")
-    with pytest.raises(ValueError, match="REPRO_MATCH_WORKERS"):
-        small_exact_config()
-
-
-def test_injected_executor_is_used_verbatim():
-    from repro.parallel import create_executor
-
-    executor = create_executor(1)
-    h = HubHarness(small_exact_config(match_executor=executor))
-    assert h.hub.match_executor is executor
-    executor.shutdown()
-
-
-def test_zero_workers_without_injection_has_no_executor(monkeypatch):
-    monkeypatch.delenv("REPRO_MATCH_WORKERS", raising=False)
-    h = HubHarness(small_exact_config())
-    assert h.hub.match_executor is None
-
-
 def test_grouped_configs_are_kept_as_passed():
     from repro.elastic import ElasticityPolicy
     from repro.filtering.store import StoreConfig
@@ -129,3 +93,21 @@ def test_deploy_all_on_places_engine_and_sink_separately():
     engine_hosts = {placement[s] for s in h.hub.engine_slice_ids()}
     assert h.sink_host.host_id not in engine_hosts
     assert placement["SINK:0"] == h.sink_host.host_id
+
+
+def test_importing_the_hub_loads_no_shared_memory_machinery():
+    """The only way real matching work leaves the simulated clock is in
+    process (match-ahead): nothing under ``repro.pubsub`` maps segments or
+    forks workers."""
+    import os
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.pubsub; "
+         "print('multiprocessing.shared_memory' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"

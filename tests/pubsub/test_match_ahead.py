@@ -88,10 +88,8 @@ class RecordingBackend(ExactBackend):
 
 
 def recording_config(**kwargs):
-    # match_workers=0: an executor (REPRO_MATCH_WORKERS) takes the offload
-    # path, and these tests count the calls of the in-process one.
     return small_exact_config(
-        backend_factory=lambda index: RecordingBackend(), match_workers=0, **kwargs
+        backend_factory=lambda index: RecordingBackend(), **kwargs
     )
 
 
@@ -456,12 +454,6 @@ def test_a_library_without_an_epoch_never_looks_ahead():
         StreamEvent(KIND_PUBLICATION, Publication(0, payload=[5.0]), "test", 0, 100, 0.0),
         NoLookingContext(),
     )
-    assert handler.publications_matched == 1
-
-
-def test_an_executor_keeps_the_offload_path():
-    handler = make_handler(executor=object())
-    handler.process(pub_event(0, 5), NoLookingContext())
     assert handler.publications_matched == 1
 
 

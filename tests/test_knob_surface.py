@@ -44,9 +44,9 @@ def params(fields):
 KNOBS = params(FIELDS)
 ENV_KNOBS = params(row for row in FIELDS if "env" in row[3].metadata)
 
-#: Variables read outside the three groups (plain ``HubConfig`` field,
-#: the chaos leg's fault-plan seed).
-UNGROUPED = {"REPRO_MATCH_WORKERS", "REPRO_CHAOS_SEED"}
+#: Variables read outside the three groups (the chaos leg's fault-plan
+#: seed).
+UNGROUPED = {"REPRO_CHAOS_SEED"}
 DECLARED = UNGROUPED | {
     field.metadata["env"] for *_, field in FIELDS if "env" in field.metadata
 }
@@ -293,9 +293,8 @@ class TestPolicyCommand:
 class TestDeclaredVariables:
     """``src/``, the docs and the CI workflow spell only declared names."""
 
-    def test_the_declared_set_is_the_nine(self):
+    def test_the_declared_set_is_the_eight(self):
         assert DECLARED == {
-            "REPRO_MATCH_WORKERS",
             "REPRO_STORE_BACKEND",
             "REPRO_STORE_CHUNK_ROWS",
             "REPRO_STORE_MEMORY_BUDGET_MB",
