@@ -172,10 +172,12 @@ def chaos_seed_from_env(variable: str = "REPRO_CHAOS_SEED") -> Optional[int]:
 class Watchdog:
     """Interrupts simulation processes that outlive a deadline.
 
-    The manager arms one per administrative operation (migration,
-    reshard): if the operation's process is still alive when the timer
-    fires — e.g. a partition swallowed the state transfer — the process
-    is interrupted, which triggers the operation's own rollback path.
+    A manager built with ``migration_timeout_s`` arms one per operation
+    it waits on, migration or reshard alike; without it nothing is
+    guarded.  If the operation's process is still alive when the timer
+    fires — e.g. its sync phase waits on events a partition dropped — the
+    process is interrupted, which triggers the operation's own rollback
+    path.
     """
 
     def __init__(self, env: Environment, telemetry=None):

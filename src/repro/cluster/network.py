@@ -212,6 +212,18 @@ class Network:
         )
         return arrival
 
+    def ship(self, src: str, dst: str, size_bytes: int):
+        """Send ``size_bytes`` of bulk state; returns its arrival event.
+
+        State copies, checkpoints and replays yield on it.  A partitioned
+        link drops the transfer like any other send, so the event never
+        fires: a caller that must not hang checks :meth:`is_partitioned`
+        first.
+        """
+        arrived = self.env.event()
+        self.send(src, dst, size_bytes, None, arrived.succeed)
+        return arrived
+
     def send_batch(
         self,
         src: str,

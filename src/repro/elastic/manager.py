@@ -267,6 +267,9 @@ class ElasticityManager:
                 self._record_host(host)
 
             hosts_by_id = {h.host_id: h for h in self.engine_hosts}
+            # Migrations run concurrently; shard ops one at a time, each
+            # failing if no longer applicable (e.g. a single-subscription
+            # shard) or if its slice started migrating meanwhile.
             migrations = []
             for planned in decision.migrations:
                 destination = new_hosts.get(planned.to_host) or hosts_by_id.get(
@@ -275,50 +278,17 @@ class ElasticityManager:
                 if destination is None:
                     failures += 1
                     continue
-                process = self.hub.runtime.migrate(planned.slice_id, destination)
-                migrations.append(process)
-                self._inflight_ops.append(process)
-            disarms = []
-            if self._watchdog is not None:
-                disarms = [
-                    self._watchdog.guard(
-                        process,
-                        self.migration_timeout_s,
-                        cause="migration_timeout",
-                    )
-                    for process in migrations
-                ]
-            for process in migrations:
-                try:
-                    report = yield process
-                except Interrupt:
-                    # The manager itself was crashed/timed out — do NOT
-                    # swallow this as a migration failure, or a zombie
-                    # manager keeps executing (and persisting) after a
-                    # standby has taken over.
-                    raise
-                except Exception:
-                    failures += 1
-                    continue
-                self.migration_reports.append(report)
-                self._record_migration(report)
-            for disarm in disarms:
-                disarm()
-
+                migrations.append(
+                    self.hub.runtime.migrate(planned.slice_id, destination)
+                )
+            self._inflight_ops.extend(migrations)
+            failures += yield from self._await_ops(migrations)
             for planned in decision.shard_ops:
                 process = self.hub.runtime.reshard(planned.slice_id, planned.op)
                 self._inflight_ops.append(process)
-                try:
-                    report = yield process
-                except Interrupt:
-                    raise  # manager crash — see the migration loop above
-                except Exception:
-                    # Not applicable anymore (e.g. a single-subscription
-                    # shard) or the slice started migrating meanwhile.
-                    failures += 1
-                    continue
-                shard_ops_done += 1
-                self.shard_op_reports.append(report)
+                failed = yield from self._await_ops([process])
+                failures += failed
+                shard_ops_done += 1 - failed
 
             released = 0
             placement = self.hub.runtime.placement()
@@ -365,6 +335,44 @@ class ElasticityManager:
             self._executing = False
             self._exec_process = None
             self._inflight_ops = []
+
+    def _await_ops(self, processes: List):
+        """Wait for migration/reshard processes in order; returns failures.
+
+        The one wait path of :meth:`_execute` and :meth:`_resume_inflight`:
+        every process is guarded by the watchdog when
+        ``migration_timeout_s`` is set, each report is recorded, and each
+        failed operation (rolled back, refused) is counted.
+        """
+        disarms = []
+        if self._watchdog is not None:
+            disarms = [
+                self._watchdog.guard(
+                    process, self.migration_timeout_s, cause="migration_timeout"
+                )
+                for process in processes
+            ]
+        failures = 0
+        for process in processes:
+            try:
+                report = yield process
+            except Interrupt:
+                # The manager itself was crashed/timed out — do NOT
+                # swallow this as an operation failure, or a zombie
+                # manager keeps executing (and persisting) after a
+                # standby has taken over.
+                raise
+            except Exception:
+                failures += 1
+                continue
+            if isinstance(report, MigrationReport):
+                self.migration_reports.append(report)
+                self._record_migration(report)
+            else:
+                self.shard_op_reports.append(report)
+        for disarm in disarms:
+            disarm()
+        return failures
 
     # -- failover (see RESILIENCE.md) ------------------------------------------------
 
@@ -480,16 +488,8 @@ class ElasticityManager:
         span = None
         if tracer is not None and tracer.enabled:
             span = tracer.start_span("recovery.failover", orphans=len(orphans))
-        for process in orphans:
-            if not process.is_alive:
-                continue
-            try:
-                report = yield process
-            except Exception:
-                continue  # interrupted elsewhere: rolled back
-            if isinstance(report, MigrationReport):
-                self.migration_reports.append(report)
-                self._record_migration(report)
+        # A failed orphan rolled back; the classification below says so.
+        yield from self._await_ops(orphans)
         stored = (
             self.checkpoint_store.get(MANAGER_STATE_KEY)
             if self.checkpoint_store is not None

@@ -1,4 +1,4 @@
-"""Live migration of an operator slice (paper §IV-A, Figure 3).
+"""Slice handoff: live migration (paper §IV-A, Figure 3) and reshard.
 
 The protocol minimizes service interruption through slice duplication and
 in-memory buffering of duplicated events:
@@ -17,27 +17,31 @@ in-memory buffering of duplicated events:
    processing.
 5. The origin instance is removed.
 
-Stateless slices (AP) skip the copy phase entirely, hence their much lower
+Stateless slices (AP) skip the transfer entirely, hence their much lower
 migration time (paper Table I).
 
-When the runtime carries a :class:`repro.telemetry.Telemetry` bundle, the
-coordinator emits one ``migration`` root span plus five contiguous phase
-spans — ``migration.pre`` (destination creation and DAG rewiring),
-``migration.sync`` (drain to the duplication cutoffs), ``migration.pause``
-(origin halt to quiescence), ``migration.copy`` (serialize, transfer,
-deserialize, resume) and ``migration.post`` (final configuration update).
-The phases tile ``[started_at, completed_at]`` exactly, so their durations
-sum to :attr:`MigrationReport.duration_s`, and the pause + copy phases
-together equal :attr:`MigrationReport.interruption_s` — the Fig. 7 signal,
-now visible per migration instead of only in aggregate.
+One coordinator, :func:`_handoff`, runs these five phases — ``pre``
+(destination creation and DAG rewiring), ``sync`` (drain to the
+duplication cutoffs), ``pause`` (origin halt to quiescence), ``copy``
+(the state step, then resume) and ``post`` (final configuration update)
+— for two protocols that differ only in the copy step:
 
-:func:`reshard_slice` runs the same five-phase protocol for a *same-host*
-reorganization: a key-range shard split or merge inside a slice whose
-handler supports runtime resharding (see
-:class:`~repro.filtering.ShardedAspeLibrary`).  The state is adopted by
-reference — same process, same host — so the copy phase charges CPU only
-for the rows the shard operation physically rewrites (zero for merges
-and boundary-aligned splits) instead of serializing the whole partition.
+* :func:`migrate_slice` moves a slice to another host: serialize, ship,
+  deserialize and install the state.
+* :func:`reshard_slice` splits or merges a key-range shard inside a slice
+  whose handler supports runtime resharding (see
+  :class:`~repro.filtering.ShardedAspeLibrary`).  The twin adopts the
+  state by reference on the same host, so the copy charges CPU only for
+  the rows the shard operation physically rewrites (zero for merges and
+  boundary-aligned splits) instead of serializing the whole partition.
+
+When the runtime carries a :class:`repro.telemetry.Telemetry` bundle, the
+coordinator emits one ``migration`` (or ``reshard``) root span plus five
+contiguous phase spans ``{protocol}.{phase}``.  The phases tile
+``[started_at, completed_at]`` exactly, so their durations sum to the
+report's ``duration_s``, and the pause + copy phases together equal its
+``interruption_s`` — the Fig. 7 signal, visible per migration instead of
+only in aggregate.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ __all__ = [
     "reshard_slice",
 ]
 
+#: Runtime counter prefix of each protocol (``{prefix}_completed`` and
+#: ``{prefix}_aborted`` on :class:`~repro.engine.runtime.EngineRuntime`).
+_COUNTERS = {"migration": "migrations", "reshard": "shard_ops"}
+
 
 class MigrationError(RuntimeError):
     """A migration could not be performed.
@@ -64,9 +72,9 @@ class MigrationError(RuntimeError):
     unknown or undeployed slices, a slice already migrating, a
     destination equal to the origin, or a destination host that has been
     released back to the provider.  Also raised *asynchronously* (the
-    coordinating process fails with it) when an in-flight operation is
-    interrupted — by a watchdog timeout or a crashing manager — and rolls
-    back.
+    coordinating process fails with it) when an in-flight operation
+    rolls back: it was interrupted — by a watchdog timeout or a crashing
+    manager — or its state copy met a partitioned link.
     """
 
 
@@ -93,22 +101,140 @@ def _undo_shard_op(handler, op: str, result) -> None:
         pass
 
 
-def _rollback(runtime, logical, origin, destination, halted: bool) -> None:
-    """Undo a partially executed migration/reshard after an interrupt.
+def _handoff_target(runtime, slice_id: str):
+    """The logical slice a handoff may start on, else :class:`MigrationError`."""
+    logical = runtime.slices.get(slice_id)
+    if logical is None:
+        raise MigrationError(f"unknown slice {slice_id!r}")
+    if logical.active is None:
+        raise MigrationError(f"slice {slice_id} is not deployed")
+    if logical.pending is not None:
+        raise MigrationError(f"slice {slice_id} is already migrating")
+    return logical
 
-    Reached only before the activation point (activation → origin
-    destruction → completion happen in one synchronous block, which an
-    interrupt cannot split).  The origin is still the active instance and
-    received every event the destination did, so dropping the buffering
-    destination loses nothing; a halted origin additionally gets its
-    dequeued-but-dropped events spliced back and its workers woken
-    (:meth:`SliceInstance.resume`).
+
+def _handoff(runtime, protocol: str, logical, host: Host, attrs, copy, undo=None):
+    """The five-phase handoff of ``logical`` to a buffering twin on ``host``.
+
+    Runs inside the caller's coordinator process (``yield from``), so it
+    adds no process or event of its own.  ``attrs`` open the
+    ``protocol`` root span.  ``copy(twin)`` is the protocol's state step,
+    a generator run while the origin is halted; it returns the attributes
+    that close both the copy span and the root span.
+
+    An :class:`Interrupt` before the twin is activated — a watchdog, a
+    crashing manager, or a copy step refusing a partitioned link — runs
+    ``undo(twin)``, rolls back and fails with :class:`MigrationError`;
+    one in the post phase rolls forward.
+
+    Returns ``(copy attributes, started_at, interruption_s)``.
     """
-    if destination is not None:
+    env = runtime.env
+    costs = runtime.migration_costs
+    slice_id = logical.id
+    origin = logical.active
+    started_at = env.now
+    telemetry = runtime.telemetry
+    tracer = telemetry.tracer if telemetry is not None else None
+    root = span = None
+    if tracer is not None and tracer.enabled:
+        root = tracer.start_span(protocol, **attrs)
+
+    def enter(phase: str, **closing) -> None:
+        # Close the open phase span, open this one, tell the listeners.
+        nonlocal span
+        if root is not None:
+            if span is not None:
+                tracer.finish_span(span, **closing)
+            span = tracer.start_span(f"{protocol}.{phase}", parent=root)
+        runtime._notify_migration_phase(slice_id, protocol, phase)
+
+    twin = None
+    halted = activated = False
+    try:
+        # (2) Create the buffering twin and rewire the DAG to duplicate
+        # incoming events.  The fixed pre-overhead models the round-trips
+        # through the shared configuration service.
+        enter("pre")
+        yield env.timeout(costs.pre_s)
+        twin = runtime.buffering_twin(slice_id, host)
+        logical.pending = twin
+        cutoffs = runtime.sent_cutoffs(slice_id)
+
+        # (3) Wait until the origin processed everything sent before
+        # duplication, then stop it and wait for in-flight work to finish.
+        enter("sync")
+        yield origin.wait_until_processed(cutoffs)
+        interruption_start = env.now
+        enter("pause")
+        halted = True
+        yield origin.halt()
+
+        # (4) Copy the state with its timestamp vector, then resume on the
+        # twin; obsolete duplicated events are filtered via the vector
+        # inside the worker loop.
+        enter("copy")
+        vector = dict(origin.last_processed)
+        copied = yield from copy(twin)
+        twin.activate(vector)
+        logical.active = twin
         logical.pending = None
-        destination.destroy()
-    if halted:
-        origin.resume()
+        origin.destroy()
+        activated = True
+        interruption_end = env.now
+
+        # (5) Final configuration update.
+        enter("post", **copied)
+        yield env.timeout(costs.post_s)
+    except Interrupt as interrupt:
+        if not activated:
+            # The origin is still authoritative and received every event
+            # the twin did: drop the twin, splice back what the halt
+            # dropped (SliceInstance.resume), and fail the process so the
+            # operation's waiter sees the abort.  Activation → origin
+            # destruction happen in one synchronous block, which an
+            # interrupt cannot split.  Phase spans close at the abort
+            # instant, so they still tile [started_at, now].
+            if undo is not None:
+                undo(twin)
+            if twin is not None:
+                logical.pending = None
+                twin.destroy()
+            if halted:
+                origin.resume()
+            aborted = _COUNTERS[protocol] + "_aborted"
+            setattr(runtime, aborted, getattr(runtime, aborted) + 1)
+            if root is not None:
+                tracer.finish_span(span, outcome="aborted")
+                tracer.finish_span(
+                    root, outcome="aborted", resolution="rolled_back",
+                    duration_s=env.now - started_at,
+                )
+            raise MigrationError(
+                f"{protocol} of {slice_id} aborted ({interrupt.cause}): "
+                f"rolled back to {origin.host.host_id}"
+            ) from None
+        # Interrupted in the post phase: the twin is already live and the
+        # origin destroyed — roll forward, reporting completion at the
+        # abort instant (only the config-update tail was cut).
+        if root is not None:
+            tracer.finish_span(span, outcome="aborted")
+            span = None
+            root.attrs["outcome"] = "aborted"
+            root.attrs["resolution"] = "completed"
+    completed = _COUNTERS[protocol] + "_completed"
+    setattr(runtime, completed, getattr(runtime, completed) + 1)
+    interruption_s = interruption_end - interruption_start
+    if root is not None:
+        if span is not None:
+            tracer.finish_span(span)
+        tracer.finish_span(
+            root,
+            **copied,
+            interruption_s=interruption_s,
+            duration_s=env.now - started_at,
+        )
+    return copied, started_at, interruption_s
 
 
 @dataclass(frozen=True)
@@ -152,159 +278,57 @@ def migrate_slice(runtime, slice_id: str, dest_host: Host):
     overheads, the drain to the duplication cutoffs, origin quiescence,
     and the serialize/transfer/deserialize of the state copy.
     """
-    from .instance import SliceInstance
-
-    env = runtime.env
-    costs = runtime.migration_costs
-    logical = runtime.slices.get(slice_id)
-    if logical is None:
-        raise MigrationError(f"unknown slice {slice_id!r}")
-    if logical.active is None:
-        raise MigrationError(f"slice {slice_id} is not deployed")
-    if logical.pending is not None:
-        raise MigrationError(f"slice {slice_id} is already migrating")
+    logical = _handoff_target(runtime, slice_id)
     origin = logical.active
     if origin.host is dest_host:
         raise MigrationError(f"slice {slice_id} is already on {dest_host.host_id}")
     if dest_host.released:
         raise MigrationError(f"destination {dest_host.host_id} has been released")
+    costs = runtime.migration_costs
+    network = runtime.network
 
-    started_at = env.now
-    info = runtime.operators[logical.operator]
-    telemetry = runtime.telemetry
-    tracer = telemetry.tracer if telemetry is not None else None
-    root = phase = None
-    if tracer is not None and tracer.enabled:
-        root = tracer.start_span(
-            "migration",
-            slice=slice_id,
-            from_host=origin.host.host_id,
-            to_host=dest_host.host_id,
-        )
-        phase = tracer.start_span("migration.pre", parent=root)
-
-    destination = None
-    halted = activated = False
-    try:
-        # (2) Create the inactive destination instance and rewire the DAG
-        # to duplicate incoming events.  The fixed pre-overhead models the
-        # round-trips through the shared configuration service.
-        runtime._notify_migration_phase(slice_id, "migration", "pre")
-        yield env.timeout(costs.pre_s)
-        destination = SliceInstance(
-            runtime,
-            slice_id,
-            info.handler_factory(logical.index),
-            dest_host,
-            parallelism=info.parallelism,
-            buffering=True,
-        )
-        logical.pending = destination
-        cutoffs = runtime.sent_cutoffs(slice_id)
-        if phase is not None:
-            tracer.finish_span(phase)
-            phase = tracer.start_span("migration.sync", parent=root)
-
-        # (3) Wait until the origin processed everything sent before
-        # duplication, then stop it and wait for in-flight work to finish.
-        runtime._notify_migration_phase(slice_id, "migration", "sync")
-        yield origin.wait_until_processed(cutoffs)
-        interruption_start = env.now
-        if phase is not None:
-            tracer.finish_span(phase)
-            phase = tracer.start_span("migration.pause", parent=root)
-        runtime._notify_migration_phase(slice_id, "migration", "pause")
-        halted = True
-        yield origin.halt()
-        if phase is not None:
-            tracer.finish_span(phase)
-            phase = tracer.start_span("migration.copy", parent=root)
-
-        # (4) Copy the state with its timestamp vector.
-        runtime._notify_migration_phase(slice_id, "migration", "copy")
-        vector = dict(origin.last_processed)
+    def copy(twin):
         state = origin.handler.export_state()
         state_bytes = origin.handler.state_size_bytes()
         if state_bytes > 0:
             serialize_cpu = state_bytes * costs.serialize_s_per_byte
             if serialize_cpu > 0:
                 yield from origin.host.cpu.run(serialize_cpu, tag=slice_id)
-            transferred = env.event()
-            runtime.network.send(
-                origin.host.host_id,
-                dest_host.host_id,
-                state_bytes,
-                None,
-                lambda _payload: transferred.succeed(),
-            )
-            yield transferred
+            src, dst = origin.host.host_id, dest_host.host_id
+            if network.is_partitioned(src, dst):
+                # The fabric would drop the state and nothing resends it:
+                # abort while the origin is still authoritative.
+                raise Interrupt("partitioned")
+            yield network.ship(src, dst, state_bytes)
             deserialize_cpu = state_bytes * costs.deserialize_s_per_byte
             if deserialize_cpu > 0:
                 yield from dest_host.cpu.run(deserialize_cpu, tag=slice_id)
-        destination.handler.import_state(state)
+        twin.handler.import_state(state)
+        return {"state_bytes": state_bytes}
 
-        # Resume on the destination; obsolete duplicated events are
-        # filtered via the timestamp vector inside the worker loop.
-        destination.activate(vector)
-        logical.active = destination
-        logical.pending = None
-        origin.destroy()
-        activated = True
-        interruption_end = env.now
-        if phase is not None:
-            tracer.finish_span(phase, state_bytes=state_bytes)
-            phase = tracer.start_span("migration.post", parent=root)
-
-        # (5) Final configuration update.
-        runtime._notify_migration_phase(slice_id, "migration", "post")
-        yield env.timeout(costs.post_s)
-    except Interrupt as interrupt:
-        if not activated:
-            # The origin is still authoritative: drop the buffering twin,
-            # splice back what the halt dropped, and fail the process so
-            # the operation's waiter (manager, watchdog arm) sees the
-            # abort.  Phase spans close at the abort instant, so they
-            # still tile [started_at, now].
-            _rollback(runtime, logical, origin, destination, halted)
-            runtime.migrations_aborted += 1
-            if phase is not None:
-                tracer.finish_span(phase, outcome="aborted")
-                tracer.finish_span(
-                    root, outcome="aborted", resolution="rolled_back",
-                    duration_s=env.now - started_at,
-                )
-            raise MigrationError(
-                f"migration of {slice_id} aborted "
-                f"({interrupt.cause}): rolled back to "
-                f"{origin.host.host_id}"
-            ) from None
-        # Interrupted in the post phase: the destination is already live
-        # and the origin destroyed — roll forward, reporting completion
-        # at the abort instant (only the config-update tail was cut).
-        if phase is not None:
-            tracer.finish_span(phase, outcome="aborted")
-            phase = None
-            root.attrs["outcome"] = "aborted"
-            root.attrs["resolution"] = "completed"
-    runtime.migrations_completed += 1
+    copied, started_at, interruption_s = yield from _handoff(
+        runtime,
+        "migration",
+        logical,
+        dest_host,
+        {
+            "slice": slice_id,
+            "from_host": origin.host.host_id,
+            "to_host": dest_host.host_id,
+        },
+        copy,
+    )
+    state_bytes = copied["state_bytes"]
     report = MigrationReport(
         slice_id=slice_id,
         source_host=origin.host.host_id,
         destination_host=dest_host.host_id,
         started_at=started_at,
-        completed_at=env.now,
+        completed_at=runtime.env.now,
         state_bytes=state_bytes,
-        interruption_s=interruption_end - interruption_start,
+        interruption_s=interruption_s,
     )
-    if root is not None:
-        if phase is not None:
-            tracer.finish_span(phase)
-        tracer.finish_span(
-            root,
-            state_bytes=state_bytes,
-            interruption_s=report.interruption_s,
-            duration_s=report.duration_s,
-        )
+    telemetry = runtime.telemetry
     if telemetry is not None and telemetry.migrations is not None:
         telemetry.migrations.inc()
         telemetry.migration_state_bytes.inc(state_bytes)
@@ -360,137 +384,56 @@ def reshard_slice(
     """Coordinator process generator for one same-host shard split/merge.
 
     Drive it with :meth:`EngineRuntime.reshard`; the process's value is a
-    :class:`ShardOpReport`.  The protocol reuses the migration machinery
-    (§IV-A) unchanged — duplicate-and-buffer, drain to cutoffs, halt,
-    swap, resume with the timestamp vector — but the "copy" adopts the
-    origin handler's state by reference on the same host, so the only
-    state cost is the CPU for rows the shard operation rewrites.
+    :class:`ShardOpReport`.  The handoff is the migration's (§IV-A) —
+    duplicate-and-buffer, drain to cutoffs, halt, swap, resume with the
+    timestamp vector — but the twin sits on the same host and adopts the
+    origin handler's state by reference, so the only state cost is the
+    CPU for rows the shard operation rewrites.
     """
-    from .instance import SliceInstance
-
-    env = runtime.env
-    costs = runtime.migration_costs
     if op not in ("split", "merge"):
         raise MigrationError(f"unknown shard operation {op!r}")
-    logical = runtime.slices.get(slice_id)
-    if logical is None:
-        raise MigrationError(f"unknown slice {slice_id!r}")
-    if logical.active is None:
-        raise MigrationError(f"slice {slice_id} is not deployed")
-    if logical.pending is not None:
-        raise MigrationError(f"slice {slice_id} is already migrating")
-    origin = logical.active
-    handler = origin.handler
+    logical = _handoff_target(runtime, slice_id)
+    handler = logical.active.handler
     if not getattr(handler, "can_reshard", lambda _op: False)(op):
         raise MigrationError(
             f"slice {slice_id} cannot {op}: handler does not support it "
             f"or the operation is not applicable right now"
         )
-
-    started_at = env.now
-    host = origin.host
-    info = runtime.operators[logical.operator]
-    telemetry = runtime.telemetry
-    tracer = telemetry.tracer if telemetry is not None else None
-    root = phase = None
-    if tracer is not None and tracer.enabled:
-        root = tracer.start_span(
-            "reshard", slice=slice_id, op=op, host=host.host_id
-        )
-        phase = tracer.start_span("reshard.pre", parent=root)
-
-    destination = None
+    host = logical.active.host
+    costs = runtime.migration_costs
     result = None
-    halted = activated = False
-    try:
-        # (2) Same protocol as a migration: a buffering twin instance on
-        # the *same* host receives duplicated events while the origin
-        # drains.
-        runtime._notify_migration_phase(slice_id, "reshard", "pre")
-        yield env.timeout(costs.pre_s)
-        destination = SliceInstance(
-            runtime,
-            slice_id,
-            info.handler_factory(logical.index),
-            host,
-            parallelism=info.parallelism,
-            buffering=True,
-        )
-        logical.pending = destination
-        cutoffs = runtime.sent_cutoffs(slice_id)
-        if phase is not None:
-            tracer.finish_span(phase)
-            phase = tracer.start_span("reshard.sync", parent=root)
 
-        # (3) Drain to the duplication cutoffs, then quiesce the origin.
-        runtime._notify_migration_phase(slice_id, "reshard", "sync")
-        yield origin.wait_until_processed(cutoffs)
-        interruption_start = env.now
-        if phase is not None:
-            tracer.finish_span(phase)
-            phase = tracer.start_span("reshard.pause", parent=root)
-        runtime._notify_migration_phase(slice_id, "reshard", "pause")
-        halted = True
-        yield origin.halt()
-        if phase is not None:
-            tracer.finish_span(phase)
-            phase = tracer.start_span("reshard.copy", parent=root)
-
-        # (4) Adopt the state by reference and perform the shard
-        # operation.  Only the physically rewritten rows cost CPU — a
-        # merge or a boundary-aligned split swaps chunk ownership and
-        # charges nothing.
-        runtime._notify_migration_phase(slice_id, "reshard", "copy")
-        vector = dict(origin.last_processed)
-        destination.handler.adopt_from(handler)
-        result = destination.handler.reshard(
+    def copy(twin):
+        # Only the physically rewritten rows cost CPU — a merge or a
+        # boundary-aligned split swaps chunk ownership and charges nothing.
+        nonlocal result
+        twin.handler.adopt_from(handler)
+        result = twin.handler.reshard(
             op, shard_index=shard_index, pivot_key=pivot_key
         )
-        state_bytes = result.bytes_rewritten
-        rework_cpu = state_bytes * (
+        rework_cpu = result.bytes_rewritten * (
             costs.serialize_s_per_byte + costs.deserialize_s_per_byte
         )
         if rework_cpu > 0:
             yield from host.cpu.run(rework_cpu, tag=slice_id)
-        destination.activate(vector)
-        logical.active = destination
-        logical.pending = None
-        origin.destroy()
-        activated = True
-        interruption_end = env.now
-        if phase is not None:
-            tracer.finish_span(phase, rows_rewritten=result.rows_rewritten)
-            phase = tracer.start_span("reshard.post", parent=root)
+        return {
+            "shards_after": result.shards_after,
+            "rows_rewritten": result.rows_rewritten,
+        }
 
-        # (5) Final configuration update.
-        runtime._notify_migration_phase(slice_id, "reshard", "post")
-        yield env.timeout(costs.post_s)
-    except Interrupt as interrupt:
-        if not activated:
-            if result is not None:
-                # The shard op already mutated the library, which the
-                # twin adopted *by reference* — the origin shares it.
-                # Undo with the inverse op so "rolled back" is true of
-                # the state, not just of the instance swap.
-                _undo_shard_op(destination.handler, op, result)
-            _rollback(runtime, logical, origin, destination, halted)
-            runtime.shard_ops_aborted += 1
-            if phase is not None:
-                tracer.finish_span(phase, outcome="aborted")
-                tracer.finish_span(
-                    root, outcome="aborted", resolution="rolled_back",
-                    duration_s=env.now - started_at,
-                )
-            raise MigrationError(
-                f"{op} of {slice_id} aborted ({interrupt.cause}): "
-                f"rolled back"
-            ) from None
-        if phase is not None:
-            tracer.finish_span(phase, outcome="aborted")
-            phase = None
-            root.attrs["outcome"] = "aborted"
-            root.attrs["resolution"] = "completed"
-    runtime.shard_ops_completed += 1
+    def undo(twin):
+        if result is not None:
+            _undo_shard_op(twin.handler, op, result)
+
+    _, started_at, interruption_s = yield from _handoff(
+        runtime,
+        "reshard",
+        logical,
+        host,
+        {"slice": slice_id, "op": op, "host": host.host_id},
+        copy,
+        undo,
+    )
     report = ShardOpReport(
         slice_id=slice_id,
         op=op,
@@ -500,22 +443,12 @@ def reshard_slice(
         shards_after=result.shards_after,
         moved_subscriptions=result.moved_subscriptions,
         rows_rewritten=result.rows_rewritten,
-        state_bytes=state_bytes,
+        state_bytes=result.bytes_rewritten,
         started_at=started_at,
-        completed_at=env.now,
-        interruption_s=interruption_end - interruption_start,
+        completed_at=runtime.env.now,
+        interruption_s=interruption_s,
     )
-    if root is not None:
-        if phase is not None:
-            tracer.finish_span(phase)
-        tracer.finish_span(
-            root,
-            op=op,
-            shards_after=report.shards_after,
-            rows_rewritten=report.rows_rewritten,
-            interruption_s=report.interruption_s,
-            duration_s=report.duration_s,
-        )
+    telemetry = runtime.telemetry
     if telemetry is not None and telemetry.shard_operations is not None:
         telemetry.shard_operations.labels(op=op).inc()
     return report

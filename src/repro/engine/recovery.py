@@ -211,15 +211,9 @@ class ReliabilityCoordinator:
         if serialize_cpu > 0:
             yield from instance.host.cpu.run(serialize_cpu, tag=slice_id)
         if state_bytes > 0:
-            shipped = self.env.event()
-            self.runtime.network.send(
-                instance.host.host_id,
-                STABLE_STORAGE,
-                state_bytes,
-                None,
-                lambda _payload: shipped.succeed(),
+            yield self.runtime.network.ship(
+                instance.host.host_id, STABLE_STORAGE, state_bytes
             )
-            yield shipped
 
         epoch = self._epochs.get(slice_id, 0) + 1
         self._epochs[slice_id] = epoch
@@ -326,16 +320,13 @@ class ReliabilityCoordinator:
         return report
 
     def _recover_slice(self, slice_id: str, parent=None):
-        from .instance import SliceInstance
-
         started_at = self.env.now
         replacement = self._replacement_host()
         if replacement is None:
             if self.runtime.dead_letters is None:
                 raise RuntimeError("no replacement_host_fn configured")
             return self._abandon_slice(slice_id, started_at, parent=parent)
-        logical = self.runtime.slices[slice_id]
-        info = self.runtime.operators[logical.operator]
+        network = self.runtime.network
         checkpoint = self.store.get(slice_id)
         tracer = self._tracer
         span = None
@@ -347,28 +338,17 @@ class ReliabilityCoordinator:
                 replacement=replacement.host_id,
             )
 
-        instance = SliceInstance(
-            self.runtime,
-            slice_id,
-            info.handler_factory(logical.index),
-            replacement,
-            parallelism=info.parallelism,
-            buffering=True,
-        )
-        logical.active = instance  # new original events start flowing here
+        instance = self.runtime.buffering_twin(slice_id, replacement)
+        # New original events start flowing here.
+        self.runtime.slices[slice_id].active = instance
 
         vector: Dict[str, int] = {}
         if checkpoint is not None:
-            # Fetch the state from stable storage and install it.
-            fetched = self.env.event()
-            self.runtime.network.send(
-                STABLE_STORAGE,
-                replacement.host_id,
-                checkpoint.state_bytes,
-                None,
-                lambda _payload: fetched.succeed(),
+            # Fetch the state from stable storage (even an empty one: the
+            # round trip is still paid) and install it.
+            yield network.ship(
+                STABLE_STORAGE, replacement.host_id, checkpoint.state_bytes
             )
-            yield fetched
             costs = self.runtime.migration_costs
             deserialize_cpu = checkpoint.state_bytes * costs.deserialize_s_per_byte
             if deserialize_cpu > 0:
@@ -401,17 +381,12 @@ class ReliabilityCoordinator:
                 )
 
         # Charge the replay transfers (one bulk send per channel).
-        transfers = []
-        for source, size in replay_bytes_by_source.items():
-            done = self.env.event()
-            self.runtime.network.send(
-                self.runtime._source_host_id(source),
-                replacement.host_id,
-                size,
-                None,
-                lambda _payload, _done=done: _done.succeed(),
+        transfers = [
+            network.ship(
+                self.runtime._source_host_id(source), replacement.host_id, size
             )
-            transfers.append(done)
+            for source, size in replay_bytes_by_source.items()
+        ]
         for done in transfers:
             yield done
 
@@ -498,15 +473,9 @@ class ReliabilityCoordinator:
                     ):
                         continue  # still cut off; replay again after heal
                     size = sum(e.size_bytes for e in events)
-                    done = self.env.event()
-                    self.runtime.network.send(
-                        src_host,
-                        instance.host.host_id,
-                        size,
-                        None,
-                        lambda _payload, _done=done: _done.succeed(),
+                    yield self.runtime.network.ship(
+                        src_host, instance.host.host_id, size
                     )
-                    yield done
                     for event in events:
                         instance.deliver(
                             event._replace(replayed=True)

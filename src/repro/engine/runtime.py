@@ -172,6 +172,27 @@ class EngineRuntime:
             self, slice_id, handler, host, parallelism=info.parallelism
         )
 
+    def buffering_twin(self, slice_id: str, host: Host):
+        """A fresh, inactive instance of ``slice_id`` on ``host``.
+
+        The twin every state handoff installs — migration, reshard and
+        crash recovery: it queues what it is sent until
+        :meth:`SliceInstance.activate` hands it the timestamp vector to
+        resume from.
+        """
+        from .instance import SliceInstance
+
+        logical = self._logical(slice_id)
+        info = self.operators[logical.operator]
+        return SliceInstance(
+            self,
+            slice_id,
+            info.handler_factory(logical.index),
+            host,
+            parallelism=info.parallelism,
+            buffering=True,
+        )
+
     def deploy_operator(self, name: str, hosts: List[Host]) -> None:
         """Round-robin all slices of ``name`` over ``hosts``."""
         if not hosts:

@@ -409,8 +409,9 @@ class MatcherHandler(SliceHandler):
 
         Unlike :meth:`import_state` nothing is copied: the backend object
         itself changes owner, so adopting a terabyte-scale partition costs
-        nothing — :func:`~repro.engine.migration.reshard_slice` relies on
-        this to keep the copy phase proportional to rewritten rows only.
+        nothing — the copy step of
+        :func:`~repro.engine.migration.reshard_slice` relies on this to
+        stay proportional to rewritten rows only.
         """
         # What this handler matched ahead belonged to the backend it gives up.
         self.detach()

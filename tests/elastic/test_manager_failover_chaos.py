@@ -18,17 +18,20 @@ from repro.elastic import (
     ViolationKind,
 )
 from repro.engine import CheckpointStore
+from repro.experiments import phase_spans_tile
 from repro.filtering import CostModel, ExactBackend, ShardedAspeLibrary
-from repro.pubsub import HubConfig, StreamHub, Subscription
+from repro.pubsub import HubConfig, Publication, StreamHub, Subscription
 from repro.sim import Environment
+from repro.telemetry import Telemetry
 from repro.workloads import ScaleWorkload
 
 
 class FailoverHarness:
     """Two-host hub with a primary + standby manager pair."""
 
-    def __init__(self, subs=40):
+    def __init__(self, subs=40, migration_timeout_s=None):
         self.env = Environment()
+        self.telemetry = Telemetry(self.env)
         self.cloud = CloudProvider(self.env, spec=HostSpec(cores=8),
                                    max_hosts=10)
         self.engine_hosts = [self.cloud.provision_now(),
@@ -40,6 +43,7 @@ class FailoverHarness:
             # Key-range-sharded store: migratable *and* shardable, so one
             # harness covers both protocols.
             backend_factory=lambda index: ExactBackend(ShardedAspeLibrary()),
+            telemetry=self.telemetry,
         )
         self.hub = StreamHub(self.env, self.cloud.network, config)
         self.hub.deploy_all_on(self.engine_hosts, [sink])
@@ -52,6 +56,7 @@ class FailoverHarness:
         self.failover = ManagerFailover(
             self.hub, self.cloud, checkpoint_store=self.store,
             probe_interval_s=1000.0,  # decisions are driven explicitly
+            migration_timeout_s=migration_timeout_s,
         )
         self.failover.start_primary(self.engine_hosts)
         self.failover.add_standby("standby")
@@ -72,10 +77,13 @@ class FailoverHarness:
         ), src, dst
 
     def split_decision(self):
+        return self.shard_decision("split")
+
+    def shard_decision(self, op):
         host = self.hub.runtime.placement()["M:0"]
         return ScalingDecision(
             kind=ViolationKind.LOCAL_OVERLOAD,
-            shard_ops=[PlannedShardOp("M:0", "split", host)],
+            shard_ops=[PlannedShardOp("M:0", op, host)],
         )
 
     def crash_target(self, kill_inflight):
@@ -171,6 +179,167 @@ def test_crash_mid_reshard_orphan_classified_by_shard_count():
     assert h.failover.failovers == 1
     assert h.hub.runtime.slice_stats("M:0")["shards"] == 2
     assert h.failover.active.failover_outcomes == [("M:0", "completed")]
+
+
+PHASES = ("pre", "sync", "pause", "copy", "post")
+
+
+@pytest.mark.parametrize("kill_inflight", [True, False])
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("operation", ["migration", "split", "merge"])
+def test_crash_at_every_phase_settles_the_operation(
+    operation, phase, kill_inflight
+):
+    h = FailoverHarness()
+    runtime = h.hub.runtime
+    src = runtime.placement()["M:0"]
+    if operation == "migration":
+        decision, _, dst = h.migration_decision()
+        protocol = "migration"
+    else:
+        if operation == "merge":
+            h.env.run(until=runtime.reshard("M:0", "split"))
+        decision = h.shard_decision(operation)
+        protocol = "reshard"
+    shards_before = runtime.slice_stats("M:0")["shards"]
+    plan = FaultPlan(h.env)
+    plan.crash_manager_at_phase(
+        runtime, h.crash_target(kill_inflight=kill_inflight),
+        phase=phase, protocol=protocol,
+    )
+    primary = h.failover.active
+    primary.execute_decision(decision)
+    h.settle()
+
+    # Killed before activation → rolled back.  Crashed in post, or left
+    # running as an orphan → completed.  A merge's copy step costs no CPU,
+    # so nothing in it yields: the crash lands in post and rolls forward.
+    rolled_back = kill_inflight and phase != "post" and not (
+        operation == "merge" and phase == "copy"
+    )
+    outcome = "rolled_back" if rolled_back else "completed"
+    standby = h.failover.active
+    assert h.failover.failovers == 1
+    assert standby.failover_outcomes == [("M:0", outcome)]
+    assert runtime.slice_stats("M:0")["migrating"] is False
+
+    if operation == "migration":
+        assert runtime.placement()["M:0"] == (src if rolled_back else dst)
+        assert runtime.slice_stats("M:0")["shards"] == shards_before
+    else:
+        assert runtime.placement()["M:0"] == src
+        applied = shards_before + (1 if operation == "split" else -1)
+        assert runtime.slice_stats("M:0")["shards"] == (
+            shards_before if rolled_back else applied
+        )
+    assert runtime.migrations_aborted == int(
+        rolled_back and protocol == "migration"
+    )
+    assert runtime.shard_ops_aborted == int(
+        rolled_back and protocol == "reshard"
+    )
+    assert phase_spans_tile(h.telemetry.tracer, protocol)
+
+    # Only an orphan's report outlives the crash: the standby awaits it
+    # and records it; a killed (or rolled-forward) operation has no waiter.
+    assert primary.migration_reports == []
+    assert primary.shard_op_reports == []
+    recorded = 0 if kill_inflight else 1
+    assert len(standby.migration_reports) == (
+        recorded if protocol == "migration" else 0
+    )
+    assert len(standby.shard_op_reports) == (
+        recorded if protocol == "reshard" else 0
+    )
+
+
+def test_state_copy_across_a_partitioned_link_rolls_back():
+    # The fabric drops a partitioned send at the sender and nothing
+    # resends it, so a copy that waited on the transfer would hang with
+    # the origin halted; the copy step refuses the link instead.
+    h = FailoverHarness()
+    decision, src, dst = h.migration_decision()
+    h.cloud.network.partition([src], [dst])
+    manager = h.failover.active
+    manager.execute_decision(decision)
+    h.settle()
+    runtime = h.hub.runtime
+    assert runtime.migrations_aborted == 1
+    assert runtime.placement()["M:0"] == src
+    assert runtime.slice_stats("M:0")["migrating"] is False
+    assert not runtime.slices["M:0"].active._halted
+    assert not manager._executing
+    assert manager.history[-1].failures == 1
+    assert manager.migration_reports == []
+    # The manager moved on: once healed, the same decision goes through.
+    h.cloud.network.heal()
+    manager.execute_decision(decision)
+    h.settle()
+    assert runtime.placement()["M:0"] == dst
+    assert manager.history[-1].failures == 0
+    assert len(manager.migration_reports) == 1
+
+
+def blocked_decision(h, operation):
+    """A decision on M:1 whose sync phase can never drain.
+
+    M:1's upstream AP:0 lives on the other engine host; cutting that link
+    and publishing leaves sequence numbers in M:1's cutoffs that the fabric
+    dropped and, with the link never healed, no replay delivers.
+    """
+    placement = h.hub.runtime.placement()
+    upstream, host = placement["AP:0"], placement["M:1"]
+    assert upstream != host
+    h.cloud.network.partition([upstream], [host])
+    for pub_id, payload in enumerate(ScaleWorkload(seed=6).publications(4)):
+        h.hub.publish(Publication(pub_id, payload, published_at=h.env.now))
+    if operation == "migration":
+        migrations = [PlannedMigration("M:1", host, upstream)]
+        shard_ops = []
+    else:
+        migrations = []
+        shard_ops = [PlannedShardOp("M:1", "split", host)]
+    return ScalingDecision(
+        kind=ViolationKind.LOCAL_OVERLOAD,
+        migrations=migrations,
+        shard_ops=shard_ops,
+    )
+
+
+@pytest.mark.parametrize("operation", ["migration", "split"])
+def test_watchdog_rolls_back_an_operation_that_cannot_drain(operation):
+    h = FailoverHarness(migration_timeout_s=30.0)
+    runtime = h.hub.runtime
+    src = runtime.placement()["M:1"]
+    manager = h.failover.active
+    started = h.env.now
+    manager.execute_decision(blocked_decision(h, operation))
+    h.settle()
+    assert h.telemetry.watchdog_timeouts.value == 1
+    assert manager.history[-1].time == pytest.approx(started + 30.0)
+    assert manager.history[-1].failures == 1
+    assert runtime.placement()["M:1"] == src
+    assert runtime.slice_stats("M:1")["shards"] == 1
+    assert runtime.slice_stats("M:1")["migrating"] is False
+    assert runtime.migrations_aborted == int(operation == "migration")
+    assert runtime.shard_ops_aborted == int(operation == "split")
+    # The manager is free for its next decision.
+    assert not manager._executing
+    manager.execute_decision(h.split_decision())
+    h.settle()
+    assert runtime.slice_stats("M:0")["shards"] == 2
+    assert len(manager.shard_op_reports) == 1
+
+
+@pytest.mark.parametrize("operation", ["migration", "split"])
+def test_without_a_timeout_an_undrainable_operation_stays_pending(operation):
+    h = FailoverHarness()
+    manager = h.failover.active
+    manager.execute_decision(blocked_decision(h, operation))
+    h.settle()
+    assert h.hub.runtime.slice_stats("M:1")["migrating"] is True
+    assert manager._executing
+    assert manager.history == []
 
 
 def test_crashed_manager_is_fenced_off_stable_storage():
