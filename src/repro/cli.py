@@ -21,9 +21,11 @@ surface documented in OBSERVABILITY.md.  ``policy`` prints the resolved
 elasticity-policy signal stack and thresholds with the provenance of
 each knob (CLI flag, ``REPRO_POLICY_SIGNALS``, or built-in default);
 the same ``--signals``/``--slo-*``/``--spill-*`` flags steer the elastic
-experiments (``figure8``/``figure9``).  Policy, ``--store-*`` and
-``--net-*`` flags are derived from the fields of their knob group by
-:func:`repro.config.add_flags`; none is declared here.
+experiments (``figure8``/``figure9``).  Policy and ``--net-*`` flags
+are derived from the fields of their knob group by
+:func:`repro.config.add_flags`; none is declared here.  The demo behind
+``trace``/``metrics`` matches statistically, so no store knob would
+reach a backend and none is offered.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import List, Optional
 
 from .config import add_flags, flag_overrides, from_env, provenance
 from .elastic import ElasticityPolicy
-from .filtering import StoreConfig
 from .metrics import format_series, format_table
 from .transport import TransportConfig
 
@@ -116,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream spans to disk every N spans instead of holding the "
              "whole trace in memory (same output bytes)",
     )
-    add_flags(p, StoreConfig, "store_")
     add_flags(p, TransportConfig, "net_")
 
     p = sub.add_parser(
@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="write to this file instead of stdout")
     p.add_argument("--publications", type=int, default=200)
-    add_flags(p, StoreConfig, "store_")
     add_flags(p, TransportConfig, "net_")
 
     p = sub.add_parser(
@@ -321,7 +320,6 @@ def _cmd_cost(args) -> None:
 def _telemetry_demo(
     publications: int,
     migrate: bool = True,
-    store=None,
     net=None,
     stream_trace_to: Optional[tuple] = None,
 ):
@@ -352,7 +350,6 @@ def _telemetry_demo(
         ep_slices=2,
         sink_slices=1,
         telemetry=telemetry,
-        store=store or StoreConfig.from_env(),
         net=net or TransportConfig.from_env(),
     )
     hub = StreamHub(env, cloud.network, config)
@@ -382,7 +379,6 @@ def _cmd_trace(args) -> None:
     tel, report = _telemetry_demo(
         args.publications,
         migrate=not args.no_migration,
-        store=_knobs(args, StoreConfig, "store_"),
         net=_knobs(args, TransportConfig, "net_"),
         stream_trace_to=stream_trace_to,
     )
@@ -421,9 +417,7 @@ def _cmd_metrics(args) -> None:
     from .telemetry import to_prometheus, write_prometheus, write_snapshot_json
 
     tel, _ = _telemetry_demo(
-        args.publications,
-        store=_knobs(args, StoreConfig, "store_"),
-        net=_knobs(args, TransportConfig, "net_"),
+        args.publications, net=_knobs(args, TransportConfig, "net_"),
     )
     registry = tel.metrics
     if args.fmt == "table":

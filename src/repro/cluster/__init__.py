@@ -9,7 +9,6 @@ from .host import Host, HostSpec
 from .cloud import CloudProvider
 from .failures import (
     FailureDetector,
-    FailureInjector,
     FaultPlan,
     Watchdog,
     chaos_seed_from_env,
@@ -22,7 +21,6 @@ __all__ = [
     "CpuTask",
     "CpuUsageSnapshot",
     "FailureDetector",
-    "FailureInjector",
     "FaultPlan",
     "Host",
     "HostSpec",

@@ -4,13 +4,14 @@ STREAMMINE3G supports passive and active slice replication for fault
 tolerance (paper §III; its refs [25], [26]).  The paper's evaluation
 leaves replication out of scope; we implement the passive scheme end to
 end (checkpointing + upstream replay, :mod:`repro.engine.recovery`), and
-this module supplies the substrate: crashing hosts, a heartbeat-style
-failure detector with a configurable detection delay, and the scripted
-chaos layer on top — :class:`FaultPlan` schedules correlated rack loss,
-link partitions, and manager crashes (optionally pinned to a migration
-phase), and :class:`Watchdog` interrupts operations that outlive their
-deadline.  The failure model these implement is written down in
-RESILIENCE.md.
+this module supplies the substrate: crashing hosts, a failure detector
+that models missed heartbeats as a fixed detection delay, and
+:class:`FaultPlan`, the one fault scripter every scenario uses — it
+schedules single-host crashes, correlated rack loss, link partitions and
+manager crashes (optionally pinned to a migration phase) and reports
+each crash to the detector.  :class:`Watchdog` interrupts operations
+that outlive their deadline.  The failure model these implement is
+written down in RESILIENCE.md.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .host import Host
 
 __all__ = [
     "FailureDetector",
-    "FailureInjector",
     "FaultPlan",
     "Watchdog",
     "chaos_seed_from_env",
@@ -68,95 +68,19 @@ class FailureDetector:
     def report_crash(self, host: Host) -> None:
         """Called at crash time; listeners hear about it after the delay.
 
-        Idempotent per host, so an explicit report and a concurrent
-        :meth:`monitor` sweep never double-notify recovery.
+        Idempotent per host: a second report of the same crash never
+        double-notifies recovery.  :class:`FaultPlan` reports every crash
+        it injects through here.
         """
         if host.host_id in self._reported:
             return
         self._reported.add(host.host_id)
         self.env.call_later(self.detection_delay_s, self._notify, host)
 
-    def monitor(self, hosts_fn: Callable[[], List[Host]], interval_s: float = 1.0):
-        """Heartbeat sweep: detect crashed hosts nobody reported.
-
-        Every ``interval_s`` the detector polls ``hosts_fn()`` and reports
-        any host found released — the missed-heartbeat path that catches
-        correlated losses where the component that would have called
-        :meth:`report_crash` died with the rack.
-        """
-        if interval_s <= 0:
-            raise ValueError("monitor interval must be positive")
-
-        def run():
-            while True:
-                yield self.env.timeout(interval_s)
-                for host in hosts_fn():
-                    if host.released:
-                        self.report_crash(host)
-
-        return self.env.process(run())
-
     def _notify(self, host: Host) -> None:
         self.detected.append(host)
         for listener in list(self._listeners):
             listener(host)
-
-
-class FailureInjector:
-    """Crashes random eligible hosts at configurable times.
-
-    ``eligible`` returns the hosts that may be killed (e.g. the engine
-    hosts, excluding sink/coordination hosts).
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        cloud: CloudProvider,
-        detector: FailureDetector,
-        eligible: Callable[[], List[Host]],
-        seed: int = 0,
-    ):
-        self.env = env
-        self.cloud = cloud
-        self.detector = detector
-        self.eligible = eligible
-        self._rng = random.Random(seed)
-        self.crashed: List[Host] = []
-
-    def crash_at(self, time_s: float, host: Optional[Host] = None):
-        """Schedule one crash at an absolute simulated time."""
-        if time_s < self.env.now:
-            raise ValueError("cannot schedule a crash in the past")
-        return self.env.process(self._crash_once(time_s - self.env.now, host))
-
-    def crash_periodically(self, interval_s: float, count: int):
-        """Schedule ``count`` crashes spaced ``interval_s`` apart."""
-        if interval_s <= 0 or count <= 0:
-            raise ValueError("interval and count must be positive")
-
-        def run():
-            for _ in range(count):
-                yield self.env.timeout(interval_s)
-                self._do_crash(None)
-
-        return self.env.process(run())
-
-    def _crash_once(self, delay: float, host: Optional[Host]):
-        yield self.env.timeout(delay)
-        self._do_crash(host)
-
-    def _do_crash(self, host: Optional[Host]) -> None:
-        if host is None:
-            candidates = [h for h in self.eligible() if not h.released]
-            if not candidates:
-                return
-            host = self._rng.choice(candidates)
-        if host.released:
-            return
-        crash_host(self.cloud, host)
-        self.crashed.append(host)
-        self.detector.report_crash(host)
 
 
 def chaos_seed_from_env(variable: str = "REPRO_CHAOS_SEED") -> Optional[int]:

@@ -13,10 +13,9 @@ from .errors import (
     SessionClosedError,
 )
 from .kernel import CoordinationKernel, Session, WatchedEvent, ZNodeStat
-from .recipes import DistributedLock, LeaderElection
+from .recipes import LeaderElection
 
 __all__ = [
-    "DistributedLock",
     "LeaderElection",
     "BadVersionError",
     "CoordError",

@@ -1,16 +1,16 @@
-"""Coordination recipes on top of the kernel: election and locking.
+"""Coordination recipe on top of the kernel: leader election.
 
 The manager must tolerate failures (paper §IV-B): its whole state lives in
 the coordination kernel so it "can easily be restarted in case of
-failure".  These ZooKeeper-style recipes provide the missing piece for a
+failure".  This ZooKeeper-style recipe provides the missing piece for a
 hot-standby deployment: a leader election deciding which manager instance
-is active, and a distributed lock serializing administrative operations.
+is active.
 
-Both follow the classic ephemeral-sequential-node pattern: each candidate
+It follows the classic ephemeral-sequential-node pattern: each candidate
 creates an ephemeral sequential znode under a common parent and watches
 the candidate immediately preceding it (avoiding herd effects); the owner
-of the smallest sequence number holds the leadership/lock, and a crash
-(session close) releases it automatically.
+of the smallest sequence number is the leader, and a crash (session
+close) hands leadership on automatically.
 """
 
 from __future__ import annotations
@@ -20,67 +20,12 @@ from typing import Callable, List, Optional
 from .errors import NoNodeError
 from .kernel import CoordinationKernel, Session
 
-__all__ = ["LeaderElection", "DistributedLock"]
+__all__ = ["LeaderElection"]
+
+_PREFIX = "candidate-"
 
 
-class _SequentialContender:
-    """Shared mechanics of election/lock: one ephemeral sequential node."""
-
-    def __init__(self, kernel: CoordinationKernel, session: Session, path: str,
-                 prefix: str):
-        self.kernel = kernel
-        self.session = session
-        self.path = path
-        self.prefix = prefix
-        self._node: Optional[str] = None
-
-    @property
-    def node_name(self) -> Optional[str]:
-        return self._node.rsplit("/", 1)[1] if self._node else None
-
-    def _enter(self, data) -> None:
-        if self._node is not None:
-            raise RuntimeError("already participating")
-        self.kernel.ensure_path(self.path)
-        self._node = self.kernel.create(
-            f"{self.path}/{self.prefix}",
-            data=data,
-            session=self.session,
-            ephemeral=True,
-            sequential=True,
-        )
-
-    def _contenders(self) -> List[str]:
-        return [
-            name
-            for name in self.kernel.get_children(self.path)
-            if name.startswith(self.prefix)
-        ]
-
-    def _holds(self) -> bool:
-        if self._node is None:
-            return False
-        contenders = self._contenders()
-        return bool(contenders) and self.node_name == contenders[0]
-
-    def _predecessor(self) -> Optional[str]:
-        contenders = self._contenders()
-        mine = self.node_name
-        if mine is None or mine not in contenders:
-            return None
-        index = contenders.index(mine)
-        return contenders[index - 1] if index > 0 else None
-
-    def _leave(self) -> None:
-        if self._node is not None:
-            try:
-                self.kernel.delete(self._node)
-            except NoNodeError:
-                pass
-            self._node = None
-
-
-class LeaderElection(_SequentialContender):
+class LeaderElection:
     """Hot-standby leader election.
 
     ``on_elected`` fires (once) when this participant becomes the leader —
@@ -95,8 +40,11 @@ class LeaderElection(_SequentialContender):
         path: str = "/estreamhub/election",
         candidate_id: str = "",
     ):
-        super().__init__(kernel, session, path, prefix="candidate-")
+        self.kernel = kernel
+        self.session = session
+        self.path = path
         self.candidate_id = candidate_id
+        self._node: Optional[str] = None
         self._callbacks: List[Callable[[], None]] = []
         self._elected = False
 
@@ -107,7 +55,16 @@ class LeaderElection(_SequentialContender):
 
     def join(self) -> None:
         """Enter the election."""
-        self._enter(data=self.candidate_id)
+        if self._node is not None:
+            raise RuntimeError("already participating")
+        self.kernel.ensure_path(self.path)
+        self._node = self.kernel.create(
+            f"{self.path}/{_PREFIX}",
+            data=self.candidate_id,
+            session=self.session,
+            ephemeral=True,
+            sequential=True,
+        )
         self._check()
 
     @property
@@ -124,70 +81,35 @@ class LeaderElection(_SequentialContender):
 
     def resign(self) -> None:
         """Leave the election (a leader resigning triggers a new election)."""
-        self._leave()
+        if self._node is not None:
+            try:
+                self.kernel.delete(self._node)
+            except NoNodeError:
+                pass
+            self._node = None
         self._elected = False
+
+    def _contenders(self) -> List[str]:
+        return [
+            name
+            for name in self.kernel.get_children(self.path)
+            if name.startswith(_PREFIX)
+        ]
 
     def _check(self) -> None:
         if self._elected or self._node is None:
             return
-        if self._holds():
+        contenders = self._contenders()
+        mine = self._node.rsplit("/", 1)[1]
+        if contenders and contenders[0] == mine:
             self._elected = True
             for callback in list(self._callbacks):
                 callback()
             return
-        predecessor = self._predecessor()
-        if predecessor is None:
+        if mine not in contenders:
             # Our node vanished (session expired): nothing to wait for.
             return
-        stat = self.kernel.exists(
-            f"{self.path}/{predecessor}", watch=lambda _event: self._check()
-        )
-        if stat is None:
-            self._check()
-
-
-class DistributedLock(_SequentialContender):
-    """A fair, session-scoped exclusive lock."""
-
-    def __init__(
-        self,
-        kernel: CoordinationKernel,
-        session: Session,
-        path: str = "/estreamhub/locks/admin",
-    ):
-        super().__init__(kernel, session, path, prefix="lock-")
-        self._granted_callbacks: List[Callable[[], None]] = []
-        self._held = False
-
-    @property
-    def held(self) -> bool:
-        return self._held
-
-    def acquire(self, on_granted: Callable[[], None]) -> None:
-        """Queue for the lock; ``on_granted`` fires when acquired."""
-        self._granted_callbacks.append(on_granted)
-        if self._node is None:
-            self._enter(data=self.session.session_id)
-        self._check()
-
-    def release(self) -> None:
-        if not self._held:
-            raise RuntimeError("lock is not held")
-        self._held = False
-        self._leave()
-
-    def _check(self) -> None:
-        if self._held or self._node is None:
-            return
-        if self._holds():
-            self._held = True
-            callbacks, self._granted_callbacks = self._granted_callbacks, []
-            for callback in callbacks:
-                callback()
-            return
-        predecessor = self._predecessor()
-        if predecessor is None:
-            return
+        predecessor = contenders[contenders.index(mine) - 1]
         stat = self.kernel.exists(
             f"{self.path}/{predecessor}", watch=lambda _event: self._check()
         )

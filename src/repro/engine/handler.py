@@ -82,14 +82,6 @@ class SliceContext:
         is scheduled, dequeued or charged by looking."""
         return self._instance().upcoming()
 
-    def slice_index(self) -> int:
-        """Index of this slice within its operator."""
-        return int(self.slice_id.split(":", 1)[1])
-
-    def operator_slice_count(self, operator: str) -> int:
-        """Number of (logical) slices of ``operator`` — static by design."""
-        return self._runtime.slice_count(operator)
-
 
 class SliceHandler(ABC):
     """Per-slice application logic.  Subclasses own the slice state."""

@@ -159,10 +159,6 @@ class SliceInstance:
     def is_buffering(self) -> bool:
         return self._buffering
 
-    @property
-    def busy_workers(self) -> int:
-        return self._busy
-
     # -- lifecycle -------------------------------------------------------------
 
     def activate(self, vector: Dict[str, int]) -> None:

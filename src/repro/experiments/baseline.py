@@ -38,11 +38,6 @@ class BaselineResult:
     delay_stats: Optional[DelayStats]
     delay_percentiles: List[Tuple[float, float]]
 
-    @property
-    def matching_ops_per_s(self) -> float:
-        """Encrypted filtering operations per second at max throughput."""
-        return self.max_throughput  # × subscriptions, filled by the caller
-
 
 def estimate_capacity(total_hosts: int, setup: ExperimentSetup) -> float:
     """Analytic throughput bound from the cost model (bottleneck: M).

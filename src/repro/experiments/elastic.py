@@ -68,18 +68,6 @@ class ElasticRunResult:
                 return record.time
         return None
 
-    def time_to_hosts(self, count: int) -> Optional[float]:
-        """First probe time at least ``count`` hosts were running.
-
-        The provisioning-lead-time metric of the signal ablation: a
-        policy that reaches the reference fleet size earlier provisioned
-        sooner under the same offered load.
-        """
-        for t, hosts in self.host_series:
-            if hosts >= count:
-                return t
-        return None
-
     def host_seconds(self) -> float:
         """Integral of the host count over probe time (cost proxy)."""
         total = 0.0

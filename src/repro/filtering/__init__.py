@@ -1,8 +1,8 @@
-"""Content-based filtering: plaintext predicates, indices, and ASPE.
+"""Content-based filtering: plaintext predicates and ASPE.
 
 * :mod:`repro.filtering.predicates` — the plaintext model (Op, Predicate,
   PredicateSet).
-* :mod:`repro.filtering.plain` — brute-force and counting-index libraries.
+* :mod:`repro.filtering.plain` — the brute-force plaintext library.
 * :mod:`repro.filtering.aspe` — real ASPE encrypted filtering.
 * :mod:`repro.filtering.backends` — exact/sampled matching backends used
   by simulated M-operator slices.
@@ -13,7 +13,7 @@
 
 from .predicates import Op, Predicate, PredicateSet
 from .base import FilteringLibrary
-from .plain import BruteForceLibrary, CountingIndexLibrary
+from .plain import BruteForceLibrary
 from .aspe import (
     AspeCipher,
     AspeKey,
@@ -24,7 +24,6 @@ from .aspe import (
     match_encrypted,
     match_packed,
 )
-from .aspe_split import AspeSplitCipher, AspeSplitKey
 from .store import (
     STORE_BACKENDS,
     AspeShard,
@@ -47,8 +46,6 @@ __all__ = [
     "AspeKey",
     "AspeLibrary",
     "AspeShard",
-    "AspeSplitCipher",
-    "AspeSplitKey",
     "ChunkedMatrixStore",
     "STORE_BACKENDS",
     "ShardOpResult",
@@ -56,7 +53,6 @@ __all__ = [
     "StoreConfig",
     "BruteForceLibrary",
     "CostModel",
-    "CountingIndexLibrary",
     "EncryptedPredicate",
     "EncryptedPublication",
     "EncryptedSubscription",

@@ -98,10 +98,6 @@ class EncryptedPublication:
 
     vector: np.ndarray
 
-    @property
-    def size_bytes(self) -> int:
-        return self.vector.nbytes + 16
-
 
 @dataclass(frozen=True)
 class EncryptedPredicate:
@@ -301,8 +297,8 @@ def _tolerances(block: np.ndarray, strict: np.ndarray) -> Tuple[np.ndarray, np.n
     decision side into the sign is exact (IEEE negation commutes with
     scaling: ``s·(−a) == −(s·a)`` bit-for-bit) and lets the kernel compare
     all rows against one threshold.  Per-row norms reduce
-    element-independently, so staging a batch, one subscription at a time
-    or a restored pickle gives bit-identical tolerances.
+    element-independently, so staging a batch or one subscription at a
+    time gives bit-identical tolerances.
     """
     base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
     return base, np.where(strict, base, -base)
@@ -905,40 +901,6 @@ class AspeLibrary(FilteringLibrary):
 
     def get_subscription(self, sub_id: int) -> EncryptedSubscription:
         return self._subs[sub_id]
-
-    # -- pickling -------------------------------------------------------------
-
-    def __getstate__(self):
-        """Drop scratch state and ship the rows as trimmed flat arrays.
-
-        ``export_state`` copies made during migration must not serialize
-        dead weight: the workspace buffers (tile × B scratch), the lazily
-        rebuilt span index and its gather tiles, the tolerance columns
-        (recomputed bit-identically from the stored rows) and the unused
-        tail of the last chunk are all omitted.  Chunk layout and
-        residency are process-local state, rebuilt on restore.
-        """
-        state = self.__dict__.copy()
-        state["_ws"] = {}
-        state["_index"] = None
-        state["_telemetry"] = None
-        store = state.pop("_chunks")
-        rows = store.rows
-        if rows:
-            matrix = np.empty((rows, store.width))
-            strict = np.empty(rows, dtype=bool)
-            alive = np.empty(rows, dtype=bool)
-            store.copy_rows(0, rows, matrix=matrix, strict=strict, alive=alive)
-            state["_packed"] = (matrix, strict, alive)
-        return state
-
-    def __setstate__(self, state):
-        packed = state.pop("_packed", None)
-        self.__dict__.update(state)
-        self._chunks = ChunkedMatrixStore(self._store_config)
-        if packed is not None:
-            matrix, strict, alive = packed
-            self._chunks.append(matrix, strict, *_tolerances(matrix, strict), alive)
 
     # -- packed-state maintenance ---------------------------------------------
 

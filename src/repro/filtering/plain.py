@@ -1,27 +1,18 @@
-"""Plaintext filtering libraries.
+"""Plaintext filtering: :class:`BruteForceLibrary`.
 
-Two implementations are provided:
-
-* :class:`BruteForceLibrary` — evaluates every stored subscription against
-  every publication, like encrypted filtering must.  O(N·k) per match.
-* :class:`CountingIndexLibrary` — the classic counting algorithm (Yan &
-  Garcia-Molina): per-attribute sorted indices of predicate constants let a
-  publication discover all satisfied predicates in O(log N + hits); a
-  subscription matches when its satisfied-predicate count equals its
-  predicate count.  This is the "plain-text filtering may leverage the
-  workload" baseline the paper contrasts with ASPE.
+It evaluates every stored subscription against every publication, like
+encrypted filtering must (O(N·k) per match).  The chaos scenarios match
+with it, and tests use it as the plaintext reference for ASPE.
 """
 
 from __future__ import annotations
 
-import bisect
-import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .base import FilteringLibrary
-from .predicates import Op, Predicate, PredicateSet
+from .predicates import PredicateSet
 
-__all__ = ["BruteForceLibrary", "CountingIndexLibrary"]
+__all__ = ["BruteForceLibrary"]
 
 # Approximate serialized footprint of one plaintext predicate: attribute
 # index + op tag + 8-byte constant + object overhead.
@@ -60,160 +51,3 @@ class BruteForceLibrary(FilteringLibrary):
 
     def import_state(self, state: Dict[int, PredicateSet]) -> None:
         self._subs = dict(state)
-
-
-class _AttributeIndex:
-    """Predicates on one attribute, keyed by constant for range scans.
-
-    Entries are stored as parallel sorted arrays per operator class so a
-    publication value ``v`` finds all satisfied predicates with two
-    bisections per class:
-
-    * ``<``/``<=`` predicates are satisfied when ``constant > v`` (or >=),
-    * ``>``/``>=`` when ``constant < v`` (or <=),
-    * ``=`` when ``constant == v``.
-
-    Removal is *lazy*: a discarded subscription is tombstoned in a dead
-    set and its entries filtered out of scan hits, so a remove is O(1)
-    instead of rebuilding every op list.  Dead entries are purged when
-    they outnumber the live ones (amortized O(1) per removal) or when a
-    tombstoned subscription id is re-added (the stale entries would
-    shadow the fresh ones otherwise).
-    """
-
-    def __init__(self) -> None:
-        # op -> sorted list of (constant, sub_id, predicate_index)
-        self._by_op: Dict[Op, List[Tuple[float, int, int]]] = {op: [] for op in Op}
-        self._dirty = False
-        #: Tombstoned subscription ids and how many entries they left behind.
-        self._dead: set = set()
-        self._dead_entries = 0
-        self._total_entries = 0
-        #: Purges performed (regression instrumentation for churn tests).
-        self.purge_count = 0
-
-    def add(self, constant: float, sub_id: int, pred_index: int, op: Op) -> None:
-        if sub_id in self._dead:
-            # Stale tombstoned entries of this id are still in the lists;
-            # purge now so they cannot shadow the fresh ones.
-            self._purge()
-        self._by_op[op].append((constant, sub_id, pred_index))
-        self._total_entries += 1
-        self._dirty = True
-
-    def discard_subscription(self, sub_id: int, entry_count: int) -> None:
-        """Tombstone ``sub_id``, which owns ``entry_count`` entries here."""
-        if entry_count <= 0:
-            return
-        self._dead.add(sub_id)
-        self._dead_entries += entry_count
-        if self._dead_entries > self._total_entries - self._dead_entries:
-            self._purge()
-
-    def _purge(self) -> None:
-        for op, entries in self._by_op.items():
-            self._by_op[op] = [e for e in entries if e[1] not in self._dead]
-        self._total_entries -= self._dead_entries
-        self._dead.clear()
-        self._dead_entries = 0
-        self.purge_count += 1
-
-    def _ensure_sorted(self) -> None:
-        if self._dirty:
-            for entries in self._by_op.values():
-                entries.sort(key=lambda e: (e[0], e[1], e[2]))
-            self._dirty = False
-
-    def satisfied(self, value: float) -> List[Tuple[int, int]]:
-        """(sub_id, predicate_index) of all live predicates satisfied by value."""
-        self._ensure_sorted()
-        hits: List[Tuple[int, int]] = []
-        dead = self._dead
-        key = (value, sys.maxsize, sys.maxsize)
-
-        lt = self._by_op[Op.LT]
-        # value < constant  ⇒  constants strictly greater than value.
-        for constant, sub_id, idx in lt[bisect.bisect_right(lt, key):]:
-            if sub_id not in dead:
-                hits.append((sub_id, idx))
-        le = self._by_op[Op.LE]
-        for constant, sub_id, idx in le[bisect.bisect_left(le, (value, -1, -1)):]:
-            if sub_id not in dead:
-                hits.append((sub_id, idx))
-        gt = self._by_op[Op.GT]
-        for constant, sub_id, idx in gt[: bisect.bisect_left(gt, (value, -1, -1))]:
-            if sub_id not in dead:
-                hits.append((sub_id, idx))
-        ge = self._by_op[Op.GE]
-        for constant, sub_id, idx in ge[: bisect.bisect_right(ge, key)]:
-            if sub_id not in dead:
-                hits.append((sub_id, idx))
-        eq = self._by_op[Op.EQ]
-        lo = bisect.bisect_left(eq, (value, -1, -1))
-        hi = bisect.bisect_right(eq, key)
-        for constant, sub_id, idx in eq[lo:hi]:
-            if sub_id not in dead:
-                hits.append((sub_id, idx))
-        return hits
-
-    def entry_count(self) -> int:
-        """Live entries (tombstoned ones are already semantically gone)."""
-        return self._total_entries - self._dead_entries
-
-
-class CountingIndexLibrary(FilteringLibrary):
-    """Counting-algorithm matcher with per-attribute indices."""
-
-    def __init__(self) -> None:
-        self._subs: Dict[int, PredicateSet] = {}
-        self._indices: Dict[int, _AttributeIndex] = {}
-
-    def store(self, sub_id: int, filter_data: PredicateSet) -> None:
-        if not isinstance(filter_data, PredicateSet):
-            raise TypeError(f"expected PredicateSet, got {type(filter_data).__name__}")
-        if sub_id in self._subs:
-            self.remove(sub_id)
-        self._subs[sub_id] = filter_data
-        for pred_index, predicate in enumerate(filter_data):
-            index = self._indices.setdefault(predicate.attribute, _AttributeIndex())
-            index.add(predicate.constant, sub_id, pred_index, predicate.op)
-
-    def remove(self, sub_id: int) -> None:
-        predicate_set = self._subs.pop(sub_id)  # KeyError if unknown
-        per_attribute: Dict[int, int] = {}
-        for predicate in predicate_set:
-            per_attribute[predicate.attribute] = (
-                per_attribute.get(predicate.attribute, 0) + 1
-            )
-        for attribute, count in per_attribute.items():
-            index = self._indices.get(attribute)
-            if index is not None:
-                index.discard_subscription(sub_id, count)
-
-    def match(self, publication_data: Sequence[float]) -> List[int]:
-        counts: Dict[int, int] = {}
-        for attribute, index in self._indices.items():
-            if attribute >= len(publication_data):
-                continue
-            for sub_id, _pred_index in index.satisfied(publication_data[attribute]):
-                counts[sub_id] = counts.get(sub_id, 0) + 1
-        return [
-            sub_id
-            for sub_id, count in counts.items()
-            if count == len(self._subs[sub_id])
-        ]
-
-    def subscription_count(self) -> int:
-        return len(self._subs)
-
-    def state_size_bytes(self) -> int:
-        return sum(_PREDICATE_BYTES * len(ps) + 32 for ps in self._subs.values())
-
-    def export_state(self) -> Dict[int, PredicateSet]:
-        return dict(self._subs)
-
-    def import_state(self, state: Dict[int, PredicateSet]) -> None:
-        self._subs = {}
-        self._indices = {}
-        for sub_id, predicate_set in state.items():
-            self.store(sub_id, predicate_set)

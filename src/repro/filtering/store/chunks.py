@@ -483,7 +483,6 @@ class ChunkedMatrixStore:
         matrix: Optional[np.ndarray] = None,
         strict: Optional[np.ndarray] = None,
         tol_signed: Optional[np.ndarray] = None,
-        alive: Optional[np.ndarray] = None,
     ) -> None:
         """Copy rows ``[lo, hi)`` into the given ``hi - lo``-row arrays,
         touching only the chunks that overlap the range."""
@@ -501,7 +500,6 @@ class ChunkedMatrixStore:
                 (matrix, chunk.matrix),
                 (strict, chunk.strict),
                 (tol_signed, chunk.tol_signed),
-                (alive, chunk.alive),
             ):
                 if out is not None:
                     out[row - lo : stop - lo] = column[source]

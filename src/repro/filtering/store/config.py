@@ -7,10 +7,10 @@ LRU-bounded resident set (``mmap``) so one M-slice can serve subscription
 partitions far larger than its memory budget.
 
 The fields below are the only declaration of these knobs;
-:meth:`StoreConfig.from_env`, the ``--store-*`` CLI flags and the four
-``REPRO_STORE_*`` variables a CI leg or deployment sets (backend, chunk
-rows, memory budget, spill directory) derive from them through
-:mod:`repro.config`, so a test run flips backends without code changes.
+:meth:`StoreConfig.from_env` and the four ``REPRO_STORE_*`` variables a
+CI leg or deployment sets (backend, chunk rows, memory budget, spill
+directory) derive from them through :mod:`repro.config`, so a test run
+flips backends without code changes.
 """
 
 from __future__ import annotations
@@ -119,6 +119,6 @@ class StoreConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "StoreConfig":
-        """``--store-*`` flag > ``REPRO_STORE_*`` variable > default,
+        """Explicit override > ``REPRO_STORE_*`` variable > default,
         validated once (see :func:`repro.config.from_env`)."""
         return from_env(cls, **overrides)

@@ -1,21 +1,17 @@
-"""Measurement utilities: delays, windowed aggregates, throughput, reports."""
+"""Measurement utilities: delays, windowed aggregates, backlog probes, reports."""
 
 from .delay import DelaySample, DelayStats, DelayTracker, percentile
 from .windows import WindowStats, WindowedSeries
-from .throughput import BacklogProbe, ThroughputMeter
+from .throughput import BacklogProbe
 from .report import format_series, format_table
-from .export import ascii_chart, ascii_sparkline, write_csv, write_json
+from .export import write_json
 
 __all__ = [
     "BacklogProbe",
-    "ascii_chart",
-    "ascii_sparkline",
-    "write_csv",
     "write_json",
     "DelaySample",
     "DelayStats",
     "DelayTracker",
-    "ThroughputMeter",
     "WindowStats",
     "WindowedSeries",
     "format_series",

@@ -1,130 +1,37 @@
-"""Result exporters: CSV/JSON files and ASCII charts.
+"""Result exporter: an atomic JSON file writer.
 
-The benchmark harness prints tables; these helpers additionally persist
-experiment series to files (for external plotting) and render quick ASCII
-charts so a figure's shape is visible directly in terminal output.
+The benchmark harness prints tables; :func:`write_json` additionally
+persists a run's payload to a file (for external plotting and CI
+artifacts).
 
-File writers are atomic: content goes to a temporary file in the
-destination directory first and is moved into place with ``os.replace``
-only once fully written.  A failure mid-write (a row iterator raising, a
-payload that cannot be serialized) leaves any previous version of the
-file untouched instead of silently truncating it.
+The write is atomic: content goes to a temporary file in the destination
+directory first and is moved into place with ``os.replace`` only once
+fully written.  A failure mid-write (a payload that cannot be
+serialized) leaves any previous version of the file untouched instead of
+silently truncating it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict
 
-__all__ = ["write_csv", "write_json", "ascii_chart", "ascii_sparkline"]
-
-_BARS = "▁▂▃▄▅▆▇█"
-
-
-def write_csv(path: str, headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Write rows to ``path`` atomically (parent directories are created)."""
-
-    def emit(handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        for row in rows:
-            if len(row) != len(headers):
-                raise ValueError("row width does not match headers")
-            writer.writerow(row)
-
-    return _atomic_write(path, emit, newline="")
+__all__ = ["write_json"]
 
 
 def write_json(path: str, payload: Dict[str, Any]) -> str:
     """Write a JSON document to ``path`` atomically (parents are created)."""
-
-    def emit(handle) -> None:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=_coerce)
-
-    return _atomic_write(path, emit)
-
-
-def _atomic_write(path: str, emit, newline: str = None) -> str:
-    """Run ``emit(handle)`` against a temp file, then rename over ``path``."""
-    directory = _ensure_parent(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".export-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline=newline) as handle:
-            emit(handle)
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
-
-
-def ascii_sparkline(values: Sequence[float], width: int = 60) -> str:
-    """One-line sparkline of ``values`` downsampled to ``width`` buckets."""
-    if not values:
-        return ""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    buckets = _downsample(values, width)
-    low = min(buckets)
-    high = max(buckets)
-    if high == low:
-        return _BARS[0] * len(buckets)
-    span = high - low
-    return "".join(
-        _BARS[min(len(_BARS) - 1, int((v - low) / span * len(_BARS)))]
-        for v in buckets
-    )
-
-
-def ascii_chart(
-    series: Sequence[Tuple[float, float]],
-    height: int = 8,
-    width: int = 60,
-    label: str = "",
-) -> str:
-    """Multi-line ASCII chart of an (x, y) series."""
-    if not series:
-        return "(no data)"
-    if height <= 1 or width <= 0:
-        raise ValueError("height must exceed 1 and width be positive")
-    values = _downsample([y for _, y in series], width)
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-    rows = []
-    for level in range(height, 0, -1):
-        threshold = low + span * (level - 0.5) / height
-        line = "".join("█" if v >= threshold else " " for v in values)
-        rows.append(line)
-    header = f"{label}  [{low:g} .. {high:g}]" if label else f"[{low:g} .. {high:g}]"
-    return "\n".join([header] + rows)
-
-
-def _downsample(values: Sequence[float], width: int) -> List[float]:
-    if len(values) <= width:
-        return list(values)
-    bucket_size = len(values) / width
-    buckets = []
-    for index in range(width):
-        start = int(index * bucket_size)
-        stop = max(start + 1, int((index + 1) * bucket_size))
-        chunk = values[start:stop]
-        buckets.append(sum(chunk) / len(chunk))
-    return buckets
-
-
-def _ensure_parent(path: str) -> str:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    return parent
-
-
-def _coerce(value: Any) -> Any:
-    if hasattr(value, "__dict__"):
-        return vars(value)
-    if hasattr(value, "_asdict"):
-        return value._asdict()
-    raise TypeError(f"cannot serialize {type(value).__name__}")

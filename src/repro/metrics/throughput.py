@@ -1,4 +1,4 @@
-"""Throughput measurement and backlog-based saturation detection.
+"""Backlog-based saturation detection.
 
 Figure 6 (top) reports the *maximal* throughput of each static
 configuration "before events start accumulating at the input of the AP
@@ -11,28 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-__all__ = ["ThroughputMeter", "BacklogProbe"]
-
-
-class ThroughputMeter:
-    """Counts discrete completions and reports rates per interval."""
-
-    def __init__(self) -> None:
-        self._times: List[float] = []
-
-    def record(self, time: float, count: int = 1) -> None:
-        self._times.extend([time] * count)
-
-    @property
-    def total(self) -> int:
-        return len(self._times)
-
-    def rate(self, since: float, until: float) -> float:
-        """Average completions per second within ``[since, until)``."""
-        if until <= since:
-            raise ValueError("empty interval")
-        hits = sum(1 for t in self._times if since <= t < until)
-        return hits / (until - since)
+__all__ = ["BacklogProbe"]
 
 
 class BacklogProbe:

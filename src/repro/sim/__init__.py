@@ -17,7 +17,6 @@ from .core import (
     NORMAL,
     URGENT,
 )
-from .rng import RngRegistry, derive_seed
 
 __all__ = [
     "Environment",
@@ -25,9 +24,7 @@ __all__ = [
     "Interrupt",
     "NORMAL",
     "Process",
-    "RngRegistry",
     "StopSimulation",
     "Timeout",
     "URGENT",
-    "derive_seed",
 ]

@@ -187,9 +187,6 @@ class MetricFamily:
     def set(self, value: float) -> None:
         self._only().set(value)
 
-    def add(self, amount: float) -> None:
-        self._only().add(amount)
-
     def observe(self, value: float) -> None:
         self._only().observe(value)
 

@@ -140,11 +140,6 @@ class Channel:
         return self._starved_since is not None
 
     @property
-    def breaker_open(self) -> bool:
-        """True while the channel is circuit-broken off a partition."""
-        return self._breaker_open
-
-    @property
     def credits_outstanding(self) -> int:
         """Credits consumed by in-flight or not-yet-dequeued messages."""
         return self.credit_window - self.credits if self._bp else 0

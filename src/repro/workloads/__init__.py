@@ -4,23 +4,13 @@ from .subscriptions import WorkloadGenerator
 from .scale import ScaleWorkload
 from .rates import constant, piecewise_linear, staircase, trapezoid
 from .frankfurt import FrankfurtTraceModel
-from .advanced import (
-    CorrelatedPublicationGenerator,
-    MultiSourceWorkload,
-    ZipfSubscriptionGenerator,
-    zipf_weights,
-)
 
 __all__ = [
-    "CorrelatedPublicationGenerator",
     "FrankfurtTraceModel",
-    "MultiSourceWorkload",
     "ScaleWorkload",
     "WorkloadGenerator",
-    "ZipfSubscriptionGenerator",
     "constant",
     "piecewise_linear",
     "staircase",
     "trapezoid",
-    "zipf_weights",
 ]

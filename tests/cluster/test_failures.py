@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import (
     CloudProvider,
     FailureDetector,
-    FailureInjector,
     crash_host,
 )
 from repro.sim import Environment
@@ -46,55 +45,3 @@ def test_detector_invalid_delay():
     with pytest.raises(ValueError):
         FailureDetector(env, detection_delay_s=-1)
 
-
-def test_injector_crash_at_specific_time():
-    env = Environment()
-    cloud = CloudProvider(env)
-    hosts = [cloud.provision_now() for _ in range(3)]
-    detector = FailureDetector(env, detection_delay_s=0.5)
-    injector = FailureInjector(env, cloud, detector, eligible=lambda: hosts, seed=1)
-    injector.crash_at(5.0, host=hosts[1])
-    env.run()
-    assert hosts[1].released
-    assert injector.crashed == [hosts[1]]
-    assert detector.detected == [hosts[1]]
-
-
-def test_injector_random_target_among_eligible():
-    env = Environment()
-    cloud = CloudProvider(env)
-    hosts = [cloud.provision_now() for _ in range(4)]
-    protected = hosts[0]
-    detector = FailureDetector(env, detection_delay_s=0.1)
-    injector = FailureInjector(
-        env, cloud, detector, eligible=lambda: hosts[1:], seed=7
-    )
-    injector.crash_periodically(interval_s=2.0, count=3)
-    env.run()
-    assert not protected.released
-    assert len(injector.crashed) == 3
-    assert all(h in hosts[1:] for h in injector.crashed)
-
-
-def test_injector_stops_when_no_eligible_hosts():
-    env = Environment()
-    cloud = CloudProvider(env)
-    detector = FailureDetector(env)
-    injector = FailureInjector(env, cloud, detector, eligible=lambda: [])
-    injector.crash_periodically(interval_s=1.0, count=2)
-    env.run()
-    assert injector.crashed == []
-
-
-def test_injector_validation():
-    env = Environment()
-    cloud = CloudProvider(env)
-    detector = FailureDetector(env)
-    injector = FailureInjector(env, cloud, detector, eligible=lambda: [])
-    with pytest.raises(ValueError):
-        injector.crash_periodically(interval_s=0, count=1)
-    env2 = Environment(initial_time=10.0)
-    injector2 = FailureInjector(env2, CloudProvider(env2), FailureDetector(env2),
-                                eligible=lambda: [])
-    with pytest.raises(ValueError):
-        injector2.crash_at(5.0)

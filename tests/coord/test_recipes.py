@@ -1,8 +1,8 @@
-"""Tests for leader election and the distributed lock."""
+"""Tests for leader election."""
 
 import pytest
 
-from repro.coord import CoordinationKernel, DistributedLock, LeaderElection
+from repro.coord import CoordinationKernel, LeaderElection
 
 
 @pytest.fixture
@@ -81,38 +81,3 @@ class TestLeaderElection:
         election.on_elected(lambda: fired.append(True))
         assert fired == [True]
 
-
-class TestDistributedLock:
-    def test_uncontended_acquire(self, zk):
-        lock = DistributedLock(zk, zk.session())
-        granted = []
-        lock.acquire(lambda: granted.append(1))
-        assert lock.held
-        assert granted == [1]
-
-    def test_fifo_handoff_on_release(self, zk):
-        l1 = DistributedLock(zk, zk.session())
-        l2 = DistributedLock(zk, zk.session())
-        order = []
-        l1.acquire(lambda: order.append("l1"))
-        l2.acquire(lambda: order.append("l2"))
-        assert order == ["l1"]
-        l1.release()
-        assert order == ["l1", "l2"]
-        assert l2.held and not l1.held
-
-    def test_session_close_releases_lock(self, zk):
-        s1 = zk.session()
-        l1 = DistributedLock(zk, s1)
-        l2 = DistributedLock(zk, zk.session())
-        granted = []
-        l1.acquire(lambda: None)
-        l2.acquire(lambda: granted.append(True))
-        assert not granted
-        s1.close()
-        assert granted == [True]
-
-    def test_release_unheld_raises(self, zk):
-        lock = DistributedLock(zk, zk.session())
-        with pytest.raises(RuntimeError):
-            lock.release()

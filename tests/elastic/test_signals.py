@@ -405,6 +405,33 @@ class TestDecisionSpanShape:
         assert event.attrs["contending"] == [("spill", "spill_pressure")]
         assert event.attrs["cpu_threshold"] == 0.70
 
+    @pytest.mark.parametrize("signal,slices,delay,expected", [
+        pytest.param(
+            "slo", None, window(2.5),
+            {"slo_p99_s": 2.5, "slo_target_s": 1.0},
+            id="slo",
+        ),
+        pytest.param(
+            "spill", {"M:0": spill_slice(depth=60)}, None,
+            {"spill_depth": 60, "spill_worst_slice": "M:0"},
+            id="spill",
+        ),
+    ])
+    def test_symptom_round_carries_its_evidence(
+        self, signal, slices, delay, expected
+    ):
+        telemetry = Telemetry()
+        policy = ElasticityPolicy(signals=("cpu", signal), spill_sustain_rounds=1)
+        enforcer = ElasticityEnforcer(policy, host_cores=8, telemetry=telemetry)
+        # 55% CPU is inside the band: the symptom signal wins the round.
+        probes = probe_set([0.55], slices=slices, delay=delay)
+        verdict = policy.signal_stack().evaluate(probes)
+        assert verdict.winner.signal == signal
+        enforcer.resolve(probes, verdict.winner, verdict=verdict)
+        (event,) = telemetry.tracer.find("enforcer.decision")
+        assert event.attrs["signal"] == signal
+        assert {name: event.attrs[name] for name in expected} == expected
+
     def test_symptom_scale_out_uses_reduced_target(self):
         policy = ElasticityPolicy(
             signals=("spill",), spill_sustain_rounds=1,

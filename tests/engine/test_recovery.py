@@ -11,6 +11,8 @@ from repro.engine import (
     RetentionLog,
     StreamEvent,
 )
+from repro.engine.recovery import UNRECOVERABLE
+from repro.telemetry import Telemetry
 
 from .helpers import Harness, CountingState, Forwarder, Recorder
 
@@ -260,3 +262,57 @@ class TestCrashRecovery:
         h.env.process(scenario())
         h.env.run()
         assert h.handler("S:0").values == {i: i for i in range(40)}
+
+    def test_crash_with_no_replacement_host_dead_letters_the_slice(self):
+        """No replacement host: the retained suffix and every later event
+        are parked, counted and traced instead of raising or vanishing."""
+        h = Harness(hosts=2, cores=4, migration_costs=FAST)
+        telemetry = Telemetry(h.env)
+        h.runtime.bind_telemetry(telemetry)
+        h.runtime.add_operator(
+            "S", 1, lambda i: CountingState(bytes_per_entry=200, cost_s=0.001)
+        )
+        h.runtime.deploy_operator("S", [h.hosts[0]])
+        dead_letters = h.runtime.enable_dead_letters()
+        coordinator = ReliabilityCoordinator(
+            h.runtime, interval_s=100.0, replacement_host_fn=lambda: None
+        )
+
+        def scenario():
+            for i in range(10):
+                h.runtime.inject("client", "S", "add", (i, i), 100, key=0)
+            yield h.env.timeout(1.0)
+            yield coordinator.checkpoint_now("S:0")
+            for i in range(10, 15):  # processed, never checkpointed
+                h.runtime.inject("client", "S", "add", (i, i), 100, key=0)
+            yield h.env.timeout(1.0)
+            h.hosts[0].release()
+            yield coordinator.handle_host_crash(h.hosts[0])
+            h.runtime.inject("client", "S", "add", (15, 15), 100, key=0)
+            h.runtime.route_batch(
+                "client", [("S", "add", (i, i), 100, 0) for i in (16, 17)]
+            )
+
+        h.env.process(scenario())
+        h.env.run()
+
+        entries = dead_letters.entries("S:0")
+        assert [(e.reason, [ev.payload[0] for ev in e.events]) for e in entries] == [
+            ("unrecoverable", [10, 11, 12, 13, 14]),
+            ("undeployed", [15]),
+            ("undeployed", [16, 17]),
+        ]
+        assert len(dead_letters) == 8
+        assert telemetry.dead_letter_events.value == 8
+        assert coordinator.unrecoverable == ["S:0"]
+        (report,) = coordinator.recovery_reports
+        assert report.replacement_host == UNRECOVERABLE
+        assert (report.restored_epoch, report.dead_lettered) == (1, 5)
+        (span,) = telemetry.tracer.find("recovery.unrecoverable")
+        assert span.attrs == {"slice": "S:0", "dead_lettered": 5}
+        assert h.runtime.placement().get("S:0") is None
+
+        assert dead_letters.slices() == ["S:0"]
+        assert dead_letters.drain("S:0") == entries
+        assert dead_letters.entries() == []
+        assert dead_letters.slices() == []

@@ -16,7 +16,6 @@ from repro.filtering import (
     AspeKey,
     AspeLibrary,
     BruteForceLibrary,
-    CountingIndexLibrary,
     ExactBackend,
     Op,
     Predicate,
@@ -52,7 +51,7 @@ def cipher():
     return AspeCipher(key, rng=random.Random(4))
 
 
-@pytest.mark.parametrize("library_cls", [BruteForceLibrary, CountingIndexLibrary])
+@pytest.mark.parametrize("library_cls", [BruteForceLibrary])
 def test_plaintext_batch_equals_single(library_cls):
     rng = random.Random(11)
     filters = [random_filter(rng) for _ in range(150)]
@@ -98,7 +97,7 @@ def test_aspe_batch_equals_single_after_churn(cipher):
     ]
 
 
-@pytest.mark.parametrize("library_cls", [BruteForceLibrary, CountingIndexLibrary])
+@pytest.mark.parametrize("library_cls", [BruteForceLibrary])
 def test_empty_library_plaintext(library_cls):
     library = library_cls()
     publications = [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
@@ -116,11 +115,9 @@ def test_empty_library_aspe(cipher):
 def test_single_subscription_edge(cipher):
     plain = band(0, 10.0, 20.0)
     inside, outside = [15.0, 0.0, 0.0, 0.0], [25.0, 0.0, 0.0, 0.0]
-    for library, pubs in [
-        (make_plain(BruteForceLibrary, [plain]), [inside, outside]),
-        (make_plain(CountingIndexLibrary, [plain]), [inside, outside]),
-    ]:
-        assert library.match_batch(pubs) == [[0], []]
+    assert make_plain(BruteForceLibrary, [plain]).match_batch(
+        [inside, outside]
+    ) == [[0], []]
     library = AspeLibrary()
     library.store(0, cipher.encrypt_subscription(plain))
     encrypted_pubs = [cipher.encrypt_publication(p) for p in (inside, outside)]

@@ -1,21 +1,16 @@
-"""Unit and property tests for the plaintext filtering libraries."""
-
-import random
+"""Unit tests for the plaintext reference library."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.filtering import (
     BruteForceLibrary,
-    CountingIndexLibrary,
     Op,
     Predicate,
     PredicateSet,
 )
 
 
-@pytest.fixture(params=[BruteForceLibrary, CountingIndexLibrary])
+@pytest.fixture(params=[BruteForceLibrary])
 def library(request):
     return request.param()
 
@@ -88,59 +83,3 @@ def test_strict_and_equality_operators(library):
     assert library.match([10.5]) == [1]
     assert library.match([9.5]) == [2]
 
-
-def _random_predicate_set(rng, dimensions):
-    predicates = []
-    for _ in range(rng.randint(1, 3)):
-        attribute = rng.randrange(dimensions)
-        op = rng.choice(list(Op))
-        constant = rng.uniform(0.0, 100.0)
-        predicates.append(Predicate(attribute, op, constant))
-    return PredicateSet(tuple(predicates))
-
-
-def test_counting_index_agrees_with_brute_force_randomized():
-    rng = random.Random(7)
-    brute = BruteForceLibrary()
-    indexed = CountingIndexLibrary()
-    for sub_id in range(300):
-        ps = _random_predicate_set(rng, dimensions=4)
-        brute.store(sub_id, ps)
-        indexed.store(sub_id, ps)
-    for _ in range(100):
-        pub = [rng.uniform(0.0, 100.0) for _ in range(4)]
-        assert sorted(indexed.match(pub)) == sorted(brute.match(pub))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    constants=st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=8),
-    value=st.floats(0, 100, allow_nan=False),
-    op=st.sampled_from(list(Op)),
-)
-def test_counting_index_matches_semantics_property(constants, value, op):
-    indexed = CountingIndexLibrary()
-    for sub_id, constant in enumerate(constants):
-        indexed.store(sub_id, PredicateSet.of(Predicate(0, op, constant)))
-    expected = sorted(
-        sub_id for sub_id, c in enumerate(constants) if op.evaluate(value, c)
-    )
-    assert sorted(indexed.match([value])) == expected
-
-
-def test_counting_index_removal_randomized():
-    rng = random.Random(13)
-    brute = BruteForceLibrary()
-    indexed = CountingIndexLibrary()
-    live = {}
-    for sub_id in range(200):
-        ps = _random_predicate_set(rng, dimensions=3)
-        brute.store(sub_id, ps)
-        indexed.store(sub_id, ps)
-        live[sub_id] = ps
-    for sub_id in rng.sample(sorted(live), 120):
-        brute.remove(sub_id)
-        indexed.remove(sub_id)
-    for _ in range(50):
-        pub = [rng.uniform(0.0, 100.0) for _ in range(3)]
-        assert sorted(indexed.match(pub)) == sorted(brute.match(pub))

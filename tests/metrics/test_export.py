@@ -1,48 +1,10 @@
-"""Tests for CSV/JSON exporters and ASCII charts."""
+"""Tests for the atomic JSON exporter."""
 
-import csv
 import json
 
 import pytest
 
-from repro.metrics import ascii_chart, ascii_sparkline, write_csv, write_json
-
-
-class TestWriteCsv:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "out" / "data.csv"
-        write_csv(str(path), ["a", "b"], [[1, 2], [3, 4]])
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["a", "b"], ["1", "2"], ["3", "4"]]
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "x.csv"), ["a", "b"], [[1]])
-
-    def test_failed_write_preserves_previous_file(self, tmp_path):
-        """A failing row iterator must not truncate an existing export."""
-        path = tmp_path / "data.csv"
-        write_csv(str(path), ["a", "b"], [[1, 2]])
-        before = path.read_text()
-
-        def exploding_rows():
-            yield [3, 4]
-            raise RuntimeError("source died mid-iteration")
-
-        with pytest.raises(RuntimeError):
-            write_csv(str(path), ["a", "b"], exploding_rows())
-        assert path.read_text() == before
-
-    def test_failed_write_leaves_no_temp_files(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "x.csv"), ["a", "b"], [[1]])
-        assert list(tmp_path.iterdir()) == []
-
-    def test_successful_write_leaves_only_target(self, tmp_path):
-        path = tmp_path / "data.csv"
-        write_csv(str(path), ["a"], [[1]])
-        assert list(tmp_path.iterdir()) == [path]
+from repro.metrics import write_json
 
 
 class TestWriteJson:
@@ -52,19 +14,6 @@ class TestWriteJson:
         with open(path) as handle:
             assert json.load(handle) == {"series": [1, 2, 3], "name": "fig8"}
 
-    def test_dataclass_coercion(self, tmp_path):
-        import dataclasses
-
-        @dataclasses.dataclass
-        class Point:
-            x: int
-            y: int
-
-        path = tmp_path / "d.json"
-        write_json(str(path), {"point": Point(1, 2)})
-        with open(path) as handle:
-            assert json.load(handle)["point"] == {"x": 1, "y": 2}
-
     def test_unserializable_payload_preserves_previous_file(self, tmp_path):
         path = tmp_path / "r.json"
         write_json(str(path), {"ok": 1})
@@ -73,42 +22,3 @@ class TestWriteJson:
             write_json(str(path), {"bad": object()})
         assert path.read_text() == before
         assert list(tmp_path.iterdir()) == [path]
-
-
-class TestSparkline:
-    def test_shape_reflects_values(self):
-        line = ascii_sparkline([0, 0, 5, 10])
-        assert len(line) == 4
-        assert line[0] == "▁"
-        assert line[-1] == "█"
-
-    def test_flat_series(self):
-        assert ascii_sparkline([3, 3, 3]) == "▁▁▁"
-
-    def test_empty(self):
-        assert ascii_sparkline([]) == ""
-
-    def test_downsampling(self):
-        line = ascii_sparkline(list(range(1000)), width=10)
-        assert len(line) == 10
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            ascii_sparkline([1.0], width=0)
-
-
-class TestAsciiChart:
-    def test_renders_header_and_rows(self):
-        chart = ascii_chart([(0, 0.0), (1, 1.0), (2, 2.0)], height=4, label="rate")
-        lines = chart.splitlines()
-        assert lines[0].startswith("rate")
-        assert len(lines) == 5
-        # The highest column is filled near the top, the lowest is not.
-        assert "█" in lines[1]
-
-    def test_empty_series(self):
-        assert ascii_chart([]) == "(no data)"
-
-    def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            ascii_chart([(0, 1.0)], height=1)

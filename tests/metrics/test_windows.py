@@ -1,8 +1,8 @@
-"""Unit tests for windowed aggregation, throughput and backlog probes."""
+"""Unit tests for windowed aggregation and backlog probes."""
 
 import pytest
 
-from repro.metrics import BacklogProbe, ThroughputMeter, WindowedSeries
+from repro.metrics import BacklogProbe, WindowedSeries
 
 
 class TestWindowedSeries:
@@ -40,25 +40,6 @@ class TestWindowedSeries:
         series.add(1.0, 2.0)
         assert len(series) == 1
         assert series.samples == [(1.0, 2.0)]
-
-
-class TestThroughputMeter:
-    def test_rate_over_interval(self):
-        meter = ThroughputMeter()
-        for t in range(10):
-            meter.record(float(t))
-        assert meter.total == 10
-        assert meter.rate(0.0, 10.0) == pytest.approx(1.0)
-        assert meter.rate(5.0, 10.0) == pytest.approx(1.0)
-
-    def test_batch_record(self):
-        meter = ThroughputMeter()
-        meter.record(1.0, count=5)
-        assert meter.total == 5
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputMeter().rate(5.0, 5.0)
 
 
 class TestBacklogProbe:

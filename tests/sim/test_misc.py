@@ -1,8 +1,6 @@
-"""Determinism, call_later, and RNG-registry tests for the sim kernel."""
+"""Determinism and call_later tests for the sim kernel."""
 
-import pytest
-
-from repro.sim import Environment, RngRegistry, derive_seed
+from repro.sim import Environment
 
 
 class TestCallLater:
@@ -50,31 +48,3 @@ class TestDeterminism:
 
         assert run_once() == run_once()
 
-
-class TestRngRegistry:
-    def test_streams_are_deterministic_per_name(self):
-        a = RngRegistry(root_seed=1).stream("x").random()
-        b = RngRegistry(root_seed=1).stream("x").random()
-        assert a == b
-
-    def test_streams_are_independent(self):
-        registry = RngRegistry(root_seed=1)
-        assert registry.stream("x").random() != registry.stream("y").random()
-
-    def test_same_stream_returned_for_same_name(self):
-        registry = RngRegistry(root_seed=1)
-        assert registry.stream("x") is registry.stream("x")
-
-    def test_reseed_resets_streams(self):
-        registry = RngRegistry(root_seed=1)
-        first = registry.stream("x").random()
-        registry.reseed(1)
-        assert registry.stream("x").random() == first
-        registry.reseed(2)
-        assert registry.stream("x").random() != first
-
-    def test_derive_seed_stable_and_distinct(self):
-        assert derive_seed(1, "a") == derive_seed(1, "a")
-        assert derive_seed(1, "a") != derive_seed(1, "b")
-        assert derive_seed(1, "a") != derive_seed(2, "a")
-        assert 0 <= derive_seed(3, "z") < 2 ** 64

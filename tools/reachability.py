@@ -1,0 +1,507 @@
+#!/usr/bin/env python3
+"""Which functions in ``src/`` only the tests reach.
+
+Runs the reproduction's own entry points in subprocesses:
+
+* every ``benchmarks/bench_*.py``;
+* the four ``perfbench`` workloads (``run --workload W --reps 1 --trace 1``);
+* every ``repro.cli`` subcommand;
+* every ``examples/*.py``.
+
+It runs them once as they are and once under each CI environment spelling
+(mmap store, backpressure, the full signal stack), since some paths are
+reached only when an outside input is set.  Then it runs tier-1 once.
+
+Each subprocess gets a ``sitecustomize`` whose ``sys.setprofile`` hook
+records ``(file, first line, qualified name)`` of every function under
+``src/repro/`` that is called.  The records are diffed against every
+function compiled from ``src/``.  Every function no entry point reaches must
+carry a decision in ``KEPT`` below.  The report is written between the
+reachability markers in ``EXPERIMENTS.md``.
+
+Usage::
+
+    python tools/reachability.py            # run everything (~85 min, 2 at a time)
+    python tools/reachability.py --reuse    # re-diff the last run's records
+
+The raw records and per-run logs go to ``repro-reachability`` under the
+system temporary directory; a full run replaces them.  Needs Python 3.11+
+(the hook reads ``co_qualname``).  Exits non-zero if an entry point fails
+under the default spelling or an entry has no decision.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import types
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, Iterable, List, Set, Tuple
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+REPORT = ROOT / "EXPERIMENTS.md"
+BEGIN = "<!-- reachability:begin -->"
+END = "<!-- reachability:end -->"
+RECORDS = pathlib.Path(tempfile.gettempdir()) / "repro-reachability"
+#: Entry points run at once; several hold a full hub, so keep memory low.
+JOBS = 2
+
+#: CI's env spellings (``.github/workflows/ci.yml``); "default" sets none.
+SPELLINGS: Dict[str, Dict[str, str]] = {
+    "default": {},
+    "mmap": {
+        "REPRO_STORE_BACKEND": "mmap",
+        "REPRO_STORE_CHUNK_ROWS": "2048",
+        "REPRO_STORE_MEMORY_BUDGET_MB": "8",
+    },
+    "backpressure": {"REPRO_NET_BACKPRESSURE": "1", "REPRO_NET_CREDIT_WINDOW": "16"},
+    "signals": {"REPRO_POLICY_SIGNALS": "cpu,slo,spill"},
+}
+
+#: Function-name kinds that are not ``def`` statements.
+ANONYMOUS = ("<lambda>", "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
+
+HOOK = '''\
+import atexit, os, sys, threading
+
+_seen = set()
+
+
+def _hook(frame, event, arg):
+    if event == "call":
+        _seen.add(frame.f_code)
+
+
+sys.setprofile(_hook)
+threading.setprofile(_hook)
+
+
+@atexit.register
+def _dump():
+    sys.setprofile(None)
+    root = os.environ["REACHABILITY_SRC"]
+    rows = set()
+    for code in _seen:
+        path = os.path.realpath(code.co_filename)
+        if path.startswith(root):
+            rows.add(f"{os.path.relpath(path, root)}\\t{code.co_firstlineno}"
+                     f"\\t{code.co_qualname}\\n")
+    out = os.path.join(os.environ["REACHABILITY_OUT"], f"{os.getpid()}.tsv")
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.writelines(sorted(rows))
+'''
+
+Key = Tuple[str, int, str]  # (path under src/, first line, qualified name)
+
+# -- decisions ----------------------------------------------------------------
+
+OBSERVE = "accessor tests use to observe state"
+VALIDATE = "input validation / error handling"
+REFERENCE = "reference implementation tests compare against"
+SAFETY = "safety path: fault handling no fault-free entry point exercises"
+INTERFACE = "abstract or default method of an interface; concrete classes override it"
+REPR = "debugging repr / str (assertion messages)"
+NULL = "null-object twin of a Tracer method, so telemetry-off call sites need no branch"
+UNSUBSCRIBE = ("unsubscription, part of the FilteringLibrary contract; "
+               "no entry point unsubscribes")
+TELEMETRY = "decision-span attributes, recorded when a Telemetry bundle is bound"
+STREAM = "trace streaming, turned on by `repro trace --stream-window`"
+SPANS = "context-manager span API (`with tracer.span(...)`) for library callers"
+METRIC = "metric API for library callers; entry points read the registry by snapshot"
+COMPACT = "churn compaction, run once dead rows pass `compact_dead_ratio`"
+DRIVE = "operation tests drive directly; entry points reach the same state another way"
+WORKLOAD = "workload input tests drive the engine with"
+
+
+def _kept(reason: str, *names: str) -> Dict[str, str]:
+    return dict.fromkeys(names, reason)
+
+
+#: ``path::qualname`` -> one-line reason it stays although no entry point reaches it.
+KEPT: Dict[str, str] = {
+    **_kept(VALIDATE,
+            "repro/cli.py::_positive_count"),
+    **_kept(OBSERVE,
+            "repro/cluster/cpu.py::CpuScheduler.active_tasks",
+            "repro/cluster/cpu.py::CpuScheduler.queued_tasks",
+            "repro/cluster/network.py::Network.is_attached",
+            "repro/cluster/network.py::Network.transfer_time",
+            "repro/cluster/network.py::Network.nic_busy_until",
+            "repro/coord/kernel.py::CoordinationKernel.get",
+            "repro/coord/kernel.py::CoordinationKernel.walk",
+            "repro/coord/recipes.py::LeaderElection.is_leader",
+            "repro/coord/recipes.py::LeaderElection.leader_id",
+            "repro/elastic/binpack.py::Placement.uses_new_hosts",
+            "repro/elastic/manager.py::ElasticityManager.host_count",
+            "repro/elastic/manager.py::ElasticityManager.stored_placement",
+            "repro/elastic/manager.py::ElasticityManager.stored_hosts",
+            "repro/elastic/probes.py::ProbeSet.total_load_cores",
+            "repro/engine/checkpoint.py::CheckpointStore.slices",
+            "repro/engine/checkpoint.py::CheckpointStore.__len__",
+            "repro/engine/locks.py::RWLock.idle",
+            "repro/engine/migration.py::ShardOpReport.duration_s",
+            "repro/engine/retention.py::RetentionBuffer.__len__",
+            "repro/engine/retention.py::RetentionBuffer.bytes_retained",
+            "repro/engine/retention.py::RetentionBuffer.highest_seq",
+            "repro/engine/retention.py::RetentionLog.total_events",
+            "repro/engine/retention.py::RetentionLog.total_bytes",
+            "repro/engine/runtime.py::EngineRuntime.slice_count",
+            "repro/experiments/harness.py::Deployment.stored_subscriptions",
+            "repro/filtering/aspe.py::AspeKey.cipher_dimensions",
+            "repro/filtering/aspe.py::EncryptedSubscription.size_bytes",
+            "repro/filtering/aspe.py::AspeLibrary.state_size_bytes",
+            "repro/filtering/aspe.py::AspeLibrary.get_subscription",
+            "repro/filtering/cost.py::CostModel.m_state_bytes",
+            "repro/filtering/cost.py::CostModel.migration_serialize_s",
+            "repro/filtering/predicates.py::PredicateSet.__len__",
+            "repro/filtering/store/chunks.py::ChunkedMatrixStore.resident_bytes",
+            "repro/filtering/store/chunks.py::ChunkedMatrixStore.chunk_count",
+            "repro/filtering/store/chunks.py::ChunkedMatrixStore.resident_chunks",
+            "repro/filtering/store/chunks.py::ChunkedMatrixStore.copy_rows",
+            "repro/filtering/store/shard.py::ShardedAspeLibrary.shard_bounds",
+            "repro/metrics/delay.py::DelayTracker.total_notifications",
+            "repro/metrics/throughput.py::BacklogProbe.max_backlog",
+            "repro/metrics/windows.py::WindowedSeries.__len__",
+            "repro/metrics/windows.py::WindowedSeries.samples",
+            "repro/pubsub/hub.py::StreamHub.subscribed_count",
+            "repro/sim/core.py::Event.processed",
+            "repro/sim/core.py::Event.ok",
+            "repro/sim/core.py::Event.value",
+            "repro/sim/core.py::Environment.peek",
+            "repro/telemetry/__init__.py::Telemetry.enabled",
+            "repro/transport/channel.py::Transport.channel_count",
+            "repro/transport/config.py::TransportConfig.buffered",
+            "repro/workloads/frankfurt.py::FrankfurtTraceModel.base_rate_at"),
+    **_kept("host memory ledger; nothing in src/ reserves memory yet "
+            "(ROADMAP item 2 follow-up)",
+            "repro/cluster/host.py::Host.memory_free",
+            "repro/cluster/host.py::Host.reserve_memory",
+            "repro/cluster/host.py::Host.free_memory",
+            "repro/cluster/host.py::Host.memory_of"),
+    **_kept(SAFETY,
+            "repro/cluster/failures.py::Watchdog.__init__",
+            "repro/cluster/failures.py::Watchdog.guard",
+            "repro/cluster/failures.py::Watchdog.guard.<locals>.check",
+            "repro/cluster/failures.py::Watchdog.guard.<locals>.disarm",
+            "repro/cluster/network.py::Network._drop_partitioned",
+            "repro/engine/recovery.py::DeadLetterQueue.push",
+            "repro/engine/recovery.py::DeadLetterQueue.entries",
+            "repro/engine/recovery.py::DeadLetterQueue.drain",
+            "repro/engine/recovery.py::DeadLetterQueue.slices",
+            "repro/engine/recovery.py::DeadLetterQueue.__len__",
+            "repro/engine/recovery.py::ReliabilityCoordinator._abandon_slice",
+            "repro/sim/core.py::Event.fail"),
+    **_kept("fault-script steps tier-1's recovery and failover tests schedule",
+            "repro/cluster/failures.py::FaultPlan.crash_host_at",
+            "repro/cluster/failures.py::FaultPlan.crash_manager_at"),
+    **_kept("reads `REPRO_CHAOS_SEED`, set by the CI chaos-seed leg",
+            "repro/cluster/failures.py::chaos_seed_from_env"),
+    **_kept(REPR,
+            "repro/cluster/host.py::Host.__repr__",
+            "repro/coord/kernel.py::ZNodeStat.__repr__",
+            "repro/coord/kernel.py::WatchedEvent.__repr__",
+            "repro/engine/event.py::StreamEvent.__repr__",
+            "repro/filtering/predicates.py::Predicate.__str__",
+            "repro/filtering/predicates.py::PredicateSet.__str__",
+            "repro/sim/core.py::Event.__repr__",
+            "repro/telemetry/tracing.py::Span.__repr__"),
+    **_kept(DRIVE,
+            "repro/coord/recipes.py::LeaderElection.resign",
+            "repro/elastic/manager.py::ElasticityManager.stop",
+            "repro/engine/locks.py::RWLock.acquire",
+            "repro/engine/recovery.py::ReliabilityCoordinator.checkpoint_now",
+            "repro/experiments/harness.py::Deployment.fresh_host",
+            "repro/filtering/aspe.py::_fresh_workspace",
+            "repro/pubsub/source.py::SourceDriver.load_subscriptions",
+            "repro/pubsub/source.py::SourceDriver.load_subscriptions.<locals>.run",
+            "repro/telemetry/tracing.py::read_jsonl"),
+    **_kept(TELEMETRY,
+            "repro/elastic/enforcer.py::ElasticityEnforcer._record_decision",
+            "repro/elastic/policy.py::Violation.evidence_attrs",
+            "repro/elastic/signals.py::CpuBandEvidence.attrs",
+            "repro/elastic/signals.py::DelaySloEvidence.attrs",
+            "repro/elastic/signals.py::SpillEvidence.attrs",
+            "repro/elastic/signals.py::SignalVerdict.contending"),
+    **_kept("signal-protocol veto; asked only when another signal requests a "
+            "scale-in, which no entry point's stack does",
+            "repro/elastic/signals.py::CpuBandSignal.vetoes_scale_in"),
+    **_kept("read by perfbench's layer tracer on any exact library "
+            "(`perfbench/layers.py`)",
+            "repro/filtering/store/shard.py::ShardedAspeLibrary.store_config"),
+    **_kept("implements `FilteringLibrary.state_size_bytes`; no entry point sizes a "
+            "sharded library",
+            "repro/filtering/store/shard.py::ShardedAspeLibrary.state_size_bytes"),
+    **_kept(INTERFACE,
+            "repro/engine/handler.py::SliceHandler.process",
+            "repro/engine/handler.py::SliceHandler.coalesce_with",
+            "repro/engine/handler.py::SliceHandler.process_batch",
+            "repro/filtering/backends.py::MatchingBackend.store",
+            "repro/filtering/backends.py::MatchingBackend.remove",
+            "repro/filtering/backends.py::MatchingBackend.match",
+            "repro/filtering/backends.py::MatchingBackend.match_batch",
+            "repro/filtering/backends.py::MatchingBackend.subscription_count",
+            "repro/filtering/backends.py::MatchingBackend.export_state",
+            "repro/filtering/backends.py::MatchingBackend.import_state",
+            "repro/filtering/base.py::FilteringLibrary.store",
+            "repro/filtering/base.py::FilteringLibrary.remove",
+            "repro/filtering/base.py::FilteringLibrary.match",
+            "repro/filtering/base.py::FilteringLibrary.match_batch",
+            "repro/filtering/base.py::FilteringLibrary.subscription_count",
+            "repro/filtering/base.py::FilteringLibrary.state_size_bytes",
+            "repro/filtering/base.py::FilteringLibrary.export_state",
+            "repro/filtering/base.py::FilteringLibrary.import_state"),
+    **_kept("state transfer of an exact library; entry points migrate sampled slices",
+            "repro/filtering/aspe.py::AspeLibrary.import_state",
+            "repro/filtering/store/shard.py::ShardedAspeLibrary.export_state",
+            "repro/filtering/store/shard.py::ShardedAspeLibrary.import_state"),
+    **_kept(UNSUBSCRIBE,
+            "repro/filtering/backends.py::ExactBackend.remove",
+            "repro/filtering/backends.py::SampledBackend.remove",
+            "repro/filtering/store/shard.py::ShardedAspeLibrary.remove"),
+    **_kept(REFERENCE,
+            "repro/filtering/plain.py::BruteForceLibrary.remove",
+            "repro/filtering/plain.py::BruteForceLibrary.state_size_bytes"),
+    **_kept(COMPACT,
+            "repro/filtering/aspe.py::AspeLibrary._compact",
+            "repro/filtering/store/chunks.py::ChunkedMatrixStore._drop_chunk",
+            "repro/filtering/store/chunks.py::ChunkedMatrixStore.compact"),
+    **_kept("`repro metrics --fmt json`",
+            "repro/telemetry/export.py::write_snapshot_json"),
+    **_kept(METRIC,
+            "repro/telemetry/registry.py::Gauge.add",
+            "repro/telemetry/registry.py::MetricFamily.set",
+            "repro/telemetry/registry.py::MetricFamily.value",
+            "repro/telemetry/registry.py::MetricFamily.sum",
+            "repro/telemetry/registry.py::MetricsRegistry.__len__",
+            "repro/telemetry/registry.py::MetricsRegistry.get",
+            "repro/telemetry/registry.py::MetricsRegistry.snapshot"),
+    **_kept(SPANS,
+            "repro/telemetry/tracing.py::_SpanScope.__init__",
+            "repro/telemetry/tracing.py::_SpanScope.__enter__",
+            "repro/telemetry/tracing.py::_SpanScope.__exit__",
+            "repro/telemetry/tracing.py::Tracer.now",
+            "repro/telemetry/tracing.py::Tracer.span"),
+    **_kept(STREAM,
+            "repro/telemetry/tracing.py::Tracer.stream_to",
+            "repro/telemetry/tracing.py::Tracer.streaming",
+            "repro/telemetry/tracing.py::Tracer._maybe_stream",
+            "repro/telemetry/tracing.py::Tracer._write_spans"),
+    **_kept(NULL,
+            "repro/telemetry/tracing.py::NullTracer._NullScope.__enter__",
+            "repro/telemetry/tracing.py::NullTracer._NullScope.__exit__",
+            "repro/telemetry/tracing.py::NullTracer.now",
+            "repro/telemetry/tracing.py::NullTracer.start_span",
+            "repro/telemetry/tracing.py::NullTracer.finish_span",
+            "repro/telemetry/tracing.py::NullTracer.span",
+            "repro/telemetry/tracing.py::NullTracer.add_span",
+            "repro/telemetry/tracing.py::NullTracer.event",
+            "repro/telemetry/tracing.py::NullTracer.find",
+            "repro/telemetry/tracing.py::NullTracer.breakdown",
+            "repro/telemetry/tracing.py::NullTracer.write_jsonl"),
+    **_kept(WORKLOAD,
+            "repro/workloads/rates.py::constant",
+            "repro/workloads/rates.py::staircase",
+            "repro/workloads/rates.py::staircase.<locals>.rate",
+            "repro/workloads/subscriptions.py::WorkloadGenerator.subscriptions",
+            "repro/workloads/subscriptions.py::WorkloadGenerator.publication_payloads",
+            "repro/workloads/subscriptions.py::WorkloadGenerator.publications"),
+}
+
+
+# -- entry points -------------------------------------------------------------
+
+def entry_points(scratch: pathlib.Path) -> List[Tuple[str, List[str]]]:
+    """``(label, argv after the interpreter)`` of every entry point."""
+    pytest = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    runs = [
+        (bench.stem, pytest + [str(bench)])
+        for bench in sorted((ROOT / "benchmarks").glob("bench_*.py"))
+    ]
+    runs += [
+        (f"perfbench_{w}", ["-m", "perfbench", "run", "--workload", w,
+                            "--reps", "1", "--trace", "1"])
+        for w in ("pipeline_burst", "match_100k", "outofcore_churn_100k",
+                  "elastic_surge")
+    ]
+    cli = ["-m", "repro.cli"]
+    runs += [
+        ("cli_figure1", cli + ["figure1"]),
+        ("cli_figure6", cli + ["figure6", "--hosts", "2", "12", "--iterations", "2"]),
+        ("cli_table1", cli + ["table1", "--migrations", "3"]),
+        ("cli_figure7", cli + ["figure7"]),
+        ("cli_figure8", cli + ["figure8", "--time-scale", "0.1"]),
+        ("cli_figure9", cli + ["figure9", "--time-scale", "0.2"]),
+        ("cli_cost", cli + ["cost", "--time-scale", "0.1"]),
+        ("cli_trace", cli + ["trace", "--out", str(scratch / "trace.jsonl")]),
+        ("cli_metrics", cli + ["metrics"]),
+        ("cli_policy", cli + ["policy"]),
+        ("cli_chaos", cli + ["chaos", "--scenario", "all"]),
+    ]
+    runs += [
+        (f"cli_ablations_{which}",
+         cli + ["ablations", "--which", which, "--time-scale", "0.1"])
+        for which in ("selection", "grace", "target")
+    ]
+    runs += [
+        (f"example_{example.stem}", [str(example)])
+        for example in sorted((ROOT / "examples").glob("*.py"))
+    ]
+    return runs
+
+
+def run_all(records: pathlib.Path) -> List[str]:
+    """Run every entry point (per spelling) and tier-1; return the failures."""
+    hook_dir = records / "hook"
+    hook_dir.mkdir(parents=True, exist_ok=True)
+    (hook_dir / "sitecustomize.py").write_text(HOOK, encoding="utf-8")
+    work = []
+    for spelling, variables in SPELLINGS.items():
+        for label, argv in entry_points(records / spelling):
+            work.append((f"{spelling}/{label}", variables, argv))
+    work.append(("tier1/tests", {}, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                     str(ROOT / "tests")]))
+
+    def run(item) -> str:
+        name, variables, argv = item
+        out = records / name
+        out.mkdir(parents=True, exist_ok=True)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(variables)
+        env["PYTHONPATH"] = os.pathsep.join([str(hook_dir), str(SRC), str(ROOT)])
+        env["REACHABILITY_SRC"] = os.path.realpath(SRC) + os.sep
+        env["REACHABILITY_OUT"] = str(out)
+        with open(records / f"{name.replace('/', '__')}.log", "w") as log:
+            status = subprocess.call([sys.executable] + argv, cwd=out, env=env,
+                                     stdout=log, stderr=subprocess.STDOUT)
+        print(f"{'ok  ' if status == 0 else 'FAIL'} {name}", flush=True)
+        return "" if status == 0 else name
+
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        failed = [name for name in pool.map(run, work) if name]
+    (records / "failed.txt").write_text("".join(f"{n}\n" for n in failed))
+    return failed
+
+
+def read_records(records: pathlib.Path, group: str) -> Set[Key]:
+    """Every key recorded under ``records/<group>/``."""
+    keys: Set[Key] = set()
+    for tsv in (records / group).glob("*/*.tsv"):
+        for line in tsv.read_text(encoding="utf-8").splitlines():
+            path, first, name = line.split("\t")
+            keys.add((path, int(first), name))
+    return keys
+
+
+# -- the universe -------------------------------------------------------------
+
+def functions() -> Set[Key]:
+    """Every named function compiled from ``src/`` (not module or class
+    bodies, not lambdas or comprehensions)."""
+    keys: Set[Key] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = str(path.relative_to(SRC))
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    stack.append(const)
+                    if (const.co_flags & inspect.CO_OPTIMIZED
+                            and const.co_name not in ANONYMOUS):
+                        keys.add((relative, const.co_firstlineno, const.co_qualname))
+    return keys
+
+
+# -- the report ---------------------------------------------------------------
+
+def report(universe: Set[Key], reached: Dict[str, Set[Key]], tier1: Set[Key]
+           ) -> Tuple[str, List[str]]:
+    """The markdown report and the entries left undecided."""
+    default = reached["default"] & universe
+    any_entry = set().union(*reached.values()) & universe
+    unreached = universe - any_entry
+    test_only = unreached & tier1
+    rows, undecided, used = [], [], set()
+    for path, first, name in sorted(unreached):
+        decision = f"{path}::{name}"
+        reason = KEPT.get(decision)
+        used.add(decision)
+        if reason is None:
+            undecided.append(decision)
+            reason = "**undecided**"
+        who = "tier-1 only" if (path, first, name) in test_only else "nothing"
+        rows.append(f"| `{path}` | `{name}` | {who} | {reason} |")
+    stale = sorted(set(KEPT) - used)
+    lines = [
+        "Regenerate with `python tools/reachability.py`.",
+        "",
+        "| named functions in `src/` | count |",
+        "|---|---|",
+        f"| compiled | {len(universe)} |",
+        f"| reached by an entry point | {len(any_entry)} |",
+        f"| … of which only under a CI env spelling | {len(any_entry - default)} |",
+        f"| reached only by tier-1 | {len(test_only)} |",
+        f"| reached by nothing | {len(unreached - test_only)} |",
+        "",
+        "| file | function | reached by | kept because |",
+        "|---|---|---|---|",
+        *rows,
+    ]
+    if stale:
+        lines += ["", "Decisions naming no unreached function: "
+                  + ", ".join(f"`{s}`" for s in stale)]
+    return "\n".join(lines), undecided
+
+
+def write_report(text: str) -> None:
+    document = REPORT.read_text(encoding="utf-8")
+    head, rest = document.split(BEGIN, 1)
+    _, tail = rest.split(END, 1)
+    REPORT.write_text(f"{head}{BEGIN}\n{text}\n{END}{tail}", encoding="utf-8")
+
+
+def main(argv: Iterable[str] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--reuse", action="store_true",
+                        help=f"re-diff the records of the last run in {RECORDS}")
+    args = parser.parse_args(argv)
+    if sys.version_info < (3, 11):
+        print("tools/reachability.py needs Python 3.11+ (code objects' co_qualname)")
+        return 2
+    records = RECORDS
+    if args.reuse:
+        failed = (records / "failed.txt").read_text().split()
+    else:
+        shutil.rmtree(records, ignore_errors=True)
+        failed = run_all(records)
+    reached = {spelling: read_records(records, spelling) for spelling in SPELLINGS}
+    text, undecided = report(functions(), reached, read_records(records, "tier1"))
+    # A bench that compares the default spelling against another one
+    # asserts on default numbers, so it may fail under a forced spelling;
+    # its coverage is recorded all the same.
+    fatal = [name for name in failed if name.split("/", 1)[0] in ("default", "tier1")]
+    if fatal:
+        print(f"entry points failed (see the logs in {records}): " + ", ".join(fatal))
+        return 1
+    if failed:
+        text += ("\n\nFailed under a forced spelling (coverage still recorded): "
+                 + ", ".join(f"`{name}`" for name in failed))
+    write_report(text)
+    print(text)
+    print(f"\nreport written to {REPORT.relative_to(ROOT)}")
+    if undecided:
+        print(f"{len(undecided)} entries have no decision:")
+        print("\n".join(f"  {entry}" for entry in undecided))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
