@@ -1,23 +1,14 @@
-"""Out-of-core sharded ASPE store at 1M+ subscriptions (DESIGN.md §8).
+"""Out-of-core ASPE store at 1M+ subscriptions (DESIGN.md §8).
 
-Two experiments:
-
-* ``test_outofcore_million_subscriptions`` — the acceptance run.  A
-  bulk-encrypted workload (1M subscriptions at ``REPRO_BENCH_SCALE=1``)
-  is loaded twice: into an in-RAM :class:`AspeLibrary` on the default
-  store and into a :class:`ShardedAspeLibrary` on the ``mmap`` backend
-  whose *total* resident budget is 25% of the packed rows' footprint
-  (``rows × row bytes``).  The mmap run must produce byte-identical match
-  lists — across a runtime shard split and merge performed mid-stream —
-  and stay under its residency budget.  Its matching throughput against
-  the in-RAM run is reported and exported, not gated: the timed region is
-  dominated by the span-index rebuilds after the split and the merge, the
-  ratio flips on host noise, and a faster kernel lowers it; wall-clock
-  claims belong to perfbench's alternating pairs.
-* ``test_outofcore_hub_reshard`` — end-to-end determinism.  The same
-  publications flow through two full AP→M→EP deployments (one library per
-  M slice vs a sharded one with live ``runtime.reshard`` split/merge
-  mid-run); the notification logs must be byte-identical.
+``test_outofcore_million_subscriptions`` is the acceptance run.  A
+bulk-encrypted workload (1M subscriptions at ``REPRO_BENCH_SCALE=1``) is
+loaded twice into an :class:`AspeLibrary`: once on the default in-RAM
+store and once on the ``mmap`` backend with a resident budget of 25% of
+the packed rows' footprint (``rows × row bytes``).  The mmap run must
+produce byte-identical match lists and stay under its residency budget.
+Its matching throughput against the in-RAM run is reported and exported,
+not gated: the ratio flips on host noise, and a faster kernel lowers it;
+wall-clock claims belong to perfbench's alternating pairs.
 
 Results are exported to ``BENCH_outofcore.json`` (override with
 ``REPRO_BENCH_OUTOFCORE_OUT``), including peak-RSS/residency records, a
@@ -30,15 +21,9 @@ from outside — for the CI workflow to archive.
 
 import math
 import os
-import random
 import time
 
-from repro.filtering import (
-    AspeLibrary,
-    ExactBackend,
-    ShardedAspeLibrary,
-    StoreConfig,
-)
+from repro.filtering import AspeLibrary, StoreConfig
 from repro.metrics import write_json
 from repro.workloads import ScaleWorkload
 
@@ -90,17 +75,11 @@ def _publications(workload_seed: int, count: int):
     ).publications(count)
 
 
-def _match_all(library, publications, reshard_at=None):
-    """Match in fixed batches; returns (results, match_seconds).
-
-    ``reshard_at`` maps batch indexes to callables run *before* that
-    batch — the mid-stream split/merge hooks.
-    """
+def _match_all(library, publications):
+    """Match in fixed batches; returns (results, match_seconds)."""
     results = []
     elapsed = 0.0
-    for index, start in enumerate(range(0, len(publications), MATCH_BATCH)):
-        if reshard_at and index in reshard_at:
-            reshard_at[index]()
+    for start in range(0, len(publications), MATCH_BATCH):
         batch = publications[start : start + MATCH_BATCH]
         begin = time.perf_counter()
         results.extend(library.match_batch(batch))
@@ -119,35 +98,22 @@ def test_outofcore_million_subscriptions(report):
     ram_results, ram_match_s = _match_all(in_ram, publications)
     footprint_bytes = in_ram.store_stats()["rows"] * ROW_BYTES
     budget_bytes = int(math.ceil(footprint_bytes * BUDGET_FRACTION))
-    # The split doubles the store count mid-run and each store enforces
-    # its own budget, so give every store half of the total allowance —
-    # the aggregate stays within BUDGET_FRACTION even at two shards.
-    per_store_mb = budget_bytes / 2 / (1024 * 1024)
 
-    # Out-of-core sharded run under the 25% residency budget, with a
-    # runtime split after the first third of the publications and a
-    # merge after the second.
+    # Out-of-core run under the 25% residency budget.  A new chunk is
+    # tracked before the eviction pass that makes room for it, so the
+    # resident peak may exceed the store's budget by one chunk: leave that
+    # chunk's room out of the budget the store is given.
     chunk_rows = _chunk_rows(2 * subscriptions)
-    sharded = ShardedAspeLibrary(
+    out_of_core = AspeLibrary(
         store_config=StoreConfig(
             backend="mmap",
             chunk_rows=chunk_rows,
-            memory_budget_mb=per_store_mb,
+            memory_budget_mb=(budget_bytes - chunk_rows * ROW_BYTES) / (1024 * 1024),
         )
     )
-    mmap_load_s = _load(sharded, SEED, subscriptions)
-    shard_ops = {}
-    batches = math.ceil(PUBLICATIONS / MATCH_BATCH)
-    shard_ops[batches // 3] = lambda: RESULTS.__setitem__(
-        "split", vars(sharded.split_shard())
-    )
-    shard_ops[2 * batches // 3] = lambda: RESULTS.__setitem__(
-        "merge", vars(sharded.merge_shards())
-    )
-    mmap_results, mmap_match_s = _match_all(
-        sharded, publications, reshard_at=shard_ops
-    )
-    stats = sharded.store_stats()
+    mmap_load_s = _load(out_of_core, SEED, subscriptions)
+    mmap_results, mmap_match_s = _match_all(out_of_core, publications)
+    stats = out_of_core.store_stats()
 
     identical = ram_results == mmap_results
     ram_pub_s = PUBLICATIONS / ram_match_s
@@ -187,13 +153,10 @@ def test_outofcore_million_subscriptions(report):
            f"({matches:,} matches over {PUBLICATIONS} publications)")
     report(f"  mmap matching   : {mmap_pub_s:10.2f} pub/s "
            f"({ratio:.2f}x in-RAM; reported, not gated)")
-    report(f"  split rewrote   : {RESULTS['split']['rows_rewritten']:,} rows; "
-           f"merge rewrote {RESULTS['merge']['rows_rewritten']:,}")
     report(f"  match lists     : "
-           + ("byte-identical across split+merge" if identical else "DIVERGED"))
+           + ("byte-identical" if identical else "DIVERGED"))
 
-    assert identical, "mmap/sharded match lists diverged from the in-RAM run"
-    assert RESULTS["merge"]["rows_rewritten"] == 0
+    assert identical, "mmap match lists diverged from the in-RAM run"
     assert stats["resident_peak_bytes"] <= budget_bytes
 
     _export_curve(report, subscriptions)
@@ -303,76 +266,8 @@ def _export_curve(report, subscriptions: int) -> None:
                 "resident_under_budget": (
                     RESULTS["resident_peak_bytes"] <= RESULTS["budget_bytes"]
                 ),
-                "merge_zero_copy": RESULTS["merge"]["rows_rewritten"] == 0,
             },
             "memory": memory_snapshot(),
         },
     )
     report(f"  exported        : {path}")
-
-
-def test_outofcore_hub_reshard(report):
-    """End-to-end: live reshard mid-run, byte-identical notification log."""
-    from repro.cluster import CloudProvider, HostSpec
-    from repro.pubsub import HubConfig, Publication, StreamHub, Subscription
-    from repro.sim import Environment
-
-    subscriptions = 400
-    publications = 60
-    workload = ScaleWorkload(
-        dimensions=DIMENSIONS, matching_rate=0.05, seed=SEED + 2
-    )
-    subs = [item for batch in workload.subscription_batches(subscriptions)
-            for item in batch]
-    pubs = workload.publications(publications)
-
-    def run(sharded: bool):
-        env = Environment()
-        cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=4)
-        hosts = [cloud.provision_now() for _ in range(3)]
-
-        def factory(index):
-            if sharded:
-                return ExactBackend(
-                    ShardedAspeLibrary(
-                        store_config=StoreConfig(
-                            backend="mmap", chunk_rows=64, memory_budget_mb=1
-                        )
-                    )
-                )
-            return ExactBackend(AspeLibrary())
-
-        config = HubConfig(
-            ap_slices=1, m_slices=2, ep_slices=1, sink_slices=1,
-            backend_factory=factory,
-        )
-        hub = StreamHub(env, cloud.network, config)
-        hub.deploy_all_on(hosts[:2], hosts[2:])
-        for sub_id, payload in subs:
-            hub.subscribe(Subscription(sub_id, 1000 + sub_id, payload))
-        env.run(until=5.0)
-        for index, payload in enumerate(pubs):
-            hub.publish(Publication(index, payload, published_at=env.now))
-            if sharded and index == publications // 3:
-                hub.runtime.reshard("M:0", "split")
-            if sharded and index == 2 * publications // 3:
-                hub.runtime.reshard("M:0", "merge")
-            env.run(until=env.now + 0.3)
-        env.run(until=env.now + 30.0)
-        log = [(n.pub_id, n.subscriber_ids) for n in hub.notification_log]
-        return log, hub
-
-    plain_log, _ = run(sharded=False)
-    sharded_log, hub = run(sharded=True)
-
-    report()
-    report(f"Hub-level reshard determinism ({subscriptions} subscriptions, "
-           f"{publications} publications)")
-    report(f"  shard ops       : {hub.runtime.shard_ops_completed} "
-           f"(split + merge on M:0, live)")
-    report(f"  notifications   : {len(plain_log)} "
-           + ("byte-identical" if plain_log == sharded_log else "DIVERGED"))
-    assert hub.runtime.shard_ops_completed == 2
-    assert plain_log == sharded_log
-    RESULTS["hub_notifications"] = len(plain_log)
-    RESULTS["hub_log_identical"] = plain_log == sharded_log

@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--phase", default="copy",
         choices=["pre", "sync", "pause", "copy", "post"],
-        help="protocol phase whose start crashes the manager",
+        help="migration phase whose start crashes the manager",
     )
     p.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -319,8 +319,8 @@ def _cmd_cost(args) -> None:
 
 def _telemetry_demo(
     publications: int,
+    net: TransportConfig,
     migrate: bool = True,
-    net=None,
     stream_trace_to: Optional[tuple] = None,
 ):
     """One small telemetry-enabled deployment, fully deterministic.
@@ -350,7 +350,7 @@ def _telemetry_demo(
         ep_slices=2,
         sink_slices=1,
         telemetry=telemetry,
-        net=net or TransportConfig.from_env(),
+        net=net,
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy_all_on(hosts[:2], hosts[2:])
@@ -469,12 +469,7 @@ def _cmd_chaos(args) -> None:
         ))
     if args.scenario in ("manager-crash", "all"):
         outcomes.append(run_manager_crash(
-            during="migration", phase=args.phase,
-            trace_out=trace_path("manager_crash_migration"),
-        ))
-        outcomes.append(run_manager_crash(
-            during="reshard", phase=args.phase,
-            trace_out=trace_path("manager_crash_reshard"),
+            phase=args.phase, trace_out=trace_path("manager_crash_migration"),
         ))
     if args.scenario in ("partition", "all"):
         outcomes.append(run_partition_heal(

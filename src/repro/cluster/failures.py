@@ -97,7 +97,7 @@ class Watchdog:
     """Interrupts simulation processes that outlive a deadline.
 
     A manager built with ``migration_timeout_s`` arms one per operation
-    it waits on, migration or reshard alike; without it nothing is
+    it waits on; without it nothing is
     guarded.  If the operation's process is still alive when the timer
     fires — e.g. its sync phase waits on events a partition dropped — the
     process is interrupted, which triggers the operation's own rollback
@@ -146,8 +146,8 @@ class FaultPlan:
 
     Groups hosts into named racks, then injects — at absolute simulated
     times — correlated rack loss, link partitions between host groups,
-    and manager crashes (optionally pinned to a specific migration or
-    reshard phase via the runtime's phase listeners).  Every injection is
+    and manager crashes (optionally pinned to a specific migration phase
+    via the runtime's phase listeners).  Every injection is
     recorded (``self.injected``) and, when telemetry is bound, emitted as
     a ``fault.injected`` instant span plus a ``faults_injected_total``
     count by kind.
@@ -279,44 +279,38 @@ class FaultPlan:
 
     def crash_manager_at(self, time_s: float, target):
         """Crash a manager (anything with ``.crash()``) at ``time_s``."""
-        return self._at(time_s, self._crash_manager, target, None, None)
+        return self._at(time_s, self._crash_manager, target, None)
 
     def crash_manager_at_phase(
         self,
         runtime,
         target,
         phase: str,
-        protocol: str = "migration",
         slice_id: Optional[str] = None,
     ) -> None:
-        """Crash a manager the moment a chosen operation phase starts.
+        """Crash a manager the moment a chosen migration phase starts.
 
         ``runtime`` is the :class:`~repro.engine.runtime.EngineRuntime`
-        whose phase transitions are watched; ``protocol`` is
-        ``"migration"`` or ``"reshard"`` and ``phase`` one of the five
-        protocol phases (``pre``/``sync``/``pause``/``copy``/``post``).
+        whose phase transitions are watched; ``phase`` is one of the five
+        migration phases (``pre``/``sync``/``pause``/``copy``/``post``).
         The crash is scheduled one simulation instant after the phase
         starts (a process cannot interrupt itself synchronously).
         """
         fired = [False]
 
-        def listener(sid: str, proto: str, name: str) -> None:
-            if fired[0] or proto != protocol or name != phase:
+        def listener(sid: str, name: str) -> None:
+            if fired[0] or name != phase:
                 return
             if slice_id is not None and sid != slice_id:
                 return
             fired[0] = True
-            self.env.call_later(
-                0.0, self._crash_manager, target, proto, name
-            )
+            self.env.call_later(0.0, self._crash_manager, target, name)
 
         runtime.migration_phase_listeners.append(listener)
 
-    def _crash_manager(self, target, protocol, phase) -> None:
+    def _crash_manager(self, target, phase) -> None:
         target.crash()
-        detail = {}
-        if protocol is not None:
-            detail = {"protocol": protocol, "phase": phase}
+        detail = {} if phase is None else {"phase": phase}
         self._record("manager_crash", **detail)
 
     # -- scheduling ----------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..sim import Environment
 from .cpu import CpuScheduler
@@ -33,11 +32,10 @@ class HostSpec:
 
 
 class Host:
-    """A provisioned host: CPU scheduler + NIC + memory accounting.
+    """A provisioned host: CPU scheduler + NIC.
 
-    Memory is tracked as a simple ledger of named reservations (slice state
-    sizes); the elasticity enforcer uses it as a constraint and as the
-    state-transfer cost signal when choosing slices to migrate.
+    ``spec.memory_bytes`` is the capacity the elasticity enforcer packs
+    slices into, by their probed ``state_bytes``.
     """
 
     def __init__(self, env: Environment, host_id: str, spec: HostSpec, network: Network):
@@ -46,39 +44,9 @@ class Host:
         self.spec = spec
         self.network = network
         self.cpu = CpuScheduler(env, spec.cores)
-        self._memory: Dict[str, int] = {}
         self.released = False
         self.provisioned_at = env.now
         network.attach(host_id)
-
-    # -- memory ledger ------------------------------------------------------
-
-    @property
-    def memory_used(self) -> int:
-        return sum(self._memory.values())
-
-    @property
-    def memory_free(self) -> int:
-        return self.spec.memory_bytes - self.memory_used
-
-    def reserve_memory(self, owner: str, size_bytes: int) -> None:
-        """Set the memory reservation of ``owner`` to ``size_bytes``."""
-        if size_bytes < 0:
-            raise ValueError("size must be non-negative")
-        previous = self._memory.get(owner, 0)
-        if self.memory_used - previous + size_bytes > self.spec.memory_bytes:
-            raise MemoryError(
-                f"host {self.host_id}: reservation of {size_bytes} B for "
-                f"{owner!r} exceeds {self.spec.memory_bytes} B capacity"
-            )
-        self._memory[owner] = size_bytes
-
-    def free_memory(self, owner: str) -> None:
-        """Drop the reservation of ``owner`` (no-op if absent)."""
-        self._memory.pop(owner, None)
-
-    def memory_of(self, owner: str) -> int:
-        return self._memory.get(owner, 0)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -32,7 +32,6 @@ from .binpack import HostBin, NEW_HOST_PREFIX, Placement, first_fit_decreasing
 from .enforcer import (
     ElasticityEnforcer,
     PlannedMigration,
-    PlannedShardOp,
     ScalingDecision,
 )
 from .manager import ElasticityManager, ManagerRecord
@@ -53,7 +52,6 @@ __all__ = [
     "NEW_HOST_PREFIX",
     "Placement",
     "PlannedMigration",
-    "PlannedShardOp",
     "ProbeCollector",
     "ProbeSet",
     "SIGNAL_NAMES",

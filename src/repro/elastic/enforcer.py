@@ -38,7 +38,6 @@ from .selection import SliceLoad, select_slices
 
 __all__ = [
     "PlannedMigration",
-    "PlannedShardOp",
     "ScalingDecision",
     "ElasticityEnforcer",
 ]
@@ -54,16 +53,6 @@ class PlannedMigration:
     to_host: str
 
 
-@dataclass(frozen=True)
-class PlannedShardOp:
-    """One same-host shard split/merge of a scaling decision."""
-
-    slice_id: str
-    #: ``"split"`` or ``"merge"``.
-    op: str
-    host_id: str
-
-
 @dataclass
 class ScalingDecision:
     """Everything the manager must execute for one violation."""
@@ -72,19 +61,12 @@ class ScalingDecision:
     migrations: List[PlannedMigration] = field(default_factory=list)
     new_hosts: int = 0
     release_hosts: List[str] = field(default_factory=list)
-    #: Same-host shard reconfigurations (executed after migrations).
-    shard_ops: List[PlannedShardOp] = field(default_factory=list)
     #: Name of the policy signal whose violation produced the decision.
     signal: str = "cpu"
 
     @property
     def is_empty(self) -> bool:
-        return (
-            not self.migrations
-            and not self.new_hosts
-            and not self.release_hosts
-            and not self.shard_ops
-        )
+        return not self.migrations and not self.new_hosts and not self.release_hosts
 
 
 class ElasticityEnforcer:
@@ -201,9 +183,6 @@ class ElasticityEnforcer:
                 }
                 attrs["new_hosts"] = decision.new_hosts
                 attrs["release_hosts"] = list(decision.release_hosts)
-                attrs["shard_ops"] = [
-                    (s.slice_id, s.op) for s in decision.shard_ops
-                ]
             attrs["signal"] = violation.signal
             attrs.update(violation.evidence_attrs())
             if verdict is not None:
@@ -454,7 +433,7 @@ class ElasticityEnforcer:
             return None
         selected = self.selector(self._slice_loads(probes, host_id), required)
         if not selected:
-            return self._split_fallback(probes, host_id)
+            return None
         origins = {item.slice_id: host_id for item in selected}
         bins = self._bins(
             probes,
@@ -470,38 +449,12 @@ class ElasticityEnforcer:
             max_new_hosts=1,
         )
         if placement is None:
-            return self._split_fallback(probes, host_id)
+            return None
         migrations = self._to_migrations(placement.assignments, origins)
         if not migrations:
-            return self._split_fallback(probes, host_id)
+            return None
         return ScalingDecision(
             kind=ViolationKind.LOCAL_OVERLOAD,
             migrations=migrations,
             new_hosts=placement.new_hosts,
-        )
-
-    def _split_fallback(
-        self, probes: ProbeSet, host_id: str
-    ) -> Optional[ScalingDecision]:
-        """Split the hottest shardable slice when no migration helps.
-
-        A local overload with no movable slice (nothing selectable, or no
-        feasible placement) can still be relieved from inside: cutting the
-        hot slice's key range in two bounds its largest shard and gives
-        the next rounds finer-grained units to select from.  Only slices
-        whose handlers expose runtime sharding qualify (probe
-        ``shard_count >= 1``); applicability of the split itself is
-        re-checked by the runtime at execution time.
-        """
-        candidates = [
-            probe for probe in probes.slices_on(host_id) if probe.shard_count >= 1
-        ]
-        if not candidates:
-            return None
-        hottest = max(
-            candidates, key=lambda probe: (probe.cpu_cores, probe.memory_bytes)
-        )
-        return ScalingDecision(
-            kind=ViolationKind.LOCAL_OVERLOAD,
-            shard_ops=[PlannedShardOp(hottest.slice_id, "split", host_id)],
         )

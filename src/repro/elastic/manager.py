@@ -56,8 +56,6 @@ class ManagerRecord:
     #: Failed steps: provisioning shortfalls, failed or untargetable
     #: migrations, releases blocked by still-occupied hosts.
     failures: int = 0
-    #: Same-host shard splits/merges actually completed.
-    shard_ops: int = 0
     #: Policy signal whose violation produced the decision.
     signal: str = "cpu"
 
@@ -132,8 +130,6 @@ class ElasticityManager:
         self.probe_listeners = []
         self.history: List[ManagerRecord] = []
         self.migration_reports: List[MigrationReport] = []
-        #: Completed :class:`~repro.engine.ShardOpReport` records.
-        self.shard_op_reports = []
         self._executing = False
         self._last_action_at = -float("inf")
         self._started = False
@@ -146,7 +142,7 @@ class ElasticityManager:
             else None
         )
         self._exec_process = None
-        #: Migration/reshard processes of the decision being executed.
+        #: Migration processes of the decision being executed.
         self._inflight_ops: List = []
         self.manager_crashes = 0
         #: Fencing flag: once crashed, this manager instance may never
@@ -220,8 +216,8 @@ class ElasticityManager:
     def execute_decision(self, decision: ScalingDecision):
         """Execute ``decision`` outside the probe loop (operator action).
 
-        The chaos scenarios use this to drive a *known* migration or
-        reshard through the manager's full execution path — persistence,
+        The chaos scenarios use this to drive a *known* migration
+        through the manager's full execution path — persistence,
         spans, failover accounting — at a deterministic time instead of
         waiting for the policy to fire.  Returns the execution process.
         """
@@ -234,7 +230,6 @@ class ElasticityManager:
     def _execute(self, decision: ScalingDecision):
         failures = 0
         released = 0
-        shard_ops_done = 0
         completed = False
         # Persist the decision *before* acting: a standby that takes
         # over mid-execution reads it back and classifies each planned
@@ -247,7 +242,6 @@ class ElasticityManager:
                 "kind": decision.kind.value,
                 "migrations": len(decision.migrations),
                 "new_hosts": decision.new_hosts,
-                "shard_ops": len(decision.shard_ops),
                 "signal": decision.signal,
             }
             span = tracer.start_span("enforcer.execute", **attrs)
@@ -267,9 +261,7 @@ class ElasticityManager:
                 self._record_host(host)
 
             hosts_by_id = {h.host_id: h for h in self.engine_hosts}
-            # Migrations run concurrently; shard ops one at a time, each
-            # failing if no longer applicable (e.g. a single-subscription
-            # shard) or if its slice started migrating meanwhile.
+            # Migrations run concurrently.
             migrations = []
             for planned in decision.migrations:
                 destination = new_hosts.get(planned.to_host) or hosts_by_id.get(
@@ -283,12 +275,6 @@ class ElasticityManager:
                 )
             self._inflight_ops.extend(migrations)
             failures += yield from self._await_ops(migrations)
-            for planned in decision.shard_ops:
-                process = self.hub.runtime.reshard(planned.slice_id, planned.op)
-                self._inflight_ops.append(process)
-                failed = yield from self._await_ops([process])
-                failures += failed
-                shard_ops_done += 1 - failed
 
             released = 0
             placement = self.hub.runtime.placement()
@@ -312,7 +298,6 @@ class ElasticityManager:
                     new_hosts=decision.new_hosts,
                     released_hosts=released,
                     failures=failures,
-                    shard_ops=shard_ops_done,
                     signal=decision.signal,
                 )
             )
@@ -326,10 +311,7 @@ class ElasticityManager:
                     # always tile the execution interval.
                     span.attrs["outcome"] = "aborted"
                 tracer.finish_span(
-                    span,
-                    released_hosts=released,
-                    failures=failures,
-                    shard_ops=shard_ops_done,
+                    span, released_hosts=released, failures=failures
                 )
             self._last_action_at = self.env.now
             self._executing = False
@@ -337,7 +319,7 @@ class ElasticityManager:
             self._inflight_ops = []
 
     def _await_ops(self, processes: List):
-        """Wait for migration/reshard processes in order; returns failures.
+        """Wait for migration processes in order; returns failures.
 
         The one wait path of :meth:`_execute` and :meth:`_resume_inflight`:
         every process is guarded by the watchdog when
@@ -365,11 +347,8 @@ class ElasticityManager:
             except Exception:
                 failures += 1
                 continue
-            if isinstance(report, MigrationReport):
-                self.migration_reports.append(report)
-                self._record_migration(report)
-            else:
-                self.shard_op_reports.append(report)
+            self.migration_reports.append(report)
+            self._record_migration(report)
         for disarm in disarms:
             disarm()
         return failures
@@ -390,25 +369,8 @@ class ElasticityManager:
             ],
             "new_hosts": decision.new_hosts,
             "release_hosts": list(decision.release_hosts),
-            "shard_ops": [
-                {
-                    "slice": planned.slice_id,
-                    "op": planned.op,
-                    "host": planned.host_id,
-                    # Pre-op shard count: lets a standby classify the
-                    # op as completed (count changed) or rolled back.
-                    "shards_before": self._shard_count(planned.slice_id),
-                }
-                for planned in decision.shard_ops
-            ],
             "started_at": self.env.now,
         }
-
-    def _shard_count(self, slice_id: str) -> Optional[int]:
-        try:
-            return self.hub.runtime.slice_stats(slice_id)["shards"]
-        except Exception:
-            return None
 
     def _persist_state(self, inflight: Optional[Dict]) -> None:
         """Checkpoint history + the in-flight decision to stable storage."""
@@ -440,7 +402,7 @@ class ElasticityManager:
         Stops the control loop mid-whatever-it-was-doing.  With
         ``kill_inflight`` (the default — the manager drives the
         migration protocol, so its death strands the operation) every
-        in-flight migration/reshard is interrupted too and rolls back
+        in-flight migration is interrupted too and rolls back
         via :mod:`repro.engine.migration`'s abort path.  With
         ``kill_inflight=False`` the operations survive as orphans
         (modeling an engine that completes a handoff already in its
@@ -507,20 +469,6 @@ class ElasticityManager:
                 else:
                     outcomes.append((planned["slice"], "rolled_back"))
                     failures += 1
-            shard_ops_done = 0
-            for planned in inflight.get("shard_ops", []):
-                before = planned.get("shards_before")
-                now = self._shard_count(planned["slice"])
-                if before is None or now is None:
-                    continue  # count unavailable: leave unclassified
-                grew = now > before
-                completed_op = grew if planned["op"] == "split" else now < before
-                if completed_op:
-                    outcomes.append((planned["slice"], "completed"))
-                    shard_ops_done += 1
-                else:
-                    outcomes.append((planned["slice"], "rolled_back"))
-                    failures += 1
             self.history.append(
                 ManagerRecord(
                     time=self.env.now,
@@ -529,7 +477,6 @@ class ElasticityManager:
                     new_hosts=inflight["new_hosts"],
                     released_hosts=0,
                     failures=failures,
-                    shard_ops=shard_ops_done,
                     signal=inflight["signal"],
                 )
             )

@@ -41,8 +41,6 @@ class SliceProbe:
     queue_length: int
     #: Events processed during the window.
     processed_delta: int = 0
-    #: Key-range shards the slice's handler holds (0 = not shardable).
-    shard_count: int = 0
     #: Messages parked behind the slice's credit-starved outbound
     #: channels — upstream pressure: the slice's *receivers* are the
     #: bottleneck, so scaling this slice up would not help.
@@ -85,7 +83,6 @@ class HostProbe:
     cores: int
     #: Average utilization in [0, 1] across all cores.
     cpu_utilization: float
-    memory_bytes: int
     net_bytes_sent: int
     net_bytes_received: int
 
@@ -256,7 +253,6 @@ class ProbeCollector:
                 host_id=host.host_id,
                 cores=host.spec.cores,
                 cpu_utilization=min(1.0, utilization),
-                memory_bytes=host.memory_used,
                 net_bytes_sent=sent,
                 net_bytes_received=received,
             )
@@ -275,7 +271,6 @@ class ProbeCollector:
                 memory_bytes=stats["state_bytes"] + self.cost_model.slice_base_bytes,
                 queue_length=stats["queue_length"],
                 processed_delta=max(0, stats["processed"] - previous_processed),
-                shard_count=stats.get("shards", 0),
                 spill_depth=int(flow["spill_depth"]),
                 starved_channels=int(flow["starved_channels"]),
                 credits_outstanding=transport.inbound_credits_outstanding(

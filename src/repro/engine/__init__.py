@@ -10,13 +10,7 @@ from .event import StreamEvent
 from .handler import BROADCAST, SliceContext, SliceHandler
 from .instance import SliceInstance
 from .locks import RWLock
-from .migration import (
-    MigrationError,
-    MigrationReport,
-    ShardOpReport,
-    migrate_slice,
-    reshard_slice,
-)
+from .migration import MigrationError, MigrationReport, migrate_slice
 from .runtime import EngineRuntime, LogicalSlice, MigrationCosts, OperatorInfo
 from .retention import RetentionBuffer, RetentionLog
 from .checkpoint import Checkpoint, CheckpointStore, MANAGER_STATE_KEY
@@ -39,11 +33,9 @@ __all__ = [
     "ReliabilityCoordinator",
     "RetentionBuffer",
     "RetentionLog",
-    "ShardOpReport",
     "SliceContext",
     "SliceHandler",
     "SliceInstance",
     "StreamEvent",
     "migrate_slice",
-    "reshard_slice",
 ]

@@ -104,19 +104,17 @@ class EngineRuntime:
         self._next_seq_by_src: Dict[str, Dict[str, int]] = {}
         self._next_seq_by_dst: Dict[str, Dict[str, int]] = {}
         self.migrations_completed = 0
-        self.shard_ops_completed = 0
         self.migrations_aborted = 0
-        self.shard_ops_aborted = 0
         #: Upstream retention for crash recovery; None unless enabled.
         self.retention = None
         #: Dead-letter queue for events whose destination slice is gone
         #: and unrecoverable (``None`` = strict mode: routing to an
         #: undeployed slice raises, the seed behaviour).
         self.dead_letters = None
-        #: ``listener(slice_id, protocol, phase)`` callbacks fired at the
-        #: start of every migration/reshard phase — the hook chaos plans
-        #: use to crash a manager at a chosen protocol point.
-        self.migration_phase_listeners: List[Callable[[str, str, str], None]] = []
+        #: ``listener(slice_id, phase)`` callbacks fired at the start of
+        #: every migration phase — the hook chaos plans use to crash a
+        #: manager at a chosen protocol point.
+        self.migration_phase_listeners: List[Callable[[str, str], None]] = []
         #: Observability bundle (:class:`repro.telemetry.Telemetry`), or
         #: ``None``.  Hot paths test the pre-resolved fields below so the
         #: unbound cost is a single ``is None`` check.
@@ -175,8 +173,8 @@ class EngineRuntime:
     def buffering_twin(self, slice_id: str, host: Host):
         """A fresh, inactive instance of ``slice_id`` on ``host``.
 
-        The twin every state handoff installs — migration, reshard and
-        crash recovery: it queues what it is sent until
+        The twin every state handoff installs — migration and crash
+        recovery: it queues what it is sent until
         :meth:`SliceInstance.activate` hands it the timestamp vector to
         resume from.
         """
@@ -228,14 +226,12 @@ class EngineRuntime:
 
     def slice_stats(self, slice_id: str) -> Dict[str, Any]:
         instance = self._active(slice_id)
-        shard_count = getattr(instance.handler, "shard_count", None)
         return {
             "host": instance.host.host_id,
             "queue_length": instance.queue_length,
             "processed": instance.processed_count,
             "state_bytes": instance.handler.state_size_bytes(),
             "migrating": self._logical(slice_id).pending is not None,
-            "shards": shard_count() if callable(shard_count) else 0,
         }
 
     # -- routing --------------------------------------------------------------------
@@ -394,9 +390,9 @@ class EngineRuntime:
             self.dead_letters = DeadLetterQueue(self.env, self.telemetry)
         return self.dead_letters
 
-    def _notify_migration_phase(self, slice_id: str, protocol: str, phase: str) -> None:
+    def _notify_migration_phase(self, slice_id: str, phase: str) -> None:
         for listener in list(self.migration_phase_listeners):
-            listener(slice_id, protocol, phase)
+            listener(slice_id, phase)
 
     def seq_counters_from(self, slice_id: str) -> Dict[str, int]:
         """Outgoing sequence counters of ``slice_id`` (checkpointed so a
@@ -422,26 +418,6 @@ class EngineRuntime:
         from .migration import migrate_slice
 
         return self.env.process(migrate_slice(self, slice_id, dest_host))
-
-    def reshard(
-        self,
-        slice_id: str,
-        op: str,
-        shard_index: Optional[int] = None,
-        pivot_key: Optional[int] = None,
-    ):
-        """Start a same-host shard split/merge; returns the process.
-
-        The process's value is a :class:`~repro.engine.migration.
-        ShardOpReport`.
-        """
-        from .migration import reshard_slice
-
-        return self.env.process(
-            reshard_slice(
-                self, slice_id, op, shard_index=shard_index, pivot_key=pivot_key
-            )
-        )
 
     # -- internals ----------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ is checked on content, not on counters alone:
   replication (checkpoints + upstream replay) recovers all victim
   slices onto spares.
 * :func:`run_manager_crash` — the elasticity manager crashes at a
-  chosen phase of a migration or reshard it is executing; a standby is
+  chosen phase of a migration it is executing; a standby is
   promoted via leader election and settles the interrupted decision
   (completed or rolled back — never half-applied).
 * :func:`run_partition_heal` — the fabric between the matcher rack and
@@ -33,7 +33,6 @@ from ..cluster import CloudProvider, FailureDetector, FaultPlan, HostSpec
 from ..elastic import (
     ManagerFailover,
     PlannedMigration,
-    PlannedShardOp,
     ScalingDecision,
     ViolationKind,
 )
@@ -45,14 +44,12 @@ from ..filtering import (
     Op,
     Predicate,
     PredicateSet,
-    ShardedAspeLibrary,
 )
 from ..pubsub import HubConfig, StreamHub, Subscription
 from ..pubsub.source import SourceDriver
 from ..sim import Environment
 from ..telemetry import Telemetry
 from ..transport import TransportConfig
-from ..workloads import ScaleWorkload
 
 __all__ = [
     "ChaosOutcome",
@@ -127,7 +124,7 @@ def multiset_digest(hub: StreamHub) -> str:
 def phase_spans_tile(tracer, root_name: str) -> bool:
     """Whether every ``root_name`` span's phases tile its interval.
 
-    A root operation span (``migration``/``reshard``) must be exactly
+    A root operation span (e.g. ``migration``) must be exactly
     covered by its consecutive phase child spans — including when the
     operation was aborted mid-phase: the abort closes the open phase at
     the abort instant, so the invariant survives crashes (satellite fix,
@@ -167,8 +164,6 @@ class _Deployment:
     m_hosts: List
     sink: object
     spares: List
-    #: ``pub_id -> publication payload`` for :func:`_drive`.
-    payload_factory: object = None
 
 
 def _band(low: float, high: float) -> PredicateSet:
@@ -181,9 +176,7 @@ def _payload(pub_id: int) -> List[float]:
     return [float(pub_id % VALUE_SPACE), 0.0, 0.0, 0.0]
 
 
-def _deploy(
-    m_host_count: int = 2, spare_count: int = 2, sharded: bool = False
-) -> _Deployment:
+def _deploy(m_host_count: int = 2, spare_count: int = 2) -> _Deployment:
     env = Environment()
     telemetry = Telemetry(env)
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=12)
@@ -195,22 +188,14 @@ def _deploy(
     # function of the subscription set, so the delivered multiset is
     # byte-identical across baseline and chaos runs.  The sampled
     # backend draws match counts from a stateful RNG and would diverge
-    # after any recovery-time re-matching.  ``sharded`` swaps in the
-    # key-range-sharded ASPE store (with a fixed-seed encrypted
-    # workload) so shard split/merge operations are applicable.
-    if sharded:
-        backend_factory = lambda index: ExactBackend(ShardedAspeLibrary())
-        encrypted = True
-    else:
-        backend_factory = lambda index: ExactBackend(BruteForceLibrary())
-        encrypted = False
+    # after any recovery-time re-matching.
     config = HubConfig(
         ap_slices=2,
         m_slices=4,
         ep_slices=2,
         sink_slices=1,
-        encrypted=encrypted,
-        backend_factory=backend_factory,
+        encrypted=False,
+        backend_factory=lambda index: ExactBackend(BruteForceLibrary()),
         cost_model=CostModel(),
         telemetry=telemetry,
         # The adaptive flow-controlled transport runs every hop through
@@ -223,25 +208,11 @@ def _deploy(
     hub.deploy(
         ap_hosts=[edge], m_hosts=m_hosts, ep_hosts=[edge], sink_hosts=[sink]
     )
-    payload_factory = _payload
-    if sharded:
-        workload = ScaleWorkload(seed=7)
-        for batch in workload.subscription_batches(SUBSCRIPTIONS):
-            for sub_id, payload in batch:
-                hub.subscribe(Subscription(sub_id, sub_id, payload))
-        pubs = workload.publications(int(RATE * DURATION_S) + 8)
-        payload_factory = lambda pub_id: pubs[pub_id % len(pubs)]
-    else:
-        for sub_id in range(SUBSCRIPTIONS):
-            low = float((sub_id * 7) % VALUE_SPACE)
-            hub.subscribe(
-                Subscription(sub_id, sub_id, _band(low, low + 60.0))
-            )
+    for sub_id in range(SUBSCRIPTIONS):
+        low = float((sub_id * 7) % VALUE_SPACE)
+        hub.subscribe(Subscription(sub_id, sub_id, _band(low, low + 60.0)))
     env.run()  # drain subscription propagation before the clock matters
-    return _Deployment(
-        env, cloud, hub, telemetry, edge, m_hosts, sink, spares,
-        payload_factory=payload_factory,
-    )
+    return _Deployment(env, cloud, hub, telemetry, edge, m_hosts, sink, spares)
 
 
 def _drive(deployment: _Deployment) -> SourceDriver:
@@ -249,13 +220,13 @@ def _drive(deployment: _Deployment) -> SourceDriver:
     source.publish_constant(
         rate_per_s=RATE,
         duration_s=DURATION_S,
-        payload_factory=deployment.payload_factory,
+        payload_factory=_payload,
     )
     return source
 
 
-def _baseline_digest(m_host_count: int = 2, sharded: bool = False) -> str:
-    deployment = _deploy(m_host_count=m_host_count, sharded=sharded)
+def _baseline_digest(m_host_count: int = 2) -> str:
+    deployment = _deploy(m_host_count=m_host_count)
     _drive(deployment)
     deployment.env.run(until=HORIZON_S)
     return multiset_digest(deployment.hub)
@@ -340,31 +311,24 @@ def run_rack_loss(
     )
 
 
-# -- scenario 2: manager crash during migration / reshard ----------------------
+# -- scenario 2: manager crash during migration --------------------------------
 
 
 def run_manager_crash(
-    during: str = "migration",
     phase: str = "copy",
     kill_inflight: bool = True,
     act_at_s: float = 8.0,
     trace_out: Optional[str] = None,
 ) -> ChaosOutcome:
-    """Crash the manager at a chosen phase of an operation it drives.
+    """Crash the manager at a chosen phase of a migration it drives.
 
-    ``during`` selects the protocol (``"migration"`` or ``"reshard"``),
-    ``phase`` the protocol phase whose start triggers the crash.  With
-    ``kill_inflight`` the crash also strands the operation itself (it
-    rolls back via the engine's abort path); otherwise the operation
+    ``phase`` is the migration phase whose start triggers the crash.  With
+    ``kill_inflight`` the crash also strands the migration itself (it
+    rolls back via the engine's abort path); otherwise the migration
     survives as an orphan the promoted standby awaits.
     """
-    if during not in ("migration", "reshard"):
-        raise ValueError(f"unknown protocol {during!r}")
-    # Splits need the key-range-sharded store; migrations work on the
-    # plain exact backend.
-    sharded = during == "reshard"
-    baseline = _baseline_digest(sharded=sharded)
-    d = _deploy(sharded=sharded)
+    baseline = _baseline_digest()
+    d = _deploy()
     store = CheckpointStore()
     failover = ManagerFailover(
         d.hub,
@@ -385,33 +349,21 @@ def run_manager_crash(
         def crash() -> None:
             failover.crash_active(kill_inflight=kill_inflight)
 
-    plan.crash_manager_at_phase(
-        d.hub.runtime, _CrashTarget, phase=phase, protocol=during
+    plan.crash_manager_at_phase(d.hub.runtime, _CrashTarget, phase=phase)
+    decision = ScalingDecision(
+        kind=ViolationKind.LOCAL_OVERLOAD,
+        migrations=[
+            PlannedMigration("M:0", d.m_hosts[0].host_id, d.spares[0].host_id)
+        ],
     )
-    m_host = d.m_hosts[0]
-    if during == "migration":
-        decision = ScalingDecision(
-            kind=ViolationKind.LOCAL_OVERLOAD,
-            migrations=[
-                PlannedMigration(
-                    "M:0", m_host.host_id, d.spares[0].host_id
-                )
-            ],
-        )
-    else:
-        decision = ScalingDecision(
-            kind=ViolationKind.LOCAL_OVERLOAD,
-            shard_ops=[PlannedShardOp("M:0", "split", m_host.host_id)],
-        )
     d.env.call_later(
         act_at_s, lambda: failover.active.execute_decision(decision)
     )
     source = _drive(d)
     d.env.run(until=HORIZON_S)
     standby = failover.active
-    root_name = "migration" if during == "migration" else "reshard"
     return _outcome(
-        f"manager_crash_{during}",
+        "manager_crash_migration",
         d,
         source,
         baseline,
@@ -423,10 +375,7 @@ def run_manager_crash(
             if standby is not None
             else [],
             "migrations_aborted": d.hub.runtime.migrations_aborted,
-            "shard_ops_aborted": d.hub.runtime.shard_ops_aborted,
-            "phase_spans_tile": phase_spans_tile(
-                d.telemetry.tracer, root_name
-            ),
+            "phase_spans_tile": phase_spans_tile(d.telemetry.tracer, "migration"),
             "faults": [kind for _, kind, _ in plan.injected],
         },
         trace_out=trace_out,

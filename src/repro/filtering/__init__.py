@@ -7,7 +7,7 @@
 * :mod:`repro.filtering.backends` — exact/sampled matching backends used
   by simulated M-operator slices.
 * :mod:`repro.filtering.store` — chunked/mmap packed-row backing stores
-  and key-range shard split/merge (DESIGN.md §8).
+  (DESIGN.md §8).
 * :mod:`repro.filtering.cost` — the calibrated CPU/size cost model.
 """
 
@@ -24,14 +24,7 @@ from .aspe import (
     match_encrypted,
     match_packed,
 )
-from .store import (
-    STORE_BACKENDS,
-    AspeShard,
-    ChunkedMatrixStore,
-    ShardOpResult,
-    ShardedAspeLibrary,
-    StoreConfig,
-)
+from .store import STORE_BACKENDS, ChunkedMatrixStore, StoreConfig
 from .backends import (
     ExactBackend,
     MatchResult,
@@ -45,11 +38,8 @@ __all__ = [
     "AspeCipher",
     "AspeKey",
     "AspeLibrary",
-    "AspeShard",
     "ChunkedMatrixStore",
     "STORE_BACKENDS",
-    "ShardOpResult",
-    "ShardedAspeLibrary",
     "StoreConfig",
     "BruteForceLibrary",
     "CostModel",

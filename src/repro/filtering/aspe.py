@@ -743,13 +743,18 @@ class AspeLibrary(FilteringLibrary):
         return dict(self._subs)
 
     def import_state(self, state: Dict[int, EncryptedSubscription]) -> None:
-        self._reset_empty()  # one epoch step for the import
+        self._subs = {}
+        self._spans = {}
+        self._chunks.clear()
+        self._index = None
+        self._ws = {}
+        self._epoch += 1  # one epoch step for the import
         for sub_id, subscription in state.items():
             self._subs[sub_id] = subscription
             self._append_rows(sub_id, subscription)
         self.full_pack_count += 1
 
-    # -- bulk ingest and shard transfer ---------------------------------------
+    # -- bulk ingest -----------------------------------------------------------
 
     def store_many(self, items) -> int:
         """Bulk-store ``(sub_id, EncryptedSubscription)`` pairs.
@@ -786,87 +791,6 @@ class AspeLibrary(FilteringLibrary):
         self._maybe_compact()
         return len(items)
 
-    def absorb(self, other: "AspeLibrary") -> int:
-        """Adopt every subscription (and packed row) of ``other``.
-
-        The merge half of shard split/merge: the rows transfer as whole
-        chunk objects — zero rows rewritten.  ``other`` is left empty.
-        Returns the number of rows adopted.
-        """
-        if other is self:
-            raise ValueError("cannot absorb a library into itself")
-        overlap = self._subs.keys() & other._subs.keys()
-        if overlap:
-            raise ValueError(
-                f"cannot absorb: {len(overlap)} overlapping subscription ids"
-            )
-        base = self._chunks.adopt(other._chunks)
-        for sub_id, subscription in other._subs.items():
-            start, stop = other._spans[sub_id]
-            self._subs[sub_id] = subscription
-            self._spans[sub_id] = (base + start, base + stop)
-        self._index = None
-        self._epoch += 1
-        other._reset_empty()
-        return self._rows - base
-
-    def detach_suffix(self, boundary: int, sub_ids) -> Tuple["AspeLibrary", int]:
-        """Split the store at row ``boundary``, moving ``sub_ids`` out.
-
-        The split half of shard split/merge: every chunk fully past the
-        boundary is *moved* into the new library; only the rows of the
-        chunk the boundary cuts through are copied.  Every moving
-        subscription's non-empty span must lie at or past the boundary
-        and every staying one's before it.  Returns
-        ``(new_library, copied_rows)``.
-        """
-        moving = set(sub_ids)
-        for sub_id in moving:
-            if sub_id not in self._subs:
-                raise KeyError(sub_id)
-        if not 0 <= boundary <= self._rows:
-            raise ValueError(
-                f"split boundary {boundary} outside [0, {self._rows}]"
-            )
-        for sub_id, (start, stop) in self._spans.items():
-            if stop <= start:
-                continue
-            if sub_id in moving:
-                if start < boundary:
-                    raise ValueError(
-                        f"moving subscription {sub_id} has rows below the "
-                        f"split boundary"
-                    )
-            elif stop > boundary:
-                raise ValueError(
-                    f"staying subscription {sub_id} has rows at or past "
-                    f"the split boundary"
-                )
-        new_lib = AspeLibrary(store_config=self._store_config)
-        new_lib._telemetry = self._telemetry
-        new_lib._chunks, copied = self._chunks.split_at(boundary)
-        for sub_id in [s for s in self._subs if s in moving]:
-            subscription = self._subs.pop(sub_id)
-            start, stop = self._spans.pop(sub_id)
-            new_lib._subs[sub_id] = subscription
-            if stop > start:
-                new_lib._spans[sub_id] = (start - boundary, stop - boundary)
-            else:
-                new_lib._spans[sub_id] = (0, 0)
-        self._index = None
-        self._epoch += 1
-        new_lib._epoch += 1
-        return new_lib, copied
-
-    def _reset_empty(self) -> None:
-        """Empty this library in place (its state moved, or is replaced)."""
-        self._subs = {}
-        self._spans = {}
-        self._chunks.clear()
-        self._index = None
-        self._ws = {}
-        self._epoch += 1
-
     # -- store configuration and observability --------------------------------
 
     @property
@@ -894,13 +818,6 @@ class AspeLibrary(FilteringLibrary):
     def store_stats(self) -> Dict[str, object]:
         """Backing-store residency statistics (see OBSERVABILITY.md)."""
         return self._chunks.stats()
-
-    def subscription_ids(self) -> List[int]:
-        """Stored subscription ids in insertion order."""
-        return list(self._subs)
-
-    def get_subscription(self, sub_id: int) -> EncryptedSubscription:
-        return self._subs[sub_id]
 
     # -- packed-state maintenance ---------------------------------------------
 

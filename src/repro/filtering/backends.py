@@ -122,7 +122,7 @@ class ExactBackend(MatchingBackend):
 
         While it stands, matching is a pure function of the ciphertext, so
         a caller may compute results before it needs them.  Libraries
-        without one (brute force, sharded) return ``None`` and are
+        without one (brute force) return ``None`` and are
         matched when asked — capability, not configuration.
         """
         return getattr(self.library, "epoch", None)

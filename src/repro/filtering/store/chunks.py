@@ -36,13 +36,6 @@ budget regardless of total subscription count.  What a chunk holds for
 its whole life is address space and one file descriptor (CPython's
 ``mmap`` keeps a duplicate), so ``chunk_rows`` should keep a process's
 chunk count well under its descriptor limit.
-
-Chunks are also the shard transfer format: :meth:`adopt` moves whole
-chunk objects (and renames their spill files — a rename keeps open
-mappings valid, the inode is unchanged) into another store without
-rewriting a single row, and :meth:`split_at` hands off every chunk past
-a row boundary the same way, copying only the rows of the one chunk the
-boundary cuts through.
 """
 
 from __future__ import annotations
@@ -130,7 +123,7 @@ class ChunkedMatrixStore:
 
     Row addressing is positional and global: row ``i`` lives in the chunk
     whose cumulative ``used`` range covers ``i``.  Interior chunks may be
-    partially filled after a split or adoption; appends only ever extend
+    partially filled after a compaction; appends only ever extend
     (and, while it is a RAM chunk below ``chunk_rows``, grow) the last
     chunk.  A chunk's ``matrix`` holds the direction-folded query
     rows, ``tol_base`` the tolerance bases, ``tol_signed`` the sign-folded
@@ -267,7 +260,7 @@ class ChunkedMatrixStore:
         self._evict(exclude=chunk)
         return chunk
 
-    def _evict(self, exclude: Optional[_Chunk]) -> None:
+    def _evict(self, exclude: _Chunk) -> None:
         budget = self.config.memory_budget_bytes
         if budget <= 0 or self.config.backend != "mmap":
             return
@@ -275,9 +268,8 @@ class ChunkedMatrixStore:
         while self._resident_bytes > budget:
             victim = None
             for candidate in self._lru:
-                # Never evict the chunk being touched, and never a chunk
-                # without a mapping (adopted from a RAM store).
-                if candidate is not exclude and candidate.mapping is not None:
+                # Never evict the chunk being touched.
+                if candidate is not exclude:
                     victim = candidate
                     break
             if victim is None:
@@ -349,10 +341,8 @@ class ChunkedMatrixStore:
         strict: np.ndarray,
         tol_base: np.ndarray,
         tol_signed: np.ndarray,
-        alive: Optional[np.ndarray] = None,
     ) -> Tuple[int, int]:
-        """Append rows (alive unless ``alive`` flags say otherwise);
-        returns their [start, stop) span."""
+        """Append live rows; returns their [start, stop) span."""
         count = int(matrix.shape[0])
         start = self._rows
         if count == 0:
@@ -369,13 +359,11 @@ class ChunkedMatrixStore:
             chunk.tol_base[lo:hi] = tol_base[source]
             chunk.tol_signed[lo:hi] = tol_signed[source]
             chunk.strict[lo:hi] = strict[source]
-            chunk.alive[lo:hi] = True if alive is None else alive[source]
+            chunk.alive[lo:hi] = True
             chunk.used = hi
             written += take
         self._offsets = None
         self._rows += count
-        if alive is not None:
-            self._dead += count - int(np.count_nonzero(alive))
         return (start, start + count)
 
     def mark_dead(self, start: int, stop: int) -> None:
@@ -394,11 +382,6 @@ class ChunkedMatrixStore:
             row = base + hi
             index += 1
         self._dead += stop - start
-
-    def _recount_dead(self) -> None:
-        self._dead = self._rows - sum(
-            int(chunk.alive[: chunk.used].sum()) for chunk in self._chunks
-        )
 
     def compact(self) -> np.ndarray:
         """Drop tombstoned rows chunk by chunk, preserving live-row order.
@@ -505,85 +488,3 @@ class ChunkedMatrixStore:
                     out[row - lo : stop - lo] = column[source]
             row = stop
             index += 1
-
-    # -- shard transfer -------------------------------------------------------
-
-    def _adopt_chunk(self, chunk: _Chunk, source: "ChunkedMatrixStore") -> None:
-        """Move one chunk object (and its file) from ``source`` into self."""
-        resident = source._forget(chunk)
-        if chunk.path is not None:
-            new_path = self._next_path()
-            # A rename keeps the open mapping valid: same inode, new name.
-            os.replace(chunk.path, new_path)
-            chunk.path = new_path
-        self._chunks.append(chunk)
-        if resident:
-            self._track_resident(chunk)
-
-    def adopt(self, other: "ChunkedMatrixStore") -> int:
-        """Append every chunk of ``other`` without rewriting rows.
-
-        Returns the row offset its rows now start at; ``other`` is left
-        empty.  This is the merge half of shard split/merge: O(chunks)
-        bookkeeping and file renames, zero row data moved.
-        """
-        if other.width is not None:
-            self._check_width(other.width)
-        base = self._rows
-        for chunk in list(other._chunks):
-            self._adopt_chunk(chunk, other)
-        self._rows += other._rows
-        self._dead += other._dead
-        other._chunks = []
-        other._rows = 0
-        other._dead = 0
-        other._offsets = None
-        self._offsets = None
-        self._evict(exclude=None)
-        return base
-
-    def split_at(self, row: int) -> Tuple["ChunkedMatrixStore", int]:
-        """Detach rows [row, rows) into a new store of the same config.
-
-        Whole chunks past the boundary are *moved* (adopted); only the
-        rows of the single chunk the boundary cuts through are copied.
-        Returns ``(new_store, copied_rows)``.
-        """
-        if not 0 <= row <= self._rows:
-            raise ValueError(f"split row {row} outside [0, {self._rows}]")
-        other = ChunkedMatrixStore(self.config)
-        other.width = self.width
-        other._telemetry = self._telemetry
-        other._label = self._label
-        if row == self._rows:
-            return other, 0
-        offsets = self._chunk_offsets()
-        index = int(np.searchsorted(offsets, row, side="right")) - 1
-        local = row - int(offsets[index])
-        copied = 0
-        move_from = index
-        if local > 0:
-            chunk = self._touch(self._chunks[index])
-            used = chunk.used
-            other.append(
-                chunk.matrix[local:used],
-                chunk.strict[local:used],
-                chunk.tol_base[local:used],
-                chunk.tol_signed[local:used],
-                chunk.alive[local:used],
-            )
-            copied = used - local
-            chunk.used = local
-            chunk.alive[local:] = False
-            chunk.strict[local:] = False
-            move_from = index + 1
-        for chunk in list(self._chunks[move_from:]):
-            other._adopt_chunk(chunk, self)
-        del self._chunks[move_from:]
-        self._offsets = None
-        other._offsets = None
-        self._rows = sum(chunk.used for chunk in self._chunks)
-        other._rows = sum(chunk.used for chunk in other._chunks)
-        self._recount_dead()
-        other._recount_dead()
-        return other, copied

@@ -34,11 +34,10 @@ class StoreConfig:
 
     ``backend``
         ``chunked`` splits rows into chunks of at most ``chunk_rows``
-        held in RAM (the shard transfer format, no eviction; the last
-        chunk starts small and doubles up to ``chunk_rows``); ``mmap``
-        maps each chunk once over its own spill file and keeps only an
-        LRU resident set
-        within ``memory_budget_mb`` paged in — past the budget the
+        held in RAM (no eviction; the last chunk starts small and
+        doubles up to ``chunk_rows``); ``mmap`` maps each chunk once over
+        its own spill file and keeps only an LRU resident set within
+        ``memory_budget_mb`` paged in — past the budget the
         least-recently-used chunk's pages are released with
         ``madvise(MADV_DONTNEED)`` and fault back in on the next touch.
         Needs a platform with ``mmap.MADV_DONTNEED`` (a ``ValueError``

@@ -171,11 +171,6 @@ class MatcherHandler(SliceHandler):
             if configure is not None:
                 configure(store_config)
         self._telemetry_bound = False
-        self._refresh_parallel_capability()
-
-    def _refresh_parallel_capability(self) -> None:
-        """(Re)detect whether the backend's real work may leave the
-        simulated batch: match-ahead needs a library that keeps an epoch."""
         #: ``backend.library_epoch`` when results may be computed ahead
         #: (the library keeps an epoch), else ``None``.
         self._library_epoch = None
@@ -385,56 +380,6 @@ class MatcherHandler(SliceHandler):
         self._ahead.clear()
         self.backend.store(subscription.sub_id, subscription.filter_payload)
         self._subscribers[subscription.sub_id] = subscription.subscriber
-
-    # -- runtime resharding ---------------------------------------------------
-
-    def shard_count(self) -> int:
-        """Key-range shards held by the backend (1 when unsharded)."""
-        counter = getattr(getattr(self.backend, "library", None), "shard_count", None)
-        return counter() if callable(counter) else 1
-
-    def can_reshard(self, op: str) -> bool:
-        """Whether a shard ``op`` ("split"/"merge") is applicable now."""
-        library = getattr(self.backend, "library", None)
-        if op == "split":
-            check = getattr(library, "can_split", None)
-        elif op == "merge":
-            check = getattr(library, "can_merge", None)
-        else:
-            return False
-        return bool(check()) if callable(check) else False
-
-    def adopt_from(self, other: "MatcherHandler") -> None:
-        """Take over ``other``'s state by reference (same-host reshard).
-
-        Unlike :meth:`import_state` nothing is copied: the backend object
-        itself changes owner, so adopting a terabyte-scale partition costs
-        nothing — the copy step of
-        :func:`~repro.engine.migration.reshard_slice` relies on this to
-        stay proportional to rewritten rows only.
-        """
-        # What this handler matched ahead belonged to the backend it gives up.
-        self.detach()
-        self.backend = other.backend
-        self._subscribers = other._subscribers
-        self.publications_matched = other.publications_matched
-        self.publications_batched = other.publications_batched
-        self.publications_matched_ahead = other.publications_matched_ahead
-        self._telemetry_bound = other._telemetry_bound
-        self._refresh_parallel_capability()
-
-    def reshard(self, op: str, shard_index=None, pivot_key=None):
-        """Run one shard split/merge on the backend's sharded library.
-
-        Returns the library's :class:`~repro.filtering.ShardOpResult`.
-        """
-        self._ahead.clear()
-        library = self.backend.library
-        if op == "split":
-            return library.split_shard(index=shard_index, pivot_key=pivot_key)
-        if op == "merge":
-            return library.merge_shards(index=shard_index)
-        raise ValueError(f"unknown shard operation {op!r}")
 
     # -- migration state ------------------------------------------------------
 

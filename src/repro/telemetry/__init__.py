@@ -137,7 +137,6 @@ class Telemetry:
             self.store_chunk_evictions = None
             self.store_resident_chunks = None
             self.store_resident_bytes = None
-            self.shard_operations = None
             self.notification_delay = None
             self.migrations = None
             self.migration_state_bytes = None
@@ -245,11 +244,6 @@ class Telemetry:
             "Bytes of packed-row chunk data currently mapped in memory",
             unit="bytes",
             labels=("store",),
-        )
-        self.shard_operations = m.counter(
-            "shard_operations_total",
-            "Completed runtime shard reconfigurations (split/merge)",
-            labels=("op",),
         )
         self.notification_delay = m.histogram(
             "notification_delay_seconds",

@@ -8,11 +8,8 @@ bottleneck, not the matching — so :class:`ScaleWorkload` drives the bulk
 cipher kernels (:meth:`~repro.filtering.AspeCipher.encrypt_subscriptions`
 and :meth:`~repro.filtering.AspeCipher.encrypt_publications`, one BLAS
 call per batch) and loads libraries through their vectorized
-``store_many`` path when they have one.
-
-Subscription ids are assigned sequentially, so a bulk load arrives in
-key order — the layout under which a later shard split is a row-boundary
-detach that moves whole chunks instead of rewriting rows.
+``store_many`` path when they have one.  Subscription ids are assigned
+sequentially.
 """
 
 from __future__ import annotations

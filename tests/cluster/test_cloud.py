@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment
-from repro.cluster import CloudProvider, Host, HostSpec, Network
+from repro.cluster import CloudProvider, HostSpec
 
 
 def test_host_spec_defaults_match_testbed():
@@ -83,32 +83,6 @@ def test_host_seconds_accounting():
     env.process(proc())
     env.run(until=15.0)
     assert cloud.host_seconds() == pytest.approx(10.0)
-
-
-def test_memory_ledger():
-    env = Environment()
-    net = Network(env)
-    host = Host(env, "h", HostSpec(cores=2, memory_bytes=1000), net)
-    host.reserve_memory("slice-a", 400)
-    host.reserve_memory("slice-b", 500)
-    assert host.memory_used == 900
-    assert host.memory_free == 100
-    # Updating an existing reservation replaces it rather than adding.
-    host.reserve_memory("slice-a", 450)
-    assert host.memory_used == 950
-    host.free_memory("slice-b")
-    assert host.memory_used == 450
-    assert host.memory_of("slice-a") == 450
-    assert host.memory_of("slice-b") == 0
-
-
-def test_memory_overflow_raises():
-    env = Environment()
-    net = Network(env)
-    host = Host(env, "h", HostSpec(cores=2, memory_bytes=1000), net)
-    host.reserve_memory("a", 800)
-    with pytest.raises(MemoryError):
-        host.reserve_memory("b", 300)
 
 
 def test_released_host_detaches_from_network():

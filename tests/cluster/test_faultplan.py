@@ -152,19 +152,14 @@ class TestManagerCrash:
             migration_phase_listeners = []
 
         runtime = FakeRuntime()
-        plan.crash_manager_at_phase(
-            runtime, target, phase="copy", protocol="migration"
-        )
+        plan.crash_manager_at_phase(runtime, target, phase="copy")
         (listener,) = runtime.migration_phase_listeners
-        listener("M:0", "migration", "sync")    # wrong phase: ignored
-        listener("M:0", "reshard", "copy")      # wrong protocol: ignored
-        listener("M:0", "migration", "copy")    # fires
-        listener("M:1", "migration", "copy")    # one-shot: ignored
+        listener("M:0", "sync")    # wrong phase: ignored
+        listener("M:0", "copy")    # fires
+        listener("M:1", "copy")    # one-shot: ignored
         env.run()
         assert target.crashes == 1
-        assert plan.injected[0][2] == {
-            "protocol": "migration", "phase": "copy",
-        }
+        assert plan.injected[0][2] == {"phase": "copy"}
 
 
 class TestWatchdog:

@@ -18,7 +18,7 @@ def probes_for(host_slices):
     slices = {}
     for host_id, entries in host_slices.items():
         load = sum(p.cpu_cores for p in entries)
-        hosts[host_id] = HostProbe(host_id, 8, min(1.0, load / 8.0), 0, 0, 0)
+        hosts[host_id] = HostProbe(host_id, 8, min(1.0, load / 8.0), 0, 0)
         for p in entries:
             slices[p.slice_id] = p
     return ProbeSet(time=0.0, window_s=5.0, hosts=hosts, slices=slices)

@@ -1,15 +1,21 @@
 """Tests for the two-step elasticity enforcer."""
 
+import dataclasses
+
 import pytest
 
+from repro.cluster import CloudProvider, HostSpec
 from repro.elastic import (
     CpuBandSignal,
     ElasticityEnforcer,
     ElasticityPolicy,
+    ProbeCollector,
     ViolationKind,
 )
 from repro.elastic.policy import Violation
 from repro.elastic.probes import HostProbe, ProbeSet, SliceProbe
+from repro.pubsub import HubConfig, StreamHub
+from repro.sim import Environment
 
 GIB = 1024 ** 3
 MIB = 1024 ** 2
@@ -21,7 +27,7 @@ def make_probes(host_slices):
     slices = {}
     for host_id, entries in host_slices.items():
         load = sum(cpu for _, cpu, _ in entries)
-        hosts[host_id] = HostProbe(host_id, 8, load / 8.0, 0, 0, 0)
+        hosts[host_id] = HostProbe(host_id, 8, load / 8.0, 0, 0)
         for slice_id, cpu, mem in entries:
             slices[slice_id] = SliceProbe(slice_id, host_id, cpu, mem, 0)
     return ProbeSet(time=0.0, window_s=5.0, hosts=hosts, slices=slices)
@@ -164,6 +170,45 @@ class TestLocalRule:
             probes, Violation(ViolationKind.LOCAL_OVERLOAD, 0.9, host_id="hot")
         )
         assert decision.new_hosts == 1
+
+    def test_unmovable_hot_slices_yield_no_decision(self, enforcer):
+        """Slices are static partitions: when no selection of a hot host's
+        M slices fits elsewhere, the round yields nothing to execute.
+
+        The probes come from a live hub's collector, so they carry
+        whatever it reports for real matcher slices.
+        """
+        env = Environment()
+        cloud = CloudProvider(env, spec=HostSpec(cores=8))
+        hot, full, sink = (cloud.provision_now() for _ in range(3))
+        hub = StreamHub(env, cloud.network, HubConfig.sampled(m_slices=3))
+        hub.deploy(ap_hosts=[full], m_hosts=[hot], ep_hosts=[full],
+                   sink_hosts=[sink])
+        collected = ProbeCollector(
+            hub.runtime, hub.engine_slice_ids(), hosts_fn=lambda: [hot, full]
+        ).collect_now()
+        # The hot host runs three 2.6-core M slices and must shed 3.8 cores:
+        # two slices.  The other host is full and the one fresh host a
+        # local overload may open holds only one of them.
+        slices = {
+            slice_id: dataclasses.replace(
+                probe, cpu_cores=2.6 if slice_id.startswith("M:") else 1.0
+            )
+            for slice_id, probe in collected.slices.items()
+        }
+        hosts = {
+            hot.host_id: dataclasses.replace(
+                collected.hosts[hot.host_id], cpu_utilization=7.8 / 8
+            ),
+            full.host_id: dataclasses.replace(
+                collected.hosts[full.host_id], cpu_utilization=1.0
+            ),
+        }
+        probes = dataclasses.replace(collected, hosts=hosts, slices=slices)
+        assert enforcer.resolve(
+            probes,
+            Violation(ViolationKind.LOCAL_OVERLOAD, 7.8 / 8, host_id=hot.host_id),
+        ) is None
 
     def test_unknown_host_yields_none(self, enforcer):
         probes = make_probes({"h": [("M:0", 1.0, 100)]})

@@ -13,13 +13,12 @@ from repro.cluster import CloudProvider, FaultPlan, HostSpec
 from repro.elastic import (
     ManagerFailover,
     PlannedMigration,
-    PlannedShardOp,
     ScalingDecision,
     ViolationKind,
 )
 from repro.engine import CheckpointStore
 from repro.experiments import phase_spans_tile
-from repro.filtering import CostModel, ExactBackend, ShardedAspeLibrary
+from repro.filtering import AspeLibrary, CostModel, ExactBackend
 from repro.pubsub import HubConfig, Publication, StreamHub, Subscription
 from repro.sim import Environment
 from repro.telemetry import Telemetry
@@ -40,9 +39,7 @@ class FailoverHarness:
         config = HubConfig(
             ap_slices=1, m_slices=2, ep_slices=1, sink_slices=1,
             cost_model=CostModel(aspe_match_op_s=1e-6),
-            # Key-range-sharded store: migratable *and* shardable, so one
-            # harness covers both protocols.
-            backend_factory=lambda index: ExactBackend(ShardedAspeLibrary()),
+            backend_factory=lambda index: ExactBackend(AspeLibrary()),
             telemetry=self.telemetry,
         )
         self.hub = StreamHub(self.env, self.cloud.network, config)
@@ -75,16 +72,6 @@ class FailoverHarness:
             kind=ViolationKind.LOCAL_OVERLOAD,
             migrations=[PlannedMigration("M:0", src, dst)],
         ), src, dst
-
-    def split_decision(self):
-        return self.shard_decision("split")
-
-    def shard_decision(self, op):
-        host = self.hub.runtime.placement()["M:0"]
-        return ScalingDecision(
-            kind=ViolationKind.LOCAL_OVERLOAD,
-            shard_ops=[PlannedShardOp("M:0", op, host)],
-        )
 
     def crash_target(self, kill_inflight):
         failover = self.failover
@@ -120,7 +107,7 @@ def test_crash_mid_migration_rolls_back_and_promotes_standby():
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
         h.hub.runtime, h.crash_target(kill_inflight=True),
-        phase="copy", protocol="migration",
+        phase="copy",
     )
     h.failover.active.execute_decision(decision)
     h.settle()
@@ -139,7 +126,7 @@ def test_crash_with_surviving_orphan_classified_completed():
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
         h.hub.runtime, h.crash_target(kill_inflight=False),
-        phase="copy", protocol="migration",
+        phase="copy",
     )
     h.failover.active.execute_decision(decision)
     h.settle()
@@ -151,106 +138,39 @@ def test_crash_with_surviving_orphan_classified_completed():
     assert h.failover.active.failover_outcomes == [("M:0", "completed")]
 
 
-def test_crash_mid_reshard_rolls_back_the_split():
-    h = FailoverHarness()
-    plan = FaultPlan(h.env)
-    plan.crash_manager_at_phase(
-        h.hub.runtime, h.crash_target(kill_inflight=True),
-        phase="copy", protocol="reshard",
-    )
-    h.failover.active.execute_decision(h.split_decision())
-    h.settle()
-    assert h.failover.failovers == 1
-    assert h.hub.runtime.shard_ops_aborted == 1
-    # Rollback reversed the already-applied split on the shared library.
-    assert h.hub.runtime.slice_stats("M:0")["shards"] == 1
-    assert h.failover.active.failover_outcomes == [("M:0", "rolled_back")]
-
-
-def test_crash_mid_reshard_orphan_classified_by_shard_count():
-    h = FailoverHarness()
-    plan = FaultPlan(h.env)
-    plan.crash_manager_at_phase(
-        h.hub.runtime, h.crash_target(kill_inflight=False),
-        phase="copy", protocol="reshard",
-    )
-    h.failover.active.execute_decision(h.split_decision())
-    h.settle()
-    assert h.failover.failovers == 1
-    assert h.hub.runtime.slice_stats("M:0")["shards"] == 2
-    assert h.failover.active.failover_outcomes == [("M:0", "completed")]
-
-
 PHASES = ("pre", "sync", "pause", "copy", "post")
 
 
 @pytest.mark.parametrize("kill_inflight", [True, False])
-@pytest.mark.parametrize("phase", PHASES)
-@pytest.mark.parametrize("operation", ["migration", "split", "merge"])
-def test_crash_at_every_phase_settles_the_operation(
-    operation, phase, kill_inflight
-):
+@pytest.mark.parametrize("phase", PHASES, ids=lambda phase: f"migration-{phase}")
+def test_crash_at_every_phase_settles_the_operation(phase, kill_inflight):
     h = FailoverHarness()
     runtime = h.hub.runtime
-    src = runtime.placement()["M:0"]
-    if operation == "migration":
-        decision, _, dst = h.migration_decision()
-        protocol = "migration"
-    else:
-        if operation == "merge":
-            h.env.run(until=runtime.reshard("M:0", "split"))
-        decision = h.shard_decision(operation)
-        protocol = "reshard"
-    shards_before = runtime.slice_stats("M:0")["shards"]
+    decision, src, dst = h.migration_decision()
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
-        runtime, h.crash_target(kill_inflight=kill_inflight),
-        phase=phase, protocol=protocol,
+        runtime, h.crash_target(kill_inflight=kill_inflight), phase=phase
     )
     primary = h.failover.active
     primary.execute_decision(decision)
     h.settle()
 
     # Killed before activation → rolled back.  Crashed in post, or left
-    # running as an orphan → completed.  A merge's copy step costs no CPU,
-    # so nothing in it yields: the crash lands in post and rolls forward.
-    rolled_back = kill_inflight and phase != "post" and not (
-        operation == "merge" and phase == "copy"
-    )
+    # running as an orphan → completed.
+    rolled_back = kill_inflight and phase != "post"
     outcome = "rolled_back" if rolled_back else "completed"
     standby = h.failover.active
     assert h.failover.failovers == 1
     assert standby.failover_outcomes == [("M:0", outcome)]
     assert runtime.slice_stats("M:0")["migrating"] is False
-
-    if operation == "migration":
-        assert runtime.placement()["M:0"] == (src if rolled_back else dst)
-        assert runtime.slice_stats("M:0")["shards"] == shards_before
-    else:
-        assert runtime.placement()["M:0"] == src
-        applied = shards_before + (1 if operation == "split" else -1)
-        assert runtime.slice_stats("M:0")["shards"] == (
-            shards_before if rolled_back else applied
-        )
-    assert runtime.migrations_aborted == int(
-        rolled_back and protocol == "migration"
-    )
-    assert runtime.shard_ops_aborted == int(
-        rolled_back and protocol == "reshard"
-    )
-    assert phase_spans_tile(h.telemetry.tracer, protocol)
+    assert runtime.placement()["M:0"] == (src if rolled_back else dst)
+    assert runtime.migrations_aborted == int(rolled_back)
+    assert phase_spans_tile(h.telemetry.tracer, "migration")
 
     # Only an orphan's report outlives the crash: the standby awaits it
     # and records it; a killed (or rolled-forward) operation has no waiter.
     assert primary.migration_reports == []
-    assert primary.shard_op_reports == []
-    recorded = 0 if kill_inflight else 1
-    assert len(standby.migration_reports) == (
-        recorded if protocol == "migration" else 0
-    )
-    assert len(standby.shard_op_reports) == (
-        recorded if protocol == "reshard" else 0
-    )
+    assert len(standby.migration_reports) == (0 if kill_inflight else 1)
 
 
 def test_state_copy_across_a_partitioned_link_rolls_back():
@@ -280,8 +200,8 @@ def test_state_copy_across_a_partitioned_link_rolls_back():
     assert len(manager.migration_reports) == 1
 
 
-def blocked_decision(h, operation):
-    """A decision on M:1 whose sync phase can never drain.
+def blocked_decision(h):
+    """A migration of M:1 whose sync phase can never drain.
 
     M:1's upstream AP:0 lives on the other engine host; cutting that link
     and publishing leaves sequence numbers in M:1's cutoffs that the fabric
@@ -293,49 +213,40 @@ def blocked_decision(h, operation):
     h.cloud.network.partition([upstream], [host])
     for pub_id, payload in enumerate(ScaleWorkload(seed=6).publications(4)):
         h.hub.publish(Publication(pub_id, payload, published_at=h.env.now))
-    if operation == "migration":
-        migrations = [PlannedMigration("M:1", host, upstream)]
-        shard_ops = []
-    else:
-        migrations = []
-        shard_ops = [PlannedShardOp("M:1", "split", host)]
     return ScalingDecision(
         kind=ViolationKind.LOCAL_OVERLOAD,
-        migrations=migrations,
-        shard_ops=shard_ops,
+        migrations=[PlannedMigration("M:1", host, upstream)],
     )
 
 
-@pytest.mark.parametrize("operation", ["migration", "split"])
-def test_watchdog_rolls_back_an_operation_that_cannot_drain(operation):
+def test_watchdog_rolls_back_an_operation_that_cannot_drain():
     h = FailoverHarness(migration_timeout_s=30.0)
     runtime = h.hub.runtime
     src = runtime.placement()["M:1"]
     manager = h.failover.active
     started = h.env.now
-    manager.execute_decision(blocked_decision(h, operation))
+    manager.execute_decision(blocked_decision(h))
     h.settle()
     assert h.telemetry.watchdog_timeouts.value == 1
     assert manager.history[-1].time == pytest.approx(started + 30.0)
     assert manager.history[-1].failures == 1
     assert runtime.placement()["M:1"] == src
-    assert runtime.slice_stats("M:1")["shards"] == 1
     assert runtime.slice_stats("M:1")["migrating"] is False
-    assert runtime.migrations_aborted == int(operation == "migration")
-    assert runtime.shard_ops_aborted == int(operation == "split")
+    assert runtime.migrations_aborted == 1
     # The manager is free for its next decision.
     assert not manager._executing
-    manager.execute_decision(h.split_decision())
+    h.cloud.network.heal()
+    decision, _, dst = h.migration_decision()
+    manager.execute_decision(decision)
     h.settle()
-    assert runtime.slice_stats("M:0")["shards"] == 2
-    assert len(manager.shard_op_reports) == 1
+    assert runtime.placement()["M:0"] == dst
+    assert len(manager.migration_reports) == 1
 
 
-@pytest.mark.parametrize("operation", ["migration", "split"])
-def test_without_a_timeout_an_undrainable_operation_stays_pending(operation):
+def test_without_a_timeout_an_undrainable_operation_stays_pending():
     h = FailoverHarness()
     manager = h.failover.active
-    manager.execute_decision(blocked_decision(h, operation))
+    manager.execute_decision(blocked_decision(h))
     h.settle()
     assert h.hub.runtime.slice_stats("M:1")["migrating"] is True
     assert manager._executing
@@ -348,7 +259,7 @@ def test_crashed_manager_is_fenced_off_stable_storage():
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
         h.hub.runtime, h.crash_target(kill_inflight=True),
-        phase="copy", protocol="migration",
+        phase="copy",
     )
     h.failover.active.execute_decision(decision)
     primary = h.failover.active

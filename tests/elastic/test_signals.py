@@ -20,7 +20,7 @@ from repro.telemetry import Telemetry
 
 def probe_set(utils, slices=None, delay=None, time=0.0):
     hosts = {
-        f"h{i}": HostProbe(f"h{i}", 8, u, 0, 0, 0) for i, u in enumerate(utils)
+        f"h{i}": HostProbe(f"h{i}", 8, u, 0, 0) for i, u in enumerate(utils)
     }
     return ProbeSet(
         time=time, window_s=5.0, hosts=hosts, slices=slices or {}, delay=delay
@@ -354,8 +354,8 @@ class TestViolationCompat:
 
 def _enforcer_probes(slices=None):
     hosts = {
-        "h0": HostProbe("h0", 8, 0.9, 0, 0, 0),
-        "h1": HostProbe("h1", 8, 0.9, 0, 0, 0),
+        "h0": HostProbe("h0", 8, 0.9, 0, 0),
+        "h1": HostProbe("h1", 8, 0.9, 0, 0),
     }
     slices = slices or {
         f"M:{i}": SliceProbe(f"M:{i}", "h0" if i < 2 else "h1", 1.8, 10_000, 0)
@@ -367,7 +367,7 @@ def _enforcer_probes(slices=None):
 CPU_ROUND_ATTRS = {
     "rule", "measured", "window_time", "window_s", "avg_utilization",
     "hosts", "actionable", "selected_slices", "placement", "new_hosts",
-    "release_hosts", "shard_ops", "signal", "cpu_utilization",
+    "release_hosts", "signal", "cpu_utilization",
     "cpu_threshold", "cpu_hosts",
 }
 
@@ -441,7 +441,7 @@ class TestDecisionSpanShape:
         # One host at 55% — inside the CPU band, so the paper's rules
         # would not act; spill pressure must still offload toward the
         # reduced 37.5% target.
-        hosts = {"h0": HostProbe("h0", 8, 0.55, 0, 0, 0)}
+        hosts = {"h0": HostProbe("h0", 8, 0.55, 0, 0)}
         slices = {
             f"M:{i}": SliceProbe(
                 f"M:{i}", "h0", 1.1, 10_000, 0, spill_depth=60

@@ -124,7 +124,6 @@ growth_ops = st.lists(
         st.tuples(st.just("append"), st.integers(1, 3 * _GROW_ROWS), st.just(0)),
         st.tuples(st.just("dead"), st.integers(0, 999), st.integers(1, 40)),
         st.tuples(st.just("compact"), st.just(0), st.just(0)),
-        st.tuples(st.just("split"), st.integers(0, 999), st.just(0)),
     ),
     min_size=1,
     max_size=12,
@@ -134,9 +133,9 @@ growth_ops = st.lists(
 @given(growth_ops)
 @settings(max_examples=80, deadline=None)
 def test_grown_ram_store_reads_like_one_bulk_append(sequence):
-    """Whatever the append sizes, and with tombstones, compaction and
-    split/adopt in between, a RAM store holds the rows one bulk append of
-    them would — within the allocation bound of the growth rule."""
+    """Whatever the append sizes, and with tombstones and compaction in
+    between, a RAM store holds the rows one bulk append of them would —
+    within the allocation bound of the growth rule."""
     store = make_store(chunk_rows=_GROW_ROWS)
     model = [np.empty((0, 3)), np.empty(0, bool), np.empty(0), np.empty(0),
              np.empty(0, bool)]
@@ -167,10 +166,6 @@ def test_grown_ram_store_reads_like_one_bulk_append(sequence):
         elif op == "compact":
             store.compact()
             model = [column[model[4]] for column in model]
-        elif op == "split" and store.rows:
-            other, _ = store.split_at(first % (store.rows + 1))
-            assert store.rows + other.rows == len(model[0])
-            store.adopt(other)
         assert store.rows == len(model[0])
         assert store.dead_rows == int((~model[4]).sum())
         capacities = [chunk.capacity for chunk in store._chunks]
@@ -179,7 +174,9 @@ def test_grown_ram_store_reads_like_one_bulk_append(sequence):
         )
         assert store.resident_bytes == sum(capacities) * (3 + 2) * 8
     bulk = make_store(chunk_rows=_GROW_ROWS)
-    bulk.append(*model)
+    bulk.append(*model[:4])
+    for row in np.flatnonzero(~model[4]):
+        bulk.mark_dead(row, row + 1)
     if store.rows:
         for ours, theirs in zip(contents(store), contents(bulk)):
             np.testing.assert_array_equal(ours, theirs)
@@ -269,67 +266,6 @@ def test_budget_below_one_chunk_never_evicts_touched_chunk(tmp_path):
     assert store.resident_chunks >= 1
 
 
-@pytest.mark.parametrize("backend", ["chunked", "mmap"])
-def test_adopt_moves_chunks_without_rewriting(backend, tmp_path):
-    left = make_store(backend, chunk_rows=4, spill_dir=str(tmp_path))
-    right = make_store(backend, chunk_rows=4, spill_dir=str(tmp_path))
-    ml, *restl = rows(5)
-    mr, *restr = rows(6, base=50.0)
-    left.append(ml, *restl)
-    right.append(mr, *restr)
-    moved_chunks = list(right._chunks)
-    base = left.adopt(right)
-    assert base == 5
-    assert left.rows == 11
-    assert right.rows == 0 and right.chunk_count == 0
-    # The very same chunk objects changed owner — no row was copied.
-    assert left._chunks[-len(moved_chunks):] == moved_chunks
-    got = contents(left)
-    np.testing.assert_array_equal(got[0], np.concatenate([ml, mr]))
-    if backend == "mmap":
-        # Spill files were renamed into the adopter's directory.
-        for chunk in moved_chunks:
-            assert os.path.dirname(chunk.path) == left._dir
-            assert os.path.exists(chunk.path)
-
-
-@pytest.mark.parametrize("backend", ["chunked", "mmap"])
-def test_split_at_chunk_boundary_copies_nothing(backend, tmp_path):
-    store = make_store(backend, chunk_rows=4, spill_dir=str(tmp_path))
-    m, s, tb, ts = rows(12)
-    store.append(m, s, tb, ts)
-    suffix_chunks = store._chunks[1:]
-    other, copied = store.split_at(4)
-    assert copied == 0
-    assert store.rows == 4 and other.rows == 8
-    assert other._chunks == suffix_chunks  # adopted, not copied
-    np.testing.assert_array_equal(contents(store)[0], m[:4])
-    np.testing.assert_array_equal(contents(other)[0], m[4:])
-
-
-def test_split_at_mid_chunk_copies_only_the_cut_chunk():
-    store = make_store("chunked", chunk_rows=4)
-    m, s, tb, ts = rows(12)
-    store.append(m, s, tb, ts)
-    store.mark_dead(5, 6)  # a tombstone that must survive the cut
-    other, copied = store.split_at(6)
-    assert copied == 2  # rows 6..7 of the cut chunk; chunk 3 just moved
-    assert store.rows == 6 and other.rows == 6
-    assert store.dead_rows == 1 and other.dead_rows == 0
-    np.testing.assert_array_equal(contents(store)[0], m[:6])
-    np.testing.assert_array_equal(contents(other)[0], m[6:])
-    assert not contents(store)[4][5]  # tombstone stayed with the prefix
-
-
-def test_split_at_bounds_checked():
-    store = make_store()
-    store.append(*rows(4))
-    with pytest.raises(ValueError):
-        store.split_at(5)
-    other, copied = store.split_at(4)  # empty suffix is legal
-    assert copied == 0 and other.rows == 0
-
-
 def test_clear_unlinks_spill_files(tmp_path):
     store = make_store("mmap", chunk_rows=4, spill_dir=str(tmp_path))
     store.append(*rows(10))
@@ -394,24 +330,6 @@ def test_released_rows_read_back_without_a_flush(tmp_path):
     np.testing.assert_array_equal(held.tol_signed, ts[:2])
     for expected, got in zip((m, s, tb, ts), contents(store)):
         np.testing.assert_array_equal(got, expected)
-
-
-@linux_only
-def test_released_rows_survive_adopt_and_split(tmp_path):
-    left, right = tight_store(tmp_path), tight_store(tmp_path)
-    m, s, tb, ts = rows(22)
-    left.append(m[:9], s[:9], tb[:9], ts[:9])
-    right.append(m[9:], s[9:], tb[9:], ts[9:])
-    released = right._chunks[0]
-    assert released not in right._lru
-    left.adopt(right)  # renames the spill files under their mappings
-    assert released not in left._lru  # released chunks arrive released
-    other, copied = left.split_at(14)  # cuts rows 13..16, a released chunk
-    assert copied == 3
-    got = [np.concatenate(pair) for pair in zip(contents(left), contents(other))]
-    for expected, column in zip((m, s, tb, ts), got):
-        np.testing.assert_array_equal(column, expected)
-    assert left.resident_chunks == other.resident_chunks == 1
 
 
 _RESIDENCY_SCRIPT = """

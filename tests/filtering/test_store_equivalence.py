@@ -3,9 +3,8 @@
 Random churn sequences (store / remove / bulk-store, with the compaction
 threshold lowered so compactions actually fire) drive three
 :class:`AspeLibrary` instances in lockstep — the default store (one growing
-chunk), 3-row RAM chunks and 3-row ``mmap`` chunks under a two-chunk budget
-— plus an mmap :class:`ShardedAspeLibrary` that additionally splits and
-merges shards mid-sequence.  After every operation the libraries must
+chunk), 3-row RAM chunks and 3-row ``mmap`` chunks under a two-chunk budget.
+After every operation the libraries must
 agree with each other *and* with a hub-free oracle (a plain dict of the
 stored ciphertexts filtered by :func:`match_encrypted`), and the three
 ``AspeLibrary`` variants must walk *identical* ``epoch`` sequences.
@@ -25,7 +24,6 @@ from repro.filtering import (
     Op,
     Predicate,
     PredicateSet,
-    ShardedAspeLibrary,
     StoreConfig,
     match_encrypted,
 )
@@ -65,8 +63,6 @@ ops = st.lists(
         st.tuples(st.just("store"), st.integers(0, 9)),
         st.tuples(st.just("remove"), st.integers(0, 9)),
         st.tuples(st.just("bulk"), st.integers(0, 9)),
-        st.tuples(st.just("split"), st.integers(0, 9)),
-        st.tuples(st.just("merge"), st.integers(0, 9)),
         st.tuples(st.just("match"), st.integers(0, 5)),
     ),
     min_size=1,
@@ -74,14 +70,13 @@ ops = st.lists(
 )
 
 
-def _churn(sequence, configs, shard_config):
-    """Drive one library per config and a sharded one through ``sequence``
-    in lockstep, checking agreement after every operation."""
+def _churn(sequence, configs):
+    """Drive one library per config through ``sequence`` in lockstep,
+    checking agreement after every operation."""
     libraries = {
         name: AspeLibrary(store_config=config)
         for name, config in configs.items()
     }
-    sharded = ShardedAspeLibrary(store_config=shard_config)
     #: The oracle: insertion order, and an overwrite keeps its slot.
     stored = {}
 
@@ -94,7 +89,7 @@ def _churn(sequence, configs, shard_config):
 
     def check():
         expected = [oracle(publication) for publication in _PUBS]
-        for lib in (*libraries.values(), sharded):
+        for lib in libraries.values():
             assert lib.match_batch(_PUBS) == expected
         epochs = {lib.epoch for lib in libraries.values()}
         assert len(epochs) == 1, "epoch diverged across backends"
@@ -103,29 +98,20 @@ def _churn(sequence, configs, shard_config):
         if op == "store":
             for lib in libraries.values():
                 lib.store(arg, _SUBS[arg])
-            sharded.store(arg, _SUBS[arg])
             stored[arg] = _SUBS[arg]
         elif op == "remove":
             if arg not in stored:
                 continue
             for lib in libraries.values():
                 lib.remove(arg)
-            sharded.remove(arg)
             del stored[arg]
         elif op == "bulk":
             items = [(i, _SUBS[i]) for i in range(arg, min(arg + 4, 10))]
             for lib in libraries.values():
                 lib.store_many(items)
-            sharded.store_many(items)
             stored.update(items)
-        elif op == "split":
-            if sharded.can_split():
-                sharded.split_shard()
-        elif op == "merge":
-            if sharded.can_merge():
-                sharded.merge_shards()
         elif op == "match":
-            for lib in (*libraries.values(), sharded):
+            for lib in libraries.values():
                 assert lib.match(_PUBS[arg]) == oracle(_PUBS[arg])
             continue
         check()
@@ -134,8 +120,8 @@ def _churn(sequence, configs, shard_config):
 
 @given(ops)
 @settings(max_examples=40, deadline=None)
-def test_backends_and_shards_agree_under_churn(sequence):
-    libraries = _churn(sequence, _CONFIGS, _CONFIGS["mmap"])
+def test_backends_agree_under_churn(sequence):
+    libraries = _churn(sequence, _CONFIGS)
 
     # The stores must also copy out bit-identical row data, and the span
     # indexes agree on ids and spans.
@@ -170,11 +156,9 @@ def _packed_rows(store):
 @given(ops)
 @settings(max_examples=40, deadline=None)
 def test_release_on_every_touch_agrees_with_the_default_store(sequence):
-    """Churn, per-chunk compaction, split and merge with every chunk
-    released as soon as the next one is touched."""
-    libraries = _churn(
-        sequence, {"default": _CONFIGS["default"], "tight": _TIGHT}, _TIGHT
-    )
+    """Churn and per-chunk compaction with every chunk released as soon
+    as the next one is touched."""
+    libraries = _churn(sequence, {"default": _CONFIGS["default"], "tight": _TIGHT})
     stats = libraries["tight"].store_stats()
     assert stats["resident_chunks"] <= 1
     assert stats["evictions"] >= stats["chunks"] - 1
@@ -184,7 +168,7 @@ def test_release_on_every_touch_agrees_with_the_default_store(sequence):
 @settings(max_examples=25, deadline=None)
 def test_blocks_are_plain_contiguous_and_matching_copies_no_rows(sequence):
     """The no-copy property: a store block is what the kernel reads."""
-    libraries = _churn(sequence, _CONFIGS, _CONFIGS["mmap"])
+    libraries = _churn(sequence, _CONFIGS)
     for library in libraries.values():
         library.match_batch(_PUBS)
         assert "rows" not in library._ws
@@ -192,49 +176,3 @@ def test_blocks_are_plain_contiguous_and_matching_copies_no_rows(sequence):
             for column in (block.matrix, block.tol_base, block.tol_signed):
                 assert type(column) is np.ndarray
                 assert column.flags.c_contiguous
-
-
-@given(ops)
-@settings(max_examples=25, deadline=None)
-def test_library_split_merge_preserves_epoch_lockstep(sequence):
-    """detach_suffix/absorb (the shard fast paths) on churned libraries
-    keep chunked and mmap behaviourally identical to a rebuilt default
-    one."""
-    chunked = AspeLibrary(store_config=_CONFIGS["chunked"])
-    mmap_lib = AspeLibrary(store_config=_CONFIGS["mmap"])
-    stored = []
-    for op, arg in sequence:
-        if op in ("store", "bulk") and arg not in stored:
-            chunked.store(arg, _SUBS[arg])
-            mmap_lib.store(arg, _SUBS[arg])
-            stored.append(arg)
-        elif op == "remove" and arg in stored:
-            chunked.remove(arg)
-            mmap_lib.remove(arg)
-            stored.remove(arg)
-    if len(stored) < 2:
-        return
-    pivot = sorted(stored)[len(stored) // 2]
-    moving = [i for i in stored if i >= pivot]
-    for lib in (chunked, mmap_lib):
-        boundary = ShardedAspeLibrary._span_boundary(lib, moving)
-        if boundary is not None:
-            other, _ = lib.detach_suffix(boundary, moving)
-        else:
-            other = AspeLibrary(store_config=lib.store_config)
-            items = [(i, lib.get_subscription(i)) for i in moving]
-            for i in moving:
-                lib.remove(i)
-            other.store_many(items)
-        lib.absorb(other)  # merge it straight back
-    rebuilt = AspeLibrary(store_config=StoreConfig())
-    for i in stored:
-        rebuilt.store(i, _SUBS[i])
-    assert chunked.match_batch(_PUBS) == mmap_lib.match_batch(_PUBS)
-    assert chunked.subscription_count() == mmap_lib.subscription_count()
-    assert chunked.epoch == mmap_lib.epoch
-    # Detach+absorb reorders rows (moving ids land behind staying ids), so
-    # compare match *sets* per publication against an untouched library.
-    assert [sorted(ids) for ids in chunked.match_batch(_PUBS)] == [
-        sorted(ids) for ids in rebuilt.match_batch(_PUBS)
-    ]

@@ -5,24 +5,14 @@ The transport's credit-based backpressure must turn EP/M overload into
 multiset of a throttled run is exactly the multiset of an unthrottled
 run, every receiver inbox stays bounded by the credit window times its
 inbound fan-in, and nothing is lost — including while a live M-slice
-migration or a key-range reshard runs in the middle of the overload.
+migration runs in the middle of the overload.
 """
-
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filtering import (
-    AspeCipher,
-    AspeKey,
-    ExactBackend,
-    Op,
-    Predicate,
-    PredicateSet,
-    ShardedAspeLibrary,
-)
-from repro.pubsub import HubConfig, Publication, Subscription
+from repro.filtering import Op, Predicate, PredicateSet
+from repro.pubsub import Publication, Subscription
 from repro.transport import TransportConfig
 
 from .conftest import HubHarness, small_exact_config
@@ -182,70 +172,3 @@ def test_flow_control_preserves_notification_multiset(
     assert_inboxes_bounded(throttled, window)
     if migrate:
         assert throttled.hub.runtime.migrations_completed == 1
-
-
-def sharded_config(**net):
-    return HubConfig(
-        ap_slices=2,
-        m_slices=2,
-        ep_slices=1,
-        sink_slices=1,
-        encrypted=True,
-        backend_factory=lambda index: ExactBackend(ShardedAspeLibrary()),
-        **net,
-    )
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    publications=st.lists(
-        st.floats(0, 120, allow_nan=False), min_size=4, max_size=12
-    ),
-    window=st.integers(2, 8),
-)
-def test_reshard_mid_overload_preserves_notification_multiset(
-    publications, window
-):
-    """A key-range split during the overload changes nothing observable."""
-    key = AspeKey.generate(4, rng=random.Random(11))
-    cipher = AspeCipher(key, rng=random.Random(12))
-    runs = []
-    for config in (
-        sharded_config(),
-        sharded_config(
-            net=TransportConfig(
-                flush_mode="adaptive",
-                flush_s=0.01,
-                flush_max_batch=4,
-                backpressure=True,
-                credit_window=window,
-            )
-        ),
-    ):
-        h = HubHarness(config)
-        for sub_id in range(8):
-            low = (sub_id * 13) % 70
-            h.hub.subscribe(
-                Subscription(
-                    sub_id,
-                    1000 + sub_id,
-                    cipher.encrypt_subscription(band(0, low, low + 35)),
-                )
-            )
-        h.env.run()
-        for pub_id, value in enumerate(publications):
-            h.hub.publish(
-                Publication(
-                    pub_id,
-                    payload=cipher.encrypt_publication([value, 0, 0, 0]),
-                    published_at=h.env.now,
-                )
-            )
-        h.hub.runtime.reshard("M:0", "split")
-        h.env.run()
-        runs.append(h)
-    plain, throttled = runs
-    assert notifications(plain) == notifications(throttled)
-    assert throttled.hub.runtime.shard_ops_completed == 1
-    assert throttled.hub.duplicate_notifications == 0
-    assert_inboxes_bounded(throttled, window)

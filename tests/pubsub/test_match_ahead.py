@@ -407,19 +407,6 @@ def test_import_state_empties_the_cache(primed):
     assert subscribers(ctx) == [(1005,)]
 
 
-def test_adopt_from_empties_the_cache_and_carries_the_counter(primed):
-    handler, events = primed
-    other = make_handler()
-    other.preload(Subscription(9, 1009, band(0, 40)))
-    other.publications_matched_ahead = 11
-    handler.adopt_from(other)
-    assert not handler._ahead
-    assert handler.publications_matched_ahead == 11
-    ctx = ViewContext()
-    handler.process(events[1], ctx)
-    assert subscribers(ctx) == [(1009,)]
-
-
 # -- (vi) who keeps the old path ----------------------------------------------
 
 

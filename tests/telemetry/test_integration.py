@@ -252,11 +252,11 @@ def _probe_set(now=100.0, window_s=5.0):
     hosts = {
         "host-0": HostProbe(
             host_id="host-0", cores=8, cpu_utilization=0.9,
-            memory_bytes=0, net_bytes_sent=0, net_bytes_received=0,
+            net_bytes_sent=0, net_bytes_received=0,
         ),
         "host-1": HostProbe(
             host_id="host-1", cores=8, cpu_utilization=0.2,
-            memory_bytes=0, net_bytes_sent=0, net_bytes_received=0,
+            net_bytes_sent=0, net_bytes_received=0,
         ),
     }
     slices = {

@@ -16,7 +16,8 @@ Each subprocess gets a ``sitecustomize`` whose ``sys.setprofile`` hook
 records ``(file, first line, qualified name)`` of every function under
 ``src/repro/`` that is called.  The records are diffed against every
 function compiled from ``src/``.  Every function no entry point reaches must
-carry a decision in ``KEPT`` below.  The report is written between the
+carry a decision in ``KEPT`` below, and every decision must name such a
+function.  The report is written between the
 reachability markers in ``EXPERIMENTS.md``.
 
 Usage::
@@ -27,7 +28,8 @@ Usage::
 The raw records and per-run logs go to ``repro-reachability`` under the
 system temporary directory; a full run replaces them.  Needs Python 3.11+
 (the hook reads ``co_qualname``).  Exits non-zero if an entry point fails
-under the default spelling or an entry has no decision.
+under the default spelling, an entry has no decision, or a decision names
+no unreached function.
 """
 
 from __future__ import annotations
@@ -146,7 +148,6 @@ KEPT: Dict[str, str] = {
             "repro/engine/checkpoint.py::CheckpointStore.slices",
             "repro/engine/checkpoint.py::CheckpointStore.__len__",
             "repro/engine/locks.py::RWLock.idle",
-            "repro/engine/migration.py::ShardOpReport.duration_s",
             "repro/engine/retention.py::RetentionBuffer.__len__",
             "repro/engine/retention.py::RetentionBuffer.bytes_retained",
             "repro/engine/retention.py::RetentionBuffer.highest_seq",
@@ -157,7 +158,6 @@ KEPT: Dict[str, str] = {
             "repro/filtering/aspe.py::AspeKey.cipher_dimensions",
             "repro/filtering/aspe.py::EncryptedSubscription.size_bytes",
             "repro/filtering/aspe.py::AspeLibrary.state_size_bytes",
-            "repro/filtering/aspe.py::AspeLibrary.get_subscription",
             "repro/filtering/cost.py::CostModel.m_state_bytes",
             "repro/filtering/cost.py::CostModel.migration_serialize_s",
             "repro/filtering/predicates.py::PredicateSet.__len__",
@@ -165,7 +165,6 @@ KEPT: Dict[str, str] = {
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.chunk_count",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.resident_chunks",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.copy_rows",
-            "repro/filtering/store/shard.py::ShardedAspeLibrary.shard_bounds",
             "repro/metrics/delay.py::DelayTracker.total_notifications",
             "repro/metrics/throughput.py::BacklogProbe.max_backlog",
             "repro/metrics/windows.py::WindowedSeries.__len__",
@@ -179,12 +178,6 @@ KEPT: Dict[str, str] = {
             "repro/transport/channel.py::Transport.channel_count",
             "repro/transport/config.py::TransportConfig.buffered",
             "repro/workloads/frankfurt.py::FrankfurtTraceModel.base_rate_at"),
-    **_kept("host memory ledger; nothing in src/ reserves memory yet "
-            "(ROADMAP item 2 follow-up)",
-            "repro/cluster/host.py::Host.memory_free",
-            "repro/cluster/host.py::Host.reserve_memory",
-            "repro/cluster/host.py::Host.free_memory",
-            "repro/cluster/host.py::Host.memory_of"),
     **_kept(SAFETY,
             "repro/cluster/failures.py::Watchdog.__init__",
             "repro/cluster/failures.py::Watchdog.guard",
@@ -232,12 +225,6 @@ KEPT: Dict[str, str] = {
     **_kept("signal-protocol veto; asked only when another signal requests a "
             "scale-in, which no entry point's stack does",
             "repro/elastic/signals.py::CpuBandSignal.vetoes_scale_in"),
-    **_kept("read by perfbench's layer tracer on any exact library "
-            "(`perfbench/layers.py`)",
-            "repro/filtering/store/shard.py::ShardedAspeLibrary.store_config"),
-    **_kept("implements `FilteringLibrary.state_size_bytes`; no entry point sizes a "
-            "sharded library",
-            "repro/filtering/store/shard.py::ShardedAspeLibrary.state_size_bytes"),
     **_kept(INTERFACE,
             "repro/engine/handler.py::SliceHandler.process",
             "repro/engine/handler.py::SliceHandler.coalesce_with",
@@ -259,12 +246,10 @@ KEPT: Dict[str, str] = {
             "repro/filtering/base.py::FilteringLibrary.import_state"),
     **_kept("state transfer of an exact library; entry points migrate sampled slices",
             "repro/filtering/aspe.py::AspeLibrary.import_state",
-            "repro/filtering/store/shard.py::ShardedAspeLibrary.export_state",
-            "repro/filtering/store/shard.py::ShardedAspeLibrary.import_state"),
+            "repro/filtering/store/chunks.py::ChunkedMatrixStore.clear"),
     **_kept(UNSUBSCRIBE,
             "repro/filtering/backends.py::ExactBackend.remove",
-            "repro/filtering/backends.py::SampledBackend.remove",
-            "repro/filtering/store/shard.py::ShardedAspeLibrary.remove"),
+            "repro/filtering/backends.py::SampledBackend.remove"),
     **_kept(REFERENCE,
             "repro/filtering/plain.py::BruteForceLibrary.remove",
             "repro/filtering/plain.py::BruteForceLibrary.state_size_bytes"),
@@ -422,8 +407,9 @@ def functions() -> Set[Key]:
 # -- the report ---------------------------------------------------------------
 
 def report(universe: Set[Key], reached: Dict[str, Set[Key]], tier1: Set[Key]
-           ) -> Tuple[str, List[str]]:
-    """The markdown report and the entries left undecided."""
+           ) -> Tuple[str, List[str], List[str]]:
+    """The markdown report, the entries left undecided and the decisions
+    naming no unreached function."""
     default = reached["default"] & universe
     any_entry = set().union(*reached.values()) & universe
     unreached = universe - any_entry
@@ -454,10 +440,7 @@ def report(universe: Set[Key], reached: Dict[str, Set[Key]], tier1: Set[Key]
         "|---|---|---|---|",
         *rows,
     ]
-    if stale:
-        lines += ["", "Decisions naming no unreached function: "
-                  + ", ".join(f"`{s}`" for s in stale)]
-    return "\n".join(lines), undecided
+    return "\n".join(lines), undecided, stale
 
 
 def write_report(text: str) -> None:
@@ -482,7 +465,9 @@ def main(argv: Iterable[str] = None) -> int:
         shutil.rmtree(records, ignore_errors=True)
         failed = run_all(records)
     reached = {spelling: read_records(records, spelling) for spelling in SPELLINGS}
-    text, undecided = report(functions(), reached, read_records(records, "tier1"))
+    text, undecided, stale = report(
+        functions(), reached, read_records(records, "tier1")
+    )
     # A bench that compares the default spelling against another one
     # asserts on default numbers, so it may fail under a forced spelling;
     # its coverage is recorded all the same.
@@ -499,8 +484,10 @@ def main(argv: Iterable[str] = None) -> int:
     if undecided:
         print(f"{len(undecided)} entries have no decision:")
         print("\n".join(f"  {entry}" for entry in undecided))
-        return 1
-    return 0
+    if stale:
+        print(f"{len(stale)} decisions name no unreached function:")
+        print("\n".join(f"  {entry}" for entry in stale))
+    return 1 if undecided or stale else 0
 
 
 if __name__ == "__main__":
