@@ -44,14 +44,6 @@ def _tracemalloc_session():
         tracemalloc.stop()
 
 
-def peak_rss_bytes() -> int:
-    """Process high-water RSS in bytes (``ru_maxrss`` is KiB on Linux)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return int(peak)
-    return int(peak) * 1024
-
-
 def memory_snapshot(top: int = 10) -> dict:
     """Peak-memory record attached to every exported bench payload.
 
@@ -59,7 +51,9 @@ def memory_snapshot(top: int = 10) -> dict:
     ``REPRO_BENCH_TRACEMALLOC`` set it adds traced Python heap totals and
     the ``top`` largest allocation sites.
     """
-    snapshot = {"peak_rss_bytes": peak_rss_bytes()}
+    # ``ru_maxrss`` is KiB on Linux, bytes on macOS.
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    snapshot = {"peak_rss_bytes": rss * (1 if sys.platform == "darwin" else 1024)}
     if tracemalloc.is_tracing():
         current, peak = tracemalloc.get_traced_memory()
         stats = tracemalloc.take_snapshot().statistics("lineno")[:top]

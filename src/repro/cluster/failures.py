@@ -121,8 +121,7 @@ class Watchdog:
             self.timeouts += 1
             tel = self.telemetry
             if tel is not None:
-                if tel.watchdog_timeouts is not None:
-                    tel.watchdog_timeouts.inc()
+                tel.watchdog_timeouts.inc()
                 tel.tracer.event(
                     "recovery.watchdog_timeout", cause=cause,
                     timeout_s=timeout_s,
@@ -203,8 +202,7 @@ class FaultPlan:
         self.injected.append((self.env.now, kind, detail))
         tel = self.telemetry
         if tel is not None:
-            if tel.faults_injected is not None:
-                tel.faults_injected.labels(kind=kind).inc()
+            tel.faults_injected.labels(kind=kind).inc()
             tel.tracer.event("fault.injected", kind=kind, **detail)
 
     # -- correlated host loss ------------------------------------------------

@@ -92,8 +92,8 @@ class Network:
         self._partitions: Set[Tuple[str, str]] = set()
         #: Messages dropped at send time by an active partition.
         self.partition_drops = 0
-        #: Pre-resolved telemetry counters (``None`` until a bundle with
-        #: metrics enabled is bound; the unbound cost is one ``is None``).
+        #: Pre-resolved telemetry counters (``None`` until a bundle is
+        #: bound; the unbound cost is one ``is None``).
         self._tel_messages = None
         self._tel_batches = None
         self._tel_bytes = None

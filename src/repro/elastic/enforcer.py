@@ -157,44 +157,41 @@ class ElasticityEnforcer:
         verdict=None,
     ) -> None:
         rule = violation.kind.value
-        if telemetry.rule_firings is not None:
-            telemetry.rule_firings.labels(rule=rule).inc()
-            if decision is not None and not decision.is_empty:
-                telemetry.scaling_decisions.labels(kind=rule).inc()
-        tracer = telemetry.tracer
-        if tracer.enabled:
-            attrs = {
-                "rule": rule,
-                "measured": violation.measured,
-                "window_time": probes.time,
-                "window_s": probes.window_s,
-                "avg_utilization": probes.average_utilization(),
-                "hosts": len(probes.hosts),
-                "actionable": decision is not None and not decision.is_empty,
+        telemetry.rule_firings.labels(rule=rule).inc()
+        if decision is not None and not decision.is_empty:
+            telemetry.scaling_decisions.labels(kind=rule).inc()
+        attrs = {
+            "rule": rule,
+            "measured": violation.measured,
+            "window_time": probes.time,
+            "window_s": probes.window_s,
+            "avg_utilization": probes.average_utilization(),
+            "hosts": len(probes.hosts),
+            "actionable": decision is not None and not decision.is_empty,
+        }
+        if violation.host_id:
+            attrs["host_id"] = violation.host_id
+        if decision is not None:
+            attrs["selected_slices"] = [
+                m.slice_id for m in decision.migrations
+            ]
+            attrs["placement"] = {
+                m.slice_id: m.to_host for m in decision.migrations
             }
-            if violation.host_id:
-                attrs["host_id"] = violation.host_id
-            if decision is not None:
-                attrs["selected_slices"] = [
-                    m.slice_id for m in decision.migrations
+            attrs["new_hosts"] = decision.new_hosts
+            attrs["release_hosts"] = list(decision.release_hosts)
+        attrs["signal"] = violation.signal
+        attrs.update(violation.evidence_attrs())
+        if verdict is not None:
+            contending = verdict.contending
+            if contending:
+                attrs["contending"] = contending
+            if verdict.suppressed:
+                attrs["vetoed"] = [
+                    (v.signal, v.kind.value, vetoer, reason)
+                    for v, vetoer, reason in verdict.suppressed
                 ]
-                attrs["placement"] = {
-                    m.slice_id: m.to_host for m in decision.migrations
-                }
-                attrs["new_hosts"] = decision.new_hosts
-                attrs["release_hosts"] = list(decision.release_hosts)
-            attrs["signal"] = violation.signal
-            attrs.update(violation.evidence_attrs())
-            if verdict is not None:
-                contending = verdict.contending
-                if contending:
-                    attrs["contending"] = contending
-                if verdict.suppressed:
-                    attrs["vetoed"] = [
-                        (v.signal, v.kind.value, vetoer, reason)
-                        for v, vetoer, reason in verdict.suppressed
-                    ]
-            tracer.event("enforcer.decision", **attrs)
+        telemetry.tracer.event("enforcer.decision", **attrs)
 
     # -- helpers ------------------------------------------------------------------
 

@@ -192,7 +192,7 @@ class ElasticityManager:
 
     def _on_probes(self, probes: ProbeSet) -> None:
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.engine_hosts is not None:
+        if telemetry is not None:
             telemetry.engine_hosts.set(len(self.engine_hosts))
         for listener in list(self.probe_listeners):
             listener(probes)
@@ -237,7 +237,7 @@ class ElasticityManager:
         self._persist_state(inflight=self._decision_record(decision))
         tracer = self.telemetry.tracer if self.telemetry is not None else None
         span = None
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             attrs = {
                 "kind": decision.kind.value,
                 "migrations": len(decision.migrations),
@@ -448,7 +448,7 @@ class ElasticityManager:
     def _resume_inflight(self, orphans: List):
         tracer = self.telemetry.tracer if self.telemetry is not None else None
         span = None
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             span = tracer.start_span("recovery.failover", orphans=len(orphans))
         # A failed orphan rolled back; the classification below says so.
         yield from self._await_ops(orphans)
@@ -482,7 +482,7 @@ class ElasticityManager:
             )
         self.failover_outcomes = outcomes
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.manager_failovers is not None:
+        if telemetry is not None:
             telemetry.manager_failovers.inc()
         self._persist_state(inflight=None)
         self._sync_placement()

@@ -290,7 +290,7 @@ class ProbeCollector:
             delay=delay,
         )
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.heartbeats is not None:
+        if telemetry is not None:
             self._sample_telemetry(telemetry, probe_set)
         return probe_set
 

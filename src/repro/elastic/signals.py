@@ -446,7 +446,7 @@ class SignalStack:
             if veto is not None:
                 suppressed.append((violation, veto[0], veto[1]))
                 telemetry = self.telemetry
-                if telemetry is not None and telemetry.scale_in_vetoes is not None:
+                if telemetry is not None:
                     telemetry.scale_in_vetoes.labels(signal=veto[0]).inc()
             else:
                 kept.append((stack_index, intra_index, violation))
@@ -482,7 +482,7 @@ class SignalStack:
     def _observe(self, probes: ProbeSet, found) -> None:
         """Mirror the round into the metric registry (no-op when off)."""
         telemetry = self.telemetry
-        if telemetry is None or telemetry.signal_violations is None:
+        if telemetry is None:
             return
         for _, _, violation in found:
             telemetry.signal_violations.labels(

@@ -349,28 +349,25 @@ class SliceInstance:
         AP → M → EP → SINK trace.  Called only when a bundle is bound;
         pure recording, never scheduling.
         """
-        fam = telemetry.events_processed
-        if fam is not None:
-            fam.labels(operator=self._operator).inc(len(batch))
-            if len(batch) > 1:
-                telemetry.batches_coalesced.labels(operator=self._operator).inc()
-                telemetry.events_coalesced.labels(
-                    operator=self._operator
-                ).inc(len(batch))
+        telemetry.events_processed.labels(operator=self._operator).inc(len(batch))
+        if len(batch) > 1:
+            telemetry.batches_coalesced.labels(operator=self._operator).inc()
+            telemetry.events_coalesced.labels(
+                operator=self._operator
+            ).inc(len(batch))
         tracer = telemetry.tracer
-        if tracer.enabled:
-            name = "hop." + self._operator
-            now = self.env.now
-            for event in batch:
-                attrs = {
-                    "slice": self.logical_id,
-                    "kind": event.kind,
-                    "source": event.source,
-                }
-                pub_id = getattr(event.payload, "pub_id", None)
-                if pub_id is not None:
-                    attrs["pub_id"] = pub_id
-                tracer.add_span(name, event.sent_at, now, **attrs)
+        name = "hop." + self._operator
+        now = self.env.now
+        for event in batch:
+            attrs = {
+                "slice": self.logical_id,
+                "kind": event.kind,
+                "source": event.source,
+            }
+            pub_id = getattr(event.payload, "pub_id", None)
+            if pub_id is not None:
+                attrs["pub_id"] = pub_id
+            tracer.add_span(name, event.sent_at, now, **attrs)
 
     def _start_workers(self) -> None:
         # The workers come up in an URGENT step of their own, as the

@@ -130,7 +130,7 @@ def migrate_slice(runtime, slice_id: str, dest_host: Host):
     telemetry = runtime.telemetry
     tracer = telemetry.tracer if telemetry is not None else None
     root = span = None
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         root = tracer.start_span(
             "migration", slice=slice_id, from_host=src, to_host=dst
         )
@@ -248,7 +248,7 @@ def migrate_slice(runtime, slice_id: str, dest_host: Host):
             interruption_s=report.interruption_s,
             duration_s=report.duration_s,
         )
-    if telemetry is not None and telemetry.migrations is not None:
+    if telemetry is not None:
         telemetry.migrations.inc()
         telemetry.migration_state_bytes.inc(state_bytes)
         telemetry.migration_duration.observe(report.duration_s)

@@ -86,8 +86,7 @@ class DeadLetterQueue:
         self.total += len(events)
         tel = self.telemetry
         if tel is not None:
-            if tel.dead_letter_events is not None:
-                tel.dead_letter_events.inc(len(events))
+            tel.dead_letter_events.inc(len(events))
             tel.tracer.event(
                 "recovery.dead_letter",
                 slice=slice_id,

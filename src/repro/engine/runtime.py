@@ -127,8 +127,6 @@ class EngineRuntime:
         """Attach a :class:`repro.telemetry.Telemetry` bundle.
 
         Binding is idempotent and may happen before or after deployment.
-        A disabled bundle binds too — its instruments are ``None`` and
-        its tracer is the shared no-op, so the hot paths stay free.
         """
         self.telemetry = telemetry
         self._routed_fam = telemetry.events_routed if telemetry is not None else None

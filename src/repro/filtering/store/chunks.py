@@ -254,7 +254,7 @@ class ChunkedMatrixStore:
         else:
             self.fault_count += 1
             telemetry = self._telemetry
-            if telemetry is not None and telemetry.store_chunk_faults is not None:
+            if telemetry is not None:
                 telemetry.store_chunk_faults.labels(store=self._label).inc()
             self._track_resident(chunk)
         self._evict(exclude=chunk)
@@ -282,12 +282,12 @@ class ChunkedMatrixStore:
             evicted += 1
         if evicted:
             telemetry = self._telemetry
-            if telemetry is not None and telemetry.store_chunk_evictions is not None:
+            if telemetry is not None:
                 telemetry.store_chunk_evictions.labels(store=self._label).inc(evicted)
 
     def _update_gauges(self) -> None:
         telemetry = self._telemetry
-        if telemetry is None or telemetry.store_resident_chunks is None:
+        if telemetry is None:
             return
         telemetry.store_resident_chunks.labels(store=self._label).set(
             len(self._lru)

@@ -315,7 +315,7 @@ class MatcherHandler(SliceHandler):
         elif event.kind == KIND_PUBLICATION:
             result = self._results((event,), ctx)[0]
             telemetry = getattr(ctx, "telemetry", None)
-            if telemetry is not None and telemetry.matcher_publications is not None:
+            if telemetry is not None:
                 telemetry.matcher_publications.inc()
                 telemetry.matcher_matches.inc(result.count)
             ctx.emit(*self._match_emission(event.payload, result))
@@ -335,7 +335,7 @@ class MatcherHandler(SliceHandler):
             self._bind_store_telemetry(getattr(ctx, "telemetry", None))
         results = self._results(events, ctx)
         telemetry = getattr(ctx, "telemetry", None)
-        if telemetry is not None and telemetry.matcher_publications is not None:
+        if telemetry is not None:
             telemetry.matcher_publications.inc(len(results))
             telemetry.matcher_matches.inc(sum(result.count for result in results))
         ctx.emit_batch(

@@ -20,20 +20,17 @@ stack via ``HubConfig(telemetry=...)``::
     print(tel.metrics.render())           # registry snapshot table
     tel.tracer.write_jsonl("trace.jsonl") # deterministic span trace
 
-Everything is zero-cost when absent: components hold ``telemetry=None``
-by default, instrumented hot paths guard with a single ``is None`` test,
-and a constructed-but-disabled bundle (``Telemetry.disabled(env)``)
-degrades to a no-op tracer plus ``None`` instruments, asserted to cost
-< 3% wall-clock in ``benchmarks/bench_pipeline.py``.  Tracing and
-metrics never schedule simulation events, so enabling them does not
-change simulated behavior, and all timestamps come from the DES clock —
-traces are reproducible run-to-run.  The full span/metric catalog lives
+Telemetry has two states.  Off is ``telemetry=None``, the default of
+every component: instrumented hot paths guard with a single ``is None``
+test.  On is a ``Telemetry(env)`` bundle, which records every span and
+every instrument.  Tracing and metrics never schedule simulation
+events, so turning them on does not change simulated behavior, and all
+timestamps come from the DES clock — traces are reproducible
+run-to-run.  The full span/metric catalog lives
 in OBSERVABILITY.md.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .export import to_prometheus, write_prometheus, write_snapshot_json
 from .registry import (
@@ -44,7 +41,7 @@ from .registry import (
     MetricFamily,
     MetricsRegistry,
 )
-from .tracing import NULL_TRACER, NullTracer, Span, Tracer, read_jsonl
+from .tracing import Span, Tracer, read_jsonl
 
 __all__ = [
     "Counter",
@@ -53,8 +50,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Telemetry",
     "Tracer",
@@ -73,42 +68,21 @@ class Telemetry:
 
     ``env`` supplies the clock (``env.now``); pass ``None`` to bind it
     later (``StreamHub`` binds automatically when it first sees the
-    bundle).  ``tracing=False`` swaps in the shared :data:`NULL_TRACER`;
-    ``metrics=False`` leaves :attr:`metrics` (and every pre-declared
-    instrument attribute) as ``None`` — the states instrumented call
-    sites test for.
+    bundle).  A bundle records everything; telemetry off is no bundle
+    (``telemetry=None``), the one state instrumented call sites test for.
 
     All standard instruments are declared here, once, so every layer of
     the stack shares the same families (see OBSERVABILITY.md for the
     catalog with meanings and units).
     """
 
-    def __init__(self, env=None, tracing: bool = True, metrics: bool = True):
+    def __init__(self, env=None):
         self.env = env
-        if tracing:
-            self.tracer: Tracer = Tracer()
-            if env is not None:
-                self.tracer.bind_clock(lambda: env.now)
-        else:
-            self.tracer = NULL_TRACER
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if metrics else None
-        )
+        self.tracer = Tracer()
+        if env is not None:
+            self.bind_env(env)
+        self.metrics = MetricsRegistry()
         self._declare_instruments()
-
-    @classmethod
-    def disabled(cls, env=None) -> "Telemetry":
-        """A fully disabled bundle (no-op tracer, no registry).
-
-        Binding it exercises the real guard branches without recording
-        anything — what the benchmark overhead guard measures.
-        """
-        return cls(env, tracing=False, metrics=False)
-
-    @property
-    def enabled(self) -> bool:
-        """True when at least one of tracing/metrics records anything."""
-        return self.tracer.enabled or self.metrics is not None
 
     def bind_env(self, env) -> None:
         """Attach the simulation environment driving the trace clock."""
@@ -119,47 +93,6 @@ class Telemetry:
 
     def _declare_instruments(self) -> None:
         m = self.metrics
-        if m is None:
-            self.events_routed = None
-            self.events_processed = None
-            self.batches_coalesced = None
-            self.events_coalesced = None
-            self.net_messages = None
-            self.net_batches = None
-            self.net_bytes = None
-            self.transport_flushes = None
-            self.transport_stall = None
-            self.transport_spill_depth = None
-            self.transport_credits_outstanding = None
-            self.matcher_publications = None
-            self.matcher_matches = None
-            self.store_chunk_faults = None
-            self.store_chunk_evictions = None
-            self.store_resident_chunks = None
-            self.store_resident_bytes = None
-            self.notification_delay = None
-            self.migrations = None
-            self.migration_state_bytes = None
-            self.migration_duration = None
-            self.migration_interruption = None
-            self.rule_firings = None
-            self.scaling_decisions = None
-            self.signal_violations = None
-            self.scale_in_vetoes = None
-            self.slo_margin = None
-            self.faults_injected = None
-            self.manager_failovers = None
-            self.dead_letter_events = None
-            self.partition_drops = None
-            self.watchdog_timeouts = None
-            self.breaker_trips = None
-            self.heartbeats = None
-            self.engine_hosts = None
-            self.slice_queue_depth = None
-            self.slice_cpu_cores = None
-            self.slice_state_bytes = None
-            self.host_cpu_utilization = None
-            return
         # Event plane.
         self.events_routed = m.counter(
             "engine_events_routed_total",

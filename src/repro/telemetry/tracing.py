@@ -13,9 +13,8 @@ assigned sequentially, two identical simulation runs produce
 byte-identical JSONL traces — tracing is a pure observer and never
 schedules simulation events.
 
-Disabled tracing is the :data:`NULL_TRACER` singleton whose methods are
-no-ops; instrumented call sites guard on ``tracer.enabled`` so the cost
-of a disabled tracer is one attribute test.
+There is no disabled tracer: with telemetry off the engine holds no
+bundle and never reaches a tracer.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import os
 import tempfile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "read_jsonl"]
+__all__ = ["Span", "Tracer", "read_jsonl"]
 
 
 class Span:
@@ -70,22 +69,6 @@ class Span:
         return f"<span #{self.span_id} {self.name} [{self.start}, {self.end}]>"
 
 
-class _SpanScope:
-    """Context manager closing a span on exit (``with tracer.span(...)``)."""
-
-    __slots__ = ("_tracer", "span")
-
-    def __init__(self, tracer: "Tracer", span: Span):
-        self._tracer = tracer
-        self.span = span
-
-    def __enter__(self) -> Span:
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.finish_span(self.span)
-
-
 class Tracer:
     """Collects spans against an externally supplied clock.
 
@@ -95,8 +78,6 @@ class Tracer:
     together with the deterministic clock makes traces reproducible
     run-to-run.
     """
-
-    enabled = True
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
@@ -116,22 +97,12 @@ class Tracer:
         """Replace the clock (used when the environment arrives late)."""
         self._clock = clock
 
-    @property
-    def now(self) -> float:
-        """Current clock reading."""
-        return self._clock()
-
     # -- recording --------------------------------------------------------------
 
     def start_span(
         self, name: str, parent: Optional[Span] = None, **attrs: Any
     ) -> Span:
-        """Open a span at the current clock; close with :meth:`finish_span`.
-
-        Use the explicit start/finish pair when the interval crosses
-        simulation yields (migration phases); use :meth:`span` when it
-        closes within one synchronous block.
-        """
+        """Open a span at the current clock; close with :meth:`finish_span`."""
         span = Span(
             self._next_id,
             name,
@@ -151,10 +122,6 @@ class Tracer:
         if self._stream_handle is not None:
             self._maybe_stream()
         return span
-
-    def span(self, name: str, parent: Optional[Span] = None, **attrs: Any) -> _SpanScope:
-        """Context manager form of :meth:`start_span`/:meth:`finish_span`."""
-        return _SpanScope(self, self.start_span(name, parent=parent, **attrs))
 
     def add_span(
         self,
@@ -328,64 +295,6 @@ class Tracer:
                 os.unlink(tmp)
             raise
         return path
-
-
-class NullTracer:
-    """Do-nothing tracer standing in when tracing is disabled.
-
-    Shares the :class:`Tracer` surface so instrumentation never branches
-    on the tracer type — only on :attr:`enabled`, which hot paths test
-    before building any attribute dicts.
-    """
-
-    enabled = False
-    spans: Tuple[Span, ...] = ()
-
-    _NULL_SPAN = Span(0, "null", 0.0, end=0.0)
-
-    class _NullScope:
-        def __enter__(self):
-            return NullTracer._NULL_SPAN
-
-        def __exit__(self, exc_type, exc, tb):
-            return None
-
-    _NULL_SCOPE = _NullScope()
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        return None
-
-    @property
-    def now(self) -> float:
-        return 0.0
-
-    def start_span(self, name: str, parent: Optional[Span] = None, **attrs: Any) -> Span:
-        return self._NULL_SPAN
-
-    def finish_span(self, span: Span, **attrs: Any) -> Span:
-        return self._NULL_SPAN
-
-    def span(self, name: str, parent: Optional[Span] = None, **attrs: Any):
-        return self._NULL_SCOPE
-
-    def add_span(self, name, start, end, parent=None, **attrs) -> Span:
-        return self._NULL_SPAN
-
-    def event(self, name: str, **attrs: Any) -> Span:
-        return self._NULL_SPAN
-
-    def find(self, name: str) -> List[Span]:
-        return []
-
-    def breakdown(self) -> List[Tuple[str, int, float, float, float]]:
-        return []
-
-    def write_jsonl(self, path: str) -> str:
-        raise RuntimeError("tracing is disabled; no trace to write")
-
-
-#: Shared no-op tracer used whenever tracing is off.
-NULL_TRACER = NullTracer()
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:

@@ -346,7 +346,7 @@ class Transport:
         self._by_instance: Dict[object, List[Channel]] = {}
         self._by_source: Dict[str, List[Channel]] = {}
         #: Pre-resolved telemetry instruments (``None`` until a bundle
-        #: with metrics enabled is bound).
+        #: is bound).
         self._tel_flush = None
         self._tel_stall = None
         self._tel_breaker = None

@@ -2,14 +2,13 @@
 
 from .subscriptions import WorkloadGenerator
 from .scale import ScaleWorkload
-from .rates import constant, piecewise_linear, staircase, trapezoid
+from .rates import piecewise_linear, staircase, trapezoid
 from .frankfurt import FrankfurtTraceModel
 
 __all__ = [
     "FrankfurtTraceModel",
     "ScaleWorkload",
     "WorkloadGenerator",
-    "constant",
     "piecewise_linear",
     "staircase",
     "trapezoid",

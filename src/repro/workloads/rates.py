@@ -7,17 +7,9 @@ to a peak, a stability period, then a gradual decrease back to idle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
-__all__ = ["constant", "trapezoid", "piecewise_linear", "staircase"]
-
-
-def constant(rate: float) -> Callable[[float], float]:
-    """A flat profile."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    return lambda t: rate
+__all__ = ["trapezoid", "piecewise_linear", "staircase"]
 
 
 def trapezoid(

@@ -1,8 +1,8 @@
 """Million-subscription workload generation for out-of-core experiments.
 
-The out-of-core store benchmarks (DESIGN.md §8, ``benchmarks/
-bench_outofcore_store.py``) need pre-encrypted traces one to two orders
-of magnitude larger than the unit-test workloads.  Encrypting a million
+The out-of-core store (DESIGN.md §8) is measured on pre-encrypted
+traces one to two orders of magnitude larger than the unit-test
+workloads (``perfbench``'s 100 000-subscription workloads).  Encrypting a million
 subscriptions one scalar ``encrypt_subscription`` call at a time is the
 bottleneck, not the matching — so :class:`ScaleWorkload` drives the bulk
 cipher kernels (:meth:`~repro.filtering.AspeCipher.encrypt_subscriptions`

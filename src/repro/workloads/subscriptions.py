@@ -17,21 +17,16 @@ subscription, independently across subscriptions.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator, List, Optional
+from typing import List
 
-from ..filtering import (
-    AspeCipher,
-    Op,
-    Predicate,
-    PredicateSet,
-)
-from ..pubsub import Publication, Subscription
+from ..filtering import Op, Predicate, PredicateSet
 
 __all__ = ["WorkloadGenerator"]
 
 
 class WorkloadGenerator:
-    """Deterministic generator of subscriptions and publications."""
+    """Deterministic generator of subscription filters and publication
+    attributes."""
 
     def __init__(
         self,
@@ -76,40 +71,3 @@ class WorkloadGenerator:
             Predicate(attribute, Op.GE, self.value_range - width),
             Predicate(attribute, Op.LT, self.value_range),
         )
-
-    def subscriptions(
-        self,
-        count: int,
-        encrypt: Optional[AspeCipher] = None,
-        plaintext_filters: bool = True,
-    ) -> Iterator[Subscription]:
-        """Yield ``count`` subscriptions (one subscriber each).
-
-        ``encrypt`` wraps filters in ASPE ciphertexts; with
-        ``plaintext_filters=False`` (sampled-backend simulations) the
-        filter payload is omitted entirely.
-        """
-        for sub_id in range(count):
-            payload = None
-            if encrypt is not None:
-                payload = encrypt.encrypt_subscription(self.predicate_set())
-            elif plaintext_filters:
-                payload = self.predicate_set()
-            yield Subscription(sub_id=sub_id, subscriber=sub_id, filter_payload=payload)
-
-    def publication_payloads(
-        self, encrypt: Optional[AspeCipher] = None
-    ) -> Callable[[int], object]:
-        """Payload factory for :class:`~repro.pubsub.SourceDriver`."""
-        if encrypt is not None:
-            return lambda pub_id: encrypt.encrypt_publication(
-                self.publication_attributes()
-            )
-        return lambda pub_id: self.publication_attributes()
-
-    def publications(self, count: int, start_id: int = 0) -> Iterator[Publication]:
-        """Standalone plaintext publications (for direct library tests)."""
-        for offset in range(count):
-            yield Publication(
-                pub_id=start_id + offset, payload=self.publication_attributes()
-            )

@@ -34,6 +34,7 @@ from repro.pubsub import (
     KIND_SUBSCRIPTION,
 )
 from repro.pubsub.messages import MatchList
+from repro.telemetry import Telemetry
 from repro.engine.handler import BROADCAST
 
 from .conftest import HubHarness, small_exact_config
@@ -179,12 +180,13 @@ def notification_key(n):
     return (n.pub_id, n.count, tuple(sorted(n.subscriber_ids)))
 
 
-def run_hub(ap_limit, ep_limit, matcher_limit=1, publications=40):
+def run_hub(ap_limit, ep_limit, matcher_limit=1, publications=40, telemetry=None):
     harness = HubHarness(
         small_exact_config(
             ap_batch_limit=ap_limit,
             ep_batch_limit=ep_limit,
             matcher_batch_limit=matcher_limit,
+            telemetry=telemetry,
         )
     )
     for sub_id in range(40):
@@ -201,6 +203,14 @@ def run_hub(ap_limit, ep_limit, matcher_limit=1, publications=40):
     return harness
 
 
+def processed_events(harness):
+    runtime = harness.hub.runtime
+    return sum(
+        runtime.slice_stats(slice_id)["processed"]
+        for slice_id in harness.hub.engine_slice_ids()
+    )
+
+
 class TestHubEquivalence:
     def test_batched_hub_produces_identical_notification_multiset(self):
         plain = run_hub(1, 1)
@@ -209,6 +219,8 @@ class TestHubEquivalence:
             map(notification_key, batched.hub.notification_log)
         )
         assert batched.hub.duplicate_notifications == 0
+        # Batching collapses transfers and calls, never the event stream.
+        assert processed_events(batched) == processed_events(plain)
         # The burst actually exercised both batch paths.
         ap_batched = sum(
             batched.hub.runtime.handler_of(f"AP:{i}").events_batched
@@ -220,6 +232,15 @@ class TestHubEquivalence:
         )
         assert ap_batched > 0
         assert ep_batched > 0
+
+    def test_coalesced_batches_are_counted(self):
+        telemetry = Telemetry()
+        run_hub(16, 16, matcher_limit=16, telemetry=telemetry)
+        for operator in ("AP", "M", "EP"):
+            batches = telemetry.batches_coalesced.labels(operator=operator).value
+            events = telemetry.events_coalesced.labels(operator=operator).value
+            assert batches > 0, operator
+            assert events >= 2 * batches, operator
 
     def test_batched_hub_charges_identical_cpu(self):
         plain = run_hub(1, 1)

@@ -4,7 +4,7 @@ Covers the PR's acceptance criteria: a Fig. 7-style migration run whose
 per-phase span durations sum to the measured migration delay, heartbeat
 sampling into the registry gauges, enforcer decision records, trace
 determinism, and telemetry being a pure observer (identical notifications
-with it on, off, or disabled).
+with it on or off).
 """
 
 import pytest
@@ -192,33 +192,35 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_telemetry_is_a_pure_observer(self, traced_run):
-        """Enabled, disabled and absent telemetry deliver identically."""
+        """A bound bundle and no bundle deliver identically."""
         _, traced, traced_reports = traced_run
-        results = {}
-        for key, telemetry in (
-            ("off", None), ("disabled", Telemetry.disabled()),
-        ):
-            deployment, reports = run_traced_migrations(telemetry)
-            results[key] = (deployment, reports)
+        bare, bare_reports = run_traced_migrations(None)
 
-        def notifications(deployment):
-            return [
-                (s.delivered_at, s.delay)
-                for s in deployment.hub.delay_tracker.samples
-            ]
+        def observed(deployment):
+            hub = deployment.hub
+            return (
+                sorted(
+                    (n.pub_id, n.count, tuple(sorted(n.subscriber_ids or ())))
+                    for n in hub.notification_log
+                ),
+                {
+                    slice_id: hub.runtime.slice_stats(slice_id)["processed"]
+                    for slice_id in hub.engine_slice_ids()
+                },
+                [(s.delivered_at, s.delay) for s in hub.delay_tracker.samples],
+            )
 
-        baseline = notifications(traced)
-        assert baseline
-        for deployment, reports in results.values():
-            assert notifications(deployment) == baseline
-            assert [r.duration_s for r in reports] == [
-                r.duration_s for r in traced_reports
-            ]
+        baseline = observed(traced)
+        assert baseline[0] and baseline[2]
+        assert observed(bare) == baseline
+        assert [r.duration_s for r in bare_reports] == [
+            r.duration_s for r in traced_reports
+        ]
 
 
 class TestHeartbeatSampling:
     def test_probe_rounds_fill_the_gauges(self):
-        telemetry = Telemetry(tracing=False)
+        telemetry = Telemetry()
         deployment = Deployment(small_setup(telemetry))
         deployment.deploy_groups(1, 2, 1)
         deployment.preload_subscriptions()
@@ -343,11 +345,3 @@ class TestEnforcerDecisionRecord:
             == 0
         )
 
-
-class TestDisabledBundle:
-    def test_disabled_bundle_records_nothing(self):
-        telemetry = Telemetry.disabled()
-        deployment, reports = run_traced_migrations(telemetry)
-        assert reports
-        assert telemetry.metrics is None
-        assert telemetry.tracer.spans == ()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry import NULL_TRACER, NullTracer, Tracer, read_jsonl
+from repro.telemetry import Tracer, read_jsonl
 
 
 class FakeClock:
@@ -52,12 +52,6 @@ class TestSpanLifecycle:
         span = tracer.start_span("migration", slice="M:1")
         tracer.finish_span(span, state_bytes=512)
         assert span.attrs == {"slice": "M:1", "state_bytes": 512}
-
-    def test_context_manager_closes_span(self, tracer, clock):
-        with tracer.span("hop.AP", pub_id=7) as span:
-            clock.time = 0.5
-        assert span.end == 0.5
-        assert span.attrs["pub_id"] == 7
 
     def test_add_span_records_premeasured_interval(self, tracer):
         span = tracer.add_span("hop.M", 1.0, 1.4, pub_id=3)
@@ -225,23 +219,3 @@ class TestStreaming:
         )
         assert list(tmp_path.iterdir()) == [path]  # no temp litter
 
-
-class TestNullTracer:
-    def test_disabled_flag(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-
-    def test_records_nothing(self):
-        span = NULL_TRACER.start_span("x", key="v")
-        NULL_TRACER.finish_span(span)
-        NULL_TRACER.event("y")
-        NULL_TRACER.add_span("z", 0.0, 1.0)
-        with NULL_TRACER.span("w"):
-            pass
-        assert NULL_TRACER.spans == ()
-        assert NULL_TRACER.find("x") == []
-        assert NULL_TRACER.breakdown() == []
-
-    def test_write_jsonl_refuses(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            NULL_TRACER.write_jsonl(str(tmp_path / "trace.jsonl"))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.workloads import (
     FrankfurtTraceModel,
-    constant,
     piecewise_linear,
     staircase,
     trapezoid,
@@ -12,13 +11,6 @@ from repro.workloads import (
 
 
 class TestProfiles:
-    def test_constant(self):
-        rate = constant(42.0)
-        assert rate(0.0) == 42.0
-        assert rate(1e6) == 42.0
-        with pytest.raises(ValueError):
-            constant(-1.0)
-
     def test_trapezoid_shape(self):
         rate = trapezoid(ramp_up_s=100, plateau_s=50, ramp_down_s=100, peak=350)
         assert rate(0) == 0.0

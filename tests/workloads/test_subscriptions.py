@@ -1,10 +1,7 @@
 """Tests for the synthetic workload generator."""
 
-import random
-
 import pytest
 
-from repro.filtering import AspeCipher, AspeKey, EncryptedSubscription
 from repro.workloads import WorkloadGenerator
 
 
@@ -24,27 +21,6 @@ def test_invalid_parameters():
         WorkloadGenerator(matching_rate=1.5)
     with pytest.raises(ValueError):
         WorkloadGenerator(value_range=-1)
-
-
-def test_subscriptions_have_unique_ids_and_filters():
-    gen = WorkloadGenerator(seed=2)
-    subs = list(gen.subscriptions(50))
-    assert [s.sub_id for s in subs] == list(range(50))
-    assert all(s.filter_payload is not None for s in subs)
-
-
-def test_subscriptions_without_filters():
-    gen = WorkloadGenerator(seed=3)
-    subs = list(gen.subscriptions(5, plaintext_filters=False))
-    assert all(s.filter_payload is None for s in subs)
-
-
-def test_encrypted_subscriptions():
-    key = AspeKey.generate(4, rng=random.Random(0))
-    cipher = AspeCipher(key, rng=random.Random(1))
-    gen = WorkloadGenerator(seed=4)
-    subs = list(gen.subscriptions(5, encrypt=cipher))
-    assert all(isinstance(s.filter_payload, EncryptedSubscription) for s in subs)
 
 
 def test_matching_rate_is_respected():
@@ -73,24 +49,9 @@ def test_higher_matching_rate():
 
 
 def test_determinism_by_seed():
-    a = [s.filter_payload for s in WorkloadGenerator(seed=7).subscriptions(10)]
-    b = [s.filter_payload for s in WorkloadGenerator(seed=7).subscriptions(10)]
-    assert a == b
-    c = [s.filter_payload for s in WorkloadGenerator(seed=8).subscriptions(10)]
-    assert a != c
+    def filters(seed):
+        gen = WorkloadGenerator(seed=seed)
+        return [gen.predicate_set() for _ in range(10)]
 
-
-def test_payload_factory_plaintext_and_encrypted():
-    gen = WorkloadGenerator(seed=9)
-    factory = gen.publication_payloads()
-    assert len(factory(0)) == 4
-    key = AspeKey.generate(4, rng=random.Random(0))
-    cipher = AspeCipher(key, rng=random.Random(1))
-    enc_factory = gen.publication_payloads(encrypt=cipher)
-    assert enc_factory(0).vector.shape == (7,)
-
-
-def test_standalone_publications():
-    gen = WorkloadGenerator(seed=10)
-    pubs = list(gen.publications(3, start_id=100))
-    assert [p.pub_id for p in pubs] == [100, 101, 102]
+    assert filters(7) == filters(7)
+    assert filters(7) != filters(8)
