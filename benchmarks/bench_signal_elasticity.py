@@ -19,7 +19,7 @@ symptom can.  The stacks diverge on what happens *between* surges:
   cpu re-provisioning time) — then the veto budget expires and the fleet
   still releases to one host by the end of the run.
 * **spill** vetoes release while transport spill/starvation pressure is
-  recent (``spill_hold_rounds``).  Spill pressure clears as soon as the
+  recent (``SPILL_HOLD_ROUNDS``).  Spill pressure clears as soon as the
   backlog drains, so on this workload it only delays the first release
   by the hold window — an honest negative: spill evidence is a
   saturation signal, not a tail-latency memory.

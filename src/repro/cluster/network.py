@@ -63,14 +63,11 @@ class Network:
         bandwidth_bytes_per_s: float = 1.25e8,
         latency_s: float = 0.5e-3,
         loopback_latency_s: float = 0.05e-3,
-        batch_flush_s: float = 0.0,
     ):
         if bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
         if latency_s < 0 or loopback_latency_s < 0:
             raise ValueError("latencies must be non-negative")
-        if batch_flush_s < 0:
-            raise ValueError("batch flush interval must be non-negative")
         self.env = env
         self.bandwidth = bandwidth_bytes_per_s
         self.latency = latency_s
@@ -80,8 +77,9 @@ class Network:
         #: for throughput; this is where most of the paper's steady-state
         #: notification delay comes from).  Flush epochs are per sender and
         #: phase-shifted, so per-channel FIFO order is preserved — which
-        #: the migration protocol relies on.  0 disables batching.
-        self.batch_flush_s = batch_flush_s
+        #: the migration protocol relies on.  0 disables batching; the
+        #: transport layer programs it (``flush_mode="fixed"``).
+        self.batch_flush_s = 0.0
         self._flush_phase: Dict[str, float] = {}
         #: Simulated time until which each attached NIC is busy sending.
         self._nic_free_at: Dict[str, float] = {}

@@ -27,7 +27,10 @@ from typing import Dict, List, Optional
 
 from .binpack import HostBin, first_fit_decreasing
 from .policy import (
+    MAX_SCALE_OUT_FACTOR,
+    MIN_HOSTS,
     SYMPTOM_KINDS,
+    SYMPTOM_TARGET_FRACTION,
     ElasticityPolicy,
     ScalingAction,
     Violation,
@@ -112,7 +115,7 @@ class ElasticityEnforcer:
         (nothing to select, or no feasible placement).  The violation's
         :attr:`~ViolationKind.action` picks the algorithm; symptom-kind
         scale-outs (SLO breach, spill pressure) pack toward a reduced
-        utilization target (``target_utilization * symptom_target_fraction``)
+        utilization target (``target_utilization * SYMPTOM_TARGET_FRACTION``)
         so capacity is provisioned before CPU evidence exists.
 
         With telemetry bound, each call records an ``enforcer.decision``
@@ -131,8 +134,7 @@ class ElasticityEnforcer:
             utilization_target = None
             if violation.kind in SYMPTOM_KINDS:
                 utilization_target = (
-                    self.policy.target_utilization
-                    * self.policy.symptom_target_fraction
+                    self.policy.target_utilization * SYMPTOM_TARGET_FRACTION
                 )
             decision = self._scale_out(
                 probes, kind=violation.kind, utilization_target=utilization_target
@@ -300,12 +302,9 @@ class ElasticityEnforcer:
         capacity = target * self.host_cores
 
         # Backlog-driven demand is unbounded while queues drain; bound the
-        # step so the fleet grows by at most max_scale_out_factor at once.
+        # step so the fleet grows by at most MAX_SCALE_OUT_FACTOR at once.
         current_hosts = max(1, len(probes.hosts))
-        step_cap_cores = (
-            math.ceil(current_hosts * self.policy.max_scale_out_factor)
-            * capacity
-        )
+        step_cap_cores = math.ceil(current_hosts * MAX_SCALE_OUT_FACTOR) * capacity
         total_demand = sum(
             self._host_load_cores(probes, h) for h in probes.hosts.values()
         )
@@ -375,12 +374,12 @@ class ElasticityEnforcer:
             self._host_load_cores(probes, h) for h in probes.hosts.values()
         )
         minimum_needed = max(
-            self.policy.min_hosts,
+            MIN_HOSTS,
             int(math.ceil(total_load / self._target_capacity()))
             if total_load > 0
-            else self.policy.min_hosts,
+            else MIN_HOSTS,
         )
-        excess = min(current - minimum_needed, current - self.policy.min_hosts)
+        excess = min(current - minimum_needed, current - MIN_HOSTS)
         if excess <= 0:
             return None
 

@@ -123,7 +123,6 @@ class ElasticityManager:
             interval_s=probe_interval_s,
             telemetry=self.telemetry,
             delay_tracker=delay_tracker,
-            delay_window_s=self.policy.slo_window_s,
         )
         self.collector.subscribe(self._on_probes)
         #: Extra probe listeners (experiment recorders).

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from ..config import from_env, knob, parse_csv
 
@@ -67,9 +67,6 @@ class ViolationKind(enum.Enum):
     LOCAL_OVERLOAD = "local_overload"
     #: Windowed p99 notification delay above the configured SLO.
     SLO_BREACH = "slo_breach"
-    #: Windowed p99 well below the SLO for several rounds (release
-    #: trigger of SLO-only stacks; see :class:`DelaySloSignal`).
-    SLO_CLEAR = "slo_clear"
     #: Sustained transport spill/starvation pressure (DESIGN.md §9).
     SPILL_PRESSURE = "spill_pressure"
 
@@ -84,7 +81,6 @@ _KIND_ACTIONS = {
     ViolationKind.GLOBAL_UNDERLOAD: ScalingAction.SCALE_IN,
     ViolationKind.LOCAL_OVERLOAD: ScalingAction.REBALANCE,
     ViolationKind.SLO_BREACH: ScalingAction.SCALE_OUT,
-    ViolationKind.SLO_CLEAR: ScalingAction.SCALE_IN,
     ViolationKind.SPILL_PRESSURE: ScalingAction.SCALE_OUT,
 }
 
@@ -95,50 +91,49 @@ SYMPTOM_KINDS = frozenset(
     {ViolationKind.SLO_BREACH, ViolationKind.SPILL_PRESSURE}
 )
 
+#: Symptom-triggered scale-outs pack toward
+#: ``target_utilization * SYMPTOM_TARGET_FRACTION`` — a reduced target
+#: that lets the two-step algorithm select and place slices before any
+#: host crosses the CPU band (provisioning headroom early).
+SYMPTOM_TARGET_FRACTION = 0.75
+
+#: Never release below this many engine hosts.
+MIN_HOSTS = 1
+
+#: Upper bound on one scale-out step: the fleet may at most grow by this
+#: factor per decision (backlog-driven demand estimates can be
+#: arbitrarily large while a backlog is draining; unbounded steps would
+#: exhaust the provider).
+MAX_SCALE_OUT_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class Violation:
     """A detected policy violation, with the evidence that triggered it.
 
-    ``Violation(kind, measured, host_id)`` — the historical shape — stays
-    constructible and readable: ``measured`` remains the headline scalar
-    (average or single-host CPU for the band rules, windowed p99 seconds
-    for the SLO, spill depth for spill pressure).  Signal-produced
-    violations additionally carry the producing signal's name and a typed
-    evidence record (see :mod:`repro.elastic.signals`); both default to
-    the CPU band signal so pre-signal call sites and trace records are
-    unchanged.
+    ``evidence`` is the producing signal's typed record (see
+    :mod:`repro.elastic.signals`); :attr:`measured` is its headline
+    scalar (average or single-host CPU for the band rules, windowed p99
+    seconds for the SLO, spill depth for spill pressure).
     """
 
     #: Which rule fired.
     kind: ViolationKind
-    #: The violating headline measurement (see class docstring).
-    measured: float
+    #: Typed evidence record of the producing signal.
+    evidence: object
+    #: Name of the policy signal that produced the violation.
+    signal: str
     #: The violating host for :attr:`ViolationKind.LOCAL_OVERLOAD`;
     #: empty for global rules.
     host_id: str = ""
-    #: Name of the policy signal that produced the violation.
-    signal: str = "cpu"
-    #: Typed evidence record (``None`` for shim-constructed violations).
-    evidence: Optional[object] = None
 
-    @classmethod
-    def from_evidence(
-        cls, kind: ViolationKind, evidence, signal: str, host_id: str = ""
-    ) -> "Violation":
-        """Build the evidence-carrying form; ``measured`` is derived."""
-        return cls(
-            kind,
-            evidence.headline,
-            host_id=host_id,
-            signal=signal,
-            evidence=evidence,
-        )
+    @property
+    def measured(self) -> float:
+        """The violating headline measurement (see class docstring)."""
+        return self.evidence.headline
 
     def evidence_attrs(self) -> Mapping[str, object]:
-        """The evidence as flat trace attributes (empty for the shim)."""
-        if self.evidence is None:
-            return {}
+        """The evidence as flat trace attributes."""
         return self.evidence.attrs()
 
 
@@ -168,7 +163,7 @@ class ElasticityPolicy:
         0.70, "global rule: scale out above this average CPU"
     )
     #: Global rule: scale in when the average utilization drops below
-    #: this (and more than ``min_hosts`` hosts are running).
+    #: this (and more than :data:`MIN_HOSTS` hosts are running).
     scale_in_threshold: float = knob(
         0.30, "global rule: scale in below this average CPU"
     )
@@ -178,8 +173,6 @@ class ElasticityPolicy:
     )
     #: Minimum simulated seconds between consecutive enforcement actions.
     grace_period_s: float = knob(30.0, "settle window between enforcement actions")
-    #: Never release below this many engine hosts.
-    min_hosts: int = knob(1, "never release below this many hosts")
     #: Estimate offered load from CPU *and* queue backlog when sizing a
     #: scale-out (see :meth:`SliceProbe.demand_cores`).  Plain measured CPU
     #: saturates at host capacity, which makes the enforcer climb one small
@@ -187,13 +180,9 @@ class ElasticityPolicy:
     #: Extension over the paper's CPU-only metric; set False for the
     #: paper's literal behavior (ablated in benchmarks).
     backlog_aware_scaling: bool = knob(True, "size scale-outs from CPU + queue backlog")
-    #: Upper bound on one scale-out step: the fleet may at most grow by
-    #: this factor per decision (backlog-driven demand estimates can be
-    #: arbitrarily large while a backlog is draining; unbounded steps
-    #: would exhaust the provider).
-    max_scale_out_factor: float = knob(4.0, "max fleet growth factor per decision")
     #: Enabled policy signals, in stack (arbitration) order.  ``cpu`` is
-    #: the paper's global/local band rules; ``slo`` triggers on windowed
+    #: the paper's global/local band rules and every stack contains it
+    #: (it is the only release trigger); ``slo`` triggers on windowed
     #: p99 notification delay; ``spill`` on sustained transport
     #: spill/starvation pressure.  The default reproduces the paper.
     signals: Tuple[str, ...] = knob(
@@ -203,17 +192,6 @@ class ElasticityPolicy:
     )
     #: Target p99 notification delay (seconds) of the ``slo`` signal.
     slo_p99_s: float = knob(1.0, "target p99 notification delay for the slo signal")
-    #: Sliding window (seconds) the p99 is computed over.
-    slo_window_s: float = knob(30.0, "sliding window the p99 is computed over")
-    #: Minimum delay samples in the window before the SLO signal speaks.
-    slo_min_samples: int = knob(20, "min delay samples before the slo signal speaks")
-    #: Consecutive breached probe rounds before :attr:`SLO_BREACH` fires.
-    slo_sustain_rounds: int = knob(1, "consecutive breached rounds before slo fires")
-    #: Scale-in is vetoed while the windowed p99 exceeds this fraction of
-    #: the SLO — the "release later" half of SLO-driven elasticity.
-    slo_release_fraction: float = knob(
-        0.5, "scale-in vetoed while p99 > fraction * SLO"
-    )
     #: A veto can suppress at most this many *consecutive* scale-in
     #: requests before it expires (0 = never expires).  A larger fleet
     #: pays more per-hop flush epochs, so its quiescent p99 can sit above
@@ -224,25 +202,9 @@ class ElasticityPolicy:
     )
     #: Spilled messages (summed over slices) that count as pressure.
     spill_depth_limit: int = knob(50, "summed spill depth that counts as pressure")
-    #: Credit-starved channels (summed over slices) that count as pressure.
-    spill_starved_limit: int = knob(1, "summed starved channels that count as pressure")
     #: Consecutive pressured rounds before :attr:`SPILL_PRESSURE` fires.
     spill_sustain_rounds: int = knob(
         2, "consecutive pressured rounds before spill fires"
-    )
-    #: Calm probe rounds the spill signal tolerates before its sustain
-    #: streak resets and its scale-in veto lifts.  Spill pressure is
-    #: bursty round-to-round (queues drain between flush epochs); the
-    #: hold keeps one quiet heartbeat from hiding sustained pressure.
-    spill_hold_rounds: int = knob(
-        3, "calm rounds tolerated before the spill streak and veto reset"
-    )
-    #: Symptom-triggered scale-outs pack toward
-    #: ``target_utilization * symptom_target_fraction`` — a reduced target
-    #: that lets the two-step algorithm select and place slices before any
-    #: host crosses the CPU band (provisioning headroom early).
-    symptom_target_fraction: float = knob(
-        0.75, "symptom scale-outs pack toward target * fraction"
     )
 
     def __post_init__(self):
@@ -267,12 +229,6 @@ class ElasticityPolicy:
             raise ValueError("local overload threshold below the global one is unstable")
         if self.grace_period_s < 0:
             raise ValueError("grace period must be non-negative")
-        if self.min_hosts < 1:
-            raise ValueError("min_hosts must be at least 1")
-        if self.max_scale_out_factor <= 1.0:
-            raise ValueError("max_scale_out_factor must exceed 1")
-        if not self.signals:
-            raise ValueError("at least one policy signal must be enabled")
         for name in self.signals:
             if name not in SIGNAL_NAMES:
                 raise ValueError(
@@ -281,23 +237,12 @@ class ElasticityPolicy:
                 )
         if len(set(self.signals)) != len(self.signals):
             raise ValueError(f"duplicate policy signal in {self.signals}")
+        if "cpu" not in self.signals:
+            raise ValueError(
+                f"the policy signal stack must contain cpu, got {self.signals}"
+            )
         if self.slo_p99_s <= 0:
             raise ValueError(f"slo_p99_s must be positive, got {self.slo_p99_s}")
-        if self.slo_window_s <= 0:
-            raise ValueError(f"slo_window_s must be positive, got {self.slo_window_s}")
-        if self.slo_min_samples < 1:
-            raise ValueError(
-                f"slo_min_samples must be >= 1, got {self.slo_min_samples}"
-            )
-        if self.slo_sustain_rounds < 1:
-            raise ValueError(
-                f"slo_sustain_rounds must be >= 1, got {self.slo_sustain_rounds}"
-            )
-        if not 0.0 <= self.slo_release_fraction <= 1.0:
-            raise ValueError(
-                "slo_release_fraction must be in [0, 1], got "
-                f"{self.slo_release_fraction}"
-            )
         if self.slo_veto_max_rounds < 0:
             raise ValueError(
                 "slo_veto_max_rounds must be >= 0 (0 disables expiry), got "
@@ -307,22 +252,9 @@ class ElasticityPolicy:
             raise ValueError(
                 f"spill_depth_limit must be >= 1, got {self.spill_depth_limit}"
             )
-        if self.spill_starved_limit < 1:
-            raise ValueError(
-                f"spill_starved_limit must be >= 1, got {self.spill_starved_limit}"
-            )
         if self.spill_sustain_rounds < 1:
             raise ValueError(
                 f"spill_sustain_rounds must be >= 1, got {self.spill_sustain_rounds}"
-            )
-        if self.spill_hold_rounds < 0:
-            raise ValueError(
-                f"spill_hold_rounds must be >= 0, got {self.spill_hold_rounds}"
-            )
-        if not 0.0 < self.symptom_target_fraction <= 1.0:
-            raise ValueError(
-                "symptom_target_fraction must be in (0, 1], got "
-                f"{self.symptom_target_fraction}"
             )
 
     @classmethod

@@ -104,20 +104,23 @@ class DelayWindow:
     max_s: float
 
 
+#: Sliding window (simulated seconds) the ``slo`` signal's p99 is
+#: computed over.
+DELAY_WINDOW_S = 30.0
+
+
 class DelayWindowAggregator:
     """Sliding p50/p99 over a :class:`~repro.metrics.DelayTracker`.
 
     Consumes the tracker's append-only sample list incrementally (an
     index, never a rescan), keeps only samples delivered within the
-    trailing ``window_s``, and summarizes on demand.  Purely an observer:
-    it never mutates the tracker.
+    trailing :data:`DELAY_WINDOW_S`, and summarizes on demand.  Purely an
+    observer: it never mutates the tracker.
     """
 
-    def __init__(self, tracker, window_s: float):
-        if window_s <= 0:
-            raise ValueError("window must be positive")
+    def __init__(self, tracker):
         self.tracker = tracker
-        self.window_s = window_s
+        self.window_s = DELAY_WINDOW_S
         self._next_index = 0
         self._window = deque()  # (delivered_at, delay) pairs, in order
 
@@ -182,14 +185,14 @@ class ProbeCollector:
         interval_s: float = 5.0,
         telemetry=None,
         delay_tracker=None,
-        delay_window_s: float = 30.0,
     ):
         """``telemetry`` is an optional :class:`repro.telemetry.Telemetry`
         bundle; each heartbeat then also refreshes the per-slice/per-host
         gauges and bumps ``heartbeats_total`` (see OBSERVABILITY.md).
         ``delay_tracker`` is an optional :class:`~repro.metrics.DelayTracker`;
         probe sets then carry a :class:`DelayWindow` over the trailing
-        ``delay_window_s`` seconds (required by the ``slo`` policy signal)."""
+        :data:`DELAY_WINDOW_S` seconds (required by the ``slo`` policy
+        signal)."""
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         self.runtime = runtime
@@ -200,7 +203,7 @@ class ProbeCollector:
         self.interval_s = interval_s
         self.telemetry = telemetry
         self.delay_aggregator = (
-            DelayWindowAggregator(delay_tracker, delay_window_s)
+            DelayWindowAggregator(delay_tracker)
             if delay_tracker is not None
             else None
         )

@@ -28,7 +28,7 @@ ship:
    to the earlier signal in the configured stack.
 
 Determinism: signals are pure functions of the probe round plus integer
-round counters (sustain/clear streaks), probe rounds arrive at fixed
+round counters (sustain streaks), probe rounds arrive at fixed
 simulated times, and no wall-clock or randomness is consulted — two runs
 with equal inputs produce equal verdicts.  With the default single-signal
 ``cpu`` stack, the verdict is exactly ``CpuBandSignal``'s first violation.
@@ -39,7 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from .policy import SIGNAL_NAMES, ScalingAction, Violation, ViolationKind
+from .policy import (
+    MIN_HOSTS,
+    SIGNAL_NAMES,
+    ScalingAction,
+    Violation,
+    ViolationKind,
+)
 from .probes import ProbeSet
 
 __all__ = [
@@ -53,6 +59,19 @@ __all__ = [
     "SignalVerdict",
     "SignalStack",
 ]
+
+#: Minimum delay samples in the window before the SLO signal speaks.
+SLO_MIN_SAMPLES = 20
+#: Scale-in is vetoed while the windowed p99 exceeds this fraction of the
+#: SLO — the "release later" half of SLO-driven elasticity.
+SLO_RELEASE_FRACTION = 0.5
+#: Credit-starved channels (summed over slices) that count as pressure.
+SPILL_STARVED_LIMIT = 1
+#: Calm probe rounds the spill signal tolerates before its sustain streak
+#: resets and its scale-in veto lifts.  Spill pressure is bursty
+#: round-to-round (queues drain between flush epochs); the hold keeps one
+#: quiet heartbeat from hiding sustained pressure.
+SPILL_HOLD_ROUNDS = 3
 
 #: Arbitration rank of each action class (lower wins).
 _ACTION_RANK = {
@@ -161,37 +180,37 @@ class CpuBandSignal:
         average = probes.average_utilization()
         if average > policy.scale_out_threshold:
             return [
-                Violation.from_evidence(
+                Violation(
                     ViolationKind.GLOBAL_OVERLOAD,
                     CpuBandEvidence(
                         average, policy.scale_out_threshold, len(probes.hosts)
                     ),
-                    signal=self.name,
+                    self.name,
                 )
             ]
-        if average < policy.scale_in_threshold and len(probes.hosts) > policy.min_hosts:
+        if average < policy.scale_in_threshold and len(probes.hosts) > MIN_HOSTS:
             return [
-                Violation.from_evidence(
+                Violation(
                     ViolationKind.GLOBAL_UNDERLOAD,
                     CpuBandEvidence(
                         average, policy.scale_in_threshold, len(probes.hosts)
                     ),
-                    signal=self.name,
+                    self.name,
                 )
             ]
         # Local rules only when no global rule is violated.
         worst_host = max(probes.hosts.values(), key=lambda h: h.cpu_utilization)
         if worst_host.cpu_utilization > policy.local_overload_threshold:
             return [
-                Violation.from_evidence(
+                Violation(
                     ViolationKind.LOCAL_OVERLOAD,
                     CpuBandEvidence(
                         worst_host.cpu_utilization,
                         policy.local_overload_threshold,
                         len(probes.hosts),
                     ),
-                    signal=self.name,
-                    host_id=worst_host.host_id,
+                    self.name,
+                    worst_host.host_id,
                 )
             ]
         return []
@@ -203,84 +222,54 @@ class CpuBandSignal:
 class DelaySloSignal:
     """Windowed p99 notification delay vs. a target SLO (``slo``).
 
-    Stateful: :attr:`ViolationKind.SLO_BREACH` fires once the windowed
-    p99 exceeds ``slo_p99_s`` for ``slo_sustain_rounds`` consecutive
-    probe rounds with at least ``slo_min_samples`` samples in the window.
-    While the p99 sits above ``slo_release_fraction * slo_p99_s`` the
-    signal vetoes scale-in — capacity is released only once the tail has
-    genuinely recovered.  In stacks without the ``cpu`` signal it also
-    emits :attr:`ViolationKind.SLO_CLEAR` as the release trigger after a
-    sustained deep-clear streak.
+    Stateful: :attr:`ViolationKind.SLO_BREACH` fires on every probe round
+    whose windowed p99 exceeds ``slo_p99_s`` with at least
+    :data:`SLO_MIN_SAMPLES` samples in the window.  While the p99 sits
+    above ``SLO_RELEASE_FRACTION * slo_p99_s`` the signal vetoes
+    scale-in — capacity is released only once the tail has genuinely
+    recovered.  Releasing itself is the ``cpu`` signal's job.
     """
 
     name = "slo"
 
-    def __init__(self, policy, emit_release: bool = False):
+    def __init__(self, policy):
         self.policy = policy
-        self.emit_release = emit_release
         self._breach_rounds = 0
-        self._clear_rounds = 0
         self._veto_rounds = 0
         self._last_p99: Optional[float] = None
 
     def evaluate(self, probes: ProbeSet) -> List[Violation]:
         policy = self.policy
         window = probes.delay
-        if window is None or window.count < policy.slo_min_samples:
-            # Not enough evidence either way: streaks reset, no veto.
+        if window is None or window.count < SLO_MIN_SAMPLES:
+            # Not enough evidence either way: streak resets, no veto.
             self._breach_rounds = 0
-            self._clear_rounds = 0
             self._veto_rounds = 0
             self._last_p99 = None
             return []
         self._last_p99 = window.p99_s
-        if window.p99_s > policy.slo_p99_s:
-            self._breach_rounds += 1
-            self._clear_rounds = 0
-            self._veto_rounds = 0  # fresh breach re-arms the veto budget
-            if self._breach_rounds >= policy.slo_sustain_rounds:
-                return [
-                    Violation.from_evidence(
-                        ViolationKind.SLO_BREACH,
-                        DelaySloEvidence(
-                            p99_s=window.p99_s,
-                            slo_s=policy.slo_p99_s,
-                            samples=window.count,
-                            window_s=window.window_s,
-                            sustained_rounds=self._breach_rounds,
-                        ),
-                        signal=self.name,
-                    )
-                ]
+        if window.p99_s <= policy.slo_p99_s:
+            self._breach_rounds = 0
             return []
-        self._breach_rounds = 0
-        if window.p99_s <= policy.slo_release_fraction * policy.slo_p99_s:
-            self._clear_rounds += 1
-            if (
-                self.emit_release
-                and self._clear_rounds >= policy.slo_sustain_rounds
-                and len(probes.hosts) > policy.min_hosts
-            ):
-                return [
-                    Violation.from_evidence(
-                        ViolationKind.SLO_CLEAR,
-                        DelaySloEvidence(
-                            p99_s=window.p99_s,
-                            slo_s=policy.slo_p99_s,
-                            samples=window.count,
-                            window_s=window.window_s,
-                            sustained_rounds=self._clear_rounds,
-                        ),
-                        signal=self.name,
-                    )
-                ]
-        else:
-            self._clear_rounds = 0
-        return []
+        self._breach_rounds += 1
+        self._veto_rounds = 0  # fresh breach re-arms the veto budget
+        return [
+            Violation(
+                ViolationKind.SLO_BREACH,
+                DelaySloEvidence(
+                    p99_s=window.p99_s,
+                    slo_s=policy.slo_p99_s,
+                    samples=window.count,
+                    window_s=window.window_s,
+                    sustained_rounds=self._breach_rounds,
+                ),
+                self.name,
+            )
+        ]
 
     def vetoes_scale_in(self, probes: ProbeSet) -> Optional[str]:
         policy = self.policy
-        floor = policy.slo_release_fraction * policy.slo_p99_s
+        floor = SLO_RELEASE_FRACTION * policy.slo_p99_s
         if self._last_p99 is None or self._last_p99 <= floor:
             self._veto_rounds = 0
             return None
@@ -305,11 +294,11 @@ class SpillPressureSignal:
 
     Stateful: :attr:`ViolationKind.SPILL_PRESSURE` fires once the summed
     spill depth reaches ``spill_depth_limit`` *or* the summed starved
-    channel count reaches ``spill_starved_limit`` for
+    channel count reaches :data:`SPILL_STARVED_LIMIT` for
     ``spill_sustain_rounds`` consecutive probe rounds.  Spill pressure is
     bursty — queues drain to zero between flush epochs, so adjacent probe
     rounds can read 70k and then 0 during one sustained overload — so up
-    to ``spill_hold_rounds`` calm rounds neither reset the sustain streak
+    to :data:`SPILL_HOLD_ROUNDS` calm rounds neither reset the sustain streak
     nor lift the scale-in veto.  While pressure is present (or within the
     hold) the signal vetoes scale-in.  Spill signals are only nonzero
     with credit backpressure enabled (DESIGN.md §9); without it this
@@ -329,11 +318,11 @@ class SpillPressureSignal:
         starved = sum(s.starved_channels for s in probes.slices.values())
         pressured = (
             depth >= policy.spill_depth_limit
-            or starved >= policy.spill_starved_limit
+            or starved >= SPILL_STARVED_LIMIT
         )
         if not pressured:
             self._calm_rounds += 1
-            if self._calm_rounds > policy.spill_hold_rounds:
+            if self._calm_rounds > SPILL_HOLD_ROUNDS:
                 self._pressure_rounds = 0
             return []
         self._calm_rounds = 0
@@ -345,7 +334,7 @@ class SpillPressureSignal:
             key=lambda s: (s.spill_depth, s.starved_channels),
         )
         return [
-            Violation.from_evidence(
+            Violation(
                 ViolationKind.SPILL_PRESSURE,
                 SpillEvidence(
                     spill_depth=depth,
@@ -353,7 +342,7 @@ class SpillPressureSignal:
                     worst_slice=worst.slice_id,
                     sustained_rounds=self._pressure_rounds,
                 ),
-                signal=self.name,
+                self.name,
             )
         ]
 
@@ -362,7 +351,7 @@ class SpillPressureSignal:
             if self._calm_rounds:
                 return (
                     f"spill pressure seen {self._calm_rounds} round(s) ago "
-                    f"(hold {self.policy.spill_hold_rounds})"
+                    f"(hold {SPILL_HOLD_ROUNDS})"
                 )
             return (
                 f"spill pressure present for {self._pressure_rounds} "
@@ -413,11 +402,7 @@ class SignalStack:
             if name == "cpu":
                 signals.append(CpuBandSignal(policy))
             elif name == "slo":
-                signals.append(
-                    DelaySloSignal(
-                        policy, emit_release="cpu" not in policy.signals
-                    )
-                )
+                signals.append(DelaySloSignal(policy))
             elif name == "spill":
                 signals.append(SpillPressureSignal(policy))
             else:  # pragma: no cover - rejected by policy validation

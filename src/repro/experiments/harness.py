@@ -34,20 +34,7 @@ class ExperimentSetup:
     parallelism: int = 8
     host_cores: int = 8
     max_hosts: int = 30
-    provisioning_delay_s: float = 2.0
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Per-sender channel flush interval (StreamMine3G micro-batching);
-    #: dominates the steady-state notification delay (DESIGN.md §5).
-    #: Plumbs into ``HubConfig.net.flush_s`` — the hub configuration is
-    #: the single source of truth for transport knobs, and the deployment
-    #: builds the fabric from it.
-    batch_flush_s: float = 0.10
-    #: Channel flush policy (DESIGN.md §9).  ``None`` derives the
-    #: pre-transport behaviour from ``batch_flush_s``: ``fixed`` fabric
-    #: epochs when positive, ``eager`` when zero.  Set ``adaptive`` for
-    #: per-channel latency-bounded flush with ``batch_flush_s`` as the
-    #: delay budget.
-    flush_mode: Optional[str] = None
     #: Credit-based backpressure on every transport channel.  ``None``
     #: leaves it to ``REPRO_NET_BACKPRESSURE`` (else off), so the
     #: environment flips the experiments too.
@@ -61,9 +48,9 @@ class ExperimentSetup:
     telemetry: Optional[object] = None
 
     def hub_config(self) -> HubConfig:
-        flush_mode = self.flush_mode
-        if flush_mode is None:
-            flush_mode = "fixed" if self.batch_flush_s > 0.0 else "eager"
+        """The paper deployment's hub.  Its transport flushes on fixed
+        0.1 s per-sender epochs (StreamMine3G micro-batching), which
+        dominate the steady-state notification delay (DESIGN.md §5)."""
         return HubConfig.sampled(
             self.matching_rate,
             ap_slices=self.ap_slices,
@@ -74,8 +61,8 @@ class ExperimentSetup:
             cost_model=self.cost_model,
             telemetry=self.telemetry,
             net=TransportConfig.from_env(
-                flush_mode=flush_mode,
-                flush_s=self.batch_flush_s,
+                flush_mode="fixed",
+                flush_s=0.10,
                 backpressure=self.backpressure,
                 credit_window=self.credit_window,
             ),
@@ -113,7 +100,6 @@ class Deployment:
             network=Network(self.env),
             spec=HostSpec(cores=self.setup.host_cores),
             max_hosts=self.setup.max_hosts + 2,  # + sink/source hosts
-            provisioning_delay_s=self.setup.provisioning_delay_s,
         )
         self.hub = StreamHub(self.env, self.cloud.network, self.setup.hub_config())
         self.engine_hosts: List[Host] = []

@@ -864,15 +864,9 @@ class AspeLibrary(FilteringLibrary):
         self._chunks.mark_dead(*self._spans.pop(sub_id))
 
     def _maybe_compact(self) -> None:
-        # Compact once dead/(dead+live) exceeds the configured ratio (and
-        # a fixed floor).  The default ratio of 0.5 solves to
-        # ``dead > max(live, 64)`` — exactly the seed's hardcoded trigger.
-        ratio = self._store_config.compact_dead_ratio
-        if ratio >= 1.0:
-            return
+        # Compact once dead rows outnumber live ones (and a fixed floor).
         dead = self._dead_rows
-        live = self._rows - dead
-        if dead > max(live * ratio / (1.0 - ratio), _COMPACT_MIN_DEAD):
+        if dead > max(self._rows - dead, _COMPACT_MIN_DEAD):
             self._compact()
 
     def _compact(self) -> None:

@@ -51,11 +51,6 @@ class StoreConfig:
         Resident-set budget for ``mmap`` chunk data, in MiB.  ``0``
         disables eviction.  The hottest chunk is never evicted, so the
         effective floor is one chunk.
-    ``compact_dead_ratio``
-        Compact once ``dead / (dead + live)`` exceeds this ratio (and
-        dead rows exceed a fixed floor).  The default ``0.5`` reproduces
-        the seed's hardcoded "dead rows outnumber live ones" trigger;
-        ``1.0`` disables compaction entirely.
     ``spill_dir``
         Parent directory for ``mmap`` chunk files (default: the system
         temporary directory).  Each store creates — and removes on
@@ -75,9 +70,6 @@ class StoreConfig:
         0.0,
         "mmap resident-set budget per library in MiB (0 = unbounded)",
         env="REPRO_STORE_MEMORY_BUDGET_MB",
-    )
-    compact_dead_ratio: float = knob(
-        0.5, "compact once dead rows exceed this fraction (0 < r <= 1)"
     )
     spill_dir: Optional[str] = knob(
         None,
@@ -105,11 +97,6 @@ class StoreConfig:
             raise ValueError(
                 f"store_memory_budget_mb must be >= 0 (0 disables eviction), "
                 f"got {self.memory_budget_mb}"
-            )
-        if not 0.0 < self.compact_dead_ratio <= 1.0:
-            raise ValueError(
-                f"store_compact_dead_ratio must be in (0, 1] (1 disables "
-                f"compaction), got {self.compact_dead_ratio}"
             )
 
     @property

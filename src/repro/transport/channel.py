@@ -26,7 +26,7 @@ instance)`` pair.  It owns two policies the raw fabric does not have:
   (:meth:`~repro.cluster.Network.is_partitioned`), the channel opens a
   breaker instead of flushing into a black hole: pending messages shed
   to the spill queue (same accounting as credit starvation) and a timer
-  re-probes the fabric every ``breaker_probe_s`` until the partition
+  re-probes the fabric every :data:`BREAKER_PROBE_S` until the partition
   heals, then flushes with cause ``heal``.  See RESILIENCE.md.
 
 Per-channel FIFO order is preserved unconditionally: the pending queue is
@@ -56,6 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Channel", "Transport"]
 
+#: Re-probe period (simulated seconds) of a tripped circuit breaker.
+BREAKER_PROBE_S = 0.5
+
 #: Flush causes recorded per channel and in ``transport_flushes_total``.
 #: ``heal`` is the flush a circuit breaker issues when the partition that
 #: tripped it disappears from the fabric.
@@ -83,7 +86,6 @@ class Channel:
         "_deadline_token",
         "_starved_since",
         "_breaker_open",
-        "_probe_s",
         "breaker_trips",
         "stall_seconds_total",
         "stall_count",
@@ -117,7 +119,6 @@ class Channel:
         #: True while the circuit breaker holds the channel off a
         #: partitioned fabric path (pending messages shed to spill).
         self._breaker_open = False
-        self._probe_s = config.breaker_probe_s
         self.breaker_trips = 0
         self.stall_seconds_total = 0.0
         self.stall_count = 0
@@ -260,7 +261,7 @@ class Channel:
         dropped by the fabric and its credit lost for the partition's
         lifetime), the channel opens a breaker: pending messages park in
         the spill queue exactly as under credit starvation, and a probe
-        timer re-checks the fabric every ``breaker_probe_s`` until the
+        timer re-checks the fabric every :data:`BREAKER_PROBE_S` until the
         partition heals, then flushes with cause ``heal``.
         """
         self._breaker_open = True
@@ -270,13 +271,13 @@ class Channel:
         fam = self._transport._tel_breaker
         if fam is not None:
             fam.inc()
-        self.env.call_later(self._probe_s, self._probe_breaker)
+        self.env.call_later(BREAKER_PROBE_S, self._probe_breaker)
 
     def _probe_breaker(self) -> None:
         if self.released or not self._breaker_open:
             return
         if self.network.is_partitioned(self._src_host, self.dst_host):
-            self.env.call_later(self._probe_s, self._probe_breaker)
+            self.env.call_later(BREAKER_PROBE_S, self._probe_breaker)
             return
         self._breaker_open = False
         if self._pending:

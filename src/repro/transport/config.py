@@ -68,14 +68,6 @@ class TransportConfig:
     credit_window: int = knob(
         256, "send credits per channel", env="REPRO_NET_CREDIT_WINDOW"
     )
-    #: Re-probe period of a tripped circuit breaker: when the fabric
-    #: reports the channel's ``(src, dst)`` pair partitioned, the channel
-    #: opens its breaker, sheds to spill, and re-checks the fabric every
-    #: ``breaker_probe_s`` simulated seconds until the partition heals
-    #: (see RESILIENCE.md).
-    breaker_probe_s: float = knob(
-        0.5, "re-probe period of a tripped circuit breaker in seconds"
-    )
 
     def __post_init__(self):
         if self.flush_mode not in FLUSH_MODES:
@@ -93,17 +85,6 @@ class TransportConfig:
             raise ValueError(
                 f"credit_window must be >= 1, got {self.credit_window}"
             )
-        if self.breaker_probe_s <= 0:
-            raise ValueError(
-                f"breaker_probe_s must be > 0, got {self.breaker_probe_s}"
-            )
-
-    @property
-    def buffered(self) -> bool:
-        """True when channels accumulate before flushing (adaptive mode)."""
-        return self.flush_mode == "adaptive" and (
-            self.flush_s > 0.0 or self.flush_max_batch > 1
-        )
 
     @classmethod
     def from_env(cls, **overrides) -> "TransportConfig":

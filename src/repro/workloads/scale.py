@@ -7,9 +7,7 @@ subscriptions one scalar ``encrypt_subscription`` call at a time is the
 bottleneck, not the matching — so :class:`ScaleWorkload` drives the bulk
 cipher kernels (:meth:`~repro.filtering.AspeCipher.encrypt_subscriptions`
 and :meth:`~repro.filtering.AspeCipher.encrypt_publications`, one BLAS
-call per batch) and loads libraries through their vectorized
-``store_many`` path when they have one.  Subscription ids are assigned
-sequentially.
+call per batch).  Subscription ids are assigned sequentially.
 """
 
 from __future__ import annotations
@@ -65,26 +63,6 @@ class ScaleWorkload:
             base = start_id + produced
             yield [(base + i, sub) for i, sub in enumerate(encrypted)]
             produced += size
-
-    def load(
-        self, library, count: int, batch_size: int = 10_000, start_id: int = 0
-    ) -> int:
-        """Bulk-load ``count`` subscriptions into ``library``.
-
-        Uses the library's ``store_many`` (one packed append + one epoch
-        bump per batch) when available, falling back to per-item
-        ``store``.  Returns the number of subscriptions stored.
-        """
-        store_many = getattr(library, "store_many", None)
-        total = 0
-        for batch in self.subscription_batches(count, batch_size, start_id):
-            if callable(store_many):
-                store_many(batch)
-            else:
-                for sub_id, payload in batch:
-                    library.store(sub_id, payload)
-            total += len(batch)
-        return total
 
     # -- publications ---------------------------------------------------------
 

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.elastic import ElasticityEnforcer, ElasticityPolicy, ViolationKind
-from repro.elastic.policy import Violation
+from repro.elastic import enforcer as enforcer_module
+from repro.elastic.policy import MAX_SCALE_OUT_FACTOR
 from repro.elastic.probes import HostProbe, ProbeSet, SliceProbe
+
+from .conftest import cpu_violation
 
 GIB = 1024 ** 3
 
@@ -52,10 +55,8 @@ class TestDemandCores:
 
 
 class TestScaleOutStepCap:
-    def make_enforcer(self, factor=4.0, backlog=True):
-        policy = ElasticityPolicy(
-            backlog_aware_scaling=backlog, max_scale_out_factor=factor
-        )
+    def make_enforcer(self, backlog=True):
+        policy = ElasticityPolicy(backlog_aware_scaling=backlog)
         return ElasticityEnforcer(policy, host_cores=8, host_memory_bytes=8 * GIB)
 
     def test_extreme_backlog_bounded_by_step_factor(self):
@@ -64,23 +65,23 @@ class TestScaleOutStepCap:
             probe(f"M:{i}", "h", 1.0, queue=100_000, processed=10) for i in range(8)
         ]
         probes = probes_for({"h": entries})
-        enforcer = self.make_enforcer(factor=2.0)
-        decision = enforcer.resolve(
-            probes, Violation(ViolationKind.GLOBAL_OVERLOAD, 1.0)
+        decision = self.make_enforcer().resolve(
+            probes, cpu_violation(ViolationKind.GLOBAL_OVERLOAD, 1.0)
         )
-        # Fleet may at most double: 1 host → at most 1 extra.
-        assert decision.new_hosts <= 2
+        # The fleet may at most grow by the step factor per decision.
+        assert 1 + decision.new_hosts <= MAX_SCALE_OUT_FACTOR
 
-    def test_larger_factor_allows_bigger_jump(self):
+    def test_larger_factor_allows_bigger_jump(self, monkeypatch):
         entries = [
             probe(f"M:{i}", "h", 1.0, queue=100_000, processed=10) for i in range(8)
         ]
         probes = probes_for({"h": entries})
-        small = self.make_enforcer(factor=2.0).resolve(
-            probes, Violation(ViolationKind.GLOBAL_OVERLOAD, 1.0)
+        large = self.make_enforcer().resolve(
+            probes, cpu_violation(ViolationKind.GLOBAL_OVERLOAD, 1.0)
         )
-        large = self.make_enforcer(factor=6.0).resolve(
-            probes, Violation(ViolationKind.GLOBAL_OVERLOAD, 1.0)
+        monkeypatch.setattr(enforcer_module, "MAX_SCALE_OUT_FACTOR", 2.0)
+        small = self.make_enforcer().resolve(
+            probes, cpu_violation(ViolationKind.GLOBAL_OVERLOAD, 1.0)
         )
         assert large.new_hosts > small.new_hosts
 
@@ -89,13 +90,9 @@ class TestScaleOutStepCap:
                 for i in range(8)]
         probes = probes_for({"h": busy})
         backlog_aware = self.make_enforcer(backlog=True).resolve(
-            probes, Violation(ViolationKind.GLOBAL_OVERLOAD, 0.74)
+            probes, cpu_violation(ViolationKind.GLOBAL_OVERLOAD, 0.74)
         )
         cpu_only = self.make_enforcer(backlog=False).resolve(
-            probes, Violation(ViolationKind.GLOBAL_OVERLOAD, 0.74)
+            probes, cpu_violation(ViolationKind.GLOBAL_OVERLOAD, 0.74)
         )
         assert backlog_aware.new_hosts > cpu_only.new_hosts
-
-    def test_policy_validates_step_factor(self):
-        with pytest.raises(ValueError):
-            ElasticityPolicy(max_scale_out_factor=1.0)

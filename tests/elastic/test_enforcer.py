@@ -12,10 +12,12 @@ from repro.elastic import (
     ProbeCollector,
     ViolationKind,
 )
-from repro.elastic.policy import Violation
+from repro.elastic.policy import MIN_HOSTS
 from repro.elastic.probes import HostProbe, ProbeSet, SliceProbe
 from repro.pubsub import HubConfig, StreamHub
 from repro.sim import Environment
+
+from .conftest import cpu_violation
 
 GIB = 1024 ** 3
 MIB = 1024 ** 2
@@ -70,7 +72,7 @@ class TestScaleOut:
             "idle": [("EP:0", 0.4, 10)],
         })
         decision = enforcer.resolve(
-            probes, Violation(ViolationKind.GLOBAL_OVERLOAD, 0.45)
+            probes, cpu_violation(ViolationKind.GLOBAL_OVERLOAD, 0.45)
         )
         # busy at 85%: ~2.8 cores must leave; idle has 3.6 cores headroom
         # below target, so no new host should be needed.
@@ -81,7 +83,7 @@ class TestScaleOut:
     def test_no_overloaded_host_yields_none(self, enforcer):
         probes = make_probes({"h": [("M:0", 2.0, 100)]})  # 25% util
         assert enforcer.resolve(
-            probes, Violation(ViolationKind.GLOBAL_OVERLOAD, 0.9)
+            probes, cpu_violation(ViolationKind.GLOBAL_OVERLOAD, 0.9)
         ) is None
 
     def test_migrations_never_target_origin_host(self, enforcer):
@@ -89,7 +91,7 @@ class TestScaleOut:
             "h1": [(f"M:{i}", 0.8, 100) for i in range(8)],  # 80% util
         })
         decision = enforcer.resolve(
-            probes, Violation(ViolationKind.GLOBAL_OVERLOAD, 0.8)
+            probes, cpu_violation(ViolationKind.GLOBAL_OVERLOAD, 0.8)
         )
         assert decision is not None
         assert all(m.to_host != "h1" for m in decision.migrations)
@@ -103,7 +105,7 @@ class TestScaleIn:
             "h3": [("AP:0", 0.2, 10)],
         })
         decision = enforcer.resolve(
-            probes, Violation(ViolationKind.GLOBAL_UNDERLOAD, 0.1)
+            probes, cpu_violation(ViolationKind.GLOBAL_UNDERLOAD, 0.1)
         )
         # Total 2.4 cores needs ceil(2.4/4) = 1 host; two can go; the least
         # loaded (h3 then h2) are chosen.
@@ -119,21 +121,23 @@ class TestScaleIn:
         })
         # 6.4 cores / 4-core target capacity = 2 hosts: no excess.
         assert enforcer.resolve(
-            probes, Violation(ViolationKind.GLOBAL_UNDERLOAD, 0.4)
+            probes, cpu_violation(ViolationKind.GLOBAL_UNDERLOAD, 0.4)
         ) is None
 
-    def test_never_goes_below_min_hosts(self):
-        policy = ElasticityPolicy(min_hosts=2)
-        enforcer = ElasticityEnforcer(policy, host_cores=8, host_memory_bytes=8 * GIB)
+    def test_never_goes_below_min_hosts(self, enforcer):
         probes = make_probes({
             "h1": [("M:0", 0.1, 10)],
             "h2": [("M:1", 0.1, 10)],
             "h3": [("AP:0", 0.1, 10)],
         })
         decision = enforcer.resolve(
-            probes, Violation(ViolationKind.GLOBAL_UNDERLOAD, 0.0125)
+            probes, cpu_violation(ViolationKind.GLOBAL_UNDERLOAD, 0.0125)
         )
-        assert len(decision.release_hosts) == 1
+        assert len(probes.hosts) - len(decision.release_hosts) == MIN_HOSTS
+        single = make_probes({"h1": [("M:0", 0.1, 10)]})
+        assert enforcer.resolve(
+            single, cpu_violation(ViolationKind.GLOBAL_UNDERLOAD, 0.0125)
+        ) is None
 
     def test_empty_host_released_without_migrations(self, enforcer):
         probes = make_probes({
@@ -141,7 +145,7 @@ class TestScaleIn:
             "h2": [],
         })
         decision = enforcer.resolve(
-            probes, Violation(ViolationKind.GLOBAL_UNDERLOAD, 0.0625)
+            probes, cpu_violation(ViolationKind.GLOBAL_UNDERLOAD, 0.0625)
         )
         assert decision.release_hosts == ["h2"]
         assert decision.migrations == []
@@ -154,7 +158,7 @@ class TestLocalRule:
             "cold": [("AP:0", 0.4, 10)],  # 5%
         })
         decision = enforcer.resolve(
-            probes, Violation(ViolationKind.LOCAL_OVERLOAD, 0.9125, host_id="hot")
+            probes, cpu_violation(ViolationKind.LOCAL_OVERLOAD, 0.9125, "hot")
         )
         assert decision.kind is ViolationKind.LOCAL_OVERLOAD
         assert decision.new_hosts == 0
@@ -167,7 +171,7 @@ class TestLocalRule:
             "alsohot": [("M:2", 3.9, 100)],
         })
         decision = enforcer.resolve(
-            probes, Violation(ViolationKind.LOCAL_OVERLOAD, 0.9, host_id="hot")
+            probes, cpu_violation(ViolationKind.LOCAL_OVERLOAD, 0.9, "hot")
         )
         assert decision.new_hosts == 1
 
@@ -207,13 +211,13 @@ class TestLocalRule:
         probes = dataclasses.replace(collected, hosts=hosts, slices=slices)
         assert enforcer.resolve(
             probes,
-            Violation(ViolationKind.LOCAL_OVERLOAD, 7.8 / 8, host_id=hot.host_id),
+            cpu_violation(ViolationKind.LOCAL_OVERLOAD, 7.8 / 8, hot.host_id),
         ) is None
 
     def test_unknown_host_yields_none(self, enforcer):
         probes = make_probes({"h": [("M:0", 1.0, 100)]})
         assert enforcer.resolve(
-            probes, Violation(ViolationKind.LOCAL_OVERLOAD, 0.9, host_id="ghost")
+            probes, cpu_violation(ViolationKind.LOCAL_OVERLOAD, 0.9, "ghost")
         ) is None
 
 

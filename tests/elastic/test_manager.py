@@ -115,7 +115,7 @@ def test_released_hosts_returned_to_cloud():
     env, cloud, hub, manager = build(initial_hosts=3)
     start_active = cloud.active_count
     manager.start()
-    env.run(until=200.0)  # no load at all: scale in to min_hosts
+    env.run(until=200.0)  # no load at all: scale in to one host
     assert manager.host_count == 1
     # 2 engine hosts released (the sink host stays).
     assert cloud.active_count == start_active - 2

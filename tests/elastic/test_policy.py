@@ -3,6 +3,7 @@
 import pytest
 
 from repro.elastic import CpuBandSignal, ElasticityPolicy, ViolationKind
+from repro.elastic.policy import MIN_HOSTS
 from repro.elastic.probes import HostProbe, ProbeSet
 
 
@@ -40,8 +41,8 @@ def test_global_underload_detected():
 
 
 def test_underload_ignored_at_min_hosts():
-    policy = ElasticityPolicy(min_hosts=1)
-    assert check(policy, probe_set([0.05])) is None
+    assert MIN_HOSTS == 1
+    assert check(ElasticityPolicy(), probe_set([0.05])) is None
 
 
 def test_in_band_average_is_fine():
@@ -75,5 +76,9 @@ def test_threshold_validation():
         ElasticityPolicy(local_overload_threshold=0.5)
     with pytest.raises(ValueError):
         ElasticityPolicy(grace_period_s=-1)
-    with pytest.raises(ValueError):
-        ElasticityPolicy(min_hosts=0)
+
+
+def test_every_stack_contains_cpu():
+    # The cpu band rules are the only release trigger.
+    with pytest.raises(ValueError, match="cpu"):
+        ElasticityPolicy(signals=("slo",))

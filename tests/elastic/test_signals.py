@@ -14,7 +14,13 @@ from repro.elastic import (
     ViolationKind,
 )
 from repro.elastic.probes import DelayWindow, HostProbe, ProbeSet, SliceProbe
-from repro.elastic.signals import DelaySloEvidence, SpillEvidence
+from repro.elastic.signals import (
+    SPILL_HOLD_ROUNDS,
+    SPILL_STARVED_LIMIT,
+    CpuBandEvidence,
+    DelaySloEvidence,
+    SpillEvidence,
+)
 from repro.telemetry import Telemetry
 
 
@@ -92,36 +98,27 @@ class TestDelaySloSignal:
         assert violation.evidence.slo_s == 1.0
 
     def test_quiet_without_window_or_samples(self):
-        policy = ElasticityPolicy(signals=("cpu", "slo"), slo_min_samples=20)
+        policy = ElasticityPolicy(signals=("cpu", "slo"))
         signal = DelaySloSignal(policy)
         assert signal.evaluate(probe_set([0.5], delay=None)) == []
         assert signal.evaluate(
             probe_set([0.5], delay=window(9.9, count=5))
         ) == []
 
-    def test_sustain_rounds_gate_the_breach(self):
-        policy = ElasticityPolicy(
-            signals=("cpu", "slo"), slo_sustain_rounds=3
-        )
-        signal = DelaySloSignal(policy)
-        assert signal.evaluate(probe_set([0.5], delay=window(2.0))) == []
-        assert signal.evaluate(probe_set([0.5], delay=window(2.0))) == []
-        (violation,) = signal.evaluate(probe_set([0.5], delay=window(2.0)))
-        assert violation.evidence.sustained_rounds == 3
-
     def test_recovery_resets_the_streak(self):
-        policy = ElasticityPolicy(
-            signals=("cpu", "slo"), slo_sustain_rounds=2
-        )
-        signal = DelaySloSignal(policy)
-        assert signal.evaluate(probe_set([0.5], delay=window(2.0))) == []
-        assert signal.evaluate(probe_set([0.5], delay=window(0.2))) == []
-        assert signal.evaluate(probe_set([0.5], delay=window(2.0))) == []
+        signal = DelaySloSignal(ElasticityPolicy(signals=("cpu", "slo")))
+
+        def streak(p99):
+            found = signal.evaluate(probe_set([0.5], delay=window(p99)))
+            return [v.evidence.sustained_rounds for v in found]
+
+        assert streak(2.0) == [1]
+        assert streak(2.0) == [2]
+        assert streak(0.2) == []
+        assert streak(2.0) == [1]
 
     def test_vetoes_scale_in_until_release_floor(self):
-        policy = ElasticityPolicy(
-            signals=("cpu", "slo"), slo_p99_s=1.0, slo_release_fraction=0.5
-        )
+        policy = ElasticityPolicy(signals=("cpu", "slo"), slo_p99_s=1.0)
         signal = DelaySloSignal(policy)
         probes = probe_set([0.5], delay=window(0.8))
         signal.evaluate(probes)
@@ -132,8 +129,7 @@ class TestDelaySloSignal:
 
     def test_veto_expires_after_the_configured_budget(self):
         policy = ElasticityPolicy(
-            signals=("cpu", "slo"), slo_p99_s=1.0,
-            slo_release_fraction=0.5, slo_veto_max_rounds=2,
+            signals=("cpu", "slo"), slo_p99_s=1.0, slo_veto_max_rounds=2,
         )
         signal = DelaySloSignal(policy)
         # p99 parked above the floor but below the SLO: no breach, so the
@@ -147,18 +143,6 @@ class TestDelaySloSignal:
         signal.evaluate(probe_set([0.5], delay=window(2.0)))
         signal.evaluate(probes)
         assert signal.vetoes_scale_in(probes) is not None
-
-    def test_clear_release_only_in_cpu_free_stacks(self):
-        policy = ElasticityPolicy(signals=("slo",), slo_sustain_rounds=1)
-        withheld = DelaySloSignal(policy, emit_release=False)
-        emitting = DelaySloSignal(policy, emit_release=True)
-        probes = probe_set([0.2, 0.2], delay=window(0.1))
-        assert withheld.evaluate(probes) == []
-        (violation,) = emitting.evaluate(probes)
-        assert violation.kind is ViolationKind.SLO_CLEAR
-        # Never releases below min_hosts.
-        single = probe_set([0.2], delay=window(0.1))
-        assert emitting.evaluate(single) == []
 
 
 # -- SpillPressureSignal --------------------------------------------------
@@ -182,30 +166,29 @@ class TestSpillPressureSignal:
 
     def test_fires_on_starved_channels(self):
         policy = ElasticityPolicy(
-            signals=("cpu", "spill"), spill_starved_limit=2,
-            spill_sustain_rounds=1,
+            signals=("cpu", "spill"), spill_sustain_rounds=1,
         )
         signal = SpillPressureSignal(policy)
-        slices = {
-            "M:0": spill_slice("M:0", starved=1),
-            "M:1": spill_slice("M:1", starved=1),
-        }
+        assert signal.evaluate(
+            probe_set([0.5], slices={"M:0": spill_slice("M:0")})
+        ) == []
+        slices = {"M:0": spill_slice("M:0", starved=SPILL_STARVED_LIMIT)}
         (violation,) = signal.evaluate(probe_set([0.5], slices=slices))
-        assert violation.evidence.starved_channels == 2
+        assert violation.evidence.starved_channels == SPILL_STARVED_LIMIT
 
     def test_calm_rounds_reset_the_streak_and_the_veto(self):
         policy = ElasticityPolicy(
             signals=("cpu", "spill"), spill_sustain_rounds=2,
-            spill_hold_rounds=0,
         )
         signal = SpillPressureSignal(policy)
         pressured = {"M:0": spill_slice(depth=60)}
         calm = {"M:0": spill_slice(depth=0)}
         signal.evaluate(probe_set([0.5], slices=pressured))
         assert signal.vetoes_scale_in(probe_set([0.5])) is not None
-        signal.evaluate(probe_set([0.5], slices=calm))
+        for _ in range(SPILL_HOLD_ROUNDS + 1):
+            signal.evaluate(probe_set([0.5], slices=calm))
         assert signal.vetoes_scale_in(probe_set([0.5])) is None
-        signal.evaluate(probe_set([0.5], slices=pressured))
+        assert signal.evaluate(probe_set([0.5], slices=pressured)) == []
         assert signal.evaluate(probe_set([0.5], slices=pressured)) != []
 
     def test_hold_rounds_bridge_bursty_pressure(self):
@@ -213,21 +196,21 @@ class TestSpillPressureSignal:
         # probe round must not hide a sustained overload.
         policy = ElasticityPolicy(
             signals=("cpu", "spill"), spill_sustain_rounds=2,
-            spill_hold_rounds=1,
         )
         signal = SpillPressureSignal(policy)
         pressured = {"M:0": spill_slice(depth=60)}
         calm = {"M:0": spill_slice(depth=0)}
         signal.evaluate(probe_set([0.5], slices=pressured))
-        signal.evaluate(probe_set([0.5], slices=calm))  # within the hold
+        for _ in range(SPILL_HOLD_ROUNDS):  # within the hold
+            signal.evaluate(probe_set([0.5], slices=calm))
         reason = signal.vetoes_scale_in(probe_set([0.5]))
         assert reason is not None and "hold" in reason
         # The streak survived the gap: the next pressured round sustains.
         (violation,) = signal.evaluate(probe_set([0.5], slices=pressured))
         assert violation.kind is ViolationKind.SPILL_PRESSURE
-        # A second calm round exceeds the hold: streak and veto reset.
-        signal.evaluate(probe_set([0.5], slices=calm))
-        signal.evaluate(probe_set([0.5], slices=calm))
+        # One calm round past the hold: streak and veto reset.
+        for _ in range(SPILL_HOLD_ROUNDS + 1):
+            signal.evaluate(probe_set([0.5], slices=calm))
         assert signal.vetoes_scale_in(probe_set([0.5])) is None
 
 
@@ -266,7 +249,6 @@ class TestSignalStackArbitration:
     def test_scale_out_outranks_scale_in_across_signals(self):
         policy = ElasticityPolicy(
             signals=("cpu", "spill"), spill_sustain_rounds=1,
-            spill_starved_limit=1,
         )
         stack = policy.signal_stack()
         # cpu wants to scale in (avg 0.1), spill wants to scale out; the
@@ -323,21 +305,25 @@ class TestSignalStackArbitration:
         assert telemetry.slo_margin.value == pytest.approx(0.1)
 
 
-# -- Violation compat shim ------------------------------------------------
+# -- Violation ------------------------------------------------------------
 
 
 class TestViolationCompat:
     def test_positional_construction_still_works(self):
-        violation = Violation(ViolationKind.GLOBAL_OVERLOAD, 0.9)
+        evidence = CpuBandEvidence(0.9, 0.70, 2)
+        violation = Violation(ViolationKind.GLOBAL_OVERLOAD, evidence, "cpu")
         assert violation.kind is ViolationKind.GLOBAL_OVERLOAD
         assert violation.measured == 0.9
         assert violation.host_id == ""
         assert violation.signal == "cpu"
-        assert violation.evidence is None
-        assert violation.evidence_attrs() == {}
+        assert violation.evidence is evidence
+        assert violation.evidence_attrs() == evidence.attrs()
 
     def test_positional_host_id_still_works(self):
-        violation = Violation(ViolationKind.LOCAL_OVERLOAD, 0.95, "host-3")
+        violation = Violation(
+            ViolationKind.LOCAL_OVERLOAD, CpuBandEvidence(0.95, 0.85, 4),
+            "cpu", "host-3",
+        )
         assert violation.host_id == "host-3"
 
     def test_kind_action_mapping(self):
@@ -345,7 +331,6 @@ class TestViolationCompat:
         assert ViolationKind.GLOBAL_UNDERLOAD.action is ScalingAction.SCALE_IN
         assert ViolationKind.LOCAL_OVERLOAD.action is ScalingAction.REBALANCE
         assert ViolationKind.SLO_BREACH.action is ScalingAction.SCALE_OUT
-        assert ViolationKind.SLO_CLEAR.action is ScalingAction.SCALE_IN
         assert ViolationKind.SPILL_PRESSURE.action is ScalingAction.SCALE_OUT
 
 
@@ -434,8 +419,7 @@ class TestDecisionSpanShape:
 
     def test_symptom_scale_out_uses_reduced_target(self):
         policy = ElasticityPolicy(
-            signals=("spill",), spill_sustain_rounds=1,
-            symptom_target_fraction=0.75,
+            signals=("cpu", "spill"), spill_sustain_rounds=1,
         )
         enforcer = ElasticityEnforcer(policy, host_cores=8)
         # One host at 55% — inside the CPU band, so the paper's rules

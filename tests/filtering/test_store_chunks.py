@@ -292,11 +292,6 @@ def test_config_validation():
         StoreConfig(chunk_rows=0)
     with pytest.raises(ValueError):
         StoreConfig(memory_budget_mb=-1)
-    with pytest.raises(ValueError):
-        StoreConfig(compact_dead_ratio=0.0)
-    with pytest.raises(ValueError):
-        StoreConfig(compact_dead_ratio=1.5)
-    assert StoreConfig(compact_dead_ratio=1.0).compact_dead_ratio == 1.0
 
 
 def test_mmap_backend_needs_madvise(monkeypatch):

@@ -1,7 +1,7 @@
 """Property suite: every store layout is observationally identical.
 
-Random churn sequences (store / remove / bulk-store, with the compaction
-threshold lowered so compactions actually fire) drive three
+Random churn sequences (store / remove / bulk-store; compactions fire
+once tombstoned rows pass the 64-row floor) drive three
 :class:`AspeLibrary` instances in lockstep — the default store (one growing
 chunk), 3-row RAM chunks and 3-row ``mmap`` chunks under a two-chunk budget.
 After every operation the libraries must
@@ -44,19 +44,16 @@ _PUBS = [
     _CIPHER.encrypt_publication([_RNG.uniform(0, 100), 0.0]) for _ in range(6)
 ]
 
-# Low thresholds so tiny sequences cross chunk and compaction boundaries.
+# Tiny chunks so short sequences cross chunk boundaries.
 _CONFIGS = {
-    "default": StoreConfig(compact_dead_ratio=0.3),
-    "chunked": StoreConfig(backend="chunked", chunk_rows=3,
-                           compact_dead_ratio=0.3),
+    "default": StoreConfig(),
+    "chunked": StoreConfig(backend="chunked", chunk_rows=3),
     "mmap": StoreConfig(backend="mmap", chunk_rows=3,
-                        memory_budget_mb=0.0002,  # ~2 chunks at width 5
-                        compact_dead_ratio=0.3),
+                        memory_budget_mb=0.0002),  # ~2 chunks at width 5
 }
 # A budget below one chunk (120 B at width 5): every touch of another
 # chunk releases the one touched before it.
-_TIGHT = StoreConfig(backend="mmap", chunk_rows=3, memory_budget_mb=0.00005,
-                     compact_dead_ratio=0.3)
+_TIGHT = StoreConfig(backend="mmap", chunk_rows=3, memory_budget_mb=0.00005)
 
 ops = st.lists(
     st.one_of(

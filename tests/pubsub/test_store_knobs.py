@@ -19,7 +19,6 @@ def test_defaults_are_chunked(monkeypatch):
     assert store.backend == "chunked"
     assert store.chunk_rows == 65536
     assert store.memory_budget_mb == 0.0
-    assert store.compact_dead_ratio == 0.5
 
 
 def test_the_store_has_one_spelling_and_two_backends(monkeypatch):
@@ -48,18 +47,18 @@ def test_env_variables_drive_defaults(monkeypatch):
     # An explicit group beats the environment, field by field.
     config = HubConfig(
         ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1,
-        store=StoreConfig.from_env(backend="chunked", compact_dead_ratio=0.75),
+        store=StoreConfig.from_env(backend="chunked", memory_budget_mb=4.0),
     )
     assert config.store.backend == "chunked"
-    assert config.store.compact_dead_ratio == 0.75
+    assert config.store.memory_budget_mb == 4.0
     assert config.store.chunk_rows == 2048  # env still fills the rest
 
 
 def test_invalid_knobs_rejected_at_config_time():
     with pytest.raises(ValueError, match="store_backend"):
         StoreConfig(backend="tape")
-    with pytest.raises(ValueError, match="store_compact_dead_ratio"):
-        StoreConfig(compact_dead_ratio=0.0)
+    with pytest.raises(ValueError, match="store_memory_budget_mb"):
+        StoreConfig(memory_budget_mb=-1)
     with pytest.raises(ValueError, match="store_chunk_rows"):
         StoreConfig(chunk_rows=0)
 

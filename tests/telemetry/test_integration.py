@@ -19,6 +19,7 @@ from repro.elastic import (
     Violation,
     ViolationKind,
 )
+from repro.elastic.signals import CpuBandEvidence
 from repro.experiments import Deployment, ExperimentSetup
 from repro.telemetry import Telemetry, read_jsonl
 
@@ -282,7 +283,7 @@ class TestEnforcerDecisionRecord:
         )
         probes = _probe_set()
         violation = Violation(
-            kind=ViolationKind.GLOBAL_OVERLOAD, measured=0.9
+            ViolationKind.GLOBAL_OVERLOAD, CpuBandEvidence(0.9, 0.70, 2), "cpu"
         )
         decision = enforcer.resolve(probes, violation)
         assert decision is not None and decision.migrations
@@ -305,9 +306,10 @@ class TestEnforcerDecisionRecord:
             m.slice_id: m.to_host for m in decision.migrations
         }
         assert attrs["new_hosts"] == decision.new_hosts
-        # One span shape: the producing signal is always named (a
-        # hand-built violation carries no evidence record to flatten).
+        # One span shape: the producing signal is always named and its
+        # evidence flattened beside it.
         assert attrs["signal"] == "cpu"
+        assert attrs["cpu_utilization"] == 0.9
 
         rule = telemetry.rule_firings.labels(rule="global_overload")
         assert rule.value == 1
@@ -320,8 +322,8 @@ class TestEnforcerDecisionRecord:
             ElasticityPolicy(), host_cores=8, telemetry=telemetry
         )
         violation = Violation(
-            kind=ViolationKind.LOCAL_OVERLOAD, measured=0.95,
-            host_id="host-0",
+            ViolationKind.LOCAL_OVERLOAD, CpuBandEvidence(0.95, 0.85, 2),
+            "cpu", "host-0",
         )
         enforcer.resolve(_probe_set(), violation)
         (event,) = telemetry.tracer.find("enforcer.decision")
@@ -330,10 +332,12 @@ class TestEnforcerDecisionRecord:
     def test_unactionable_decision_still_fires_rule_counter(self):
         telemetry = Telemetry()
         enforcer = ElasticityEnforcer(
-            ElasticityPolicy(min_hosts=2), host_cores=8, telemetry=telemetry
+            ElasticityPolicy(), host_cores=8, telemetry=telemetry
         )
+        # The round's 8.8 cores need three hosts at the 50% target; two
+        # are running, so there is nothing to release.
         violation = Violation(
-            kind=ViolationKind.GLOBAL_UNDERLOAD, measured=0.1
+            ViolationKind.GLOBAL_UNDERLOAD, CpuBandEvidence(0.1, 0.30, 2), "cpu"
         )
         decision = enforcer.resolve(_probe_set(), violation)
         assert decision is None

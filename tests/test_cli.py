@@ -136,7 +136,7 @@ def test_policy_command_prints_provenance(capsys, monkeypatch):
     assert "signal stack: cpu > slo > spill" in out
     assert "cli" in out
     assert "env:REPRO_POLICY_SIGNALS" in out
-    assert "symptom_target_fraction" in out
+    assert "spill_sustain_rounds" in out
 
 
 def test_policy_command_rejects_bad_signals(capsys):

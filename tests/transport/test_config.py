@@ -54,7 +54,6 @@ class TestTransportConfig:
         config = TransportConfig()
         assert config.flush_mode == "eager"
         assert not config.backpressure
-        assert not config.buffered
 
     @pytest.mark.parametrize("kwargs", [
         dict(flush_mode="sometimes"),
@@ -65,14 +64,6 @@ class TestTransportConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TransportConfig(**kwargs)
-
-    def test_buffered_only_when_adaptive_accumulates(self):
-        assert TransportConfig(flush_mode="adaptive", flush_s=0.01).buffered
-        assert TransportConfig(flush_mode="adaptive", flush_max_batch=8).buffered
-        assert not TransportConfig(
-            flush_mode="adaptive", flush_s=0.0, flush_max_batch=1
-        ).buffered
-        assert not TransportConfig(flush_mode="fixed", flush_s=0.1).buffered
 
     def test_from_env_reads_the_declared_variables(self, monkeypatch):
         monkeypatch.setenv("REPRO_NET_BACKPRESSURE", "yes")
