@@ -1,11 +1,9 @@
-"""Policy-signal ablation: cpu vs slo vs spill vs combined elasticity.
+"""Scale-in veto ablation: the paper's CPU rules with and without the p99 veto.
 
 A double-surge workload — surge, trough, identical second surge — is
-replayed under four signal stacks (DESIGN.md §10).  On a *single* ramp
-the stacks are near-indistinguishable here: the simulator's notification
-delay stays flat until queues build, and the average CPU crosses the
-0.70 band at that same moment, so the CPU rules fire as early as any
-symptom can.  The stacks diverge on what happens *between* surges:
+replayed under two policies (DESIGN.md §10).  On a *single* ramp they
+are indistinguishable here: the veto only ever holds a release back.
+They diverge on what happens *between* surges:
 
 * **cpu** (the paper's §V rules) sees only the instantaneous utilization
   band.  It releases the fleet during the trough and pays the full
@@ -18,17 +16,11 @@ symptom can.  The stacks diverge on what happens *between* surges:
   lands on a fully provisioned system (provisioning lead = the whole
   cpu re-provisioning time) — then the veto budget expires and the fleet
   still releases to one host by the end of the run.
-* **spill** vetoes release while transport spill/starvation pressure is
-  recent (``SPILL_HOLD_ROUNDS``).  Spill pressure clears as soon as the
-  backlog drains, so on this workload it only delays the first release
-  by the hold window — an honest negative: spill evidence is a
-  saturation signal, not a tail-latency memory.
-* **combined** stacks all three; the slo veto dominates.
 
-The acceptance criterion of the ablation is asserted below: at least one
-symptom stack reaches the reference fleet size in surge two earlier than
-CPU-only, with a lower surge-two p99, while still releasing down to one
-host by the end of the run.  Results are exported to
+The acceptance criterion of the ablation is asserted below: the veto
+reaches the reference fleet size in surge two earlier than CPU-only,
+with a lower surge-two p99, while still releasing down to one host by
+the end of the run.  Results are exported to
 ``BENCH_signals.json`` (override with ``REPRO_BENCH_SIGNALS_OUT``).
 
 The segment lengths are calibrated against the fixed 30 s grace period
@@ -61,13 +53,9 @@ DURATION_S = SURGE2_START_S + SURGE_S + TAIL_S
 #: this many hosts running after the second surge begins.
 REF_HOSTS = 4
 
-_SLO = dict(slo_p99_s=0.5, slo_veto_max_rounds=24)
-_SPILL = dict(spill_depth_limit=10, spill_sustain_rounds=1)
 VARIANTS = {
     "cpu": dict(),
-    "slo": dict(signals=("cpu", "slo"), **_SLO),
-    "spill": dict(signals=("cpu", "spill"), **_SPILL),
-    "combined": dict(signals=("cpu", "slo", "spill"), **_SLO, **_SPILL),
+    "slo": dict(slo_veto=True, slo_p99_s=0.5, slo_veto_max_rounds=24),
 }
 RESULTS = {}
 
@@ -86,7 +74,7 @@ def double_surge(t: float) -> float:
 
 
 def run_variant(name: str) -> dict:
-    """Run one signal stack over the double surge (cached per module)."""
+    """Run one policy over the double surge (cached per module)."""
     if name in RESULTS:
         return RESULTS[name]
     policy = ElasticityPolicy(**VARIANTS[name])
@@ -99,7 +87,6 @@ def run_variant(name: str) -> dict:
             t_ref = t - SURGE2_START_S
             break
     RESULTS[name] = {
-        "signals": ",".join(policy.signals),
         "published": result.published,
         "notified": result.notified,
         "max_hosts": result.max_hosts,
@@ -117,7 +104,6 @@ def run_variant(name: str) -> dict:
             {
                 "time_s": record.time,
                 "kind": record.kind,
-                "signal": record.signal,
                 "new_hosts": record.new_hosts,
                 "released_hosts": record.released_hosts,
             }
@@ -127,14 +113,14 @@ def run_variant(name: str) -> dict:
     return RESULTS[name]
 
 
-def test_slo_stack_provisions_surge_two_earlier(benchmark, report):
+def test_slo_veto_provisions_surge_two_earlier(benchmark, report):
     cpu = run_once(benchmark, lambda: run_variant("cpu"))
     slo = run_variant("slo")
 
     for run in (cpu, slo):
         assert run["notified"] == run["published"]  # no content lost
 
-    # The acceptance criterion: the symptom stack reaches the reference
+    # The acceptance criterion: the veto reaches the reference
     # fleet size earlier than CPU-only on this ramp (here: immediately,
     # because the veto never let the fleet go during the trough).
     assert cpu["surge2_time_to_ref_hosts_s"] is not None
@@ -168,7 +154,7 @@ def test_signal_ablation_table_and_export(report):
 
     for name, run in runs.items():
         assert run["notified"] == run["published"], name
-        assert run["final_hosts"] == 1, name  # every stack releases fully
+        assert run["final_hosts"] == 1, name  # both release fully
 
     cpu_t = runs["cpu"]["surge2_time_to_ref_hosts_s"]
     leads = {
@@ -176,12 +162,12 @@ def test_signal_ablation_table_and_export(report):
         for name, run in runs.items()
         if run["surge2_time_to_ref_hosts_s"] is not None
     }
-    # At least one symptom stack must beat CPU-only re-provisioning.
-    assert max(lead for name, lead in leads.items() if name != "cpu") > 0
+    # The veto must beat CPU-only re-provisioning.
+    assert leads["slo"] > 0
 
     report()
     report(
-        f"{'stack':<9} {'max':>4} {'host-s':>7} {'t->%d@s2' % REF_HOSTS:>8} "
+        f"{'policy':<9} {'max':>4} {'host-s':>7} {'t->%d@s2' % REF_HOSTS:>8} "
         f"{'lead':>6} {'p99@s2':>7} {'trough':>6}"
     )
     for name, run in runs.items():

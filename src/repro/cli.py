@@ -11,17 +11,17 @@ Usage::
     python -m repro.cli ablations [--which selection|grace|target]
     python -m repro.cli trace   [--out trace.jsonl]
     python -m repro.cli metrics [--format table|prom|json]
-    python -m repro.cli policy  [--signals cpu,slo,spill]
+    python -m repro.cli policy  [--slo-veto]
 
 Each experiment command prints the same ``paper vs measured`` report the
 benchmark harness produces (see EXPERIMENTS.md).  ``trace`` and
 ``metrics`` drive a small telemetry-enabled deployment (with one live M
 slice migration) and emit its span trace / metric registry — the ops
 surface documented in OBSERVABILITY.md.  ``policy`` prints the resolved
-elasticity-policy signal stack and thresholds with the provenance of
-each knob (CLI flag, ``REPRO_POLICY_SIGNALS``, or built-in default);
-the same ``--signals``/``--slo-*``/``--spill-*`` flags steer the elastic
-experiments (``figure8``/``figure9``).  Policy and ``--net-*`` flags
+elasticity-policy thresholds with the provenance of each knob (CLI
+flag, ``REPRO_POLICY_SLO_VETO``, or built-in default); the same
+``--slo-veto``/``--slo-*`` flags steer the elastic experiments
+(``figure8``/``figure9``).  Policy and ``--net-*`` flags
 are derived from the fields of their knob group by
 :func:`repro.config.add_flags`; none is declared here.  The demo behind
 ``trace``/``metrics`` matches statistically, so no store knob would
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "policy",
-        help="print the resolved elasticity-policy signal stack and knobs",
+        help="print the resolved elasticity-policy knobs",
     )
     add_flags(p, ElasticityPolicy)
 
@@ -441,14 +441,8 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_policy(args) -> None:
-    policy = _knobs(args, ElasticityPolicy)
+    _knobs(args, ElasticityPolicy)  # a rejected value exits here
     print("Elasticity policy — resolved configuration")
-    print(
-        "signal stack: "
-        + " > ".join(policy.signals)
-        + "  (arbitration: scale-out > rebalance > scale-in, "
-        "ties to the earlier signal)"
-    )
     rows = provenance(ElasticityPolicy, **flag_overrides(args, ElasticityPolicy))
     print(format_table(["knob", "value", "source"], rows))
 

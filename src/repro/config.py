@@ -3,13 +3,13 @@
 A knob group is a frozen dataclass — :class:`~repro.elastic.ElasticityPolicy`,
 :class:`~repro.filtering.StoreConfig`, :class:`~repro.transport.TransportConfig`
 — whose fields are the only declaration of its knobs.  A field's default
-gives the knob's type (bool, int, float, str, or a tuple read from
-comma-separated text; a ``None`` default is an optional str) and its
-``metadata`` may carry ``env`` (the ``REPRO_*`` variable that sets it —
-only knobs something actually sets that way have one), ``choices`` and
-``help``.  The four functions below walk ``dataclasses.fields(cls)``, so
-the environment reader, the CLI flags and the ``repro policy`` provenance
-table cannot drift from the fields or from each other:
+gives the knob's type (bool, int, float or str; a ``None`` default is an
+optional str) and its ``metadata`` may carry ``env`` (the ``REPRO_*``
+variable that sets it — only knobs something actually sets that way have
+one), ``choices`` and ``help``.  The four functions below walk
+``dataclasses.fields(cls)``, so the environment reader, the CLI flags
+and the ``repro policy`` provenance table cannot drift from the fields
+or from each other:
 
 * :func:`from_env` — CLI flag > environment variable > default, resolved
   *before* the group's ``__post_init__`` validates the result once.
@@ -35,7 +35,6 @@ __all__ = [
     "env_float",
     "env_bool",
     "env_str",
-    "parse_csv",
     "knob",
     "from_env",
     "provenance",
@@ -113,11 +112,6 @@ def env_str(
     return raw
 
 
-def parse_csv(text: str) -> Tuple[str, ...]:
-    """``"cpu, slo"`` → ``("cpu", "slo")``."""
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 # -- the derivation: everything below reads dataclasses.fields(cls) ---------
 
 
@@ -151,14 +145,6 @@ def _kind(field: dataclasses.Field) -> type:
 _ENV_READERS = {bool: env_bool, int: env_int, float: env_float, str: env_str}
 
 
-def _env_value(field: dataclasses.Field):
-    """The field's value from its ``env`` variable, which is set."""
-    name, kind = field.metadata["env"], _kind(field)
-    if kind is tuple:
-        return parse_csv(_raw(name))
-    return _ENV_READERS[kind](name, field.default)
-
-
 def _resolve(cls, overrides: dict) -> List[Tuple[str, object, str]]:
     """``(field name, value, source)`` per field, before validation."""
     fields = dataclasses.fields(cls)
@@ -171,15 +157,11 @@ def _resolve(cls, overrides: dict) -> List[Tuple[str, object, str]]:
         if overrides.get(field.name) is not None:
             rows.append((field.name, overrides[field.name], "cli"))
         elif env is not None and _raw(env) is not None:
-            rows.append((field.name, _env_value(field), f"env:{env}"))
+            value = _ENV_READERS[_kind(field)](env, field.default)
+            rows.append((field.name, value, f"env:{env}"))
         else:
             rows.append((field.name, field.default, "default"))
     return rows
-
-
-def _shown(value):
-    """A knob value as tables and help text print it (tuples as csv)."""
-    return ",".join(value) if isinstance(value, tuple) else value
 
 
 def _build(cls, rows):
@@ -212,12 +194,12 @@ def provenance(cls, **overrides) -> List[Tuple[str, object, str]]:
 
     The source is ``cli`` for a non-``None`` override, ``env:<VAR>`` for a
     set environment variable, else ``default``.  Values are read back
-    from the validated group; tuples print comma-separated.
+    from the validated group.
     """
     resolved_rows = _resolve(cls, overrides)
     resolved = _build(cls, resolved_rows)
     return [
-        (name, _shown(getattr(resolved, name)), source)
+        (name, getattr(resolved, name), source)
         for name, _, source in resolved_rows
     ]
 
@@ -235,13 +217,10 @@ def add_flags(parser: argparse.ArgumentParser, cls, prefix: str = "") -> None:
         options = {
             "dest": prefix + field.name,
             "default": None,
-            "help": f"{meta['help']} (default: {source}{_shown(field.default)})",
+            "help": f"{meta['help']} (default: {source}{field.default})",
         }
         if kind is bool:
             options["action"] = argparse.BooleanOptionalAction
-        elif kind is tuple:
-            options["type"] = parse_csv
-            options["metavar"] = "A,B"
         else:
             options["type"] = kind
             if "choices" in meta:

@@ -8,20 +8,8 @@ from .probes import (
     ProbeSet,
     SliceProbe,
 )
-from .policy import (
-    ElasticityPolicy,
-    ScalingAction,
-    Violation,
-    ViolationKind,
-)
-from .signals import (
-    SIGNAL_NAMES,
-    CpuBandSignal,
-    DelaySloSignal,
-    SignalStack,
-    SignalVerdict,
-    SpillPressureSignal,
-)
+from .policy import ElasticityPolicy, Violation, ViolationKind
+from .signals import CpuBandSignal, DelaySloSignal, ScalingRule
 from .selection import (
     SliceLoad,
     select_slices,
@@ -54,14 +42,10 @@ __all__ = [
     "PlannedMigration",
     "ProbeCollector",
     "ProbeSet",
-    "SIGNAL_NAMES",
-    "ScalingAction",
     "ScalingDecision",
-    "SignalStack",
-    "SignalVerdict",
+    "ScalingRule",
     "SliceLoad",
     "SliceProbe",
-    "SpillPressureSignal",
     "Violation",
     "ViolationKind",
     "first_fit_decreasing",

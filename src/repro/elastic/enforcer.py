@@ -29,10 +29,7 @@ from .binpack import HostBin, first_fit_decreasing
 from .policy import (
     MAX_SCALE_OUT_FACTOR,
     MIN_HOSTS,
-    SYMPTOM_KINDS,
-    SYMPTOM_TARGET_FRACTION,
     ElasticityPolicy,
-    ScalingAction,
     Violation,
     ViolationKind,
 )
@@ -64,8 +61,6 @@ class ScalingDecision:
     migrations: List[PlannedMigration] = field(default_factory=list)
     new_hosts: int = 0
     release_hosts: List[str] = field(default_factory=list)
-    #: Name of the policy signal whose violation produced the decision.
-    signal: str = "cpu"
 
     @property
     def is_empty(self) -> bool:
@@ -104,50 +99,32 @@ class ElasticityEnforcer:
     # -- public API -----------------------------------------------------------
 
     def resolve(
-        self,
-        probes: ProbeSet,
-        violation: Violation,
-        verdict=None,
+        self, probes: ProbeSet, violation: Violation
     ) -> Optional[ScalingDecision]:
         """Turn one policy violation into a :class:`ScalingDecision`.
 
         Returns ``None`` when the two-step algorithm finds no useful move
         (nothing to select, or no feasible placement).  The violation's
-        :attr:`~ViolationKind.action` picks the algorithm; symptom-kind
-        scale-outs (SLO breach, spill pressure) pack toward a reduced
-        utilization target (``target_utilization * SYMPTOM_TARGET_FRACTION``)
-        so capacity is provisioned before CPU evidence exists.
+        kind picks the algorithm: scale out, scale in, or rebalance.
 
         With telemetry bound, each call records an ``enforcer.decision``
         event whose attributes capture the full decision context: the
         probe window (timestamp, width, average utilization, host count),
         the fired rule and its measured value, the selected slices and
         their placement, plus hosts provisioned/released — the record the
-        OBSERVABILITY.md worked example walks through.  ``verdict`` is
-        the optional :class:`~repro.elastic.signals.SignalVerdict` of the
-        round; the record always names the winning signal and carries
-        its typed evidence, and a verdict adds every contending/vetoed
-        violation.
+        OBSERVABILITY.md worked example walks through, with the CPU
+        rule's typed evidence.
         """
-        action = violation.kind.action
-        if action is ScalingAction.SCALE_OUT:
-            utilization_target = None
-            if violation.kind in SYMPTOM_KINDS:
-                utilization_target = (
-                    self.policy.target_utilization * SYMPTOM_TARGET_FRACTION
-                )
-            decision = self._scale_out(
-                probes, kind=violation.kind, utilization_target=utilization_target
-            )
-        elif action is ScalingAction.SCALE_IN:
-            decision = self._scale_in(probes, kind=violation.kind)
+        kind = violation.kind
+        if kind is ViolationKind.GLOBAL_OVERLOAD:
+            decision = self._scale_out(probes, kind=kind)
+        elif kind is ViolationKind.GLOBAL_UNDERLOAD:
+            decision = self._scale_in(probes, kind=kind)
         else:
             decision = self._local_rebalance(probes, violation.host_id)
-        if decision is not None:
-            decision.signal = violation.signal
         telemetry = self.telemetry
         if telemetry is not None:
-            self._record_decision(telemetry, probes, violation, decision, verdict)
+            self._record_decision(telemetry, probes, violation, decision)
         return decision
 
     def _record_decision(
@@ -156,7 +133,6 @@ class ElasticityEnforcer:
         probes: ProbeSet,
         violation: Violation,
         decision: Optional[ScalingDecision],
-        verdict=None,
     ) -> None:
         rule = violation.kind.value
         telemetry.rule_firings.labels(rule=rule).inc()
@@ -182,17 +158,7 @@ class ElasticityEnforcer:
             }
             attrs["new_hosts"] = decision.new_hosts
             attrs["release_hosts"] = list(decision.release_hosts)
-        attrs["signal"] = violation.signal
         attrs.update(violation.evidence_attrs())
-        if verdict is not None:
-            contending = verdict.contending
-            if contending:
-                attrs["contending"] = contending
-            if verdict.suppressed:
-                attrs["vetoed"] = [
-                    (v.signal, v.kind.value, vetoer, reason)
-                    for v, vetoer, reason in verdict.suppressed
-                ]
         telemetry.tracer.event("enforcer.decision", **attrs)
 
     # -- helpers ------------------------------------------------------------------
@@ -242,18 +208,12 @@ class ElasticityEnforcer:
         removed_load: Optional[Dict[str, float]] = None,
         removed_memory: Optional[Dict[str, int]] = None,
         load_scale: float = 1.0,
-        capacity: Optional[float] = None,
     ) -> List[HostBin]:
-        """Bins for the running hosts at target capacity.
-
-        ``capacity`` overrides the per-host CPU capacity (cores) —
-        symptom-triggered scale-outs pack toward a reduced target.
-        """
+        """Bins for the running hosts at target capacity."""
         exclude_hosts = exclude_hosts or set()
         removed_load = removed_load or {}
         removed_memory = removed_memory or {}
-        if capacity is None:
-            capacity = self._target_capacity()
+        capacity = self._target_capacity()
         bins = []
         for host in probes.hosts.values():
             if host.host_id in exclude_hosts:
@@ -292,14 +252,9 @@ class ElasticityEnforcer:
         self,
         probes: ProbeSet,
         kind: ViolationKind = ViolationKind.GLOBAL_OVERLOAD,
-        utilization_target: Optional[float] = None,
     ) -> Optional[ScalingDecision]:
-        target = (
-            self.policy.target_utilization
-            if utilization_target is None
-            else utilization_target
-        )
-        capacity = target * self.host_cores
+        target = self.policy.target_utilization
+        capacity = self._target_capacity()
 
         # Backlog-driven demand is unbounded while queues drain; bound the
         # step so the fleet grows by at most MAX_SCALE_OUT_FACTOR at once.
@@ -342,7 +297,6 @@ class ElasticityEnforcer:
             removed_load=removed_load,
             removed_memory=removed_memory,
             load_scale=demand_scale,
-            capacity=capacity,
         )
         placement = first_fit_decreasing(
             to_move,

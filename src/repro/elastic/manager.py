@@ -33,6 +33,7 @@ from .binpack import NEW_HOST_PREFIX
 from .enforcer import ElasticityEnforcer, ScalingDecision
 from .policy import ElasticityPolicy
 from .probes import ProbeCollector, ProbeSet
+from .signals import ScalingRule
 
 __all__ = ["ElasticityManager", "ManagerRecord"]
 
@@ -56,8 +57,6 @@ class ManagerRecord:
     #: Failed steps: provisioning shortfalls, failed or untargetable
     #: migrations, releases blocked by still-occupied hosts.
     failures: int = 0
-    #: Policy signal whose violation produced the decision.
-    signal: str = "cpu"
 
 
 class ElasticityManager:
@@ -86,7 +85,7 @@ class ElasticityManager:
         provider's host spec and a fresh coordination kernel.
         ``probe_interval_s`` is the heartbeat period (paper: 5 s).  The
         hub's telemetry bundle, when present, is inherited and threaded
-        into the collector, the signal stack and the enforcer.
+        into the collector, the scaling rule and the enforcer.
         """
         self.hub = hub
         self.cloud = cloud
@@ -95,9 +94,9 @@ class ElasticityManager:
         #: Telemetry bundle inherited from the hub (``None`` when the hub
         #: runs without one); threaded into the collector and enforcer.
         self.telemetry = getattr(hub, "telemetry", None)
-        #: The stateful signal stack of this control loop; one instance
-        #: observes every probe round so sustain streaks stay honest.
-        self.signal_stack = self.policy.signal_stack(telemetry=self.telemetry)
+        #: The scaling rule of this control loop; one instance observes
+        #: every probe round so the veto's round budget stays honest.
+        self.rule = ScalingRule(self.policy, telemetry=self.telemetry)
         self.enforcer = enforcer or ElasticityEnforcer(
             self.policy,
             host_cores=cloud.spec.cores,
@@ -112,7 +111,7 @@ class ElasticityManager:
             raise ValueError("need at least one initial engine host")
         delay_tracker = (
             getattr(hub, "delay_tracker", None)
-            if self.signal_stack.wants_delay_window
+            if self.policy.slo_veto
             else None
         )
         self.collector = ProbeCollector(
@@ -195,16 +194,13 @@ class ElasticityManager:
             telemetry.engine_hosts.set(len(self.engine_hosts))
         for listener in list(self.probe_listeners):
             listener(probes)
-        # The stack observes *every* round — sustained-trigger signals
-        # count consecutive rounds, and evaluation never touches the
-        # engine — but decisions are only acted on outside grace periods.
-        verdict = self.signal_stack.evaluate(probes)
-        if self._executing or self.in_grace_period:
+        # The rule observes *every* round — the veto counts consecutive
+        # rounds, and evaluation never touches the engine — but decisions
+        # are only acted on outside grace periods.
+        violation = self.rule.evaluate(probes)
+        if violation is None or self._executing or self.in_grace_period:
             return
-        violation = verdict.winner
-        if violation is None:
-            return
-        decision = self.enforcer.resolve(probes, violation, verdict=verdict)
+        decision = self.enforcer.resolve(probes, violation)
         if decision is None or decision.is_empty:
             return
         self._executing = True
@@ -237,13 +233,12 @@ class ElasticityManager:
         tracer = self.telemetry.tracer if self.telemetry is not None else None
         span = None
         if tracer is not None:
-            attrs = {
-                "kind": decision.kind.value,
-                "migrations": len(decision.migrations),
-                "new_hosts": decision.new_hosts,
-                "signal": decision.signal,
-            }
-            span = tracer.start_span("enforcer.execute", **attrs)
+            span = tracer.start_span(
+                "enforcer.execute",
+                kind=decision.kind.value,
+                migrations=len(decision.migrations),
+                new_hosts=decision.new_hosts,
+            )
         try:
             new_hosts: Dict[str, Host] = {}
             for index in range(decision.new_hosts):
@@ -297,7 +292,6 @@ class ElasticityManager:
                     new_hosts=decision.new_hosts,
                     released_hosts=released,
                     failures=failures,
-                    signal=decision.signal,
                 )
             )
             completed = True
@@ -357,7 +351,6 @@ class ElasticityManager:
     def _decision_record(self, decision: ScalingDecision) -> Dict:
         return {
             "kind": decision.kind.value,
-            "signal": decision.signal,
             "migrations": [
                 {
                     "slice": planned.slice_id,
@@ -476,7 +469,6 @@ class ElasticityManager:
                     new_hosts=inflight["new_hosts"],
                     released_hosts=0,
                     failures=failures,
-                    signal=inflight["signal"],
                 )
             )
         self.failover_outcomes = outcomes

@@ -45,8 +45,6 @@ class SliceProbe:
     #: channels — upstream pressure: the slice's *receivers* are the
     #: bottleneck, so scaling this slice up would not help.
     spill_depth: int = 0
-    #: Outbound channels currently waiting for credits.
-    starved_channels: int = 0
     #: Send credits held by messages in flight toward this slice — how
     #: close its inbox is to the configured bound (0 when backpressure
     #: is off).
@@ -92,7 +90,7 @@ class DelayWindow:
     """Notification-delay summary over the trailing probe window.
 
     Attached to a :class:`ProbeSet` when the collector was given a delay
-    tracker (the ``slo`` policy signal requires it); ``None`` otherwise.
+    tracker (the p99 scale-in veto requires it); ``None`` otherwise.
     """
 
     #: Width of the sliding window (seconds).
@@ -104,8 +102,7 @@ class DelayWindow:
     max_s: float
 
 
-#: Sliding window (simulated seconds) the ``slo`` signal's p99 is
-#: computed over.
+#: Sliding window (simulated seconds) the p99 scale-in veto reads.
 DELAY_WINDOW_S = 30.0
 
 
@@ -191,8 +188,8 @@ class ProbeCollector:
         gauges and bumps ``heartbeats_total`` (see OBSERVABILITY.md).
         ``delay_tracker`` is an optional :class:`~repro.metrics.DelayTracker`;
         probe sets then carry a :class:`DelayWindow` over the trailing
-        :data:`DELAY_WINDOW_S` seconds (required by the ``slo`` policy
-        signal)."""
+        :data:`DELAY_WINDOW_S` seconds (required by the p99 scale-in
+        veto)."""
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         self.runtime = runtime
@@ -275,7 +272,6 @@ class ProbeCollector:
                 queue_length=stats["queue_length"],
                 processed_delta=max(0, stats["processed"] - previous_processed),
                 spill_depth=int(flow["spill_depth"]),
-                starved_channels=int(flow["starved_channels"]),
                 credits_outstanding=transport.inbound_credits_outstanding(
                     self.runtime._active(slice_id)
                 ),

@@ -86,7 +86,7 @@ class HubConfig:
     #: passed.  See DESIGN.md §9.
     net: TransportConfig = field(default_factory=TransportConfig.from_env)
     #: The policy of managers driving this hub: the paper's, with the
-    #: signal stack from ``REPRO_POLICY_SIGNALS``, when not passed.
+    #: p99 scale-in veto from ``REPRO_POLICY_SLO_VETO``, when not passed.
     policy: ElasticityPolicy = field(default_factory=ElasticityPolicy.from_env)
 
     def __post_init__(self):

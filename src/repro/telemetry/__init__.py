@@ -217,14 +217,13 @@ class Telemetry:
         )
         self.signal_violations = m.counter(
             "policy_signal_violations_total",
-            "Violations raised by policy signals, including rounds lost "
-            "in arbitration or spent inside a grace period",
-            labels=("signal", "kind"),
+            "Violations raised by the CPU band rules, including rounds "
+            "vetoed or spent inside a grace period",
+            labels=("kind",),
         )
         self.scale_in_vetoes = m.counter(
             "policy_scale_in_vetoes_total",
-            "Scale-in requests suppressed by a vetoing signal",
-            labels=("signal",),
+            "Scale-in requests suppressed by the p99 veto",
         )
         self.slo_margin = m.gauge(
             "policy_slo_margin_seconds",

@@ -7,4 +7,4 @@ from repro.elastic.signals import CpuBandEvidence
 def cpu_violation(kind, utilization, host_id=""):
     """A CPU band violation as :class:`CpuBandSignal` would raise it
     (only the headline utilization matters to the enforcer)."""
-    return Violation(kind, CpuBandEvidence(utilization, 0.0, 0), "cpu", host_id)
+    return Violation(kind, CpuBandEvidence(utilization, 0.0, 0), host_id)

@@ -58,7 +58,7 @@ class TestScaleOut:
                 ("M:4", 2.0, 400 * MIB),
             ],
         })
-        (violation,) = CpuBandSignal(ElasticityPolicy()).evaluate(probes)
+        violation = CpuBandSignal(ElasticityPolicy()).evaluate(probes)
         assert violation.kind is ViolationKind.GLOBAL_OVERLOAD
         decision = enforcer.resolve(probes, violation)
         moved = {m.slice_id for m in decision.migrations}

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import CloudProvider, HostSpec
 from repro.coord import CoordinationKernel
-from repro.elastic import ElasticityManager, ElasticityPolicy
+from repro.elastic import ElasticityManager, ElasticityPolicy, ViolationKind
 from repro.filtering import CostModel
 from repro.pubsub import HubConfig, StreamHub, Subscription
 from repro.pubsub.source import SourceDriver
@@ -60,7 +60,7 @@ def test_scale_out_under_sustained_load():
     assert hub.notified_publications == driver.publications_sent
 
 
-def test_decision_and_execute_spans_always_name_the_signal():
+def test_decision_and_execute_spans_carry_the_cpu_rule():
     telemetry = Telemetry()
     env, cloud, hub, manager = build(telemetry=telemetry)
     manager.start()
@@ -69,8 +69,10 @@ def test_decision_and_execute_spans_always_name_the_signal():
     decisions = telemetry.tracer.find("enforcer.decision")
     executions = telemetry.tracer.find("enforcer.execute")
     assert decisions and executions
-    # CPU-driven rounds have the same span shape as every other signal's.
-    assert {span.attrs["signal"] for span in decisions + executions} == {"cpu"}
+    # Each executed decision is one the CPU rules fired and found actionable.
+    fired = {span.attrs["rule"] for span in decisions if span.attrs["actionable"]}
+    assert {span.attrs["kind"] for span in executions} <= fired
+    assert fired <= {kind.value for kind in ViolationKind}
     assert all("cpu_threshold" in span.attrs for span in decisions)
 
 

@@ -62,7 +62,7 @@ def test_grouped_configs_are_kept_as_passed():
 
     store = StoreConfig(backend="mmap", chunk_rows=128)
     net = TransportConfig(flush_mode="adaptive", backpressure=True)
-    policy = ElasticityPolicy(signals=("cpu", "slo"))
+    policy = ElasticityPolicy(slo_veto=True)
     config = small_exact_config(store=store, net=net, policy=policy)
     assert (config.store, config.net, config.policy) == (store, net, policy)
     h = HubHarness(config)
@@ -81,10 +81,10 @@ def test_net_group_defaults_from_environment(monkeypatch):
 
 
 def test_policy_group_defaults_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,spill")
+    monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
     config = small_exact_config()
-    assert config.policy.signals == ("cpu", "spill")
-    assert config.policy.spill_depth_limit == 50
+    assert config.policy.slo_veto is True
+    assert config.policy.slo_p99_s == 1.0
 
 
 def test_deploy_all_on_places_engine_and_sink_separately():

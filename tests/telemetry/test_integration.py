@@ -283,7 +283,7 @@ class TestEnforcerDecisionRecord:
         )
         probes = _probe_set()
         violation = Violation(
-            ViolationKind.GLOBAL_OVERLOAD, CpuBandEvidence(0.9, 0.70, 2), "cpu"
+            ViolationKind.GLOBAL_OVERLOAD, CpuBandEvidence(0.9, 0.70, 2)
         )
         decision = enforcer.resolve(probes, violation)
         assert decision is not None and decision.migrations
@@ -306,9 +306,7 @@ class TestEnforcerDecisionRecord:
             m.slice_id: m.to_host for m in decision.migrations
         }
         assert attrs["new_hosts"] == decision.new_hosts
-        # One span shape: the producing signal is always named and its
-        # evidence flattened beside it.
-        assert attrs["signal"] == "cpu"
+        # The CPU rule's evidence is flattened beside the decision.
         assert attrs["cpu_utilization"] == 0.9
 
         rule = telemetry.rule_firings.labels(rule="global_overload")
@@ -323,7 +321,7 @@ class TestEnforcerDecisionRecord:
         )
         violation = Violation(
             ViolationKind.LOCAL_OVERLOAD, CpuBandEvidence(0.95, 0.85, 2),
-            "cpu", "host-0",
+            "host-0",
         )
         enforcer.resolve(_probe_set(), violation)
         (event,) = telemetry.tracer.find("enforcer.decision")
@@ -337,7 +335,7 @@ class TestEnforcerDecisionRecord:
         # The round's 8.8 cores need three hosts at the 50% target; two
         # are running, so there is nothing to release.
         violation = Violation(
-            ViolationKind.GLOBAL_UNDERLOAD, CpuBandEvidence(0.1, 0.30, 2), "cpu"
+            ViolationKind.GLOBAL_UNDERLOAD, CpuBandEvidence(0.1, 0.30, 2)
         )
         decision = enforcer.resolve(_probe_set(), violation)
         assert decision is None

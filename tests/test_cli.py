@@ -110,10 +110,10 @@ def _policy_from(argv):
 
 def test_figure8_policy_flags_resolve_to_a_policy():
     policy = _policy_from(
-        ["figure8", "--signals", "cpu,slo", "--slo-p99-s", "0.5",
+        ["figure8", "--slo-veto", "--slo-p99-s", "0.5",
          "--no-backlog-aware-scaling"]
     )
-    assert policy.signals == ("cpu", "slo")
+    assert policy.slo_veto is True
     assert policy.slo_p99_s == 0.5
     assert policy.backlog_aware_scaling is False
     # Unset flags fall through to defaults.
@@ -121,27 +121,26 @@ def test_figure8_policy_flags_resolve_to_a_policy():
 
 
 def test_figure8_policy_flags_beat_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo")
+    monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
     policy = _policy_from(["figure9", "--slo-p99-s", "0.25"])
-    assert policy.slo_p99_s == 0.25           # cli
-    assert policy.signals == ("cpu", "slo")   # env fills the gap
-    policy = _policy_from(["figure9", "--signals", "cpu,spill"])
-    assert policy.signals == ("cpu", "spill")  # cli wins
+    assert policy.slo_p99_s == 0.25    # cli
+    assert policy.slo_veto is True     # env fills the gap
+    policy = _policy_from(["figure9", "--no-slo-veto"])
+    assert policy.slo_veto is False    # cli wins
 
 
 def test_policy_command_prints_provenance(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo,spill")
-    assert main(["policy", "--spill-depth-limit", "60"]) == 0
+    monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
+    assert main(["policy", "--slo-veto-max-rounds", "24"]) == 0
     out = capsys.readouterr().out
-    assert "signal stack: cpu > slo > spill" in out
     assert "cli" in out
-    assert "env:REPRO_POLICY_SIGNALS" in out
-    assert "spill_sustain_rounds" in out
+    assert "env:REPRO_POLICY_SLO_VETO" in out
+    assert "slo_p99_s" in out
 
 
-def test_policy_command_rejects_bad_signals(capsys):
-    with pytest.raises(SystemExit):
-        main(["policy", "--signals", "cpu,bogus"])
+def test_policy_command_rejects_a_bad_slo_target(capsys):
+    with pytest.raises(SystemExit, match="slo_p99_s"):
+        main(["policy", "--slo-p99-s", "0"])
 
 
 def test_metrics_command_renders_table(capsys):

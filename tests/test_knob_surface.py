@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.config import add_flags, flag_overrides, from_env, provenance
-from repro.elastic import SIGNAL_NAMES, ElasticityPolicy
+from repro.elastic import ElasticityPolicy
 from repro.filtering import StoreConfig
 from repro.pubsub import HubConfig
 from repro.transport import TransportConfig
@@ -68,23 +68,17 @@ def other_value(field):
         return default + 1
     if isinstance(default, float):
         return default + 0.01
-    if isinstance(default, tuple):  # the signal stack is the one csv knob
-        return SIGNAL_NAMES[:2]
     choices = field.metadata.get("choices")
     if choices:
         return next(choice for choice in choices if choice != default)
     return "/tmp/knob-surface"
 
 
-def as_text(value):
-    return ",".join(value) if isinstance(value, tuple) else str(value)
-
-
 def flag_argv(prefix, field, value):
     flag = (prefix + field.name).replace("_", "-")
     if isinstance(value, bool):
         return [f"--{flag}" if value else f"--no-{flag}"]
-    return [f"--{flag}", as_text(value)]
+    return [f"--{flag}", str(value)]
 
 
 @pytest.fixture(autouse=True)
@@ -128,10 +122,7 @@ class TestEveryField:
         assert getattr(from_env(cls), field.name) == field.default
         assert getattr(cls(), field.name) == field.default
         rows = {name: (value, source) for name, value, source in provenance(cls)}
-        default = field.default
-        if isinstance(default, tuple):
-            default = ",".join(default)
-        assert rows[field.name] == (default, "default")
+        assert rows[field.name] == (field.default, "default")
 
     def test_override_is_reported_as_cli(self, cls, prefix, command, field):
         value = other_value(field)
@@ -139,8 +130,7 @@ class TestEveryField:
             name: (shown, source)
             for name, shown, source in provenance(cls, **{field.name: value})
         }
-        shown = ",".join(value) if isinstance(value, tuple) else value
-        assert rows[field.name] == (shown, "cli")
+        assert rows[field.name] == (value, "cli")
 
 
 @pytest.mark.parametrize("cls,prefix,command,field", ENV_KNOBS)
@@ -150,7 +140,7 @@ class TestEveryEnvKnob:
     ):
         value = other_value(field)
         variable = field.metadata["env"]
-        monkeypatch.setenv(variable, as_text(value))
+        monkeypatch.setenv(variable, str(value))
         assert getattr(from_env(cls), field.name) == value
         rows = {name: source for name, _, source in provenance(cls)}
         assert rows[field.name] == f"env:{variable}"
@@ -174,7 +164,7 @@ class TestEveryEnvKnob:
     ):
         if isinstance(field.default, (bool, int, float)):
             bad = "maybe"
-        elif "choices" in field.metadata or isinstance(field.default, tuple):
+        elif "choices" in field.metadata:
             bad = "bogus"
         else:
             pytest.skip("a free-form string has no malformed value")
@@ -214,17 +204,10 @@ def test_bool_knob_spellings(monkeypatch, spelling, expected):
     assert TransportConfig.from_env().backpressure is expected
 
 
-def test_csv_knob_accepts_spaces_and_keeps_order(monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SIGNALS", " spill , cpu ")
-    assert ElasticityPolicy.from_env().signals == ("spill", "cpu")
-    assert ElasticityPolicy(signals="spill, cpu").signals == ("spill", "cpu")
-    assert ElasticityPolicy.from_env(signals="cpu,slo").signals == ("cpu", "slo")
-
-
 def test_invalid_resolved_group_fails_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,cpu")
-    with pytest.raises(ValueError, match="duplicate policy signal"):
-        ElasticityPolicy.from_env()
+    monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
+    with pytest.raises(ValueError, match="REPRO_POLICY_SLO_VETO"):
+        ElasticityPolicy.from_env(slo_p99_s=0.0)
     with pytest.raises(ValueError, match="thresholds"):
         ElasticityPolicy.from_env(scale_in_threshold=0.9)
 
@@ -273,14 +256,14 @@ class TestPrecedenceBugsOfTheHandCopies:
 
 class TestHubConfigPolicy:
     def test_hub_default_picks_up_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo")
-        assert HubConfig().policy.signals == ("cpu", "slo")
+        monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
+        assert HubConfig().policy.slo_veto is True
 
     def test_explicit_policy_wins_over_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo,spill")
+        monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
         policy = ElasticityPolicy(slo_p99_s=0.8)
         assert HubConfig(policy=policy).policy is policy
-        assert policy.signals == ("cpu",)
+        assert policy.slo_veto is False
 
     def test_default_policy_is_the_paper_policy(self):
         assert HubConfig().policy == ElasticityPolicy()
@@ -288,15 +271,15 @@ class TestHubConfigPolicy:
 
 class TestPolicyCommand:
     def test_prints_all_three_sources_in_one_table(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_POLICY_SIGNALS", "cpu,slo")
+        monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
         assert main(["policy", "--slo-p99-s", "0.5"]) == 0
         rows = {
             line.split()[0]: line.split()[1:]
             for line in capsys.readouterr().out.splitlines()
-            if line and line.split()[0] in ("signals", "slo_p99_s", "grace_period_s")
+            if line and line.split()[0] in ("slo_veto", "slo_p99_s", "grace_period_s")
         }
         assert rows == {
-            "signals": ["cpu,slo", "env:REPRO_POLICY_SIGNALS"],
+            "slo_veto": ["True", "env:REPRO_POLICY_SLO_VETO"],
             "slo_p99_s": ["0.5", "cli"],
             "grace_period_s": ["30", "default"],
         }
@@ -350,7 +333,7 @@ class TestDeclaredVariables:
             "REPRO_STORE_SPILL_DIR",
             "REPRO_NET_BACKPRESSURE",
             "REPRO_NET_CREDIT_WINDOW",
-            "REPRO_POLICY_SIGNALS",
+            "REPRO_POLICY_SLO_VETO",
             "REPRO_CHAOS_SEED",
         }
 

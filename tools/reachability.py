@@ -11,7 +11,7 @@ Runs the reproduction's own entry points in subprocesses:
 * every ``examples/*.py``.
 
 It runs them once as they are and once under each CI environment spelling
-(mmap store, backpressure, the full signal stack), since some paths are
+(mmap store, backpressure, the p99 scale-in veto), since some paths are
 reached only when an outside input is set.  Then it runs tier-1 once.
 
 Each subprocess gets a ``sitecustomize`` whose ``sys.setprofile`` hook
@@ -28,8 +28,7 @@ Usage::
     python tools/reachability.py --reuse    # re-diff the last run's records
 
 The raw records and per-run logs go to ``repro-reachability`` under the
-system temporary directory; a full run replaces them.  Needs Python 3.11+
-(the hook reads ``co_qualname``).  Exits non-zero if an entry point fails
+system temporary directory; a full run replaces them.  Exits non-zero if an entry point fails
 under the default spelling, an entry has no decision, or a decision names
 no unreached function.
 """
@@ -66,7 +65,7 @@ SPELLINGS: Dict[str, Dict[str, str]] = {
         "REPRO_STORE_MEMORY_BUDGET_MB": "8",
     },
     "backpressure": {"REPRO_NET_BACKPRESSURE": "1", "REPRO_NET_CREDIT_WINDOW": "16"},
-    "signals": {"REPRO_POLICY_SIGNALS": "cpu,slo,spill"},
+    "slo-veto": {"REPRO_POLICY_SLO_VETO": "1"},
 }
 
 #: Function-name kinds that are not ``def`` statements.
@@ -218,15 +217,7 @@ KEPT: Dict[str, str] = {
             "repro/elastic/policy.py::Violation.measured",
             "repro/elastic/policy.py::Violation.evidence_attrs",
             "repro/elastic/signals.py::CpuBandEvidence.headline",
-            "repro/elastic/signals.py::CpuBandEvidence.attrs",
-            "repro/elastic/signals.py::DelaySloEvidence.headline",
-            "repro/elastic/signals.py::DelaySloEvidence.attrs",
-            "repro/elastic/signals.py::SpillEvidence.headline",
-            "repro/elastic/signals.py::SpillEvidence.attrs",
-            "repro/elastic/signals.py::SignalVerdict.contending"),
-    **_kept("signal-protocol veto; asked only when another signal requests a "
-            "scale-in, which no entry point's stack does",
-            "repro/elastic/signals.py::CpuBandSignal.vetoes_scale_in"),
+            "repro/elastic/signals.py::CpuBandEvidence.attrs"),
     **_kept(INTERFACE,
             "repro/engine/handler.py::SliceHandler.process",
             "repro/engine/handler.py::SliceHandler.coalesce_with",
@@ -463,9 +454,6 @@ def main(argv: Iterable[str] = None) -> int:
     parser.add_argument("--reuse", action="store_true",
                         help=f"re-diff the records of the last run in {RECORDS}")
     args = parser.parse_args(argv)
-    if sys.version_info < (3, 11):
-        print("tools/reachability.py needs Python 3.11+ (code objects' co_qualname)")
-        return 2
     records = RECORDS
     if args.reuse:
         failed = (records / "failed.txt").read_text().split()
