@@ -275,14 +275,14 @@ class FaultPlan:
 
     # -- manager crashes -----------------------------------------------------
 
-    def crash_manager_at(self, time_s: float, target):
-        """Crash a manager (anything with ``.crash()``) at ``time_s``."""
-        return self._at(time_s, self._crash_manager, target, None)
+    def crash_manager_at(self, time_s: float, crash: Callable[[], None]):
+        """Crash a manager at ``time_s`` by calling ``crash()``."""
+        return self._at(time_s, self._crash_manager, crash, None)
 
     def crash_manager_at_phase(
         self,
         runtime,
-        target,
+        crash: Callable[[], None],
         phase: str,
         slice_id: Optional[str] = None,
     ) -> None:
@@ -291,8 +291,10 @@ class FaultPlan:
         ``runtime`` is the :class:`~repro.engine.runtime.EngineRuntime`
         whose phase transitions are watched; ``phase`` is one of the five
         migration phases (``pre``/``sync``/``pause``/``copy``/``post``).
-        The crash is scheduled one simulation instant after the phase
-        starts (a process cannot interrupt itself synchronously).
+        ``crash`` takes no argument (``manager.crash`` or a lambda over
+        :meth:`~repro.elastic.ManagerFailover.crash_active`).  The crash
+        is scheduled one simulation instant after the phase starts (a
+        process cannot interrupt itself synchronously).
         """
         fired = [False]
 
@@ -302,12 +304,12 @@ class FaultPlan:
             if slice_id is not None and sid != slice_id:
                 return
             fired[0] = True
-            self.env.call_later(0.0, self._crash_manager, target, name)
+            self.env.call_later(0.0, self._crash_manager, crash, name)
 
         runtime.migration_phase_listeners.append(listener)
 
-    def _crash_manager(self, target, phase) -> None:
-        target.crash()
+    def _crash_manager(self, crash, phase) -> None:
+        crash()
         detail = {} if phase is None else {"phase": phase}
         self._record("manager_crash", **detail)
 

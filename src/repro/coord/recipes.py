@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from .errors import NoNodeError
 from .kernel import CoordinationKernel, Session
 
 __all__ = ["LeaderElection"]
@@ -78,16 +77,6 @@ class LeaderElection:
             return None
         data, _ = self.kernel.get(f"{self.path}/{contenders[0]}")
         return data
-
-    def resign(self) -> None:
-        """Leave the election (a leader resigning triggers a new election)."""
-        if self._node is not None:
-            try:
-                self.kernel.delete(self._node)
-            except NoNodeError:
-                pass
-            self._node = None
-        self._elected = False
 
     def _contenders(self) -> List[str]:
         return [

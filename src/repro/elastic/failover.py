@@ -4,18 +4,18 @@ The paper keeps the manager restartable by storing its whole state in
 ZooKeeper (§IV-B).  :class:`ManagerFailover` packages the full pattern
 the chaos scenarios exercise (see RESILIENCE.md):
 
-* the primary :class:`~repro.elastic.ElasticityManager` runs with a
-  ``checkpoint_store`` attached, so its decision history and the
-  decision currently executing are always on stable storage;
+* the primary :class:`~repro.elastic.ElasticityManager` writes its
+  decision history and the decision currently executing to the
+  coordination kernel before it acts, beside hosts and placement;
 * one or more standbys wait behind a
   :class:`~repro.coord.LeaderElection` (ephemeral-sequential nodes in
   the coordination kernel);
 * :meth:`ManagerFailover.crash_active` kills the active manager —
   interrupting any in-flight migration, which rolls back via the
   engine's abort path — and closes its election session, so the next
-  standby is promoted, rebuilds via
-  :meth:`~repro.elastic.ElasticityManager.recover`, and settles the
-  interrupted decision with
+  standby is promoted, is built by the ordinary constructor with no
+  host list (so it reads hosts, history and the in-flight decision back
+  from the kernel), and settles the interrupted decision with
   :meth:`~repro.elastic.ElasticityManager.resume_inflight`.
 
 The promoted manager resumes heartbeat collection immediately: elastic
@@ -30,7 +30,6 @@ from typing import Dict, List, Optional
 
 from ..cluster import CloudProvider, Host
 from ..coord import CoordinationKernel, LeaderElection
-from ..engine import CheckpointStore
 from .manager import ElasticityManager
 
 __all__ = ["ManagerFailover"]
@@ -44,7 +43,6 @@ class ManagerFailover:
         hub,
         cloud: CloudProvider,
         coord: Optional[CoordinationKernel] = None,
-        checkpoint_store: Optional[CheckpointStore] = None,
         **manager_kwargs,
     ):
         """``manager_kwargs`` are forwarded to every manager built by
@@ -54,13 +52,6 @@ class ManagerFailover:
         self.cloud = cloud
         self.env = hub.env
         self.coord = coord or CoordinationKernel()
-        # Explicit None check: an *empty* CheckpointStore is falsy
-        # (``__len__`` is 0), and a caller-provided store must be used
-        # even before the first checkpoint lands in it.
-        self.store = (
-            checkpoint_store if checkpoint_store is not None
-            else CheckpointStore()
-        )
         self.manager_kwargs = dict(manager_kwargs)
         #: Managers by candidate id, in promotion order.
         self.managers: Dict[str, ElasticityManager] = {}
@@ -106,31 +97,16 @@ class ManagerFailover:
         election.join()
 
     def _on_elected(self, candidate_id: str, initial_hosts) -> None:
-        takeover = self.active is not None or self.failovers > 0 or (
-            initial_hosts is None
+        # A standby (no host list) restarts from the kernel.
+        manager = ElasticityManager(
+            self.hub, self.cloud, initial_hosts, coord=self.coord,
+            **self.manager_kwargs,
         )
-        if initial_hosts is not None and not takeover:
-            manager = ElasticityManager(
-                self.hub,
-                self.cloud,
-                initial_hosts,
-                coord=self.coord,
-                checkpoint_store=self.store,
-                **self.manager_kwargs,
-            )
-        else:
-            manager = ElasticityManager.recover(
-                self.hub,
-                self.cloud,
-                self.coord,
-                checkpoint_store=self.store,
-                **self.manager_kwargs,
-            )
         self.managers[candidate_id] = manager
         self.active = manager
         self.active_id = candidate_id
         manager.start()
-        if takeover:
+        if initial_hosts is None:
             self.failovers += 1
             orphans, self._pending_orphans = self._pending_orphans, []
             manager.resume_inflight(orphans)
@@ -154,7 +130,3 @@ class ManagerFailover:
         # Ephemeral election node disappears with the session; the next
         # candidate in line is promoted by its watch.
         self._sessions[candidate_id].close()
-
-    #: Alias so a :class:`~repro.cluster.FaultPlan` can target the
-    #: harness directly (``crash_manager_at(...)`` calls ``crash()``).
-    crash = crash_active

@@ -3,19 +3,19 @@
 The manager (paper §IV-B) owns the system configuration, collects probes
 from all hosts via heartbeats, forwards them to the elasticity enforcer
 and orchestrates the resulting migrations, host allocations and releases.
-The whole manager state — slice placement, the managed host set, and the
-migration log — is mirrored into a ZooKeeper-like coordination kernel so a
-failed manager can be restarted from the shared state.
+The whole manager state — slice placement, the managed host set, the
+migration log, the decision history and the decision currently executing —
+is mirrored into a ZooKeeper-like coordination kernel so a failed manager
+can be restarted from the shared state.
 
-Failover (see RESILIENCE.md): when a ``checkpoint_store`` is attached,
-the manager additionally persists its decision history *and the decision
-currently executing* under :data:`~repro.engine.MANAGER_STATE_KEY`
-before touching the system.  A standby promoted after a
-:meth:`crash` (typically via :class:`~repro.coord.LeaderElection`, see
-:class:`~repro.elastic.failover.ManagerFailover`) rebuilds itself with
-:meth:`recover` and calls :meth:`resume_inflight` to classify every
-migration of the interrupted decision as completed or rolled back —
-in-flight migrations a crash kills roll back on interrupt
+Failover (see RESILIENCE.md): the history and the in-flight decision live
+in one znode, ``/estreamhub/state``, written *before* the manager touches
+the system.  A standby promoted after a :meth:`crash` (typically via
+:class:`~repro.elastic.failover.ManagerFailover`) is the ordinary
+constructor with no host list: it reads hosts, history and the in-flight
+decision back from the kernel, then calls :meth:`resume_inflight` to
+classify every migration of the interrupted decision as completed or
+rolled back — in-flight migrations a crash kills roll back on interrupt
 (:mod:`repro.engine.migration`), so the system is never left halted.
 """
 
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cluster import CloudProvider, Host, Watchdog
-from ..coord import CoordinationKernel, NoNodeError
-from ..engine import Checkpoint, CheckpointStore, MANAGER_STATE_KEY, MigrationReport
+from ..coord import CoordinationKernel, NoNodeError, NodeExistsError
+from ..engine import MigrationReport
 from ..sim import Environment, Interrupt
 from .binpack import NEW_HOST_PREFIX
 from .enforcer import ElasticityEnforcer, ScalingDecision
@@ -38,6 +38,8 @@ from .signals import ScalingRule
 __all__ = ["ElasticityManager", "ManagerRecord"]
 
 _ROOT = "/estreamhub"
+#: History + in-flight decision; written before the manager acts.
+_STATE = f"{_ROOT}/state"
 
 
 @dataclass
@@ -66,23 +68,24 @@ class ElasticityManager:
         self,
         hub,
         cloud: CloudProvider,
-        engine_hosts: List[Host],
+        engine_hosts: Optional[List[Host]] = None,
         policy: Optional[ElasticityPolicy] = None,
         enforcer: Optional[ElasticityEnforcer] = None,
         coord: Optional[CoordinationKernel] = None,
         probe_interval_s: float = 5.0,
-        checkpoint_store: Optional[CheckpointStore] = None,
         migration_timeout_s: Optional[float] = None,
     ):
         """Wire a manager to one deployed hub.
 
         ``engine_hosts`` is the initial managed host set (at least one);
         the manager owns membership from here on — provisioning into and
-        releasing from ``cloud`` as the enforcer decides.  ``policy``
-        defaults to the hub's configured policy
-        (``hub.config.policy``); ``enforcer`` and
-        ``coord`` default to the two-step enforcer sized to the
-        provider's host spec and a fresh coordination kernel.
+        releasing from ``cloud`` as the enforcer decides.  ``None``
+        restarts from ``coord`` (paper §IV-B): the host set, decision
+        history and in-flight decision a predecessor left there are read
+        back.  ``policy`` defaults to the hub's configured policy
+        (``hub.config.policy``); ``enforcer`` and ``coord`` default to
+        the two-step enforcer sized to the provider's host spec and a
+        fresh coordination kernel.
         ``probe_interval_s`` is the heartbeat period (paper: 5 s).  The
         hub's telemetry bundle, when present, is inherited and threaded
         into the collector, the scaling rule and the enforcer.
@@ -106,6 +109,11 @@ class ElasticityManager:
         if self.enforcer.telemetry is None:
             self.enforcer.telemetry = self.telemetry
         self.coord = coord or CoordinationKernel()
+        if engine_hosts is None:
+            engine_hosts = [
+                host for host in map(cloud.host, self.stored_hosts())
+                if not host.released
+            ]
         self.engine_hosts: List[Host] = list(engine_hosts)
         if not self.engine_hosts:
             raise ValueError("need at least one initial engine host")
@@ -131,8 +139,6 @@ class ElasticityManager:
         self._executing = False
         self._last_action_at = -float("inf")
         self._started = False
-        #: Stable store for the manager's own state (enables failover).
-        self.checkpoint_store = checkpoint_store
         self.migration_timeout_s = migration_timeout_s
         self._watchdog = (
             Watchdog(self.env, self.telemetry)
@@ -144,22 +150,10 @@ class ElasticityManager:
         self._inflight_ops: List = []
         self.manager_crashes = 0
         #: Fencing flag: once crashed, this manager instance may never
-        #: write to the checkpoint store again (a promoted standby owns
-        #: the epoch chain now).
+        #: write its state znode again (a promoted standby owns it now).
         self.crashed = False
         #: ``(slice_id, outcome)`` pairs from :meth:`resume_inflight`.
         self.failover_outcomes: List = []
-        self._manager_epoch = 0
-        if checkpoint_store is not None:
-            stored = checkpoint_store.get(MANAGER_STATE_KEY)
-            if stored is not None:
-                # Standby: continue the epoch chain and inherit the
-                # decision history the crashed primary persisted.
-                self._manager_epoch = stored.epoch
-                self.history = [
-                    ManagerRecord(**record)
-                    for record in stored.state.get("history", [])
-                ]
         self._init_config()
 
     # -- lifecycle ------------------------------------------------------------
@@ -170,11 +164,6 @@ class ElasticityManager:
             raise RuntimeError("manager already started")
         self._started = True
         self.collector.start()
-
-    def stop(self) -> None:
-        """Stop enforcing (manager shutdown or simulated failure)."""
-        self.collector.stop()
-        self._started = False
 
     @property
     def host_count(self) -> int:
@@ -365,28 +354,15 @@ class ElasticityManager:
         }
 
     def _persist_state(self, inflight: Optional[Dict]) -> None:
-        """Checkpoint history + the in-flight decision to stable storage."""
-        if self.checkpoint_store is None or self.crashed:
-            # A crashed instance is fenced off stable storage: only the
-            # promoted standby may continue the epoch chain.
+        """Write history + the in-flight decision to the state znode."""
+        if self.crashed:
+            # A crashed instance is fenced off the state znode: only
+            # the promoted standby may write the manager state.
             return
-        self._manager_epoch += 1
-        self.checkpoint_store.put(
-            Checkpoint(
-                slice_id=MANAGER_STATE_KEY,
-                epoch=self._manager_epoch,
-                captured_at=self.env.now,
-                state={
-                    "history": [
-                        dataclasses.asdict(record) for record in self.history
-                    ],
-                    "inflight": inflight,
-                },
-                vector={},
-                seq_counters={},
-                state_bytes=0,
-            )
-        )
+        self.coord.set(_STATE, {
+            "history": [dataclasses.asdict(record) for record in self.history],
+            "inflight": inflight,
+        })
 
     def crash(self, kill_inflight: bool = True) -> List:
         """Simulate a manager process crash (chaos scenarios).
@@ -425,7 +401,7 @@ class ElasticityManager:
 
         Awaits any orphaned operations handed over from
         :meth:`crash(kill_inflight=False) <crash>`, then reads the
-        persisted in-flight decision back from the checkpoint store and
+        persisted in-flight decision back from the kernel and
         classifies each planned migration against the live placement:
         ``completed`` (the slice moved off its origin) or
         ``rolled_back`` (still on the origin — the interrupt rolled it
@@ -444,12 +420,8 @@ class ElasticityManager:
             span = tracer.start_span("recovery.failover", orphans=len(orphans))
         # A failed orphan rolled back; the classification below says so.
         yield from self._await_ops(orphans)
-        stored = (
-            self.checkpoint_store.get(MANAGER_STATE_KEY)
-            if self.checkpoint_store is not None
-            else None
-        )
-        inflight = stored.state.get("inflight") if stored is not None else None
+        state, _ = self.coord.get(_STATE)
+        inflight = state["inflight"] if state is not None else None
         outcomes = []
         failures = 0
         if inflight is not None:
@@ -489,9 +461,12 @@ class ElasticityManager:
     # -- coordination-kernel mirror ------------------------------------------------------
 
     def _init_config(self) -> None:
-        self.coord.ensure_path(f"{_ROOT}/placement")
-        self.coord.ensure_path(f"{_ROOT}/hosts")
-        self.coord.ensure_path(f"{_ROOT}/migrations")
+        for node in ("placement", "hosts", "migrations", "state"):
+            self.coord.ensure_path(f"{_ROOT}/{node}")
+        state, _ = self.coord.get(_STATE)
+        if state is not None:
+            # Restart: inherit the predecessor's decision history.
+            self.history = [ManagerRecord(**record) for record in state["history"]]
         for host in self.engine_hosts:
             self._record_host(host)
         self._sync_placement()
@@ -501,7 +476,7 @@ class ElasticityManager:
             self.coord.create(
                 f"{_ROOT}/hosts/{host.host_id}", data={"cores": host.spec.cores}
             )
-        except Exception:
+        except NodeExistsError:
             pass  # restart: node already present
 
     def _unrecord_host(self, host_id: str) -> None:
@@ -529,48 +504,6 @@ class ElasticityManager:
                 "duration_s": report.duration_s,
             },
             sequential=True,
-        )
-
-    # -- recovery --------------------------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        hub,
-        cloud: CloudProvider,
-        coord: CoordinationKernel,
-        policy: Optional[ElasticityPolicy] = None,
-        enforcer: Optional[ElasticityEnforcer] = None,
-        probe_interval_s: float = 5.0,
-        checkpoint_store: Optional[CheckpointStore] = None,
-        migration_timeout_s: Optional[float] = None,
-    ) -> "ElasticityManager":
-        """Rebuild a manager from the configuration stored in ``coord``.
-
-        Used after a manager failure (paper §IV-B): the managed host set
-        and slice placement were mirrored into the coordination kernel, so
-        a standby manager (typically promoted by a
-        :class:`~repro.coord.LeaderElection`) resumes from shared state.
-        Pass the primary's ``checkpoint_store`` to also inherit its
-        decision history and settle any in-flight decision
-        (:meth:`resume_inflight`).
-        """
-        host_ids = coord.get_children(f"{_ROOT}/hosts")
-        engine_hosts = []
-        for host_id in host_ids:
-            host = cloud.host(host_id)
-            if not host.released:
-                engine_hosts.append(host)
-        return cls(
-            hub,
-            cloud,
-            engine_hosts,
-            policy=policy,
-            enforcer=enforcer,
-            coord=coord,
-            probe_interval_s=probe_interval_s,
-            checkpoint_store=checkpoint_store,
-            migration_timeout_s=migration_timeout_s,
         )
 
     def stored_placement(self) -> Dict[str, str]:

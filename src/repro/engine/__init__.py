@@ -13,7 +13,7 @@ from .locks import RWLock
 from .migration import MigrationError, MigrationReport, migrate_slice
 from .runtime import EngineRuntime, LogicalSlice, MigrationCosts, OperatorInfo
 from .retention import RetentionBuffer, RetentionLog
-from .checkpoint import Checkpoint, CheckpointStore, MANAGER_STATE_KEY
+from .checkpoint import Checkpoint, CheckpointStore
 from .recovery import DeadLetterQueue, RecoveryReport, ReliabilityCoordinator
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointStore",
     "DeadLetterQueue",
-    "MANAGER_STATE_KEY",
     "EngineRuntime",
     "LogicalSlice",
     "MigrationCosts",

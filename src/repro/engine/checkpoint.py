@@ -11,6 +11,8 @@ A checkpoint captures, atomically under the slice's write lock:
 Checkpoints are shipped to a :class:`CheckpointStore` standing in for
 stable storage (a replicated store in a real deployment); the transfer is
 charged on the origin host's NIC and the serialization on its CPU.
+Slices only: the elasticity manager keeps its own state in the
+coordination kernel (:mod:`repro.elastic.manager`).
 """
 
 from __future__ import annotations
@@ -18,17 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Checkpoint", "CheckpointStore", "MANAGER_STATE_KEY", "STABLE_STORAGE"]
+__all__ = ["Checkpoint", "CheckpointStore", "STABLE_STORAGE"]
 
 #: Pseudo host id of the stable checkpoint store on the fabric.
 STABLE_STORAGE = "stable-storage"
-
-#: Reserved slice-id the elasticity manager checkpoints its own state
-#: under (``ManagerRecord`` history + the in-flight decision), so a
-#: standby elected after a manager crash can resume or roll back the
-#: operation that was executing (see :mod:`repro.elastic.failover`).
-#: ``__`` keeps it out of the real ``operator:index`` namespace.
-MANAGER_STATE_KEY = "__manager__"
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from ..elastic import (
     ScalingDecision,
     ViolationKind,
 )
-from ..engine import CheckpointStore, ReliabilityCoordinator
+from ..engine import ReliabilityCoordinator
 from ..filtering import (
     BruteForceLibrary,
     CostModel,
@@ -329,11 +329,9 @@ def run_manager_crash(
     """
     baseline = _baseline_digest()
     d = _deploy()
-    store = CheckpointStore()
     failover = ManagerFailover(
         d.hub,
         d.cloud,
-        checkpoint_store=store,
         # Decisions are driven explicitly below; park the probe loop.
         probe_interval_s=10 * HORIZON_S,
     )
@@ -341,15 +339,11 @@ def run_manager_crash(
     failover.start_primary(engine_hosts)
     failover.add_standby("standby")
     plan = FaultPlan(d.env, cloud=d.cloud, telemetry=d.telemetry)
-
-    class _CrashTarget:
-        """Adapts ``FaultPlan``'s no-arg ``crash()`` to ``kill_inflight``."""
-
-        @staticmethod
-        def crash() -> None:
-            failover.crash_active(kill_inflight=kill_inflight)
-
-    plan.crash_manager_at_phase(d.hub.runtime, _CrashTarget, phase=phase)
+    plan.crash_manager_at_phase(
+        d.hub.runtime,
+        lambda: failover.crash_active(kill_inflight=kill_inflight),
+        phase=phase,
+    )
     decision = ScalingDecision(
         kind=ViolationKind.LOCAL_OVERLOAD,
         migrations=[

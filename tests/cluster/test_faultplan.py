@@ -127,38 +127,32 @@ class TestPartitions:
         assert plan.injected[1][2] == {"a": "*", "b": "*"}
 
 
-class _Target:
-    def __init__(self):
-        self.crashes = 0
-
-    def crash(self):
-        self.crashes += 1
-
-
 class TestManagerCrash:
     def test_crash_manager_at_time(self):
         env, _, _, _, plan = make_plan()
-        target = _Target()
-        plan.crash_manager_at(2.0, target)
+        crashes = []
+        plan.crash_manager_at(2.0, lambda: crashes.append(env.now))
         env.run()
-        assert target.crashes == 1
+        assert crashes == [2.0]
         assert plan.injected[0][1] == "manager_crash"
 
     def test_crash_at_phase_fires_once_for_matching_phase(self):
         env, _, _, _, plan = make_plan()
-        target = _Target()
+        crashes = []
 
         class FakeRuntime:
             migration_phase_listeners = []
 
         runtime = FakeRuntime()
-        plan.crash_manager_at_phase(runtime, target, phase="copy")
+        plan.crash_manager_at_phase(
+            runtime, lambda: crashes.append(env.now), phase="copy"
+        )
         (listener,) = runtime.migration_phase_listeners
         listener("M:0", "sync")    # wrong phase: ignored
         listener("M:0", "copy")    # fires
         listener("M:1", "copy")    # one-shot: ignored
         env.run()
-        assert target.crashes == 1
+        assert len(crashes) == 1
         assert plan.injected[0][2] == {"phase": "copy"}
 
 

@@ -58,16 +58,6 @@ class TestLeaderElection:
         sessions[1].close()
         assert elections[2].is_leader
 
-    def test_resign_passes_leadership(self, zk):
-        s1, s2 = zk.session(), zk.session()
-        first = LeaderElection(zk, s1, candidate_id="m1")
-        second = LeaderElection(zk, s2, candidate_id="m2")
-        first.join()
-        second.join()
-        first.resign()
-        assert second.is_leader
-        assert not first.is_leader
-
     def test_double_join_rejected(self, zk):
         election = LeaderElection(zk, zk.session(), candidate_id="m")
         election.join()

@@ -6,11 +6,9 @@ a standby through the leader-election recipe and verify it resumes elastic
 control from the stored configuration.
 """
 
-import pytest
-
 from repro.cluster import CloudProvider, HostSpec
-from repro.coord import CoordinationKernel, LeaderElection
-from repro.elastic import ElasticityManager, ElasticityPolicy
+from repro.coord import CoordinationKernel
+from repro.elastic import ElasticityManager, ManagerFailover
 from repro.filtering import CostModel
 from repro.pubsub import HubConfig, StreamHub, Subscription
 from repro.pubsub.source import SourceDriver
@@ -46,69 +44,49 @@ def test_recover_rebuilds_manager_from_coordination_state():
     env.run(until=85.0)
     assert primary.host_count >= 2  # it scaled out
 
-    primary.stop()
-    recovered = ElasticityManager.recover(hub, cloud, coord)
-    # The recovered manager sees exactly the hosts the primary managed.
+    primary.crash()
+    # No host list: the restarted manager reads everything from the kernel.
+    recovered = ElasticityManager(hub, cloud, coord=coord)
+    # It sees exactly the hosts the primary managed, and its history.
     assert {h.host_id for h in recovered.engine_hosts} == {
         h.host_id for h in primary.engine_hosts
     }
     assert recovered.stored_placement() == primary.stored_placement()
+    assert primary.history
+    assert recovered.history == primary.history
 
 
 def test_standby_takes_over_via_leader_election():
     env, cloud, hub, engine_hosts = build_deployment()
-    coord = CoordinationKernel()
-    managers = {}
-
-    # Primary manager process.
-    primary_session = coord.session()
-    primary_election = LeaderElection(coord, primary_session, candidate_id="primary")
-
-    def start_primary():
-        managers["primary"] = ElasticityManager(hub, cloud, engine_hosts, coord=coord)
-        managers["primary"].start()
-
-    primary_election.on_elected(start_primary)
-    primary_election.join()
-    assert "primary" in managers
-
-    # Standby joins and waits.
-    standby_session = coord.session()
-    standby_election = LeaderElection(coord, standby_session, candidate_id="standby")
-
-    def start_standby():
-        managers["standby"] = ElasticityManager.recover(hub, cloud, coord)
-        managers["standby"].start()
-
-    standby_election.on_elected(start_standby)
-    standby_election.join()
-    assert "standby" not in managers  # not leader yet
+    failover = ManagerFailover(hub, cloud)
+    primary = failover.start_primary(engine_hosts)
+    failover.add_standby("standby")
+    assert "standby" not in failover.managers  # not leader yet
 
     # Rising load so the standby must keep scaling after the takeover.
     SourceDriver(hub).publish_profile(
         lambda t: 15.0 if t < 100.0 else 28.0, duration_s=230.0
     )
-
-    def crash_primary():
-        yield env.timeout(70.0)
-        managers["primary"].stop()
-        primary_session.close()  # ephemeral election node disappears
-
-    env.process(crash_primary())
+    env.call_later(70.0, failover.crash_active)
     env.run(until=220.0)
-    assert standby_election.is_leader
-    assert managers["standby"].host_count >= 2
+    standby = failover.managers["standby"]
+    assert failover.active is standby
+    assert failover.failovers == 1
+    assert standby.host_count >= 2
     env.run(until=250.0)  # drain the tail
 
     # The standby was promoted and continued managing the system.
-    assert standby_election.is_leader
-    assert "standby" in managers
-    standby = managers["standby"]
-    primary = managers["primary"]
-    # Scaling decisions happened on both sides of the failover.
+    assert failover.active is standby
+    # Scaling decisions happened on both sides of the failover, and the
+    # standby's history continues the primary's.
     assert primary.history, "primary never acted"
-    assert standby.history, "standby never acted after takeover"
-    assert all(r.time > 70.0 for r in standby.history)
+    inherited = len(primary.history)
+    assert standby.history[:inherited] == primary.history
+    own = standby.history[inherited:]
+    assert any(r.time > 70.0 for r in own), "standby never acted after takeover"
+    assert all(r.time >= 70.0 for r in own)
+    state, _ = failover.coord.get("/estreamhub/state")
+    assert len(state["history"]) == len(standby.history)
     live = {
         k: v for k, v in hub.runtime.placement().items()
         if k in hub.engine_slice_ids()
@@ -121,11 +99,11 @@ def test_standby_takes_over_via_leader_election():
     assert hub.published_count == hub.notified_publications
 
 
-def test_stopped_manager_takes_no_further_decisions():
+def test_crashed_manager_takes_no_further_decisions():
     env, cloud, hub, engine_hosts = build_deployment()
     manager = ElasticityManager(hub, cloud, engine_hosts, coord=CoordinationKernel())
     manager.start()
-    manager.stop()
+    manager.crash()
     SourceDriver(hub).publish_constant(rate_per_s=20.0, duration_s=60.0)
     env.run(until=70.0)
     assert manager.history == []

@@ -16,7 +16,6 @@ from repro.elastic import (
     ScalingDecision,
     ViolationKind,
 )
-from repro.engine import CheckpointStore
 from repro.experiments import phase_spans_tile
 from repro.filtering import AspeLibrary, CostModel, ExactBackend
 from repro.pubsub import HubConfig, Publication, StreamHub, Subscription
@@ -49,9 +48,8 @@ class FailoverHarness:
             for sub_id, payload in batch:
                 self.hub.subscribe(Subscription(sub_id, sub_id, payload))
         self.env.run()  # drain subscriptions before any manager starts
-        self.store = CheckpointStore()
         self.failover = ManagerFailover(
-            self.hub, self.cloud, checkpoint_store=self.store,
+            self.hub, self.cloud,
             probe_interval_s=1000.0,  # decisions are driven explicitly
             migration_timeout_s=migration_timeout_s,
         )
@@ -73,32 +71,28 @@ class FailoverHarness:
             migrations=[PlannedMigration("M:0", src, dst)],
         ), src, dst
 
-    def crash_target(self, kill_inflight):
-        failover = self.failover
-
-        class Target:
-            @staticmethod
-            def crash():
-                failover.crash_active(kill_inflight=kill_inflight)
-
-        return Target
+    def stored_state(self):
+        """The manager's state znode: ``(data, stat)``."""
+        return self.failover.coord.get("/estreamhub/state")
 
 
 def test_decision_persisted_before_acting():
     h = FailoverHarness()
     decision, src, _ = h.migration_decision()
     h.failover.active.execute_decision(decision)
-    # On stable storage while the protocol is still in flight: a step
-    # later the decision record is durable, the migration is not done.
+    # In the kernel while the protocol is still in flight: a step later
+    # the decision record is durable, the migration is not done.
     h.env.run(until=h.env.now + 0.001)
-    stored = h.store.get("__manager__")
-    inflight = stored.state["inflight"]
+    state, stat = h.stored_state()
+    inflight = state["inflight"]
     assert inflight is not None
     assert [m["slice"] for m in inflight["migrations"]] == ["M:0"]
     h.settle()
     # Completed without a crash: the in-flight marker is cleared.
-    assert h.store.get("__manager__").state["inflight"] is None
-    assert h.store.get("__manager__").epoch > stored.epoch
+    state, after = h.stored_state()
+    assert state["inflight"] is None
+    assert len(state["history"]) == 1
+    assert after.version > stat.version
 
 
 def test_crash_mid_migration_rolls_back_and_promotes_standby():
@@ -106,7 +100,7 @@ def test_crash_mid_migration_rolls_back_and_promotes_standby():
     decision, src, _ = h.migration_decision()
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
-        h.hub.runtime, h.crash_target(kill_inflight=True),
+        h.hub.runtime, lambda: h.failover.crash_active(kill_inflight=True),
         phase="copy",
     )
     h.failover.active.execute_decision(decision)
@@ -125,7 +119,7 @@ def test_crash_with_surviving_orphan_classified_completed():
     decision, src, dst = h.migration_decision()
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
-        h.hub.runtime, h.crash_target(kill_inflight=False),
+        h.hub.runtime, lambda: h.failover.crash_active(kill_inflight=False),
         phase="copy",
     )
     h.failover.active.execute_decision(decision)
@@ -149,7 +143,9 @@ def test_crash_at_every_phase_settles_the_operation(phase, kill_inflight):
     decision, src, dst = h.migration_decision()
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
-        runtime, h.crash_target(kill_inflight=kill_inflight), phase=phase
+        runtime,
+        lambda: h.failover.crash_active(kill_inflight=kill_inflight),
+        phase=phase,
     )
     primary = h.failover.active
     primary.execute_decision(decision)
@@ -258,18 +254,18 @@ def test_crashed_manager_is_fenced_off_stable_storage():
     decision, _, _ = h.migration_decision()
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
-        h.hub.runtime, h.crash_target(kill_inflight=True),
+        h.hub.runtime, lambda: h.failover.crash_active(kill_inflight=True),
         phase="copy",
     )
     h.failover.active.execute_decision(decision)
     primary = h.failover.active
     h.settle()
     assert primary.crashed
-    epoch = h.store.get("__manager__").epoch
+    version = h.failover.coord.exists("/estreamhub/state").version
     # A zombie write from the crashed instance must be a no-op: the
-    # promoted standby owns the epoch chain now.
-    primary._persist_state(inflight=None)
-    assert h.store.get("__manager__").epoch == epoch
+    # promoted standby owns the state znode now.
+    primary._persist_state(inflight={"kind": "zombie"})
+    assert h.failover.coord.exists("/estreamhub/state").version == version
 
 
 def test_crash_without_active_manager_rejected():

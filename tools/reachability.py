@@ -134,14 +134,12 @@ KEPT: Dict[str, str] = {
             "repro/cluster/network.py::Network.is_attached",
             "repro/cluster/network.py::Network.transfer_time",
             "repro/cluster/network.py::Network.nic_busy_until",
-            "repro/coord/kernel.py::CoordinationKernel.get",
             "repro/coord/kernel.py::CoordinationKernel.walk",
             "repro/coord/recipes.py::LeaderElection.is_leader",
             "repro/coord/recipes.py::LeaderElection.leader_id",
             "repro/elastic/binpack.py::Placement.uses_new_hosts",
             "repro/elastic/manager.py::ElasticityManager.host_count",
             "repro/elastic/manager.py::ElasticityManager.stored_placement",
-            "repro/elastic/manager.py::ElasticityManager.stored_hosts",
             "repro/elastic/probes.py::ProbeSet.total_load_cores",
             "repro/engine/checkpoint.py::CheckpointStore.slices",
             "repro/engine/checkpoint.py::CheckpointStore.__len__",
@@ -203,8 +201,6 @@ KEPT: Dict[str, str] = {
             "repro/sim/core.py::Event.__repr__",
             "repro/telemetry/tracing.py::Span.__repr__"),
     **_kept(DRIVE,
-            "repro/coord/recipes.py::LeaderElection.resign",
-            "repro/elastic/manager.py::ElasticityManager.stop",
             "repro/engine/locks.py::RWLock.acquire",
             "repro/engine/recovery.py::ReliabilityCoordinator.checkpoint_now",
             "repro/experiments/harness.py::Deployment.fresh_host",
