@@ -32,7 +32,6 @@ import os
 
 from repro.elastic import ElasticityPolicy
 from repro.experiments.elastic import run_elastic
-from repro.experiments.harness import ExperimentSetup
 from repro.metrics import write_json
 from repro.workloads import trapezoid
 
@@ -78,8 +77,7 @@ def run_variant(name: str) -> dict:
     if name in RESULTS:
         return RESULTS[name]
     policy = ElasticityPolicy(**VARIANTS[name])
-    setup = ExperimentSetup(backpressure=True, credit_window=8)
-    result = run_elastic(double_surge, DURATION_S, setup=setup, policy=policy)
+    result = run_elastic(double_surge, DURATION_S, policy=policy)
 
     t_ref = None
     for t, hosts in result.host_series:
@@ -191,8 +189,6 @@ def test_signal_ablation_table_and_export(report):
                 "trough_s": TROUGH_S,
                 "duration_s": DURATION_S,
                 "ref_hosts": REF_HOSTS,
-                "backpressure": True,
-                "credit_window": 8,
             },
             "variants": {name: dict(VARIANTS[name]) for name in VARIANTS},
             "results": runs,

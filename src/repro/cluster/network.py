@@ -4,7 +4,7 @@ The paper's testbed interconnects hosts with a 1 Gbps switched network.  We
 model each host's NIC as a FIFO serialization point: an outgoing message
 occupies the NIC for ``size / bandwidth`` seconds behind any earlier
 messages, then arrives after a propagation latency.  This yields both the
-transfer times that dominate operator-state migration and backpressure
+transfer times that dominate operator-state migration and queueing delay
 under load.
 
 The implementation is deliberately O(1) kernel steps per message (a single

@@ -41,14 +41,6 @@ class SliceProbe:
     queue_length: int
     #: Events processed during the window.
     processed_delta: int = 0
-    #: Messages parked behind the slice's credit-starved outbound
-    #: channels — upstream pressure: the slice's *receivers* are the
-    #: bottleneck, so scaling this slice up would not help.
-    spill_depth: int = 0
-    #: Send credits held by messages in flight toward this slice — how
-    #: close its inbox is to the configured bound (0 when backpressure
-    #: is off).
-    credits_outstanding: int = 0
 
     def demand_cores(
         self, window_s: float, cap_cores: float = 16.0, drain_windows: float = 3.0
@@ -258,12 +250,10 @@ class ProbeCollector:
             )
 
         slices = {}
-        transport = self.runtime.transport
         for slice_id in self.managed_slices:
             stats = self.runtime.slice_stats(slice_id)
             previous_processed = self._processed_counts.get(slice_id, 0)
             self._processed_counts[slice_id] = stats["processed"]
-            flow = transport.outbound_stats(slice_id)
             slices[slice_id] = SliceProbe(
                 slice_id=slice_id,
                 host_id=stats["host"],
@@ -271,10 +261,6 @@ class ProbeCollector:
                 memory_bytes=stats["state_bytes"] + self.cost_model.slice_base_bytes,
                 queue_length=stats["queue_length"],
                 processed_delta=max(0, stats["processed"] - previous_processed),
-                spill_depth=int(flow["spill_depth"]),
-                credits_outstanding=transport.inbound_credits_outstanding(
-                    self.runtime._active(slice_id)
-                ),
             )
         delay = (
             self.delay_aggregator.window_at(self.env.now)
@@ -310,12 +296,6 @@ class ProbeCollector:
             telemetry.slice_state_bytes.labels(slice=probe.slice_id).set(
                 probe.memory_bytes
             )
-            telemetry.transport_spill_depth.labels(slice=probe.slice_id).set(
-                probe.spill_depth
-            )
-            telemetry.transport_credits_outstanding.labels(
-                slice=probe.slice_id
-            ).set(probe.credits_outstanding)
 
     def _run(self):
         from ..sim import Interrupt

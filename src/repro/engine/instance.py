@@ -80,15 +80,8 @@ class SliceInstance:
         self.processed_count = 0
         self.dropped_duplicates = 0
         self.dropped_replays = 0
-        #: High-water inbox depth — the backpressure bench's bound check.
+        #: High-water inbox depth.
         self.peak_queue_length = 0
-        #: The runtime transport when credit-based backpressure is on
-        #: (``None`` otherwise, keeping the hot paths free).  Every event
-        #: consumed a send credit on its channel; the credit must return
-        #: on *every* path an event permanently leaves the in-flight set:
-        #: deliver-time drops, worker dequeues, and coalescing drains.
-        transport = runtime.transport
-        self._flow = transport if transport.backpressure else None
         #: True while the instance is reprocessing replayed events after a
         #: crash recovery; its emissions are flagged for receiver-side
         #: deduplication during this window.
@@ -120,8 +113,6 @@ class SliceInstance:
     def deliver(self, event: StreamEvent) -> None:
         """Entry point for the transport layer."""
         if self._destroyed:
-            if self._flow is not None:
-                self._flow.on_consumed(self, event.source)
             return
         if event.replayed and self._replay_dedup:
             first = self._first_original.get(event.source)
@@ -131,8 +122,6 @@ class SliceInstance:
             ):
                 # Already received as an original delivery: a duplicate.
                 self.dropped_replays += 1
-                if self._flow is not None:
-                    self._flow.on_consumed(self, event.source)
                 return
         else:
             if event.source not in self._first_original:
@@ -196,9 +185,7 @@ class SliceInstance:
         the inbox front (they were dequeued before anything still queued,
         so per-channel FIFO order is preserved), pending quiescence
         watchers are discarded, and workers parked on an empty inbox wake
-        up.  Credits those events already returned at the first dequeue
-        are returned again on reprocessing; the channel credit cap absorbs
-        the double return.
+        up.
         """
         if self._destroyed:
             raise RuntimeError(f"{self.logical_id}: cannot resume a destroyed instance")
@@ -226,7 +213,7 @@ class SliceInstance:
             self._busy -= 1
         self._running.clear()
         self.handler.detach()
-        # Release inbound channels (and their credits/spill) with the
+        # Release inbound channels (and their queued messages) with the
         # instance; channels keyed by this slice's logical id as *source*
         # survive for the successor instance.
         self.runtime.transport.release_instance(self)
@@ -327,14 +314,10 @@ class SliceInstance:
                 # run of coalescible events.
                 items.popleft()
                 self.dropped_duplicates += 1
-                if self._flow is not None:
-                    self._flow.on_consumed(self, candidate.source)
                 continue
             if not self.handler.coalesce_with(head, candidate):
                 break
             items.popleft()
-            if self._flow is not None:
-                self._flow.on_consumed(self, candidate.source)
             batch.append(candidate)
         return batch
 
@@ -391,10 +374,6 @@ class SliceInstance:
         """Run one worker from ``event`` on, until it has to wait (for the
         lock, for a core) or goes idle (``event`` is ``None``)."""
         while event is not None:
-            if self._flow is not None:
-                # Dequeued: the inbox slot is free, return the credit
-                # (the drain's drop paths have theirs accounted).
-                self._flow.on_consumed(self, event.source)
             if self._halted:
                 if self._destroyed:
                     return

@@ -89,10 +89,8 @@ class EngineRuntime:
 
         self.env = env
         self.network = network
-        #: Flow-controlled event-plane transport over the fabric; a pure
-        #: passthrough with the default configuration.  ``None`` config
-        #: reads the ``REPRO_NET_*`` environment, so existing deployments
-        #: flip to adaptive flush / backpressure without code changes.
+        #: Event-plane transport over the fabric; a pure passthrough
+        #: unless its flush mode is ``adaptive`` (``None`` config: eager).
         self.transport = Transport(env, network, transport_config)
         self.migration_costs = migration_costs
         self.operators: Dict[str, OperatorInfo] = {}

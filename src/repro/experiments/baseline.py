@@ -62,10 +62,6 @@ def _backlog_queues(deployment: Deployment):
     for slice_id in deployment.hub.engine_slice_ids():
         logical = runtime.slices[slice_id]
         queues[slice_id] = (lambda inst: (lambda: inst.queue_length))(logical.active)
-    # Backpressure bounds the inboxes but parks the excess in channel
-    # spill queues — count that backlog too, or every rate would look
-    # sustainable under flow control.
-    queues["transport"] = runtime.transport.pending_total
     return queues
 
 

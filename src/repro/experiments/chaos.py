@@ -198,11 +198,11 @@ def _deploy(m_host_count: int = 2, spare_count: int = 2) -> _Deployment:
         backend_factory=lambda index: ExactBackend(BruteForceLibrary()),
         cost_model=CostModel(),
         telemetry=telemetry,
-        # The adaptive flow-controlled transport runs every hop through
-        # a Channel, whose circuit breaker sheds to the spill queue
-        # while the destination is partitioned instead of feeding the
-        # fabric events it would only drop.
-        net=TransportConfig.from_env(flush_mode="adaptive"),
+        # The adaptive transport runs every hop through a Channel, whose
+        # circuit breaker holds its queue while the destination is
+        # partitioned instead of feeding the fabric events it would only
+        # drop.
+        net=TransportConfig(flush_mode="adaptive"),
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy(

@@ -35,13 +35,6 @@ class ExperimentSetup:
     host_cores: int = 8
     max_hosts: int = 30
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Credit-based backpressure on every transport channel.  ``None``
-    #: leaves it to ``REPRO_NET_BACKPRESSURE`` (else off), so the
-    #: environment flips the experiments too.
-    backpressure: Optional[bool] = None
-    #: Send credits per channel when backpressure is on.  ``None`` leaves
-    #: it to ``REPRO_NET_CREDIT_WINDOW`` (else the transport default).
-    credit_window: Optional[int] = None
     seed: int = 1
     #: Optional :class:`repro.telemetry.Telemetry` bundle; when set, every
     #: experiment run records spans and metrics (see OBSERVABILITY.md).
@@ -60,12 +53,7 @@ class ExperimentSetup:
             parallelism=self.parallelism,
             cost_model=self.cost_model,
             telemetry=self.telemetry,
-            net=TransportConfig.from_env(
-                flush_mode="fixed",
-                flush_s=0.10,
-                backpressure=self.backpressure,
-                credit_window=self.credit_window,
-            ),
+            net=TransportConfig(flush_mode="fixed", flush_s=0.10),
         )
 
 
@@ -176,9 +164,3 @@ class Deployment:
             self.hub.runtime.handler_of(f"{self.hub.M}:{i}").backend.subscription_count()
             for i in range(self.setup.m_slices)
         )
-
-    def fresh_host(self) -> Host:
-        """Provision an extra host immediately (migration targets)."""
-        host = self.cloud.provision_now()
-        self.engine_hosts.append(host)
-        return host

@@ -81,10 +81,9 @@ class HubConfig:
     #: See DESIGN.md §8.
     store: StoreConfig = field(default_factory=StoreConfig.from_env)
     #: Event-plane transport: channel flush policy (``eager``, ``fixed``
-    #: fabric epochs or ``adaptive`` per-channel latency-bounded flush)
-    #: and credit-based backpressure.  From ``REPRO_NET_*`` when not
-    #: passed.  See DESIGN.md §9.
-    net: TransportConfig = field(default_factory=TransportConfig.from_env)
+    #: fabric epochs or ``adaptive`` per-channel latency-bounded flush).
+    #: See DESIGN.md §9.
+    net: TransportConfig = field(default_factory=TransportConfig)
     #: The policy of managers driving this hub: the paper's, with the
     #: p99 scale-in veto from ``REPRO_POLICY_SLO_VETO``, when not passed.
     policy: ElasticityPolicy = field(default_factory=ElasticityPolicy.from_env)

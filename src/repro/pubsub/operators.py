@@ -426,7 +426,7 @@ class ExitPointHandler(SliceHandler):
         #: published_at].  Partial subscriber lists are kept *per M slice*
         #: and concatenated in M-slice index order at completion, so the
         #: notification content is independent of the arrival order of
-        #: the partial lists — backpressured/adaptively-flushed runs emit
+        #: the partial lists — adaptively flushed runs emit
         #: byte-identical notifications to serial runs (DESIGN.md §9).
         self.pending: Dict[int, List[Any]] = {}
         self.notifications_sent = 0

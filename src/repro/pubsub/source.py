@@ -1,19 +1,19 @@
-"""Source driver: pushes subscriptions and publications into the hub.
+"""Source driver: pushes publications into the hub.
 
 Stands in for the paper's *source* convenience operator, which pushes
-pre-encrypted events from disk at a controlled rate (§VI-A).  Experiments
-always begin with a subscription *storage phase*, after which publications
-flow at a constant rate, a synthetic rate profile, or a replayed trace.
+pre-encrypted events from disk at a controlled rate (§VI-A).  After the
+subscriptions are stored, publications flow at a constant rate, a
+synthetic rate profile, or a replayed trace.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from ..sim import Environment, Process
 from .hub import StreamHub
-from .messages import Publication, Subscription
+from .messages import Publication
 
 __all__ = ["SourceDriver"]
 
@@ -44,25 +44,6 @@ class SourceDriver:
         self._next_pub_id = pub_id_offset
         self._pub_id_stride = pub_id_stride
         self.publications_sent = 0
-
-    # -- subscription storage phase ------------------------------------------------
-
-    def load_subscriptions(
-        self,
-        subscriptions: Iterable[Subscription],
-        rate_per_s: float = 20_000.0,
-    ) -> Process:
-        """Store subscriptions at ``rate_per_s``; returns the process."""
-        if rate_per_s <= 0:
-            raise ValueError("rate must be positive")
-
-        def run():
-            interval = 1.0 / rate_per_s
-            for subscription in subscriptions:
-                self.hub.subscribe(subscription, source=self.name)
-                yield self.env.timeout(interval)
-
-        return self.env.process(run())
 
     # -- publication phases -----------------------------------------------------------
 

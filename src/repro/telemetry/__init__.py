@@ -124,28 +124,11 @@ class Telemetry:
             "net_bytes_sent_total", "Bytes handed to the network fabric",
             unit="bytes",
         )
-        # Flow-controlled transport (repro.transport channels).
+        # Adaptive-flush transport (repro.transport channels).
         self.transport_flushes = m.counter(
             "transport_flushes_total",
-            "Channel flushes by cause (eager/full/deadline/credit)",
+            "Channel flushes by cause (eager/full/deadline/heal)",
             labels=("cause",),
-        )
-        self.transport_stall = m.histogram(
-            "transport_stall_seconds",
-            "Time credit-starved channels spent waiting before sending",
-            unit="seconds",
-        )
-        self.transport_spill_depth = m.gauge(
-            "transport_spill_depth",
-            "Messages parked behind the slice's credit-starved channels "
-            "at the last heartbeat",
-            labels=("slice",),
-        )
-        self.transport_credits_outstanding = m.gauge(
-            "transport_credits_outstanding",
-            "Send credits held by in-flight/queued messages toward the "
-            "slice at the last heartbeat",
-            labels=("slice",),
         )
         # Matching plane.
         self.matcher_publications = m.counter(

@@ -1,58 +1,45 @@
-"""Per-destination flow-controlled channels over the network fabric.
+"""Per-destination adaptive-flush channels over the network fabric.
 
 A :class:`Channel` carries the event stream of one ``(source, destination
-instance)`` pair.  It owns two policies the raw fabric does not have:
+instance)`` pair under ``adaptive`` flush.  It owns two policies the raw
+fabric does not have:
 
-* **Latency-bounded adaptive flush** — in ``adaptive`` mode a channel
-  accumulates emissions and flushes as one batched transfer when either
+* **Latency-bounded adaptive flush** — a channel accumulates emissions
+  and flushes them as one batched transfer when either
   ``flush_max_batch`` messages are pending (*full*) or the oldest pending
   message is about to exceed the ``flush_s`` delay budget (*deadline*).
   Lightly loaded channels pay at most the budget; busy channels flush at
   batch boundaries — replacing the fabric's global fixed ``batch_flush_s``
   epochs with a per-channel bound on added delay.
 
-* **Credit-based backpressure** — with ``backpressure`` on, a channel
-  starts with ``credit_window`` credits; each message on the wire consumes
-  one, and the credit is granted back (after the channel's propagation
-  latency) when the receiving instance dequeues or drops the message.  A
-  channel out of credits *sheds to its spill queue* rather than blocking
-  the emitting worker, so receiver inboxes are bounded by the credit
-  window per inbound channel, no message is ever lost, and senders never
-  stall inside ``process()`` — which keeps self-addressed delivery loops
-  (the EP dispatch) deadlock-free.
-
 * **Per-channel circuit breaking** — when the fabric reports the
   channel's ``(src, dst)`` pair partitioned
   (:meth:`~repro.cluster.Network.is_partitioned`), the channel opens a
-  breaker instead of flushing into a black hole: pending messages shed
-  to the spill queue (same accounting as credit starvation) and a timer
-  re-probes the fabric every :data:`BREAKER_PROBE_S` until the partition
-  heals, then flushes with cause ``heal``.  See RESILIENCE.md.
+  breaker instead of flushing into a black hole: it holds its queue, and
+  a timer re-probes the fabric every :data:`BREAKER_PROBE_S` until the
+  partition heals, then flushes with cause ``heal``.  See RESILIENCE.md.
 
 Per-channel FIFO order is preserved unconditionally: the pending queue is
-FIFO, a flush always sends a prefix, and the fabric delivers batches in
-order behind the shared NIC watermark — the invariant the migration
-protocol relies on.  The channel's flow machinery runs on ``call_later``
-callbacks of the simulation clock, so two identical runs make identical
-flush/grant decisions and the DES stays bit-deterministic.
+FIFO, a flush sends all of it, and the fabric delivers batches in order
+behind the shared NIC watermark — the invariant the migration protocol
+relies on.  The channel's timers run on ``call_later`` callbacks of the
+simulation clock, so two identical runs make identical flush decisions
+and the DES stays bit-deterministic.
 
 When the source slice migrates, subsequent enqueues re-bind the channel
-to the source's new host; a credit-starved remainder enqueued from the
-old host is then charged to the new host's NIC on flush — a deliberate
-cost-model approximation confined to the migration window.
+to the source's new host; a remainder enqueued from the old host and
+still pending is then charged to the new host's NIC on flush — a
+deliberate cost-model approximation confined to the migration window.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Network
 from ..sim import Environment
 from .config import TransportConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..engine.instance import SliceInstance
 
 __all__ = ["Channel", "Transport"]
 
@@ -62,11 +49,11 @@ BREAKER_PROBE_S = 0.5
 #: Flush causes recorded per channel and in ``transport_flushes_total``.
 #: ``heal`` is the flush a circuit breaker issues when the partition that
 #: tripped it disappears from the fabric.
-FLUSH_CAUSES = ("eager", "full", "deadline", "credit", "heal")
+FLUSH_CAUSES = ("eager", "full", "deadline", "heal")
 
 
 class Channel:
-    """One flow-controlled (source, destination-instance) event stream."""
+    """One adaptively flushed (source, destination-instance) event stream."""
 
     __slots__ = (
         "_transport",
@@ -75,22 +62,13 @@ class Channel:
         "source_key",
         "instance",
         "dst_host",
-        "_adaptive",
         "_budget",
         "_max_batch",
-        "_bp",
-        "credit_window",
-        "credits",
         "_pending",
         "_src_host",
         "_deadline_token",
-        "_starved_since",
         "_breaker_open",
         "breaker_trips",
-        "stall_seconds_total",
-        "stall_count",
-        "messages_sent",
-        "messages_spilled",
         "flush_causes",
         "released",
     )
@@ -103,81 +81,31 @@ class Channel:
         self.instance = instance
         self.dst_host: str = instance.host.host_id
         config = transport.config
-        self._adaptive = config.flush_mode == "adaptive"
         self._budget = config.flush_s
         self._max_batch = config.flush_max_batch
-        self._bp = config.backpressure
-        self.credit_window = config.credit_window
-        #: Remaining send credits (meaningless unless backpressure is on).
-        self.credits = config.credit_window
         self._pending: deque = deque()
         self._src_host: Optional[str] = None
         self._deadline_token = 0
-        #: Simulated time since when the channel has pending messages it
-        #: cannot send for lack of credits (``None`` = not starved).
-        self._starved_since: Optional[float] = None
         #: True while the circuit breaker holds the channel off a
-        #: partitioned fabric path (pending messages shed to spill).
+        #: partitioned fabric path (pending messages stay queued).
         self._breaker_open = False
         self.breaker_trips = 0
-        self.stall_seconds_total = 0.0
-        self.stall_count = 0
-        self.messages_sent = 0
-        #: Messages that entered the pending queue while starved.
-        self.messages_spilled = 0
         self.flush_causes: Dict[str, int] = dict.fromkeys(FLUSH_CAUSES, 0)
         self.released = False
-
-    # -- introspection ------------------------------------------------------
 
     @property
     def pending_count(self) -> int:
         """Messages queued at the sender, not yet on the wire."""
         return len(self._pending)
 
-    @property
-    def starved(self) -> bool:
-        """True while pending messages wait for credits."""
-        return self._starved_since is not None
-
-    @property
-    def credits_outstanding(self) -> int:
-        """Credits consumed by in-flight or not-yet-dequeued messages."""
-        return self.credit_window - self.credits if self._bp else 0
-
     # -- send side ----------------------------------------------------------
 
-    def enqueue(self, src_host: str, event) -> None:
-        """Queue one message; flush per the channel's policy."""
-        self._src_host = src_host
-        pending = self._pending
-        pending.append(event)
-        if self._starved_since is not None:
-            self.messages_spilled += 1
-        if not self._adaptive:
-            self._flush("eager")
-            return
-        if len(pending) == 1 and self._budget > 0.0:
-            self._deadline_token += 1
-            self.env.call_later(
-                self._budget, self._on_deadline, self._deadline_token
-            )
-        if len(pending) >= self._max_batch:
-            self._flush("full")
-        elif self._budget <= 0.0:
-            self._flush("eager")
-
-    def enqueue_many(self, src_host: str, events) -> None:
-        """Queue a run of messages emitted together (one routing pass)."""
+    def enqueue(self, src_host: str, events) -> None:
+        """Queue a run of messages emitted together; flush per the policy."""
         self._src_host = src_host
         pending = self._pending
         was_empty = not pending
-        if self._starved_since is not None:
-            self.messages_spilled += len(events)
         pending.extend(events)
-        if not self._adaptive:
-            self._flush("eager")
-            return
         if was_empty and self._budget > 0.0:
             self._deadline_token += 1
             self.env.call_later(
@@ -196,7 +124,7 @@ class Channel:
             self._flush("deadline")
 
     def _flush(self, cause: str) -> None:
-        """Send the longest credit-covered prefix of the pending queue."""
+        """Send the whole pending queue as one transfer."""
         pending = self._pending
         if not pending or self.released or self._breaker_open:
             return
@@ -205,39 +133,16 @@ class Channel:
         ):
             self._trip_breaker()
             return
-        n = len(pending)
-        if self._bp:
-            credits = self.credits
-            if credits <= 0:
-                if self._starved_since is None:
-                    self._starved_since = self.env.now
-                return
-            if n > credits:
-                n = credits
-        if self._starved_since is not None:
-            stall = self.env.now - self._starved_since
-            self._starved_since = None
-            self.stall_seconds_total += stall
-            self.stall_count += 1
-            hist = self._transport._tel_stall
-            if hist is not None:
-                hist.observe(stall)
-        if n == len(pending):
-            events = list(pending)
-            pending.clear()
-            # Any armed deadline timer now covers delivered messages.
-            self._deadline_token += 1
-        else:
-            events = [pending.popleft() for _ in range(n)]
-        if self._bp:
-            self.credits -= n
+        events = list(pending)
+        pending.clear()
+        # Any armed deadline timer now covers delivered messages.
+        self._deadline_token += 1
         self.flush_causes[cause] += 1
         fam = self._transport._tel_flush
         if fam is not None:
             fam.labels(cause=cause).inc()
-        self.messages_sent += n
         deliver = self.instance.deliver
-        if n == 1:
+        if len(events) == 1:
             self.network.send(
                 self._src_host, self.dst_host, events[0].size_bytes, events[0], deliver
             )
@@ -249,25 +154,20 @@ class Channel:
                 events,
                 deliver,
             )
-        if pending and self._bp and self.credits <= 0:
-            self._starved_since = self.env.now
 
     # -- circuit breaker ------------------------------------------------------
 
     def _trip_breaker(self) -> None:
-        """The fabric path is partitioned: shed to spill, re-probe later.
+        """The fabric path is partitioned: hold the queue, re-probe later.
 
         Instead of retrying into a black hole (every message would be
-        dropped by the fabric and its credit lost for the partition's
-        lifetime), the channel opens a breaker: pending messages park in
-        the spill queue exactly as under credit starvation, and a probe
-        timer re-checks the fabric every :data:`BREAKER_PROBE_S` until the
-        partition heals, then flushes with cause ``heal``.
+        dropped by the fabric), the channel opens a breaker: pending
+        messages stay queued, and a probe timer re-checks the fabric every
+        :data:`BREAKER_PROBE_S` until the partition heals, then flushes
+        with cause ``heal``.
         """
         self._breaker_open = True
         self.breaker_trips += 1
-        if self._starved_since is None:
-            self._starved_since = self.env.now
         fam = self._transport._tel_breaker
         if fam is not None:
             fam.inc()
@@ -283,43 +183,15 @@ class Channel:
         if self._pending:
             self._flush("heal")
 
-    # -- receive side (credit grants) ---------------------------------------
-
-    def consumed(self, n: int = 1) -> None:
-        """The receiver dequeued/dropped ``n`` messages: grant credits back.
-
-        The grant travels upstream with the channel's propagation latency
-        (loopback for intra-host channels), mirroring a real credit frame.
-        """
-        if not self._bp or self.released:
-            return
-        latency = (
-            self.network.loopback_latency
-            if self._src_host == self.dst_host
-            else self.network.latency
-        )
-        self.env.call_later(latency, self._on_grant, n)
-
-    def _on_grant(self, n: int) -> None:
-        if self.released:
-            return
-        # Cap at the window: an event a halted origin drops and later
-        # re-splices on resume() returns its credit twice (see
-        # SliceInstance.resume), and the cap absorbs the surplus.
-        self.credits = min(self.credits + n, self.credit_window)
-        if self._pending:
-            self._flush("credit")
-
 
 class Transport:
-    """Registry of flow-controlled channels for one engine runtime.
+    """Registry of adaptive-flush channels for one engine runtime.
 
-    With the default configuration (``eager`` flush, no backpressure) the
-    transport is a pure passthrough: :meth:`send`/:meth:`send_many` call
-    the fabric directly with the receiving instance's ``deliver`` — the
-    exact call sequence, and therefore the exact simulated trajectory, of
-    the pre-transport engine.  Channels engage only when adaptive flush
-    or backpressure is configured.
+    Unless the flush mode is ``adaptive``, the transport is a pure
+    passthrough: :meth:`send`/:meth:`send_many` call the fabric directly
+    with the receiving instance's ``deliver`` — the exact call sequence,
+    and therefore the exact simulated trajectory, of the pre-transport
+    engine.  Channels exist only under adaptive flush.
 
     Construction programs the fabric to match the flush mode: ``fixed``
     installs ``flush_s`` as the fabric's per-sender flush epoch, and
@@ -335,40 +207,27 @@ class Transport:
     ):
         self.env = env
         self.network = network
-        self.config = config if config is not None else TransportConfig.from_env()
-        self.passthrough = (
-            self.config.flush_mode != "adaptive" and not self.config.backpressure
-        )
+        self.config = config if config is not None else TransportConfig()
+        self.passthrough = self.config.flush_mode != "adaptive"
         if self.config.flush_mode == "fixed":
             network.batch_flush_s = self.config.flush_s
         elif self.config.flush_mode == "adaptive":
             network.batch_flush_s = 0.0
         self._channels: Dict[Tuple[str, object], Channel] = {}
         self._by_instance: Dict[object, List[Channel]] = {}
-        self._by_source: Dict[str, List[Channel]] = {}
         #: Pre-resolved telemetry instruments (``None`` until a bundle
         #: is bound).
         self._tel_flush = None
-        self._tel_stall = None
         self._tel_breaker = None
-
-    @property
-    def backpressure(self) -> bool:
-        return self.config.backpressure
 
     def bind_telemetry(self, telemetry) -> None:
         """Attach a :class:`repro.telemetry.Telemetry` bundle.
 
-        Channels then feed ``transport_flushes_total`` (by cause) and the
-        ``transport_stall_seconds`` histogram; the outstanding-credit and
-        spill-depth gauges are sampled on the probe heartbeat instead
-        (see :class:`repro.elastic.ProbeCollector`).
+        Channels then feed ``transport_flushes_total`` (by cause) and
+        ``transport_breaker_trips_total``.
         """
         self._tel_flush = (
             telemetry.transport_flushes if telemetry is not None else None
-        )
-        self._tel_stall = (
-            telemetry.transport_stall if telemetry is not None else None
         )
         self._tel_breaker = (
             telemetry.breaker_trips if telemetry is not None else None
@@ -384,7 +243,6 @@ class Transport:
             channel = Channel(self, source_key, instance)
             self._channels[key] = channel
             self._by_instance.setdefault(instance, []).append(channel)
-            self._by_source.setdefault(source_key, []).append(channel)
         return channel
 
     def channel_count(self) -> int:
@@ -393,16 +251,15 @@ class Transport:
     def release_instance(self, instance) -> None:
         """Drop every channel delivering to ``instance`` (teardown).
 
-        Spilled messages toward the destroyed instance are discarded —
-        the same outcome as the fabric delivering to a destroyed
+        Messages still queued toward the destroyed instance are discarded
+        — the same outcome as the fabric delivering to a destroyed
         instance, which drops on arrival.  Channels *from* the slice's
         logical id survive (they are keyed by source name), so emissions
-        a predecessor instance spilled still reach their receivers.
+        a predecessor instance queued still reach their receivers.
         """
         for channel in self._by_instance.pop(instance, ()):
             channel.released = True
             del self._channels[(channel.source_key, instance)]
-            self._by_source[channel.source_key].remove(channel)
 
     # -- data plane ---------------------------------------------------------
 
@@ -417,7 +274,7 @@ class Transport:
                 instance.deliver,
             )
             return
-        self.channel(source_key, instance).enqueue(src_host, event)
+        self.channel(source_key, instance).enqueue(src_host, (event,))
 
     def send_many(self, source_key: str, src_host: str, instance, events) -> None:
         """Carry a same-destination run of events emitted together."""
@@ -439,59 +296,14 @@ class Transport:
                     instance.deliver,
                 )
             return
-        self.channel(source_key, instance).enqueue_many(src_host, events)
+        self.channel(source_key, instance).enqueue(src_host, events)
 
     def on_consumed(self, instance, source_key: str, n: int = 1) -> None:
-        """The receiver dequeued/dropped ``n`` messages of ``source_key``."""
-        channel = self._channels.get((source_key, instance))
-        if channel is not None:
-            channel.consumed(n)
-
-    # -- enforcer / probe signals -------------------------------------------
-
-    def outbound_stats(self, source_key: str) -> Dict[str, float]:
-        """Aggregated send-side flow state of one source's channels.
-
-        ``spill_depth`` counts messages parked behind starved channels —
-        the probe signal that upstream pressure, not local CPU, is the
-        slice's bottleneck; ``starved_channels`` and the cumulative
-        ``stall_seconds_total`` qualify it.
-        """
-        spill = 0
-        starved = 0
-        stall = 0.0
-        for channel in self._by_source.get(source_key, ()):
-            if channel.starved:
-                starved += 1
-                spill += channel.pending_count
-            stall += channel.stall_seconds_total
-        return {
-            "spill_depth": spill,
-            "starved_channels": starved,
-            "stall_seconds_total": stall,
-        }
-
-    def inbound_credits_outstanding(self, instance) -> int:
-        """Credits held by in-flight/queued messages toward ``instance``."""
-        return sum(
-            channel.credits_outstanding
-            for channel in self._by_instance.get(instance, ())
-        )
-
-    def inbound_channel_count(self, instance) -> int:
-        return len(self._by_instance.get(instance, ()))
-
-    def pending_total(self) -> int:
-        """Messages parked in channel queues anywhere in the runtime.
-
-        The transport-held complement to instance inbox lengths: a
-        stability probe that only watches inboxes would miss backlog
-        that backpressure pushed back into spill queues.  Zero under
-        the default passthrough (no channels exist).
-        """
-        return sum(
-            channel.pending_count for channel in self._channels.values()
-        )
+        """No-op; the engine never calls it.  Deliberate leftover:
+        ``perfbench/layers.py`` wraps ``Transport.__dict__["on_consumed"]``
+        (its ``transport.consumed`` span) and raises ``KeyError`` without
+        it, so it goes with ``prepare_batch`` in the change that has
+        ``perfbench/**`` in bounds."""
 
     def breaker_trips_total(self) -> int:
         """Circuit-breaker trips summed over all channels."""

@@ -1,13 +1,13 @@
-"""Configuration of the flow-controlled transport layer.
+"""Configuration of the transport layer.
 
 One :class:`TransportConfig` decides how per-destination channels batch
-and pace the event plane on top of the raw network fabric
+the event plane on top of the raw network fabric
 (:class:`~repro.cluster.Network`):
 
 ``flush_mode``
     ``eager`` (the default) hands every emission straight to the fabric —
-    the seed behaviour, byte-identical scheduling.  ``fixed`` keeps eager
-    channels but programs the fabric's per-sender flush epochs to
+    the seed behaviour, byte-identical scheduling.  ``fixed`` sends as
+    eagerly but programs the fabric's per-sender flush epochs to
     ``flush_s`` (the StreamMine3G-style global micro-batching the
     experiments used before this layer existed).  ``adaptive`` batches in
     the channel itself: a channel flushes when ``flush_max_batch``
@@ -15,22 +15,10 @@ and pace the event plane on top of the raw network fabric
     exceed the ``flush_s`` delay budget — so lightly loaded channels pay
     at most ``flush_s`` of batching delay while busy channels flush at
     batch boundaries, with the fabric's own epoch batching disabled.
-``backpressure``
-    When true, every channel starts with ``credit_window`` send credits;
-    a message consumes one credit on the wire and the credit returns when
-    the receiving slice instance dequeues (or drops) the message, after
-    the channel's propagation latency.  A channel out of credits sheds to
-    its spill queue instead of blocking the emitting worker — senders
-    never stall inside ``process()``, which keeps the EP's self-addressed
-    dispatch loop deadlock-free — so receiver inboxes stay bounded by
-    ``credit_window`` per inbound channel and overload propagates
-    upstream as spill/delay instead of unbounded memory.
 
 The fields below are the only declaration of these knobs;
-:meth:`TransportConfig.from_env`, the ``--net-*`` CLI flags and the two
-variables the backpressure CI leg sets (``REPRO_NET_BACKPRESSURE``,
-``REPRO_NET_CREDIT_WINDOW``) derive from them through :mod:`repro.config`,
-so a test run flips flow control on without code changes.
+:meth:`TransportConfig.from_env` and the ``--net-*`` CLI flags derive
+from them through :mod:`repro.config`.
 """
 
 from __future__ import annotations
@@ -47,7 +35,7 @@ FLUSH_MODES = ("eager", "fixed", "adaptive")
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Validated knobs of the flow-controlled transport layer."""
+    """Validated knobs of the transport layer."""
 
     flush_mode: str = knob("eager", "channel flush policy", choices=FLUSH_MODES)
     #: Delay budget (``adaptive``) or fabric flush epoch (``fixed``), in
@@ -56,17 +44,6 @@ class TransportConfig:
     #: Pending messages that force an immediate flush in ``adaptive`` mode.
     flush_max_batch: int = knob(
         64, "flush as soon as this many messages are pending"
-    )
-    #: Enable credit-based backpressure on every channel.
-    backpressure: bool = knob(
-        False,
-        "credit-based backpressure on every channel",
-        env="REPRO_NET_BACKPRESSURE",
-    )
-    #: Send credits per channel (max in-flight + queued messages one
-    #: channel may have at its receiver).
-    credit_window: int = knob(
-        256, "send credits per channel", env="REPRO_NET_CREDIT_WINDOW"
     )
 
     def __post_init__(self):
@@ -81,13 +58,9 @@ class TransportConfig:
             raise ValueError(
                 f"flush_max_batch must be >= 1, got {self.flush_max_batch}"
             )
-        if self.credit_window < 1:
-            raise ValueError(
-                f"credit_window must be >= 1, got {self.credit_window}"
-            )
 
     @classmethod
     def from_env(cls, **overrides) -> "TransportConfig":
-        """``--net-*`` flag > ``REPRO_NET_*`` variable > default, validated
-        once (see :func:`repro.config.from_env`)."""
+        """``--net-*`` flag > default, validated once (see
+        :func:`repro.config.from_env`)."""
         return from_env(cls, **overrides)

@@ -64,7 +64,7 @@ class OrderSensitiveBackend(MatchingBackend):
         self.state, self._subs = state[0], dict(state[1])
 
 
-def build_hub(batch_limit: int, backpressure: bool):
+def build_hub(batch_limit: int):
     """The hub, deployed and loaded, its source and migrations scheduled."""
     env = Environment()
     cloud = CloudProvider(env, network=Network(env), spec=HostSpec(cores=2),
@@ -78,8 +78,7 @@ def build_hub(batch_limit: int, backpressure: bool):
         ap_batch_limit=batch_limit,
         matcher_batch_limit=batch_limit,
         ep_batch_limit=batch_limit,
-        net=TransportConfig(flush_mode="fixed", flush_s=0.1,
-                            backpressure=backpressure, credit_window=16),
+        net=TransportConfig(flush_mode="fixed", flush_s=0.1),
     ))
     hub.deploy_all_on(engine_hosts, [sink_host])
     for index in range(4):
@@ -100,8 +99,8 @@ def build_hub(batch_limit: int, backpressure: bool):
     return env, hub, reports
 
 
-def run_hub(batch_limit: int, backpressure: bool):
-    env, hub, reports = build_hub(batch_limit, backpressure)
+def run_hub(batch_limit: int):
+    env, hub, reports = build_hub(batch_limit)
     env.run()
     return hub, reports
 
@@ -119,17 +118,16 @@ def trajectory_digest(hub, reports) -> str:
     return digest.hexdigest()
 
 
-#: (batch limit, backpressure) → digest at PR 19's parent commit.
+#: batch limit → the recorded digest (see the module docstring).
 RECORDED = {
-    (1, False): "654d0361a3d2a69b6f1e852a3834864997c2508d75e67e432107fe493714d9a1",
-    (8, False): "af3a81d8bd068d0e75f380b136f3a841bdbad46cb62d1531591aed8b138218a5",
-    (8, True): "08858ad7497cd6da6e4e681bbc786bb824ce699048d1fde42daa8f1aaf2d1de7",
+    1: "654d0361a3d2a69b6f1e852a3834864997c2508d75e67e432107fe493714d9a1",
+    8: "af3a81d8bd068d0e75f380b136f3a841bdbad46cb62d1531591aed8b138218a5",
 }
 
 
-@pytest.mark.parametrize("batch_limit,backpressure", sorted(RECORDED))
-def test_trajectory_digest_is_the_recorded_one(batch_limit, backpressure):
-    hub, reports = run_hub(batch_limit, backpressure)
+@pytest.mark.parametrize("batch_limit", sorted(RECORDED))
+def test_trajectory_digest_is_the_recorded_one(batch_limit):
+    hub, reports = run_hub(batch_limit)
     assert hub.notified_publications == hub.published_count == 200
     assert [report.slice_id for report in reports] == ["M:1", "EP:0"]
-    assert trajectory_digest(hub, reports) == RECORDED[batch_limit, backpressure]
+    assert trajectory_digest(hub, reports) == RECORDED[batch_limit]

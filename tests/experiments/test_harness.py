@@ -87,11 +87,3 @@ class TestDeployment:
             a = preloaded.hub.runtime.handler_of(f"M:{index}").backend
             b = piped.hub.runtime.handler_of(f"M:{index}").backend
             assert set(a.export_state()) == set(b.export_state())
-
-    def test_fresh_host_joins_engine_hosts(self):
-        deployment = Deployment(tiny_setup())
-        deployment.deploy_single_host()
-        before = len(deployment.engine_hosts)
-        host = deployment.fresh_host()
-        assert len(deployment.engine_hosts) == before + 1
-        assert not host.released

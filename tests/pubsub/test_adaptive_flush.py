@@ -1,11 +1,11 @@
-"""End-to-end flow control: bounded inboxes, zero loss, identical content.
+"""End-to-end adaptive flush: zero loss, identical content, lower p99.
 
-The transport's credit-based backpressure must turn EP/M overload into
-*upstream delay* without changing what the hub computes: the notification
-multiset of a throttled run is exactly the multiset of an unthrottled
-run, every receiver inbox stays bounded by the credit window times its
-inbound fan-in, and nothing is lost — including while a live M-slice
-migration runs in the middle of the overload.
+The transport's per-channel adaptive flush must batch the event plane
+without changing what the hub computes: the notification multiset of a
+run throttled by adaptive flush is exactly the multiset of an eager run,
+and nothing is lost — including while a live M-slice migration runs in
+the middle of an overload.  At moderate load it must also beat fixed
+flush epochs on p99 delay.
 """
 
 from hypothesis import given, settings
@@ -36,38 +36,7 @@ THROTTLED = TransportConfig(
     flush_mode="adaptive",
     flush_s=0.01,
     flush_max_batch=8,
-    backpressure=True,
-    credit_window=8,
 )
-
-
-def engine_slice_ids(hub):
-    config = hub.config
-    for operator, count in (
-        ("AP", config.ap_slices),
-        ("M", config.m_slices),
-        ("EP", config.ep_slices),
-        ("SINK", config.sink_slices),
-    ):
-        for index in range(count):
-            yield f"{operator}:{index}"
-
-
-def assert_inboxes_bounded(h, window):
-    """Every inbox peak is within the credit window times its fan-in."""
-    transport = h.hub.runtime.transport
-    for slice_id in engine_slice_ids(h.hub):
-        instance = h.hub.runtime._active(slice_id)
-        fan_in = transport.inbound_channel_count(instance)
-        if fan_in:
-            assert instance.peak_queue_length <= window * fan_in, slice_id
-
-
-def peak_inbox(h):
-    return max(
-        h.hub.runtime._active(slice_id).peak_queue_length
-        for slice_id in engine_slice_ids(h.hub)
-    )
 
 
 def run_overloaded(config, publications=120, subscriptions=40, disturb=None):
@@ -76,8 +45,7 @@ def run_overloaded(config, publications=120, subscriptions=40, disturb=None):
         low = (sub_id * 7) % 60
         h.hub.subscribe(Subscription(sub_id, 1000 + sub_id, band(0, low, low + 40)))
     h.env.run()
-    # The whole burst lands at one instant: far beyond the drain rate, so
-    # unthrottled inboxes hold the backlog while throttled ones may not.
+    # The whole burst lands at one instant: far beyond the drain rate.
     for pub_id in range(publications):
         h.hub.publish(
             Publication(
@@ -99,22 +67,6 @@ class TestOverload:
         assert notifications(plain) == notifications(throttled)
         assert throttled.hub.duplicate_notifications == 0
         assert throttled.hub.notified_publications == 120
-
-    def test_throttled_inboxes_are_bounded_by_the_credit_window(self):
-        throttled = run_overloaded(small_exact_config(net=THROTTLED))
-        assert_inboxes_bounded(throttled, THROTTLED.credit_window)
-        # The burst genuinely exceeded the window: unthrottled inboxes ran
-        # deeper, and channels starved, shed to spill, and resumed on
-        # credit grants.
-        unthrottled = run_overloaded(small_exact_config(net=TransportConfig()))
-        assert peak_inbox(unthrottled) > peak_inbox(throttled)
-        transport = throttled.hub.runtime.transport
-        spilled = sum(
-            channel.messages_spilled
-            for channel in transport._channels.values()
-        )
-        assert spilled > 0
-        assert transport.flush_cause_totals()["credit"] > 0
 
     def test_migration_mid_overload_keeps_content_and_exactly_once(self):
         def migrate(h):
@@ -139,14 +91,13 @@ class TestOverload:
     publications=st.lists(
         st.floats(0, 120, allow_nan=False), min_size=1, max_size=25
     ),
-    window=st.integers(1, 12),
     flush_s=st.sampled_from([0.0, 0.005, 0.05]),
     migrate=st.booleans(),
 )
 def test_flow_control_preserves_notification_multiset(
-    filters, publications, window, flush_s, migrate
+    filters, publications, flush_s, migrate
 ):
-    """Adaptive flush + backpressure never change *what* is notified."""
+    """Adaptive flush never changes *what* is notified."""
     runs = []
     for config in (
         small_exact_config(),
@@ -155,8 +106,6 @@ def test_flow_control_preserves_notification_multiset(
                 flush_mode="adaptive",
                 flush_s=flush_s,
                 flush_max_batch=4,
-                backpressure=True,
-                credit_window=window,
             )
         ),
     ):
@@ -179,7 +128,6 @@ def test_flow_control_preserves_notification_multiset(
     assert plain.hub.notified_publications == len(publications)
     assert throttled.hub.notified_publications == len(publications)
     assert throttled.hub.duplicate_notifications == 0
-    assert_inboxes_bounded(throttled, window)
     if migrate:
         assert throttled.hub.runtime.migrations_completed == 1
 

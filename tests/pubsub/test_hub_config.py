@@ -61,7 +61,7 @@ def test_grouped_configs_are_kept_as_passed():
     from repro.transport import TransportConfig
 
     store = StoreConfig(backend="mmap", chunk_rows=128)
-    net = TransportConfig(flush_mode="adaptive", backpressure=True)
+    net = TransportConfig(flush_mode="adaptive", flush_s=0.01)
     policy = ElasticityPolicy(slo_veto=True)
     config = small_exact_config(store=store, net=net, policy=policy)
     assert (config.store, config.net, config.policy) == (store, net, policy)
@@ -69,15 +69,12 @@ def test_grouped_configs_are_kept_as_passed():
     assert h.hub.runtime.transport.config is net
 
 
-def test_net_group_defaults_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_NET_BACKPRESSURE", "1")
-    monkeypatch.setenv("REPRO_NET_CREDIT_WINDOW", "16")
-    net = small_exact_config().net
-    assert (net.flush_mode, net.backpressure, net.credit_window) == (
-        "eager", True, 16,
-    )
+def test_net_group_has_no_flat_spelling():
+    from repro.transport import TransportConfig
+
+    assert small_exact_config().net == TransportConfig()
     with pytest.raises(TypeError):
-        small_exact_config(net_backpressure=True)  # no flat spelling
+        small_exact_config(net_flush_mode="adaptive")
 
 
 def test_policy_group_defaults_from_environment(monkeypatch):

@@ -43,9 +43,9 @@ def _deploy(band_lows):
         encrypted=False,
         backend_factory=lambda index: ExactBackend(BruteForceLibrary()),
         # Adaptive transport: every hop runs through a Channel whose
-        # breaker sheds to the spill queue during the partition instead
-        # of feeding the dead fabric (see RESILIENCE.md §2).
-        net=TransportConfig.from_env(flush_mode="adaptive"),
+        # breaker holds its queue during the partition instead of
+        # feeding the dead fabric (see RESILIENCE.md §2).
+        net=TransportConfig(flush_mode="adaptive"),
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy(ap_hosts=[edge], m_hosts=m_hosts, ep_hosts=[edge],

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.pubsub import Subscription
 from repro.pubsub.source import SourceDriver
 from .conftest import HubHarness, small_sampled_config
 
@@ -10,20 +9,6 @@ from .conftest import HubHarness, small_sampled_config
 @pytest.fixture
 def harness():
     return HubHarness(small_sampled_config(rate=0.01))
-
-
-def test_load_subscriptions_paced(harness):
-    driver = SourceDriver(harness.hub)
-    subs = [Subscription(i, i, None) for i in range(100)]
-    driver.load_subscriptions(subs, rate_per_s=1000.0)
-    harness.env.run()
-    stored = sum(
-        harness.hub.runtime.handler_of(f"M:{i}").backend.subscription_count()
-        for i in range(harness.hub.config.m_slices)
-    )
-    assert stored == 100
-    # 100 subscriptions at 1000/s take ≈ 0.1 s of simulated time.
-    assert 0.1 <= harness.env.now < 1.0
 
 
 def test_publish_constant_rate(harness):
@@ -68,7 +53,5 @@ def test_publication_ids_unique_and_timestamped(harness):
 
 def test_invalid_arguments(harness):
     driver = SourceDriver(harness.hub)
-    with pytest.raises(ValueError):
-        driver.load_subscriptions([], rate_per_s=0)
     with pytest.raises(ValueError):
         driver.publish_constant(10.0, duration_s=0)

@@ -200,8 +200,8 @@ class TestEveryGroup:
     ("yes", True), ("On", True), ("0", False), ("FALSE", False),
 ])
 def test_bool_knob_spellings(monkeypatch, spelling, expected):
-    monkeypatch.setenv("REPRO_NET_BACKPRESSURE", spelling)
-    assert TransportConfig.from_env().backpressure is expected
+    monkeypatch.setenv("REPRO_POLICY_SLO_VETO", spelling)
+    assert ElasticityPolicy.from_env().slo_veto is expected
 
 
 def test_invalid_resolved_group_fails_validation(monkeypatch):
@@ -231,16 +231,16 @@ class TestPrecedenceBugsOfTheHandCopies:
         assert resolved.chunk_rows == 4096
 
     def test_a_bool_flag_can_turn_the_environment_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NET_BACKPRESSURE", "1")
-        args = build_parser().parse_args(["trace", "--no-net-backpressure"])
+        monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
+        args = build_parser().parse_args(["figure8", "--no-slo-veto"])
         resolved = from_env(
-            TransportConfig, **flag_overrides(args, TransportConfig, "net_")
+            ElasticityPolicy, **flag_overrides(args, ElasticityPolicy)
         )
-        assert resolved.backpressure is False
-        args = build_parser().parse_args(["trace"])
+        assert resolved.slo_veto is False
+        args = build_parser().parse_args(["figure8"])
         assert from_env(
-            TransportConfig, **flag_overrides(args, TransportConfig, "net_")
-        ).backpressure is True
+            ElasticityPolicy, **flag_overrides(args, ElasticityPolicy)
+        ).slo_veto is True
 
     def test_a_bad_store_variable_is_named(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_BACKEND", "dense")
@@ -325,14 +325,12 @@ def test_every_knob_has_a_caller_that_sets_it():
 class TestDeclaredVariables:
     """``src/``, the docs and the CI workflow spell only declared names."""
 
-    def test_the_declared_set_is_the_eight(self):
+    def test_the_declared_set_is_the_six(self):
         assert DECLARED == {
             "REPRO_STORE_BACKEND",
             "REPRO_STORE_CHUNK_ROWS",
             "REPRO_STORE_MEMORY_BUDGET_MB",
             "REPRO_STORE_SPILL_DIR",
-            "REPRO_NET_BACKPRESSURE",
-            "REPRO_NET_CREDIT_WINDOW",
             "REPRO_POLICY_SLO_VETO",
             "REPRO_CHAOS_SEED",
         }

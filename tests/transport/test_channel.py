@@ -1,10 +1,9 @@
-"""Unit tests of the flow-controlled transport channels.
+"""Unit tests of the adaptive-flush transport channels.
 
 Each test drives a small engine deployment through ``EngineRuntime`` so
 channels sit exactly where production puts them — between the routing
 layer and the network fabric — and asserts the channel-level contracts:
-flush causes, credit accounting and conservation, shed-to-spill under
-starvation, FIFO preservation, and teardown.
+flush causes, the circuit breaker, FIFO preservation, and teardown.
 """
 
 from repro.transport import TransportConfig
@@ -29,14 +28,7 @@ def payloads(h, slice_id="M:0"):
 
 
 class TestPassthrough:
-    def test_default_config_is_passthrough_with_no_channels(self, monkeypatch):
-        # Built-in defaults, not the ambient environment (CI runs one
-        # leg with REPRO_NET_BACKPRESSURE forced on).
-        for name in (
-            "REPRO_NET_BACKPRESSURE",
-            "REPRO_NET_CREDIT_WINDOW",
-        ):
-            monkeypatch.delenv(name, raising=False)
+    def test_default_config_is_passthrough_with_no_channels(self):
         h = make()
         assert h.runtime.transport.passthrough
         route_n(h, 5)
@@ -99,95 +91,46 @@ class TestAdaptiveFlush:
         assert totals["deadline"] == 0
 
 
-class TestBackpressure:
-    def config(self, window=4):
-        return TransportConfig(backpressure=True, credit_window=window)
+class TestChannels:
+    def config(self, max_batch=4):
+        return TransportConfig(
+            flush_mode="adaptive", flush_s=0.05, flush_max_batch=max_batch
+        )
 
-    def test_burst_sheds_to_spill_and_starves(self):
-        h = make(self.config(window=4), cost_s=0.01)
-        route_n(h, 50)
-        # Routing is synchronous: four messages took the four credits,
-        # the rest parked at the sender.
-        transport = h.runtime.transport
-        channel = next(iter(transport._channels.values()))
-        assert channel.credits == 0
-        assert channel.starved
-        assert channel.pending_count == 46
-        assert channel.messages_spilled > 0
-        stats = transport.outbound_stats("client")
-        assert stats["spill_depth"] == 46
-        assert stats["starved_channels"] == 1
-        assert transport.pending_total() == 46
-        instance = h.runtime._active("M:0")
-        assert transport.inbound_credits_outstanding(instance) == 4
-
-    def test_inbox_is_bounded_and_nothing_is_lost(self):
-        h = make(self.config(window=4), cost_s=0.01)
-        route_n(h, 50)
-        h.env.run()
-        assert payloads(h) == list(range(50))  # FIFO, zero loss
-        instance = h.runtime._active("M:0")
-        assert 0 < instance.peak_queue_length <= 4
-
-    def test_credits_conserve_at_quiescence(self):
-        h = make(self.config(window=4), cost_s=0.01)
-        route_n(h, 50)
-        h.env.run()
-        transport = h.runtime.transport
-        channel = next(iter(transport._channels.values()))
-        assert channel.credits == channel.credit_window
-        assert channel.pending_count == 0
-        assert channel.messages_sent == 50
-        assert not channel.starved
-        assert channel.stall_count >= 1
-        assert channel.stall_seconds_total > 0.0
-        assert transport.flush_cause_totals()["credit"] > 0
-        stats = transport.outbound_stats("client")
-        assert stats["spill_depth"] == 0
-        assert stats["starved_channels"] == 0
-        instance = h.runtime._active("M:0")
-        assert transport.inbound_credits_outstanding(instance) == 0
-
-    def test_backpressured_run_delivers_the_same_sequences(self):
+    def test_adaptive_run_delivers_the_same_sequences(self):
         plain = make(hosts=2, slices=2, cost_s=0.005)
-        throttled = make(
-            TransportConfig(
-                flush_mode="adaptive",
-                flush_s=0.02,
-                flush_max_batch=8,
-                backpressure=True,
-                credit_window=3,
-            ),
+        batched = make(
+            TransportConfig(flush_mode="adaptive", flush_s=0.02, flush_max_batch=8),
             hosts=2,
             slices=2,
             cost_s=0.005,
         )
-        for h in (plain, throttled):
+        for h in (plain, batched):
             for i in range(60):
                 h.runtime.route("client", "M", "e", i, 100, key=i % 2)
             h.env.run()
         for index in range(2):
             assert payloads(plain, f"M:{index}") == payloads(
-                throttled, f"M:{index}"
+                batched, f"M:{index}"
             )
 
-    def test_release_instance_discards_spill_silently(self):
-        h = make(self.config(window=2), cost_s=0.01)
-        route_n(h, 20)
+    def test_release_instance_discards_queued_messages_silently(self):
+        h = make(self.config(max_batch=4), cost_s=0.01)
+        route_n(h, 6)
         transport = h.runtime.transport
         instance = h.runtime._active("M:0")
         channel = transport.channel("client", instance)
-        assert channel.pending_count > 0
+        # One full batch went on the wire; two wait for the deadline.
+        assert channel.pending_count == 2
         transport.release_instance(instance)
         assert channel.released
         assert transport.channel_count() == 0
-        assert transport.inbound_channel_count(instance) == 0
-        h.env.run()  # pending grants/timers fire into the released channel
-        # Only the wire-sent prefix arrived; the spilled remainder is gone.
-        assert payloads(h) == [0, 1]
+        h.env.run()  # the armed deadline fires into the released channel
+        # Only the wire-sent batch arrived; the queued remainder is gone.
+        assert payloads(h) == [0, 1, 2, 3]
 
     def test_channel_is_per_source_and_destination(self):
-        h = make(self.config(window=8), hosts=2, slices=2)
+        h = make(self.config(), hosts=2, slices=2)
         h.runtime.route("client", "M", "e", "a", 100, key=0)
         h.runtime.route("other", "M", "e", "b", 100, key=0)
         h.runtime.route("client", "M", "e", "c", 100, key=1)
@@ -195,3 +138,27 @@ class TestBackpressure:
         h.env.run()
         assert sorted(payloads(h, "M:0")) == ["a", "b"]
         assert payloads(h, "M:1") == ["c"]
+
+    def test_breaker_holds_the_queue_and_flushes_on_heal(self):
+        h = Harness(hosts=2, transport_config=self.config(max_batch=64))
+        h.runtime.add_operator("S", 1, lambda i: Recorder())
+        h.runtime.deploy_operator("S", h.hosts[:1])
+        h.runtime.add_operator("M", 1, lambda i: Recorder())
+        h.runtime.deploy_operator("M", h.hosts[1:])
+        network = h.cloud.network
+        ids = [host.host_id for host in h.hosts]
+        network.partition(ids[:1], ids[1:])
+        for i in range(5):
+            h.runtime.route("S:0", "M", "e", i, 100, key=0)
+        h.env.run(until=2.0)
+        channel = h.runtime.transport.channel("S:0", h.runtime._active("M:0"))
+        # The deadline flush found the link cut: nothing left the sender.
+        assert channel.pending_count == 5
+        assert payloads(h) == []
+        assert channel.breaker_trips == 1
+        assert network.partition_drops == 0
+        network.heal()
+        h.env.run()
+        assert payloads(h) == list(range(5))
+        assert channel.pending_count == 0
+        assert channel.flush_causes["heal"] == 1

@@ -53,34 +53,21 @@ class TestTransportConfig:
     def test_defaults_are_the_seed_behaviour(self):
         config = TransportConfig()
         assert config.flush_mode == "eager"
-        assert not config.backpressure
 
     @pytest.mark.parametrize("kwargs", [
         dict(flush_mode="sometimes"),
         dict(flush_s=-0.1),
         dict(flush_max_batch=0),
-        dict(credit_window=0),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TransportConfig(**kwargs)
 
-    def test_from_env_reads_the_declared_variables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NET_BACKPRESSURE", "yes")
-        monkeypatch.setenv("REPRO_NET_CREDIT_WINDOW", "12")
-        assert TransportConfig.from_env() == TransportConfig(
-            backpressure=True, credit_window=12
-        )
-
-    def test_from_env_overrides_win_and_none_is_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NET_BACKPRESSURE", "1")
-        monkeypatch.setenv("REPRO_NET_CREDIT_WINDOW", "16")
+    def test_from_env_overrides_win_and_none_is_ignored(self):
         config = TransportConfig.from_env(
-            flush_mode="adaptive", credit_window=4, flush_s=None
+            flush_mode="adaptive", flush_max_batch=4, flush_s=None
         )
-        assert config == TransportConfig(
-            flush_mode="adaptive", backpressure=True, credit_window=4
-        )
+        assert config == TransportConfig(flush_mode="adaptive", flush_max_batch=4)
         with pytest.raises(TypeError):
             TransportConfig.from_env(no_such_knob=1)
 

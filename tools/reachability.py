@@ -11,7 +11,7 @@ Runs the reproduction's own entry points in subprocesses:
 * every ``examples/*.py``.
 
 It runs them once as they are and once under each CI environment spelling
-(mmap store, backpressure, the p99 scale-in veto), since some paths are
+(mmap store, the p99 scale-in veto), since some paths are
 reached only when an outside input is set.  Then it runs tier-1 once.
 
 Each subprocess gets a ``sitecustomize`` whose ``sys.setprofile`` hook
@@ -64,7 +64,6 @@ SPELLINGS: Dict[str, Dict[str, str]] = {
         "REPRO_STORE_CHUNK_ROWS": "2048",
         "REPRO_STORE_MEMORY_BUDGET_MB": "8",
     },
-    "backpressure": {"REPRO_NET_BACKPRESSURE": "1", "REPRO_NET_CREDIT_WINDOW": "16"},
     "slo-veto": {"REPRO_POLICY_SLO_VETO": "1"},
 }
 
@@ -170,8 +169,8 @@ KEPT: Dict[str, str] = {
             "repro/sim/core.py::Event.ok",
             "repro/sim/core.py::Event.value",
             "repro/sim/core.py::Environment.peek",
+            "repro/transport/channel.py::Channel.pending_count",
             "repro/transport/channel.py::Transport.channel_count",
-            "repro/transport/channel.py::Transport.inbound_channel_count",
             "repro/workloads/frankfurt.py::FrankfurtTraceModel.base_rate_at"),
     **_kept(SAFETY,
             "repro/cluster/failures.py::Watchdog.__init__",
@@ -203,10 +202,7 @@ KEPT: Dict[str, str] = {
     **_kept(DRIVE,
             "repro/engine/locks.py::RWLock.acquire",
             "repro/engine/recovery.py::ReliabilityCoordinator.checkpoint_now",
-            "repro/experiments/harness.py::Deployment.fresh_host",
             "repro/filtering/aspe.py::_fresh_workspace",
-            "repro/pubsub/source.py::SourceDriver.load_subscriptions",
-            "repro/pubsub/source.py::SourceDriver.load_subscriptions.<locals>.run",
             "repro/telemetry/tracing.py::read_jsonl"),
     **_kept(TELEMETRY,
             "repro/elastic/enforcer.py::ElasticityEnforcer._record_decision",
@@ -285,9 +281,13 @@ KEPT: Dict[str, str] = {
     **_kept("adaptive flush's delay-budget deadline (`--net-flush-mode adaptive`); "
             "no entry point runs adaptive flush with a delay budget",
             "repro/transport/channel.py::Channel._on_deadline"),
-    **_kept("a batched routing pass (`emit_batch`) into a buffered channel (adaptive "
-            "flush or backpressure); no entry point run combines the two",
-            "repro/transport/channel.py::Channel.enqueue_many"),
+    **_kept("no-op `perfbench/layers.py` wraps by name; it goes with "
+            "`prepare_batch`",
+            "repro/transport/channel.py::Transport.on_consumed"),
+    **_kept("the knob-group classmethod `test_knob_surface` holds every group to; "
+            "no `REPRO_*` variable sets a transport knob, so callers build "
+            "`TransportConfig` directly and the CLI goes through `repro.config.from_env`",
+            "repro/transport/config.py::TransportConfig.from_env"),
     **_kept("`bench_ablation_backlog`'s load step, built and run inside its "
             "timed body, where pytest-benchmark pauses the hook",
             "repro/workloads/rates.py::staircase",
