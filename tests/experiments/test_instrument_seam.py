@@ -47,7 +47,7 @@ BOUNDARIES = [
 
 
 def test_wrappers_installed_after_the_build_see_every_call(monkeypatch):
-    env, hub, reports = build_hub(batch_limit=8)
+    env, hub, reports = build_hub(batch_limit=8, adaptive=False)
     calls, units = Counter(), Counter()
 
     def counting(owner, attribute, size):

@@ -1,5 +1,7 @@
 """TransportConfig validation and the shared REPRO_* env helpers."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.config import env_bool, env_float, env_int, env_str
@@ -58,10 +60,26 @@ class TestTransportConfig:
         dict(flush_mode="sometimes"),
         dict(flush_s=-0.1),
         dict(flush_max_batch=0),
+        dict(flush_max_batch=-3),
+        dict(flush_mode="EAGER"),
+        dict(flush_mode=""),
+        dict(flush_s=-1e-9),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TransportConfig(**kwargs)
+
+    @pytest.mark.parametrize("mode", FLUSH_MODES)
+    def test_every_mode_accepts_the_edge_values(self, mode):
+        config = TransportConfig(flush_mode=mode, flush_s=0.0, flush_max_batch=1)
+        assert (config.flush_mode, config.flush_s, config.flush_max_batch) == (
+            mode, 0.0, 1,
+        )
+
+    def test_the_three_fields_are_the_whole_config(self):
+        assert [field.name for field in fields(TransportConfig)] == [
+            "flush_mode", "flush_s", "flush_max_batch",
+        ]
 
     def test_from_env_overrides_win_and_none_is_ignored(self):
         config = TransportConfig.from_env(
