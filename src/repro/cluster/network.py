@@ -200,7 +200,7 @@ class Network:
             self._tel_messages.inc()
             self._tel_bytes.inc(size_bytes)
         arrival = self._arrival_time(src, dst, size_bytes, now)
-        if (src, dst) in self._partitions:
+        if self._partitions and (src, dst) in self._partitions:
             self._drop_partitioned(1)
             return arrival
         # ``now + (arrival - now)`` is not always ``arrival``; the schedule
@@ -243,11 +243,9 @@ class Network:
             raise ValueError("sizes and payloads must have the same length")
         if not payloads:
             raise ValueError("cannot send an empty batch")
-        total = 0
-        for size_bytes in sizes:
-            if size_bytes < 0:
-                raise ValueError("size_bytes must be non-negative")
-            total += size_bytes
+        if min(sizes) < 0:
+            raise ValueError("size_bytes must be non-negative")
+        total = sum(sizes)
         now = self.env.now
         src_stats = self.stats(src)
         src_stats.bytes_sent += total
@@ -258,7 +256,7 @@ class Network:
             self._tel_batches.inc()
             self._tel_bytes.inc(total)
         arrival = self._arrival_time(src, dst, total, now)
-        if (src, dst) in self._partitions:
+        if self._partitions and (src, dst) in self._partitions:
             self._drop_partitioned(len(payloads))
             return arrival
         self.env.call_later(

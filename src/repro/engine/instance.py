@@ -114,31 +114,33 @@ class SliceInstance:
         """Entry point for the transport layer."""
         if self._destroyed:
             return
+        source = event.source
+        seq = event.seq
         if event.replayed and self._replay_dedup:
-            first = self._first_original.get(event.source)
-            if (
-                first is not None
-                and first <= event.seq <= self.last_received.get(event.source, -1)
-            ):
+            first = self._first_original.get(source)
+            if first is not None and first <= seq <= self.last_received.get(source, -1):
                 # Already received as an original delivery: a duplicate.
                 self.dropped_replays += 1
                 return
         else:
-            if event.source not in self._first_original:
-                self._first_original[event.source] = event.seq
-            previous = self.last_received.get(event.source, -1)
-            if event.seq > previous:
-                self.last_received[event.source] = event.seq
+            last_received = self.last_received
+            previous = last_received.get(source)
+            if previous is None:
+                # Both maps gain a source together, at its first original.
+                self._first_original[source] = seq
+                last_received[source] = seq
+            elif seq > previous:
+                last_received[source] = seq
         if self._idle:
             # Wake a worker by a step of its own: it coalesces whatever
             # else has arrived at this instant by the time that step runs.
             self._idle -= 1
             self.env.call_soon(self._take, event)
             return
-        self.inbox.append(event)
-        depth = len(self.inbox)
-        if depth > self.peak_queue_length:
-            self.peak_queue_length = depth
+        inbox = self.inbox
+        inbox.append(event)
+        if len(inbox) > self.peak_queue_length:
+            self.peak_queue_length = len(inbox)
 
     @property
     def queue_length(self) -> int:
@@ -299,23 +301,23 @@ class SliceInstance:
         batch = [head]
         if self.recovering:
             return batch
-        limit = self.handler.coalesce_limit(head)
+        handler = self.handler
+        limit = handler.coalesce_limit(head)
         if limit <= 1:
             return batch
         items = self.inbox
+        vector = self._dedup_vector
+        coalesce_with = handler.coalesce_with
         while len(batch) < limit and items:
             candidate = items[0]
-            if (
-                self._dedup_vector
-                and candidate.seq <= self._dedup_vector.get(candidate.source, -1)
-            ):
+            if vector and candidate.seq <= vector.get(candidate.source, -1):
                 # A worker would drop it on dequeue; drop it here so
                 # a stale duplicate does not split an otherwise contiguous
                 # run of coalescible events.
                 items.popleft()
                 self.dropped_duplicates += 1
                 continue
-            if not self.handler.coalesce_with(head, candidate):
+            if not coalesce_with(head, candidate):
                 break
             items.popleft()
             batch.append(candidate)
@@ -418,10 +420,7 @@ class SliceInstance:
         # Deliberate leftover (see SliceHandler.prepare_batch): no handler
         # does anything here; the call goes with the hook.
         handler.prepare_batch(batch, self._ctx)
-        if len(batch) == 1:
-            cost = handler.cost(event)
-        else:
-            cost = sum(handler.cost(e) for e in batch)
+        cost = handler.cost(event) if len(batch) == 1 else handler.batch_cost(batch)
         if cost > 0.0:
             task = self.host.cpu.submit(cost, self.logical_id)
             task.callbacks.append(self._completed)
@@ -442,9 +441,11 @@ class SliceInstance:
             self.handler.process_batch(batch, self._ctx)
         self.lock.release(mode)
         last_processed = self.last_processed
+        get = last_processed.get
         for processed in batch:
-            if processed.seq > last_processed.get(processed.source, -1):
-                last_processed[processed.source] = processed.seq
+            seq = processed.seq
+            if seq > get(processed.source, -1):
+                last_processed[processed.source] = seq
         self.processed_count += len(batch)
         telemetry = self.runtime.telemetry
         if telemetry is not None:

@@ -304,11 +304,6 @@ def _tolerances(block: np.ndarray, strict: np.ndarray) -> Tuple[np.ndarray, np.n
     return base, np.where(strict, base, -base)
 
 
-def _fresh_workspace(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """Workspace provider allocating a fresh buffer per request."""
-    return np.empty(shape, dtype=dtype)
-
-
 #: Rows per kernel tile: :func:`match_packed`'s boolean temporaries are
 #: (tile × B), so scratch memory does not grow with the library.  8192
 #: rows keep a 128-publication tile's satisfied matrix at 1 MB and still
@@ -381,7 +376,7 @@ def match_packed(
     starts: np.ndarray,
     stops: np.ndarray,
     batch: np.ndarray,
-    workspace=None,
+    workspace,
     *,
     tiles: Optional[Sequence[GatherTile]] = None,
     constants: Optional[Tuple[np.ndarray, float, np.ndarray]] = None,
@@ -430,12 +425,9 @@ def match_packed(
     arguments: a row's product reduces only over the ciphertext width and
     its decision depends on no other row, so neither tiling, product
     blocks nor row-range chunking can change one.  ``workspace``
-    optionally supplies reusable scratch buffers (``(name, shape, dtype)
-    -> ndarray``); the default allocates fresh ones, which is bit-wise
-    equivalent.
+    supplies the scratch buffers (``(name, shape, dtype) -> ndarray``,
+    contents stale): reused ones or fresh ``np.empty`` ones decide alike.
     """
-    if workspace is None:
-        workspace = _fresh_workspace
     count = batch.shape[0]
     if tiles is None:
         tiles = _gather_tiles(
@@ -724,7 +716,7 @@ class AspeLibrary(FilteringLibrary):
                 starts,
                 stops,
                 batch,
-                workspace=self._workspace,
+                self._workspace,
                 tiles=index.cover(position, block),
                 constants=constants,
                 out=ok,

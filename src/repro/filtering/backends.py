@@ -26,16 +26,14 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from .base import FilteringLibrary
 
 __all__ = ["MatchResult", "MatchingBackend", "ExactBackend", "SampledBackend", "sample_binomial"]
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Outcome of matching one publication inside one M slice.
 
     ``ids`` is the concrete list of matching subscription ids when the
@@ -45,6 +43,11 @@ class MatchResult:
 
     count: int
     ids: Optional[List[int]] = None
+
+
+#: Builds a :class:`MatchResult` from both fields without the generated
+#: ``__new__`` frame: one result per publication per M slice.
+_new = tuple.__new__
 
 
 class MatchingBackend(ABC):
@@ -100,11 +103,11 @@ class ExactBackend(MatchingBackend):
 
     def match(self, pub_id: int, payload: Any) -> MatchResult:
         ids = self.library.match(payload)
-        return MatchResult(count=len(ids), ids=ids)
+        return _new(MatchResult, (len(ids), ids))
 
     def match_batch(self, pub_ids: Sequence[int], payloads: Sequence[Any]) -> List[MatchResult]:
         return [
-            MatchResult(count=len(ids), ids=ids)
+            _new(MatchResult, (len(ids), ids))
             for ids in self.library.match_batch(payloads)
         ]
 
@@ -172,7 +175,7 @@ class SampledBackend(MatchingBackend):
 
     def match(self, pub_id: int, payload: Any) -> MatchResult:
         count = sample_binomial(self._rng, len(self._subs), self.matching_rate)
-        return MatchResult(count=count, ids=None)
+        return _new(MatchResult, (count, None))
 
     def subscription_count(self) -> int:
         return len(self._subs)

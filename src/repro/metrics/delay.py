@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["DelaySample", "DelayTracker", "percentile"]
 
 
-@dataclass(frozen=True)
-class DelaySample:
+class DelaySample(NamedTuple):
     """Delay of one fully notified publication."""
 
     pub_id: int

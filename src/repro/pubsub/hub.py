@@ -32,6 +32,10 @@ from .operators import (
 
 __all__ = ["HubConfig", "StreamHub"]
 
+#: Builds a :class:`DelaySample` from a full field tuple without the
+#: generated ``__new__`` frame: one per notified publication.
+_new = tuple.__new__
+
 
 @dataclass
 class HubConfig:
@@ -289,11 +293,9 @@ class StreamHub:
         self._seen_pub_ids.add(notification.pub_id)
         self.notification_log.append(notification)
         self.delay_tracker.add(
-            DelaySample(
-                pub_id=notification.pub_id,
-                published_at=notification.published_at,
-                delivered_at=now,
-                notifications=notification.count,
+            _new(
+                DelaySample,
+                (notification.pub_id, notification.published_at, now, notification.count),
             )
         )
         if self._delay_hist is not None:

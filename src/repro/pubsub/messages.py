@@ -1,15 +1,22 @@
-"""Message types flowing through the STREAMHUB pipeline."""
+"""Message types flowing through the STREAMHUB pipeline.
+
+Every record is a ``typing.NamedTuple``: immutable, with the field names,
+defaults and ``repr`` of a frozen dataclass at a third of its
+construction cost — the event plane builds several per publication
+(DESIGN.md, "DES hot-path diet").  Hot paths build them with
+``tuple.__new__(Record, (...))``, which skips the generated ``__new__``
+frame and its arity check; every field is then passed, in declaration
+order (``tests/pubsub/test_messages.py`` checks what the hot paths build).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 __all__ = ["Subscription", "Publication", "MatchList", "Notification"]
 
 
-@dataclass(frozen=True)
-class Subscription:
+class Subscription(NamedTuple):
     """A subscriber's registered interest.
 
     ``filter_payload`` is whatever the configured filtering scheme needs:
@@ -23,8 +30,7 @@ class Subscription:
     filter_payload: Any = None
 
 
-@dataclass(frozen=True)
-class Publication:
+class Publication(NamedTuple):
     """A published event.
 
     ``payload`` is the plaintext attribute tuple or an
@@ -38,8 +44,7 @@ class Publication:
     published_at: float = 0.0
 
 
-@dataclass(frozen=True)
-class MatchList:
+class MatchList(NamedTuple):
     """Partial list of matching subscribers from one M slice.
 
     ``subscriber_ids`` is ``None`` in sampled mode, where only ``count``
@@ -53,8 +58,7 @@ class MatchList:
     published_at: float
 
 
-@dataclass(frozen=True)
-class Notification:
+class Notification(NamedTuple):
     """Aggregated notification batch for one publication at one EP slice."""
 
     pub_id: int

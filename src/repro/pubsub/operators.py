@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine import BROADCAST, SliceContext, SliceHandler, StreamEvent
@@ -47,6 +47,10 @@ KIND_NOTIFICATION = "notification"
 #: constant of the host-side batching, not of the simulated system — no
 #: simulated value depends on it, so it is not configuration.
 _MATCH_AHEAD = 128
+
+#: Builds a record from a full field tuple without the generated
+#: ``__new__`` frame (see :mod:`repro.pubsub.messages`).
+_new = tuple.__new__
 
 
 class AccessPointHandler(SliceHandler):
@@ -204,6 +208,12 @@ class MatcherHandler(SliceHandler):
             )
         return self.cost_model.ap_event_s  # storing one subscription is cheap
 
+    def batch_cost(self, events) -> float:
+        # Only publications coalesce (see coalesce_limit), and a
+        # publication's cost depends on the stored count alone: one lookup,
+        # summed left to right as the per-event default sums it.
+        return sum(repeat(self.cost(events[0]), len(events)))
+
     def lock_mode(self, event: StreamEvent) -> str:
         # Matching only reads the subscription store; storing mutates it.
         return "R" if event.kind == KIND_PUBLICATION else "W"
@@ -318,7 +328,7 @@ class MatcherHandler(SliceHandler):
             if telemetry is not None:
                 telemetry.matcher_publications.inc()
                 telemetry.matcher_matches.inc(result.count)
-            ctx.emit(*self._match_emission(event.payload, result))
+            ctx.emit(*self._match_emissions((event,), (result,))[0])
         else:
             raise ValueError(f"M cannot handle event kind {event.kind!r}")
 
@@ -338,37 +348,35 @@ class MatcherHandler(SliceHandler):
         if telemetry is not None:
             telemetry.matcher_publications.inc(len(results))
             telemetry.matcher_matches.inc(sum(result.count for result in results))
-        ctx.emit_batch(
-            [
-                self._match_emission(event.payload, result)
-                for event, result in zip(events, results)
-            ]
-        )
+        ctx.emit_batch(self._match_emissions(events, results))
         if len(events) > 1:
             self.publications_batched += len(events)
 
-    def _match_emission(
-        self, publication: Publication, result
-    ) -> Tuple[str, str, Any, int, Any]:
-        ids: Optional[Tuple[int, ...]] = None
-        if result.ids is not None:
-            # (get(sub_id, sub_id) per id, resolved without a Python frame.)
-            ids = tuple(map(self._subscribers.get, result.ids, result.ids))
-        match_list = MatchList(
-            pub_id=publication.pub_id,
-            m_slice=self.slice_index,
-            count=result.count,
-            subscriber_ids=ids,
-            published_at=publication.published_at,
-        )
-        self.publications_matched += 1
-        return (
-            self.exit_operator,
-            KIND_MATCH_LIST,
-            match_list,
-            self.cost_model.match_list_bytes(result.count),
-            publication.pub_id,
-        )
+    def _match_emissions(
+        self, events, results
+    ) -> List[Tuple[str, str, Any, int, Any]]:
+        """One match-list emission to the EP per publication event."""
+        subscriber_of = self._subscribers.get
+        m_slice = self.slice_index
+        exit_operator = self.exit_operator
+        list_bytes = self.cost_model.match_list_bytes
+        emissions = []
+        for event, result in zip(events, results):
+            publication: Publication = event.payload
+            pub_id = publication.pub_id
+            count = result.count
+            ids = result.ids
+            if ids is not None:
+                # (get(sub_id, sub_id) per id, resolved without a Python frame.)
+                ids = tuple(map(subscriber_of, ids, ids))
+            match_list = _new(
+                MatchList, (pub_id, m_slice, count, ids, publication.published_at)
+            )
+            emissions.append(
+                (exit_operator, KIND_MATCH_LIST, match_list, list_bytes(count), pub_id)
+            )
+        self.publications_matched += len(emissions)
+        return emissions
 
     def preload(self, subscription: Subscription) -> None:
         """Install a subscription directly, bypassing the pipeline.
@@ -466,9 +474,10 @@ class ExitPointHandler(SliceHandler):
         emissions keep the per-event order, so the downstream observes
         the same content and sequence numbers as the per-event path.
         """
+        handle = self._handle
         emissions = []
         for event in events:
-            emission = self._handle(event)
+            emission = handle(event)
             if emission is not None:
                 emissions.append(emission)
         if emissions:
@@ -484,32 +493,30 @@ class ExitPointHandler(SliceHandler):
         raise ValueError(f"EP cannot handle event kind {event.kind!r}")
 
     def _join(self, match_list: MatchList) -> Optional[Tuple[str, str, Any, int, Any]]:
-        entry = self.pending.get(match_list.pub_id)
+        pub_id, m_slice, count, subscriber_ids, published_at = match_list
+        pending = self.pending
+        entry = pending.get(pub_id)
         if entry is None:
-            entry = [set(), 0, {} if match_list.subscriber_ids is not None else None,
-                     match_list.published_at]
-            self.pending[match_list.pub_id] = entry
-        if match_list.m_slice in entry[0]:
+            entry = pending[pub_id] = [
+                set(), 0, {} if subscriber_ids is not None else None, published_at
+            ]
+        received, _, ids_by_slice, _ = entry
+        if m_slice in received:
             # Content-level idempotence: a duplicate delivery of the same
             # partial list (crash-recovery replay) is ignored, keyed by
             # the originating M slice.
             return None
-        entry[0].add(match_list.m_slice)
-        entry[1] += match_list.count
-        if entry[2] is not None and match_list.subscriber_ids is not None:
-            entry[2][match_list.m_slice] = match_list.subscriber_ids
-        if len(entry[0]) < self.m_slice_count:
+        received.add(m_slice)
+        entry[1] += count
+        if ids_by_slice is not None and subscriber_ids is not None:
+            ids_by_slice[m_slice] = subscriber_ids
+        if len(received) < self.m_slice_count:
             return None
-        del self.pending[match_list.pub_id]
+        del pending[pub_id]
         ids: Optional[Tuple[int, ...]] = None
-        if entry[2] is not None:
-            ids = tuple(chain.from_iterable(map(entry[2].get, sorted(entry[2]))))
-        notification = Notification(
-            pub_id=match_list.pub_id,
-            count=entry[1],
-            subscriber_ids=ids,
-            published_at=entry[3],
-        )
+        if ids_by_slice is not None:
+            ids = tuple(chain.from_iterable(map(ids_by_slice.get, sorted(ids_by_slice))))
+        notification = _new(Notification, (pub_id, entry[1], ids, entry[3]))
         # Dispatching has its own CPU cost proportional to the number
         # of notifications; route it through a self-addressed event so
         # the engine charges it (same slice: key = pub_id).
@@ -518,7 +525,7 @@ class ExitPointHandler(SliceHandler):
             KIND_NOTIFY,
             notification,
             self.cost_model.frame_bytes,
-            match_list.pub_id,
+            pub_id,
         )
 
     def _dispatch(self, notification: Notification) -> Optional[Tuple[str, str, Any, int, Any]]:

@@ -16,16 +16,15 @@ the event plane on top of the raw network fabric
     at most ``flush_s`` of batching delay while busy channels flush at
     batch boundaries, with the fabric's own epoch batching disabled.
 
-The fields below are the only declaration of these knobs;
-:meth:`TransportConfig.from_env` and the ``--net-*`` CLI flags derive
-from them through :mod:`repro.config`.
+The fields below are the only declaration of these knobs; the
+``--net-*`` CLI flags derive from them through :mod:`repro.config`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import from_env, knob
+from ..config import knob
 
 __all__ = ["FLUSH_MODES", "TransportConfig"]
 
@@ -58,9 +57,3 @@ class TransportConfig:
             raise ValueError(
                 f"flush_max_batch must be >= 1, got {self.flush_max_batch}"
             )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "TransportConfig":
-        """``--net-*`` flag > default, validated once (see
-        :func:`repro.config.from_env`)."""
-        return from_env(cls, **overrides)

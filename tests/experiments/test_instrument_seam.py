@@ -87,3 +87,55 @@ def test_wrappers_installed_after_the_build_see_every_call(monkeypatch):
     assert units["MatcherHandler.prepare_batch"] == m
     assert calls["OrderSensitiveBackend.match"] == m
     assert units["NotificationSinkHandler.process"] == 200
+
+
+def test_adaptive_release_discards_only_what_the_successor_was_sent(monkeypatch):
+    """Under adaptive flush, a migrated slice's old instance is released
+    with messages still queued toward it.  Each of them was duplicated to
+    the successor instance during the migration window and processed
+    there, so discarding them loses nothing: every message is delivered
+    or discarded exactly once, and the trajectory is the pinned one."""
+    from .test_event_plane_trajectory import RECORDED, trajectory_digest
+
+    env, hub, reports = build_hub(batch_limit=8, adaptive=True)
+    sent, discarded = [], []
+    delivered = Counter()
+    send = Transport.__dict__["send"]
+    send_many = Transport.__dict__["send_many"]
+    release_instance = Transport.__dict__["release_instance"]
+    deliver = SliceInstance.__dict__["deliver"]
+
+    def sending(self, source_key, src_host, instance, event):
+        sent.append((instance, event.source, event.seq))
+        return send(self, source_key, src_host, instance, event)
+
+    def sending_many(self, source_key, src_host, instance, events):
+        sent.extend((instance, event.source, event.seq) for event in events)
+        return send_many(self, source_key, src_host, instance, events)
+
+    def releasing(self, instance):
+        for channel in self._by_instance.get(instance, ()):
+            discarded.extend(
+                (instance, event.source, event.seq) for event in channel._pending
+            )
+        return release_instance(self, instance)
+
+    def delivering(self, event):
+        delivered[self] += 1
+        return deliver(self, event)
+
+    monkeypatch.setattr(Transport, "send", sending)
+    monkeypatch.setattr(Transport, "send_many", sending_many)
+    monkeypatch.setattr(Transport, "release_instance", releasing)
+    monkeypatch.setattr(SliceInstance, "deliver", delivering)
+    env.run()
+
+    assert trajectory_digest(hub, reports) == RECORDED[8, True]
+    assert len(discarded) == 9
+    assert sum(delivered.values()) + len(discarded) == len(sent)
+    routed = set(sent)
+    for origin, source, seq in discarded:
+        successor = hub.runtime.slices[origin.logical_id].active
+        assert successor is not origin
+        assert (successor, source, seq) in routed
+        assert successor.last_processed[source] >= seq

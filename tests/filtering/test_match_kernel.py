@@ -170,6 +170,7 @@ def test_kernel_agrees_with_match_encrypted(
                 starts,
                 stops,
                 np.stack([p.vector for p in publications]),
+                lambda name, shape, dtype: np.empty(shape, dtype=dtype),
                 _tile_rows=tile_rows,
             )
         assert ok.shape == (starts.size, len(publications))

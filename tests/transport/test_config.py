@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.config import env_bool, env_float, env_int, env_str
+from repro.config import env_bool, env_float, env_int, env_str, from_env
 from repro.transport import FLUSH_MODES, TransportConfig
 
 
@@ -82,16 +82,16 @@ class TestTransportConfig:
         ]
 
     def test_from_env_overrides_win_and_none_is_ignored(self):
-        config = TransportConfig.from_env(
-            flush_mode="adaptive", flush_max_batch=4, flush_s=None
+        config = from_env(
+            TransportConfig, flush_mode="adaptive", flush_max_batch=4, flush_s=None
         )
         assert config == TransportConfig(flush_mode="adaptive", flush_max_batch=4)
         with pytest.raises(TypeError):
-            TransportConfig.from_env(no_such_knob=1)
+            from_env(TransportConfig, no_such_knob=1)
 
     def test_from_env_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="flush_mode"):
-            TransportConfig.from_env(flush_mode="lazy")
+            from_env(TransportConfig, flush_mode="lazy")
 
     def test_flush_modes_tuple_is_stable(self):
         assert FLUSH_MODES == ("eager", "fixed", "adaptive")

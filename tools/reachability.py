@@ -202,7 +202,6 @@ KEPT: Dict[str, str] = {
     **_kept(DRIVE,
             "repro/engine/locks.py::RWLock.acquire",
             "repro/engine/recovery.py::ReliabilityCoordinator.checkpoint_now",
-            "repro/filtering/aspe.py::_fresh_workspace",
             "repro/telemetry/tracing.py::read_jsonl"),
     **_kept(TELEMETRY,
             "repro/elastic/enforcer.py::ElasticityEnforcer._record_decision",
@@ -284,10 +283,6 @@ KEPT: Dict[str, str] = {
     **_kept("no-op `perfbench/layers.py` wraps by name; it goes with "
             "`prepare_batch`",
             "repro/transport/channel.py::Transport.on_consumed"),
-    **_kept("the knob-group classmethod `test_knob_surface` holds every group to; "
-            "no `REPRO_*` variable sets a transport knob, so callers build "
-            "`TransportConfig` directly and the CLI goes through `repro.config.from_env`",
-            "repro/transport/config.py::TransportConfig.from_env"),
     **_kept("`bench_ablation_backlog`'s load step, built and run inside its "
             "timed body, where pytest-benchmark pauses the hook",
             "repro/workloads/rates.py::staircase",
