@@ -19,7 +19,7 @@ benchmark harness produces (see EXPERIMENTS.md).  ``trace`` and
 slice migration) and emit its span trace / metric registry — the ops
 surface documented in OBSERVABILITY.md.  ``policy`` prints the resolved
 elasticity-policy thresholds with the provenance of each knob (CLI
-flag, ``REPRO_POLICY_SLO_VETO``, or built-in default); the same
+flag or built-in default); the same
 ``--slo-veto``/``--slo-*`` flags steer the elastic experiments
 (``figure8``/``figure9``).  Policy and ``--net-*`` flags
 are derived from the fields of their knob group by
@@ -35,7 +35,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .config import add_flags, flag_overrides, from_env, provenance
+from .config import add_flags, flag_overrides, from_flags, provenance
 from .elastic import ElasticityPolicy
 from .metrics import format_series, format_table
 from .transport import TransportConfig
@@ -55,10 +55,10 @@ def _positive_count(value: str) -> int:
     return count
 
 
-def _knobs(args, cls, prefix: str = ""):
-    """Knob group ``cls`` resolved from its flags > environment > default."""
+def _flags_over_defaults(args, cls, prefix: str = ""):
+    """Knob group ``cls``: each passed flag over its field's default."""
     try:
-        return from_env(cls, **flag_overrides(args, cls, prefix))
+        return from_flags(cls, **flag_overrides(args, cls, prefix))
     except ValueError as exc:
         raise SystemExit(f"{args.command}: {exc}")
 
@@ -260,7 +260,7 @@ def _cmd_figure8(args) -> None:
           f"(time scale {args.time_scale:g}; paper: 1 → ~15 → 1 hosts)")
     _print_elastic(run_figure8(
         time_scale=args.time_scale, peak_rate=args.peak,
-        policy=_knobs(args, ElasticityPolicy),
+        policy=_flags_over_defaults(args, ElasticityPolicy),
     ))
 
 
@@ -271,7 +271,7 @@ def _cmd_figure9(args) -> None:
           f"(time scale {args.time_scale:g}; paper: 1 to 8 hosts)")
     _print_elastic(run_figure9(
         time_scale=args.time_scale, peak_rate=args.peak,
-        policy=_knobs(args, ElasticityPolicy),
+        policy=_flags_over_defaults(args, ElasticityPolicy),
     ))
 
 
@@ -379,7 +379,7 @@ def _cmd_trace(args) -> None:
     tel, report = _telemetry_demo(
         args.publications,
         migrate=not args.no_migration,
-        net=_knobs(args, TransportConfig, "net_"),
+        net=_flags_over_defaults(args, TransportConfig, "net_"),
         stream_trace_to=stream_trace_to,
     )
     # Streaming finalization clears the resident list, so take the count
@@ -417,7 +417,7 @@ def _cmd_metrics(args) -> None:
     from .telemetry import to_prometheus, write_prometheus, write_snapshot_json
 
     tel, _ = _telemetry_demo(
-        args.publications, net=_knobs(args, TransportConfig, "net_"),
+        args.publications, net=_flags_over_defaults(args, TransportConfig, "net_"),
     )
     registry = tel.metrics
     if args.fmt == "table":
@@ -441,7 +441,7 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_policy(args) -> None:
-    _knobs(args, ElasticityPolicy)  # a rejected value exits here
+    _flags_over_defaults(args, ElasticityPolicy)  # a rejected value exits here
     print("Elasticity policy — resolved configuration")
     rows = provenance(ElasticityPolicy, **flag_overrides(args, ElasticityPolicy))
     print(format_table(["knob", "value", "source"], rows))

@@ -11,7 +11,6 @@ from .failures import (
     FailureDetector,
     FaultPlan,
     Watchdog,
-    chaos_seed_from_env,
     crash_host,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "Network",
     "NicStats",
     "Watchdog",
-    "chaos_seed_from_env",
     "crash_host",
 ]

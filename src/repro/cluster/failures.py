@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..config import env_int
 from ..sim import Environment
 from .cloud import CloudProvider
 from .host import Host
@@ -28,7 +27,6 @@ __all__ = [
     "FailureDetector",
     "FaultPlan",
     "Watchdog",
-    "chaos_seed_from_env",
     "crash_host",
 ]
 
@@ -81,16 +79,6 @@ class FailureDetector:
         self.detected.append(host)
         for listener in list(self._listeners):
             listener(host)
-
-
-def chaos_seed_from_env(variable: str = "REPRO_CHAOS_SEED") -> Optional[int]:
-    """The standing chaos seed, or ``None`` when chaos is not requested.
-
-    CI exports ``REPRO_CHAOS_SEED`` on its chaos leg so the whole tier-1
-    suite runs with a background single-host crash + partition heal (see
-    ``tests/conftest.py``); an unset or empty variable disables it.
-    """
-    return env_int(variable, None)
 
 
 class Watchdog:

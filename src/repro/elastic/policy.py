@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..config import from_env, knob
+from ..config import knob
 
 __all__ = [
     "ElasticityPolicy",
@@ -92,11 +92,9 @@ class ElasticityPolicy:
     """Thresholds of the paper's §V rules plus the optional p99 veto.
 
     The policy *is* the knob group: each field below is declared once,
-    and its ``--flag``, its row in ``repro policy`` and (for
-    ``slo_veto``, the one knob CI sets) its environment variable derive
-    from it through :mod:`repro.config`.  ``ElasticityPolicy()`` is the
-    paper's policy; :meth:`from_env` layers CLI flag > environment >
-    default on top.
+    and its ``--flag`` and its row in ``repro policy`` derive from it
+    through :mod:`repro.config`.  ``ElasticityPolicy()`` is the paper's
+    policy.
     """
 
     #: Utilization the enforcer packs hosts toward (the paper's 50%).
@@ -129,9 +127,7 @@ class ElasticityPolicy:
     #: sits above half of ``slo_p99_s`` (DESIGN.md §10).  Off reproduces
     #: the paper.
     slo_veto: bool = knob(
-        False,
-        "veto scale-in while the windowed p99 delay has not recovered",
-        env="REPRO_POLICY_SLO_VETO",
+        False, "veto scale-in while the windowed p99 delay has not recovered"
     )
     #: Target p99 notification delay (seconds): the veto holds while the
     #: p99 exceeds half of it and re-arms whenever the p99 exceeds it.
@@ -169,9 +165,3 @@ class ElasticityPolicy:
                 "slo_veto_max_rounds must be >= 0 (0 disables expiry), got "
                 f"{self.slo_veto_max_rounds}"
             )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ElasticityPolicy":
-        """CLI flag > ``REPRO_POLICY_SLO_VETO`` > paper default, validated
-        once (see :func:`repro.config.from_env`)."""
-        return from_env(cls, **overrides)

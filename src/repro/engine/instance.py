@@ -95,6 +95,10 @@ class SliceInstance:
         self._destroyed = False
         self._buffering = buffering
         self._operator = logical_id.split(":", 1)[0]
+        #: This operator's counter children of the bound telemetry bundle,
+        #: ``[bundle, processed, batches, coalesced]``; each child is
+        #: resolved once, when first incremented.
+        self._counters: Optional[list] = None
         info = runtime.operators.get(self._operator)
         self._replay_dedup = info.replay_dedup if info is not None else True
         #: Workers waiting for a delivery (all others hold an event).
@@ -334,12 +338,25 @@ class SliceInstance:
         AP → M → EP → SINK trace.  Called only when a bundle is bound;
         pure recording, never scheduling.
         """
-        telemetry.events_processed.labels(operator=self._operator).inc(len(batch))
+        counters = self._counters
+        if counters is None or counters[0] is not telemetry:
+            counters = self._counters = [
+                telemetry,
+                telemetry.events_processed.labels(operator=self._operator),
+                None,
+                None,
+            ]
+        counters[1].inc(len(batch))
         if len(batch) > 1:
-            telemetry.batches_coalesced.labels(operator=self._operator).inc()
-            telemetry.events_coalesced.labels(
-                operator=self._operator
-            ).inc(len(batch))
+            if counters[2] is None:
+                counters[2] = telemetry.batches_coalesced.labels(
+                    operator=self._operator
+                )
+                counters[3] = telemetry.events_coalesced.labels(
+                    operator=self._operator
+                )
+            counters[2].inc()
+            counters[3].inc(len(batch))
         tracer = telemetry.tracer
         name = "hop." + self._operator
         now = self.env.now

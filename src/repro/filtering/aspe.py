@@ -605,7 +605,7 @@ class AspeLibrary(FilteringLibrary):
         #: residency budget so the matrix can exceed RAM (see
         #: repro.filtering.store).
         self._store_config = (
-            store_config if store_config is not None else StoreConfig.from_env()
+            store_config if store_config is not None else StoreConfig()
         )
         self._chunks = ChunkedMatrixStore(self._store_config)
         self._telemetry = None

@@ -6,11 +6,9 @@ default), or row-chunked over memory-mapped spill files with an
 LRU-bounded resident set (``mmap``) so one M-slice can serve subscription
 partitions far larger than its memory budget.
 
-The fields below are the only declaration of these knobs;
-:meth:`StoreConfig.from_env` and the four ``REPRO_STORE_*`` variables a
-CI leg or deployment sets (backend, chunk rows, memory budget, spill
-directory) derive from them through :mod:`repro.config`, so a test run
-flips backends without code changes.
+The fields below are the only declaration of these knobs (see
+:mod:`repro.config`); a caller selects a store by passing a
+``StoreConfig``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import mmap
 from dataclasses import dataclass
 from typing import Optional
 
-from ...config import from_env, knob
+from ...config import knob
 
 __all__ = ["STORE_BACKENDS", "StoreConfig"]
 
@@ -58,23 +56,14 @@ class StoreConfig:
     """
 
     backend: str = knob(
-        "chunked",
-        "packed-row backing store",
-        env="REPRO_STORE_BACKEND",
-        choices=STORE_BACKENDS,
+        "chunked", "packed-row backing store", choices=STORE_BACKENDS
     )
-    chunk_rows: int = knob(
-        65536, "rows per store chunk", env="REPRO_STORE_CHUNK_ROWS"
-    )
+    chunk_rows: int = knob(65536, "rows per store chunk")
     memory_budget_mb: float = knob(
-        0.0,
-        "mmap resident-set budget per library in MiB (0 = unbounded)",
-        env="REPRO_STORE_MEMORY_BUDGET_MB",
+        0.0, "mmap resident-set budget per library in MiB (0 = unbounded)"
     )
     spill_dir: Optional[str] = knob(
-        None,
-        "parent directory for mmap chunk files (system temp when unset)",
-        env="REPRO_STORE_SPILL_DIR",
+        None, "parent directory for mmap chunk files (system temp when unset)"
     )
 
     def __post_init__(self):
@@ -102,9 +91,3 @@ class StoreConfig:
     @property
     def memory_budget_bytes(self) -> int:
         return int(self.memory_budget_mb * 1024 * 1024)
-
-    @classmethod
-    def from_env(cls, **overrides) -> "StoreConfig":
-        """Explicit override > ``REPRO_STORE_*`` variable > default,
-        validated once (see :func:`repro.config.from_env`)."""
-        return from_env(cls, **overrides)

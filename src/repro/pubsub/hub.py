@@ -45,10 +45,9 @@ class HubConfig:
     slices (§VI-A), encrypted (ASPE-cost) filtering, slice thread pools
     sized to the 8-core hosts.
 
-    Knobs that belong together live in grouped sub-configs, each built by
-    its own ``from_env`` when not passed (environment variable > default,
-    derived from the group's fields by :mod:`repro.config`): :attr:`store`,
-    :attr:`net` and :attr:`policy`.
+    Knobs that belong together live in grouped sub-configs (knob groups,
+    see :mod:`repro.config`): :attr:`store`, :attr:`net` and
+    :attr:`policy`.
     """
 
     ap_slices: int = 8
@@ -77,20 +76,19 @@ class HubConfig:
     #: layer records into the same tracer/registry (see OBSERVABILITY.md).
     #: ``None`` (the default) keeps all hot paths on their no-op branch.
     telemetry: Optional["Telemetry"] = None
-    #: Packed-row store of exact (ASPE) M-slice libraries: ``chunked``
-    #: (in-RAM row chunks, the default) or ``mmap`` (chunks over spill
-    #: files with an LRU resident set), with its chunk size, residency
-    #: budget, compaction ratio and spill directory.  From
-    #: ``REPRO_STORE_*`` when not passed; sampled backends ignore it.
-    #: See DESIGN.md §8.
-    store: StoreConfig = field(default_factory=StoreConfig.from_env)
+    #: Packed-row store every exact (ASPE) M-slice library is switched to
+    #: at deployment: ``chunked`` (in-RAM row chunks) or ``mmap`` (chunks
+    #: over spill files with an LRU resident set), with its chunk size,
+    #: residency budget and spill directory.  ``None`` (the default)
+    #: keeps whatever store each library was built with; sampled
+    #: backends ignore it.  See DESIGN.md §8.
+    store: Optional[StoreConfig] = None
     #: Event-plane transport: channel flush policy (``eager``, ``fixed``
     #: fabric epochs or ``adaptive`` per-channel latency-bounded flush).
     #: See DESIGN.md §9.
     net: TransportConfig = field(default_factory=TransportConfig)
-    #: The policy of managers driving this hub: the paper's, with the
-    #: p99 scale-in veto from ``REPRO_POLICY_SLO_VETO``, when not passed.
-    policy: ElasticityPolicy = field(default_factory=ElasticityPolicy.from_env)
+    #: The policy of managers driving this hub (the paper's by default).
+    policy: ElasticityPolicy = field(default_factory=ElasticityPolicy)
 
     def __post_init__(self):
         if min(self.ap_slices, self.m_slices, self.ep_slices, self.sink_slices) <= 0:

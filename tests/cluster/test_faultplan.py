@@ -7,7 +7,6 @@ from repro.cluster import (
     FailureDetector,
     FaultPlan,
     Watchdog,
-    chaos_seed_from_env,
 )
 from repro.engine import MigrationCosts, ReliabilityCoordinator
 from repro.sim import Environment, Interrupt
@@ -207,27 +206,9 @@ class TestWatchdog:
             Watchdog(env).guard(None, timeout_s=0)
 
 
-class TestChaosSeedFromEnv:
-    def test_unset_means_disabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
-        assert chaos_seed_from_env() is None
-
-    def test_blank_means_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "  ")
-        assert chaos_seed_from_env() is None
-
-    def test_integer_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "1729")
-        assert chaos_seed_from_env() == 1729
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "tuesday")
-        with pytest.raises(ValueError):
-            chaos_seed_from_env()
-
-
 class TestStandingFaultPlan:
-    """The CI standing plan (RESILIENCE.md §6) against a real deployment."""
+    """The standing plan (RESILIENCE.md §6) against a real deployment,
+    once per seed of the ``chaos_seed`` fixture."""
 
     def test_recovery_converges_under_standing_plan(self, standing_fault_plan):
         h = Harness(hosts=3, cores=4, migration_costs=FAST)
@@ -257,7 +238,3 @@ class TestStandingFaultPlan:
         assert [kind for (_, kind, _) in plan.injected] == ["host_crash"]
         assert h.runtime.placement()["S:0"] == h.hosts[2].host_id
         assert h.handler("S:0").values == {i: i for i in range(total)}
-
-    def test_standing_plan_reads_env_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "42")
-        assert chaos_seed_from_env() == 42

@@ -1,25 +1,30 @@
-"""Session-wide chaos wiring: the CI standing fault plan (RESILIENCE.md §6).
+"""Session-wide fixtures: the standing fault plan (RESILIENCE.md §6) and
+the default packed-row store.
 
-CI's chaos leg exports ``REPRO_CHAOS_SEED`` and re-runs tier-1.  The
-``standing_fault_plan`` fixture below is how that seed reaches the
-recovery-aware tests: they call ``arm(...)`` against their deployment
-and get a scripted background fault schedule — a single host crash plus
-an optional partition/heal window — whose victims and timing derive
-from the seed.  Without the variable the default seed (0) is used, so
-the schedule is always exercised and stays deterministic either way.
+The ``standing_fault_plan`` fixture below is how the recovery-aware
+tests get a scripted background fault schedule: they call ``arm(...)``
+against their deployment and get a single host crash plus an optional
+partition/heal window, whose victims and timing derive from the
+``chaos_seed`` fixture.  That fixture is parametrized, so every test
+that arms the plan runs once per seed, deterministically.
 """
 
 import random
 
 import pytest
 
-from repro.cluster import FaultPlan, chaos_seed_from_env
+from repro.cluster import FaultPlan
+from repro.filtering import StoreConfig
+
+#: Seeds of the standing plan: 0, the historical default, and two more
+#: schedules of the same shape.
+CHAOS_SEEDS = (0, 1729, 7)
 
 
-@pytest.fixture(scope="session")
-def chaos_seed():
-    """The standing chaos seed from ``REPRO_CHAOS_SEED``, or ``None``."""
-    return chaos_seed_from_env()
+@pytest.fixture(params=CHAOS_SEEDS)
+def chaos_seed(request):
+    """The standing plan's seed, one test run per entry of CHAOS_SEEDS."""
+    return request.param
 
 
 @pytest.fixture
@@ -45,13 +50,12 @@ def standing_fault_plan(chaos_seed):
         partition_with=None,
         partition_window_s=(1.5, 3.0),
     ):
-        seed = 0 if chaos_seed is None else chaos_seed
         plan = FaultPlan(
             env, cloud=cloud, detector=detector, telemetry=telemetry,
-            seed=seed,
+            seed=chaos_seed,
         )
         plan.group("standing", hosts)
-        rng = random.Random(seed)
+        rng = random.Random(chaos_seed)
         lo, hi = crash_window_s
         plan.crash_host_at(lo + rng.random() * (hi - lo))
         if partition_with is not None:
@@ -61,3 +65,10 @@ def standing_fault_plan(chaos_seed):
         return plan
 
     return arm
+
+
+@pytest.fixture(scope="session")
+def store_config():
+    """The packed-row store of store-sensitive tests: the default one.
+    ``tests/stores.py`` re-runs those tests on a small mmap store."""
+    return StoreConfig()

@@ -3,12 +3,16 @@
 The paper stores the whole manager state in ZooKeeper so that the manager
 "can easily be restarted in case of failure" (§IV-B).  These tests promote
 a standby through the leader-election recipe and verify it resumes elastic
-control from the stored configuration.
+control from the stored configuration.  The two that keep the manager
+scaling run with the paper's policy and again with the p99 scale-in veto
+on (``TestWithSloVeto``): a promoted standby consults the same veto.
 """
+
+import pytest
 
 from repro.cluster import CloudProvider, HostSpec
 from repro.coord import CoordinationKernel
-from repro.elastic import ElasticityManager, ManagerFailover
+from repro.elastic import ElasticityManager, ElasticityPolicy, ManagerFailover
 from repro.filtering import CostModel
 from repro.pubsub import HubConfig, StreamHub, Subscription
 from repro.pubsub.source import SourceDriver
@@ -17,7 +21,13 @@ from repro.sim import Environment
 HEAVY_COST = CostModel(aspe_match_op_s=100e-6)
 
 
-def build_deployment(subs=4000):
+@pytest.fixture
+def policy():
+    """The policy of the deployment's managers: the paper's."""
+    return ElasticityPolicy()
+
+
+def build_deployment(subs=4000, policy=None):
     env = Environment()
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=20,
                           provisioning_delay_s=1.0)
@@ -25,7 +35,7 @@ def build_deployment(subs=4000):
     sink_host = cloud.provision_now()
     config = HubConfig.sampled(
         0.01, ap_slices=2, m_slices=4, ep_slices=2, sink_slices=1,
-        cost_model=HEAVY_COST,
+        cost_model=HEAVY_COST, policy=policy or ElasticityPolicy(),
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy_all_on(engine_hosts, [sink_host])
@@ -35,8 +45,8 @@ def build_deployment(subs=4000):
     return env, cloud, hub, engine_hosts
 
 
-def test_recover_rebuilds_manager_from_coordination_state():
-    env, cloud, hub, engine_hosts = build_deployment()
+def test_recover_rebuilds_manager_from_coordination_state(policy):
+    env, cloud, hub, engine_hosts = build_deployment(policy=policy)
     coord = CoordinationKernel()
     primary = ElasticityManager(hub, cloud, engine_hosts, coord=coord)
     primary.start()
@@ -56,8 +66,8 @@ def test_recover_rebuilds_manager_from_coordination_state():
     assert recovered.history == primary.history
 
 
-def test_standby_takes_over_via_leader_election():
-    env, cloud, hub, engine_hosts = build_deployment()
+def test_standby_takes_over_via_leader_election(policy):
+    env, cloud, hub, engine_hosts = build_deployment(policy=policy)
     failover = ManagerFailover(hub, cloud)
     primary = failover.start_primary(engine_hosts)
     failover.add_standby("standby")
@@ -108,3 +118,18 @@ def test_crashed_manager_takes_no_further_decisions():
     env.run(until=70.0)
     assert manager.history == []
     assert manager.host_count == 1
+
+
+class TestWithSloVeto:
+    """The scaling failover cases with the p99 scale-in veto on."""
+
+    @pytest.fixture
+    def policy(self):
+        return ElasticityPolicy(slo_veto=True)
+
+    test_recover_rebuilds_manager_from_coordination_state = staticmethod(
+        test_recover_rebuilds_manager_from_coordination_state
+    )
+    test_standby_takes_over_via_leader_election = staticmethod(
+        test_standby_takes_over_via_leader_election
+    )

@@ -23,11 +23,13 @@ from repro.sim import Environment
 from repro.telemetry import Telemetry
 from repro.workloads import ScaleWorkload
 
+from ..stores import on_mmap_store
+
 
 class FailoverHarness:
     """Two-host hub with a primary + standby manager pair."""
 
-    def __init__(self, subs=40, migration_timeout_s=None):
+    def __init__(self, store_config, subs=40, migration_timeout_s=None):
         self.env = Environment()
         self.telemetry = Telemetry(self.env)
         self.cloud = CloudProvider(self.env, spec=HostSpec(cores=8),
@@ -39,6 +41,7 @@ class FailoverHarness:
             ap_slices=1, m_slices=2, ep_slices=1, sink_slices=1,
             cost_model=CostModel(aspe_match_op_s=1e-6),
             backend_factory=lambda index: ExactBackend(AspeLibrary()),
+            store=store_config,
             telemetry=self.telemetry,
         )
         self.hub = StreamHub(self.env, self.cloud.network, config)
@@ -76,8 +79,8 @@ class FailoverHarness:
         return self.failover.coord.get("/estreamhub/state")
 
 
-def test_decision_persisted_before_acting():
-    h = FailoverHarness()
+def test_decision_persisted_before_acting(store_config):
+    h = FailoverHarness(store_config)
     decision, src, _ = h.migration_decision()
     h.failover.active.execute_decision(decision)
     # In the kernel while the protocol is still in flight: a step later
@@ -95,8 +98,8 @@ def test_decision_persisted_before_acting():
     assert after.version > stat.version
 
 
-def test_crash_mid_migration_rolls_back_and_promotes_standby():
-    h = FailoverHarness()
+def test_crash_mid_migration_rolls_back_and_promotes_standby(store_config):
+    h = FailoverHarness(store_config)
     decision, src, _ = h.migration_decision()
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
@@ -114,8 +117,8 @@ def test_crash_mid_migration_rolls_back_and_promotes_standby():
     assert h.failover.active.failover_outcomes == [("M:0", "rolled_back")]
 
 
-def test_crash_with_surviving_orphan_classified_completed():
-    h = FailoverHarness()
+def test_crash_with_surviving_orphan_classified_completed(store_config):
+    h = FailoverHarness(store_config)
     decision, src, dst = h.migration_decision()
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
@@ -137,8 +140,8 @@ PHASES = ("pre", "sync", "pause", "copy", "post")
 
 @pytest.mark.parametrize("kill_inflight", [True, False])
 @pytest.mark.parametrize("phase", PHASES, ids=lambda phase: f"migration-{phase}")
-def test_crash_at_every_phase_settles_the_operation(phase, kill_inflight):
-    h = FailoverHarness()
+def test_crash_at_every_phase_settles_the_operation(store_config, phase, kill_inflight):
+    h = FailoverHarness(store_config)
     runtime = h.hub.runtime
     decision, src, dst = h.migration_decision()
     plan = FaultPlan(h.env)
@@ -169,11 +172,11 @@ def test_crash_at_every_phase_settles_the_operation(phase, kill_inflight):
     assert len(standby.migration_reports) == (0 if kill_inflight else 1)
 
 
-def test_state_copy_across_a_partitioned_link_rolls_back():
+def test_state_copy_across_a_partitioned_link_rolls_back(store_config):
     # The fabric drops a partitioned send at the sender and nothing
     # resends it, so a copy that waited on the transfer would hang with
     # the origin halted; the copy step refuses the link instead.
-    h = FailoverHarness()
+    h = FailoverHarness(store_config)
     decision, src, dst = h.migration_decision()
     h.cloud.network.partition([src], [dst])
     manager = h.failover.active
@@ -215,8 +218,8 @@ def blocked_decision(h):
     )
 
 
-def test_watchdog_rolls_back_an_operation_that_cannot_drain():
-    h = FailoverHarness(migration_timeout_s=30.0)
+def test_watchdog_rolls_back_an_operation_that_cannot_drain(store_config):
+    h = FailoverHarness(store_config, migration_timeout_s=30.0)
     runtime = h.hub.runtime
     src = runtime.placement()["M:1"]
     manager = h.failover.active
@@ -239,8 +242,8 @@ def test_watchdog_rolls_back_an_operation_that_cannot_drain():
     assert len(manager.migration_reports) == 1
 
 
-def test_without_a_timeout_an_undrainable_operation_stays_pending():
-    h = FailoverHarness()
+def test_without_a_timeout_an_undrainable_operation_stays_pending(store_config):
+    h = FailoverHarness(store_config)
     manager = h.failover.active
     manager.execute_decision(blocked_decision(h))
     h.settle()
@@ -249,8 +252,8 @@ def test_without_a_timeout_an_undrainable_operation_stays_pending():
     assert manager.history == []
 
 
-def test_crashed_manager_is_fenced_off_stable_storage():
-    h = FailoverHarness()
+def test_crashed_manager_is_fenced_off_stable_storage(store_config):
+    h = FailoverHarness(store_config)
     decision, _, _ = h.migration_decision()
     plan = FaultPlan(h.env)
     plan.crash_manager_at_phase(
@@ -268,9 +271,22 @@ def test_crashed_manager_is_fenced_off_stable_storage():
     assert h.failover.coord.exists("/estreamhub/state").version == version
 
 
-def test_crash_without_active_manager_rejected():
-    h = FailoverHarness(subs=0)
+def test_crash_without_active_manager_rejected(store_config):
+    h = FailoverHarness(store_config, subs=0)
     h.failover.crash_active()  # promotes the standby synchronously
     h.failover.crash_active()  # kills the standby; nobody is left
     with pytest.raises(RuntimeError):
         h.failover.crash_active()
+
+
+TestOnMmapStore = on_mmap_store(
+    test_decision_persisted_before_acting,
+    test_crash_mid_migration_rolls_back_and_promotes_standby,
+    test_crash_with_surviving_orphan_classified_completed,
+    test_crash_at_every_phase_settles_the_operation,
+    test_state_copy_across_a_partitioned_link_rolls_back,
+    test_watchdog_rolls_back_an_operation_that_cannot_drain,
+    test_without_a_timeout_an_undrainable_operation_stays_pending,
+    test_crashed_manager_is_fenced_off_stable_storage,
+    test_crash_without_active_manager_rejected,
+)

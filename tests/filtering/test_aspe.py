@@ -17,6 +17,8 @@ from repro.filtering import (
     match_encrypted,
 )
 
+from .. import stores
+
 
 @pytest.fixture
 def cipher():
@@ -158,8 +160,8 @@ def test_encrypted_decision_matches_plaintext_property(value, constant, op):
 
 
 class TestAspeLibrary:
-    def test_store_match_remove(self, cipher):
-        library = AspeLibrary()
+    def test_store_match_remove(self, store_config, cipher):
+        library = AspeLibrary(store_config)
         library.store(1, cipher.encrypt_subscription(band(0, 10.0, 20.0)))
         library.store(2, cipher.encrypt_subscription(band(0, 15.0, 30.0)))
         enc_pub = cipher.encrypt_publication([18.0, 0.0, 0.0, 0.0])
@@ -168,30 +170,30 @@ class TestAspeLibrary:
         assert library.match(enc_pub) == [2]
         assert library.subscription_count() == 1
 
-    def test_match_empty_library(self, cipher):
-        library = AspeLibrary()
+    def test_match_empty_library(self, store_config, cipher):
+        library = AspeLibrary(store_config)
         assert library.match(cipher.encrypt_publication([0.0] * 4)) == []
 
-    def test_type_checks(self, cipher):
-        library = AspeLibrary()
+    def test_type_checks(self, store_config, cipher):
+        library = AspeLibrary(store_config)
         with pytest.raises(TypeError):
             library.store(1, band(0, 0.0, 1.0))
         with pytest.raises(TypeError):
             library.match([1.0, 2.0, 3.0, 4.0])
 
-    def test_state_roundtrip(self, cipher):
-        library = AspeLibrary()
+    def test_state_roundtrip(self, store_config, cipher):
+        library = AspeLibrary(store_config)
         for i in range(5):
             library.store(i, cipher.encrypt_subscription(band(0, i * 10.0, i * 10.0 + 5.0)))
-        clone = AspeLibrary()
+        clone = AspeLibrary(store_config)
         clone.import_state(library.export_state())
         enc_pub = cipher.encrypt_publication([12.0, 0.0, 0.0, 0.0])
         assert clone.match(enc_pub) == library.match(enc_pub)
         assert clone.state_size_bytes() == library.state_size_bytes()
 
-    def test_library_agrees_with_pairwise_matching(self, cipher):
+    def test_library_agrees_with_pairwise_matching(self, store_config, cipher):
         rng = random.Random(11)
-        library = AspeLibrary()
+        library = AspeLibrary(store_config)
         subs = {}
         for sub_id in range(50):
             ps = band(rng.randrange(4), rng.uniform(0, 500), rng.uniform(500, 1000))
@@ -203,3 +205,7 @@ class TestAspeLibrary:
                 sub_id for sub_id, enc in subs.items() if match_encrypted(enc_pub, enc)
             )
             assert sorted(library.match(enc_pub)) == expected
+
+
+class TestAspeLibraryOnMmapStore(TestAspeLibrary):
+    store_config = stores.small_mmap_store

@@ -22,6 +22,8 @@ from repro.filtering import (
     PredicateSet,
 )
 
+from ..stores import on_mmap_store
+
 
 def band(attribute, low, high):
     return PredicateSet.of(
@@ -62,9 +64,9 @@ def test_plaintext_batch_equals_single(library_cls):
     ]
 
 
-def test_aspe_batch_equals_single(cipher):
+def test_aspe_batch_equals_single(store_config, cipher):
     rng = random.Random(12)
-    library = AspeLibrary()
+    library = AspeLibrary(store_config)
     for sub_id in range(150):
         library.store(sub_id, cipher.encrypt_subscription(random_filter(rng)))
     publications = [
@@ -76,9 +78,9 @@ def test_aspe_batch_equals_single(cipher):
     ]
 
 
-def test_aspe_batch_equals_single_after_churn(cipher):
+def test_aspe_batch_equals_single_after_churn(store_config, cipher):
     rng = random.Random(13)
-    library = AspeLibrary()
+    library = AspeLibrary(store_config)
     filters = [cipher.encrypt_subscription(random_filter(rng)) for _ in range(120)]
     for sub_id, encrypted in enumerate(filters):
         library.store(sub_id, encrypted)
@@ -105,35 +107,35 @@ def test_empty_library_plaintext(library_cls):
     assert library.match_batch([]) == []
 
 
-def test_empty_library_aspe(cipher):
-    library = AspeLibrary()
+def test_empty_library_aspe(store_config, cipher):
+    library = AspeLibrary(store_config)
     publications = [cipher.encrypt_publication([0.0] * 4) for _ in range(2)]
     assert library.match_batch(publications) == [[], []]
     assert library.match_batch([]) == []
 
 
-def test_single_subscription_edge(cipher):
+def test_single_subscription_edge(store_config, cipher):
     plain = band(0, 10.0, 20.0)
     inside, outside = [15.0, 0.0, 0.0, 0.0], [25.0, 0.0, 0.0, 0.0]
     assert make_plain(BruteForceLibrary, [plain]).match_batch(
         [inside, outside]
     ) == [[0], []]
-    library = AspeLibrary()
+    library = AspeLibrary(store_config)
     library.store(0, cipher.encrypt_subscription(plain))
     encrypted_pubs = [cipher.encrypt_publication(p) for p in (inside, outside)]
     assert library.match_batch(encrypted_pubs) == [[0], []]
 
 
-def test_aspe_batch_type_check(cipher):
-    library = AspeLibrary()
+def test_aspe_batch_type_check(store_config, cipher):
+    library = AspeLibrary(store_config)
     library.store(0, cipher.encrypt_subscription(band(0, 0.0, 1.0)))
     with pytest.raises(TypeError):
         library.match_batch([[1.0, 2.0, 3.0, 4.0]])
 
 
-def test_exact_backend_batch_matches_loop(cipher):
+def test_exact_backend_batch_matches_loop(store_config, cipher):
     rng = random.Random(14)
-    library = AspeLibrary()
+    library = AspeLibrary(store_config)
     for sub_id in range(50):
         library.store(sub_id, cipher.encrypt_subscription(random_filter(rng)))
     backend = ExactBackend(library)
@@ -145,3 +147,13 @@ def test_exact_backend_batch_matches_loop(cipher):
     batched = backend.match_batch(pub_ids, payloads)
     singles = [backend.match(i, p) for i, p in zip(pub_ids, payloads)]
     assert [(r.count, r.ids) for r in batched] == [(r.count, r.ids) for r in singles]
+
+
+TestOnMmapStore = on_mmap_store(
+    test_aspe_batch_equals_single,
+    test_aspe_batch_equals_single_after_churn,
+    test_empty_library_aspe,
+    test_single_subscription_edge,
+    test_aspe_batch_type_check,
+    test_exact_backend_batch_matches_loop,
+)

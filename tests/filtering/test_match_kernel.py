@@ -36,6 +36,8 @@ from repro.filtering import (
 )
 from repro.workloads import ScaleWorkload
 
+from ..stores import on_mmap_store
+
 WIDTH = 6
 OP_CODES = ("gt", "ge", "lt", "le")
 #: Rows per chunk: the default (every test library fits one chunk, which
@@ -193,10 +195,10 @@ def test_kernel_agrees_with_match_encrypted(
     assert library.compaction_count == 0
 
 
-def test_exact_boundary_products_decide_like_the_reference():
+def test_exact_boundary_products_decide_like_the_reference(store_config):
     # product == +threshold: only the non-strict `le` holds among (gt, le);
     # product == -threshold: only the non-strict `ge` among (ge, lt).
-    library = AspeLibrary()
+    library = AspeLibrary(store_config)
     cases = [
         ("gt", _THRESHOLD, False),
         ("le", _THRESHOLD, True),
@@ -428,3 +430,8 @@ def _check_fresh_id_stores_extend_the_index(config, publications):
         library, publications
     )
     assert library.index_rebuild_count == 3
+
+
+TestOnMmapStore = on_mmap_store(
+    test_exact_boundary_products_decide_like_the_reference,
+)

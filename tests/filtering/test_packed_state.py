@@ -22,6 +22,8 @@ from repro.filtering import (
     match_encrypted,
 )
 
+from ..stores import on_mmap_store
+
 
 @pytest.fixture
 def cipher():
@@ -39,15 +41,15 @@ def random_filter(rng):
 
 
 def fresh_copy(library):
-    clone = AspeLibrary()
+    clone = AspeLibrary(library.store_config)
     clone.import_state(library.export_state())
     return clone
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_random_interleaving_equals_fresh_library(cipher, seed):
+def test_random_interleaving_equals_fresh_library(store_config, cipher, seed):
     rng = random.Random(seed)
-    library = AspeLibrary()
+    library = AspeLibrary(store_config)
     pool = {i: cipher.encrypt_subscription(random_filter(rng)) for i in range(60)}
     stored = set()
     for step in range(400):
@@ -73,10 +75,10 @@ def test_random_interleaving_equals_fresh_library(cipher, seed):
     assert library.match(publication) == fresh_copy(library).match(publication)
 
 
-def test_churn_compacts_instead_of_repacking(cipher):
+def test_churn_compacts_instead_of_repacking(store_config, cipher):
     """Store/remove churn appends + occasionally compacts — never repacks."""
     rng = random.Random(9)
-    library = AspeLibrary()
+    library = AspeLibrary(store_config)
     filters = [cipher.encrypt_subscription(random_filter(rng)) for i in range(500)]
     for sub_id, encrypted in enumerate(filters):
         library.store(sub_id, encrypted)
@@ -96,8 +98,8 @@ def test_churn_compacts_instead_of_repacking(cipher):
     assert library.match(publication) == fresh_copy(library).match(publication)
 
 
-def test_overwrite_store_keeps_single_copy(cipher):
-    library = AspeLibrary()
+def test_overwrite_store_keeps_single_copy(store_config, cipher):
+    library = AspeLibrary(store_config)
     wide = cipher.encrypt_subscription(
         PredicateSet.of(Predicate(0, Op.GE, 0.0), Predicate(0, Op.LE, 1000.0))
     )
@@ -113,9 +115,9 @@ def test_overwrite_store_keeps_single_copy(cipher):
     assert library.match(publication) == [1]
 
 
-def test_decisions_track_pairwise_matching_through_churn(cipher):
+def test_decisions_track_pairwise_matching_through_churn(store_config, cipher):
     rng = random.Random(21)
-    library = AspeLibrary()
+    library = AspeLibrary(store_config)
     stored = {}
     for step in range(300):
         if rng.random() < 0.6 or not stored:
@@ -137,3 +139,11 @@ def test_decisions_track_pairwise_matching_through_churn(cipher):
                 if match_encrypted(publication, encrypted)
             ]
             assert library.match(publication) == expected
+
+
+TestOnMmapStore = on_mmap_store(
+    test_random_interleaving_equals_fresh_library,
+    test_churn_compacts_instead_of_repacking,
+    test_overwrite_store_keeps_single_copy,
+    test_decisions_track_pairwise_matching_through_churn,
+)

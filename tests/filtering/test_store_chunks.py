@@ -277,16 +277,6 @@ def test_clear_unlinks_spill_files(tmp_path):
     assert not any(os.path.exists(p) for p in paths)
 
 
-def test_from_env_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_CHUNK_ROWS", "lots")
-    with pytest.raises(ValueError, match="REPRO_STORE_CHUNK_ROWS"):
-        StoreConfig.from_env()
-    monkeypatch.setenv("REPRO_STORE_CHUNK_ROWS", "1024")
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "tape")
-    with pytest.raises(ValueError, match="REPRO_STORE_BACKEND"):
-        StoreConfig.from_env()
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         StoreConfig(chunk_rows=0)

@@ -77,13 +77,6 @@ def test_net_group_has_no_flat_spelling():
         small_exact_config(net_flush_mode="adaptive")
 
 
-def test_policy_group_defaults_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
-    config = small_exact_config()
-    assert config.policy.slo_veto is True
-    assert config.policy.slo_p99_s == 1.0
-
-
 def test_deploy_all_on_places_engine_and_sink_separately():
     h = HubHarness(small_exact_config(), engine_hosts=2)
     placement = h.hub.runtime.placement()

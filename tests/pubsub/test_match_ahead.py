@@ -37,6 +37,7 @@ from repro.pubsub import (
 )
 from repro.pubsub.operators import _MATCH_AHEAD
 
+from ..stores import on_mmap_store
 from .conftest import HubHarness, small_exact_config
 
 CIPHER = AspeCipher(AspeKey.generate(4, rng=random.Random(7)), rng=random.Random(8))
@@ -71,8 +72,8 @@ def sub_event(sub_id, low, high, seq=0):
 class RecordingBackend(ExactBackend):
     """Notes, per backend call, the epoch and the publications it matched."""
 
-    def __init__(self):
-        super().__init__(AspeLibrary())
+    def __init__(self, store_config=None):
+        super().__init__(AspeLibrary(store_config))
         self.calls = []
 
     def match(self, pub_id, payload):
@@ -87,9 +88,11 @@ class RecordingBackend(ExactBackend):
         return list(chain.from_iterable(pub_ids for _, pub_ids in self.calls))
 
 
-def recording_config(**kwargs):
+def recording_config(store_config, **kwargs):
     return small_exact_config(
-        backend_factory=lambda index: RecordingBackend(), **kwargs
+        backend_factory=lambda index: RecordingBackend(),
+        store=store_config,
+        **kwargs,
     )
 
 
@@ -117,9 +120,10 @@ class ViewContext(PlainContext):
         return iter(self.in_hand)
 
 
-def make_handler(backend=None, **kwargs):
+def make_handler(store_config=None, backend=None, **kwargs):
     return MatcherHandler(
-        0, backend or RecordingBackend(), CostModel(), encrypted=False, **kwargs
+        0, backend or RecordingBackend(store_config), CostModel(),
+        encrypted=False, **kwargs,
     )
 
 
@@ -130,7 +134,7 @@ def subscribers(ctx):
 # -- (i) nothing simulated notices --------------------------------------------
 
 
-def run_script(look_ahead, parallelism, limit, script, migrate):
+def run_script(look_ahead, parallelism, limit, script, migrate, store_config):
     """Two bursts of interleaved subscriptions and publications, the second
     injected while the first is still being matched (and M:0 is moving)."""
     with pytest.MonkeyPatch.context() as patch:
@@ -138,7 +142,8 @@ def run_script(look_ahead, parallelism, limit, script, migrate):
             patch.delattr(SliceContext, "upcoming")
         h = HubHarness(
             recording_config(
-                m_slices=2, parallelism=parallelism, matcher_batch_limit=limit
+                store_config,
+                m_slices=2, parallelism=parallelism, matcher_batch_limit=limit,
             )
         )
         for sub_id in range(6):
@@ -179,9 +184,15 @@ STEP = st.one_of(
     script=st.lists(STEP, min_size=8, max_size=60),
     migrate=st.booleans(),
 )
-def test_look_ahead_is_invisible_on_the_simulated_clock(parallelism, limit, script, migrate):
-    ahead, ahead_handlers, published = run_script(True, parallelism, limit, script, migrate)
-    plain, plain_handlers, _ = run_script(False, parallelism, limit, script, migrate)
+def test_look_ahead_is_invisible_on_the_simulated_clock(
+    store_config, parallelism, limit, script, migrate
+):
+    ahead, ahead_handlers, published = run_script(
+        True, parallelism, limit, script, migrate, store_config
+    )
+    plain, plain_handlers, _ = run_script(
+        False, parallelism, limit, script, migrate, store_config
+    )
     assert ahead.hub.notification_log == plain.hub.notification_log
     assert ahead.hub.delay_tracker.samples == plain.hub.delay_tracker.samples
     assert ahead.env.now == plain.env.now
@@ -196,10 +207,10 @@ def test_look_ahead_is_invisible_on_the_simulated_clock(parallelism, limit, scri
         assert ahead.hub.runtime.migrations_completed == 1
 
 
-def test_look_ahead_engages_on_a_burst_through_the_hub():
+def test_look_ahead_engages_on_a_burst_through_the_hub(store_config):
     script = [("pub", value % 80) for value in range(64)]
-    ahead, handlers, _ = run_script(True, 8, 1, script, False)
-    plain, plain_handlers, _ = run_script(False, 8, 1, script, False)
+    ahead, handlers, _ = run_script(True, 8, 1, script, False, store_config)
+    plain, plain_handlers, _ = run_script(False, 8, 1, script, False, store_config)
     assert ahead.hub.notification_log == plain.hub.notification_log
     assert sum(handler.publications_matched_ahead for handler in handlers) > 0
     for handler, reference in zip(handlers, plain_handlers):
@@ -212,9 +223,12 @@ def test_look_ahead_engages_on_a_burst_through_the_hub():
 
 @pytest.mark.parametrize("limit", [1, 8, 128])
 @pytest.mark.parametrize("count", [5, 128, 300])
-def test_a_burst_in_hand_reaches_the_kernel_in_whole_calls(count, limit):
+def test_a_burst_in_hand_reaches_the_kernel_in_whole_calls(store_config, count, limit):
     h = HubHarness(
-        recording_config(ap_slices=1, m_slices=1, ep_slices=1, matcher_batch_limit=limit)
+        recording_config(
+            store_config, ap_slices=1, m_slices=1, ep_slices=1,
+            matcher_batch_limit=limit,
+        )
     )
     handler = h.hub.runtime.handler_of("M:0")
     for sub_id in range(4):
@@ -238,8 +252,8 @@ def test_a_burst_in_hand_reaches_the_kernel_in_whole_calls(count, limit):
         assert by_pub[pub_id] == expected
 
 
-def test_the_cache_never_outgrows_one_look_ahead():
-    handler = make_handler()
+def test_the_cache_never_outgrows_one_look_ahead(store_config):
+    handler = make_handler(store_config)
     handler.preload(Subscription(0, 1000, band(0, 40)))
     events = [pub_event(pub_id, pub_id % 80) for pub_id in range(400)]
     ctx = ViewContext()
@@ -261,11 +275,13 @@ def test_the_cache_never_outgrows_one_look_ahead():
 # -- (iii) a store between look-ahead and consumption -------------------------
 
 
-def test_a_queued_writer_keeps_the_inbox_out_of_the_look_ahead():
+def test_a_queued_writer_keeps_the_inbox_out_of_the_look_ahead(store_config):
     """p0 and p1 run, the subscription waits for the lock, p2 waits in the
     inbox behind it: p2 is matched after the store, and only then."""
     h = HubHarness(
-        recording_config(ap_slices=1, m_slices=1, ep_slices=1, parallelism=3)
+        recording_config(
+            store_config, ap_slices=1, m_slices=1, ep_slices=1, parallelism=3
+        )
     )
     handler = h.hub.runtime.handler_of("M:0")
     handler.preload(Subscription(0, 1000, band(0, 40)))
@@ -281,11 +297,13 @@ def test_a_queued_writer_keeps_the_inbox_out_of_the_look_ahead():
     assert by_pub == {0: (1000,), 1: (1000,), 2: (1000, 1001)}
 
 
-def test_the_inbox_run_stops_at_a_subscription():
+def test_the_inbox_run_stops_at_a_subscription(store_config):
     """p2 is matched ahead with p0 and p1, before the subscription queued
     behind it takes the lock; p3 behind the subscription is not."""
     h = HubHarness(
-        recording_config(ap_slices=1, m_slices=1, ep_slices=1, parallelism=2)
+        recording_config(
+            store_config, ap_slices=1, m_slices=1, ep_slices=1, parallelism=2
+        )
     )
     handler = h.hub.runtime.handler_of("M:0")
     handler.preload(Subscription(0, 1000, band(0, 40)))
@@ -302,14 +320,16 @@ def test_the_inbox_run_stops_at_a_subscription():
     assert by_pub == {0: (1000,), 1: (1000,), 2: (1000,), 3: (1000, 1001)}
 
 
-def test_a_subscription_on_its_way_to_an_idle_worker_overtakes_the_inbox():
+def test_a_subscription_on_its_way_to_an_idle_worker_overtakes_the_inbox(store_config):
     """The case the view cannot see: at the instant p0 completes, a
     subscription has been handed to the idle second worker but that
     worker's step has not run, and p2, p3 wait in the inbox with no one
     queued for the lock.  They are matched ahead; the subscription then
     gets the lock between them, and p3's early result must not be used."""
     h = HubHarness(
-        recording_config(ap_slices=1, m_slices=1, ep_slices=1, parallelism=2)
+        recording_config(
+            store_config, ap_slices=1, m_slices=1, ep_slices=1, parallelism=2
+        )
     )
     handler = h.hub.runtime.handler_of("M:0")
     handler.preload(Subscription(0, 1000, band(0, 40)))
@@ -330,9 +350,9 @@ def test_a_subscription_on_its_way_to_an_idle_worker_overtakes_the_inbox():
     assert by_pub == {0: (1000,), 2: (1000,), 3: (1000, 1001)}
 
 
-def test_a_result_from_another_epoch_is_dropped_unread():
+def test_a_result_from_another_epoch_is_dropped_unread(store_config):
     """The guard itself: the library changes behind the handler's back."""
-    handler = make_handler()
+    handler = make_handler(store_config)
     handler.preload(Subscription(0, 1000, band(0, 40)))
     first, second, third = (pub_event(pub_id, 5) for pub_id in range(3))
     ctx = ViewContext([second, third])
@@ -348,8 +368,8 @@ def test_a_result_from_another_epoch_is_dropped_unread():
     assert not handler._ahead
 
 
-def test_a_subscription_through_the_handler_drops_the_cache():
-    handler = make_handler()
+def test_a_subscription_through_the_handler_drops_the_cache(store_config):
+    handler = make_handler(store_config)
     first, second = pub_event(0, 5), pub_event(1, 5)
     ctx = ViewContext([second])
     handler.process(first, ctx)
@@ -363,8 +383,8 @@ def test_a_subscription_through_the_handler_drops_the_cache():
 # -- (iv) results belong to events, not to publication ids --------------------
 
 
-def test_two_publications_sharing_an_id_get_their_own_results():
-    handler = make_handler()
+def test_two_publications_sharing_an_id_get_their_own_results(store_config):
+    handler = make_handler(store_config)
     handler.preload(Subscription(0, 1000, band(0, 40)))
     inside, outside = pub_event(7, 5, seq=0), pub_event(7, 70, seq=1)
     lone = pub_event(8, 5, seq=2)
@@ -381,8 +401,8 @@ def test_two_publications_sharing_an_id_get_their_own_results():
 
 
 @pytest.fixture
-def primed():
-    handler = make_handler()
+def primed(store_config):
+    handler = make_handler(store_config)
     handler.preload(Subscription(0, 1000, band(0, 40)))
     events = [pub_event(pub_id, 5) for pub_id in range(4)]
     handler.process(events[0], ViewContext(events[1:]))
@@ -416,7 +436,7 @@ class NoLookingContext(PlainContext):
 
 
 def test_a_sampled_backend_never_looks_ahead():
-    handler = make_handler(SampledBackend(0.5, seed=3))
+    handler = make_handler(backend=SampledBackend(0.5, seed=3))
     reference = SampledBackend(0.5, seed=3)
     for sub_id in range(50):
         handler.preload(Subscription(sub_id, sub_id))
@@ -436,7 +456,7 @@ def test_a_sampled_backend_never_looks_ahead():
 
 
 def test_a_library_without_an_epoch_never_looks_ahead():
-    handler = make_handler(ExactBackend(BruteForceLibrary()))
+    handler = make_handler(backend=ExactBackend(BruteForceLibrary()))
     handler.process(
         StreamEvent(KIND_PUBLICATION, Publication(0, payload=[5.0]), "test", 0, 100, 0.0),
         NoLookingContext(),
@@ -444,8 +464,8 @@ def test_a_library_without_an_epoch_never_looks_ahead():
     assert handler.publications_matched == 1
 
 
-def test_a_context_without_the_view_matches_each_batch_itself():
-    handler = make_handler()
+def test_a_context_without_the_view_matches_each_batch_itself(store_config):
+    handler = make_handler(store_config)
     handler.preload(Subscription(0, 1000, band(0, 40)))
     ctx = PlainContext()
     events = [pub_event(pub_id, 5) for pub_id in range(5)]
@@ -454,3 +474,20 @@ def test_a_context_without_the_view_matches_each_batch_itself():
     assert [pub_ids for _, pub_ids in handler.backend.calls] == [[0], [1, 2, 3, 4]]
     assert handler.publications_matched_ahead == 0 and not handler._ahead
     assert subscribers(ctx) == [(1000,)] * 5
+
+
+TestOnMmapStore = on_mmap_store(
+    test_look_ahead_is_invisible_on_the_simulated_clock,
+    test_look_ahead_engages_on_a_burst_through_the_hub,
+    test_a_burst_in_hand_reaches_the_kernel_in_whole_calls,
+    test_the_cache_never_outgrows_one_look_ahead,
+    test_a_queued_writer_keeps_the_inbox_out_of_the_look_ahead,
+    test_the_inbox_run_stops_at_a_subscription,
+    test_a_subscription_on_its_way_to_an_idle_worker_overtakes_the_inbox,
+    test_a_result_from_another_epoch_is_dropped_unread,
+    test_a_subscription_through_the_handler_drops_the_cache,
+    test_two_publications_sharing_an_id_get_their_own_results,
+    test_detach_empties_the_cache,
+    test_import_state_empties_the_cache,
+    test_a_context_without_the_view_matches_each_batch_itself,
+)

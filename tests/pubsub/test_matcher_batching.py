@@ -32,6 +32,7 @@ from repro.pubsub import (
     KIND_SUBSCRIPTION,
 )
 
+from ..stores import on_mmap_store
 from .conftest import HubHarness, small_exact_config, small_sampled_config
 
 
@@ -165,11 +166,12 @@ class TestHubEquivalence:
         )
 
 
-def test_batched_aspe_pipeline(aspe_cipher):
+def test_batched_aspe_pipeline(store_config, aspe_cipher):
     """Encrypted end-to-end flow with coalescing: ids survive the batch."""
     config = small_exact_config(
         encrypted=True,
         backend_factory=lambda index: ExactBackend(AspeLibrary()),
+        store=store_config,
         matcher_batch_limit=4,
     )
     harness = HubHarness(config)
@@ -201,3 +203,6 @@ def test_batched_aspe_pipeline(aspe_cipher):
     assert len(harness.hub.notification_log) == 6
     for notification in harness.hub.notification_log:
         assert set(notification.subscriber_ids) == matching
+
+
+TestOnMmapStore = on_mmap_store(test_batched_aspe_pipeline)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.filtering import AspeLibrary, ExactBackend, Op, Predicate, PredicateSet
 from repro.pubsub import HubConfig, Publication, StreamHub, Subscription
+
+from ..stores import on_mmap_store
 from .conftest import HubHarness, small_exact_config, small_sampled_config
 
 
@@ -91,7 +93,7 @@ def test_sampled_hub_notification_counts_follow_rate():
     assert 40 < mean < 60  # Binomial(1000, 0.05) → mean 50
 
 
-def test_aspe_end_to_end(aspe_cipher):
+def test_aspe_end_to_end(store_config, aspe_cipher):
     """Fully encrypted filtering through the pipeline."""
     config = HubConfig(
         ap_slices=2,
@@ -100,6 +102,7 @@ def test_aspe_end_to_end(aspe_cipher):
         sink_slices=1,
         encrypted=True,
         backend_factory=lambda index: ExactBackend(AspeLibrary()),
+        store=store_config,
     )
     h = HubHarness(config)
     h.hub.subscribe(
@@ -169,3 +172,6 @@ def test_engine_slice_ids_excludes_sink(exact_hub):
         *(f"M:{i}" for i in range(4)),
         *(f"EP:{i}" for i in range(2)),
     }
+
+
+TestOnMmapStore = on_mmap_store(test_aspe_end_to_end)

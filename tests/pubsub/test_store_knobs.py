@@ -1,4 +1,4 @@
-"""Tests for the HubConfig / environment store-backend knobs."""
+"""Tests for the HubConfig store-backend knobs."""
 
 import dataclasses
 
@@ -10,18 +10,17 @@ from repro.pubsub import HubConfig
 from .conftest import HubHarness, small_exact_config
 
 
-def test_defaults_are_chunked(monkeypatch):
-    for var in ("REPRO_STORE_BACKEND", "REPRO_STORE_CHUNK_ROWS",
-                "REPRO_STORE_MEMORY_BUDGET_MB"):
-        monkeypatch.delenv(var, raising=False)
+def test_defaults_are_chunked():
     config = HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1)
-    store = config.store
+    assert config.store is None  # each library keeps its own store
+    store = AspeLibrary().store_config
+    assert store == StoreConfig()
     assert store.backend == "chunked"
     assert store.chunk_rows == 65536
     assert store.memory_budget_mb == 0.0
 
 
-def test_the_store_has_one_spelling_and_two_backends(monkeypatch):
+def test_the_store_has_one_spelling_and_two_backends():
     assert STORE_BACKENDS == ("chunked", "mmap")
     assert not [
         field.name
@@ -31,27 +30,6 @@ def test_the_store_has_one_spelling_and_two_backends(monkeypatch):
     assert not hasattr(HubConfig, "store_config")
     with pytest.raises(ValueError, match="chunked.*mmap"):
         StoreConfig(backend="dense")
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "dense")
-    with pytest.raises(ValueError, match="chunked.*mmap"):
-        StoreConfig.from_env()
-
-
-def test_env_variables_drive_defaults(monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "mmap")
-    monkeypatch.setenv("REPRO_STORE_CHUNK_ROWS", "2048")
-    monkeypatch.setenv("REPRO_STORE_MEMORY_BUDGET_MB", "8")
-    config = HubConfig(ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1)
-    assert config.store == StoreConfig(
-        backend="mmap", chunk_rows=2048, memory_budget_mb=8.0
-    )
-    # An explicit group beats the environment, field by field.
-    config = HubConfig(
-        ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1,
-        store=StoreConfig.from_env(backend="chunked", memory_budget_mb=4.0),
-    )
-    assert config.store.backend == "chunked"
-    assert config.store.memory_budget_mb == 4.0
-    assert config.store.chunk_rows == 2048  # env still fills the rest
 
 
 def test_invalid_knobs_rejected_at_config_time():
@@ -81,3 +59,17 @@ def test_non_aspe_backend_ignores_store_config():
     # BruteForceLibrary has no configure_store; the knob must not break it.
     h = HubHarness(small_exact_config(store=StoreConfig(backend="mmap")))
     assert h.hub.runtime.handler_of("M:0") is not None
+
+
+def test_a_library_keeps_its_own_store_without_a_hub_store():
+    """No ``store=`` means no override: the backend factory's store is
+    the one deployed, not a default config switched in behind it."""
+    own = StoreConfig(backend="mmap", chunk_rows=2048, memory_budget_mb=1.0)
+    config = HubConfig(
+        ap_slices=1, m_slices=2, ep_slices=1, sink_slices=1,
+        backend_factory=lambda index: ExactBackend(AspeLibrary(own)),
+    )
+    h = HubHarness(config)
+    for index in range(2):
+        library = h.hub.runtime.handler_of(f"M:{index}").backend.library
+        assert library.store_config == own

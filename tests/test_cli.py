@@ -101,11 +101,11 @@ def test_trace_command_without_migration(capsys, tmp_path):
 
 
 def _policy_from(argv):
-    from repro.config import flag_overrides
+    from repro.config import flag_overrides, from_flags
     from repro.elastic import ElasticityPolicy
 
     args = build_parser().parse_args(argv)
-    return ElasticityPolicy.from_env(**flag_overrides(args, ElasticityPolicy))
+    return from_flags(ElasticityPolicy, **flag_overrides(args, ElasticityPolicy))
 
 
 def test_figure8_policy_flags_resolve_to_a_policy():
@@ -118,24 +118,6 @@ def test_figure8_policy_flags_resolve_to_a_policy():
     assert policy.backlog_aware_scaling is False
     # Unset flags fall through to defaults.
     assert policy.grace_period_s == 30.0
-
-
-def test_figure8_policy_flags_beat_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
-    policy = _policy_from(["figure9", "--slo-p99-s", "0.25"])
-    assert policy.slo_p99_s == 0.25    # cli
-    assert policy.slo_veto is True     # env fills the gap
-    policy = _policy_from(["figure9", "--no-slo-veto"])
-    assert policy.slo_veto is False    # cli wins
-
-
-def test_policy_command_prints_provenance(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_POLICY_SLO_VETO", "1")
-    assert main(["policy", "--slo-veto-max-rounds", "24"]) == 0
-    out = capsys.readouterr().out
-    assert "cli" in out
-    assert "env:REPRO_POLICY_SLO_VETO" in out
-    assert "slo_p99_s" in out
 
 
 def test_policy_command_rejects_a_bad_slo_target(capsys):

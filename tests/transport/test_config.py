@@ -1,54 +1,11 @@
-"""TransportConfig validation and the shared REPRO_* env helpers."""
+"""TransportConfig validation and flag resolution."""
 
 from dataclasses import fields
 
 import pytest
 
-from repro.config import env_bool, env_float, env_int, env_str, from_env
+from repro.config import from_flags
 from repro.transport import FLUSH_MODES, TransportConfig
-
-
-class TestEnvHelpers:
-    def test_unset_keeps_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
-        assert env_int("REPRO_TEST_KNOB", 7) == 7
-        assert env_float("REPRO_TEST_KNOB", 0.5) == 0.5
-        assert env_bool("REPRO_TEST_KNOB", True) is True
-        assert env_str("REPRO_TEST_KNOB", "dft") == "dft"
-
-    def test_blank_keeps_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "   ")
-        assert env_int("REPRO_TEST_KNOB", 7) == 7
-        assert env_bool("REPRO_TEST_KNOB", False) is False
-
-    def test_parses_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", " 42 ")
-        assert env_int("REPRO_TEST_KNOB", 0) == 42
-        monkeypatch.setenv("REPRO_TEST_KNOB", "0.25")
-        assert env_float("REPRO_TEST_KNOB", 0.0) == 0.25
-
-    @pytest.mark.parametrize("spelling,expected", [
-        ("1", True), ("true", True), ("YES", True), ("On", True),
-        ("0", False), ("false", False), ("NO", False), ("Off", False),
-    ])
-    def test_bool_spellings(self, monkeypatch, spelling, expected):
-        monkeypatch.setenv("REPRO_TEST_KNOB", spelling)
-        assert env_bool("REPRO_TEST_KNOB", not expected) is expected
-
-    @pytest.mark.parametrize("helper,bad", [
-        (env_int, "three"), (env_float, "fast"), (env_bool, "maybe"),
-    ])
-    def test_malformed_names_the_variable(self, monkeypatch, helper, bad):
-        monkeypatch.setenv("REPRO_TEST_KNOB", bad)
-        with pytest.raises(ValueError, match="REPRO_TEST_KNOB"):
-            helper("REPRO_TEST_KNOB", 1)
-
-    def test_str_choices_enforced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "bogus")
-        with pytest.raises(ValueError, match="REPRO_TEST_KNOB"):
-            env_str("REPRO_TEST_KNOB", "a", choices=("a", "b"))
-        monkeypatch.setenv("REPRO_TEST_KNOB", "b")
-        assert env_str("REPRO_TEST_KNOB", "a", choices=("a", "b")) == "b"
 
 
 class TestTransportConfig:
@@ -81,17 +38,17 @@ class TestTransportConfig:
             "flush_mode", "flush_s", "flush_max_batch",
         ]
 
-    def test_from_env_overrides_win_and_none_is_ignored(self):
-        config = from_env(
+    def test_flags_win_and_none_is_ignored(self):
+        config = from_flags(
             TransportConfig, flush_mode="adaptive", flush_max_batch=4, flush_s=None
         )
         assert config == TransportConfig(flush_mode="adaptive", flush_max_batch=4)
         with pytest.raises(TypeError):
-            from_env(TransportConfig, no_such_knob=1)
+            from_flags(TransportConfig, no_such_knob=1)
 
-    def test_from_env_rejects_unknown_mode(self):
+    def test_flags_reject_unknown_mode(self):
         with pytest.raises(ValueError, match="flush_mode"):
-            from_env(TransportConfig, flush_mode="lazy")
+            from_flags(TransportConfig, flush_mode="lazy")
 
     def test_flush_modes_tuple_is_stable(self):
         assert FLUSH_MODES == ("eager", "fixed", "adaptive")

@@ -10,9 +10,7 @@ Runs the reproduction's own entry points in subprocesses:
 * every ``repro.cli`` subcommand;
 * every ``examples/*.py``.
 
-It runs them once as they are and once under each CI environment spelling
-(mmap store, the p99 scale-in veto), since some paths are
-reached only when an outside input is set.  Then it runs tier-1 once.
+Then it runs tier-1 once.
 
 Each subprocess gets a ``sitecustomize`` whose ``sys.setprofile`` hook
 records ``(file, first line, qualified name)`` of every function under
@@ -24,13 +22,13 @@ reachability markers in ``EXPERIMENTS.md``.
 
 Usage::
 
-    python tools/reachability.py            # run everything (~2 h on 2 cores, 2 at a time)
+    python tools/reachability.py            # run everything (~30 min on 2 cores, 2 at a time)
     python tools/reachability.py --reuse    # re-diff the last run's records
 
 The raw records and per-run logs go to ``repro-reachability`` under the
-system temporary directory; a full run replaces them.  Exits non-zero if an entry point fails
-under the default spelling, an entry has no decision, or a decision names
-no unreached function.
+system temporary directory; a full run replaces them.  Exits non-zero if an
+entry point fails, an entry has no decision, or a decision names no
+unreached function.
 """
 
 from __future__ import annotations
@@ -55,17 +53,6 @@ END = "<!-- reachability:end -->"
 RECORDS = pathlib.Path(tempfile.gettempdir()) / "repro-reachability"
 #: Entry points run at once; several hold a full hub, so keep memory low.
 JOBS = 2
-
-#: CI's env spellings (``.github/workflows/ci.yml``); "default" sets none.
-SPELLINGS: Dict[str, Dict[str, str]] = {
-    "default": {},
-    "mmap": {
-        "REPRO_STORE_BACKEND": "mmap",
-        "REPRO_STORE_CHUNK_ROWS": "2048",
-        "REPRO_STORE_MEMORY_BUDGET_MB": "8",
-    },
-    "slo-veto": {"REPRO_POLICY_SLO_VETO": "1"},
-}
 
 #: Function-name kinds that are not ``def`` statements.
 ANONYMOUS = ("<lambda>", "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
@@ -188,8 +175,6 @@ KEPT: Dict[str, str] = {
     **_kept("fault-script steps tier-1's recovery and failover tests schedule",
             "repro/cluster/failures.py::FaultPlan.crash_host_at",
             "repro/cluster/failures.py::FaultPlan.crash_manager_at"),
-    **_kept("reads `REPRO_CHAOS_SEED`, set by the CI chaos-seed leg",
-            "repro/cluster/failures.py::chaos_seed_from_env"),
     **_kept(REPR,
             "repro/cluster/host.py::Host.__repr__",
             "repro/coord/kernel.py::ZNodeStat.__repr__",
@@ -332,23 +317,20 @@ def entry_points(scratch: pathlib.Path) -> List[Tuple[str, List[str]]]:
 
 
 def run_all(records: pathlib.Path) -> List[str]:
-    """Run every entry point (per spelling) and tier-1; return the failures."""
+    """Run every entry point and tier-1; return the failures."""
     hook_dir = records / "hook"
     hook_dir.mkdir(parents=True, exist_ok=True)
     (hook_dir / "sitecustomize.py").write_text(HOOK, encoding="utf-8")
-    work = []
-    for spelling, variables in SPELLINGS.items():
-        for label, argv in entry_points(records / spelling):
-            work.append((f"{spelling}/{label}", variables, argv))
-    work.append(("tier1/tests", {}, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-                                     str(ROOT / "tests")]))
+    work = [(f"entry/{label}", argv)
+            for label, argv in entry_points(records / "entry")]
+    work.append(("tier1/tests", ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                 str(ROOT / "tests")]))
 
     def run(item) -> str:
-        name, variables, argv = item
+        name, argv = item
         out = records / name
         out.mkdir(parents=True, exist_ok=True)
-        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-        env.update(variables)
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(hook_dir), str(SRC), str(ROOT)])
         env["REACHABILITY_SRC"] = os.path.realpath(SRC) + os.sep
         env["REACHABILITY_OUT"] = str(out)
@@ -396,12 +378,11 @@ def functions() -> Set[Key]:
 
 # -- the report ---------------------------------------------------------------
 
-def report(universe: Set[Key], reached: Dict[str, Set[Key]], tier1: Set[Key]
+def report(universe: Set[Key], reached: Set[Key], tier1: Set[Key]
            ) -> Tuple[str, List[str], List[str]]:
     """The markdown report, the entries left undecided and the decisions
     naming no unreached function."""
-    default = reached["default"] & universe
-    any_entry = set().union(*reached.values()) & universe
+    any_entry = reached & universe
     unreached = universe - any_entry
     test_only = unreached & tier1
     rows, undecided, used = [], [], set()
@@ -422,7 +403,6 @@ def report(universe: Set[Key], reached: Dict[str, Set[Key]], tier1: Set[Key]
         "|---|---|",
         f"| compiled | {len(universe)} |",
         f"| reached by an entry point | {len(any_entry)} |",
-        f"| … of which only under a CI env spelling | {len(any_entry - default)} |",
         f"| reached only by tier-1 | {len(test_only)} |",
         f"| reached by nothing | {len(unreached - test_only)} |",
         "",
@@ -451,20 +431,12 @@ def main(argv: Iterable[str] = None) -> int:
     else:
         shutil.rmtree(records, ignore_errors=True)
         failed = run_all(records)
-    reached = {spelling: read_records(records, spelling) for spelling in SPELLINGS}
-    text, undecided, stale = report(
-        functions(), reached, read_records(records, "tier1")
-    )
-    # A bench that compares the default spelling against another one
-    # asserts on default numbers, so it may fail under a forced spelling;
-    # its coverage is recorded all the same.
-    fatal = [name for name in failed if name.split("/", 1)[0] in ("default", "tier1")]
-    if fatal:
-        print(f"entry points failed (see the logs in {records}): " + ", ".join(fatal))
-        return 1
     if failed:
-        text += ("\n\nFailed under a forced spelling (coverage still recorded): "
-                 + ", ".join(f"`{name}`" for name in failed))
+        print(f"entry points failed (see the logs in {records}): " + ", ".join(failed))
+        return 1
+    text, undecided, stale = report(
+        functions(), read_records(records, "entry"), read_records(records, "tier1")
+    )
     write_report(text)
     print(text)
     print(f"\nreport written to {REPORT.relative_to(ROOT)}")
