@@ -14,7 +14,7 @@ capacity one grace period earlier, with fewer scaling rounds.
 from repro.elastic import ElasticityPolicy
 from repro.experiments import run_elastic
 from repro.experiments.ablations import AblationRow, _ablation_setup
-from repro.metrics import format_table
+from repro.telemetry import format_table
 from repro.workloads import staircase
 
 from conftest import run_once

@@ -7,7 +7,7 @@ sluggishly to ramps.  This ablation quantifies the trade-off.
 """
 
 from repro.experiments import run_grace_period_ablation
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import run_once
 

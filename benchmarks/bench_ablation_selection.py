@@ -9,7 +9,7 @@ and compares the total state moved.
 """
 
 from repro.experiments import run_selection_ablation
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import run_once
 

@@ -7,7 +7,7 @@ ablation sweeps the target and reports the trade-off between host usage
 """
 
 from repro.experiments import run_target_utilization_ablation
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import run_once
 

@@ -7,9 +7,9 @@ against a fault-free baseline of the same deployment:
 * correlated rack loss (every matcher host at once, recovery onto spares),
 * manager crash at a chosen phase of a migration, with standby failover
   settling the interrupted decision,
-* network partition + heal, with retained-suffix replay deduplicated at
-  the receivers — including across a live M-slice migration started
-  inside the partition window.
+* network partition + heal, with circuit breakers holding the cut links'
+  queues until the heal — including across a live M-slice migration
+  started inside the partition window.
 
 Results are exported to ``BENCH_chaos.json`` (override with
 ``REPRO_BENCH_CHAOS_OUT``); CI archives the file.
@@ -23,7 +23,7 @@ from repro.experiments import (
     run_partition_heal,
     run_rack_loss,
 )
-from repro.metrics import format_table, write_json
+from repro.telemetry import format_table, write_json
 
 from conftest import memory_snapshot, run_once
 
@@ -94,11 +94,14 @@ def test_chaos_scenarios_zero_loss(benchmark, report):
         for _, verdict in o.detail["outcomes"]
     )
     assert o.detail["phase_spans_tile"], "phase spans leak"
-    # (c) Partition + heal: the circuit breaker sheds instead of feeding
-    # the dead fabric, replay + receive-side dedup restore the multiset —
-    # also across a live migration started inside the partition window.
+    # (c) Partition + heal: the circuit breaker holds the cut links' queues
+    # instead of feeding the dead fabric and flushes them on heal, so
+    # nothing is dropped or duplicated — also across a live migration
+    # started inside the partition window.
     assert by_name["partition_heal"].detail["breaker_trips"] > 0
-    assert by_name["partition_heal"].duplicates_suppressed > 0
+    for name in ("partition_heal", "partition_heal_migrate"):
+        assert by_name[name].detail["partition_drops"] == 0
+        assert by_name[name].duplicates_suppressed == 0
     assert by_name["partition_heal_migrate"].detail["migrated"]
     # The headline guarantee, byte-compared for every scenario.
     for o in outcomes:

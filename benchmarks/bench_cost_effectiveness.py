@@ -9,7 +9,7 @@ the same day's peak.
 
 from repro.experiments import run_figure9
 from repro.experiments.cost import run_cost_effectiveness
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import bench_scale, run_once
 

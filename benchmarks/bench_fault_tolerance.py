@@ -10,7 +10,7 @@ checkpoint interval, for a crash of the host carrying all M slices.
 from repro.cluster import CloudProvider, FailureDetector, HostSpec, crash_host
 from repro.engine import ReliabilityCoordinator
 from repro.filtering import CostModel
-from repro.metrics import format_table
+from repro.telemetry import format_table
 from repro.pubsub import HubConfig, StreamHub, Subscription
 from repro.pubsub.source import SourceDriver
 from repro.sim import Environment

@@ -6,7 +6,7 @@ against the plotted trace: near-silence overnight, a sharp rise at the
 close.
 """
 
-from repro.metrics import format_series
+from repro.telemetry import format_series
 from repro.workloads import FrankfurtTraceModel
 
 from conftest import run_once

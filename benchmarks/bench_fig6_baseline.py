@@ -12,7 +12,7 @@ by channel micro-batching; see EXPERIMENTS.md for the calibration notes).
 import pytest
 
 from repro.experiments import ExperimentSetup, run_figure6
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import run_once
 

@@ -7,7 +7,7 @@ one second most of the time.
 """
 
 from repro.experiments import run_figure7
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import run_once
 

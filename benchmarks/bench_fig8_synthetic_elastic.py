@@ -13,7 +13,7 @@ the transient delay spikes near the peak larger than the paper's.
 """
 
 from repro.experiments import run_figure8
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import bench_scale, run_once
 

@@ -15,7 +15,7 @@ paper's gentler pacing avoids.
 """
 
 from repro.experiments import run_figure9
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import bench_scale, run_once
 

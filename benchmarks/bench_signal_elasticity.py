@@ -32,7 +32,7 @@ import os
 
 from repro.elastic import ElasticityPolicy
 from repro.experiments.elastic import run_elastic
-from repro.metrics import write_json
+from repro.telemetry import write_json
 from repro.workloads import trapezoid
 
 from conftest import memory_snapshot, run_once

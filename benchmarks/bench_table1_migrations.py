@@ -12,7 +12,7 @@ seconds and grow with the per-slice subscription state.
 """
 
 from repro.experiments import run_table1
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 from conftest import run_once
 

@@ -37,22 +37,10 @@ from typing import List, Optional
 
 from .config import add_flags, flag_overrides, from_flags, provenance
 from .elastic import ElasticityPolicy
-from .metrics import format_series, format_table
+from .telemetry import format_series, format_table
 from .transport import TransportConfig
 
 __all__ = ["main", "build_parser"]
-
-
-def _positive_count(value: str) -> int:
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer count, got {value!r}"
-        ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
 
 
 def _flags_over_defaults(args, cls, prefix: str = ""):
@@ -112,11 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--publications", type=int, default=200)
     p.add_argument("--no-migration", action="store_true",
                    help="skip the mid-run M slice migration")
-    p.add_argument(
-        "--stream-window", type=_positive_count, default=None,
-        help="stream spans to disk every N spans instead of holding the "
-             "whole trace in memory (same output bytes)",
-    )
     add_flags(p, TransportConfig, "net_")
 
     p = sub.add_parser(
@@ -321,7 +304,6 @@ def _telemetry_demo(
     publications: int,
     net: TransportConfig,
     migrate: bool = True,
-    stream_trace_to: Optional[tuple] = None,
 ):
     """One small telemetry-enabled deployment, fully deterministic.
 
@@ -337,9 +319,6 @@ def _telemetry_demo(
 
     env = Environment()
     telemetry = Telemetry(env)
-    if stream_trace_to is not None:
-        path, window = stream_trace_to
-        telemetry.tracer.stream_to(path, window_spans=window)
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=4)
     hosts = [cloud.provision_now() for _ in range(3)]
     config = HubConfig.sampled(
@@ -373,21 +352,13 @@ def _telemetry_demo(
 
 
 def _cmd_trace(args) -> None:
-    stream_trace_to = None
-    if args.stream_window is not None:
-        stream_trace_to = (args.out, args.stream_window)
     tel, report = _telemetry_demo(
         args.publications,
         migrate=not args.no_migration,
         net=_flags_over_defaults(args, TransportConfig, "net_"),
-        stream_trace_to=stream_trace_to,
     )
-    # Streaming finalization clears the resident list, so take the count
-    # and the migration-phase spans before writing.
-    phases = [s for s in tel.tracer.spans if s.name.startswith("migration.")]
-    total_spans = tel.tracer.flushed_spans + len(tel.tracer.spans)
     tel.tracer.write_jsonl(args.out)
-    print(f"trace: {total_spans} spans -> {args.out}")
+    print(f"trace: {len(tel.tracer.spans)} spans -> {args.out}")
     print(format_table(
         ["span", "count", "total s", "mean s", "max s"],
         [
@@ -395,6 +366,7 @@ def _cmd_trace(args) -> None:
             for name, count, total, mean, peak in tel.tracer.breakdown()
         ],
     ))
+    phases = [s for s in tel.tracer.spans if s.name.startswith("migration.")]
     if report is not None and phases:
         phase_sum = sum(s.duration_s for s in phases)
         print(
@@ -412,32 +384,24 @@ def _cmd_trace(args) -> None:
 
 
 def _cmd_metrics(args) -> None:
-    import json as _json
-
-    from .telemetry import to_prometheus, write_prometheus, write_snapshot_json
+    from .telemetry import to_json, to_prometheus, write_atomic
 
     tel, _ = _telemetry_demo(
         args.publications, net=_flags_over_defaults(args, TransportConfig, "net_"),
     )
     registry = tel.metrics
     if args.fmt == "table":
-        text = registry.render()
+        text, what = registry.render(), "table"
     elif args.fmt == "prom":
-        text = to_prometheus(registry)
+        text, what = to_prometheus(registry), "prometheus scrape"
     else:
-        text = _json.dumps(registry.snapshot(), indent=2, sort_keys=True)
+        text, what = to_json(registry.snapshot()), "JSON snapshot"
     if args.out is None:
         print(text)
-    elif args.fmt == "prom":
-        write_prometheus(args.out, registry)
-        print(f"metrics: prometheus scrape -> {args.out}")
-    elif args.fmt == "json":
-        write_snapshot_json(args.out, registry)
-        print(f"metrics: JSON snapshot -> {args.out}")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"metrics: table -> {args.out}")
+        return
+    # A table file ends in a newline; the scrape and the JSON end as rendered.
+    write_atomic(args.out, [text, "\n"] if args.fmt == "table" else [text])
+    print(f"metrics: {what} -> {args.out}")
 
 
 def _cmd_policy(args) -> None:

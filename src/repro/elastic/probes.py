@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 from ..cluster import Host
 from ..engine import EngineRuntime
 from ..filtering import CostModel
-from ..metrics import percentile
+from ..telemetry import percentile
 
 __all__ = [
     "SliceProbe",
@@ -99,7 +99,7 @@ DELAY_WINDOW_S = 30.0
 
 
 class DelayWindowAggregator:
-    """Sliding p50/p99 over a :class:`~repro.metrics.DelayTracker`.
+    """Sliding p50/p99 over a :class:`~repro.telemetry.DelayTracker`.
 
     Consumes the tracker's append-only sample list incrementally (an
     index, never a rescan), keeps only samples delivered within the
@@ -178,7 +178,7 @@ class ProbeCollector:
         """``telemetry`` is an optional :class:`repro.telemetry.Telemetry`
         bundle; each heartbeat then also refreshes the per-slice/per-host
         gauges and bumps ``heartbeats_total`` (see OBSERVABILITY.md).
-        ``delay_tracker`` is an optional :class:`~repro.metrics.DelayTracker`;
+        ``delay_tracker`` is an optional :class:`~repro.telemetry.DelayTracker`;
         probe sets then carry a :class:`DelayWindow` over the trailing
         :data:`DELAY_WINDOW_S` seconds (required by the p99 scale-in
         veto)."""

@@ -94,16 +94,6 @@ class SliceHandler(ABC):
         """CPU seconds charged for processing ``event`` (default: free)."""
         return 0.0
 
-    def batch_cost(self, events) -> float:
-        """CPU seconds charged for a coalesced batch.
-
-        Defined to equal ``sum(map(self.cost, events))``: the per-event
-        costs added left to right, so a batch is charged bit-for-bit what
-        its events cost.  A handler whose batches cost the same per event
-        may override it to look that cost up once.
-        """
-        return sum(map(self.cost, events))
-
     def lock_mode(self, event: StreamEvent) -> str:
         """Lock taken while processing: "R" (concurrent) or "W" (exclusive)."""
         return "R"
@@ -116,8 +106,8 @@ class SliceHandler(ABC):
         Returning 1 (the default) disables batching for this event.  When
         greater, the engine drains consecutively queued events accepted by
         :meth:`coalesce_with` and hands them to :meth:`process_batch` under
-        one lock acquisition, charging :meth:`batch_cost` (the *sum* of the
-        per-event costs) — total CPU accounting is unchanged, only the call
+        one lock acquisition, charging the *sum* of the per-event
+        :meth:`cost` — total CPU accounting is unchanged, only the call
         count shrinks.
         """
         return 1

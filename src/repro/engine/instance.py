@@ -437,7 +437,7 @@ class SliceInstance:
         # Deliberate leftover (see SliceHandler.prepare_batch): no handler
         # does anything here; the call goes with the hook.
         handler.prepare_batch(batch, self._ctx)
-        cost = handler.cost(event) if len(batch) == 1 else handler.batch_cost(batch)
+        cost = sum(map(handler.cost, batch))
         if cost > 0.0:
             task = self.host.cpu.submit(cost, self.logical_id)
             task.callbacks.append(self._completed)

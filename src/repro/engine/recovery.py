@@ -22,12 +22,11 @@ realignment of re-emissions additionally requires a deterministic
 channel merge order, which this engine does not enforce — see DESIGN.md
 §11 for the full statement of what is and is not guaranteed.
 
-Two further pieces support the chaos scenarios (see RESILIENCE.md):
-the :class:`DeadLetterQueue` parks events whose destination slice is
-unrecoverable instead of losing them silently, and
-:meth:`ReliabilityCoordinator.replay_missing` re-delivers retained
-suffixes after a network partition heals, relying on receive-side
-duplicate suppression to keep the notification multiset exact.
+The :class:`DeadLetterQueue` supports the chaos scenarios (see
+RESILIENCE.md): it parks events whose destination slice is unrecoverable
+instead of losing them silently.  A network partition needs no replay:
+the transport's per-channel circuit breaker holds a partitioned link's
+queue and flushes it on heal.
 """
 
 from __future__ import annotations
@@ -420,66 +419,3 @@ class ReliabilityCoordinator:
                 restored_epoch=report.restored_epoch,
             )
         return report
-
-    # -- partition healing ---------------------------------------------------------
-
-    def replay_missing(self, slice_ids: Optional[List[str]] = None):
-        """Re-deliver retained suffixes after a network partition heals.
-
-        A partition on the raw fabric (transport passthrough) silently
-        drops in-flight messages, leaving per-channel sequence gaps that
-        ``last_received`` — a high-water mark — cannot locate once
-        post-heal traffic has advanced it.  Rather than track gaps, the
-        coordinator replays *every* retained event of every inbound
-        channel (``replayed=True``) and relies on receive-side duplicate
-        suppression: channels with ``replay_dedup`` drop re-deliveries
-        inside their dedup range, and the content-idempotent pub/sub
-        operators let the hub's pub-id dedup suppress duplicate
-        notifications (see RESILIENCE.md §non-goals for the limits).
-
-        Retention is pruned at each checkpoint, so the replay volume is
-        bounded by one checkpoint interval of traffic per channel.
-
-        Returns the coordinating process (value: events re-delivered).
-        """
-        return self.env.process(self._replay_missing(slice_ids))
-
-    def _replay_missing(self, slice_ids: Optional[List[str]]):
-        retention = self.runtime.retention
-        if retention is None:
-            return 0
-        if slice_ids is None:
-            slice_ids = list(self.runtime.slices)
-        tracer = self._tracer
-        span = None
-        if tracer is not None:
-            span = tracer.start_span("recovery.replay", slices=len(slice_ids))
-        redelivered = 0
-        for slice_id in slice_ids:
-            logical = self.runtime.slices.get(slice_id)
-            if logical is None:
-                continue
-            for instance in logical.instances():
-                if instance is None:
-                    continue
-                for source, buffer in retention.channels_to(slice_id):
-                    events = buffer.suffix_after(-1)
-                    if not events:
-                        continue
-                    src_host = self.runtime._source_host_id(source)
-                    if self.runtime.network.is_partitioned(
-                        src_host, instance.host.host_id
-                    ):
-                        continue  # still cut off; replay again after heal
-                    size = sum(e.size_bytes for e in events)
-                    yield self.runtime.network.ship(
-                        src_host, instance.host.host_id, size
-                    )
-                    for event in events:
-                        instance.deliver(
-                            event._replace(replayed=True)
-                        )
-                    redelivered += len(events)
-        if span is not None:
-            tracer.finish_span(span, redelivered=redelivered)
-        return redelivered

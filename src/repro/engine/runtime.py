@@ -73,11 +73,6 @@ class LogicalSlice:
         self.active = None  # type: Optional[object]
         self.pending = None  # type: Optional[object]
 
-    def instances(self):
-        if self.pending is not None:
-            return (self.active, self.pending)
-        return (self.active,)
-
 
 class EngineRuntime:
     """Deploys operators onto hosts and routes events between slices."""

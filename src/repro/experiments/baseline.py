@@ -14,12 +14,13 @@ fed half its maximal throughput (the elasticity policy's target load).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..metrics import BacklogProbe, DelayStats
+from ..telemetry import DelayStats
 from .harness import Deployment, ExperimentSetup
 
 __all__ = [
+    "BacklogProbe",
     "BaselineResult",
     "estimate_capacity",
     "is_rate_sustainable",
@@ -27,6 +28,39 @@ __all__ = [
     "measure_delays",
     "run_figure6",
 ]
+
+
+class BacklogProbe:
+    """Samples queue lengths to detect unbounded growth: the top plot's
+    saturation criterion (a rate is sustained iff queues stay bounded).
+
+    ``queues`` maps a name to a zero-argument callable returning the
+    current queue length.  A run is *stable* if, over the second half of
+    the observation, the maximum backlog does not keep growing beyond
+    ``bound``.
+    """
+
+    def __init__(self, queues: Dict[str, Callable[[], int]]):
+        self.queues = dict(queues)
+        self.samples: List[Tuple[float, int]] = []
+
+    def sample(self, time: float) -> int:
+        total = sum(length() for length in self.queues.values())
+        self.samples.append((time, total))
+        return total
+
+    def is_stable(self, bound: int = 100) -> bool:
+        """True if backlog in the final quarter stays under ``bound``."""
+        if not self.samples:
+            return True
+        start = self.samples[0][0]
+        end = self.samples[-1][0]
+        threshold = start + 0.75 * (end - start)
+        tail = [total for time, total in self.samples if time >= threshold]
+        return bool(tail) and max(tail) <= bound
+
+    def max_backlog(self) -> int:
+        return max((total for _, total in self.samples), default=0)
 
 
 @dataclass

@@ -14,8 +14,9 @@ is checked on content, not on counters alone:
   promoted via leader election and settles the interrupted decision
   (completed or rolled back — never half-applied).
 * :func:`run_partition_heal` — the fabric between the matcher rack and
-  the edge host is cut and later healed; retained suffixes are replayed
-  and receive-side duplicate suppression keeps the multiset exact, even
+  the edge host is cut and later healed; the transport's circuit
+  breakers hold the cut links' queues and flush them on heal, so the
+  multiset stays exact with nothing dropped and nothing duplicated, even
   across a live M-slice migration started inside the partition window.
 
 ``benchmarks/bench_chaos.py`` runs all three and exports
@@ -383,25 +384,20 @@ def run_partition_heal(
     migrate: bool = False,
     cut_at_s: float = 8.0,
     heal_at_s: float = 16.0,
-    replay_at_s: float = 18.0,
-    checkpoint_interval_s: float = 5.0,
     trace_out: Optional[str] = None,
 ) -> ChaosOutcome:
-    """Cut the matcher rack off the edge host, heal, replay, deduplicate.
+    """Cut the matcher rack off the edge host and heal it.
 
-    With ``migrate`` a live migration of ``M:0`` (within the matcher
-    rack) is started *inside* the partition window: its sync phase can
-    only drain once the replay delivers the dropped events, proving the
-    protocol rides out a partition rather than wedging.
+    Every hop runs through an adaptive channel whose circuit breaker
+    holds the partitioned link's queue and flushes it on heal, so
+    nothing is dropped and nothing needs replaying.  With ``migrate`` a
+    live migration of ``M:0`` (within the matcher rack) is started
+    *inside* the partition window: its sync phase drains once the heal
+    flushes the held events, proving the protocol rides out a partition
+    rather than wedging.
     """
     baseline = _baseline_digest()
     d = _deploy()
-    coordinator = ReliabilityCoordinator(
-        d.hub.runtime,
-        interval_s=checkpoint_interval_s,
-        replacement_host_fn=lambda: d.spares[0],
-    )
-    coordinator.start(d.hub.engine_slice_ids())
     plan = FaultPlan(d.env, cloud=d.cloud, telemetry=d.telemetry)
     plan.group("rack", d.m_hosts)
     plan.group("edge", [d.edge])
@@ -415,7 +411,6 @@ def run_partition_heal(
                 process=d.hub.runtime.migrate("M:0", d.m_hosts[1])
             ),
         )
-    d.env.call_later(replay_at_s, lambda: coordinator.replay_missing())
     source = _drive(d)
     d.env.run(until=HORIZON_S)
     network = d.cloud.network

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Tuple
 from ..coord import CoordinationKernel
 from ..elastic import ElasticityManager, ElasticityPolicy, ManagerRecord
 from ..engine import MigrationReport
-from ..metrics import WindowStats, WindowedSeries
+from ..telemetry import WindowStats, WindowedSeries, percentile
 from ..workloads import FrankfurtTraceModel, trapezoid
 from .harness import Deployment, ExperimentSetup
 
@@ -77,8 +77,6 @@ class ElasticRunResult:
 
     def delay_p99_s(self, since: float = 0.0) -> Optional[float]:
         """p99 of all notification delays delivered after ``since``."""
-        from ..metrics import percentile
-
         values = sorted(
             delay for t, delay in self.delay_samples if t >= since
         )

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..metrics import WindowStats, WindowedSeries
+from ..telemetry import WindowStats, WindowedSeries
 from .harness import Deployment, ExperimentSetup
 
 __all__ = [

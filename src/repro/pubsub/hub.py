@@ -16,9 +16,8 @@ from ..cluster import Host, Network
 from ..elastic.policy import ElasticityPolicy
 from ..engine import EngineRuntime, MigrationCosts
 from ..filtering import CostModel, MatchingBackend, SampledBackend, StoreConfig
-from ..metrics import DelaySample, DelayTracker
 from ..sim import Environment
-from ..telemetry import Telemetry
+from ..telemetry import DelaySample, DelayTracker, Telemetry
 from ..transport import TransportConfig
 from .messages import Notification, Publication, Subscription
 from .operators import (

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine import BROADCAST, SliceContext, SliceHandler, StreamEvent
@@ -207,12 +207,6 @@ class MatcherHandler(SliceHandler):
                 self.backend.subscription_count(), encrypted=self.encrypted
             )
         return self.cost_model.ap_event_s  # storing one subscription is cheap
-
-    def batch_cost(self, events) -> float:
-        # Only publications coalesce (see coalesce_limit), and a
-        # publication's cost depends on the stored count alone: one lookup,
-        # summed left to right as the per-event default sums it.
-        return sum(repeat(self.cost(events[0]), len(events)))
 
     def lock_mode(self, event: StreamEvent) -> str:
         # Matching only reads the subscription store; storing mutates it.

@@ -28,11 +28,16 @@ events, so turning them on does not change simulated behavior, and all
 timestamps come from the DES clock — traces are reproducible
 run-to-run.  The full span/metric catalog lives
 in OBSERVABILITY.md.
+
+The package also holds the paper's observables — delay percentiles and
+30 s window statistics (:mod:`.stats`) — the plain-text tables every
+bench and CLI command prints (:mod:`.report`), and the one atomic file
+writer every artifact goes through (:func:`~.export.write_atomic`).
 """
 
 from __future__ import annotations
 
-from .export import to_prometheus, write_prometheus, write_snapshot_json
+from .export import to_json, to_prometheus, write_atomic, write_json, write_prometheus
 from .registry import (
     Counter,
     DEFAULT_BUCKETS,
@@ -41,11 +46,23 @@ from .registry import (
     MetricFamily,
     MetricsRegistry,
 )
+from .report import format_series, format_table
+from .stats import (
+    DelaySample,
+    DelayStats,
+    DelayTracker,
+    WindowStats,
+    WindowedSeries,
+    percentile,
+)
 from .tracing import Span, Tracer, read_jsonl
 
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
+    "DelaySample",
+    "DelayStats",
+    "DelayTracker",
     "Gauge",
     "Histogram",
     "MetricFamily",
@@ -53,10 +70,17 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
+    "WindowStats",
+    "WindowedSeries",
+    "format_series",
+    "format_table",
+    "percentile",
     "read_jsonl",
+    "to_json",
     "to_prometheus",
+    "write_atomic",
+    "write_json",
     "write_prometheus",
-    "write_snapshot_json",
 ]
 
 #: Migration-duration histograms need coarser buckets than event hops.

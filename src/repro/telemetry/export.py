@@ -1,7 +1,14 @@
-"""Telemetry exporters: Prometheus text format and JSON snapshots.
+"""Exporters: the one atomic file writer, Prometheus text and JSON.
 
-Complements the generic writers in :mod:`repro.metrics.export` with the
-Prometheus 0.0.4 text exposition format, so a registry snapshot can be
+:func:`write_atomic` is the only way this package puts a file on disk:
+content goes to a temporary file in the destination directory and is
+renamed into place only once fully written, so a
+failure mid-write (an unserializable payload, a full disk) leaves any
+previous version of the file untouched and no temporary file behind.
+Span traces, Prometheus scrapes, bench payloads and every ``repro metrics
+--out`` go through it.
+
+The Prometheus 0.0.4 text exposition format lets a registry snapshot be
 scraped (or diffed) by standard tooling.  Output is deterministic:
 families sort by name, children by label values, and numbers render via
 ``repr``-stable formatting — two identical runs produce byte-identical
@@ -10,13 +17,47 @@ scrapes.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
-from typing import List
+from typing import Any, Dict, Iterable, List
 
 from .registry import MetricFamily, MetricsRegistry
 
-__all__ = ["to_prometheus", "write_prometheus", "write_snapshot_json"]
+__all__ = [
+    "to_json",
+    "to_prometheus",
+    "write_atomic",
+    "write_json",
+    "write_prometheus",
+]
+
+
+def write_atomic(path: str, chunks: Iterable[str]) -> str:
+    """Write the concatenated ``chunks`` to ``path`` atomically (parents
+    are created); returns ``path``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".write-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return path
+
+
+def to_json(payload: Dict[str, Any]) -> str:
+    """The JSON text every JSON writer produces: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def write_json(path: str, payload: Dict[str, Any]) -> str:
+    """Write :func:`to_json` of ``payload`` atomically; returns ``path``."""
+    return write_atomic(path, [to_json(payload)])
 
 
 def _fmt(value: float) -> str:
@@ -77,22 +118,4 @@ def to_prometheus(registry: MetricsRegistry) -> str:
 
 def write_prometheus(path: str, registry: MetricsRegistry) -> str:
     """Write :func:`to_prometheus` output atomically; returns ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".prom-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(to_prometheus(registry))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def write_snapshot_json(path: str, registry: MetricsRegistry) -> str:
-    """Write :meth:`MetricsRegistry.snapshot` as JSON (atomic rename)."""
-    from ..metrics.export import write_json
-
-    return write_json(path, registry.snapshot())
+    return write_atomic(path, [to_prometheus(registry)])

@@ -28,6 +28,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .report import format_table
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -299,8 +301,6 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """Human-readable table of every sample (the ``repro metrics`` view)."""
-        from ..metrics.report import format_table
-
         rows = []
         for family in self:
             for labels, child in family.samples():

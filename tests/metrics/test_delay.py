@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.metrics import DelaySample, DelayTracker, percentile
-from repro.metrics.delay import DelayStats
+from repro.telemetry import DelaySample, DelayStats, DelayTracker, percentile
 
 
 def sample(pub_id, published, delivered, n=1):

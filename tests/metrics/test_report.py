@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import format_series, format_table
+from repro.telemetry import format_series, format_table
 
 
 def test_format_table_alignment():

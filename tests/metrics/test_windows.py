@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.metrics import BacklogProbe, WindowedSeries
+from repro.experiments.baseline import BacklogProbe
+from repro.telemetry import WindowedSeries
 
 
 class TestWindowedSeries:

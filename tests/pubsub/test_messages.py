@@ -23,7 +23,7 @@ from repro.filtering import (
     PredicateSet,
     SampledBackend,
 )
-from repro.metrics import DelaySample
+from repro.telemetry import DelaySample
 from repro.pubsub import (
     HubConfig,
     MatchList,

@@ -2,8 +2,8 @@
 
 Hypothesis generates small subscription/publication workloads and a
 partition window; the delivered notification multiset of the faulted
-run (cut → heal → replay, optionally with a live M-slice migration
-started inside the window) must be byte-identical to a fault-free run
+run (cut → heal, optionally with a live M-slice migration started
+inside the window) must be byte-identical to a fault-free run
 of the same deployment.  This is the RESILIENCE.md §2 partition-heal
 guarantee, checked over random workloads instead of the one fixed
 workload in ``repro.experiments.chaos``.
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import CloudProvider, FaultPlan, HostSpec
-from repro.engine import ReliabilityCoordinator
 from repro.experiments.chaos import multiset_digest
 from repro.filtering import BruteForceLibrary, ExactBackend, Op, Predicate, PredicateSet
 from repro.pubsub import HubConfig, StreamHub, Subscription
@@ -24,7 +23,6 @@ from repro.transport import TransportConfig
 RATE = 2.0
 CUT_AT_S = 3.0
 HEAL_AT_S = 7.0
-REPLAY_AT_S = 8.0
 HORIZON_S = 30.0
 
 
@@ -34,7 +32,6 @@ def _deploy(band_lows):
     edge = cloud.provision_now()
     m_hosts = [cloud.provision_now(), cloud.provision_now()]
     sink = cloud.provision_now()
-    spare = cloud.provision_now()
     config = HubConfig(
         ap_slices=1,
         m_slices=2,
@@ -57,7 +54,7 @@ def _deploy(band_lows):
                             Predicate(0, Op.LE, low + 20.0)),
         ))
     env.run()  # drain subscription propagation before the clock matters
-    return env, cloud, hub, edge, m_hosts, spare
+    return env, cloud, hub, edge, m_hosts
 
 
 def _publish(env, hub, values):
@@ -84,18 +81,14 @@ def test_partition_heal_preserves_delivered_multiset(
     band_lows, values, migrate
 ):
     # Fault-free baseline of the identical deployment and workload.
-    env, _, hub, _, _, _ = _deploy(band_lows)
+    env, _, hub, _, _ = _deploy(band_lows)
     baseline_source = _publish(env, hub, values)
     env.run(until=HORIZON_S)
     baseline = multiset_digest(hub)
     assert hub.notified_publications == baseline_source.publications_sent
 
     # Same deployment, with the matcher rack cut off mid-run and healed.
-    env, cloud, hub, edge, m_hosts, spare = _deploy(band_lows)
-    coordinator = ReliabilityCoordinator(
-        hub.runtime, interval_s=4.0, replacement_host_fn=lambda: spare
-    )
-    coordinator.start(hub.engine_slice_ids())
+    env, cloud, hub, edge, m_hosts = _deploy(band_lows)
     plan = FaultPlan(env, cloud=cloud)
     plan.group("rack", m_hosts)
     plan.group("edge", [edge])
@@ -103,17 +96,19 @@ def test_partition_heal_preserves_delivered_multiset(
     plan.heal_at(HEAL_AT_S)
     if migrate:
         # Live M-slice migration started inside the partition window:
-        # its sync phase drains only after heal + replay.
+        # its sync phase drains only after the heal flushes the breakers.
         env.call_later(
             (CUT_AT_S + HEAL_AT_S) / 2.0,
             lambda: hub.runtime.migrate("M:0", m_hosts[1]),
         )
-    env.call_later(REPLAY_AT_S, lambda: coordinator.replay_missing())
     source = _publish(env, hub, values)
     env.run(until=HORIZON_S)
 
     assert [kind for _, kind, _ in plan.injected] == ["partition", "heal"]
     assert hub.notified_publications == source.publications_sent  # zero loss
     assert multiset_digest(hub) == baseline
+    # The breakers held every cut link: nothing dropped, nothing duplicated.
+    assert cloud.network.partition_drops == 0
+    assert hub.duplicate_notifications == 0
     if migrate:
         assert hub.runtime.placement()["M:0"] == m_hosts[1].host_id

@@ -117,105 +117,3 @@ class TestJsonl:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_write_is_atomic(self, tracer, clock, tmp_path):
-        self._sample(tracer, clock)
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(str(path))
-        assert list(tmp_path.iterdir()) == [path]  # no temp litter
-
-
-def generate_workload(tracer, clock, spans=200):
-    """A deterministic mix of closed, nested and open-crossing spans."""
-    for i in range(spans):
-        clock.time = i * 0.01
-        if i % 7 == 0:
-            root = tracer.start_span("migration", slice=f"M:{i % 4}")
-            clock.time += 0.004
-            tracer.add_span("migration.pre", clock.time - 0.002, clock.time,
-                            parent=root)
-            tracer.finish_span(root)
-        else:
-            tracer.add_span(f"hop.{'AP' if i % 2 else 'M'}",
-                            clock.time, clock.time + 0.003, pub_id=i)
-
-
-class TestStreaming:
-    def test_streamed_bytes_equal_unstreamed(self, tmp_path):
-        plain_clock, stream_clock = FakeClock(), FakeClock()
-        plain, streamed = Tracer(plain_clock), Tracer(stream_clock)
-        stream_path = tmp_path / "streamed.jsonl"
-        streamed.stream_to(str(stream_path), window_spans=16)
-        generate_workload(plain, plain_clock)
-        generate_workload(streamed, stream_clock)
-        plain_path = tmp_path / "plain.jsonl"
-        plain.write_jsonl(str(plain_path))
-        streamed.write_jsonl(str(stream_path))
-        assert plain_path.read_bytes() == stream_path.read_bytes()
-
-    def test_memory_stays_flat(self, clock, tmp_path):
-        tracer = Tracer(clock)
-        tracer.stream_to(str(tmp_path / "flat.jsonl"), window_spans=32)
-        peak = 0
-        for i in range(500):
-            clock.time = i * 0.01
-            tracer.add_span("hop.M", clock.time, clock.time + 0.001)
-            peak = max(peak, len(tracer.spans))
-        assert peak <= 32
-        assert tracer.flushed_spans >= 500 - 32
-
-    def test_open_span_holds_back_the_prefix(self, tracer, clock, tmp_path):
-        tracer.stream_to(str(tmp_path / "open.jsonl"), window_spans=4)
-        open_span = tracer.start_span("migration")
-        for i in range(10):
-            tracer.add_span("hop.M", 0.0, 0.001)
-        # Everything sits behind the open span: nothing may leave memory,
-        # because spans stream strictly in start order.
-        assert tracer.flushed_spans == 0
-        assert len(tracer.spans) == 11
-        tracer.finish_span(open_span)
-        assert tracer.flushed_spans == 11
-
-    def test_breakdown_covers_flushed_spans(self, tmp_path, clock):
-        streamed = Tracer(clock)
-        plain = Tracer(clock)
-        streamed.stream_to(str(tmp_path / "t.jsonl"), window_spans=8)
-        generate_workload(streamed, clock, spans=100)
-        fresh = FakeClock()
-        plain_tracer = Tracer(fresh)
-        generate_workload(plain_tracer, fresh, spans=100)
-        assert streamed.flushed_spans > 0  # stats really are merged
-        assert streamed.breakdown() == plain_tracer.breakdown()
-
-    def test_finalize_requires_the_streamed_path(self, tmp_path, tracer):
-        tracer.stream_to(str(tmp_path / "a.jsonl"))
-        with pytest.raises(ValueError):
-            tracer.write_jsonl(str(tmp_path / "b.jsonl"))
-
-    def test_stream_to_twice_refuses(self, tmp_path, tracer):
-        tracer.stream_to(str(tmp_path / "a.jsonl"))
-        with pytest.raises(RuntimeError):
-            tracer.stream_to(str(tmp_path / "b.jsonl"))
-
-    def test_window_must_be_positive(self, tmp_path, tracer):
-        with pytest.raises(ValueError):
-            tracer.stream_to(str(tmp_path / "a.jsonl"), window_spans=0)
-
-    def test_finalize_is_atomic_and_complete(self, tmp_path, clock):
-        tracer = Tracer(clock)
-        path = tmp_path / "trace.jsonl"
-        tracer.stream_to(str(path), window_spans=8)
-        generate_workload(tracer, clock, spans=50)
-        still_open = tracer.start_span("unfinished")
-        assert not path.exists()  # nothing visible until finalize
-        tracer.write_jsonl(str(path))
-        assert not tracer.streaming
-        records = read_jsonl(str(path))
-        # Open spans serialize with end=None, like the non-streamed path.
-        assert records[-1]["name"] == "unfinished"
-        assert records[-1]["end"] is None
-        assert len(records) == still_open.span_id
-        assert [r["span_id"] for r in records] == list(
-            range(1, still_open.span_id + 1)
-        )
-        assert list(tmp_path.iterdir()) == [path]  # no temp litter
-

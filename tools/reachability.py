@@ -92,7 +92,6 @@ Key = Tuple[str, int, str]  # (path under src/, first line, qualified name)
 # -- decisions ----------------------------------------------------------------
 
 OBSERVE = "accessor tests use to observe state"
-VALIDATE = "input validation / error handling"
 REFERENCE = "reference implementation tests compare against"
 SAFETY = "safety path: fault handling no fault-free entry point exercises"
 INTERFACE = "abstract or default method of an interface; concrete classes override it"
@@ -100,7 +99,6 @@ REPR = "debugging repr / str (assertion messages)"
 UNSUBSCRIBE = ("unsubscription, part of the FilteringLibrary contract; "
                "no entry point unsubscribes")
 TELEMETRY = "decision-span attributes, recorded when a Telemetry bundle is bound"
-STREAM = "trace streaming, turned on by `repro trace --stream-window`"
 METRIC = "metric API for library callers; entry points read the registry by snapshot"
 COMPACT = "churn compaction, run once dead rows outnumber live ones (and 64)"
 DRIVE = "operation tests drive directly; entry points reach the same state another way"
@@ -112,8 +110,6 @@ def _kept(reason: str, *names: str) -> Dict[str, str]:
 
 #: ``path::qualname`` -> one-line reason it stays although no entry point reaches it.
 KEPT: Dict[str, str] = {
-    **_kept(VALIDATE,
-            "repro/cli.py::_positive_count"),
     **_kept(OBSERVE,
             "repro/cluster/cpu.py::CpuScheduler.active_tasks",
             "repro/cluster/cpu.py::CpuScheduler.queued_tasks",
@@ -136,6 +132,7 @@ KEPT: Dict[str, str] = {
             "repro/engine/retention.py::RetentionLog.total_events",
             "repro/engine/retention.py::RetentionLog.total_bytes",
             "repro/engine/runtime.py::EngineRuntime.slice_count",
+            "repro/experiments/baseline.py::BacklogProbe.max_backlog",
             "repro/experiments/harness.py::Deployment.stored_subscriptions",
             "repro/filtering/aspe.py::AspeKey.cipher_dimensions",
             "repro/filtering/aspe.py::EncryptedSubscription.size_bytes",
@@ -147,15 +144,14 @@ KEPT: Dict[str, str] = {
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.chunk_count",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.resident_chunks",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.copy_rows",
-            "repro/metrics/delay.py::DelayTracker.total_notifications",
-            "repro/metrics/throughput.py::BacklogProbe.max_backlog",
-            "repro/metrics/windows.py::WindowedSeries.__len__",
-            "repro/metrics/windows.py::WindowedSeries.samples",
             "repro/pubsub/hub.py::StreamHub.subscribed_count",
             "repro/sim/core.py::Event.processed",
             "repro/sim/core.py::Event.ok",
             "repro/sim/core.py::Event.value",
             "repro/sim/core.py::Environment.peek",
+            "repro/telemetry/stats.py::DelayTracker.total_notifications",
+            "repro/telemetry/stats.py::WindowedSeries.__len__",
+            "repro/telemetry/stats.py::WindowedSeries.samples",
             "repro/transport/channel.py::Channel.pending_count",
             "repro/transport/channel.py::Transport.channel_count",
             "repro/workloads/frankfurt.py::FrankfurtTraceModel.base_rate_at"),
@@ -236,8 +232,6 @@ KEPT: Dict[str, str] = {
             "repro/filtering/aspe.py::AspeLibrary._compact",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore._drop_chunk",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.compact"),
-    **_kept("`repro metrics --format json`",
-            "repro/telemetry/export.py::write_snapshot_json"),
     **_kept("`repro metrics --format prom`, which CI runs for its `BENCH_metrics.prom` "
             "sample; the tool runs the table format",
             "repro/telemetry/export.py::_escape",
@@ -245,8 +239,10 @@ KEPT: Dict[str, str] = {
             "repro/telemetry/export.py::_fmt",
             "repro/telemetry/export.py::_labels_text",
             "repro/telemetry/export.py::to_prometheus",
-            "repro/telemetry/export.py::write_prometheus",
             "repro/telemetry/registry.py::Histogram.cumulative_buckets"),
+    **_kept("one-call scrape writer for library callers; `repro metrics` writes "
+            "the text it rendered",
+            "repro/telemetry/export.py::write_prometheus"),
     **_kept(METRIC,
             "repro/telemetry/registry.py::Gauge.add",
             "repro/telemetry/registry.py::MetricFamily.set",
@@ -257,11 +253,6 @@ KEPT: Dict[str, str] = {
             "repro/telemetry/registry.py::MetricsRegistry.__len__",
             "repro/telemetry/registry.py::MetricsRegistry.get",
             "repro/telemetry/registry.py::MetricsRegistry.snapshot"),
-    **_kept(STREAM,
-            "repro/telemetry/tracing.py::Tracer.stream_to",
-            "repro/telemetry/tracing.py::Tracer.streaming",
-            "repro/telemetry/tracing.py::Tracer._maybe_stream",
-            "repro/telemetry/tracing.py::Tracer._write_spans"),
     **_kept("adaptive flush's delay-budget deadline (`--net-flush-mode adaptive`); "
             "no entry point runs adaptive flush with a delay budget",
             "repro/transport/channel.py::Channel._on_deadline"),
