@@ -39,15 +39,6 @@ class NicStats:
         #: Batched group transfers sent (each carries >= 1 messages).
         self.batches_sent = 0
 
-    def snapshot(self) -> "NicStats":
-        copy = NicStats()
-        copy.bytes_sent = self.bytes_sent
-        copy.bytes_received = self.bytes_received
-        copy.messages_sent = self.messages_sent
-        copy.messages_received = self.messages_received
-        copy.batches_sent = self.batches_sent
-        return copy
-
 
 class Network:
     """A full-bisection switched fabric connecting simulated hosts.

@@ -82,8 +82,8 @@ class ElasticityManager:
         releasing from ``cloud`` as the enforcer decides.  ``None``
         restarts from ``coord`` (paper §IV-B): the host set, decision
         history and in-flight decision a predecessor left there are read
-        back.  ``policy`` defaults to the hub's configured policy
-        (``hub.config.policy``); ``enforcer`` and ``coord`` default to
+        back.  ``policy`` defaults to the paper's
+        (``ElasticityPolicy()``); ``enforcer`` and ``coord`` default to
         the two-step enforcer sized to the provider's host spec and a
         fresh coordination kernel.
         ``probe_interval_s`` is the heartbeat period (paper: 5 s).  The
@@ -93,7 +93,7 @@ class ElasticityManager:
         self.hub = hub
         self.cloud = cloud
         self.env: Environment = hub.env
-        self.policy = policy if policy is not None else hub.config.policy
+        self.policy = policy if policy is not None else ElasticityPolicy()
         #: Telemetry bundle inherited from the hub (``None`` when the hub
         #: runs without one); threaded into the collector and enforcer.
         self.telemetry = getattr(hub, "telemetry", None)

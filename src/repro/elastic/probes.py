@@ -73,8 +73,6 @@ class HostProbe:
     cores: int
     #: Average utilization in [0, 1] across all cores.
     cpu_utilization: float
-    net_bytes_sent: int
-    net_bytes_received: int
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,6 @@ class ProbeCollector:
         )
         self.subscribers: List[Callable[[ProbeSet], None]] = []
         self._cpu_snapshots: Dict[str, object] = {}
-        self._net_snapshots: Dict[str, object] = {}
         self._processed_counts: Dict[str, int] = {}
         self._process = None
 
@@ -232,21 +229,10 @@ class ProbeCollector:
                 per_tag = {}
             self._cpu_snapshots[host.host_id] = current
             slice_cores.update(per_tag)
-
-            net = self.runtime.network.stats(host.host_id)
-            previous_net = self._net_snapshots.get(host.host_id)
-            sent = net.bytes_sent - (previous_net.bytes_sent if previous_net else 0)
-            received = net.bytes_received - (
-                previous_net.bytes_received if previous_net else 0
-            )
-            self._net_snapshots[host.host_id] = net.snapshot()
-
             hosts[host.host_id] = HostProbe(
                 host_id=host.host_id,
                 cores=host.spec.cores,
                 cpu_utilization=min(1.0, utilization),
-                net_bytes_sent=sent,
-                net_bytes_received=received,
             )
 
         slices = {}

@@ -288,20 +288,20 @@ _OP_SIGN = {"gt": 1.0, "ge": 1.0, "lt": -1.0, "le": -1.0}
 _OP_STRICT = {"gt": True, "ge": False, "lt": True, "le": False}
 
 
-def _tolerances(block: np.ndarray, strict: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(tol_base, tol_signed)`` columns of packed rows.
+def _tolerances(block: np.ndarray, strict: np.ndarray) -> np.ndarray:
+    """The sign-folded tolerance column of packed rows.
 
-    The base is ``_REL_TOL · (‖q̂‖ + 1)``; the signed form is positive for
-    strict rows and negative for non-strict ones, and the decision
-    threshold is it times the publication's scale factor.  Folding the
-    decision side into the sign is exact (IEEE negation commutes with
-    scaling: ``s·(−a) == −(s·a)`` bit-for-bit) and lets the kernel compare
-    all rows against one threshold.  Per-row norms reduce
+    The base ``_REL_TOL · (‖q̂‖ + 1)`` is positive for strict rows and
+    negated for non-strict ones, and the decision threshold is it times
+    the publication's scale factor.  Folding the decision side into the
+    sign is exact (IEEE negation commutes with scaling: ``s·(−a) ==
+    −(s·a)`` bit-for-bit) and lets the kernel compare all rows against
+    one threshold.  Per-row norms reduce
     element-independently, so staging a batch or one subscription at a
     time gives bit-identical tolerances.
     """
     base = _REL_TOL * (np.linalg.norm(block, axis=1) + 1.0)
-    return base, np.where(strict, base, -base)
+    return np.where(strict, base, -base)
 
 
 #: Rows per kernel tile: :func:`match_packed`'s boolean temporaries are
@@ -441,7 +441,7 @@ def match_packed(
     ok = np.ones((starts.size, count), dtype=np.bool_) if out is None else out
     for row_lo, row_hi, span_lo, span_hi, tables, tol_max in tiles:
         if span_lo == span_hi:
-            continue  # nothing but tombstoned rows
+            continue  # no span has a row in this tile
         bound = top * tol_max
         padded = workspace("satisfied", (row_hi - row_lo + 1, count), np.bool_)
         padded[0] = True  # the sentinel row
@@ -454,8 +454,8 @@ def match_packed(
             below = below_block[: hi - lo]
             np.less(products, -bound, out=below)
             if np.count_nonzero(satisfied) + np.count_nonzero(below) != products.size:
-                # Settle the block: strict rows require product >
-                # scale·tol_base, non-strict rows product ≥ −scale·tol_base.
+                # Settle the block: strict rows require product > scale·base,
+                # non-strict rows product ≥ −scale·base (base = |tol_signed|).
                 # With the sign folded into the threshold both are "product
                 # > threshold", plus equality for the non-strict rows only.
                 thresholds = workspace("thresholds", products.shape, np.float64)
@@ -485,8 +485,7 @@ def match_lists(
     """Per-publication id lists, in store order, of a ``(spans, B)``
     conjunction matrix.  ``positions`` is ``None`` when row ``j`` *is*
     ``ids[j]``; otherwise rows scatter through it into a vacuous-true
-    matrix over the stored ids: empty subscriptions match, and the id
-    order follows storage order even after overwrites."""
+    matrix over the stored ids, so empty subscriptions match."""
     count = ok.shape[1]
     if positions is not None:
         rows = ok
@@ -500,21 +499,16 @@ def match_lists(
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-#: Compact once dead rows outnumber live ones (and exceed this floor), so
-#: the matrix never carries more than 2× the live predicate rows.
-_COMPACT_MIN_DEAD = 64
-
-
 class _SpanIndex:
     """Span-reduction index of one library, with its cached gather tiles.
 
-    ``ids`` lists stored subscription ids in dict (insertion) order;
-    ``starts``/``stops`` hold the row offsets of all *non-empty* spans,
-    sorted by start; ``positions[j]`` is the index into ``ids`` of the
-    span whose conjunction lands in column ``j``.  Empty spans are left
-    out — their subscriptions match vacuously.  ``dense`` says column
-    ``j`` simply *is* ``ids[j]`` (no empty subscription, no overwrite
-    that re-ordered rows against ids).  ``tiles[i]`` caches the kernel's
+    ``ids`` lists stored subscription ids in insertion order, which is
+    also the order of their rows; ``starts``/``stops`` hold the row
+    offsets of all *non-empty* spans; ``positions[j]`` is the index into
+    ``ids`` of the span whose conjunction lands in column ``j``.  Empty
+    spans are left out — their subscriptions match vacuously.  ``dense``
+    says column ``j`` simply *is* ``ids[j]`` (no empty subscription).
+    ``tiles[i]`` caches the kernel's
     gather tiles for the store's ``i``-th block, rows relative to it.
     """
 
@@ -525,14 +519,11 @@ class _SpanIndex:
         self._table = table
         #: ``(ids, positions, starts, stops)``, the arrays cut to the spans.
         self.view = (ids, *table)
-        spans = table.shape[1]
-        self.dense = spans == len(ids) and bool(
-            (table[0] == np.arange(spans)).all()
-        )
+        self.dense = table.shape[1] == len(ids)
         self.tiles: List[List[GatherTile]] = []
 
     def append(self, sub_id: int, start: int, stop: int) -> None:
-        """Index a subscription stored under a *fresh* id — O(1) amortized.
+        """Index a newly stored subscription — O(1) amortized.
 
         Its rows sit past every indexed row and its id past every indexed
         id, so both orders hold and every cached tile stays what it was.
@@ -586,11 +577,10 @@ class AspeLibrary(FilteringLibrary):
     paper's experiments workload-independent.
 
     The predicate ciphertexts of all stored subscriptions live as packed
-    rows in one :class:`ChunkedMatrixStore` that is maintained
-    *incrementally*: ``store`` appends rows to the store's last chunk,
-    ``remove`` tombstones the subscription's row span, and compaction runs
-    only when dead rows outnumber live ones — store/remove churn costs
-    amortized O(rows touched), never a full repack.  Rows are stored
+    rows in one append-only :class:`ChunkedMatrixStore`: ``store`` appends
+    a subscription's rows to the store's last chunk, at amortized
+    O(rows appended), never a full repack.  A subscription is never
+    removed or replaced — an id already stored is refused.  Rows are stored
     *direction-folded* (a ``lt``/``le`` query vector is negated on the way
     in, exact in IEEE arithmetic) beside their precomputed tolerances, and
     :meth:`match` (a batch of one) and :meth:`match_batch` both decide
@@ -618,13 +608,11 @@ class AspeLibrary(FilteringLibrary):
         #: numpy's small-allocation cache, so reusing them removes per-call
         #: mmap churn.
         self._ws: Dict[str, np.ndarray] = {}
-        #: Bumped on every semantic mutation (store/remove/import): equal
-        #: epochs of one library describe identical matching decisions.
+        #: Bumped on every semantic mutation (store/import): equal epochs
+        #: of one library describe identical matching decisions.
         self._epoch = 0
-        # Instrumentation: churn benchmarks assert store/remove stays
-        # incremental (appends, occasional compactions, no full repacks).
-        self.rows_appended = 0
-        self.compaction_count = 0
+        # Instrumentation: stores append without a full repack, and a store
+        # after a match extends the span index instead of rebuilding it.
         self.full_pack_count = 0
         self.index_rebuild_count = 0
 
@@ -637,39 +625,24 @@ class AspeLibrary(FilteringLibrary):
 
     @property
     def _rows(self) -> int:
-        """Store rows in use (live + tombstoned)."""
+        """Store rows in use."""
         return self._chunks.rows
-
-    @property
-    def _dead_rows(self) -> int:
-        return self._chunks.dead_rows
 
     # -- storage --------------------------------------------------------------
 
     def store(self, sub_id: int, filter_data: EncryptedSubscription) -> None:
+        """Store a subscription; ``ValueError`` if ``sub_id`` is stored."""
         if not isinstance(filter_data, EncryptedSubscription):
             raise TypeError(
                 f"expected EncryptedSubscription, got {type(filter_data).__name__}"
             )
-        fresh = sub_id not in self._subs
-        if not fresh:
-            self._tombstone(sub_id)
+        if sub_id in self._subs:
+            raise ValueError(f"subscription {sub_id} is already stored")
         self._subs[sub_id] = filter_data
         self._append_rows(sub_id, filter_data)
-        if fresh and self._index is not None:
+        if self._index is not None:
             self._index.append(sub_id, *self._spans[sub_id])
-        else:
-            # An overwrite keeps its place in ``ids`` but moves its rows.
-            self._index = None
         self._epoch += 1
-        self._maybe_compact()
-
-    def remove(self, sub_id: int) -> None:
-        del self._subs[sub_id]  # KeyError if unknown
-        self._tombstone(sub_id)
-        self._index = None
-        self._epoch += 1
-        self._maybe_compact()
 
     # -- matching -------------------------------------------------------------
 
@@ -754,8 +727,8 @@ class AspeLibrary(FilteringLibrary):
         One staging block, one norm reduction, one store append and one
         epoch bump for the whole batch — the 1M-subscription load path.
         The resulting packed rows, spans and match decisions are
-        identical to storing the items one by one; batches containing
-        duplicate or already-stored ids fall back to exactly that.
+        identical to storing the items one by one.  ``ValueError``, with
+        nothing stored, if an id repeats or is already stored.
         """
         items = list(items)
         for _, subscription in items:
@@ -766,11 +739,9 @@ class AspeLibrary(FilteringLibrary):
                 )
         if not items:
             return 0
-        ids = [sub_id for sub_id, _ in items]
-        if len(set(ids)) != len(ids) or any(i in self._subs for i in ids):
-            for sub_id, subscription in items:
-                self.store(sub_id, subscription)
-            return len(items)
+        ids = {sub_id for sub_id, _ in items}
+        if len(ids) != len(items) or not ids.isdisjoint(self._subs):
+            raise ValueError("store_many got an id that repeats or is stored")
         total = sum(len(s.predicates) for _, s in items)
         subscriptions = [subscription for _, subscription in items]
         row = self._append_packed(subscriptions, total) if total else self._rows
@@ -780,7 +751,6 @@ class AspeLibrary(FilteringLibrary):
             row += len(subscription.predicates)
         self._index = None
         self._epoch += 1
-        self._maybe_compact()
         return len(items)
 
     # -- store configuration and observability --------------------------------
@@ -848,39 +818,15 @@ class AspeLibrary(FilteringLibrary):
                     block[row] = predicate.vector
                 strict[row] = _OP_STRICT[predicate.op_code]
                 row += 1
-        start, _ = self._chunks.append(block, strict, *_tolerances(block, strict))
-        self.rows_appended += total
+        start, _ = self._chunks.append(block, strict, _tolerances(block, strict))
         return start
 
-    def _tombstone(self, sub_id: int) -> None:
-        self._chunks.mark_dead(*self._spans.pop(sub_id))
-
-    def _maybe_compact(self) -> None:
-        # Compact once dead rows outnumber live ones (and a fixed floor).
-        dead = self._dead_rows
-        if dead > max(self._rows - dead, _COMPACT_MIN_DEAD):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop tombstoned rows, preserving the relative order of live ones.
-
-        A subscription's rows are tombstoned all-or-nothing, so remapping
-        the span boundaries through the live-row prefix sums keeps every
-        span contiguous.
-        """
-        offsets = self._chunks.compact()
-        self._spans = {
-            sub_id: (int(offsets[start]), int(offsets[stop]))
-            for sub_id, (start, stop) in self._spans.items()
-        }
-        self._index = None
-        self.compaction_count += 1
-
     def _span_index(self) -> _SpanIndex:
-        """The cached :class:`_SpanIndex`, rebuilt after a structural change.
+        """The cached :class:`_SpanIndex`, rebuilt after a bulk store or an
+        import.
 
-        Rebuilding is O(#subscriptions); a store under a fresh id appends
-        to the cached index instead (:meth:`_SpanIndex.append`).
+        Rebuilding is O(#subscriptions); a single store appends to the
+        cached index instead (:meth:`_SpanIndex.append`).
         """
         if self._index is None:
             ids = list(self._subs)
@@ -888,7 +834,6 @@ class AspeLibrary(FilteringLibrary):
                 [self._spans[sub_id] for sub_id in ids], dtype=np.int64
             ).reshape(-1, 2)
             positions = np.flatnonzero(spans[:, 1] > spans[:, 0])
-            positions = positions[np.argsort(spans[positions, 0], kind="stable")]
             self._index = _SpanIndex(
                 ids, np.vstack((positions, spans[positions].T))
             )

@@ -58,10 +58,6 @@ class MatchingBackend(ABC):
         """Store subscription ``sub_id`` with its (possibly encrypted) filter."""
 
     @abstractmethod
-    def remove(self, sub_id: int) -> None:
-        """Forget subscription ``sub_id``."""
-
-    @abstractmethod
     def match(self, pub_id: int, payload: Any) -> MatchResult:
         """Match one publication against the stored subscriptions."""
 
@@ -97,9 +93,6 @@ class ExactBackend(MatchingBackend):
 
     def store(self, sub_id: int, payload: Any) -> None:
         self.library.store(sub_id, payload)
-
-    def remove(self, sub_id: int) -> None:
-        self.library.remove(sub_id)
 
     def match(self, pub_id: int, payload: Any) -> MatchResult:
         ids = self.library.match(payload)
@@ -169,9 +162,6 @@ class SampledBackend(MatchingBackend):
 
     def store(self, sub_id: int, payload: Any) -> None:
         self._subs[sub_id] = payload
-
-    def remove(self, sub_id: int) -> None:
-        del self._subs[sub_id]
 
     def match(self, pub_id: int, payload: Any) -> MatchResult:
         count = sample_binomial(self._rng, len(self._subs), self.matching_rate)

@@ -21,11 +21,8 @@ class FilteringLibrary(ABC):
 
     @abstractmethod
     def store(self, sub_id: int, filter_data: Any) -> None:
-        """Store (or replace) the filter of subscription ``sub_id``."""
-
-    @abstractmethod
-    def remove(self, sub_id: int) -> None:
-        """Forget subscription ``sub_id`` (KeyError if unknown)."""
+        """Store the filter of subscription ``sub_id``.  Subscriptions are
+        never removed; a library may refuse an id it already stores."""
 
     @abstractmethod
     def match(self, publication_data: Any) -> List[int]:

@@ -30,9 +30,6 @@ class BruteForceLibrary(FilteringLibrary):
             raise TypeError(f"expected PredicateSet, got {type(filter_data).__name__}")
         self._subs[sub_id] = filter_data
 
-    def remove(self, sub_id: int) -> None:
-        del self._subs[sub_id]
-
     def match(self, publication_data: Sequence[float]) -> List[int]:
         return [
             sub_id

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..cluster import Host, Network
-from ..elastic.policy import ElasticityPolicy
 from ..engine import EngineRuntime, MigrationCosts
 from ..filtering import CostModel, MatchingBackend, SampledBackend, StoreConfig
 from ..sim import Environment
@@ -45,8 +44,8 @@ class HubConfig:
     sized to the 8-core hosts.
 
     Knobs that belong together live in grouped sub-configs (knob groups,
-    see :mod:`repro.config`): :attr:`store`, :attr:`net` and
-    :attr:`policy`.
+    see :mod:`repro.config`): :attr:`store` and :attr:`net`.  The
+    elasticity policy belongs to the manager driving the hub.
     """
 
     ap_slices: int = 8
@@ -86,8 +85,6 @@ class HubConfig:
     #: fabric epochs or ``adaptive`` per-channel latency-bounded flush).
     #: See DESIGN.md §9.
     net: TransportConfig = field(default_factory=TransportConfig)
-    #: The policy of managers driving this hub (the paper's by default).
-    policy: ElasticityPolicy = field(default_factory=ElasticityPolicy)
 
     def __post_init__(self):
         if min(self.ap_slices, self.m_slices, self.ep_slices, self.sink_slices) <= 0:

@@ -5,6 +5,8 @@ content goes to a temporary file in the destination directory and is
 renamed into place only once fully written, so a
 failure mid-write (an unserializable payload, a full disk) leaves any
 previous version of the file untouched and no temporary file behind.
+The file gets the mode a plain ``open`` would give it, ``0o666`` less
+the umask.
 Span traces, Prometheus scrapes, bench payloads and every ``repro metrics
 --out`` go through it.
 
@@ -42,6 +44,10 @@ def write_atomic(path: str, chunks: Iterable[str]) -> str:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
+        # mkstemp creates the file owner-only (0600), whatever the umask.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -29,7 +29,7 @@ def make_probes(host_slices):
     slices = {}
     for host_id, entries in host_slices.items():
         load = sum(cpu for _, cpu, _ in entries)
-        hosts[host_id] = HostProbe(host_id, 8, load / 8.0, 0, 0)
+        hosts[host_id] = HostProbe(host_id, 8, load / 8.0)
         for slice_id, cpu, mem in entries:
             slices[slice_id] = SliceProbe(slice_id, host_id, cpu, mem, 0)
     return ProbeSet(time=0.0, window_s=5.0, hosts=hosts, slices=slices)

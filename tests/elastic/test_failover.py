@@ -27,7 +27,7 @@ def policy():
     return ElasticityPolicy()
 
 
-def build_deployment(subs=4000, policy=None):
+def build_deployment(subs=4000):
     env = Environment()
     cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=20,
                           provisioning_delay_s=1.0)
@@ -35,7 +35,7 @@ def build_deployment(subs=4000, policy=None):
     sink_host = cloud.provision_now()
     config = HubConfig.sampled(
         0.01, ap_slices=2, m_slices=4, ep_slices=2, sink_slices=1,
-        cost_model=HEAVY_COST, policy=policy or ElasticityPolicy(),
+        cost_model=HEAVY_COST,
     )
     hub = StreamHub(env, cloud.network, config)
     hub.deploy_all_on(engine_hosts, [sink_host])
@@ -46,9 +46,10 @@ def build_deployment(subs=4000, policy=None):
 
 
 def test_recover_rebuilds_manager_from_coordination_state(policy):
-    env, cloud, hub, engine_hosts = build_deployment(policy=policy)
+    env, cloud, hub, engine_hosts = build_deployment()
     coord = CoordinationKernel()
-    primary = ElasticityManager(hub, cloud, engine_hosts, coord=coord)
+    primary = ElasticityManager(hub, cloud, engine_hosts, policy=policy,
+                                coord=coord)
     primary.start()
     SourceDriver(hub).publish_constant(rate_per_s=15.0, duration_s=80.0)
     env.run(until=85.0)
@@ -56,7 +57,7 @@ def test_recover_rebuilds_manager_from_coordination_state(policy):
 
     primary.crash()
     # No host list: the restarted manager reads everything from the kernel.
-    recovered = ElasticityManager(hub, cloud, coord=coord)
+    recovered = ElasticityManager(hub, cloud, policy=policy, coord=coord)
     # It sees exactly the hosts the primary managed, and its history.
     assert {h.host_id for h in recovered.engine_hosts} == {
         h.host_id for h in primary.engine_hosts
@@ -67,8 +68,8 @@ def test_recover_rebuilds_manager_from_coordination_state(policy):
 
 
 def test_standby_takes_over_via_leader_election(policy):
-    env, cloud, hub, engine_hosts = build_deployment(policy=policy)
-    failover = ManagerFailover(hub, cloud)
+    env, cloud, hub, engine_hosts = build_deployment()
+    failover = ManagerFailover(hub, cloud, policy=policy)
     primary = failover.start_primary(engine_hosts)
     failover.add_standby("standby")
     assert "standby" not in failover.managers  # not leader yet

@@ -14,7 +14,7 @@ def check(policy, probes):
 
 def probe_set(utils, slices=None):
     hosts = {
-        f"h{i}": HostProbe(f"h{i}", 8, u, 0, 0) for i, u in enumerate(utils)
+        f"h{i}": HostProbe(f"h{i}", 8, u) for i, u in enumerate(utils)
     }
     return ProbeSet(time=0.0, window_s=5.0, hosts=hosts, slices=slices or {})
 

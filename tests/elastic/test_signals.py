@@ -20,7 +20,7 @@ from repro.telemetry import Telemetry
 
 def probe_set(utils, slices=None, delay=None, time=0.0):
     hosts = {
-        f"h{i}": HostProbe(f"h{i}", 8, u, 0, 0) for i, u in enumerate(utils)
+        f"h{i}": HostProbe(f"h{i}", 8, u) for i, u in enumerate(utils)
     }
     return ProbeSet(
         time=time, window_s=5.0, hosts=hosts, slices=slices or {}, delay=delay
@@ -213,8 +213,8 @@ class TestViolationCompat:
 
 def _enforcer_probes():
     hosts = {
-        "h0": HostProbe("h0", 8, 0.9, 0, 0),
-        "h1": HostProbe("h1", 8, 0.9, 0, 0),
+        "h0": HostProbe("h0", 8, 0.9),
+        "h1": HostProbe("h1", 8, 0.9),
     }
     slices = {
         f"M:{i}": SliceProbe(f"M:{i}", "h0" if i < 2 else "h1", 1.8, 10_000, 0)

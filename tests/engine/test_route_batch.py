@@ -88,16 +88,16 @@ def test_batch_broadcast_expands_to_all_slices():
 def test_batch_group_is_one_network_message():
     h = Harness(hosts=1)
     make_deployed(h, slices=2)
-    before = h.cloud.network.stats(f"ext:client").snapshot()
+    stats = h.cloud.network.stats("ext:client")
+    batches, messages = stats.batches_sent, stats.messages_sent
     h.runtime.route_batch(
         "client", [emission(payload=i, key=i % 2) for i in range(10)]
     )
     h.env.run()
-    stats = h.cloud.network.stats("ext:client")
     # Two destination slices on the same host: two batched transfers of
     # five events each, not ten messages' worth of transfers.
-    assert stats.batches_sent - before.batches_sent == 2
-    assert stats.messages_sent - before.messages_sent == 10
+    assert stats.batches_sent - batches == 2
+    assert stats.messages_sent - messages == 10
 
 
 def test_batch_preserves_retention_records():

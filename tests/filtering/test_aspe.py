@@ -160,15 +160,22 @@ def test_encrypted_decision_matches_plaintext_property(value, constant, op):
 
 
 class TestAspeLibrary:
-    def test_store_match_remove(self, store_config, cipher):
+    def test_stored_id_is_refused(self, store_config, cipher):
         library = AspeLibrary(store_config)
-        library.store(1, cipher.encrypt_subscription(band(0, 10.0, 20.0)))
-        library.store(2, cipher.encrypt_subscription(band(0, 15.0, 30.0)))
-        enc_pub = cipher.encrypt_publication([18.0, 0.0, 0.0, 0.0])
-        assert sorted(library.match(enc_pub)) == [1, 2]
-        library.remove(1)
-        assert library.match(enc_pub) == [2]
-        assert library.subscription_count() == 1
+        first = cipher.encrypt_subscription(band(0, 10.0, 20.0))
+        other = cipher.encrypt_subscription(band(0, 50.0, 60.0))
+        library.store(1, first)
+        epoch, stats = library.epoch, library.store_stats()
+        with pytest.raises(ValueError, match="already stored"):
+            library.store(1, other)
+        # One bad id refuses the whole batch, repeated or already stored.
+        for batch in ([(2, other), (1, other)], [(2, other), (2, other)]):
+            with pytest.raises(ValueError):
+                library.store_many(batch)
+        assert (library.epoch, library.store_stats()) == (epoch, stats)
+        assert library.export_state() == {1: first}
+        enc_pub = cipher.encrypt_publication([15.0, 0.0, 0.0, 0.0])
+        assert library.match(enc_pub) == [1]
 
     def test_match_empty_library(self, store_config, cipher):
         library = AspeLibrary(store_config)

@@ -31,13 +31,6 @@ class TestExactBackend:
         assert result.count == 2
         assert sorted(result.ids) == [1, 2]
 
-    def test_remove_and_count(self):
-        backend = ExactBackend(BruteForceLibrary())
-        backend.store(1, band(0, 0.0, 10.0))
-        assert backend.subscription_count() == 1
-        backend.remove(1)
-        assert backend.subscription_count() == 0
-
     def test_state_roundtrip(self):
         backend = ExactBackend(BruteForceLibrary())
         backend.store(1, band(0, 0.0, 10.0))
@@ -74,15 +67,14 @@ class TestSampledBackend:
         with pytest.raises(ValueError):
             SampledBackend(matching_rate=-0.1)
 
-    def test_store_remove_and_state(self):
+    def test_store_and_state(self):
         backend = SampledBackend(matching_rate=0.5, seed=1)
         backend.store(1, "payload")
         backend.store(2, "payload")
-        backend.remove(1)
-        assert backend.subscription_count() == 1
+        assert backend.subscription_count() == 2
         clone = SampledBackend(matching_rate=0.5, seed=1)
         clone.import_state(backend.export_state())
-        assert clone.subscription_count() == 1
+        assert clone.subscription_count() == 2
 
     def test_deterministic_given_seed_and_call_order(self):
         def run():

@@ -81,22 +81,26 @@ def test_aspe_batch_equals_single(store_config, cipher):
 def test_aspe_batch_equals_single_after_churn(store_config, cipher):
     rng = random.Random(13)
     library = AspeLibrary(store_config)
-    filters = [cipher.encrypt_subscription(random_filter(rng)) for _ in range(120)]
-    for sub_id, encrypted in enumerate(filters):
-        library.store(sub_id, encrypted)
-    for _ in range(600):  # drive tombstoning and at least one compaction
-        sub_id = rng.randrange(120)
-        if sub_id in library.export_state():
-            library.remove(sub_id)
-        else:
-            library.store(sub_id, filters[sub_id])
     publications = [
         cipher.encrypt_publication([rng.uniform(0.0, 1000.0) for _ in range(4)])
         for _ in range(10)
     ]
-    assert library.match_batch(publications) == [
-        library.match(publication) for publication in publications
-    ]
+    next_id = 0
+    for wave in range(12):  # single and bulk stores between match passes
+        count = rng.choice((1, 7, 30))
+        items = [
+            (sub_id, cipher.encrypt_subscription(random_filter(rng)))
+            for sub_id in range(next_id, next_id + count)
+        ]
+        next_id += count
+        if wave % 2:
+            library.store_many(items)
+        else:
+            for item in items:
+                library.store(*item)
+        assert library.match_batch(publications) == [
+            library.match(publication) for publication in publications
+        ]
 
 
 @pytest.mark.parametrize("library_cls", [BruteForceLibrary])

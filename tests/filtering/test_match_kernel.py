@@ -13,8 +13,8 @@ compares each (publication, subscription) pair with the sequential
 Constructed cases pin the band edges to the ulp and the defined behaviour
 for NaN and infinite inputs.  Two regression tests pin what the rewrites
 were for: the scratch buffers are bounded by batch x tile (the float ones
-by the product block), and a store under a fresh id extends the span
-index instead of rebuilding it.
+by the product block), and a single store extends the span index instead
+of rebuilding it.
 """
 
 import random
@@ -114,10 +114,10 @@ def _reference(library, publications):
 
 operations = st.lists(
     st.one_of(
-        # Ids 0-7 collide often, so stores overwrite (rows move to the end
-        # while the id keeps its place) as well as insert.
-        st.tuples(st.just("store"), st.integers(0, 7), st.integers(0, 9)),
-        st.tuples(st.just("remove"), st.integers(0, 7), st.just(0)),
+        # (op, subscriptions, predicates each): empty subscriptions leave
+        # a hole between the spans and their ids.
+        st.tuples(st.just("store"), st.just(1), st.integers(0, 9)),
+        st.tuples(st.just("bulk"), st.integers(1, 4), st.integers(0, 9)),
         st.tuples(st.just("match"), st.just(0), st.just(0)),
     ),
     min_size=1,
@@ -158,17 +158,11 @@ def test_kernel_agrees_with_match_encrypted(
             ids, positions, starts, stops = library._span_index().view
             if starts.size == 0:
                 return
-            store = library._chunks
-            matrix = np.empty((store.rows, store.width))
-            strict = np.empty(store.rows, dtype=np.bool_)
-            tol_signed = np.empty(store.rows)
-            store.copy_rows(
-                0, store.rows, matrix=matrix, strict=strict, tol_signed=tol_signed
-            )
+            blocks = list(library._chunks.blocks())
             ok = match_packed(
-                matrix,
-                strict,
-                tol_signed,
+                np.concatenate([block.matrix for block in blocks]),
+                np.concatenate([block.strict for block in blocks]),
+                np.concatenate([block.tol_signed for block in blocks]),
                 starts,
                 stops,
                 np.stack([p.vector for p in publications]),
@@ -180,19 +174,21 @@ def test_kernel_agrees_with_match_encrypted(
             for row, position in enumerate(positions):
                 assert ok[row, column] == (ids[position] in matched)
 
-    # Up to 24 stores of 9 rows can tombstone past the 64-row compaction
-    # floor; raise it so every gap survives.
-    with mock.patch.object(aspe, "_COMPACT_MIN_DEAD", 1 << 30):
-        for op, sub_id, length in sequence:
-            if op == "store":
-                library.store(sub_id, _subscription(rng, length))
-            elif op == "remove":
-                if sub_id in library.export_state():
-                    library.remove(sub_id)
-            else:
-                check()
+    next_id = 0
+    for op, count, length in sequence:
+        if op == "match":
+            check()
+            continue
+        items = [
+            (sub_id, _subscription(rng, length))
+            for sub_id in range(next_id, next_id + count)
+        ]
+        next_id += count
+        if op == "store":
+            library.store(*items[0])
+        else:
+            library.store_many(items)
     check()
-    assert library.compaction_count == 0
 
 
 def test_exact_boundary_products_decide_like_the_reference(store_config):
@@ -419,17 +415,12 @@ def _check_fresh_id_stores_extend_the_index(config, publications):
     library.store(20_000, EncryptedSubscription(predicates=()))
     assert 20_000 in library.match(_UNIT_PUBLICATION)
     assert library.index_rebuild_count == 1
-    # Overwrite and remove still rebuild.
-    library.store(3, extra[0])
+    # A bulk store still rebuilds.
+    library.store_many((30_000 + sub_id, sub) for sub_id, sub in extra.items())
     assert library.match_batch(publications) == _reference(
         library, publications
     )
     assert library.index_rebuild_count == 2
-    library.remove(4)
-    assert library.match_batch(publications) == _reference(
-        library, publications
-    )
-    assert library.index_rebuild_count == 3
 
 
 TestOnMmapStore = on_mmap_store(

@@ -36,15 +36,6 @@ def test_match_multiple_subscriptions(library):
     assert matched == [1, 2]
 
 
-def test_remove_subscription(library):
-    library.store(1, band(0, 0.0, 100.0))
-    library.remove(1)
-    assert library.match([50.0]) == []
-    assert library.subscription_count() == 0
-    with pytest.raises(KeyError):
-        library.remove(1)
-
-
 def test_store_replaces_existing(library):
     library.store(1, band(0, 0.0, 10.0))
     library.store(1, band(0, 20.0, 30.0))

@@ -1,7 +1,7 @@
 """Property suite: every store layout is observationally identical.
 
-Random churn sequences (store / remove / bulk-store; compactions fire
-once tombstoned rows pass the 64-row floor) drive three
+Random sequences of stores and bulk stores (a store under an id already
+held is refused, and must change nothing) drive three
 :class:`AspeLibrary` instances in lockstep — the default store (one growing
 chunk), 3-row RAM chunks and 3-row ``mmap`` chunks under a two-chunk budget.
 After every operation the libraries must
@@ -9,6 +9,8 @@ agree with each other *and* with a hub-free oracle (a plain dict of the
 stored ciphertexts filtered by :func:`match_encrypted`), and the three
 ``AspeLibrary`` variants must walk *identical* ``epoch`` sequences.
 """
+
+import pytest
 
 import random
 
@@ -58,7 +60,6 @@ _TIGHT = StoreConfig(backend="mmap", chunk_rows=3, memory_budget_mb=0.00005)
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("store"), st.integers(0, 9)),
-        st.tuples(st.just("remove"), st.integers(0, 9)),
         st.tuples(st.just("bulk"), st.integers(0, 9)),
         st.tuples(st.just("match"), st.integers(0, 5)),
     ),
@@ -74,7 +75,7 @@ def _churn(sequence, configs):
         name: AspeLibrary(store_config=config)
         for name, config in configs.items()
     }
-    #: The oracle: insertion order, and an overwrite keeps its slot.
+    #: The oracle, in insertion order.
     stored = {}
 
     def oracle(publication):
@@ -94,19 +95,21 @@ def _churn(sequence, configs):
     for op, arg in sequence:
         if op == "store":
             for lib in libraries.values():
-                lib.store(arg, _SUBS[arg])
+                if arg in stored:
+                    with pytest.raises(ValueError):
+                        lib.store(arg, _SUBS[arg])
+                else:
+                    lib.store(arg, _SUBS[arg])
             stored[arg] = _SUBS[arg]
-        elif op == "remove":
-            if arg not in stored:
-                continue
-            for lib in libraries.values():
-                lib.remove(arg)
-            del stored[arg]
         elif op == "bulk":
             items = [(i, _SUBS[i]) for i in range(arg, min(arg + 4, 10))]
+            fresh = [item for item in items if item[0] not in stored]
             for lib in libraries.values():
-                lib.store_many(items)
-            stored.update(items)
+                if fresh != items:
+                    with pytest.raises(ValueError):
+                        lib.store_many(items)
+                lib.store_many(fresh)
+            stored.update(fresh)
         elif op == "match":
             for lib in libraries.values():
                 assert lib.match(_PUBS[arg]) == oracle(_PUBS[arg])
@@ -120,7 +123,7 @@ def _churn(sequence, configs):
 def test_backends_agree_under_churn(sequence):
     libraries = _churn(sequence, _CONFIGS)
 
-    # The stores must also copy out bit-identical row data, and the span
+    # The stores must also hold bit-identical row data, and the span
     # indexes agree on ids and spans.
     base, *others = libraries.values()
     base_ids, _, base_starts, base_stops = base._span_index().view
@@ -136,25 +139,22 @@ def test_backends_agree_under_churn(sequence):
 
 
 def _packed_rows(store):
-    """``(matrix, strict, tol_signed)`` copies of a store's rows, taken in
-    two calls so that a range starting inside a chunk is covered too."""
-    rows = store.rows
-    matrix = np.empty((rows, store.width or 0))
-    strict = np.empty(rows, dtype=bool)
-    tol_signed = np.empty(rows)
-    for lo, hi in ((0, rows // 2), (rows // 2, rows)):
-        store.copy_rows(
-            lo, hi, matrix=matrix[lo:hi], strict=strict[lo:hi],
-            tol_signed=tol_signed[lo:hi],
-        )
-    return matrix, strict, tol_signed
+    """``(matrix, strict, tol_signed)`` of a store's rows, its blocks
+    concatenated."""
+    blocks = list(store.blocks())
+    if not blocks:
+        return np.empty((0, store.width or 0)), np.empty(0, bool), np.empty(0)
+    return tuple(
+        np.concatenate([getattr(block, name) for block in blocks])
+        for name in ("matrix", "strict", "tol_signed")
+    )
 
 
 @given(ops)
 @settings(max_examples=40, deadline=None)
 def test_release_on_every_touch_agrees_with_the_default_store(sequence):
-    """Churn and per-chunk compaction with every chunk released as soon
-    as the next one is touched."""
+    """Stores and bulk stores with every chunk released as soon as the
+    next one is touched."""
     libraries = _churn(sequence, {"default": _CONFIGS["default"], "tight": _TIGHT})
     stats = libraries["tight"].store_stats()
     assert stats["resident_chunks"] <= 1
@@ -170,6 +170,6 @@ def test_blocks_are_plain_contiguous_and_matching_copies_no_rows(sequence):
         library.match_batch(_PUBS)
         assert "rows" not in library._ws
         for block in library._chunks.blocks():
-            for column in (block.matrix, block.tol_base, block.tol_signed):
+            for column in (block.matrix, block.tol_signed):
                 assert type(column) is np.ndarray
                 assert column.flags.c_contiguous

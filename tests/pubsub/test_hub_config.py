@@ -56,15 +56,13 @@ def test_duplicate_notification_suppression_counter():
 
 
 def test_grouped_configs_are_kept_as_passed():
-    from repro.elastic import ElasticityPolicy
     from repro.filtering.store import StoreConfig
     from repro.transport import TransportConfig
 
     store = StoreConfig(backend="mmap", chunk_rows=128)
     net = TransportConfig(flush_mode="adaptive", flush_s=0.01)
-    policy = ElasticityPolicy(slo_veto=True)
-    config = small_exact_config(store=store, net=net, policy=policy)
-    assert (config.store, config.net, config.policy) == (store, net, policy)
+    config = small_exact_config(store=store, net=net)
+    assert (config.store, config.net) == (store, net)
     h = HubHarness(config)
     assert h.hub.runtime.transport.config is net
 

@@ -131,6 +131,39 @@ def test_aspe_end_to_end(store_config, aspe_cipher):
     assert by_pub == {1: 2, 2: 1}
 
 
+def test_duplicate_subscription_id_keeps_the_first(store_config, aspe_cipher):
+    """A repeated id is dropped at M and counted: the first filter stays."""
+    config = HubConfig(
+        ap_slices=2,
+        m_slices=2,
+        ep_slices=1,
+        sink_slices=1,
+        backend_factory=lambda index: ExactBackend(AspeLibrary()),
+        store=store_config,
+    )
+    h = HubHarness(config)
+    for subscriber, low in ((11, 100), (22, 500)):
+        h.hub.subscribe(
+            Subscription(1, subscriber,
+                         aspe_cipher.encrypt_subscription(band(0, low, low + 100)))
+        )
+    h.env.run()
+    for pub_id, value in ((1, 150.0), (2, 550.0)):
+        h.hub.publish(
+            Publication(
+                pub_id,
+                payload=aspe_cipher.encrypt_publication([value, 0.0, 0.0, 0.0]),
+                published_at=h.env.now,
+            )
+        )
+    h.env.run()
+    notified = {n.pub_id: n.subscriber_ids for n in h.hub.notification_log if n.count}
+    assert notified == {1: (11,)}
+    m_handlers = [h.hub.runtime.handler_of(f"M:{i}") for i in range(2)]
+    assert sum(m.duplicate_subscriptions for m in m_handlers) == 1
+    assert sum(m.backend.subscription_count() for m in m_handlers) == 1
+
+
 def test_backend_factory_required():
     import pytest as _pytest
     from repro.sim import Environment
@@ -174,4 +207,6 @@ def test_engine_slice_ids_excludes_sink(exact_hub):
     }
 
 
-TestOnMmapStore = on_mmap_store(test_aspe_end_to_end)
+TestOnMmapStore = on_mmap_store(
+    test_aspe_end_to_end, test_duplicate_subscription_id_keeps_the_first
+)

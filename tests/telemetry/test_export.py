@@ -3,6 +3,7 @@
 Each case writes over an existing file and fails part-way — the disk
 fills up after half a chunk, or the payload cannot be serialized.  The
 previous bytes must survive and no temporary file may be left behind.
+A write that succeeds leaves a file with the mode a plain ``open`` gives.
 """
 
 import errno
@@ -44,51 +45,66 @@ def _fill_disk(monkeypatch):
     )
 
 
-def _trace(path, monkeypatch):
+def _trace(path):
     tracer = Tracer()
     for pub_id in range(3):
         tracer.add_span("hop.M", 0.0, 0.001, pub_id=pub_id)
-    _fill_disk(monkeypatch)
     tracer.write_jsonl(path)
 
 
-def _scrape(path, monkeypatch):
+def _scrape(path):
     registry = MetricsRegistry()
     registry.counter("a_total").inc()
-    _fill_disk(monkeypatch)
     write_prometheus(path, registry)
 
 
-def _bench_payload(path, monkeypatch):
-    _fill_disk(monkeypatch)
+def _bench_payload(path):
     write_json(path, {"rows": [1, 2, 3]})
 
 
-def _unserializable_bench_payload(path, monkeypatch):
+def _unserializable_bench_payload(path):
     write_json(path, {"bad": object()})
 
 
 def _metrics_command(fmt):
-    def write(path, monkeypatch):
-        _fill_disk(monkeypatch)
+    def write(path):
         main(["metrics", "--publications", "5", "--format", fmt, "--out", path])
 
     return write
 
 
-@pytest.mark.parametrize("write", [
+_WRITERS = [
     pytest.param(_trace, id="trace"),
     pytest.param(_scrape, id="scrape"),
     pytest.param(_bench_payload, id="payload"),
-    pytest.param(_unserializable_bench_payload, id="bad_payload"),
     pytest.param(_metrics_command("table"), id="table_out"),
     pytest.param(_metrics_command("prom"), id="prom_out"),
     pytest.param(_metrics_command("json"), id="json_out"),
+]
+
+
+@pytest.mark.parametrize("write", [
+    *_WRITERS[:3],
+    pytest.param(_unserializable_bench_payload, id="bad_payload"),
+    *_WRITERS[3:],
 ])
 def test_failed_write_keeps_old_file(write, tmp_path, monkeypatch):
     path = tmp_path / "artifact"
     path.write_bytes(b"previous run\n")
+    # (An unserializable payload fails before a byte reaches the disk.)
+    _fill_disk(monkeypatch)
     with pytest.raises((OSError, TypeError)):
-        write(str(path), monkeypatch)
+        write(str(path))
     assert path.read_bytes() == b"previous run\n"
     assert list(tmp_path.iterdir()) == [path]  # no temporary file behind
+
+
+@pytest.mark.parametrize("write", _WRITERS)
+def test_written_file_has_the_umask_mode(write, tmp_path):
+    path = tmp_path / "artifact"
+    previous = os.umask(0o027)
+    try:
+        write(str(path))
+    finally:
+        os.umask(previous)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~0o027

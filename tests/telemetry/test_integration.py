@@ -253,14 +253,8 @@ class TestHeartbeatSampling:
 def _probe_set(now=100.0, window_s=5.0):
     """A hand-built heartbeat round with one clearly overloaded host."""
     hosts = {
-        "host-0": HostProbe(
-            host_id="host-0", cores=8, cpu_utilization=0.9,
-            net_bytes_sent=0, net_bytes_received=0,
-        ),
-        "host-1": HostProbe(
-            host_id="host-1", cores=8, cpu_utilization=0.2,
-            net_bytes_sent=0, net_bytes_received=0,
-        ),
+        "host-0": HostProbe(host_id="host-0", cores=8, cpu_utilization=0.9),
+        "host-1": HostProbe(host_id="host-1", cores=8, cpu_utilization=0.2),
     }
     slices = {
         "M:0": SliceProbe("M:0", "host-0", cpu_cores=3.0,

@@ -19,9 +19,11 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.config import add_flags, flag_overrides, from_flags, provenance
-from repro.elastic import ElasticityPolicy
+from repro.cluster import CloudProvider, HostSpec
+from repro.elastic import ElasticityManager, ElasticityPolicy
 from repro.filtering import StoreConfig
-from repro.pubsub import HubConfig
+from repro.pubsub import HubConfig, StreamHub
+from repro.sim import Environment
 from repro.transport import TransportConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -147,7 +149,15 @@ def test_invalid_resolved_group_fails_validation():
 
 class TestHubConfigPolicy:
     def test_default_policy_is_the_paper_policy(self):
-        assert HubConfig().policy == ElasticityPolicy()
+        # The manager owns the policy; the hub declares none of its own.
+        assert "policy" not in {f.name for f in dataclasses.fields(HubConfig)}
+        env = Environment()
+        cloud = CloudProvider(env, spec=HostSpec(cores=8), max_hosts=2)
+        host, sink = cloud.provision_now(), cloud.provision_now()
+        hub = StreamHub(env, cloud.network, HubConfig.sampled(
+            ap_slices=1, m_slices=1, ep_slices=1, sink_slices=1))
+        hub.deploy_all_on([host], [sink])
+        assert ElasticityManager(hub, cloud, [host]).policy == ElasticityPolicy()
 
 
 class TestPolicyCommand:

@@ -96,11 +96,8 @@ REFERENCE = "reference implementation tests compare against"
 SAFETY = "safety path: fault handling no fault-free entry point exercises"
 INTERFACE = "abstract or default method of an interface; concrete classes override it"
 REPR = "debugging repr / str (assertion messages)"
-UNSUBSCRIBE = ("unsubscription, part of the FilteringLibrary contract; "
-               "no entry point unsubscribes")
 TELEMETRY = "decision-span attributes, recorded when a Telemetry bundle is bound"
 METRIC = "metric API for library callers; entry points read the registry by snapshot"
-COMPACT = "churn compaction, run once dead rows outnumber live ones (and 64)"
 DRIVE = "operation tests drive directly; entry points reach the same state another way"
 
 
@@ -143,7 +140,6 @@ KEPT: Dict[str, str] = {
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.resident_bytes",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.chunk_count",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.resident_chunks",
-            "repro/filtering/store/chunks.py::ChunkedMatrixStore.copy_rows",
             "repro/pubsub/hub.py::StreamHub.subscribed_count",
             "repro/sim/core.py::Event.processed",
             "repro/sim/core.py::Event.ok",
@@ -195,14 +191,12 @@ KEPT: Dict[str, str] = {
             "repro/engine/handler.py::SliceHandler.coalesce_with",
             "repro/engine/handler.py::SliceHandler.process_batch",
             "repro/filtering/backends.py::MatchingBackend.store",
-            "repro/filtering/backends.py::MatchingBackend.remove",
             "repro/filtering/backends.py::MatchingBackend.match",
             "repro/filtering/backends.py::MatchingBackend.match_batch",
             "repro/filtering/backends.py::MatchingBackend.subscription_count",
             "repro/filtering/backends.py::MatchingBackend.export_state",
             "repro/filtering/backends.py::MatchingBackend.import_state",
             "repro/filtering/base.py::FilteringLibrary.store",
-            "repro/filtering/base.py::FilteringLibrary.remove",
             "repro/filtering/base.py::FilteringLibrary.match",
             "repro/filtering/base.py::FilteringLibrary.match_batch",
             "repro/filtering/base.py::FilteringLibrary.subscription_count",
@@ -213,25 +207,12 @@ KEPT: Dict[str, str] = {
             "repro/filtering/aspe.py::AspeLibrary.export_state",
             "repro/filtering/aspe.py::AspeLibrary.import_state",
             "repro/filtering/store/chunks.py::ChunkedMatrixStore.clear"),
-    **_kept(UNSUBSCRIBE,
-            "repro/filtering/aspe.py::AspeLibrary.remove",
-            "repro/filtering/aspe.py::AspeLibrary._tombstone",
-            "repro/filtering/backends.py::ExactBackend.remove",
-            "repro/filtering/backends.py::SampledBackend.remove",
-            "repro/filtering/store/chunks.py::ChunkedMatrixStore.mark_dead"),
-    **_kept("row-range lookup of `mark_dead` (unsubscription) and `copy_rows`",
-            "repro/filtering/store/chunks.py::ChunkedMatrixStore._chunk_offsets"),
     **_kept("growth of a RAM chunk past its first capacity; no entry point's "
             "subscriptions outgrow it",
             "repro/filtering/store/chunks.py::_Chunk.columns",
             "repro/filtering/store/chunks.py::_Chunk.grow"),
     **_kept(REFERENCE,
-            "repro/filtering/plain.py::BruteForceLibrary.remove",
             "repro/filtering/plain.py::BruteForceLibrary.state_size_bytes"),
-    **_kept(COMPACT,
-            "repro/filtering/aspe.py::AspeLibrary._compact",
-            "repro/filtering/store/chunks.py::ChunkedMatrixStore._drop_chunk",
-            "repro/filtering/store/chunks.py::ChunkedMatrixStore.compact"),
     **_kept("`repro metrics --format prom`, which CI runs for its `BENCH_metrics.prom` "
             "sample; the tool runs the table format",
             "repro/telemetry/export.py::_escape",
@@ -258,6 +239,7 @@ KEPT: Dict[str, str] = {
             "repro/transport/channel.py::Channel._on_deadline"),
     **_kept("no-op `perfbench/layers.py` wraps by name; it goes with "
             "`prepare_batch`",
+            "repro/filtering/store/chunks.py::ChunkedMatrixStore.compact",
             "repro/transport/channel.py::Transport.on_consumed"),
     **_kept("`bench_ablation_backlog`'s load step, built and run inside its "
             "timed body, where pytest-benchmark pauses the hook",
